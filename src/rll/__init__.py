@@ -5,7 +5,8 @@ from .syntax import (Alphabet, Expr, MuLtlFormula, ParseError, RllError,
                      parse_expr, parse_expr_file, parse_formula,
                      parse_formula_file, print_expr, print_formula,
                      substitute)
-from .closure import FlClosure, assign_priorities, closure_with_priorities, fl_closure
+from .closure import (FlClosure, OccurrenceGraph, assign_priorities,
+                      closure_with_priorities, fl_closure, occurrence_graph)
 from .automaton import Apa, build_apa, export_dot
 from .semantics import (Lasso, enumerate_lassos, eval_multl, eval_rll,
                         lasso_normalize, member_oracle, models, parse_lasso,

@@ -8,14 +8,13 @@ invocations (fixed orderings, fixed default seeds).
 from __future__ import annotations
 
 import argparse
-import random
 import sys
 
 from . import __version__, algebra, calculus, corpus
 from .automaton import build_apa, export_dot
 from .closure import closure_with_priorities, format_closure
 from .game import equiv_bounded, inclusion_bounded, member_game
-from .semantics import lasso_normalize, member_oracle, parse_lasso, print_lasso
+from .semantics import member_oracle, parse_lasso, print_lasso
 from .syntax import (Alphabet, RllError, parse_expr_file, parse_formula_file,
                      print_expr, print_formula)
 
@@ -340,6 +339,10 @@ def main(argv=None) -> int:
         return 2
     except RllError as err:
         print(f"error: {err}", file=sys.stderr)
+        return 2
+    except RecursionError:
+        # parsing and evaluation recurse once per level of nesting
+        print("error: expression nested too deeply", file=sys.stderr)
         return 2
 
 

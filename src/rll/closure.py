@@ -1,24 +1,40 @@
-"""Fischer-Ladner closure, the one-step decomposition relation, and priorities.
+"""The game's occurrence graph, and the paper's Fischer-Ladner closure.
 
-The closure of a closed expression is the least set containing it and closed
-under one-step decomposition: a.f steps to f, sums and meets step to their
-components, and fixpoints step to their unfolding. Members are discovered
-breadth-first from the root and deduplicated up to bound-variable renaming.
+The occurrence graph is what the evaluation game runs on. Its nodes are the
+subterm occurrences of a closed expression, built in one pass over the root:
+each node has a kind, a letter (for a.f) and successor ids, and a variable
+is not a node of its own but a back-edge to its binder's node. Non-binder
+nodes are hash-consed on (kind, letter, successor ids), so the copies of top,
+b.top and the like that complementation makes share one node; binders are
+never merged. Merged nodes have the same owner, priority and successors, so
+merging changes the outcome of no play. A binder's priority is its nesting
+depth d (the number of binders above it): 2d for nu, 2d+1 for mu. Every
+other node takes one neutral value above all of these. An infinite play
+passes through binders infinitely often, and the outermost of those is
+unique, so the minimum priority seen infinitely often is that binder's and
+its kind decides the winner.
 
-Priorities realize the parity acceptance condition: pick the Kahn topological
-order r of the subformula order on members (discovery-order tie-breaks), and
-set priority 2r+1 on mu-members, 2r on everything else. Ranks are injective
-and monotone, so along any infinite trace the minimum priority seen infinitely
-often belongs to the subformula-minimum member, whose binder decides the
-winner (mu-members odd, nu-members even). Non-fixpoint members take the even
-value 2r; this is harmless because a never-stabilizing trace's minimum
-infinitely-occurring member is always a fixpoint expression.
+The closure is the paper's view of the same automaton, kept for ``rll
+closure`` and ``rll apa-dot``. It is the least set containing the root and
+closed under one-step decomposition: a.f steps to f, sums and meets step to
+their components, and fixpoints step to their unfolding. Members are
+discovered breadth-first from the root and deduplicated up to bound-variable
+renaming. Unfolding substitutes whole binders, so members can grow large.
+
+Closure priorities pick the Kahn topological order r of the subformula order
+on members (discovery-order tie-breaks), and set priority 2r+1 on
+mu-members, 2r on everything else. Ranks are injective and monotone, so along
+any infinite trace the minimum priority seen infinitely often belongs to the
+subformula-minimum member, whose binder decides the winner (mu-members odd,
+nu-members even). Non-fixpoint members take the even value 2r; this is
+harmless because a never-stabilizing trace's minimum infinitely-occurring
+member is always a fixpoint expression.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .syntax import (Act, Alphabet, Expr, Meet, Mu, Nu, RllError, Sum, Top,
                      Var, Zero, alpha_key, free_vars, print_expr,
@@ -27,6 +43,75 @@ from .syntax import (Act, Alphabet, Expr, Meet, Mu, Nu, RllError, Sum, Top,
 
 class ClosureError(RllError):
     pass
+
+
+class OccurrenceGraph(NamedTuple):
+    """The occurrence graph of a closed expression.
+
+    Node i has kind ``kinds[i]`` (act, sum, meet, mu, nu, zero or top), the
+    letter ``letters[i]`` of an act node (None otherwise), successor ids
+    ``succs[i]`` without repeats, and priority ``priority[i]``. ``root`` is
+    the node of the whole expression.
+    """
+
+    root: int
+    kinds: tuple[str, ...]
+    letters: tuple[Optional[str], ...]
+    succs: tuple[tuple[int, ...], ...]
+    priority: tuple[int, ...]
+
+
+def occurrence_graph(e: Expr, alphabet: Alphabet) -> OccurrenceGraph:
+    """The occurrence graph of a closed expression, built in one pass."""
+    kinds: list[str] = []
+    letters: list[Optional[str]] = []
+    succs: list[tuple[int, ...]] = []
+    depth: dict[int, int] = {}  # binder node -> number of binders above it
+    shared: dict[tuple, int] = {}
+    declared = frozenset(alphabet.letters)
+
+    def new(kind: str, letter: Optional[str], succ: tuple[int, ...]) -> int:
+        kinds.append(kind)
+        letters.append(letter)
+        succs.append(succ)
+        return len(kinds) - 1
+
+    def go(t: Expr, scope: dict[str, int], d: int) -> int:
+        if isinstance(t, Var):
+            if t.name not in scope:
+                raise ClosureError(
+                    "closure is only defined for closed expressions")
+            return scope[t.name]
+        if isinstance(t, (Mu, Nu)):
+            i = new("mu" if isinstance(t, Mu) else "nu", None, ())
+            depth[i] = d
+            succs[i] = (go(t.body, {**scope, t.var: i}, d + 1),)
+            return i
+        if isinstance(t, Act):
+            if t.letter not in declared:
+                raise ClosureError(f"undeclared letter {t.letter!r}")
+            key = ("act", t.letter, (go(t.body, scope, d),))
+        elif isinstance(t, (Sum, Meet)):
+            kind = "sum" if isinstance(t, Sum) else "meet"
+            pair = (go(t.left, scope, d), go(t.right, scope, d))
+            key = (kind, None, pair if pair[0] != pair[1] else pair[:1])
+        elif isinstance(t, Zero):
+            key = ("zero", None, ())
+        elif isinstance(t, Top):
+            key = ("top", None, ())
+        else:
+            raise TypeError(f"not an expression: {t!r}")
+        i = shared.get(key)
+        if i is None:
+            i = shared[key] = new(*key)
+        return i
+
+    root = go(e, {}, 0)
+    neutral = 2 * (max(depth.values()) + 1) if depth else 0
+    priority = tuple(2 * depth[i] + (kinds[i] == "mu") if i in depth
+                     else neutral for i in range(len(kinds)))
+    return OccurrenceGraph(root, tuple(kinds), tuple(letters), tuple(succs),
+                           priority)
 
 
 @dataclass(frozen=True)
@@ -46,16 +131,6 @@ class FlClosure:
     subformula_pairs: frozenset[tuple[int, int]]
     alphabet: Alphabet
     priority: Optional[tuple[int, ...]] = None
-
-    def successors(self, i: int) -> list[tuple[int, str]]:
-        return [(dst, kind) for src, dst, kind in self.edges if src == i]
-
-    def index_of(self, e: Expr) -> int:
-        key = alpha_key(e)
-        for i, m in enumerate(self.members):
-            if alpha_key(m) == key:
-                return i
-        raise ClosureError(f"not a member: {print_expr(e)}")
 
 
 def fl_successors(e: Expr) -> list[tuple[str, Expr]]:

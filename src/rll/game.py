@@ -1,12 +1,15 @@
 """The evaluation game: arena construction, a recursive parity solver with
 positional strategies, game-based membership, and bounded search.
 
-Positions pair a lasso position with a closure member. Moves follow the
-one-step decomposition of the member: letter actions consume the matching
-letter (a mismatch deadlocks, owned by Eloise), sums branch for Eloise, meets
-for Abelard, fixpoints unfold silently, and the constants 0 / top deadlock for
-Eloise / Abelard respectively. A deadlocked player loses; an infinite play is
-won by Eloise iff the minimum priority seen infinitely often is even.
+Positions pair a lasso position with a node of the expression's occurrence
+graph (see ``closure.py``). Moves follow the node's successors: letter
+actions consume the matching letter (a mismatch deadlocks, owned by Eloise),
+sums branch for Eloise, meets for Abelard, binders step to their body and
+variables jump back to their binder silently, and the constants 0 / top
+deadlock for Eloise / Abelard respectively. A deadlocked player loses; an
+infinite play is won by Eloise iff the minimum priority seen infinitely
+often is even, that is iff the outermost binder passed infinitely often is
+a nu.
 
 The solver is the classic recursive attractor decomposition. Deadlocks are
 handled natively: the attractor's for-all clause holds vacuously at opponent
@@ -21,10 +24,9 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from . import algebra
-from .closure import FlClosure, closure_with_priorities
+from .closure import OccurrenceGraph, occurrence_graph
 from .semantics import Lasso, enumerate_lassos
-from .syntax import (Act, Alphabet, Expr, Meet, Mu, Nu, RllError, Sum, Top,
-                     Var, Zero, free_vars)
+from .syntax import Alphabet, Expr, Meet, RllError, free_vars
 
 ELOISE = "eloise"
 ABELARD = "abelard"
@@ -42,7 +44,7 @@ class ParityGame:
     priorities: tuple[int, ...]
     edges: tuple[tuple[int, ...], ...]
     initial: int
-    # (lasso position, closure member) labels when built as an arena
+    # (lasso position, graph node) labels when built as an arena
     labels: tuple = ()
 
     def __post_init__(self):
@@ -60,61 +62,44 @@ class Solution:
         return frozenset(i for i, w in enumerate(self.winner) if w == player)
 
 
+_OWNER = {"act": ELOISE, "zero": ELOISE, "sum": ELOISE, "mu": ELOISE,
+          "nu": ELOISE, "top": ABELARD, "meet": ABELARD}
+
+
 def build_arena(e: Expr, w: Lasso,
-                closure: Optional[FlClosure] = None) -> ParityGame:
-    """The reachable evaluation-game arena for (w, e)."""
-    if free_vars(e):
-        raise GameError("the evaluation game needs a closed expression")
-    c = closure if closure is not None else closure_with_priorities(e, w.alphabet)
-    assert c.priority is not None
-    succ_by_member: dict[int, list[tuple[int, str]]] = {}
-    for src, dst, kind in c.edges:
-        succ_by_member.setdefault(src, []).append((dst, kind))
+                graph: Optional[OccurrenceGraph] = None) -> ParityGame:
+    """The reachable evaluation-game arena for (w, e); ``graph``, when
+    given, is the occurrence graph of e."""
+    if graph is None:
+        if free_vars(e):
+            raise GameError("the evaluation game needs a closed expression")
+        graph = occurrence_graph(e, w.alphabet)
+    kinds, letters, succs = graph.kinds, graph.letters, graph.succs
+    priority = graph.priority
+    word = [w.letter_at(i) for i in range(w.length)]
+    nxt = [w.succ(i) for i in range(w.length)]
 
-    index: dict[tuple[int, int], int] = {}
-    order: list[tuple[int, int]] = []
-
-    def intern(pos: tuple[int, int]) -> int:
-        if pos not in index:
-            index[pos] = len(order)
-            order.append(pos)
-        return index[pos]
-
-    intern((0, 0))
+    order: list[tuple[int, int]] = [(0, graph.root)]
+    index: dict[tuple[int, int], int] = {order[0]: 0}
     owners: list[str] = []
     prios: list[int] = []
     edges: list[tuple[int, ...]] = []
-    frontier = 0
-    while frontier < len(order):
-        i, m = order[frontier]
-        frontier += 1
-        member = c.members[m]
-        prios.append(c.priority[m])
-        moves: list[int] = []
-        if isinstance(member, Act):
-            owners.append(ELOISE)  # single move, or a mismatch deadlock
-            if w.letter_at(i) == member.letter:
-                (dst, _), = succ_by_member[m]
-                moves.append(intern((w.succ(i), dst)))
-        elif isinstance(member, Zero):
-            owners.append(ELOISE)
-        elif isinstance(member, Top):
-            owners.append(ABELARD)
-        elif isinstance(member, Sum):
-            owners.append(ELOISE)
-            for dst, _ in succ_by_member[m]:
-                moves.append(intern((i, dst)))
-        elif isinstance(member, Meet):
-            owners.append(ABELARD)
-            for dst, _ in succ_by_member[m]:
-                moves.append(intern((i, dst)))
-        elif isinstance(member, (Mu, Nu)):
-            owners.append(ELOISE)  # unique unfolding move
-            (dst, _), = succ_by_member[m]
-            moves.append(intern((i, dst)))
+    for i, v in order:  # grows while it is walked: breadth-first
+        kind = kinds[v]
+        owners.append(_OWNER[kind])
+        prios.append(priority[v])
+        if kind == "act":
+            targets = [(nxt[i], succs[v][0])] if word[i] == letters[v] else []
         else:
-            raise GameError(f"unexpected member {member!r}")
-        edges.append(tuple(dict.fromkeys(moves)))
+            targets = [(i, s) for s in succs[v]]
+        moves = []
+        for pos in targets:
+            j = index.get(pos)
+            if j is None:
+                j = index[pos] = len(order)
+                order.append(pos)
+            moves.append(j)
+        edges.append(tuple(moves))
     return ParityGame(tuple(owners), tuple(prios), tuple(edges), 0,
                       tuple(order))
 
@@ -211,9 +196,10 @@ def solve_parity(g: ParityGame) -> Solution:
 
 
 def member_game(e: Expr, w: Lasso,
-                closure: Optional[FlClosure] = None) -> bool:
-    """Membership of the lasso word in L(e), by solving the evaluation game."""
-    g = build_arena(e, w, closure)
+                graph: Optional[OccurrenceGraph] = None) -> bool:
+    """Membership of the lasso word in L(e), by solving the evaluation game;
+    ``graph``, when given, is the occurrence graph of e."""
+    g = build_arena(e, w, graph)
     sol = solve_parity(g)
     return sol.winner[g.initial] == ELOISE
 
@@ -230,10 +216,10 @@ def equiv_bounded(e: Expr, f: Expr, alphabet: Alphabet, max_prefix: int,
 
     This is a semi-decision: agreement within bounds is not equivalence.
     """
-    ce = closure_with_priorities(e, alphabet)
-    cf = closure_with_priorities(f, alphabet)
+    ge = occurrence_graph(e, alphabet)
+    gf = occurrence_graph(f, alphabet)
     for w in enumerate_lassos(alphabet, max_prefix, max_period):
-        if member_game(e, w, ce) != member_game(f, w, cf):
+        if member_game(e, w, ge) != member_game(f, w, gf):
             return Counterexample(w)
     return None
 
@@ -242,8 +228,8 @@ def inclusion_bounded(e: Expr, f: Expr, alphabet: Alphabet, max_prefix: int,
                       max_period: int) -> Optional[Counterexample]:
     """First lasso in L(e) but not in L(f), searched via e & complement(f)."""
     witness = Meet(e, algebra.complement(f, alphabet))
-    cw = closure_with_priorities(witness, alphabet)
+    gw = occurrence_graph(witness, alphabet)
     for w in enumerate_lassos(alphabet, max_prefix, max_period):
-        if member_game(witness, w, cw):
+        if member_game(witness, w, gw):
             return Counterexample(w)
     return None

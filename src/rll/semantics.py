@@ -196,7 +196,12 @@ def eval_rll(e: Expr, w: Lasso, env: Optional[Env] = None) -> PositionSet:
         memo[key] = res
         return res
 
-    return go(e, env)
+    # go refers to itself; unbinding it breaks that cycle, so its memo is
+    # freed on return rather than by the cyclic collector
+    try:
+        return go(e, env)
+    finally:
+        del go
 
 
 def member_oracle(e: Expr, w: Lasso) -> bool:
@@ -256,7 +261,10 @@ def eval_multl(phi: MuLtlFormula, w: Lasso,
         memo[key] = res
         return res
 
-    return go(phi, env)
+    try:
+        return go(phi, env)
+    finally:
+        del go
 
 
 def models(phi: MuLtlFormula, w: Lasso) -> bool:

@@ -2,6 +2,8 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -115,6 +117,31 @@ class TestInspection:
         code, _out, err = run(capsys, ["parse", files["ia"],
                                        "--alphabet", "a b c"])
         assert code == 2 and "does not match" in err
+
+
+class TestDeepNesting:
+    """Nesting past the interpreter's recursion limit is an input error."""
+
+    @pytest.fixture
+    def deep(self, tmp_path):
+        p = tmp_path / "deep.rll"
+        p.write_text("alphabet a b ;\n" + "a." * 1200 + "top\n")
+        return str(p)
+
+    def _run(self, argv):
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [os.path.abspath(src)] + [p for p in [env.get("PYTHONPATH")] if p])
+        return subprocess.run([sys.executable, "-m", "rll.cli", *argv],
+                              capture_output=True, text=True, env=env)
+
+    @pytest.mark.parametrize("argv", [["member", "(a)"], ["parse"]])
+    def test_exits_two_without_traceback(self, deep, argv):
+        proc = self._run(argv[:1] + [deep] + argv[1:])
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.strip() == "error: expression nested too deeply"
 
 
 class TestTranslate:

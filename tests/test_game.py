@@ -5,12 +5,13 @@ import random
 import pytest
 
 from rll import algebra
-from rll.corpus import agreement_pairs, gen_expr, gen_lasso
+from rll.closure import ClosureError, fl_closure, occurrence_graph
+from rll.corpus import agreement_pairs, gen_alphabet, gen_expr, gen_lasso
 from rll.game import (ABELARD, ELOISE, Counterexample, GameError, ParityGame,
                       build_arena, equiv_bounded, inclusion_bounded,
                       member_game, solve_parity)
 from rll.semantics import member_oracle, parse_lasso, print_lasso
-from rll.syntax import Alphabet, Sum, Var, parse_expr
+from rll.syntax import Alphabet, Mu, Nu, Sum, Var, expr_size, parse_expr
 
 AB = Alphabet.plain("a", "b")
 IA = "nu X. mu Y. (a.X + b.Y)"
@@ -48,6 +49,74 @@ class TestArena:
     def test_open_expression_rejected(self):
         with pytest.raises(GameError):
             build_arena(Var("X"), lasso("(a)"))
+
+
+def _binder_nesting(e) -> int:
+    """The largest number of binders on one root-to-leaf path."""
+    if isinstance(e, (Mu, Nu)):
+        return 1 + _binder_nesting(e.body)
+    return max((_binder_nesting(getattr(e, f))
+                for f in ("body", "left", "right") if hasattr(e, f)),
+               default=0)
+
+
+class TestOccurrenceGraph:
+    def test_node_counts_match_closure_on_paper_languages(self):
+        counts = []
+        for text in (IA, FB, f"({IA}) & ({FB})"):
+            e = parse_expr(text, AB)
+            for x in (e, algebra.complement(e, AB)):
+                n = len(occurrence_graph(x, AB).kinds)
+                assert n == len(fl_closure(x, AB).members)
+                counts.append(n)
+        assert counts == [5, 10, 7, 13, 13, 21]
+
+    def test_variables_are_back_edges_to_binders(self):
+        g = occurrence_graph(parse_expr(IA, AB), AB)
+        assert g.kinds[g.root] == "nu"
+        acts = {g.letters[i]: g.succs[i] for i, k in enumerate(g.kinds)
+                if k == "act"}
+        mu, = g.succs[g.root]
+        assert acts == {"a": (g.root,), "b": (mu,)}
+        assert g.priority[g.root] == 0 and g.priority[mu] == 3
+
+    def test_node_count_at_most_expr_size(self):
+        rng = random.Random(61)
+        for _ in range(300):
+            ab = gen_alphabet(rng)
+            e = gen_expr(rng, ab, rng.randint(1, 60))
+            assert len(occurrence_graph(e, ab).kinds) <= expr_size(e)
+
+    def test_distinct_priorities_bounded_by_nesting(self):
+        rng = random.Random(62)
+        for _ in range(300):
+            ab = gen_alphabet(rng)
+            e = gen_expr(rng, ab, rng.randint(1, 60))
+            g = occurrence_graph(e, ab)
+            assert len(set(g.priority)) <= 2 * _binder_nesting(e) + 2
+
+    def test_oracle_agreement_and_complement_law(self):
+        for e, w in agreement_pairs(3031, 1000):
+            g = member_game(e, w)
+            assert g == member_oracle(e, w), \
+                f"disagreement on {e} / {print_lasso(w)}"
+            assert member_game(algebra.complement(e, w.alphabet), w) != g, \
+                f"complement law broken on {e} / {print_lasso(w)}"
+
+    def test_oracle_agreement_on_large_expressions(self):
+        # beyond the reach of the closure, which takes seconds at this size
+        rng = random.Random(5150)
+        for _ in range(60):
+            ab = gen_alphabet(rng)
+            e = gen_expr(rng, ab, rng.randint(50, 200))
+            w = gen_lasso(rng, ab, 3, 4)
+            assert member_game(e, w) == member_oracle(e, w), \
+                f"disagreement on {e} / {print_lasso(w)}"
+
+    def test_undeclared_letter_rejected(self):
+        e = parse_expr("nu X. c.X", Alphabet.plain("a", "b", "c"))
+        with pytest.raises(ClosureError):
+            occurrence_graph(e, AB)
 
 
 class TestSolver:

@@ -1,10 +1,12 @@
 """Lassos and the fixpoint evaluator (the membership oracle)."""
 
+import gc
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from rll.algebra import complement
 from rll.corpus import gen_expr, gen_lasso
 from rll.semantics import (Lasso, SemanticsError, enumerate_lassos,
                            eval_multl, eval_rll, lasso_normalize,
@@ -210,3 +212,26 @@ class TestEvalMultl:
         neg = eval_multl(parse_formula("~P", P1), w)
         assert pos | neg == frozenset(range(w.length))
         assert pos & neg == frozenset()
+
+
+class TestMemoRelease:
+    """The evaluators leave no cyclic garbage behind for the collector."""
+
+    def _garbage_after(self, run) -> int:
+        gc.collect()
+        gc.disable()
+        try:
+            run()
+            return gc.collect()
+        finally:
+            gc.enable()
+
+    def test_eval_rll(self):
+        e = complement(parse_expr("nu X. mu Y. (a.X + b.Y)", AB), AB)
+        w = Lasso(tuple("ab" * 48), tuple("b" * 400), AB)
+        assert self._garbage_after(lambda: eval_rll(e, w)) < 50
+
+    def test_eval_multl(self):
+        phi = parse_formula("nu X. mu Y. ((P & O X) | O Y)", P1)
+        w = Lasso(("{P}", "{}") * 48, ("{}",) * 400, P1)
+        assert self._garbage_after(lambda: eval_multl(phi, w)) < 50
