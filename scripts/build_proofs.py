@@ -147,7 +147,7 @@ def until_next_distribution() -> Derivation:
         return Step(sid, FormulaClaim(formula), rule, subst or {},
                     premises or [])
 
-    from rll.syntax import print_formula as pf
+    from rll.syntax import print_expr as pf
 
     a1 = Next(Or(negate_formula(u), unf))      # O(U -> unfolding)
     b1 = Or(Next(negate_formula(u)), Next(unf))

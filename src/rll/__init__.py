@@ -1,10 +1,9 @@
 """Toolkit for omega-regular languages as right-linear lattice expressions."""
 
 from .syntax import (Alphabet, Expr, MuLtlFormula, ParseError, RllError,
-                     alpha_eq, alpha_eq_formula, free_vars, negate_formula,
-                     parse_expr, parse_expr_file, parse_formula,
-                     parse_formula_file, print_expr, print_formula,
-                     substitute)
+                     alpha_eq, free_vars, negate_formula, parse_expr,
+                     parse_expr_file, parse_formula, parse_formula_file,
+                     print_expr, substitute)
 from .closure import (FlClosure, OccurrenceGraph, assign_priorities,
                       closure_with_priorities, fl_closure, occurrence_graph)
 from .automaton import Apa, build_apa, export_dot

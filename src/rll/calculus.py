@@ -20,16 +20,16 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Optional, Union
 
 from . import algebra
-from .syntax import (Act, Alphabet, Expr, Meet, Mu, MuF, MuLtlFormula, Next,
-                     Nu, NuF, Or, RllError, Sum, TOP, Top, Var, ZERO, Zero,
-                     alpha_eq, alpha_eq_formula, alpha_key, alpha_key_formula,
-                     And, Bot, FVar, NegProp, Prop, TopF, free_fvars,
-                     free_vars, fresh_name, implies, iff, negate_formula,
-                     parse_expr, parse_formula, print_expr, print_formula,
-                     subexpressions, substitute, substitute_formula, sum_of)
+from .syntax import (BOTTOMS, JOINS, LATTICE, MEETS, TOPS, Act, Alphabet, And,
+                     Expr, Meet, Mu, MuF, MuLtlFormula, Next, Nu, NuF, Or,
+                     RllError, Sum, TOP, Term, Top, Var, ZERO, Zero, alpha_eq,
+                     alpha_key, free_vars, fresh_name, implies, iff,
+                     negate_formula, parse_expr, parse_formula, print_expr,
+                     subexpressions, substitute, sum_of)
 
 
 class CalculusError(RllError):
@@ -150,7 +150,7 @@ def derivation_to_json(d: Derivation) -> dict:
 
     def dump_step(s: Step) -> dict:
         if isinstance(s.claim, FormulaClaim):
-            claim = {"formula": print_formula(s.claim.formula)}
+            claim = {"formula": print_expr(s.claim.formula)}
         else:
             claim = {"rel": s.claim.rel, "lhs": print_expr(s.claim.lhs),
                      "rhs": print_expr(s.claim.rhs)}
@@ -251,23 +251,54 @@ _AXIOM_PARAMS = {
 # Boolean-oracle steps
 # ---------------------------------------------------------------------------
 
-def maximal_atoms(exprs: list[Expr]) -> list[Expr]:
+def maximal_atoms(terms: list[Term]) -> list[Term]:
     """Maximal subterms whose head is not a lattice operation or constant,
     deduplicated up to renaming, in first-occurrence order."""
-    seen: dict[str, Expr] = {}
+    seen: dict[str, Term] = {}
 
-    def walk(t: Expr):
-        if isinstance(t, (Sum, Meet)):
+    def walk(t: Term):
+        if isinstance(t, LATTICE):
             walk(t.left)
             walk(t.right)
-        elif isinstance(t, (Zero, Top)):
-            pass
-        else:
+        elif not isinstance(t, (BOTTOMS, TOPS)):
             seen.setdefault(alpha_key(t), t)
 
-    for e in exprs:
-        walk(e)
+    try:
+        for t in terms:
+            walk(t)
+    finally:
+        del walk  # walk refers to itself; unbinding it breaks that cycle
     return list(seen.values())
+
+
+def _skeleton_value(var_of: dict[str, tuple[int, bool]],
+                    assign: tuple[bool, ...], t: Term) -> bool:
+    """Truth of a lattice skeleton whose maximal atoms are the Boolean
+    variables var_of maps by alpha key to (index, sign)."""
+    if isinstance(t, JOINS):
+        return (_skeleton_value(var_of, assign, t.left)
+                or _skeleton_value(var_of, assign, t.right))
+    if isinstance(t, MEETS):
+        return (_skeleton_value(var_of, assign, t.left)
+                and _skeleton_value(var_of, assign, t.right))
+    if isinstance(t, BOTTOMS):
+        return False
+    if isinstance(t, TOPS):
+        return True
+    idx, sign = var_of[alpha_key(t)]
+    return assign[idx] if sign else not assign[idx]
+
+
+def _truth_table(claim, premises: list, var_of: dict[str, tuple[int, bool]],
+                 nvars: int, holds: Callable) -> bool:
+    """Whether every assignment of the nvars Boolean variables that satisfies
+    the premises satisfies the claim; ``holds(c, value)`` decides one claim,
+    given ``value``, the truth of a skeleton under the assignment."""
+    for assign in itertools.product((False, True), repeat=nvars):
+        value = partial(_skeleton_value, var_of, assign)
+        if all(holds(p, value) for p in premises) and not holds(claim, value):
+            return False
+    return True
 
 
 def bool_taut(claim: Claim, premises: list[Claim], atoms: Optional[list[Expr]],
@@ -314,26 +345,11 @@ def bool_taut(claim: Claim, premises: list[Claim], atoms: Optional[list[Expr]],
     if nvars > 16:
         raise CalculusError("too many Boolean atoms")
 
-    def value(t: Expr, assign: tuple[bool, ...]) -> bool:
-        if isinstance(t, Sum):
-            return value(t.left, assign) or value(t.right, assign)
-        if isinstance(t, Meet):
-            return value(t.left, assign) and value(t.right, assign)
-        if isinstance(t, Zero):
-            return False
-        if isinstance(t, Top):
-            return True
-        idx, sign = var_of[alpha_key(t)]
-        return assign[idx] if sign else not assign[idx]
-
-    def holds(c: Claim, assign: tuple[bool, ...]) -> bool:
-        l, r = value(c.lhs, assign), value(c.rhs, assign)
+    def holds(c: Claim, value: Callable[[Expr], bool]) -> bool:
+        l, r = value(c.lhs), value(c.rhs)
         return l == r if c.rel == "eq" else (not l) or r
 
-    for assign in itertools.product((False, True), repeat=nvars):
-        if all(holds(p, assign) for p in premises) and not holds(claim, assign):
-            return False
-    return True
+    return _truth_table(claim, premises, var_of, nvars, holds)
 
 
 # ---------------------------------------------------------------------------
@@ -397,7 +413,7 @@ class _Checker:
         """Fresh variables of frames inside `depth` must not occur in a claim
         cited from outside (the eigenvariable condition)."""
         if isinstance(claim, FormulaClaim):
-            fv = free_fvars(claim.formula)
+            fv = free_vars(claim.formula)
         else:
             fv = free_vars(claim.lhs) | free_vars(claim.rhs)
         for frame in self.frames[depth + 1:]:
@@ -658,70 +674,30 @@ def check_rll(d: Derivation, tier: Optional[str] = None) -> Verdict:
 # The muLTL Hilbert checker
 # ---------------------------------------------------------------------------
 
-def _skeleton_atoms(phis: list[MuLtlFormula]) -> tuple[list, dict]:
-    """Boolean variables for tautology checking: propositions, and maximal
-    non-propositional subformulas grouped with their negations."""
+def _skeleton_atoms(phis: list[MuLtlFormula]) -> tuple[dict, int]:
+    """Boolean variables for tautology checking: the maximal non-lattice
+    subformulas, each grouped with its negation (so P with ~P)."""
     var_of: dict[str, tuple[int, bool]] = {}
-    order: list[str] = []
-
-    def intern(key: str, neg_key: str):
-        if key in var_of:
-            return
-        if neg_key in var_of:
-            idx, sign = var_of[neg_key]
-            var_of[key] = (idx, not sign)
+    nvars = 0
+    for atom in maximal_atoms(phis):
+        neg = var_of.get(alpha_key(negate_formula(atom)))
+        if neg is None:
+            var_of[alpha_key(atom)] = (nvars, True)
+            nvars += 1
         else:
-            var_of[key] = (len(order), True)
-            order.append(key)
-
-    def walk(t: MuLtlFormula):
-        if isinstance(t, (Or, And)):
-            walk(t.left)
-            walk(t.right)
-        elif isinstance(t, (Bot, TopF)):
-            pass
-        elif isinstance(t, Prop):
-            intern("p:" + t.name, "~p:" + t.name)
-        elif isinstance(t, NegProp):
-            intern("~p:" + t.name, "p:" + t.name)
-        else:
-            intern(alpha_key_formula(t),
-                   alpha_key_formula(negate_formula(t)))
-
-    for phi in phis:
-        walk(phi)
-    return order, var_of
+            var_of[alpha_key(atom)] = (neg[0], not neg[1])
+    return var_of, nvars
 
 
 def propositional_valid(claim: MuLtlFormula,
                         premises: list[MuLtlFormula] = ()) -> bool:
     """Truth-table validity treating maximal non-propositional subformulas as
     opaque atoms, a formula and its negation complementary."""
-    order, var_of = _skeleton_atoms([claim, *premises])
-    if len(order) > 16:
+    var_of, nvars = _skeleton_atoms([claim, *premises])
+    if nvars > 16:
         raise CalculusError("too many propositional atoms")
-
-    def value(t: MuLtlFormula, assign) -> bool:
-        if isinstance(t, Or):
-            return value(t.left, assign) or value(t.right, assign)
-        if isinstance(t, And):
-            return value(t.left, assign) and value(t.right, assign)
-        if isinstance(t, Bot):
-            return False
-        if isinstance(t, TopF):
-            return True
-        if isinstance(t, Prop):
-            idx, sign = var_of["p:" + t.name]
-        elif isinstance(t, NegProp):
-            idx, sign = var_of["~p:" + t.name]
-        else:
-            idx, sign = var_of[alpha_key_formula(t)]
-        return assign[idx] if sign else not assign[idx]
-
-    for assign in itertools.product((False, True), repeat=len(order)):
-        if all(value(p, assign) for p in premises) and not value(claim, assign):
-            return False
-    return True
+    return _truth_table(claim, premises, var_of, nvars,
+                        lambda phi, value: value(phi))
 
 
 def _fclaim(c: AnyClaim) -> MuLtlFormula:
@@ -754,7 +730,7 @@ class _MultlChecker(_Checker):
             b = self.sub_formula(step, "psi")
             pair = Or(a, b) if rule == "next_or" else And(a, b)
             comb = (Or if rule == "next_or" else And)(Next(a), Next(b))
-            if not alpha_eq_formula(phi, iff(Next(pair), comb)):
+            if not alpha_eq(phi, iff(Next(pair), comb)):
                 raise _Failure(f"claim is not the {rule} axiom instance")
         elif rule in ("mu_axiom", "nu_axiom"):
             _want(0, prems, rule)
@@ -762,36 +738,36 @@ class _MultlChecker(_Checker):
             body = self.sub_formula(step, "phi")
             if rule == "mu_axiom":
                 fix = MuF(x, body)
-                want = implies(substitute_formula(body, x, fix), fix)
+                want = implies(substitute(body, x, fix), fix)
             else:
                 fix = NuF(x, body)
-                want = implies(fix, substitute_formula(body, x, fix))
-            if not alpha_eq_formula(phi, want):
+                want = implies(fix, substitute(body, x, fix))
+            if not alpha_eq(phi, want):
                 raise _Failure(f"claim is not the {rule} instance")
         elif rule == "mp":
             _want(2, prems, rule)
             minor, major = _fclaim(prems[0]), _fclaim(prems[1])
-            if not alpha_eq_formula(major, implies(minor, phi)):
+            if not alpha_eq(major, implies(minor, phi)):
                 raise _Failure("second premise is not (first -> claim)")
         elif rule == "nec":
             _want(1, prems, rule)
-            if not alpha_eq_formula(phi, Next(_fclaim(prems[0]))):
+            if not alpha_eq(phi, Next(_fclaim(prems[0]))):
                 raise _Failure("claim must be O applied to the premise")
         elif rule in ("mu_rule", "nu_rule"):
             _want(1, prems, rule)
             x = self.sub_name(step, "X")
             body = self.sub_formula(step, "phi")
             psi = self.sub_formula(step, "psi")
-            unfolded = substitute_formula(body, x, psi)
+            unfolded = substitute(body, x, psi)
             if rule == "mu_rule":
                 want_prem = implies(unfolded, psi)
                 want_concl = implies(MuF(x, body), psi)
             else:
                 want_prem = implies(psi, unfolded)
                 want_concl = implies(psi, NuF(x, body))
-            if not alpha_eq_formula(_fclaim(prems[0]), want_prem):
+            if not alpha_eq(_fclaim(prems[0]), want_prem):
                 raise _Failure("premise does not match the rule")
-            if not alpha_eq_formula(phi, want_concl):
+            if not alpha_eq(phi, want_concl):
                 raise _Failure("conclusion does not match the rule")
         else:
             raise _Failure(f"unknown rule {rule!r}")

@@ -16,7 +16,7 @@ from .closure import closure_with_priorities, format_closure
 from .game import equiv_bounded, inclusion_bounded, member_game
 from .semantics import member_oracle, parse_lasso, print_lasso
 from .syntax import (Alphabet, RllError, parse_expr_file, parse_formula_file,
-                     print_expr, print_formula)
+                     print_expr)
 
 
 class CliError(Exception):
@@ -31,28 +31,18 @@ def _read(path: str) -> str:
         raise CliError(f"{path}: {err.strerror}")
 
 
-def _load_expr(path: str, args=None):
+def _load(parse_file, path: str, args):
+    """Read a self-contained expression or formula file with ``parse_file``."""
     try:
-        ab, e = parse_expr_file(_read(path), require_closed=True)
+        ab, term = parse_file(_read(path), require_closed=True)
     except RllError as err:
         raise CliError(f"{path}: {err}")
     _check_alphabet_flags(path, ab, args)
-    return ab, e
-
-
-def _load_formula(path: str, args=None):
-    try:
-        ab, phi = parse_formula_file(_read(path), require_closed=True)
-    except RllError as err:
-        raise CliError(f"{path}: {err}")
-    _check_alphabet_flags(path, ab, args)
-    return ab, phi
+    return ab, term
 
 
 def _check_alphabet_flags(path: str, ab: Alphabet, args):
     """Expression files are self-contained; a flag must agree, not override."""
-    if args is None:
-        return
     if getattr(args, "alphabet", None):
         if ab.props is not None or ab.letters != tuple(args.alphabet.split()):
             raise CliError(f"{path}: alphabet flag does not match file header")
@@ -73,31 +63,27 @@ def _lasso(text: str, ab: Alphabet):
 # ---------------------------------------------------------------------------
 
 def cmd_parse(args) -> int:
-    if args.formula:
-        ab, phi = _load_formula(args.file, args)
-        print(ab.header())
-        print(print_formula(phi))
-    else:
-        ab, e = _load_expr(args.file, args)
-        print(ab.header())
-        print(print_expr(e))
+    parse_file = parse_formula_file if args.formula else parse_expr_file
+    ab, term = _load(parse_file, args.file, args)
+    print(ab.header())
+    print(print_expr(term))
     return 0
 
 
 def cmd_closure(args) -> int:
-    ab, e = _load_expr(args.file, args)
+    ab, e = _load(parse_expr_file, args.file, args)
     print(format_closure(closure_with_priorities(e, ab)))
     return 0
 
 
 def cmd_apa_dot(args) -> int:
-    ab, e = _load_expr(args.file, args)
+    ab, e = _load(parse_expr_file, args.file, args)
     sys.stdout.write(export_dot(build_apa(closure_with_priorities(e, ab))))
     return 0
 
 
 def cmd_member(args) -> int:
-    ab, e = _load_expr(args.file, args)
+    ab, e = _load(parse_expr_file, args.file, args)
     w = _lasso(args.lasso, ab)
     if args.via == "game":
         res = member_game(e, w)
@@ -115,15 +101,8 @@ def cmd_member(args) -> int:
     return 0 if res else 1
 
 
-def cmd_oracle_member(args) -> int:
-    ab, e = _load_expr(args.file, args)
-    res = member_oracle(e, _lasso(args.lasso, ab))
-    print("true" if res else "false")
-    return 0 if res else 1
-
-
 def cmd_complement(args) -> int:
-    ab, e = _load_expr(args.file, args)
+    ab, e = _load(parse_expr_file, args.file, args)
     print(ab.header())
     print(print_expr(algebra.complement(e, ab)))
     return 0
@@ -131,21 +110,21 @@ def cmd_complement(args) -> int:
 
 def cmd_translate(args) -> int:
     if args.to == "ltl":
-        ab, e = _load_expr(args.file, args)
+        ab, e = _load(parse_expr_file, args.file, args)
         if ab.props is None:
             raise CliError(f"{args.file}: translation needs a props header")
         print(ab.header())
-        print(print_formula(algebra.to_multl(e, ab)))
+        print(print_expr(algebra.to_multl(e, ab)))
     else:
-        ab, phi = _load_formula(args.file, args)
+        ab, phi = _load(parse_formula_file, args.file, args)
         print(ab.header())
         print(print_expr(algebra.to_rll(phi, ab)))
     return 0
 
 
 def _two_exprs(args):
-    ab1, e = _load_expr(args.left, args)
-    ab2, f = _load_expr(args.right, args)
+    ab1, e = _load(parse_expr_file, args.left, args)
+    ab2, f = _load(parse_expr_file, args.right, args)
     if ab1 != ab2:
         raise CliError("the two expression files declare different alphabets")
     return ab1, e, f
@@ -289,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("lasso")
     common(p)
-    p.set_defaults(fn=cmd_oracle_member)
+    p.set_defaults(fn=cmd_member, via="oracle")
 
     p = sub.add_parser("complement", help="print the complement expression")
     p.add_argument("file")

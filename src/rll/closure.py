@@ -106,7 +106,10 @@ def occurrence_graph(e: Expr, alphabet: Alphabet) -> OccurrenceGraph:
             i = shared[key] = new(*key)
         return i
 
-    root = go(e, {}, 0)
+    try:
+        root = go(e, {}, 0)
+    finally:
+        del go  # go refers to itself; unbinding it frees its tables
     neutral = 2 * (max(depth.values()) + 1) if depth else 0
     priority = tuple(2 * depth[i] + (kinds[i] == "mu") if i in depth
                      else neutral for i in range(len(kinds)))

@@ -190,7 +190,12 @@ def solve_parity(g: ParityGame) -> Solution:
     dead_a, stratg_a = _attractor(g, preds, alive, set(), ABELARD)
     mark(dead_a, ABELARD, stratg_a)
     alive -= dead_a
-    zielonka(alive)
+    # zielonka refers to itself; unbinding it breaks that cycle, so the
+    # arena's working sets are freed on return, not by the cyclic collector
+    try:
+        zielonka(alive)
+    finally:
+        del zielonka
     assert all(w is not None for w in winner)
     return Solution(tuple(winner), strat[ELOISE], strat[ABELARD])
 

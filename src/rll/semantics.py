@@ -11,12 +11,11 @@ so the iterates realize the ordinal approximants exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Optional
+from typing import Callable, Iterable, Iterator, Mapping, Optional
 
-from .syntax import (Act, Alphabet, And, Bot, Expr, FVar, Meet, Mu, MuF,
-                     MuLtlFormula, NegProp, Next, Nu, NuF, Or, ParseError,
-                     Prop, RllError, Sum, Top, TopF, Var, Zero, free_fvars,
-                     free_vars)
+from .syntax import (BINDERS, BOTTOMS, JOINS, MEETS, MUS, PREFIXES, TOPS, VARS,
+                     Act, Alphabet, Expr, MuLtlFormula, NegProp, Next,
+                     ParseError, Prop, RllError, Term, free_vars)
 
 
 class SemanticsError(RllError):
@@ -149,42 +148,44 @@ def enumerate_lassos(alphabet: Alphabet, max_prefix: int,
 Env = Mapping[str, PositionSet]
 
 
-def eval_rll(e: Expr, w: Lasso, env: Optional[Env] = None) -> PositionSet:
-    """Positions i such that the i-th tail of w lies in the language of e.
+def _kleene(term: Term, w: Lasso, env: Optional[Env],
+            local: Callable[[Term], Iterable[int]]) -> PositionSet:
+    """Positions of w where the expression or formula ``term`` holds.
 
+    ``local`` gives what a node's own test admits: for a prefix node the
+    positions it may step from, for a literal the positions where it holds.
     Fixpoints are computed by Kleene iteration: mu from the empty set, nu from
     the full set of positions.
     """
     env = dict(env) if env else {}
-    missing = free_vars(e) - set(env)
+    missing = free_vars(term) - set(env)
     if missing:
         raise SemanticsError(f"unbound variables: {', '.join(sorted(missing))}")
-    n = w.length
-    full = frozenset(range(n))
+    full = frozenset(range(w.length))
+    succ = [w.succ(i) for i in range(w.length)]
     memo: dict = {}
 
-    def go(t: Expr, env: dict[str, PositionSet]) -> PositionSet:
+    def go(t: Term, env: dict[str, PositionSet]) -> PositionSet:
         fv = free_vars(t)
         key = (t, frozenset((v, env[v]) for v in fv))
         hit = memo.get(key)
         if hit is not None:
             return hit
-        if isinstance(t, Var):
+        if isinstance(t, VARS):
             res = env[t.name]
-        elif isinstance(t, Zero):
+        elif isinstance(t, BOTTOMS):
             res = frozenset()
-        elif isinstance(t, Top):
+        elif isinstance(t, TOPS):
             res = full
-        elif isinstance(t, Act):
+        elif isinstance(t, PREFIXES):
             body = go(t.body, env)
-            res = frozenset(i for i in range(n)
-                            if w.letter_at(i) == t.letter and w.succ(i) in body)
-        elif isinstance(t, Sum):
+            res = frozenset(i for i in local(t) if succ[i] in body)
+        elif isinstance(t, JOINS):
             res = go(t.left, env) | go(t.right, env)
-        elif isinstance(t, Meet):
+        elif isinstance(t, MEETS):
             res = go(t.left, env) & go(t.right, env)
-        elif isinstance(t, (Mu, Nu)):
-            cur = frozenset() if isinstance(t, Mu) else full
+        elif isinstance(t, BINDERS):
+            cur = frozenset() if isinstance(t, MUS) else full
             while True:
                 nxt = go(t.body, {**env, t.var: cur})
                 if nxt == cur:
@@ -192,16 +193,30 @@ def eval_rll(e: Expr, w: Lasso, env: Optional[Env] = None) -> PositionSet:
                 cur = nxt
             res = cur
         else:
-            raise TypeError(f"not an expression: {t!r}")
+            res = local(t)
         memo[key] = res
         return res
 
     # go refers to itself; unbinding it breaks that cycle, so its memo is
     # freed on return rather than by the cyclic collector
     try:
-        return go(e, env)
+        return go(term, env)
     finally:
         del go
+
+
+def eval_rll(e: Expr, w: Lasso, env: Optional[Env] = None) -> PositionSet:
+    """Positions i such that the i-th tail of w lies in the language of e."""
+    with_letter: dict[str, list[int]] = {}
+    for i in range(w.length):
+        with_letter.setdefault(w.letter_at(i), []).append(i)
+
+    def local(t: Term) -> Iterable[int]:
+        if isinstance(t, Act):
+            return with_letter.get(t.letter, ())
+        raise TypeError(f"not an expression: {t!r}")
+
+    return _kleene(e, w, env, local)
 
 
 def member_oracle(e: Expr, w: Lasso) -> bool:
@@ -216,59 +231,23 @@ def eval_multl(phi: MuLtlFormula, w: Lasso,
     """Positions of w satisfying phi, for powerset alphabets."""
     if w.alphabet.props is None:
         raise SemanticsError("muLTL semantics needs a powerset alphabet")
-    env = dict(env) if env else {}
-    missing = free_fvars(phi) - set(env)
-    if missing:
-        raise SemanticsError(f"unbound variables: {', '.join(sorted(missing))}")
     n = w.length
-    full = frozenset(range(n))
     props_at = [w.alphabet.letter_props(w.letter_at(i)) for i in range(n)]
-    memo: dict = {}
 
-    def go(t: MuLtlFormula, env: dict[str, PositionSet]) -> PositionSet:
-        fv = free_fvars(t)
-        key = (t, frozenset((v, env[v]) for v in fv))
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        if isinstance(t, Bot):
-            res = frozenset()
-        elif isinstance(t, TopF):
-            res = full
-        elif isinstance(t, Prop):
-            res = frozenset(i for i in range(n) if t.name in props_at[i])
-        elif isinstance(t, NegProp):
-            res = frozenset(i for i in range(n) if t.name not in props_at[i])
-        elif isinstance(t, FVar):
-            res = env[t.name]
-        elif isinstance(t, Or):
-            res = go(t.left, env) | go(t.right, env)
-        elif isinstance(t, And):
-            res = go(t.left, env) & go(t.right, env)
-        elif isinstance(t, Next):
-            body = go(t.body, env)
-            res = frozenset(i for i in range(n) if w.succ(i) in body)
-        elif isinstance(t, (MuF, NuF)):
-            cur = frozenset() if isinstance(t, MuF) else full
-            while True:
-                nxt = go(t.body, {**env, t.var: cur})
-                if nxt == cur:
-                    break
-                cur = nxt
-            res = cur
-        else:
-            raise TypeError(f"not a formula: {t!r}")
-        memo[key] = res
-        return res
+    def local(t: Term) -> Iterable[int]:
+        if isinstance(t, Next):
+            return range(n)
+        if isinstance(t, Prop):
+            return frozenset(i for i in range(n) if t.name in props_at[i])
+        if isinstance(t, NegProp):
+            return frozenset(i for i in range(n) if t.name not in props_at[i])
+        raise TypeError(f"not a formula: {t!r}")
 
-    try:
-        return go(phi, env)
-    finally:
-        del go
+    return _kleene(phi, w, env, local)
 
 
 def models(phi: MuLtlFormula, w: Lasso) -> bool:
     """w satisfies phi, i.e. position 0 does."""
-    if free_fvars(phi):
+    if free_vars(phi):
         raise SemanticsError("satisfaction needs a closed formula")
     return 0 in eval_multl(phi, w)

@@ -2,16 +2,18 @@
 
 Everything here is immutable and pure: expressions and formulas are frozen
 dataclasses, operations return fresh values, and structural comparison up to
-bound-variable renaming goes through ``alpha_key``.
+bound-variable renaming goes through ``alpha_key``. Expressions and formulas
+are binder terms of one shape, so free variables, substitution, alpha keys,
+size and printing are written once and serve both; only the parsers differ.
 """
 
 from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Union
 
 
 class RllError(Exception):
@@ -172,154 +174,6 @@ def sum_of(terms: list[Expr]) -> Expr:
     return acc
 
 
-def meet_of(terms: list[Expr]) -> Expr:
-    """Right-associated meet; empty meet is top."""
-    if not terms:
-        return TOP
-    acc = terms[-1]
-    for t in reversed(terms[:-1]):
-        acc = Meet(t, acc)
-    return acc
-
-
-@lru_cache(maxsize=None)
-def free_vars(e: Expr) -> frozenset[str]:
-    if isinstance(e, Var):
-        return frozenset({e.name})
-    if isinstance(e, Act):
-        return free_vars(e.body)
-    if isinstance(e, (Sum, Meet)):
-        return free_vars(e.left) | free_vars(e.right)
-    if isinstance(e, (Mu, Nu)):
-        return free_vars(e.body) - {e.var}
-    return frozenset()
-
-
-def expr_size(e: Expr) -> int:
-    """Number of AST nodes."""
-    if isinstance(e, Act):
-        return 1 + expr_size(e.body)
-    if isinstance(e, (Sum, Meet)):
-        return 1 + expr_size(e.left) + expr_size(e.right)
-    if isinstance(e, (Mu, Nu)):
-        return 1 + expr_size(e.body)
-    return 1
-
-
-def subexpressions(e: Expr) -> Iterator[Expr]:
-    """All subterms of e, including e itself (with repetitions)."""
-    yield e
-    if isinstance(e, Act):
-        yield from subexpressions(e.body)
-    elif isinstance(e, (Sum, Meet)):
-        yield from subexpressions(e.left)
-        yield from subexpressions(e.right)
-    elif isinstance(e, (Mu, Nu)):
-        yield from subexpressions(e.body)
-
-
-def fresh_name(base: str, avoid: frozenset[str]) -> str:
-    if base not in avoid:
-        return base
-    for i in itertools.count(1):
-        cand = f"{base}_{i}"
-        if cand not in avoid:
-            return cand
-    raise AssertionError("unreachable")
-
-
-def substitute(e: Expr, var: str, replacement: Expr) -> Expr:
-    """Capture-avoiding substitution of replacement for free occurrences of var."""
-    if isinstance(e, Var):
-        return replacement if e.name == var else e
-    if isinstance(e, Act):
-        return Act(e.letter, substitute(e.body, var, replacement))
-    if isinstance(e, Sum):
-        return Sum(substitute(e.left, var, replacement),
-                   substitute(e.right, var, replacement))
-    if isinstance(e, Meet):
-        return Meet(substitute(e.left, var, replacement),
-                    substitute(e.right, var, replacement))
-    if isinstance(e, (Mu, Nu)):
-        cls = type(e)
-        if e.var == var or var not in free_vars(e.body):
-            return e
-        if e.var in free_vars(replacement):
-            # rename the binder to dodge capture
-            new = fresh_name(e.var,
-                             free_vars(replacement) | free_vars(e.body) | {var})
-            body = substitute(e.body, e.var, Var(new))
-            return cls(new, substitute(body, var, replacement))
-        return cls(e.var, substitute(e.body, var, replacement))
-    return e
-
-
-@lru_cache(maxsize=None)
-def alpha_key(e: Expr) -> str:
-    """Canonical serialization: alpha-equivalent expressions get equal keys."""
-    out: list[str] = []
-    counter = itertools.count()
-
-    def go(t: Expr, env: dict[str, int]):
-        if isinstance(t, Var):
-            out.append(f"b{env[t.name]}" if t.name in env else f"f:{t.name};")
-        elif isinstance(t, Act):
-            out.append(f"a[{t.letter}](")
-            go(t.body, env)
-            out.append(")")
-        elif isinstance(t, Sum):
-            out.append("+(")
-            go(t.left, env)
-            out.append(",")
-            go(t.right, env)
-            out.append(")")
-        elif isinstance(t, Meet):
-            out.append("&(")
-            go(t.left, env)
-            out.append(",")
-            go(t.right, env)
-            out.append(")")
-        elif isinstance(t, (Mu, Nu)):
-            n = next(counter)
-            out.append(("mu" if isinstance(t, Mu) else "nu") + f"{n}(")
-            go(t.body, {**env, t.var: n})
-            out.append(")")
-        elif isinstance(t, Zero):
-            out.append("0")
-        else:
-            out.append("T")
-
-    go(e, {})
-    return "".join(out)
-
-
-def alpha_eq(a: Expr, b: Expr) -> bool:
-    return alpha_key(a) == alpha_key(b)
-
-
-# precedence levels: binder 0 < sum 1 < meet 2 < act 3 < atom 4
-def print_expr(e: Expr, _prec: int = 0) -> str:
-    if isinstance(e, Var):
-        return e.name
-    if isinstance(e, Zero):
-        return "0"
-    if isinstance(e, Top):
-        return "top"
-    if isinstance(e, Act):
-        return f"{e.letter}.{print_expr(e.body, 3)}"
-    if isinstance(e, Sum):
-        s = f"{print_expr(e.left, 1)} + {print_expr(e.right, 2)}"
-        return f"({s})" if _prec > 1 else s
-    if isinstance(e, Meet):
-        s = f"{print_expr(e.left, 2)} & {print_expr(e.right, 3)}"
-        return f"({s})" if _prec > 2 else s
-    if isinstance(e, (Mu, Nu)):
-        kw = "mu" if isinstance(e, Mu) else "nu"
-        s = f"{kw} {e.var}. {print_expr(e.body, 0)}"
-        return f"({s})" if _prec > 0 else s
-    raise TypeError(f"not an expression: {e!r}")
-
-
 # ---------------------------------------------------------------------------
 # muLTL formulas (negation normal form)
 # ---------------------------------------------------------------------------
@@ -431,117 +285,167 @@ def iff(a: MuLtlFormula, b: MuLtlFormula) -> MuLtlFormula:
     return And(implies(a, b), implies(b, a))
 
 
+# ---------------------------------------------------------------------------
+# Operations shared by both syntaxes
+# ---------------------------------------------------------------------------
+
+# Expressions and formulas are binder terms of one shape: variables, mu/nu
+# binders, a join, a meet, a bottom, a top and one prefix operator (a.e or
+# O phi); formulas add literals as leaves. The operations below branch on a
+# node's shape, never on its family.
+
+Term = Union[Expr, MuLtlFormula]
+
+VARS = (Var, FVar)
+BINDERS = (Mu, Nu, MuF, NuF)
+MUS = (Mu, MuF)
+JOINS = (Sum, Or)
+MEETS = (Meet, And)
+LATTICE = JOINS + MEETS
+PREFIXES = (Act, Next)
+BOTTOMS = (Zero, Bot)
+TOPS = (Top, TopF)
+
+# printed symbol of each operator and constant, the precedence of the infix
+# ones (binder 0 < join 1 < meet 2 < prefix 3 < atom 4), and the alpha-key
+# tag where it differs from the symbol
+_SYMBOL = {Sum: "+", Or: "|", Meet: "&", And: "&", Mu: "mu", MuF: "mu",
+           Nu: "nu", NuF: "nu", Zero: "0", Bot: "ff", Top: "top", TopF: "tt"}
+_PREC = {Sum: 1, Or: 1, Meet: 2, And: 2}
+_TAG = {**_SYMBOL, Top: "T"}
+
+
 @lru_cache(maxsize=None)
-def free_fvars(phi: MuLtlFormula) -> frozenset[str]:
-    if isinstance(phi, FVar):
-        return frozenset({phi.name})
-    if isinstance(phi, (Or, And)):
-        return free_fvars(phi.left) | free_fvars(phi.right)
-    if isinstance(phi, Next):
-        return free_fvars(phi.body)
-    if isinstance(phi, (MuF, NuF)):
-        return free_fvars(phi.body) - {phi.var}
+def free_vars(t: Term) -> frozenset[str]:
+    if isinstance(t, VARS):
+        return frozenset({t.name})
+    if isinstance(t, PREFIXES):
+        return free_vars(t.body)
+    if isinstance(t, LATTICE):
+        return free_vars(t.left) | free_vars(t.right)
+    if isinstance(t, BINDERS):
+        return free_vars(t.body) - {t.var}
     return frozenset()
 
 
-def substitute_formula(phi: MuLtlFormula, var: str,
-                       replacement: MuLtlFormula) -> MuLtlFormula:
-    if isinstance(phi, FVar):
-        return replacement if phi.name == var else phi
-    if isinstance(phi, (Or, And)):
-        cls = type(phi)
-        return cls(substitute_formula(phi.left, var, replacement),
-                   substitute_formula(phi.right, var, replacement))
-    if isinstance(phi, Next):
-        return Next(substitute_formula(phi.body, var, replacement))
-    if isinstance(phi, (MuF, NuF)):
-        cls = type(phi)
-        if phi.var == var or var not in free_fvars(phi.body):
-            return phi
-        if phi.var in free_fvars(replacement):
-            new = fresh_name(phi.var, free_fvars(replacement)
-                             | free_fvars(phi.body) | {var})
-            body = substitute_formula(phi.body, phi.var, FVar(new))
-            return cls(new, substitute_formula(body, var, replacement))
-        return cls(phi.var, substitute_formula(phi.body, var, replacement))
-    return phi
+def expr_size(t: Term) -> int:
+    """Number of AST nodes."""
+    if isinstance(t, (PREFIXES, BINDERS)):
+        return 1 + expr_size(t.body)
+    if isinstance(t, LATTICE):
+        return 1 + expr_size(t.left) + expr_size(t.right)
+    return 1
+
+
+def subexpressions(t: Term) -> Iterator[Term]:
+    """All subterms of t, including t itself (with repetitions)."""
+    yield t
+    if isinstance(t, (PREFIXES, BINDERS)):
+        yield from subexpressions(t.body)
+    elif isinstance(t, LATTICE):
+        yield from subexpressions(t.left)
+        yield from subexpressions(t.right)
+
+
+def fresh_name(base: str, avoid: frozenset[str]) -> str:
+    if base not in avoid:
+        return base
+    for i in itertools.count(1):
+        cand = f"{base}_{i}"
+        if cand not in avoid:
+            return cand
+    raise AssertionError("unreachable")
+
+
+def substitute(t: Term, var: str, replacement: Term) -> Term:
+    """Capture-avoiding substitution of replacement for free occurrences of var."""
+    if isinstance(t, VARS):
+        return replacement if t.name == var else t
+    if isinstance(t, PREFIXES):
+        return replace(t, body=substitute(t.body, var, replacement))
+    if isinstance(t, LATTICE):
+        return type(t)(substitute(t.left, var, replacement),
+                       substitute(t.right, var, replacement))
+    if isinstance(t, BINDERS):
+        cls = type(t)
+        if t.var == var or var not in free_vars(t.body):
+            return t
+        if t.var in free_vars(replacement):
+            # rename the binder to dodge capture, with a variable of its family
+            new = fresh_name(t.var,
+                             free_vars(replacement) | free_vars(t.body) | {var})
+            fresh = Var(new) if isinstance(t, (Mu, Nu)) else FVar(new)
+            body = substitute(t.body, t.var, fresh)
+            return cls(new, substitute(body, var, replacement))
+        return cls(t.var, substitute(t.body, var, replacement))
+    return t
 
 
 @lru_cache(maxsize=None)
-def alpha_key_formula(phi: MuLtlFormula) -> str:
+def alpha_key(t: Term) -> str:
+    """Canonical serialization: alpha-equivalent terms get equal keys."""
     out: list[str] = []
     counter = itertools.count()
 
-    def go(t: MuLtlFormula, env: dict[str, int]):
-        if isinstance(t, FVar):
+    def go(t: Term, env: dict[str, int]):
+        if isinstance(t, VARS):
             out.append(f"b{env[t.name]}" if t.name in env else f"f:{t.name};")
-        elif isinstance(t, Prop):
-            out.append(f"p:{t.name};")
-        elif isinstance(t, NegProp):
-            out.append(f"n:{t.name};")
-        elif isinstance(t, (Or, And)):
-            out.append(("|" if isinstance(t, Or) else "&") + "(")
+        elif isinstance(t, PREFIXES):
+            out.append(f"a[{t.letter}](" if isinstance(t, Act) else "O(")
+            go(t.body, env)
+            out.append(")")
+        elif isinstance(t, LATTICE):
+            out.append(_TAG[type(t)] + "(")
             go(t.left, env)
             out.append(",")
             go(t.right, env)
             out.append(")")
-        elif isinstance(t, Next):
-            out.append("O(")
-            go(t.body, env)
-            out.append(")")
-        elif isinstance(t, (MuF, NuF)):
+        elif isinstance(t, BINDERS):
             n = next(counter)
-            out.append(("mu" if isinstance(t, MuF) else "nu") + f"{n}(")
+            out.append(f"{_TAG[type(t)]}{n}(")
             go(t.body, {**env, t.var: n})
             out.append(")")
-        elif isinstance(t, Bot):
-            out.append("ff")
+        elif isinstance(t, Prop):
+            out.append(f"p:{t.name};")
+        elif isinstance(t, NegProp):
+            out.append(f"n:{t.name};")
         else:
-            out.append("tt")
+            out.append(_TAG[type(t)])
 
-    go(phi, {})
+    # go refers to itself; unbinding it frees each key's working state on
+    # return rather than by the cyclic collector
+    try:
+        go(t, {})
+    finally:
+        del go
     return "".join(out)
 
 
-def alpha_eq_formula(a: MuLtlFormula, b: MuLtlFormula) -> bool:
-    return alpha_key_formula(a) == alpha_key_formula(b)
+def alpha_eq(a: Term, b: Term) -> bool:
+    return alpha_key(a) == alpha_key(b)
 
 
-# precedence: binder 0 < or 1 < and 2 < O 3 < atom 4
-def print_formula(phi: MuLtlFormula, _prec: int = 0) -> str:
-    if isinstance(phi, Bot):
-        return "ff"
-    if isinstance(phi, TopF):
-        return "tt"
-    if isinstance(phi, Prop):
-        return phi.name
-    if isinstance(phi, NegProp):
-        return f"~{phi.name}"
-    if isinstance(phi, FVar):
-        return phi.name
-    if isinstance(phi, Or):
-        s = f"{print_formula(phi.left, 1)} | {print_formula(phi.right, 2)}"
-        return f"({s})" if _prec > 1 else s
-    if isinstance(phi, And):
-        s = f"{print_formula(phi.left, 2)} & {print_formula(phi.right, 3)}"
-        return f"({s})" if _prec > 2 else s
-    if isinstance(phi, Next):
-        return f"O {print_formula(phi.body, 3)}"
-    if isinstance(phi, (MuF, NuF)):
-        kw = "mu" if isinstance(phi, MuF) else "nu"
-        s = f"{kw} {phi.var}. {print_formula(phi.body, 0)}"
+def print_expr(t: Term, _prec: int = 0) -> str:
+    """Concrete syntax of an expression or formula, parenthesized so that
+    its parser reads it back."""
+    if isinstance(t, (VARS, Prop)):
+        return t.name
+    if isinstance(t, NegProp):
+        return f"~{t.name}"
+    if isinstance(t, PREFIXES):
+        head = f"{t.letter}." if isinstance(t, Act) else "O "
+        return head + print_expr(t.body, 3)
+    if isinstance(t, LATTICE):
+        p = _PREC[type(t)]
+        s = (f"{print_expr(t.left, p)} {_SYMBOL[type(t)]} "
+             f"{print_expr(t.right, p + 1)}")
+        return f"({s})" if _prec > p else s
+    if isinstance(t, BINDERS):
+        s = f"{_SYMBOL[type(t)]} {t.var}. {print_expr(t.body, 0)}"
         return f"({s})" if _prec > 0 else s
-    raise TypeError(f"not a formula: {phi!r}")
-
-
-def formula_size(phi: MuLtlFormula) -> int:
-    if isinstance(phi, (Or, And)):
-        return 1 + formula_size(phi.left) + formula_size(phi.right)
-    if isinstance(phi, Next):
-        return 1 + formula_size(phi.body)
-    if isinstance(phi, (MuF, NuF)):
-        return 1 + formula_size(phi.body)
-    return 1
+    if type(t) in _SYMBOL:
+        return _SYMBOL[type(t)]
+    raise TypeError(f"not an expression or formula: {t!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -742,8 +646,8 @@ def parse_formula(text: str, alphabet: Alphabet,
     tok = ts.peek()
     if tok.kind != "eof":
         raise ParseError(f"trailing input {tok.value!r}", tok.pos)
-    if require_closed and free_fvars(phi):
-        names = ", ".join(sorted(free_fvars(phi)))
+    if require_closed and free_vars(phi):
+        names = ", ".join(sorted(free_vars(phi)))
         raise ParseError(f"formula is not closed (free: {names})", 0)
     return phi
 

@@ -9,8 +9,8 @@ import os
 from rll.calculus import Claim, Derivation, FormulaClaim, Step, bool_taut
 from rll.semantics import enumerate_lassos
 from rll.syntax import (Expr, Mu, MuF, MuLtlFormula, NegProp, Nu, NuF, Prop,
-                        Var, alpha_eq, alpha_eq_formula, free_vars,
-                        negate_formula, subexpressions)
+                        Var, alpha_eq, free_vars, negate_formula,
+                        subexpressions)
 
 PROOF_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "proofs")
 

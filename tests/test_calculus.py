@@ -1,12 +1,15 @@
 """Proof checking: equational and Hilbert tiers, Boolean steps, generator."""
 
+import gc
+import importlib.util
 import itertools
 import json
+import os
 import random
 
 import pytest
 
-from helpers import mutants, proof_paths
+from helpers import PROOF_DIR, mutants, proof_paths
 from rll import algebra
 from rll.calculus import (CalculusError, Claim, Derivation, FormulaClaim,
                           HypContext, Step, bool_taut, check_derivation,
@@ -390,6 +393,31 @@ class TestProofCorpus:
             again = derivation_from_json(
                 json.loads(json.dumps(derivation_to_json(d))))
             assert check_derivation(again).accepted
+
+    def test_shipped_proofs_match_the_builder_byte_for_byte(self):
+        """Rebuilt in memory, every derivation of scripts/build_proofs.py
+        prints exactly as the file it wrote under proofs/."""
+        path = os.path.join(PROOF_DIR, os.pardir, "scripts", "build_proofs.py")
+        spec = importlib.util.spec_from_file_location("build_proofs", path)
+        build_proofs = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(build_proofs)
+        assert len(build_proofs.PROOFS) == 8
+        for name, build in build_proofs.PROOFS.items():
+            text = json.dumps(derivation_to_json(build()), indent=1) + "\n"
+            with open(os.path.join(PROOF_DIR, name), encoding="utf-8") as fh:
+                assert fh.read() == text, name
+
+    def test_checking_leaves_no_cyclic_garbage(self):
+        ds = [load_proof_file(path) for path in proof_paths()]
+        ds += derive_complement(parse_expr("nu X. mu Y. (a.X + b.Y)", AB), AB)
+        gc.collect()
+        gc.disable()
+        try:
+            for d in ds:
+                assert check_derivation(d).accepted
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_soundness_spot_check(self):
         """Accepted equational derivations with closed conclusions never

@@ -1,5 +1,6 @@
 """The evaluation game: arena, solver, membership, bounded search."""
 
+import gc
 import random
 
 import pytest
@@ -213,6 +214,23 @@ class TestMemberGame:
         for e, w in agreement_pairs(2024, 400):
             assert member_game(e, w) == member_oracle(e, w), \
                 f"disagreement on {e} / {print_lasso(w)}"
+
+
+class TestGarbage:
+    def test_member_game_leaves_no_cyclic_garbage(self):
+        """The graph builder and the solver free their working sets on
+        return, so nothing is left for the cyclic collector."""
+        exprs = [parse_expr(IA, AB), parse_expr(FB, AB)]
+        exprs += [algebra.complement(e, AB) for e in exprs]
+        w = lasso("ab" * 50 + "(" + "ab" * 200 + ")")
+        gc.collect()
+        gc.disable()
+        try:
+            for e in exprs:
+                member_game(e, w)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestBoundedSearch:

@@ -3,18 +3,30 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from rll import algebra
 from rll.syntax import (Act, Alphabet, AlphabetError, And, FVar, Meet, Mu,
                         MuF, NegProp, Next, Nu, NuF, Or, ParseError, Prop,
-                        Sum, TOP, Top, Var, ZERO, Zero, alpha_eq,
-                        alpha_eq_formula, free_fvars, free_vars,
+                        Sum, TOP, Top, Var, ZERO, Zero, alpha_eq, free_vars,
                         negate_formula, parse_alphabet_header, parse_expr,
                         parse_expr_file, parse_formula, print_expr,
-                        print_formula, substitute, substitute_formula)
+                        substitute)
 from rll.corpus import gen_expr
 import random
 
 AB = Alphabet.plain("a", "b")
 PQ = Alphabet.powerset("P", "Q")
+
+
+def gen_formula(rng, size, bound):
+    """A random formula: the muLTL translation of a random expression."""
+    return algebra.to_multl(gen_expr(rng, PQ, size, bound), PQ)
+
+
+# both syntaxes, each as its variable, least binder, join and term generator
+FAMILIES = [
+    (Var, Mu, Sum, lambda rng, size, bound: gen_expr(rng, AB, size, bound)),
+    (FVar, MuF, Or, gen_formula),
+]
 
 
 class TestAlphabet:
@@ -136,10 +148,19 @@ class TestSubstitute:
         assert free_vars(r) == {"Y"}
 
     def test_capture_avoided_by_renaming(self):
-        e = Mu("Y", Sum(Var("X"), Var("Y")))
-        r = substitute(e, "X", Var("Y"))
-        assert free_vars(r) == {"Y"}
-        assert r.var != "Y"  # binder renamed away from the free Y
+        for var, mu, join, _gen in FAMILIES:
+            e = mu("Y", join(var("X"), var("Y")))
+            r = substitute(e, "X", var("Y"))
+            assert free_vars(r) == {"Y"}
+            assert r.var != "Y"  # binder renamed away from the free Y
+            # the renamed binder binds a variable of its own family
+            assert r.body == join(var("Y"), var(r.var))
+
+    def test_renamed_formula_binder_introduces_an_fvar(self):
+        r = substitute(NuF("Y", And(FVar("X"), Next(FVar("Y")))), "X",
+                       FVar("Y"))
+        assert r.var != "Y"
+        assert r.body.right == Next(FVar(r.var))  # an FVar, not a Var
 
     def test_identity_substitution(self):
         rng = random.Random(5)
@@ -157,14 +178,15 @@ class TestFreeVars:
     @given(st.integers(0, 10_000))
     @settings(max_examples=60, deadline=None)
     def test_substitution_law(self, seed):
-        rng = random.Random(seed)
-        e = gen_expr(rng, AB, rng.randint(1, 9), bound=("X", "W"))
-        c = gen_expr(rng, AB, rng.randint(1, 6), bound=("W",))
-        got = free_vars(substitute(e, "X", c))
-        want = free_vars(e) - {"X"}
-        if "X" in free_vars(e):
-            want |= free_vars(c)
-        assert got == want
+        for _var, _mu, _join, gen in FAMILIES:
+            rng = random.Random(seed)
+            e = gen(rng, rng.randint(1, 9), ("X", "W"))
+            c = gen(rng, rng.randint(1, 6), ("W",))
+            got = free_vars(substitute(e, "X", c))
+            want = free_vars(e) - {"X"}
+            if "X" in free_vars(e):
+                want |= free_vars(c)
+            assert got == want
 
 
 class TestPrintParse:
@@ -178,9 +200,11 @@ class TestPrintParse:
     def test_formula_roundtrip(self):
         texts = ["nu X. (Q | (P & O X))", "~P | O O Q", "ff & tt",
                  "mu X. P | O X", "O (P & (Q | ~Q))"]
-        for text in texts:
-            phi = parse_formula(text, PQ)
-            assert alpha_eq_formula(parse_formula(print_formula(phi), PQ), phi)
+        phis = [parse_formula(text, PQ) for text in texts]
+        rng = random.Random(3)
+        phis += [gen_formula(rng, rng.randint(1, 14), ()) for _ in range(100)]
+        for phi in phis:
+            assert alpha_eq(parse_formula(print_expr(phi), PQ), phi)
 
     def test_printer_parenthesizes_right_nesting(self):
         e = Sum(Var("X"), Sum(Var("Y"), Var("Z")))
@@ -202,5 +226,5 @@ class TestNegation:
             assert negate_formula(negate_formula(phi)) == phi
 
     def test_alpha_keys_distinguish_binders(self):
-        assert not alpha_eq_formula(MuF("X", FVar("X")), NuF("X", FVar("X")))
-        assert alpha_eq_formula(MuF("X", FVar("X")), MuF("Y", FVar("Y")))
+        assert not alpha_eq(MuF("X", FVar("X")), NuF("X", FVar("X")))
+        assert alpha_eq(MuF("X", FVar("X")), MuF("Y", FVar("Y")))
