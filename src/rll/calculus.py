@@ -117,32 +117,63 @@ def claims_match(a: Claim, b: Claim) -> bool:
 # JSON (de)serialization
 # ---------------------------------------------------------------------------
 
+_JSON_KINDS = {dict: "an object", list: "a list", str: "a string"}
+
+
+def _json(value, kind: type, what: str):
+    """value, checked to be of the JSON kind; a CalculusError otherwise."""
+    if not isinstance(value, kind):
+        raise CalculusError(f"{what} must be {_JSON_KINDS[kind]}")
+    return value
+
+
+def _strings(value, what: str) -> list[str]:
+    for item in _json(value, list, what):
+        _json(item, str, f"each entry of {what}")
+    return list(value)
+
+
 def derivation_from_json(data: dict) -> Derivation:
+    """The derivation derivation_to_json wrote; CalculusError on JSON of
+    another shape."""
+    _json(data, dict, "a proof")
     system = data["system"]
     tier = data.get("tier", "strict")
     if system not in ("rll", "multl"):
         raise CalculusError(f"unknown proof system {system!r}")
     if tier not in ("strict", "extended"):
         raise CalculusError(f"unknown tier {tier!r}")
-    names = data["alphabet"]
+    names = _strings(data["alphabet"], "alphabet")
     ab = Alphabet.powerset(*names) if system == "multl" else Alphabet.plain(*names)
 
-    def load_step(s: dict) -> Step:
-        claim = s["claim"]
+    def load_step(s) -> Step:
+        _json(s, dict, "each step")
+        claim = _json(s["claim"], dict, "a claim")
         if system == "multl":
-            parsed: AnyClaim = FormulaClaim(parse_formula(claim["formula"], ab))
+            parsed: AnyClaim = FormulaClaim(
+                parse_formula(_json(claim["formula"], str, "a formula"), ab))
         else:
-            parsed = Claim(claim["rel"], parse_expr(claim["lhs"], ab),
-                           parse_expr(claim["rhs"], ab))
-        hyp = None
-        if s.get("hyp") is not None:
-            hyp = HypContext(list(s["hyp"]["fresh"]),
-                             [load_step(t) for t in s["hyp"]["steps"]])
-        return Step(s["id"], parsed, s["rule"], dict(s.get("subst") or {}),
-                    list(s.get("premises") or []), hyp)
+            lhs, rhs = (parse_expr(_json(claim[k], str, f"claim {k!r}"), ab)
+                        for k in ("lhs", "rhs"))
+            parsed = Claim(claim["rel"], lhs, rhs)
+        subst = dict(_json(s.get("subst") or {}, dict, "subst"))
+        for key, val in subst.items():
+            if key == "atoms":
+                _strings(val, "subst 'atoms'")
+            else:
+                _json(val, str, f"subst {key!r}")
+        hyp = s.get("hyp")
+        if hyp is not None:
+            _json(hyp, dict, "hyp")
+            hyp = HypContext(_strings(hyp["fresh"], "hyp 'fresh'"),
+                             [load_step(t) for t in
+                              _json(hyp["steps"], list, "hyp 'steps'")])
+        return Step(_json(s["id"], str, "a step id"), parsed,
+                    _json(s["rule"], str, "a rule"), subst,
+                    _strings(s.get("premises") or [], "premises"), hyp)
 
-    return Derivation(system, tier, ab,
-                      [load_step(s) for s in data["steps"]])
+    return Derivation(system, tier, ab, [
+        load_step(s) for s in _json(data["steps"], list, "steps")])
 
 
 def derivation_to_json(d: Derivation) -> dict:
@@ -444,6 +475,10 @@ class _Checker:
         last: Optional[AnyClaim] = None
         for step in steps:
             try:
+                if step.hyp is not None and \
+                        step.rule not in ("duality_plus", "duality_meet"):
+                    raise _Failure("only duality rules take a hypothetical "
+                                   "sub-derivation")
                 prems = [self.resolve(sid) for sid in step.premises]
                 self.check_step(step, prems)
                 self.register(step)
@@ -788,508 +823,380 @@ def check_derivation(d: Derivation) -> Verdict:
 # Complement-derivation generator
 # ---------------------------------------------------------------------------
 
-class _Builder:
-    """Emits steps into nested contexts, returning step ids; claims for axiom
-    steps come from the shared schema table so they match the checker."""
-
-    def __init__(self, alphabet: Alphabet):
-        self.alphabet = alphabet
-        self.counter = itertools.count(1)
-        self.stack: list[list[Step]] = [[]]
-
-    def _sid(self) -> str:
-        return f"s{next(self.counter)}"
-
-    def emit(self, rule: str, claim: Claim, premises: list[str] = (),
-             subst: Optional[dict] = None, hyp: Optional[HypContext] = None) -> str:
-        sid = self._sid()
-        self.stack[-1].append(Step(sid, claim, rule, dict(subst or {}),
-                                   list(premises), hyp))
-        return sid
-
-    def last_sid(self) -> Optional[str]:
-        return self.stack[-1][-1].sid if self.stack[-1] else None
-
-    def ax(self, name: str, **params) -> str:
-        claim = _schema_claim(name, params, self.alphabet)
-        subst = {}
-        for key, val in params.items():
-            if key in ("a", "b", "X"):
-                subst[key] = val
-            else:
-                subst[key] = print_expr(val)
-        return self.emit(name, claim, subst=subst)
-
-    def refl(self, e: Expr) -> str:
-        return self.emit("refl", Claim("eq", e, e))
-
-    def sym(self, sid: str, lhs: Expr, rhs: Expr) -> str:
-        # premise proves rhs = lhs
-        return self.emit("sym", Claim("eq", lhs, rhs), [sid])
-
-    def trans(self, s1: str, c1: Claim, s2: str, c2: Claim) -> str:
-        rel = "eq" if c1.rel == c2.rel == "eq" else "leq"
-        return self.emit("trans", Claim(rel, c1.lhs, c2.rhs), [s1, s2])
-
-    def cong(self, sid: str, prem: Claim, ctx_builder) -> str:
-        hole = fresh_name("H", free_vars(prem.lhs) | free_vars(prem.rhs))
-        ctx = ctx_builder(Var(hole))
-        claim = Claim("eq", substitute(ctx, hole, prem.lhs),
-                      substitute(ctx, hole, prem.rhs))
-        return self.emit("cong", claim, [sid],
-                         {"context": print_expr(ctx), "hole": hole})
-
-    def mono(self, sid: str, prem: Claim, ctx_builder) -> str:
-        hole = fresh_name("H", free_vars(prem.lhs) | free_vars(prem.rhs))
-        ctx = ctx_builder(Var(hole))
-        claim = Claim("leq", substitute(ctx, hole, prem.lhs),
-                      substitute(ctx, hole, prem.rhs))
-        return self.emit("mono", claim, [sid],
-                         {"context": print_expr(ctx), "hole": hole})
-
-    def eq_weaken(self, sid: str, prem: Claim) -> str:
-        return self.emit("eq_weaken", Claim("leq", prem.lhs, prem.rhs), [sid])
-
-    def leq_def_intro(self, sid: str, lhs: Expr, rhs: Expr) -> str:
-        return self.emit("leq_def_intro", Claim("leq", lhs, rhs), [sid])
-
-    def push(self):
-        self.stack.append([])
-
-    def pop(self) -> list[Step]:
-        return self.stack.pop()
-
-
-@dataclass
-class _St:
-    """A proved claim: its step id plus the claim itself."""
-    sid: str
-    claim: Claim
+def _sub_pairs(t: Expr, pairs: dict, side: int) -> Expr:
+    """t with each bound variable v of pairs renamed to pairs[v][side]."""
+    for v, pair in pairs.items():
+        t = substitute(t, v, Var(pair[side]))
+    return t
 
 
 class _ComplementGen:
+    """One induction on a closed expression e for either complement law;
+    the laws top <= e + e^c and e & e^c <= 0 are lattice duals.
+
+    This class holds the dispatch over e and the fixpoint step, which wraps
+    the inductive step in the law's duality rule: a binder's variable is
+    renamed to a fresh pair (p, q) on the sides of e and of e^c, and the
+    hypothesis law(p, q) proves that case. A subclass supplies the rest:
+    ``law`` and ``sides`` build and split the law's claim, ``swap`` proves
+    law(fc, f) from law(f, fc), ``duality`` names the rule, and ``zero``,
+    ``top``, ``glue_sum``, ``glue_meet`` and ``glue_act`` prove the other
+    cases. A proved claim is the Step that states it."""
+
+    duality: str
+
     def __init__(self, alphabet: Alphabet, root: Expr):
         self.ab = alphabet
-        self.pair_counter = itertools.count()
-        self.avoid = frozenset(
-            s.name for s in subexpressions(root) if isinstance(s, Var)
-        ) | frozenset(s.var for s in subexpressions(root)
-                      if isinstance(s, (Mu, Nu)))
+        self.counter = itertools.count(1)
+        self.stack: list[list[Step]] = [[]]  # one step list per open context
+        taken = {s.name if isinstance(s, Var) else s.var
+                 for s in subexpressions(root) if isinstance(s, (Var, Mu, Nu))}
+        self.pairs = ((f"V{n}", f"V{n + 1}") for n in itertools.count(0, 2)
+                      if not {f"V{n}", f"V{n + 1}"} & taken)
 
-    def fresh_pair(self) -> tuple[str, str]:
-        while True:
-            n = next(self.pair_counter)
-            p, q = f"V{2 * n}", f"V{2 * n + 1}"
-            if p not in self.avoid and q not in self.avoid:
-                return p, q
+    # -- structural steps -------------------------------------------------
+    def emit(self, rule: str, claim: Claim, premises: list[str] = (),
+             subst: Optional[dict] = None,
+             hyp: Optional[HypContext] = None) -> Step:
+        step = Step(f"s{next(self.counter)}", claim, rule, dict(subst or {}),
+                    list(premises), hyp)
+        self.stack[-1].append(step)
+        return step
 
-    # -- small lattice lemmas -------------------------------------------
-    def tr(self, b: _Builder, s1: _St, s2: _St) -> _St:
-        sid = b.trans(s1.sid, s1.claim, s2.sid, s2.claim)
+    def ax(self, name: str, **params) -> Step:
+        """An axiom instance; its claim comes from the checker's schema
+        table. Letters are recorded as they are, expressions printed."""
+        subst = {k: v if isinstance(v, str) else print_expr(v)
+                 for k, v in params.items()}
+        return self.emit(name, _schema_claim(name, params, self.ab),
+                         subst=subst)
+
+    def refl(self, e: Expr) -> Step:
+        return self.emit("refl", Claim("eq", e, e))
+
+    def sym(self, s: Step) -> Step:
+        return self.emit("sym", Claim("eq", s.claim.rhs, s.claim.lhs), [s.sid])
+
+    def tr(self, s1: Step, s2: Step) -> Step:
         rel = "eq" if s1.claim.rel == s2.claim.rel == "eq" else "leq"
-        return _St(sid, Claim(rel, s1.claim.lhs, s2.claim.rhs))
+        return self.emit("trans", Claim(rel, s1.claim.lhs, s2.claim.rhs),
+                         [s1.sid, s2.sid])
 
-    def chain(self, b: _Builder, *steps: _St) -> _St:
+    def chain(self, *steps: Step) -> Step:
         acc = steps[0]
         for s in steps[1:]:
-            acc = self.tr(b, acc, s)
+            acc = self.tr(acc, s)
         return acc
 
-    def ax(self, bld: _Builder, name: str, **params) -> _St:
-        sid = bld.ax(name, **params)
-        return _St(sid, _schema_claim(name, params, self.ab))
+    def lift(self, rule: str, s: Step, ctx) -> Step:
+        """A cong (=) or mono (<=) step applying the one-hole context ctx, a
+        function of the hole, to both sides of s."""
+        c = s.claim
+        hole = fresh_name("H", free_vars(c.lhs) | free_vars(c.rhs))
+        return self.emit(rule, Claim("eq" if rule == "cong" else "leq",
+                                     ctx(c.lhs), ctx(c.rhs)), [s.sid],
+                         {"context": print_expr(ctx(Var(hole))), "hole": hole})
 
-    def sym(self, b: _Builder, s: _St) -> _St:
-        sid = b.sym(s.sid, s.claim.rhs, s.claim.lhs)
-        return _St(sid, Claim("eq", s.claim.rhs, s.claim.lhs))
+    def weaken(self, s: Step) -> Step:
+        return self.emit("eq_weaken", Claim("leq", s.claim.lhs, s.claim.rhs),
+                         [s.sid])
 
-    def cong(self, b: _Builder, s: _St, ctx) -> _St:
-        sid = b.cong(s.sid, s.claim, ctx)
-        return _St(sid, Claim("eq", ctx(s.claim.lhs), ctx(s.claim.rhs)))
+    def by_def(self, s: Step, lhs: Expr, rhs: Expr) -> Step:
+        return self.emit("leq_def_intro", Claim("leq", lhs, rhs), [s.sid])
 
-    def mono(self, b: _Builder, s: _St, ctx) -> _St:
-        sid = b.mono(s.sid, s.claim, ctx)
-        return _St(sid, Claim("leq", ctx(s.claim.lhs), ctx(s.claim.rhs)))
-
-    def weaken(self, b: _Builder, s: _St) -> _St:
-        sid = b.eq_weaken(s.sid, s.claim)
-        return _St(sid, Claim("leq", s.claim.lhs, s.claim.rhs))
-
-    def by_def(self, b: _Builder, s: _St, lhs: Expr, rhs: Expr) -> _St:
-        sid = b.leq_def_intro(s.sid, lhs, rhs)
-        return _St(sid, Claim("leq", lhs, rhs))
-
-    def leq_plus_left(self, b: _Builder, f: Expr, g: Expr) -> _St:
-        # f <= f + g
-        d1 = self.ax(b, "plus_assoc", e=f, f=f, g=g)
-        d2 = self.ax(b, "plus_idem", e=f)
-        d3 = self.cong(b, d2, lambda z: Sum(z, g))
-        d4 = self.tr(b, d1, d3)
-        return self.by_def(b, d4, f, Sum(f, g))
-
-    def leq_plus_right(self, b: _Builder, g: Expr, f: Expr) -> _St:
-        # g <= f + g
-        e1 = self.ax(b, "plus_comm", e=g, f=Sum(f, g))
-        e2 = self.sym(b, self.ax(b, "plus_assoc", e=f, f=g, g=g))
-        e3 = self.cong(b, self.ax(b, "plus_idem", e=g), lambda z: Sum(f, z))
-        e4 = self.chain(b, e1, e2, e3)
-        return self.by_def(b, e4, g, Sum(f, g))
-
-    def meet_left(self, b: _Builder, f: Expr, g: Expr) -> _St:
-        # f & g <= f
-        f1 = self.ax(b, "plus_comm", e=Meet(f, g), f=f)
-        f2 = self.ax(b, "plus_absorb", e=f, f=g)
-        f3 = self.tr(b, f1, f2)
-        return self.by_def(b, f3, Meet(f, g), f)
-
-    def meet_right(self, b: _Builder, f: Expr, g: Expr) -> _St:
-        # f & g <= g
-        g1 = self.cong(b, self.ax(b, "meet_comm", e=f, f=g),
-                       lambda z: Sum(z, g))
-        g2 = self.ax(b, "plus_comm", e=Meet(g, f), f=g)
-        g3 = self.ax(b, "plus_absorb", e=g, f=f)
-        g4 = self.chain(b, g1, g2, g3)
-        return self.by_def(b, g4, Meet(f, g), g)
-
-    def glb(self, b: _Builder, su: _St, sv: _St) -> _St:
-        # from top <= u and top <= v: top <= u & v
-        u, v = su.claim.rhs, sv.claim.rhs
-        c1 = self.ax(b, "meet_comm", e=TOP, f=v)
-        c2 = self.ax(b, "meet_top", e=v)
-        c3 = self.sym(b, self.tr(b, c1, c2))
-        c5 = self.mono(b, su, lambda z: Meet(z, v))
-        return self.chain(b, sv, c3, c5)
-
-    def sum_zero(self, b: _Builder, su: _St, sv: _St) -> _St:
-        # from u <= 0 and v <= 0: u + v <= 0
-        u, v = su.claim.lhs, sv.claim.lhs
-        m1 = self.mono(b, su, lambda z: Sum(z, v))
-        m2 = self.ax(b, "plus_comm", e=ZERO, f=v)
-        m3 = self.ax(b, "plus_zero", e=v)
-        return self.chain(b, m1, m2, m3, sv)
-
-    def pull_front(self, b: _Builder, terms: list[Expr], idx: int) -> _St:
-        """sum(terms) = terms[idx] + sum(terms without idx), len(terms) >= 2."""
-        whole = sum_of(terms)
-        if idx == 0:
-            sid = b.refl(whole)  # whole is already terms[0] + sum(rest)
-            return _St(sid, Claim("eq", whole, whole))
-        if len(terms) == 2:
-            return self.ax(b, "plus_comm", e=terms[0], f=terms[1])
-        t0, rest = terms[0], terms[1:]
-        ti = terms[idx]
-        rest_minus = rest[:idx - 1] + rest[idx:]
-        sprime = sum_of(rest_minus)
-        r1 = self.pull_front(b, rest, idx - 1)
-        r2 = self.cong(b, r1, lambda z: Sum(t0, z))
-        r3 = self.ax(b, "plus_assoc", e=t0, f=ti, g=sprime)
-        r5 = self.cong(b, self.ax(b, "plus_comm", e=t0, f=ti),
-                       lambda z: Sum(z, sprime))
-        r7 = self.sym(b, self.ax(b, "plus_assoc", e=ti, f=t0, g=sprime))
-        return self.chain(b, r2, r3, r5, r7)
-
-    def restate(self, b: _Builder, s: _St, goal: Claim) -> _St:
+    def restate(self, s: Step, goal: Claim) -> Step:
         """Re-emit an alpha-variant claim as a stated step (via trans with a
         refl), so sub-conclusions sit last in their context with the intended
         binder names."""
-        r = _St(b.refl(goal.rhs), Claim("eq", goal.rhs, goal.rhs))
-        sid = b.emit("trans", goal, [s.sid, r.sid])
-        return _St(sid, goal)
+        r = self.refl(goal.rhs)
+        return self.emit("trans", goal, [s.sid, r.sid])
 
-    # -- the two inductive families ---------------------------------------
-    def psub(self, t: Expr, pairs: dict) -> Expr:
-        for v, (p, _q, _s) in pairs.items():
-            t = substitute(t, v, Var(p))
-        return t
-
-    def qsub(self, t: Expr, pairs: dict) -> Expr:
-        for v, (_p, q, _s) in pairs.items():
-            t = substitute(t, v, Var(q))
-        return t
-
-    def ensure_local_last(self, b: _Builder, s: _St) -> _St:
-        if b.last_sid() == s.sid:
-            return s
-        return self.restate(b, s, s.claim)
-
-    def gen_plus(self, b: _Builder, t: Expr, pairs: dict) -> _St:
-        """top <= E + Ec where E, Ec substitute the P-, Q-sides of the pairs
-        into t and its complement."""
+    # -- the induction ----------------------------------------------------
+    def gen(self, t: Expr, pairs: dict) -> Step:
+        """law(E, Ec), where E and Ec rename the bound variables of t and of
+        its complement to the p- and q-sides of the pairs."""
         if isinstance(t, Var):
-            _p, _q, st = pairs[t.name]
-            return st
+            return pairs[t.name][2]
         if isinstance(t, Zero):
-            h1 = self.ax(b, "plus_comm", e=ZERO, f=TOP)
-            h2 = self.ax(b, "plus_zero", e=TOP)
-            return self.weaken(b, self.sym(b, self.tr(b, h1, h2)))
+            return self.zero()
         if isinstance(t, Top):
-            return self.weaken(b, self.sym(b, self.ax(b, "plus_zero", e=TOP)))
+            return self.top()
         if isinstance(t, Sum):
-            s1 = self.gen_plus(b, t.left, pairs)
-            s2 = self.gen_plus(b, t.right, pairs)
-            return self.glue_plus_sum(b, s1, s2)
+            return self.glue_sum(self.gen(t.left, pairs),
+                                 self.gen(t.right, pairs))
         if isinstance(t, Meet):
-            s1 = self.gen_plus(b, t.left, pairs)
-            s2 = self.gen_plus(b, t.right, pairs)
-            return self.glue_plus_meet(b, s1, s2)
+            return self.glue_meet(self.gen(t.left, pairs),
+                                  self.gen(t.right, pairs))
         if isinstance(t, Act):
-            s1 = self.gen_plus(b, t.body, pairs)
-            return self.glue_plus_act(b, s1, t.letter)
+            return self.glue_act(self.gen(t.body, pairs), t.letter)
         if isinstance(t, (Mu, Nu)):
-            return self.gen_plus_fix(b, t, pairs)
+            return self.gen_fix(t, pairs)
         raise CalculusError(f"unexpected expression {t!r}")
 
-    def glue_plus_sum(self, b: _Builder, s1: _St, s2: _St) -> _St:
-        (f, fc) = _split_sum(s1.claim.rhs)
-        (g, gc) = _split_sum(s2.claim.rhs)
-        a2 = self.mono(b, self.leq_plus_left(b, f, g), lambda z: Sum(z, fc))
-        a3 = self.tr(b, s1, a2)
-        a5 = self.mono(b, self.leq_plus_right(b, g, f), lambda z: Sum(z, gc))
-        a6 = self.tr(b, s2, a5)
-        a7 = self.glb(b, a3, a6)
-        a9 = self.sym(b, self.ax(b, "plus_dist", e=Sum(f, g), f=fc, g=gc))
-        return self.tr(b, a7, a9)
-
-    def glue_plus_meet(self, b: _Builder, s1: _St, s2: _St) -> _St:
-        (f, fc) = _split_sum(s1.claim.rhs)
-        (g, gc) = _split_sum(s2.claim.rhs)
-        b2 = self.tr(b, s1, self.ax(b, "plus_comm", e=f, f=fc))
-        b4 = self.mono(b, self.leq_plus_left(b, fc, gc), lambda z: Sum(z, f))
-        b5 = self.tr(b, b2, b4)
-        b7 = self.tr(b, s2, self.ax(b, "plus_comm", e=g, f=gc))
-        b9 = self.mono(b, self.leq_plus_right(b, gc, fc), lambda z: Sum(z, g))
-        b10 = self.tr(b, b7, b9)
-        b11 = self.glb(b, b5, b10)
-        b13 = self.sym(b, self.ax(b, "plus_dist", e=Sum(fc, gc), f=f, g=g))
-        b14 = self.tr(b, b11, b13)
-        b15 = self.ax(b, "plus_comm", e=Sum(fc, gc), f=Meet(f, g))
-        return self.tr(b, b14, b15)
-
-    def glue_plus_act(self, b: _Builder, s1: _St, a: str) -> _St:
-        (f, fc) = _split_sum(s1.claim.rhs)
-        af, afc = Act(a, f), Act(a, fc)
-        c1 = self.mono(b, s1, lambda z: Act(a, z))
-        c2 = self.ax(b, "act_plus", a=a, e=f, f=fc)
-        c3 = self.tr(b, c1, c2)
-        c4 = self.ax(b, "top_partition")
-        letters = self.ab.letters
-        rest = [Act(c, TOP) for c in letters if c != a]
-        if not rest:
-            c5 = self.tr(b, c4, c3)
-            c6 = self.sym(b, self.ax(b, "plus_zero", e=afc))
-            c8 = self.cong(b, c6, lambda z: Sum(af, z))
-            return self.tr(b, c5, c8)
-        terms = [Act(c, TOP) for c in letters]
-        c5 = self.pull_front(b, terms, letters.index(a))
-        c6 = self.tr(b, c4, c5)
-        r = sum_of(rest)
-        c7 = self.mono(b, c3, lambda z: Sum(z, r))
-        c8 = self.tr(b, c6, c7)
-        c10 = self.sym(b, self.ax(b, "plus_assoc", e=af, f=afc, g=r))
-        return self.tr(b, c8, c10)
-
-    def gen_plus_fix(self, b: _Builder, t: Expr, pairs: dict) -> _St:
+    def gen_fix(self, t: Expr, pairs: dict) -> Step:
         v = t.var
-        p, q = self.fresh_pair()
-        outer_pairs = {k: w for k, w in pairs.items() if k != v}
-        e_full = self.psub(t, pairs)
-        ec_full = self.qsub(algebra.complement(t, self.ab), pairs)
-        e_body = self.psub(substitute(t.body, v, Var(p)), outer_pairs)
-        ec_body = self.qsub(
-            substitute(algebra.complement(t.body, self.ab), v, Var(q)),
-            outer_pairs)
-        is_mu = isinstance(t, Mu)
+        p, q = next(self.pairs)
+        inside = {**pairs, v: (p, q)}
+        e_body = _sub_pairs(t.body, inside, 0)
+        ec_body = _sub_pairs(algebra.complement(t.body, self.ab), inside, 1)
         # the rule's mu comes first: for nu-expressions the complement side
-        # takes the mu slot and the sum is commuted afterwards
+        # takes the mu slot and the law's sides are swapped around the rule
+        is_mu = isinstance(t, Mu)
         x, y = (p, q) if is_mu else (q, p)
-        b.push()
-        hyp_claim = Claim("leq", TOP, Sum(Var(x), Var(y)))
-        hyp_st = _St(b.emit("hyp", hyp_claim), hyp_claim)
-        if is_mu:
-            oriented = hyp_st
-        else:
-            cm = self.ax(b, "plus_comm", e=Var(q), f=Var(p))
-            oriented = self.tr(b, hyp_st, cm)
-        sub_pairs = dict(pairs)
-        sub_pairs[v] = (p, q, oriented)
-        inner = self.gen_plus(b, t.body, sub_pairs)
-        if is_mu:
-            e_slot, f_slot = e_body, ec_body
-            self.ensure_local_last(b, inner)
-        else:
-            cm2 = self.ax(b, "plus_comm", e=e_body, f=ec_body)
-            self.tr(b, inner, cm2)
-            e_slot, f_slot = ec_body, e_body
-        steps = b.pop()
-        concl = Claim("leq", TOP, Sum(Mu(x, e_slot), Nu(y, f_slot)))
-        sid = b.emit("duality_plus", concl,
-                     subst={"X": x, "Y": y, "e": print_expr(e_slot),
-                            "f": print_expr(f_slot)},
-                     hyp=HypContext([x, y], steps))
-        st = _St(sid, concl)
-        goal = Claim("leq", TOP, Sum(e_full, ec_full))
+        e_slot, f_slot = (e_body, ec_body) if is_mu else (ec_body, e_body)
+        self.stack.append([])
+        hyp = self.emit("hyp", self.law(Var(x), Var(y)))
+        inner = self.gen(t.body, {
+            **pairs, v: (p, q, hyp if is_mu else self.swap(hyp))})
         if not is_mu:
-            cm3 = self.ax(b, "plus_comm", e=Mu(x, e_slot), f=Nu(y, f_slot))
-            st = self.tr(b, st, cm3)
-        return self.restate(b, st, goal)
+            self.swap(inner)
+        elif self.stack[-1][-1] is not inner:
+            self.restate(inner, inner.claim)
+        steps = self.stack.pop()
+        st = self.emit(self.duality, self.law(Mu(x, e_slot), Nu(y, f_slot)),
+                       subst={"X": x, "Y": y, "e": print_expr(e_slot),
+                              "f": print_expr(f_slot)},
+                       hyp=HypContext([x, y], steps))
+        if not is_mu:
+            st = self.swap(st)
+        return self.restate(st, self.law(
+            _sub_pairs(t, pairs, 0),
+            _sub_pairs(algebra.complement(t, self.ab), pairs, 1)))
 
-    # -- meet family ------------------------------------------------------
-    def gen_meet(self, b: _Builder, t: Expr, pairs: dict) -> _St:
-        if isinstance(t, Var):
-            _p, _q, st = pairs[t.name]
-            return st
-        if isinstance(t, Zero):
-            return self.weaken(b, self.ax(b, "meet_top", e=ZERO))
-        if isinstance(t, Top):
-            k1 = self.ax(b, "meet_comm", e=TOP, f=ZERO)
-            k2 = self.ax(b, "meet_top", e=ZERO)
-            return self.weaken(b, self.tr(b, k1, k2))
-        if isinstance(t, Sum):
-            s1 = self.gen_meet(b, t.left, pairs)
-            s2 = self.gen_meet(b, t.right, pairs)
-            return self.glue_meet_sum(b, s1, s2)
-        if isinstance(t, Meet):
-            s1 = self.gen_meet(b, t.left, pairs)
-            s2 = self.gen_meet(b, t.right, pairs)
-            return self.glue_meet_meet(b, s1, s2)
-        if isinstance(t, Act):
-            s1 = self.gen_meet(b, t.body, pairs)
-            return self.glue_meet_act(b, s1, t.letter)
-        if isinstance(t, (Mu, Nu)):
-            return self.gen_meet_fix(b, t, pairs)
-        raise CalculusError(f"unexpected expression {t!r}")
+    def derivation(self, e: Expr) -> Derivation:
+        self.gen(e, {})
+        return Derivation("rll", "extended", self.ab, self.stack[0])
 
-    def glue_meet_sum(self, b: _Builder, s1: _St, s2: _St) -> _St:
-        f, fc = _split_meet(s1.claim.lhs)
-        g, gc = _split_meet(s2.claim.lhs)
-        fcgc = Meet(fc, gc)
-        d2 = self.mono(b, self.meet_left(b, fc, gc), lambda z: Meet(z, f))
-        d3 = self.ax(b, "meet_comm", e=fc, f=f)
-        d5 = self.chain(b, d2, d3, s1)
-        d7 = self.mono(b, self.meet_right(b, fc, gc), lambda z: Meet(z, g))
-        d8 = self.ax(b, "meet_comm", e=gc, f=g)
-        d10 = self.chain(b, d7, d8, s2)
-        d11 = self.sum_zero(b, d5, d10)
-        d12 = self.ax(b, "meet_dist", e=fcgc, f=f, g=g)
-        d13 = self.tr(b, d12, d11)
-        d14 = self.ax(b, "meet_comm", e=Sum(f, g), f=fcgc)
-        return self.tr(b, d14, d13)
 
-    def glue_meet_meet(self, b: _Builder, s1: _St, s2: _St) -> _St:
-        f, fc = _split_meet(s1.claim.lhs)
-        g, gc = _split_meet(s2.claim.lhs)
-        fg = Meet(f, g)
-        e2 = self.mono(b, self.meet_left(b, f, g), lambda z: Meet(z, fc))
-        e3 = self.tr(b, e2, s1)
-        e5 = self.mono(b, self.meet_right(b, f, g), lambda z: Meet(z, gc))
-        e6 = self.tr(b, e5, s2)
-        e7 = self.sum_zero(b, e3, e6)
-        e8 = self.ax(b, "meet_dist", e=fg, f=fc, g=gc)
-        return self.tr(b, e8, e7)
+class _PlusLaw(_ComplementGen):
+    """top <= e + e^c."""
+    duality = "duality_plus"
 
-    def glue_meet_act(self, b: _Builder, s1: _St, a: str) -> _St:
-        f, fc = _split_meet(s1.claim.lhs)
+    def law(self, f: Expr, fc: Expr) -> Claim:
+        return Claim("leq", TOP, Sum(f, fc))
+
+    def sides(self, c: Claim) -> tuple[Expr, Expr]:
+        return c.rhs.left, c.rhs.right
+
+    def swap(self, s: Step) -> Step:
+        f, fc = self.sides(s.claim)
+        return self.tr(s, self.ax("plus_comm", e=f, f=fc))
+
+    def zero(self) -> Step:
+        h1 = self.ax("plus_comm", e=ZERO, f=TOP)
+        h2 = self.ax("plus_zero", e=TOP)
+        return self.weaken(self.sym(self.tr(h1, h2)))
+
+    def top(self) -> Step:
+        return self.weaken(self.sym(self.ax("plus_zero", e=TOP)))
+
+    def leq_plus_left(self, f: Expr, g: Expr) -> Step:
+        # f <= f + g
+        d1 = self.ax("plus_assoc", e=f, f=f, g=g)
+        d3 = self.lift("cong", self.ax("plus_idem", e=f), lambda z: Sum(z, g))
+        return self.by_def(self.tr(d1, d3), f, Sum(f, g))
+
+    def leq_plus_right(self, g: Expr, f: Expr) -> Step:
+        # g <= f + g
+        e1 = self.ax("plus_comm", e=g, f=Sum(f, g))
+        e2 = self.sym(self.ax("plus_assoc", e=f, f=g, g=g))
+        e3 = self.lift("cong", self.ax("plus_idem", e=g), lambda z: Sum(f, z))
+        e4 = self.chain(e1, e2, e3)
+        return self.by_def(e4, g, Sum(f, g))
+
+    def glb(self, su: Step, sv: Step) -> Step:
+        # from top <= u and top <= v: top <= u & v
+        v = sv.claim.rhs
+        c1 = self.ax("meet_comm", e=TOP, f=v)
+        c2 = self.ax("meet_top", e=v)
+        c3 = self.sym(self.tr(c1, c2))
+        c5 = self.lift("mono", su, lambda z: Meet(z, v))
+        return self.chain(sv, c3, c5)
+
+    def pull_front(self, terms: list[Expr], idx: int) -> Step:
+        """sum(terms) = terms[idx] + sum(terms without idx), len(terms) >= 2."""
+        if idx == 0:
+            return self.refl(sum_of(terms))  # already terms[0] + sum(rest)
+        if len(terms) == 2:
+            return self.ax("plus_comm", e=terms[0], f=terms[1])
+        t0, rest = terms[0], terms[1:]
+        ti = terms[idx]
+        sprime = sum_of(rest[:idx - 1] + rest[idx:])
+        r1 = self.pull_front(rest, idx - 1)
+        r2 = self.lift("cong", r1, lambda z: Sum(t0, z))
+        r3 = self.ax("plus_assoc", e=t0, f=ti, g=sprime)
+        r5 = self.lift("cong", self.ax("plus_comm", e=t0, f=ti),
+                       lambda z: Sum(z, sprime))
+        r7 = self.sym(self.ax("plus_assoc", e=ti, f=t0, g=sprime))
+        return self.chain(r2, r3, r5, r7)
+
+    def glue_sum(self, s1: Step, s2: Step) -> Step:
+        f, fc = self.sides(s1.claim)
+        g, gc = self.sides(s2.claim)
+        a2 = self.lift("mono", self.leq_plus_left(f, g), lambda z: Sum(z, fc))
+        a3 = self.tr(s1, a2)
+        a5 = self.lift("mono", self.leq_plus_right(g, f), lambda z: Sum(z, gc))
+        a6 = self.tr(s2, a5)
+        a7 = self.glb(a3, a6)
+        a9 = self.sym(self.ax("plus_dist", e=Sum(f, g), f=fc, g=gc))
+        return self.tr(a7, a9)
+
+    def glue_meet(self, s1: Step, s2: Step) -> Step:
+        f, fc = self.sides(s1.claim)
+        g, gc = self.sides(s2.claim)
+        b2 = self.swap(s1)
+        b4 = self.lift("mono", self.leq_plus_left(fc, gc), lambda z: Sum(z, f))
+        b5 = self.tr(b2, b4)
+        b7 = self.swap(s2)
+        b9 = self.lift("mono", self.leq_plus_right(gc, fc),
+                       lambda z: Sum(z, g))
+        b10 = self.tr(b7, b9)
+        b11 = self.glb(b5, b10)
+        b13 = self.sym(self.ax("plus_dist", e=Sum(fc, gc), f=f, g=g))
+        b14 = self.tr(b11, b13)
+        b15 = self.ax("plus_comm", e=Sum(fc, gc), f=Meet(f, g))
+        return self.tr(b14, b15)
+
+    def glue_act(self, s1: Step, a: str) -> Step:
+        f, fc = self.sides(s1.claim)
         af, afc = Act(a, f), Act(a, fc)
-        f1 = self.mono(b, s1, lambda z: Act(a, z))
-        f3 = self.sym(b, self.ax(b, "act_meet", a=a, e=f, f=fc))
-        f4 = self.tr(b, f3, f1)
-        f5 = self.ax(b, "act_zero", a=a)
-        f6 = self.tr(b, f4, f5)
+        c1 = self.lift("mono", s1, lambda z: Act(a, z))
+        c2 = self.ax("act_plus", a=a, e=f, f=fc)
+        c3 = self.tr(c1, c2)
+        c4 = self.ax("top_partition")
         letters = self.ab.letters
         rest = [Act(c, TOP) for c in letters if c != a]
         if not rest:
-            f7 = self.ax(b, "plus_zero", e=afc)
-            f8 = self.cong(b, f7, lambda z: Meet(af, z))
-            return self.tr(b, f8, f6)
+            c5 = self.tr(c4, c3)
+            c6 = self.sym(self.ax("plus_zero", e=afc))
+            c8 = self.lift("cong", c6, lambda z: Sum(af, z))
+            return self.tr(c5, c8)
+        terms = [Act(c, TOP) for c in letters]
+        c5 = self.pull_front(terms, letters.index(a))
+        c6 = self.tr(c4, c5)
         r = sum_of(rest)
-        f7 = self.ax(b, "meet_dist", e=af, f=afc, g=r)
-        f8 = self.rest_zero(b, af, a, rest)
-        f9 = self.cong(b, f8, lambda z: Sum(Meet(af, afc), z))
-        f10 = self.ax(b, "plus_zero", e=Meet(af, afc))
-        f12 = self.chain(b, f7, f9, f10)
-        return self.tr(b, f12, f6)
+        c7 = self.lift("mono", c3, lambda z: Sum(z, r))
+        c8 = self.tr(c6, c7)
+        c10 = self.sym(self.ax("plus_assoc", e=af, f=afc, g=r))
+        return self.tr(c8, c10)
 
-    def rest_zero(self, b: _Builder, af: Expr, a: str,
-                  rest: list[Expr]) -> _St:
+
+class _MeetLaw(_ComplementGen):
+    """e & e^c <= 0."""
+    duality = "duality_meet"
+
+    def law(self, f: Expr, fc: Expr) -> Claim:
+        return Claim("leq", Meet(f, fc), ZERO)
+
+    def sides(self, c: Claim) -> tuple[Expr, Expr]:
+        return c.lhs.left, c.lhs.right
+
+    def swap(self, s: Step) -> Step:
+        f, fc = self.sides(s.claim)
+        return self.tr(self.ax("meet_comm", e=fc, f=f), s)
+
+    def zero(self) -> Step:
+        return self.weaken(self.ax("meet_top", e=ZERO))
+
+    def top(self) -> Step:
+        k1 = self.ax("meet_comm", e=TOP, f=ZERO)
+        k2 = self.ax("meet_top", e=ZERO)
+        return self.weaken(self.tr(k1, k2))
+
+    def meet_left(self, f: Expr, g: Expr) -> Step:
+        # f & g <= f
+        f1 = self.ax("plus_comm", e=Meet(f, g), f=f)
+        f3 = self.tr(f1, self.ax("plus_absorb", e=f, f=g))
+        return self.by_def(f3, Meet(f, g), f)
+
+    def meet_right(self, f: Expr, g: Expr) -> Step:
+        # f & g <= g
+        g1 = self.lift("cong", self.ax("meet_comm", e=f, f=g),
+                       lambda z: Sum(z, g))
+        g2 = self.ax("plus_comm", e=Meet(g, f), f=g)
+        g3 = self.ax("plus_absorb", e=g, f=f)
+        g4 = self.chain(g1, g2, g3)
+        return self.by_def(g4, Meet(f, g), g)
+
+    def sum_zero(self, su: Step, sv: Step) -> Step:
+        # from u <= 0 and v <= 0: u + v <= 0
+        v = sv.claim.lhs
+        m1 = self.lift("mono", su, lambda z: Sum(z, v))
+        m2 = self.ax("plus_comm", e=ZERO, f=v)
+        m3 = self.ax("plus_zero", e=v)
+        return self.chain(m1, m2, m3, sv)
+
+    def rest_zero(self, af: Expr, a: str, rest: list[Expr]) -> Step:
         """af & sum(rest) = 0, where rest are b.top actions with b != a."""
         head = rest[0]
         if len(rest) == 1:
-            return self.ax(b, "act_disjoint", a=a, b=head.letter,
-                           e=af.body, f=TOP)
+            return self.ax("act_disjoint", a=a, b=head.letter, e=af.body,
+                           f=TOP)
         tail = sum_of(rest[1:])
-        g1 = self.ax(b, "meet_dist", e=af, f=head, g=tail)
-        g2 = self.ax(b, "act_disjoint", a=a, b=head.letter, e=af.body, f=TOP)
-        g3 = self.cong(b, g2, lambda z: Sum(z, Meet(af, tail)))
-        g4 = self.rest_zero(b, af, a, rest[1:])
-        g5 = self.cong(b, g4, lambda z: Sum(ZERO, z))
-        g6 = self.ax(b, "plus_zero", e=ZERO)
-        return self.chain(b, g1, g3, g5, g6)
+        g1 = self.ax("meet_dist", e=af, f=head, g=tail)
+        g2 = self.ax("act_disjoint", a=a, b=head.letter, e=af.body, f=TOP)
+        g3 = self.lift("cong", g2, lambda z: Sum(z, Meet(af, tail)))
+        g4 = self.rest_zero(af, a, rest[1:])
+        g5 = self.lift("cong", g4, lambda z: Sum(ZERO, z))
+        g6 = self.ax("plus_zero", e=ZERO)
+        return self.chain(g1, g3, g5, g6)
 
-    def gen_meet_fix(self, b: _Builder, t: Expr, pairs: dict) -> _St:
-        v = t.var
-        p, q = self.fresh_pair()
-        outer_pairs = {k: w for k, w in pairs.items() if k != v}
-        e_full = self.psub(t, pairs)
-        ec_full = self.qsub(algebra.complement(t, self.ab), pairs)
-        e_body = self.psub(substitute(t.body, v, Var(p)), outer_pairs)
-        ec_body = self.qsub(
-            substitute(algebra.complement(t.body, self.ab), v, Var(q)),
-            outer_pairs)
-        is_mu = isinstance(t, Mu)
-        x, y = (p, q) if is_mu else (q, p)
-        b.push()
-        hyp_claim = Claim("leq", Meet(Var(x), Var(y)), ZERO)
-        hyp_st = _St(b.emit("hyp", hyp_claim), hyp_claim)
-        if is_mu:
-            oriented = hyp_st
-        else:
-            cm = self.ax(b, "meet_comm", e=Var(p), f=Var(q))
-            oriented = self.tr(b, cm, hyp_st)
-        sub_pairs = dict(pairs)
-        sub_pairs[v] = (p, q, oriented)
-        inner = self.gen_meet(b, t.body, sub_pairs)
-        if is_mu:
-            e_slot, f_slot = e_body, ec_body
-            self.ensure_local_last(b, inner)
-        else:
-            cm2 = self.ax(b, "meet_comm", e=ec_body, f=e_body)
-            self.tr(b, cm2, inner)
-            e_slot, f_slot = ec_body, e_body
-        steps = b.pop()
-        concl = Claim("leq", Meet(Mu(x, e_slot), Nu(y, f_slot)), ZERO)
-        sid = b.emit("duality_meet", concl,
-                     subst={"X": x, "Y": y, "e": print_expr(e_slot),
-                            "f": print_expr(f_slot)},
-                     hyp=HypContext([x, y], steps))
-        st = _St(sid, concl)
-        goal = Claim("leq", Meet(e_full, ec_full), ZERO)
-        if not is_mu:
-            cm3 = self.ax(b, "meet_comm", e=Nu(y, f_slot), f=Mu(x, e_slot))
-            st = self.tr(b, cm3, st)
-        return self.restate(b, st, goal)
+    def glue_sum(self, s1: Step, s2: Step) -> Step:
+        f, fc = self.sides(s1.claim)
+        g, gc = self.sides(s2.claim)
+        fcgc = Meet(fc, gc)
+        d2 = self.lift("mono", self.meet_left(fc, gc), lambda z: Meet(z, f))
+        d3 = self.ax("meet_comm", e=fc, f=f)
+        d5 = self.chain(d2, d3, s1)
+        d7 = self.lift("mono", self.meet_right(fc, gc), lambda z: Meet(z, g))
+        d8 = self.ax("meet_comm", e=gc, f=g)
+        d10 = self.chain(d7, d8, s2)
+        d11 = self.sum_zero(d5, d10)
+        d12 = self.ax("meet_dist", e=fcgc, f=f, g=g)
+        d13 = self.tr(d12, d11)
+        d14 = self.ax("meet_comm", e=Sum(f, g), f=fcgc)
+        return self.tr(d14, d13)
 
+    def glue_meet(self, s1: Step, s2: Step) -> Step:
+        f, fc = self.sides(s1.claim)
+        g, gc = self.sides(s2.claim)
+        e2 = self.lift("mono", self.meet_left(f, g), lambda z: Meet(z, fc))
+        e3 = self.tr(e2, s1)
+        e5 = self.lift("mono", self.meet_right(f, g), lambda z: Meet(z, gc))
+        e6 = self.tr(e5, s2)
+        e7 = self.sum_zero(e3, e6)
+        e8 = self.ax("meet_dist", e=Meet(f, g), f=fc, g=gc)
+        return self.tr(e8, e7)
 
-def _split_sum(t: Expr) -> tuple[Expr, Expr]:
-    assert isinstance(t, Sum)
-    return t.left, t.right
-
-
-def _split_meet(t: Expr) -> tuple[Expr, Expr]:
-    assert isinstance(t, Meet)
-    return t.left, t.right
+    def glue_act(self, s1: Step, a: str) -> Step:
+        f, fc = self.sides(s1.claim)
+        af, afc = Act(a, f), Act(a, fc)
+        f1 = self.lift("mono", s1, lambda z: Act(a, z))
+        f3 = self.sym(self.ax("act_meet", a=a, e=f, f=fc))
+        f4 = self.tr(f3, f1)
+        f5 = self.ax("act_zero", a=a)
+        f6 = self.tr(f4, f5)
+        rest = [Act(c, TOP) for c in self.ab.letters if c != a]
+        if not rest:
+            f7 = self.ax("plus_zero", e=afc)
+            f8 = self.lift("cong", f7, lambda z: Meet(af, z))
+            return self.tr(f8, f6)
+        r = sum_of(rest)
+        f7 = self.ax("meet_dist", e=af, f=afc, g=r)
+        f8 = self.rest_zero(af, a, rest)
+        f9 = self.lift("cong", f8, lambda z: Sum(Meet(af, afc), z))
+        f10 = self.ax("plus_zero", e=Meet(af, afc))
+        f12 = self.chain(f7, f9, f10)
+        return self.tr(f12, f6)
 
 
 def derive_complement(e: Expr, alphabet: Alphabet) -> tuple[Derivation, Derivation]:
     """Machine-checkable derivations of top <= e + e^c and e & e^c <= 0 for a
-    closed expression, by induction on e: lattice glue for sums and meets, the
-    homomorphism/partition/distributivity chain for letters, and the
-    quantifier-free duality rules wrapping the inductive step at fixpoints."""
+    closed expression, by one induction on e serving both dual laws: lattice
+    glue for sums and meets, the homomorphism/partition/distributivity chain
+    for letters, and the quantifier-free duality rules wrapping the inductive
+    step at fixpoints."""
     if free_vars(e):
         raise CalculusError("complement derivations need a closed expression")
-    b1 = _Builder(alphabet)
-    _ComplementGen(alphabet, e).gen_plus(b1, e, {})
-    plus = Derivation("rll", "extended", alphabet, b1.stack[0])
-    b2 = _Builder(alphabet)
-    _ComplementGen(alphabet, e).gen_meet(b2, e, {})
-    meet = Derivation("rll", "extended", alphabet, b2.stack[0])
-    return plus, meet
+    return (_PlusLaw(alphabet, e).derivation(e),
+            _MeetLaw(alphabet, e).derivation(e))

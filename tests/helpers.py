@@ -10,7 +10,7 @@ from rll.calculus import Claim, Derivation, FormulaClaim, Step, bool_taut
 from rll.semantics import enumerate_lassos
 from rll.syntax import (Expr, Mu, MuF, MuLtlFormula, NegProp, Nu, NuF, Prop,
                         Var, alpha_eq, free_vars, negate_formula,
-                        subexpressions)
+                        parse_expr, parse_formula, subexpressions)
 
 PROOF_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "proofs")
 
@@ -25,7 +25,7 @@ def desk_lassos(alphabet, max_prefix=2, max_period=2):
 
 
 # ---------------------------------------------------------------------------
-# Mutation suite: single-step claim mutations that a sound checker must reject
+# Mutation suite: single-step mutations that a sound checker must reject
 # ---------------------------------------------------------------------------
 
 def _rename_binder(e: Expr):
@@ -82,7 +82,8 @@ def _get_step(d: Derivation, path) -> Step:
 
 def mutants(d: Derivation):
     """Yield (label, mutated derivation) pairs, each differing from d in one
-    step's claim in a way the checker must reject."""
+    step's claim, one of its subst entries or its hyp.fresh, in a way the
+    checker must reject."""
     for path, step in _walk_steps(d.steps):
         claim = step.claim
         if isinstance(claim, Claim):
@@ -93,13 +94,43 @@ def mutants(d: Derivation):
                 else:
                     yield f"{step.sid}:swap", _with_claim(d, path, swapped)
             mutated = _mutate_expr_claim(claim)
-            if mutated is not None:
-                if step.rule == "bool_taut" and _still_bool_valid(d, path, mutated):
-                    continue
+            if mutated is not None and not (
+                    step.rule == "bool_taut" and _still_bool_valid(d, path, mutated)):
                 yield f"{step.sid}:rename", _with_claim(d, path, mutated)
         else:
             yield (f"{step.sid}:negate",
                    _with_claim(d, path, FormulaClaim(_mutate_formula(claim.formula))))
+        for key in step.subst:
+            value = _mutate_subst(d, step, key)
+            if value is not None:
+                yield (f"{step.sid}:subst[{key}]", _with_step(
+                    d, path, lambda s: s.subst.update({key: value})))
+        if step.hyp is not None:
+            yield (f"{step.sid}:fresh",
+                   _with_step(d, path, lambda s: s.hyp.fresh.reverse()))
+
+
+def _mutate_subst(d: Derivation, step: Step, key: str):
+    """A changed subst[key] that changes the rule instance, or None: another
+    letter for a letter; a new name for a hole, or for a binder that binds an
+    occurrence; 0 (ff for a formula) for an expression, or top (tt) if it is
+    0 (ff) already. The atoms of a bool_taut step name its Boolean
+    variables, not an instance, and are left alone."""
+    value = step.subst[key]
+    if key in ("a", "b"):
+        others = [c for c in d.alphabet.letters if c != value]
+        return others[0] if others else None
+    if key in ("X", "Y", "hole"):
+        body = step.subst.get("e", step.subst.get("phi"))
+        parse = parse_formula if d.system == "multl" else parse_expr
+        if key == "X" and not step.rule.startswith("duality") and \
+                value not in free_vars(parse(body, d.alphabet)):
+            return None  # renaming a vacuous binder keeps the instance
+        return value + "_mut"
+    if key == "atoms":
+        return None
+    zero, top = ("ff", "tt") if d.system == "multl" else ("0", "top")
+    return top if value == zero else zero
 
 
 def _mutate_expr_claim(claim: Claim):
@@ -130,6 +161,11 @@ def _still_bool_valid(d: Derivation, path, claim: Claim) -> bool:
 
 
 def _with_claim(d: Derivation, path, claim) -> Derivation:
+    return _with_step(d, path, lambda s: setattr(s, "claim", claim))
+
+
+def _with_step(d: Derivation, path, edit) -> Derivation:
+    """A copy of d with edit applied to the step at path."""
     m = copy.deepcopy(d)
     steps = m.steps
     target = None
@@ -138,5 +174,5 @@ def _with_claim(d: Derivation, path, claim) -> Derivation:
             steps = target.hyp.steps
             continue
         target = steps[key]
-    target.claim = claim
+    edit(target)
     return m

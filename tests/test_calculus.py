@@ -1,6 +1,7 @@
 """Proof checking: equational and Hilbert tiers, Boolean steps, generator."""
 
 import gc
+import hashlib
 import importlib.util
 import itertools
 import json
@@ -16,7 +17,7 @@ from rll.calculus import (CalculusError, Claim, Derivation, FormulaClaim,
                           check_multl, check_rll, derivation_from_json,
                           derivation_to_json, derive_complement,
                           load_proof_file, propositional_valid)
-from rll.corpus import gen_expr
+from rll.corpus import gen_alphabet, gen_expr
 from rll.semantics import enumerate_lassos, member_oracle
 from rll.syntax import (Alphabet, And, FVar, Meet, Mu, MuF, Next, Nu, NuF,
                         Or, Prop, Sum, TOP, Var, ZERO, alpha_eq, free_vars,
@@ -187,6 +188,18 @@ class TestDuality:
                         {"X": "V", "Y": "W", "e": "V", "f": "W"}, [], hyp)])
         v = check_rll(d)
         assert not v.accepted and "hypothetical variable" in v.reason
+
+    def test_hyp_block_only_on_duality_rules(self):
+        d = rll_d([estep("s1", "leq", "top", "top", "refl",
+                         hyp=HypContext(["X"], []))])
+        v = check_rll(d)
+        assert not v.accepted and v.step == "s1"
+        assert v.reason == ("only duality rules take a hypothetical "
+                            "sub-derivation")
+        d = Derivation("multl", "strict", PQ, [Step(
+            "s1", FormulaClaim(parse_formula("P | ~P", PQ)), "taut", {}, [],
+            HypContext(["X"], []))])
+        assert not check_multl(d).accepted
 
 
 class TestBoolTaut:
@@ -469,6 +482,19 @@ class TestDeriveComplement:
             again = derivation_from_json(
                 json.loads(json.dumps(derivation_to_json(d))))
             assert check_rll(again).accepted
+
+    def test_output_pinned(self):
+        """Both derivations of 100 seeded expressions hash as they did
+        before the generator was written once for both laws."""
+        rng = random.Random(2505)
+        digest = hashlib.sha256()
+        for _ in range(100):
+            ab = gen_alphabet(rng, 3)
+            e = gen_expr(rng, ab, rng.randint(1, 10))
+            for d in derive_complement(e, ab):
+                digest.update(json.dumps(derivation_to_json(d)).encode())
+        assert digest.hexdigest() == (
+            "4e867ff8622c3ccf28212b1c871980e595402802fff26d1fd65ab17b9548e624")
 
     def test_generated_mutations_rejected(self):
         e = parse_expr("nu X. a.X", AB)

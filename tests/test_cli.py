@@ -6,6 +6,7 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from helpers import PROOF_DIR
 from rll.cli import main
@@ -183,6 +184,80 @@ class TestCheck:
         bad.write_text("{not json")
         code, _out, err = run(capsys, ["check", str(bad)])
         assert code == 2
+
+
+def _shipped(name):
+    with open(os.path.join(PROOF_DIR, name), encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def _with_field(name, path, value):
+    """The shipped proof name with the JSON field at path set to value."""
+    data = _shipped(name)
+    target = data
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return data
+
+
+def _field_paths(data, path=()):
+    """The path of every field and list entry inside data."""
+    if isinstance(data, dict):
+        items = data.items()
+    elif isinstance(data, list):
+        items = enumerate(data)
+    else:
+        return
+    for key, value in items:
+        yield path + (key,)
+        yield from _field_paths(value, path + (key,))
+
+
+MALFORMED = {
+    "top-level-list": [_shipped("zero_le_e.json")],
+    "steps-null": _with_field("zero_le_e.json", ["steps"], None),
+    "claim-string": _with_field("zero_le_e.json", ["steps", 0, "claim"],
+                                "E <= E"),
+    "premise-list": _with_field("zero_le_e.json", ["steps", 1, "premises"],
+                                [["s1"]]),
+    "subst-number": _with_field("zero_le_e.json", ["steps", 1, "subst"],
+                                {"e": 5}),
+    "atom-number": {"system": "rll", "tier": "extended", "alphabet": ["a"],
+                    "steps": [{"id": "s1", "rule": "bool_taut",
+                               "claim": {"rel": "leq", "lhs": "0",
+                                         "rhs": "top"},
+                               "subst": {"atoms": [5]}}]},
+}
+
+FIELDS = [(name, path) for name in sorted(os.listdir(PROOF_DIR))
+          for path in _field_paths(_shipped(name))]
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False)
+    | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6)
+
+
+class TestMalformedProof:
+    @pytest.mark.parametrize("name", sorted(MALFORMED))
+    def test_exits_two(self, name, tmp_path, capsys):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(MALFORMED[name]))
+        code, out, err = run(capsys, ["check", str(path)])
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {path}: ")
+
+    @settings(max_examples=100, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(field=st.sampled_from(FIELDS), value=JSON_VALUES)
+    def test_any_field_set_to_any_json(self, field, value, tmp_path, capsys):
+        path = tmp_path / "proof.json"
+        path.write_text(json.dumps(_with_field(*field, value)))
+        code, _out, _err = run(capsys, ["check", str(path)])
+        assert code in (0, 1, 2)
 
 
 class TestSelftest:
