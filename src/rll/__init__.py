@@ -5,8 +5,8 @@ from .syntax import (Alphabet, Expr, MuLtlFormula, ParseError, RllError,
                      parse_expr_file, parse_formula, parse_formula_file,
                      print_expr, substitute)
 from .closure import (FlClosure, OccurrenceGraph, assign_priorities,
-                      closure_with_priorities, fl_closure, occurrence_graph)
-from .automaton import Apa, build_apa, export_dot
+                      closure_with_priorities, export_dot, fl_closure,
+                      occurrence_graph)
 from .semantics import (Lasso, enumerate_lassos, eval_multl, eval_rll,
                         lasso_normalize, member_oracle, models, parse_lasso,
                         print_lasso)

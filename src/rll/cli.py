@@ -11,8 +11,7 @@ import argparse
 import sys
 
 from . import __version__, algebra, calculus, corpus
-from .automaton import build_apa, export_dot
-from .closure import closure_with_priorities, format_closure
+from .closure import closure_with_priorities, export_dot, format_closure
 from .game import equiv_bounded, inclusion_bounded, member_game
 from .semantics import member_oracle, parse_lasso, print_lasso
 from .syntax import (Alphabet, RllError, parse_expr_file, parse_formula_file,
@@ -78,7 +77,7 @@ def cmd_closure(args) -> int:
 
 def cmd_apa_dot(args) -> int:
     ab, e = _load(parse_expr_file, args.file, args)
-    sys.stdout.write(export_dot(build_apa(closure_with_priorities(e, ab))))
+    sys.stdout.write(export_dot(closure_with_priorities(e, ab)))
     return 0
 
 

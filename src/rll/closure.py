@@ -19,7 +19,16 @@ closure`` and ``rll apa-dot``. It is the least set containing the root and
 closed under one-step decomposition: a.f steps to f, sums and meets step to
 their components, and fixpoints step to their unfolding. Members are
 discovered breadth-first from the root and deduplicated up to bound-variable
-renaming. Unfolding substitutes whole binders, so members can grow large.
+renaming. Every member is the meaning of one subterm occurrence, its free
+variables standing for their binders' members, so one walk over the
+occurrences finds them all without unfolding a binder. Members are compared
+by interned keys in de Bruijn's style: a variable bound inside the occurrence
+is its index, one bound outside is its binder's member key. A member's
+subterms are the keys reachable from its key. Member expressions are built
+only to be listed. ``export_dot`` draws the closure as an alternating
+automaton: members are states, act edges are letter transitions, the other
+edges epsilon transitions; top and meet members are universal (boxes), the
+others existential (diamonds).
 
 Closure priorities pick the Kahn topological order r of the subformula order
 on members (discovery-order tie-breaks), and set priority 2r+1 on
@@ -37,8 +46,7 @@ from dataclasses import dataclass, replace
 from typing import NamedTuple, Optional
 
 from .syntax import (Act, Alphabet, Expr, Meet, Mu, Nu, RllError, Sum, Top,
-                     Var, Zero, alpha_key, free_vars, print_expr,
-                     subexpressions, substitute)
+                     Var, Zero, print_expr)
 
 
 class ClosureError(RllError):
@@ -136,52 +144,86 @@ class FlClosure:
     priority: Optional[tuple[int, ...]] = None
 
 
-def fl_successors(e: Expr) -> list[tuple[str, Expr]]:
-    """The one-step decompositions of e, with their edge kinds."""
-    if isinstance(e, Act):
-        return [(f"act:{e.letter}", e.body)]
-    if isinstance(e, Sum):
-        return [("sum-left", e.left), ("sum-right", e.right)]
-    if isinstance(e, Meet):
-        return [("meet-left", e.left), ("meet-right", e.right)]
-    if isinstance(e, (Mu, Nu)):
-        return [("unfold", substitute(e.body, e.var, e))]
-    if isinstance(e, (Zero, Top)):
-        return []
-    if isinstance(e, Var):
-        raise ClosureError("closure is only defined for closed expressions")
-    raise TypeError(f"not an expression: {e!r}")
+# each constructor's parts, with the kind of the edge that steps to each
+_PARTS = {Act: (("body", "act:{}"),), Sum: (("left", "sum-left"),
+                                            ("right", "sum-right")),
+          Meet: (("left", "meet-left"), ("right", "meet-right")),
+          Mu: (("body", "unfold"),), Nu: (("body", "unfold"),),
+          Zero: (), Top: ()}
 
 
 def fl_closure(e: Expr, alphabet: Alphabet) -> FlClosure:
     """Breadth-first closure of a closed expression under decomposition."""
-    if free_vars(e):
-        raise ClosureError("closure is only defined for closed expressions")
-    for sub in subexpressions(e):
-        if isinstance(sub, Act) and sub.letter not in alphabet.letters:
-            raise ClosureError(f"undeclared letter {sub.letter!r}")
+    occ: list[Expr] = []  # the non-variable occurrences, in preorder
+    kids: dict[int, tuple[int, ...]] = {}  # a variable is its (earlier) binder
+    nest: list[int] = []  # binders among each occurrence and its ancestors
+    table: dict[tuple, int] = {}  # interned keys, numbered children first
+    keys: dict[int, int] = {}  # occurrence -> the key of its member
+    trees: dict[int, Expr] = {}  # occurrence -> its member
 
-    members: list[Expr] = [e]
-    index: dict[str, int] = {alpha_key(e): 0}
-    edges: list[tuple[int, int, str]] = []
-    frontier = 0
-    while frontier < len(members):
-        src = frontier
-        for kind, tgt in fl_successors(members[src]):
-            key = alpha_key(tgt)
-            if key not in index:
-                index[key] = len(members)
-                members.append(tgt)
-            edges.append((src, index[key], kind))
-        frontier += 1
+    def index(t: Expr, scope: dict[str, int], d: int) -> int:
+        if isinstance(t, Var):
+            if t.name not in scope:
+                raise ClosureError(
+                    "closure is only defined for closed expressions")
+            return scope[t.name]
+        i = len(occ)
+        occ.append(t)
+        if isinstance(t, (Mu, Nu)):
+            scope, d = {**scope, t.var: i}, d + 1
+        nest.append(d)
+        kids[i] = tuple(index(getattr(t, f), scope, d)
+                        for f, _ in _PARTS[type(t)])
+        return i
 
-    sub_keys = [frozenset(alpha_key(s) for s in subexpressions(m))
-                for m in members]
-    pairs = frozenset((i, j)
-                      for i, mi in enumerate(members)
-                      for j in range(len(members))
-                      if alpha_key(mi) in sub_keys[j])
-    return FlClosure(e, tuple(members), tuple(edges), pairs, alphabet)
+    def walk(i: int, root: int) -> tuple[int, Expr]:
+        """Key and expression of occurrence i inside the member of
+        occurrence root: a variable bound at or below root is its de Bruijn
+        index, one bound above it is its binder's member."""
+        t, parts = occ[i], []
+        for c in kids[i]:
+            if c > i:
+                parts.append(walk(c, root))
+            elif c >= root:
+                parts.append((table.setdefault((Var, nest[i] - nest[c], ()),
+                                               len(table)), Var(occ[c].var)))
+            else:
+                parts.append((keys[c], trees[c]))
+        key = (type(t), getattr(t, "letter", None), tuple(k for k, _ in parts))
+        return table.setdefault(key, len(table)), replace(t, **{
+            f: x for (f, _), (_, x) in zip(_PARTS[type(t)], parts)})
+
+    try:
+        index(e, {}, 0)
+        for t in occ:
+            if isinstance(t, Act) and t.letter not in alphabet.letters:
+                raise ClosureError(f"undeclared letter {t.letter!r}")
+        for i in range(len(occ)):  # outer binders' members come first
+            keys[i], trees[i] = walk(i, i)
+    finally:
+        del index, walk  # both refer to themselves
+
+    members, found, edges = [0], {keys[0]: 0}, []
+    for src, i in enumerate(members):
+        t = occ[i]
+        for (_, kind), c in zip(_PARTS[type(t)], kids[i]):
+            j = found.setdefault(keys[c], len(members))
+            if j == len(members):
+                members.append(c)
+            edges.append((src, j, kind.format(getattr(t, "letter", None))))
+
+    # the subterms of a member are the keys reachable from its key
+    reach: list[int] = []
+    for _type, _tag, children in table:
+        bits = 1 << len(reach)
+        for c in children:
+            bits |= reach[c]
+        reach.append(bits)
+    ids = [keys[i] for i in members]
+    pairs = frozenset((a, b) for b, kb in enumerate(ids)
+                      for a, ka in enumerate(ids) if reach[kb] >> ka & 1)
+    return FlClosure(e, tuple(trees[i] for i in members), tuple(edges), pairs,
+                     alphabet)
 
 
 def assign_priorities(c: FlClosure) -> FlClosure:
@@ -218,3 +260,22 @@ def format_closure(c: FlClosure) -> str:
     for src, dst, kind in c.edges:
         lines.append(f"{src} -{kind}-> {dst}")
     return "\n".join(lines)
+
+
+def export_dot(c: FlClosure) -> str:
+    """DOT rendering of the closure's automaton, whose priorities must be
+    assigned. Top and meet members are universal (boxes), the others
+    existential (diamonds); act edges are labelled letter transitions, the
+    other edges epsilon transitions. Output follows member and edge order."""
+    lines = ["digraph apa {", "  rankdir=LR;"]
+    for i, m in enumerate(c.members):
+        shape = "box" if isinstance(m, (Top, Meet)) else "diamond"
+        extra = ", penwidth=2" if i == 0 else ""
+        lines.append(f'  n{i} [shape={shape}, label="{print_expr(m)} '
+                     f'[p={c.priority[i]}]"{extra}];')
+    lines += [f'  n{s} -> n{d} [label="{k[4:]}"];'
+              for s, d, k in c.edges if k.startswith("act:")]
+    lines += [f"  n{s} -> n{d};"
+              for s, d, k in c.edges if not k.startswith("act:")]
+    lines.append("}")
+    return "\n".join(lines) + "\n"

@@ -129,9 +129,15 @@ def enumerate_lassos(alphabet: Alphabet, max_prefix: int,
                      max_period: int) -> Iterator[Lasso]:
     """All normalized lassos with |u| <= max_prefix, 1 <= |v| <= max_period,
     in length-lexicographic order: ascending |u|+|v|, then ascending |u|, then
-    lexicographic by alphabet order."""
+    lexicographic by alphabet order. A bound that admits no lasso is a
+    SemanticsError."""
     from itertools import product
 
+    for name, bound, least in (("max-prefix", max_prefix, 0),
+                               ("max-period", max_period, 1)):
+        if bound < least:
+            raise SemanticsError(
+                f"{name} must be at least {least}, not {bound}")
     letters = alphabet.letters
     for total in range(1, max_prefix + max_period + 1):
         for plen in range(0, min(max_prefix, total - 1) + 1):

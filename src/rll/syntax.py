@@ -36,6 +36,8 @@ KEYWORDS = {"mu", "nu", "top", "ff", "tt", "O", "alphabet", "props"}
 
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
+MAX_PROPS = 16  # propositions of a powerset alphabet, like truth tables' atoms
+
 
 # ---------------------------------------------------------------------------
 # Alphabets
@@ -73,6 +75,9 @@ class Alphabet:
 
     @staticmethod
     def powerset(*props: str) -> "Alphabet":
+        if len(props) > MAX_PROPS:  # 2^n letters are built eagerly
+            raise AlphabetError(f"{len(props)} propositions exceed the cap "
+                                f"of {MAX_PROPS}")
         basis = tuple(props)
         letters = tuple(subset_letter_name(s) for s in _subsets_in_order(basis))
         return Alphabet(letters, basis)

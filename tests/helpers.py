@@ -1,5 +1,6 @@
 """Shared helpers for the test suite: desk-scale word sets, corpus access,
-and the derivation mutation machinery."""
+the tree-substituting reference closure, and the derivation mutation
+machinery."""
 
 from __future__ import annotations
 
@@ -7,10 +8,12 @@ import copy
 import os
 
 from rll.calculus import Claim, Derivation, FormulaClaim, Step, bool_taut
+from rll.closure import ClosureError, FlClosure
 from rll.semantics import enumerate_lassos
-from rll.syntax import (Expr, Mu, MuF, MuLtlFormula, NegProp, Nu, NuF, Prop,
-                        Var, alpha_eq, free_vars, negate_formula,
-                        parse_expr, parse_formula, subexpressions)
+from rll.syntax import (Act, Alphabet, Expr, Meet, Mu, MuF, MuLtlFormula,
+                        NegProp, Nu, NuF, Prop, Sum, Top, Var, Zero, alpha_eq,
+                        alpha_key, free_vars, negate_formula, parse_expr,
+                        parse_formula, subexpressions, substitute)
 
 PROOF_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "proofs")
 
@@ -22,6 +25,59 @@ def proof_paths() -> list[str]:
 
 def desk_lassos(alphabet, max_prefix=2, max_period=2):
     return list(enumerate_lassos(alphabet, max_prefix, max_period))
+
+
+# ---------------------------------------------------------------------------
+# Reference closure: members are built by substituting whole binders and
+# deduplicated by alpha key. Super-polynomial, but plainly the definition.
+# ---------------------------------------------------------------------------
+
+def fl_successors(e: Expr) -> list[tuple[str, Expr]]:
+    """The one-step decompositions of e, with their edge kinds."""
+    if isinstance(e, Act):
+        return [(f"act:{e.letter}", e.body)]
+    if isinstance(e, Sum):
+        return [("sum-left", e.left), ("sum-right", e.right)]
+    if isinstance(e, Meet):
+        return [("meet-left", e.left), ("meet-right", e.right)]
+    if isinstance(e, (Mu, Nu)):
+        return [("unfold", substitute(e.body, e.var, e))]
+    if isinstance(e, (Zero, Top)):
+        return []
+    if isinstance(e, Var):
+        raise ClosureError("closure is only defined for closed expressions")
+    raise TypeError(f"not an expression: {e!r}")
+
+
+def reference_closure(e: Expr, alphabet: Alphabet) -> FlClosure:
+    """Breadth-first closure of a closed expression under decomposition."""
+    if free_vars(e):
+        raise ClosureError("closure is only defined for closed expressions")
+    for sub in subexpressions(e):
+        if isinstance(sub, Act) and sub.letter not in alphabet.letters:
+            raise ClosureError(f"undeclared letter {sub.letter!r}")
+
+    members: list[Expr] = [e]
+    index: dict[str, int] = {alpha_key(e): 0}
+    edges: list[tuple[int, int, str]] = []
+    frontier = 0
+    while frontier < len(members):
+        src = frontier
+        for kind, tgt in fl_successors(members[src]):
+            key = alpha_key(tgt)
+            if key not in index:
+                index[key] = len(members)
+                members.append(tgt)
+            edges.append((src, index[key], kind))
+        frontier += 1
+
+    sub_keys = [frozenset(alpha_key(s) for s in subexpressions(m))
+                for m in members]
+    pairs = frozenset((i, j)
+                      for i, mi in enumerate(members)
+                      for j in range(len(members))
+                      if alpha_key(mi) in sub_keys[j])
+    return FlClosure(e, tuple(members), tuple(edges), pairs, alphabet)
 
 
 # ---------------------------------------------------------------------------
@@ -52,7 +108,6 @@ def _rename_free(e: Expr):
     fv = sorted(free_vars(e))
     if not fv:
         return None
-    from rll.syntax import substitute
     return substitute(e, fv[0], Var(fv[0] + "_mut"))
 
 
@@ -61,11 +116,14 @@ def _mutate_formula(phi: MuLtlFormula) -> MuLtlFormula:
     return negate_formula(phi)
 
 
-def _walk_steps(steps, path=()):
+def _walk_steps(steps, path=(), visible=()):
+    """(path, step, the steps in scope before it), in checking order."""
+    visible = list(visible)
     for i, s in enumerate(steps):
-        yield path + (i,), s
+        yield path + (i,), s, visible[:]
         if s.hyp is not None:
-            yield from _walk_steps(s.hyp.steps, path + (i, "hyp"))
+            yield from _walk_steps(s.hyp.steps, path + (i, "hyp"), visible)
+        visible.append(s)
 
 
 def _get_step(d: Derivation, path) -> Step:
@@ -84,7 +142,7 @@ def mutants(d: Derivation):
     """Yield (label, mutated derivation) pairs, each differing from d in one
     step's claim, one of its subst entries or its hyp.fresh, in a way the
     checker must reject."""
-    for path, step in _walk_steps(d.steps):
+    for path, step, visible in _walk_steps(d.steps):
         claim = step.claim
         if isinstance(claim, Claim):
             if not alpha_eq(claim.lhs, claim.rhs):
@@ -108,6 +166,38 @@ def mutants(d: Derivation):
         if step.hyp is not None:
             yield (f"{step.sid}:fresh",
                    _with_step(d, path, lambda s: s.hyp.fresh.reverse()))
+        yield from _premise_mutants(d, path, step, visible)
+
+
+def _premise_mutants(d: Derivation, path, step: Step, visible: list[Step]):
+    """The step's two distinct premises reversed, and each premise
+    re-pointed to the nearest earlier step in scope with another claim,
+    unless the cited claims still prove the step: a still-valid bool_taut,
+    or mono given an eq with the premise's sides."""
+    edits = []
+    if len(step.premises) == 2 and step.premises[0] != step.premises[1]:
+        edits.append(("reverse", lambda s: s.premises.reverse()))
+    cited = {s.sid: _claim_key(s.claim) for s in visible}
+    for k, sid in enumerate(step.premises):
+        other = next((s for s in reversed(visible) if sid in cited
+                      and _claim_key(s.claim) != cited[sid]), None)
+        if other is None or (step.rule == "mono" and other.claim.rel == "eq"
+                             and _claim_key(other.claim)[1:] ==
+                             cited[sid][1:]):
+            continue
+        edits.append((f"premise[{k}]->{other.sid}", lambda s, k=k,
+                      o=other.sid: s.premises.__setitem__(k, o)))
+    for label, edit in edits:
+        m = _with_step(d, path, edit)
+        if not (step.rule == "bool_taut"
+                and _still_bool_valid(m, path, step.claim)):
+            yield f"{step.sid}:{label}", m
+
+
+def _claim_key(c) -> tuple:
+    if isinstance(c, Claim):
+        return c.rel, alpha_key(c.lhs), alpha_key(c.rhs)
+    return ("formula", alpha_key(c.formula))
 
 
 def _mutate_subst(d: Derivation, step: Step, key: str):
@@ -151,7 +241,7 @@ def _still_bool_valid(d: Derivation, path, claim: Claim) -> bool:
     consequence of its premises (then it is not a counterexample mutant)."""
     step = _get_step(d, path)
     prems = []
-    for _p, s in _walk_steps(d.steps):
+    for _p, s, _v in _walk_steps(d.steps):
         if s.sid in step.premises and isinstance(s.claim, Claim):
             prems.append(s.claim)
     try:

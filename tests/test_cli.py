@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -84,6 +85,16 @@ class TestSearch:
                                     "--max-prefix", "2", "--max-period", "2"])
         assert code == 0
 
+    @pytest.mark.parametrize("command", ["equiv", "incl"])
+    @pytest.mark.parametrize("bound", [["--max-period", "0"],
+                                       ["--max-prefix", "-1"]])
+    def test_empty_bounds_are_usage_errors(self, files, capsys, command,
+                                           bound):
+        code, out, err = run(capsys, [command, files["fb"], files["both"],
+                                      *bound])
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {bound[0][2:]} must be at least ")
+
 
 class TestInspection:
     def test_parse_reprints(self, files, capsys):
@@ -137,12 +148,39 @@ class TestDeepNesting:
         return subprocess.run([sys.executable, "-m", "rll.cli", *argv],
                               capture_output=True, text=True, env=env)
 
-    @pytest.mark.parametrize("argv", [["member", "(a)"], ["parse"]])
+    @pytest.mark.parametrize("argv", [["member", "(a)"], ["parse"],
+                                      ["closure"], ["apa-dot"]])
     def test_exits_two_without_traceback(self, deep, argv):
         proc = self._run(argv[:1] + [deep] + argv[1:])
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
         assert proc.stderr.strip() == "error: expression nested too deeply"
+
+
+class TestPropositionCap:
+    """A powerset alphabet has 2^n letters; past 16 propositions it is
+    refused before any letter is built."""
+
+    NAMES = [f"P{i}" for i in range(30)]
+
+    def _timed(self, capsys, argv):
+        start = time.perf_counter()
+        code, out, err = run(capsys, argv)
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and out == ""
+        assert "30 propositions exceed the cap of 16" in err
+
+    def test_props_header(self, tmp_path, capsys):
+        path = tmp_path / "wide.mltl"
+        path.write_text(f"props {' '.join(self.NAMES)} ;\ntt\n")
+        self._timed(capsys, ["parse", "--formula", str(path)])
+
+    def test_proof_alphabet(self, tmp_path, capsys):
+        data = _shipped("until_next_distribution.json")
+        data["alphabet"] = self.NAMES
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps(data))
+        self._timed(capsys, ["check", str(path)])
 
 
 class TestTranslate:

@@ -1,16 +1,23 @@
 """Fischer-Ladner closure: members, edges, priorities."""
 
+import gc
 import random
+import time
 
 import pytest
 
-from rll.closure import (ClosureError, assign_priorities, fl_closure,
-                         closure_with_priorities, format_closure)
-from rll.corpus import gen_expr
+from helpers import fl_successors, reference_closure
+from rll import algebra
+from rll.closure import (ClosureError, assign_priorities, export_dot,
+                         fl_closure, closure_with_priorities, format_closure)
+from rll.corpus import gen_alphabet, gen_expr
 from rll.syntax import (Act, Alphabet, Mu, Nu, Sum, Var, ZERO, alpha_eq,
                         alpha_key, expr_size, parse_expr)
 
 AB = Alphabet.plain("a", "b")
+ABC = Alphabet.plain("a", "b", "c")
+IA = "nu X. mu Y. (a.X + b.Y)"
+FB = "mu X. (b.X + a.X + a.(nu Y. a.Y))"
 
 
 def members_of(text, ab=AB):
@@ -86,7 +93,6 @@ class TestClosureInvariants:
             c = fl_closure(e, AB)
             keys = {alpha_key(m) for m in c.members}
             # soundness: every decomposition target is a member
-            from rll.closure import fl_successors
             for m in c.members:
                 for _kind, tgt in fl_successors(m):
                     assert alpha_key(tgt) in keys
@@ -110,3 +116,59 @@ class TestClosureInvariants:
             e = gen_expr(rng, AB, rng.randint(1, 15))
             c = fl_closure(e, AB)
             assert len(c.members) <= expr_size(e) + 1
+
+
+class TestAgainstReference:
+    """The keyed walk against the tree-substituting closure it replaced."""
+
+    def test_same_closure_on_paper_languages_and_corpus(self):
+        corpus = []
+        for text in (IA, FB, f"({IA}) & ({FB})"):
+            e = parse_expr(text, AB)
+            corpus += [(e, AB), (algebra.complement(e, AB), AB)]
+        rng = random.Random(2024)
+        for _ in range(300):
+            ab = gen_alphabet(rng)
+            corpus.append((gen_expr(rng, ab, rng.randint(1, 20)), ab))
+        for e, ab in corpus:
+            got = closure_with_priorities(e, ab)
+            want = assign_priorities(reference_closure(e, ab))
+            assert format_closure(got) == format_closure(want)
+            assert export_dot(got) == export_dot(want)
+            assert got.subformula_pairs == want.subformula_pairs
+            assert got.priority == want.priority
+
+    def test_errors_match_reference(self):
+        for e in (Var("X"), Act("c", Var("X")), Mu("X", Act("c", Var("X")))):
+            with pytest.raises(ClosureError) as got:
+                fl_closure(e, AB)
+            with pytest.raises(ClosureError) as want:
+                reference_closure(e, AB)
+            assert str(got.value) == str(want.value)
+
+
+class TestScaling:
+    def test_size_100_closure_under_a_second(self):
+        # the reference takes seconds on this expression
+        rng = random.Random(5)
+        for _ in range(11):
+            e = gen_expr(rng, ABC, 100)
+        start = time.perf_counter()
+        closure_with_priorities(e, ABC)
+        assert time.perf_counter() - start < 1.0
+
+
+class TestGarbage:
+    def test_closure_leaves_no_cyclic_garbage(self):
+        """The walk's recursive helpers are unbound on return, so nothing
+        is left for the cyclic collector."""
+        exprs = [parse_expr(IA, AB), parse_expr(FB, AB)]
+        exprs += [algebra.complement(e, AB) for e in exprs]
+        gc.collect()
+        gc.disable()
+        try:
+            for e in exprs:
+                export_dot(closure_with_priorities(e, AB))
+            assert gc.collect() == 0
+        finally:
+            gc.enable()

@@ -105,7 +105,6 @@ class TestOccurrenceGraph:
                 f"complement law broken on {e} / {print_lasso(w)}"
 
     def test_oracle_agreement_on_large_expressions(self):
-        # beyond the reach of the closure, which takes seconds at this size
         rng = random.Random(5150)
         for _ in range(60):
             ab = gen_alphabet(rng)

@@ -91,6 +91,12 @@ class TestEnumerate:
         for w in enumerate_lassos(AB, 1, 2):
             assert lasso_normalize(w) == w
 
+    def test_empty_bounds_rejected(self):
+        for max_prefix, max_period, name in ((-1, 2, "max-prefix"),
+                                             (1, 0, "max-period")):
+            with pytest.raises(SemanticsError, match=name):
+                list(enumerate_lassos(AB, max_prefix, max_period))
+
 
 class TestEvalRll:
     def test_nu_ax_on_pure_a(self):

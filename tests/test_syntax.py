@@ -43,6 +43,10 @@ class TestAlphabet:
         ab = Alphabet.powerset("P")
         assert ab.letters == ("{}", "{P}")
 
+    def test_proposition_cap(self):
+        with pytest.raises(AlphabetError, match="17 propositions"):
+            Alphabet.powerset(*(f"P{i}" for i in range(17)))
+
     def test_duplicates_rejected(self):
         with pytest.raises(AlphabetError):
             Alphabet.plain("a", "a")
