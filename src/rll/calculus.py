@@ -3,10 +3,21 @@ plus a generator for complement derivations.
 
 A derivation is data, not search: an ordered list of steps, each carrying a
 claim, a rule name, an instantiation, premise ids, and optionally a
-hypothetical sub-derivation (for the quantifier-free duality rules). Checking
-rebuilds every rule instance from the recorded instantiation and compares with
-the stated claim up to bound-variable renaming; inequational claims e <= f
-are compared as their defining equations e+f = f when matching schemata.
+hypothetical sub-derivation (for the quantifier-free duality rules).
+
+The rules are data too. ``RULES`` states each rule once, in the paper's
+notation: premises, then the conclusion, separated by `` / ``. A claim is
+``e = f`` or ``e <= f``, or a muLTL formula with ``->``/``<->`` only at the
+top, applied after instantiation; the side ``e[f/X]`` substitutes f for X.
+Metavariables are ``X Y`` (binders), ``a b`` (letters) and ``e f g phi psi``
+(terms); a rule's parameters are those it names, in that order, and other
+names are fixed. ``_instance`` builds every instance, for both checkers and
+the generator. Rules instantiated from a step's ``subst`` match claims up to
+bound-variable renaming, an inequation e <= f read as its defining equation
+e+f = f. The structural rules ``sym``, ``eq_weaken``, ``leq_def_intro``,
+``leq_def_elim``, ``nec`` and ``mp`` read their metavariables off the claims'
+bare sides and compare relation and sides exactly. A mismatch prints the
+expected instance next to the claim found.
 
 Two tiers: "strict" admits the lattice/homomorphism/partition axioms, the
 fixpoint rules, the duality rules and structural reasoning; "extended" also
@@ -19,17 +30,18 @@ from __future__ import annotations
 
 import itertools
 import json
+import re
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Optional, Union
 
 from . import algebra
-from .syntax import (BOTTOMS, JOINS, LATTICE, MEETS, TOPS, Act, Alphabet, And,
-                     Expr, Meet, Mu, MuF, MuLtlFormula, Next, Nu, NuF, Or,
-                     RllError, Sum, TOP, Term, Top, Var, ZERO, Zero, alpha_eq,
-                     alpha_key, free_vars, fresh_name, implies, iff,
-                     negate_formula, parse_expr, parse_formula, print_expr,
-                     subexpressions, substitute, sum_of)
+from .syntax import (BOTTOMS, JOINS, LATTICE, MEETS, TOPS, VARS, Act, Alphabet,
+                     BINDERS, Expr, Meet, Mu, MuLtlFormula, Next, Nu, RllError,
+                     Sum, TOP, Term, Top, Var, ZERO, Zero, alpha_eq, alpha_key,
+                     free_vars, fresh_name, implies, iff, negate_formula,
+                     parse_expr, parse_formula, print_expr, subexpressions,
+                     substitute, sum_of)
 
 
 class CalculusError(RllError):
@@ -205,77 +217,157 @@ def load_proof_file(path: str) -> Derivation:
 
 
 # ---------------------------------------------------------------------------
-# Equational axiom schemata
+# The rules as data
 # ---------------------------------------------------------------------------
 
-def _schema_claim(name: str, p: dict, alphabet: Alphabet) -> Claim:
-    """The claim of an axiom schema instance. p maps parameter names to
-    expressions (e, f, g), letters (a, b) or binder names (X)."""
-    e, f, g = p.get("e"), p.get("f"), p.get("g")
-    if name == "plus_zero":
-        return Claim("eq", Sum(e, ZERO), e)
-    if name == "plus_assoc":
-        return Claim("eq", Sum(e, Sum(f, g)), Sum(Sum(e, f), g))
-    if name == "plus_comm":
-        return Claim("eq", Sum(e, f), Sum(f, e))
-    if name == "plus_idem":
-        return Claim("eq", Sum(e, e), e)
-    if name == "plus_absorb":
-        return Claim("eq", Sum(e, Meet(e, f)), e)
-    if name == "plus_dist":
-        return Claim("eq", Sum(e, Meet(f, g)), Meet(Sum(e, f), Sum(e, g)))
-    if name == "meet_top":
-        return Claim("eq", Meet(e, TOP), e)
-    if name == "meet_assoc":
-        return Claim("eq", Meet(e, Meet(f, g)), Meet(Meet(e, f), g))
-    if name == "meet_comm":
-        return Claim("eq", Meet(e, f), Meet(f, e))
-    if name == "meet_idem":
-        return Claim("eq", Meet(e, e), e)
-    if name == "meet_absorb":
-        return Claim("eq", Meet(e, Sum(e, f)), e)
-    if name == "meet_dist":
-        return Claim("eq", Meet(e, Sum(f, g)), Sum(Meet(e, f), Meet(e, g)))
-    if name == "act_zero":
-        return Claim("eq", Act(p["a"], ZERO), ZERO)
-    if name == "act_plus":
-        return Claim("eq", Act(p["a"], Sum(e, f)),
-                     Sum(Act(p["a"], e), Act(p["a"], f)))
-    if name == "act_meet":
-        return Claim("eq", Act(p["a"], Meet(e, f)),
-                     Meet(Act(p["a"], e), Act(p["a"], f)))
-    if name == "act_disjoint":
-        if p["a"] == p["b"]:
-            raise CalculusError("act_disjoint needs two distinct letters")
-        return Claim("eq", Meet(Act(p["a"], e), Act(p["b"], f)), ZERO)
-    if name == "top_partition":
-        return Claim("eq", TOP,
-                     sum_of([Act(a, TOP) for a in alphabet.letters]))
-    if name == "zero_def":
-        return Claim("eq", ZERO, Mu("X", Var("X")))
-    if name == "top_def":
-        return Claim("eq", TOP, Nu("X", Var("X")))
-    if name == "prefix":
-        body, x = p["e"], p["X"]
-        mu = Mu(x, body)
-        return Claim("leq", substitute(body, x, mu), mu)
-    if name == "postfix":
-        body, x = p["e"], p["X"]
-        nu = Nu(x, body)
-        return Claim("leq", nu, substitute(body, x, nu))
-    raise CalculusError(f"unknown axiom schema {name!r}")
-
-
-_AXIOM_PARAMS = {
-    "plus_zero": ("e",), "plus_assoc": ("e", "f", "g"), "plus_comm": ("e", "f"),
-    "plus_idem": ("e",), "plus_absorb": ("e", "f"), "plus_dist": ("e", "f", "g"),
-    "meet_top": ("e",), "meet_assoc": ("e", "f", "g"), "meet_comm": ("e", "f"),
-    "meet_idem": ("e",), "meet_absorb": ("e", "f"), "meet_dist": ("e", "f", "g"),
-    "act_zero": ("a",), "act_plus": ("a", "e", "f"), "act_meet": ("a", "e", "f"),
-    "act_disjoint": ("a", "b", "e", "f"), "top_partition": (),
-    "zero_def": (), "top_def": (),
-    "prefix": ("X", "e"), "postfix": ("X", "e"),
+RULES = {
+    # lattice axioms
+    "plus_zero": "e + 0 = e",
+    "plus_assoc": "e + (f + g) = (e + f) + g",
+    "plus_comm": "e + f = f + e",
+    "plus_idem": "e + e = e",
+    "plus_absorb": "e + e & f = e",
+    "plus_dist": "e + f & g = (e + f) & (e + g)",
+    "meet_top": "e & top = e",
+    "meet_assoc": "e & (f & g) = (e & f) & g",
+    "meet_comm": "e & f = f & e",
+    "meet_idem": "e & e = e",
+    "meet_absorb": "e & (e + f) = e",
+    "meet_dist": "e & (f + g) = e & f + e & g",
+    # letters are homomorphisms with disjoint images; Sigma is the sum of
+    # a.top over the alphabet's letters, in order
+    "act_zero": "a.0 = 0",
+    "act_plus": "a.(e + f) = a.e + a.f",
+    "act_meet": "a.(e & f) = a.e & a.f",
+    "act_disjoint": "a.e & b.f = 0",
+    "top_partition": "top = Sigma",
+    # fixpoints
+    "zero_def": "0 = mu Z. Z",
+    "top_def": "top = nu Z. Z",
+    "prefix": "e[mu X. e/X] <= mu X. e",
+    "postfix": "nu X. e <= e[nu X. e/X]",
+    "induction": "e[f/X] <= f / mu X. e <= f",
+    "coinduction": "f <= e[f/X] / f <= nu X. e",
+    # duality: the hypothesis, the sub-derivation's last claim, the conclusion
+    "duality_plus": "top <= X + Y / top <= e + f / top <= (mu X. e) + nu Y. f",
+    "duality_meet": "X & Y <= 0 / e & f <= 0 / (mu X. e) & nu Y. f <= 0",
+    # structural
+    "sym": "e = f / f = e",
+    "eq_weaken": "e = f / e <= f",
+    "leq_def_intro": "e + f = f / e <= f",
+    "leq_def_elim": "e <= f / e + f = f",
+    # the muLTL Hilbert system
+    "next_or": "O (phi | psi) <-> O phi | O psi",
+    "next_and": "O (phi & psi) <-> O phi & O psi",
+    "mu_axiom": "phi[mu X. phi/X] -> mu X. phi",
+    "nu_axiom": "nu X. phi -> phi[nu X. phi/X]",
+    "mu_rule": "phi[psi/X] -> psi / mu X. phi -> psi",
+    "nu_rule": "psi -> phi[psi/X] / psi -> nu X. phi",
+    "nec": "phi / O phi",
+    "mp": "phi / phi -> psi / psi",
 }
+
+# rules whose metavariables are their claims' bare sides, not subst entries
+_FROM_SIDES = frozenset({"sym", "eq_weaken", "leq_def_intro", "leq_def_elim",
+                         "nec", "mp"})
+_VOCABULARY = ("X", "Y", "a", "b", "e", "f", "g", "phi", "psi")
+
+
+def _parse_rule(text: str) -> tuple[tuple[str, tuple], ...]:
+    """Each claim of a rule as its relation ("" for a bare formula) and its
+    one or two sides, a side e[f/X] as the tuple (e, f, "X")."""
+    claims = []
+    for part in text.split(" / "):
+        rel = next((r for r in ("<->", "->", "<=", "=") if f" {r} " in part),
+                   "")
+        parse, ab = ((parse_expr, Alphabet.plain("a", "b")) if rel in ("=", "<=")
+                     else (parse_formula, Alphabet.powerset()))
+        sides = []
+        for side in part.split(f" {rel} ") if rel else [part]:
+            m = re.fullmatch(r"(\w+)\[(.+)/(\w+)\]", side)
+            sides.append((parse(m[1], ab), parse(m[2], ab), m[3]) if m
+                         else parse(side, ab))
+        claims.append((rel, tuple(sides)))
+    return tuple(claims)
+
+
+_SCHEMAS = {rule: _parse_rule(text) for rule, text in RULES.items()}
+_PARAMS = {rule: tuple(m for m in _VOCABULARY if m in re.findall(r"\w+", text))
+           for rule, text in RULES.items()}
+_SYSTEM = {rule: "rll" if schemas[-1][0] in ("=", "<=") else "multl"
+           for rule, schemas in _SCHEMAS.items()}
+_CLAIM = {"=": partial(Claim, "eq"), "<=": partial(Claim, "leq"),
+          "->": lambda a, b: FormulaClaim(implies(a, b)),
+          "<->": lambda a, b: FormulaClaim(iff(a, b)), "": FormulaClaim}
+
+
+def _fill(t: Term, p: dict) -> Term:
+    """The schema term t with p's values for its metavariables: names and
+    letters are strings, terms are terms."""
+    if isinstance(t, VARS):
+        v = p.get(t.name, t.name)
+        return type(t)(v) if isinstance(v, str) else v
+    if isinstance(t, Act):
+        return Act(p[t.letter], _fill(t.body, p))
+    if isinstance(t, Next):
+        return Next(_fill(t.body, p))
+    if isinstance(t, LATTICE):
+        return type(t)(_fill(t.left, p), _fill(t.right, p))
+    if isinstance(t, BINDERS):
+        return type(t)(p.get(t.var, t.var), _fill(t.body, p))
+    return t
+
+
+def _instance(rule: str, p: dict, alphabet: Alphabet) -> list[AnyClaim]:
+    """The claims of rule's instance under the metavariable values p,
+    premises first and the conclusion last."""
+    if rule == "act_disjoint" and p["a"] == p["b"]:
+        raise CalculusError("act_disjoint needs two distinct letters")
+    if rule == "top_partition":
+        p = {**p, "Sigma": sum_of([Act(a, TOP) for a in alphabet.letters])}
+    return [_CLAIM[rel](*(
+        substitute(_fill(t[0], p), p[t[2]], _fill(t[1], p))
+        if isinstance(t, tuple) else _fill(t, p) for t in sides))
+        for rel, sides in _SCHEMAS[rule]]
+
+
+def _sides(c: AnyClaim) -> tuple:
+    return (c.formula,) if isinstance(c, FormulaClaim) else (c.lhs, c.rhs)
+
+
+def _bare_sides(rule: str, claims: list[AnyClaim]) -> dict:
+    """Each metavariable that stands as a whole side of a claim of the rule,
+    bound to that side of the claim found."""
+    p: dict = {}
+    for (_rel, schema), c in zip(_SCHEMAS[rule], claims):
+        if len(_sides(c)) == len(schema):
+            for t, side in zip(schema, _sides(c)):
+                if isinstance(t, VARS):
+                    p.setdefault(t.name, side)
+    return p
+
+
+def _show(c: AnyClaim) -> str:
+    if isinstance(c, FormulaClaim):
+        return print_expr(c.formula)
+    rel = "=" if c.rel == "eq" else "<="
+    return f"{print_expr(c.lhs)} {rel} {print_expr(c.rhs)}"
+
+
+def _match(role: str, found: AnyClaim, want: AnyClaim, rule: str,
+           exact: bool = False):
+    """found must be want: up to renaming and the definitional reading of
+    <=, or with relation and sides compared exactly."""
+    if isinstance(want, FormulaClaim):
+        ok = alpha_eq(found.formula, want.formula)
+    elif exact:
+        ok = (found.rel == want.rel and alpha_eq(found.lhs, want.lhs)
+              and alpha_eq(found.rhs, want.rhs))
+    else:
+        ok = claims_match(found, want)
+    if not ok:
+        raise CalculusError(f"{role} does not match the {rule} instance: "
+                            f"expected {_show(want)}, found {_show(found)}")
 
 
 # ---------------------------------------------------------------------------
@@ -384,7 +476,7 @@ def bool_taut(claim: Claim, premises: list[Claim], atoms: Optional[list[Expr]],
 
 
 # ---------------------------------------------------------------------------
-# The RLL_L checker
+# The checkers
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -394,42 +486,67 @@ class _Frame:
     hypothesis: Optional[AnyClaim] = None
 
 
-class _Failure(Exception):
-    def __init__(self, reason: str):
-        super().__init__(reason)
-        self.reason = reason
+class _FailureAt(Exception):
+    """A step's CalculusError, raised as (step id, reason)."""
+
+
+def _want(n: int, prems: list, rule: str):
+    if len(prems) != n:
+        raise CalculusError(f"{rule} needs exactly {n} premise(s)")
 
 
 class _Checker:
+    """The walk over a derivation's steps, shared by both systems. A step
+    fails with a CalculusError. A subclass names its system's claim type and
+    subst term parser, and checks the rules that are not in RULES."""
+
     def __init__(self, d: Derivation, tier: str):
         self.d = d
         self.alphabet = d.alphabet
         self.tier = tier
         self.frames: list[_Frame] = [_Frame()]
 
+    def expect(self, c: AnyClaim) -> AnyClaim:
+        if not isinstance(c, self.claim_type):
+            raise CalculusError(f"expected {self.claim_noun}")
+        return c
+
     # -- substitution-field access --------------------------------------
-    def sub_raw(self, step: Step, key: str) -> str:
+    def sub(self, step: Step, key: str):
+        """subst[key], read as what its key names: a variable name (X, Y,
+        hole), a letter (a, b) or a term."""
         if key not in step.subst:
-            raise _Failure(f"rule {step.rule} needs subst entry {key!r}")
-        return step.subst[key]
+            raise CalculusError(f"rule {step.rule} needs subst entry {key!r}")
+        raw = step.subst[key]
+        if key in ("X", "Y", "hole"):
+            if not isinstance(raw, str) or not raw.isidentifier():
+                raise CalculusError(f"bad variable name in subst[{key!r}]")
+        elif key in ("a", "b"):
+            if raw not in self.alphabet.letters:
+                raise CalculusError(f"undeclared letter in subst[{key!r}]")
+        else:
+            try:
+                return self.parse(raw, self.alphabet)
+            except RllError as err:
+                raise CalculusError(
+                    f"bad {self.term_noun} in subst[{key!r}]: {err}")
+        return raw
 
-    def sub_expr(self, step: Step, key: str) -> Expr:
-        try:
-            return parse_expr(self.sub_raw(step, key), self.alphabet)
-        except RllError as err:
-            raise _Failure(f"bad expression in subst[{key!r}]: {err}")
+    def params(self, step: Step) -> dict:
+        return {key: self.sub(step, key) for key in _PARAMS[step.rule]}
 
-    def sub_name(self, step: Step, key: str) -> str:
-        name = self.sub_raw(step, key)
-        if not isinstance(name, str) or not name.isidentifier():
-            raise _Failure(f"bad variable name in subst[{key!r}]")
-        return name
-
-    def sub_letter(self, step: Step, key: str) -> str:
-        letter = self.sub_raw(step, key)
-        if letter not in self.alphabet.letters:
-            raise _Failure(f"undeclared letter in subst[{key!r}]")
-        return letter
+    def check_instance(self, step: Step, prems: list[AnyClaim]):
+        """A step by a rule of the table: its instance, from subst or from
+        the claims' bare sides, must match the premises and the claim."""
+        rule = step.rule
+        _want(len(_SCHEMAS[rule]) - 1, prems, rule)
+        claims = [self.expect(c) for c in (*prems, step.claim)]
+        exact = rule in _FROM_SIDES
+        p = _bare_sides(rule, claims) if exact else self.params(step)
+        wants = _instance(rule, p, self.alphabet)
+        for k, (found, want) in enumerate(zip(claims, wants), 1):
+            role = "claim" if k == len(claims) else f"premise {k}"
+            _match(role, found, want, rule, exact)
 
     # -- scope ----------------------------------------------------------
     def resolve(self, sid: str) -> AnyClaim:
@@ -438,52 +555,52 @@ class _Checker:
             if claim is not None:
                 self._check_escape(claim, depth)
                 return claim
-        raise _Failure(f"premise {sid!r} is not in scope")
+        raise CalculusError(f"premise {sid!r} is not in scope")
 
     def _check_escape(self, claim: AnyClaim, depth: int):
         """Fresh variables of frames inside `depth` must not occur in a claim
         cited from outside (the eigenvariable condition)."""
-        if isinstance(claim, FormulaClaim):
-            fv = free_vars(claim.formula)
-        else:
-            fv = free_vars(claim.lhs) | free_vars(claim.rhs)
-        for frame in self.frames[depth + 1:]:
+        inner = self.frames[depth + 1:]
+        fv = frozenset().union(*map(free_vars, _sides(claim))) if inner else ()
+        for frame in inner:
             leaked = frame.fresh & fv
             if leaked:
-                raise _Failure("cited claim mentions hypothetical variable "
-                               f"{sorted(leaked)[0]!r}")
+                raise CalculusError("cited claim mentions hypothetical "
+                                    f"variable {sorted(leaked)[0]!r}")
 
     def register(self, step: Step):
         for frame in self.frames:
             if step.sid in frame.steps:
-                raise _Failure(f"duplicate step id {step.sid!r}")
+                raise CalculusError(f"duplicate step id {step.sid!r}")
         self.frames[-1].steps[step.sid] = step.claim
 
     # -- main walk --------------------------------------------------------
     def run(self) -> Verdict:
+        if self.tier not in ("strict", "extended"):
+            return Verdict.rejected("-", f"unknown tier {self.tier!r}")
         try:
             self.check_steps(self.d.steps)
         except _FailureAt as err:
-            return Verdict.rejected(err.sid, err.reason)
-        except _Failure as err:
-            return Verdict.rejected("-", err.reason)
+            return Verdict.rejected(*err.args)
+        except CalculusError as err:
+            return Verdict.rejected("-", str(err))
         return Verdict.ok()
 
     def check_steps(self, steps: list[Step]) -> AnyClaim:
         if not steps:
-            raise _Failure("empty derivation")
+            raise CalculusError("empty derivation")
         last: Optional[AnyClaim] = None
         for step in steps:
             try:
                 if step.hyp is not None and \
                         step.rule not in ("duality_plus", "duality_meet"):
-                    raise _Failure("only duality rules take a hypothetical "
-                                   "sub-derivation")
+                    raise CalculusError("only duality rules take a "
+                                        "hypothetical sub-derivation")
                 prems = [self.resolve(sid) for sid in step.premises]
                 self.check_step(step, prems)
                 self.register(step)
-            except _Failure as err:
-                raise _FailureAt(step.sid, err.reason)
+            except CalculusError as err:
+                raise _FailureAt(step.sid, str(err))
             last = step.claim
         return last
 
@@ -491,196 +608,93 @@ class _Checker:
         raise NotImplementedError
 
 
-class _FailureAt(Exception):
-    def __init__(self, sid: str, reason: str):
-        super().__init__(f"step {sid}: {reason}")
-        self.sid = sid
-        self.reason = reason
-
-
-def _want(n: int, prems: list, rule: str):
-    if len(prems) != n:
-        raise _Failure(f"{rule} needs exactly {n} premise(s)")
-
-
-def _eclaim(c: AnyClaim) -> Claim:
-    if not isinstance(c, Claim):
-        raise _Failure("expected an equational claim")
-    return c
-
-
 class _RllChecker(_Checker):
+    claim_type, parse = Claim, staticmethod(parse_expr)
+    claim_noun, term_noun = "an equational claim", "expression"
+
     def check_step(self, step: Step, prems: list[AnyClaim]):
-        claim = _eclaim(step.claim)
+        claim = self.expect(step.claim)
         rule = step.rule
-        if rule in _AXIOM_PARAMS:
+        if rule in ("duality_plus", "duality_meet"):
             _want(0, prems, rule)
-            params: dict = {}
-            for key in _AXIOM_PARAMS[rule]:
-                if key in ("a", "b"):
-                    params[key] = self.sub_letter(step, key)
-                elif key == "X":
-                    params[key] = self.sub_name(step, key)
-                else:
-                    params[key] = self.sub_expr(step, key)
-            try:
-                want = _schema_claim(rule, params, self.alphabet)
-            except CalculusError as err:
-                raise _Failure(str(err))
-            if not claims_match(claim, want):
-                raise _Failure(f"claim is not the stated {rule} instance")
+            self._check_duality(step, claim)
+        elif _SYSTEM.get(rule) == "rll":
+            self.check_instance(step, prems)
         elif rule == "refl":
             _want(0, prems, rule)
             if not alpha_eq(claim.lhs, claim.rhs):
-                raise _Failure("refl needs identical sides")
-        elif rule == "sym":
-            _want(1, prems, rule)
-            p = _eclaim(prems[0])
-            if claim.rel != "eq" or p.rel != "eq":
-                raise _Failure("sym applies to equations")
-            if not (alpha_eq(claim.lhs, p.rhs) and alpha_eq(claim.rhs, p.lhs)):
-                raise _Failure("sym must swap the premise sides")
+                raise CalculusError("refl needs identical sides")
         elif rule == "trans":
             _want(2, prems, rule)
-            p1, p2 = _eclaim(prems[0]), _eclaim(prems[1])
+            p1, p2 = self.expect(prems[0]), self.expect(prems[1])
             if not alpha_eq(p1.rhs, p2.lhs):
-                raise _Failure("premises do not chain")
+                raise CalculusError("premises do not chain")
             want_rel = "eq" if p1.rel == p2.rel == "eq" else "leq"
             if claim.rel != want_rel:
-                raise _Failure(f"conclusion relation must be {want_rel}")
+                raise CalculusError(f"conclusion relation must be {want_rel}")
             if not (alpha_eq(claim.lhs, p1.lhs) and alpha_eq(claim.rhs, p2.rhs)):
-                raise _Failure("conclusion does not match the chain")
-        elif rule == "cong":
+                raise CalculusError("conclusion does not match the chain")
+        elif rule in ("cong", "mono"):
+            # cong: a one-hole context applied to an equation; mono: any
+            # context applied to an equation or inequation, giving <=
             _want(1, prems, rule)
-            p = _eclaim(prems[0])
-            if claim.rel != "eq" or p.rel != "eq":
-                raise _Failure("cong applies to equations")
-            ctx = self.sub_expr(step, "context")
-            hole = self.sub_name(step, "hole")
-            if _hole_count(ctx, hole) != 1:
-                raise _Failure("cong needs a one-hole context")
-            if not (alpha_eq(claim.lhs, substitute(ctx, hole, p.lhs))
-                    and alpha_eq(claim.rhs, substitute(ctx, hole, p.rhs))):
-                raise _Failure("claim is not the context applied to the premise")
-        elif rule == "mono":
-            _want(1, prems, rule)
-            p = _eclaim(prems[0])
-            if claim.rel != "leq" or p.rel not in ("leq", "eq"):
-                raise _Failure("mono concludes an inequation from one")
-            ctx = self.sub_expr(step, "context")
-            hole = self.sub_name(step, "hole")
-            if not (alpha_eq(claim.lhs, substitute(ctx, hole, p.lhs))
-                    and alpha_eq(claim.rhs, substitute(ctx, hole, p.rhs))):
-                raise _Failure("claim is not the context applied to the premise")
-        elif rule == "eq_weaken":
-            _want(1, prems, rule)
-            p = _eclaim(prems[0])
-            if p.rel != "eq" or claim.rel != "leq":
-                raise _Failure("eq_weaken turns an equation into an inequation")
-            if not (alpha_eq(claim.lhs, p.lhs) and alpha_eq(claim.rhs, p.rhs)):
-                raise _Failure("sides must match the premise")
-        elif rule == "leq_def_intro":
-            _want(1, prems, rule)
-            p = _eclaim(prems[0])
-            if p.rel != "eq" or claim.rel != "leq":
-                raise _Failure("leq_def_intro reads e+f = f as e <= f")
-            if not (alpha_eq(p.lhs, Sum(claim.lhs, claim.rhs))
-                    and alpha_eq(p.rhs, claim.rhs)):
-                raise _Failure("premise is not the defining equation")
-        elif rule == "leq_def_elim":
-            _want(1, prems, rule)
-            p = _eclaim(prems[0])
-            if p.rel != "leq" or claim.rel != "eq":
-                raise _Failure("leq_def_elim unfolds e <= f into e+f = f")
-            if not (alpha_eq(claim.lhs, Sum(p.lhs, p.rhs))
-                    and alpha_eq(claim.rhs, p.rhs)):
-                raise _Failure("claim is not the defining equation")
-        elif rule == "induction":
-            _want(1, prems, rule)
-            x = self.sub_name(step, "X")
-            body = self.sub_expr(step, "e")
-            f = self.sub_expr(step, "f")
-            wanted = Claim("leq", substitute(body, x, f), f)
-            if not claims_match(_eclaim(prems[0]), wanted):
-                raise _Failure("premise must be e(f) <= f")
-            if not claims_match(claim, Claim("leq", Mu(x, body), f)):
-                raise _Failure("conclusion must be mu X. e <= f")
-        elif rule == "coinduction":
-            _want(1, prems, rule)
-            x = self.sub_name(step, "X")
-            body = self.sub_expr(step, "e")
-            f = self.sub_expr(step, "f")
-            wanted = Claim("leq", f, substitute(body, x, f))
-            if not claims_match(_eclaim(prems[0]), wanted):
-                raise _Failure("premise must be f <= e(f)")
-            if not claims_match(claim, Claim("leq", f, Nu(x, body))):
-                raise _Failure("conclusion must be f <= nu X. e")
+            p = self.expect(prems[0])
+            ctx, hole = self.sub(step, "context"), self.sub(step, "hole")
+            if rule == "cong" and (p.rel != "eq" or _hole_count(ctx, hole) != 1):
+                raise CalculusError("cong needs an equation and a one-hole "
+                                    "context")
+            _match("claim", claim, Claim(
+                "eq" if rule == "cong" else "leq", substitute(ctx, hole, p.lhs),
+                substitute(ctx, hole, p.rhs)), rule, exact=True)
         elif rule == "hyp":
             _want(0, prems, rule)
             for depth in range(len(self.frames) - 1, -1, -1):
                 hypo = self.frames[depth].hypothesis
-                if hypo is not None and claims_match(claim, _eclaim(hypo)):
+                if hypo is not None and claims_match(claim, self.expect(hypo)):
                     self._check_escape(hypo, depth)
                     return
-            raise _Failure("claim matches no hypothesis in scope")
-        elif rule in ("duality_plus", "duality_meet"):
-            _want(0, prems, rule)
-            self._check_duality(step, claim, plus=(rule == "duality_plus"))
+            raise CalculusError("claim matches no hypothesis in scope")
         elif rule == "bool_taut":
             if self.tier != "extended":
-                raise _Failure("bool_taut needs the extended tier")
+                raise CalculusError("bool_taut needs the extended tier")
             atoms = None
             if "atoms" in step.subst:
                 raw = step.subst["atoms"]
                 if not isinstance(raw, list):
-                    raise _Failure("atoms must be a list of expressions")
+                    raise CalculusError("atoms must be a list of expressions")
                 try:
                     atoms = [parse_expr(a, self.alphabet) for a in raw]
                 except RllError as err:
-                    raise _Failure(f"bad atom: {err}")
-            eprems = [_eclaim(p) for p in prems]
-            try:
-                valid = bool_taut(claim, eprems, atoms, self.alphabet)
-            except CalculusError as err:
-                raise _Failure(str(err))
-            if not valid:
-                raise _Failure("not valid in the two-element lattice")
+                    raise CalculusError(f"bad atom: {err}")
+            eprems = [self.expect(p) for p in prems]
+            if not bool_taut(claim, eprems, atoms, self.alphabet):
+                raise CalculusError("not valid in the two-element lattice")
         else:
-            raise _Failure(f"unknown rule {rule!r}")
+            raise CalculusError(f"unknown rule {rule!r}")
 
-    def _check_duality(self, step: Step, claim: Claim, plus: bool):
+    def _check_duality(self, step: Step, claim: Claim):
+        """The conclusion, then the sub-derivation under the hypothesis, in a
+        frame whose X and Y are fresh."""
         if step.hyp is None:
-            raise _Failure("duality needs a hypothetical sub-derivation")
-        x = self.sub_name(step, "X")
-        y = self.sub_name(step, "Y")
-        e = self.sub_expr(step, "e")
-        f = self.sub_expr(step, "f")
+            raise CalculusError("duality needs a hypothetical sub-derivation")
+        p = self.params(step)
+        x, y = p["X"], p["Y"]
         if step.hyp.fresh != [x, y]:
-            raise _Failure("hyp.fresh must declare exactly the rule's X, Y")
+            raise CalculusError("hyp.fresh must declare exactly the rule's X, Y")
         if x == y:
-            raise _Failure("the fresh variables must be distinct")
-        concl_fv = free_vars(claim.lhs) | free_vars(claim.rhs)
-        if x in concl_fv or y in concl_fv:
-            raise _Failure("hypothetical variable occurs free in the conclusion")
-        if plus:
-            hypo = Claim("leq", TOP, Sum(Var(x), Var(y)))
-            sub_goal = Claim("leq", TOP, Sum(e, f))
-            concl = Claim("leq", TOP, Sum(Mu(x, e), Nu(y, f)))
-        else:
-            hypo = Claim("leq", Meet(Var(x), Var(y)), ZERO)
-            sub_goal = Claim("leq", Meet(e, f), ZERO)
-            concl = Claim("leq", Meet(Mu(x, e), Nu(y, f)), ZERO)
-        if not claims_match(claim, concl):
-            raise _Failure("claim is not the duality conclusion for this e, f")
+            raise CalculusError("the fresh variables must be distinct")
+        if {x, y} & (free_vars(claim.lhs) | free_vars(claim.rhs)):
+            raise CalculusError("hypothetical variable occurs free in the "
+                                "conclusion")
+        hypo, sub_goal, concl = _instance(step.rule, p, self.alphabet)
+        _match("claim", claim, concl, step.rule)
         self.frames.append(_Frame(fresh=frozenset({x, y}), hypothesis=hypo))
         try:
             last = self.check_steps(step.hyp.steps)
         finally:
             self.frames.pop()
-        if not claims_match(_eclaim(last), sub_goal):
-            raise _Failure("sub-derivation does not end with top <= e(X)+f(Y)"
-                           if plus else
-                           "sub-derivation does not end with e(X)&f(Y) <= 0")
+        _match("last claim of the sub-derivation", self.expect(last), sub_goal,
+               step.rule)
 
 
 def _hole_count(ctx: Expr, hole: str) -> int:
@@ -699,10 +713,7 @@ def check_rll(d: Derivation, tier: Optional[str] = None) -> Verdict:
     """Check an equational derivation: accepted, or rejected at a named step."""
     if d.system != "rll":
         return Verdict.rejected("-", "not an equational derivation")
-    use = tier or d.tier
-    if use not in ("strict", "extended"):
-        return Verdict.rejected("-", f"unknown tier {use!r}")
-    return _RllChecker(d, use).run()
+    return _RllChecker(d, tier or d.tier).run()
 
 
 # ---------------------------------------------------------------------------
@@ -735,77 +746,20 @@ def propositional_valid(claim: MuLtlFormula,
                         lambda phi, value: value(phi))
 
 
-def _fclaim(c: AnyClaim) -> MuLtlFormula:
-    if not isinstance(c, FormulaClaim):
-        raise _Failure("expected a formula claim")
-    return c.formula
-
-
 class _MultlChecker(_Checker):
-    def sub_formula(self, step: Step, key: str) -> MuLtlFormula:
-        try:
-            return parse_formula(self.sub_raw(step, key), self.alphabet)
-        except RllError as err:
-            raise _Failure(f"bad formula in subst[{key!r}]: {err}")
+    claim_type, parse = FormulaClaim, staticmethod(parse_formula)
+    claim_noun, term_noun = "a formula claim", "formula"
 
     def check_step(self, step: Step, prems: list[AnyClaim]):
-        phi = _fclaim(step.claim)
-        rule = step.rule
-        if rule == "taut":
-            _want(0, prems, rule)
-            try:
-                ok = propositional_valid(phi)
-            except CalculusError as err:
-                raise _Failure(str(err))
-            if not ok:
-                raise _Failure("not a propositional tautology")
-        elif rule in ("next_or", "next_and"):
-            _want(0, prems, rule)
-            a = self.sub_formula(step, "phi")
-            b = self.sub_formula(step, "psi")
-            pair = Or(a, b) if rule == "next_or" else And(a, b)
-            comb = (Or if rule == "next_or" else And)(Next(a), Next(b))
-            if not alpha_eq(phi, iff(Next(pair), comb)):
-                raise _Failure(f"claim is not the {rule} axiom instance")
-        elif rule in ("mu_axiom", "nu_axiom"):
-            _want(0, prems, rule)
-            x = self.sub_name(step, "X")
-            body = self.sub_formula(step, "phi")
-            if rule == "mu_axiom":
-                fix = MuF(x, body)
-                want = implies(substitute(body, x, fix), fix)
-            else:
-                fix = NuF(x, body)
-                want = implies(fix, substitute(body, x, fix))
-            if not alpha_eq(phi, want):
-                raise _Failure(f"claim is not the {rule} instance")
-        elif rule == "mp":
-            _want(2, prems, rule)
-            minor, major = _fclaim(prems[0]), _fclaim(prems[1])
-            if not alpha_eq(major, implies(minor, phi)):
-                raise _Failure("second premise is not (first -> claim)")
-        elif rule == "nec":
-            _want(1, prems, rule)
-            if not alpha_eq(phi, Next(_fclaim(prems[0]))):
-                raise _Failure("claim must be O applied to the premise")
-        elif rule in ("mu_rule", "nu_rule"):
-            _want(1, prems, rule)
-            x = self.sub_name(step, "X")
-            body = self.sub_formula(step, "phi")
-            psi = self.sub_formula(step, "psi")
-            unfolded = substitute(body, x, psi)
-            if rule == "mu_rule":
-                want_prem = implies(unfolded, psi)
-                want_concl = implies(MuF(x, body), psi)
-            else:
-                want_prem = implies(psi, unfolded)
-                want_concl = implies(psi, NuF(x, body))
-            if not alpha_eq(_fclaim(prems[0]), want_prem):
-                raise _Failure("premise does not match the rule")
-            if not alpha_eq(phi, want_concl):
-                raise _Failure("conclusion does not match the rule")
+        phi = self.expect(step.claim).formula
+        if step.rule == "taut":
+            _want(0, prems, step.rule)
+            if not propositional_valid(phi):
+                raise CalculusError("not a propositional tautology")
+        elif _SYSTEM.get(step.rule) == "multl":
+            self.check_instance(step, prems)
         else:
-            raise _Failure(f"unknown rule {rule!r}")
+            raise CalculusError(f"unknown rule {step.rule!r}")
 
 
 def check_multl(d: Derivation, tier: Optional[str] = None) -> Verdict:
@@ -864,11 +818,11 @@ class _ComplementGen:
         return step
 
     def ax(self, name: str, **params) -> Step:
-        """An axiom instance; its claim comes from the checker's schema
-        table. Letters are recorded as they are, expressions printed."""
+        """An axiom instance, its claim built from the rule table. Letters
+        are recorded as they are, expressions printed."""
         subst = {k: v if isinstance(v, str) else print_expr(v)
                  for k, v in params.items()}
-        return self.emit(name, _schema_claim(name, params, self.ab),
+        return self.emit(name, _instance(name, params, self.ab)[-1],
                          subst=subst)
 
     def refl(self, e: Expr) -> Step:

@@ -28,6 +28,9 @@ def _read(path: str) -> str:
             return fh.read()
     except OSError as err:
         raise CliError(f"{path}: {err.strerror}")
+    except UnicodeDecodeError as err:
+        raise CliError(f"{path}: not UTF-8 text ({err.reason} at byte "
+                       f"{err.start})")
 
 
 def _load(parse_file, path: str, args):

@@ -42,6 +42,7 @@ member is always a fixpoint expression.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, replace
 from typing import NamedTuple, Optional
 
@@ -230,16 +231,21 @@ def assign_priorities(c: FlClosure) -> FlClosure:
     """Fill priorities from a topological linearization of the subformula
     order (discovery-order tie-breaks): mu-members 2r+1, others 2r."""
     n = len(c.members)
-    strictly_below = {j: {i for (i, j2) in c.subformula_pairs
-                          if j2 == j and i != j} for j in range(n)}
-    rank: dict[int, int] = {}
-    placed: set[int] = set()
+    above: list[list[int]] = [[] for _ in range(n)]
+    waiting = [0] * n  # members strictly below each one, not yet ranked
+    for i, j in c.subformula_pairs:
+        if i != j:
+            above[i].append(j)
+            waiting[j] += 1
+    ready = [j for j in range(n) if not waiting[j]]  # sorted, so a heap
+    rank = [0] * n
     for r in range(n):
-        ready = [j for j in range(n)
-                 if j not in placed and strictly_below[j] <= placed]
-        nxt = min(ready)  # discovery-order tie-break
-        rank[nxt] = r
-        placed.add(nxt)
+        i = heapq.heappop(ready)  # discovery-order tie-break
+        rank[i] = r
+        for j in above[i]:
+            waiting[j] -= 1
+            if not waiting[j]:
+                heapq.heappush(ready, j)
     prio = tuple(2 * rank[i] + 1 if isinstance(m, Mu) else 2 * rank[i]
                  for i, m in enumerate(c.members))
     return replace(c, priority=prio)

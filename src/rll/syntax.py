@@ -427,7 +427,7 @@ def alpha_key(t: Term) -> str:
 
 
 def alpha_eq(a: Term, b: Term) -> bool:
-    return alpha_key(a) == alpha_key(b)
+    return a is b or alpha_key(a) == alpha_key(b)
 
 
 def print_expr(t: Term, _prec: int = 0) -> str:

@@ -1,11 +1,12 @@
 """Shared helpers for the test suite: desk-scale word sets, corpus access,
-the tree-substituting reference closure, and the derivation mutation
-machinery."""
+the tree-substituting reference closure and its rescanning priorities, and
+the derivation mutation machinery."""
 
 from __future__ import annotations
 
 import copy
 import os
+from dataclasses import replace
 
 from rll.calculus import Claim, Derivation, FormulaClaim, Step, bool_taut
 from rll.closure import ClosureError, FlClosure
@@ -78,6 +79,26 @@ def reference_closure(e: Expr, alphabet: Alphabet) -> FlClosure:
                       for j in range(len(members))
                       if alpha_key(mi) in sub_keys[j])
     return FlClosure(e, tuple(members), tuple(edges), pairs, alphabet)
+
+
+def reference_priorities(c: FlClosure) -> FlClosure:
+    """Closure priorities by the definition: each rank goes to the first
+    member, in discovery order, all of whose strict subformulas are ranked.
+    Rescans every member for every rank."""
+    n = len(c.members)
+    strictly_below = {j: {i for (i, j2) in c.subformula_pairs
+                          if j2 == j and i != j} for j in range(n)}
+    rank: dict[int, int] = {}
+    placed: set[int] = set()
+    for r in range(n):
+        ready = [j for j in range(n)
+                 if j not in placed and strictly_below[j] <= placed]
+        nxt = min(ready)  # discovery-order tie-break
+        rank[nxt] = r
+        placed.add(nxt)
+    prio = tuple(2 * rank[i] + 1 if isinstance(m, Mu) else 2 * rank[i]
+                 for i, m in enumerate(c.members))
+    return replace(c, priority=prio)
 
 
 # ---------------------------------------------------------------------------

@@ -10,15 +10,17 @@ import random
 
 import pytest
 
-from helpers import PROOF_DIR, mutants, proof_paths
+from helpers import PROOF_DIR, desk_lassos, mutants, proof_paths
 from rll import algebra
-from rll.calculus import (CalculusError, Claim, Derivation, FormulaClaim,
-                          HypContext, Step, bool_taut, check_derivation,
-                          check_multl, check_rll, derivation_from_json,
-                          derivation_to_json, derive_complement,
-                          load_proof_file, propositional_valid)
+from rll.calculus import (RULES, CalculusError, Claim, Derivation,
+                          FormulaClaim, HypContext, Step, Verdict, bool_taut,
+                          check_derivation, check_multl, check_rll,
+                          derivation_from_json, derivation_to_json,
+                          derive_complement, load_proof_file,
+                          propositional_valid)
 from rll.corpus import gen_alphabet, gen_expr
-from rll.semantics import enumerate_lassos, member_oracle
+from rll.semantics import (enumerate_lassos, eval_multl, eval_rll,
+                           member_oracle)
 from rll.syntax import (Alphabet, And, FVar, Meet, Mu, MuF, Next, Nu, NuF,
                         Or, Prop, Sum, TOP, Var, ZERO, alpha_eq, free_vars,
                         implies, parse_expr, parse_formula, print_expr)
@@ -373,11 +375,175 @@ class TestMultl:
         ])
         assert check_multl(d).accepted
 
+    def test_unknown_tier_rejected(self):
+        """Both checkers refuse a tier they do not know, whether the
+        derivation or the caller names it."""
+        for check, d in (
+                (check_multl, self.multl_d([self.fstep("s1", "P | ~P",
+                                                       "taut")])),
+                (check_rll, rll_d([estep("s1", "eq", "0", "0", "refl")]))):
+            assert check(d).accepted
+            assert check(d, tier="whatever") == Verdict(
+                False, "-", "unknown tier 'whatever'")
+            d.tier = "bogus"
+            assert check(d) == Verdict(False, "-", "unknown tier 'bogus'")
+
     def test_propositional_valid_treats_fixpoints_opaquely(self):
         phi = parse_formula("(mu X. (P | O X)) | !(mu X. (P | O X))", PQ)
         assert propositional_valid(phi)
         psi = parse_formula("(mu X. (P | O X)) | !(mu Y. (Q | O Y))", PQ)
         assert not propositional_valid(psi)
+
+
+def _claim(text, ab):
+    """A formula over PQ, or over AB an equational claim "l = r" or
+    "l <= r"."""
+    if ab is PQ:
+        return FormulaClaim(parse_formula(text, ab))
+    rel, sym = ("leq", " <= ") if " <= " in text else ("eq", " = ")
+    lhs, rhs = text.split(sym)
+    return Claim(rel, parse_expr(lhs, ab), parse_expr(rhs, ab))
+
+
+# Accepted and rejected instances of every rule of the table, written out by
+# hand: (rule, subst, premises, claim, wrong claims), each premise a (claim,
+# rule, subst) step. A wrong claim is a claim, or a list of claims, each
+# maybe with its own premises; a structural rule needs claims whose every
+# side is wrong on its own.
+BOOL = "bool_taut"
+INSTANCES = [
+    ("plus_zero", {"e": "a.top"}, [], "a.top + 0 = a.top", "a.top + 0 = 0"),
+    ("plus_assoc", {"e": "a.top", "f": "b.top", "g": "0"}, [],
+     "a.top + (b.top + 0) = (a.top + b.top) + 0",
+     "a.top + (b.top + 0) = (b.top + a.top) + 0"),
+    ("plus_comm", {"e": "a.top", "f": "b.0"}, [], "a.top + b.0 = b.0 + a.top",
+     "a.top + b.0 = a.top + b.0"),
+    ("plus_idem", {"e": "b.top"}, [], "b.top + b.top = b.top",
+     "b.top + b.top = b.top + b.top"),
+    ("plus_absorb", {"e": "a.top", "f": "b.top"}, [],
+     "a.top + a.top & b.top = a.top", "a.top + b.top & a.top = a.top"),
+    ("plus_dist", {"e": "a.top", "f": "b.top", "g": "0"}, [],
+     "a.top + b.top & 0 = (a.top + b.top) & (a.top + 0)",
+     "a.top + b.top & 0 = (a.top + b.top) & 0"),
+    ("meet_top", {"e": "a.0"}, [], "a.0 & top = a.0", "a.0 & top = top"),
+    ("meet_assoc", {"e": "a.top", "f": "b.top", "g": "top"}, [],
+     "a.top & (b.top & top) = (a.top & b.top) & top",
+     "a.top & (b.top & top) = (b.top & a.top) & top"),
+    ("meet_comm", {"e": "a.top", "f": "top"}, [], "a.top & top = top & a.top",
+     "a.top & top = a.top"),
+    ("meet_idem", {"e": "b.top"}, [], "b.top & b.top = b.top",
+     "b.top & b.top = top"),
+    ("meet_absorb", {"e": "a.top", "f": "b.top"}, [],
+     "a.top & (a.top + b.top) = a.top", "a.top & (b.top + a.top) = a.top"),
+    ("meet_dist", {"e": "a.top", "f": "b.top", "g": "top"}, [],
+     "a.top & (b.top + top) = a.top & b.top + a.top & top",
+     "a.top & (b.top + top) = a.top & b.top + top"),
+    ("act_zero", {"a": "b"}, [], "b.0 = 0", "a.0 = 0"),
+    ("act_plus", {"a": "a", "e": "top", "f": "b.top"}, [],
+     "a.(top + b.top) = a.top + a.b.top", "a.(top + b.top) = a.top + b.top"),
+    ("act_meet", {"a": "b", "e": "top", "f": "a.top"}, [],
+     "b.(top & a.top) = b.top & b.a.top", "b.(top & a.top) = b.top & a.top"),
+    ("act_disjoint", {"a": "a", "b": "b", "e": "top", "f": "a.top"}, [],
+     "a.top & b.a.top = 0", "a.top & b.a.top = a.top"),
+    ("top_partition", {}, [], "top = a.top + b.top", "top = b.top + a.top"),
+    ("zero_def", {}, [], "0 = mu X. X", "0 = nu X. X"),
+    ("top_def", {}, [], "top = nu Y. Y", "top = mu Y. Y"),
+    ("prefix", {"X": "X", "e": "a.X + b.top"}, [],
+     "a.(mu X. a.X + b.top) + b.top <= mu X. a.X + b.top",
+     "a.(mu X. a.X + b.top) <= mu X. a.X + b.top"),
+    ("postfix", {"X": "X", "e": "a.X"}, [], "nu X. a.X <= a.(nu X. a.X)",
+     "nu X. a.X <= b.(nu X. a.X)"),
+    ("induction", {"X": "X", "e": "a.X", "f": "top"},
+     [("a.top <= top", BOOL, {})], "mu X. a.X <= top", "mu X. a.X <= 0"),
+    ("coinduction", {"X": "X", "e": "a.X", "f": "0"},
+     [("0 <= a.0", BOOL, {})], "0 <= nu X. a.X", "top <= nu X. a.X"),
+    ("duality_plus", {"X": "V", "Y": "W", "e": "V", "f": "W"},
+     [("top <= V + W", "hyp", {})], "top <= (mu V. V) + nu W. W",
+     "top <= (mu V. V) + mu W. W"),
+    ("duality_meet", {"X": "V", "Y": "W", "e": "V", "f": "W"},
+     [("V & W <= 0", "hyp", {})], "(mu V. V) & nu W. W <= 0",
+     "(nu V. V) & nu W. W <= 0"),
+    ("sym", {}, [("a.top + b.top = b.top + a.top", "plus_comm",
+                  {"e": "a.top", "f": "b.top"})],
+     "b.top + a.top = a.top + b.top", "top = a.top + b.top"),
+    ("eq_weaken", {}, [("b.top + b.top = b.top", "plus_idem", {"e": "b.top"})],
+     "b.top + b.top <= b.top", "b.top + b.top <= top"),
+    ("leq_def_intro", {},
+     [("b.top + b.top = b.top", "plus_idem", {"e": "b.top"})],
+     "b.top <= b.top",
+     ["b.top <= top", "a.top <= b.top",
+      ([("a.top + b.top = b.top + a.top", "plus_comm",
+          {"e": "a.top", "f": "b.top"})], "a.top <= b.top")]),
+    ("leq_def_elim", {}, [("a.top <= top", BOOL, {})], "a.top + top = top",
+     ["a.top + b.top = b.top", "a.top + top = b.top"]),
+    ("next_or", {"phi": "P", "psi": "~Q"}, [], "O (P | ~Q) <-> (O P | O ~Q)",
+     "O (P | ~Q) <-> (O P & O ~Q)"),
+    ("next_and", {"phi": "P", "psi": "Q"}, [], "O (P & Q) <-> (O P & O Q)",
+     "O (P & Q) <-> (O P | O Q)"),
+    ("mu_axiom", {"X": "X", "phi": "P | O X"}, [],
+     "(P | O (mu X. (P | O X))) -> mu X. (P | O X)",
+     "(mu X. (P | O X)) -> (P | O (mu X. (P | O X)))"),
+    ("nu_axiom", {"X": "X", "phi": "P & O X"}, [],
+     "(nu X. (P & O X)) -> (P & O (nu X. (P & O X)))",
+     "(P & O (nu X. (P & O X))) -> nu X. (P & O X)"),
+    ("mu_rule", {"X": "X", "phi": "P | O X", "psi": "tt"},
+     [("(P | O tt) -> tt", "taut", {})], "(mu X. (P | O X)) -> tt",
+     "(mu X. (P | O X)) -> ff"),
+    ("nu_rule", {"X": "X", "phi": "tt | O X", "psi": "tt"},
+     [("tt -> (tt | O tt)", "taut", {})], "tt -> nu X. (tt | O X)",
+     "tt -> mu X. (tt | O X)"),
+    ("nec", {}, [("P | ~P", "taut", {})], "O (P | ~P)", "O O (P | ~P)"),
+    ("mp", {}, [("P | ~P", "taut", {}), ("(P | ~P) -> (tt | Q)", "taut", {})],
+     "tt | Q", "Q"),
+]
+
+
+MULTL_RULES = {"next_or", "next_and", "mu_axiom", "nu_axiom", "mu_rule",
+               "nu_rule", "nec", "mp"}
+
+
+def _rule_derivation(rule, subst, premises, claim):
+    """A derivation whose last step s applies rule to premise steps p1, p2,
+    or, for a duality rule, closes a sub-derivation that cites its
+    hypothesis."""
+    ab = PQ if rule in MULTL_RULES else AB
+    steps = [Step(f"p{k}", _claim(text, ab), r, dict(sub))
+             for k, (text, r, sub) in enumerate(premises, 1)]
+    if rule.startswith("duality"):
+        steps = [Step("s", _claim(claim, ab), rule, dict(subst), [],
+                      HypContext([subst["X"], subst["Y"]], steps))]
+    else:
+        steps.append(Step("s", _claim(claim, ab), rule, dict(subst),
+                          [s.sid for s in steps]))
+    tier = "extended" if any(r == BOOL for _t, r, _s in premises) else "strict"
+    return Derivation("multl" if ab is PQ else "rll", tier, ab, steps)
+
+
+class TestRuleTable:
+    """Every rule of the table against an instance written out by hand."""
+
+    def test_every_rule_has_an_instance(self):
+        assert sorted(row[0] for row in INSTANCES) == sorted(RULES)
+
+    @pytest.mark.parametrize("row", INSTANCES, ids=[r[0] for r in INSTANCES])
+    def test_accepted_and_rejected(self, row):
+        rule, subst, premises, good, bad = row
+        d = _rule_derivation(rule, subst, premises, good)
+        assert check_derivation(d).accepted, check_derivation(d)
+        for wrong in [bad] if isinstance(bad, str) else bad:
+            prems, claim = wrong if isinstance(wrong, tuple) else (premises,
+                                                                   wrong)
+            v = check_derivation(_rule_derivation(rule, subst, prems, claim))
+            assert not v.accepted and v.step == "s", v
+            assert f"does not match the {rule} instance: expected " in v.reason
+        concl = d.steps[-1].claim
+        if isinstance(concl, FormulaClaim):
+            for w in desk_lassos(PQ, 1, 2):
+                assert eval_multl(concl.formula, w) == set(range(w.length))
+        elif not free_vars(concl.lhs) | free_vars(concl.rhs):
+            for w in desk_lassos(AB):
+                left, right = eval_rll(concl.lhs, w), eval_rll(concl.rhs, w)
+                assert left == right if concl.rel == "eq" else left <= right
 
 
 class TestProofCorpus:
@@ -399,6 +565,26 @@ class TestProofCorpus:
             assert not v.accepted, f"{path} mutant {label} slipped through"
             count += 1
         assert count > 0, f"no mutants generated for {path}"
+
+    def test_mutant_verdicts_pinned(self):
+        """Every mutant of the shipped proofs and of seeded complement
+        derivations is rejected at the same step as when each rule's
+        instance was built by its own code, pinned by hash."""
+        ds = [load_proof_file(path) for path in proof_paths()]
+        rng = random.Random(3)
+        for _ in range(6):
+            ab = gen_alphabet(rng, 2)
+            ds += derive_complement(gen_expr(rng, ab, 3), ab)
+        digest = hashlib.sha256()
+        count = 0
+        for d in ds:
+            for label, m in mutants(d):
+                v = check_derivation(m)
+                digest.update(f"{label} {v.accepted} {v.step}\n".encode())
+                count += 1
+        assert count == 1059
+        assert digest.hexdigest() == (
+            "947637aaf3db65c58fcbf648cb7caa2785a8bfe766d51e316f682e98c1665083")
 
     def test_json_roundtrip(self):
         for path in proof_paths():

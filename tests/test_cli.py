@@ -298,6 +298,59 @@ class TestMalformedProof:
         assert code in (0, 1, 2)
 
 
+HEADERS = ["alphabet a b ;", "props P Q ;", "props P ;", "alphabet a ;",
+           "alphabet ;", "props ;", "alphabet a a ;", "props P P ;",
+           "alphabet a b", "alphabet mu ;", "props {P} ;", "alphabet a ; ;",
+           ""]
+TOKENS = ["a", "b", "c", "X", "Y", "P", "Q", ".", "+", "&", "|", "~", "!",
+          "(", ")", "{", "}", ",", ";", "0", "mu ", "nu ", "top", "tt", "ff",
+          "O ", "->", "<->", " ", "\n", "#"]
+FILES = st.one_of(
+    st.binary(max_size=30),
+    st.builds(lambda head, body: (head + body).encode(),
+              st.sampled_from(HEADERS),
+              st.lists(st.sampled_from(TOKENS), max_size=14).map("".join)),
+    st.sampled_from([IA, NUAX, TOP, FB, BOTH, "props P Q ;\nnu X. {P}.X\n",
+                     "props P Q ;\nmu X. (P | O X)\n"]).map(str.encode))
+LASSOS = st.one_of(
+    st.sampled_from(["(ab)", "a(b)", "()", "(", "ab", "(c)", "({P})",
+                     "{P}({})", "(a", "a)b(", ""]),
+    st.text(alphabet="ab(){},PQ", max_size=8))
+COMMANDS = [["parse", "FILE"], ["parse", "--formula", "FILE"],
+            ["closure", "FILE"], ["apa-dot", "FILE"],
+            ["member", "FILE", "LASSO"], ["complement", "FILE"],
+            ["translate", "--to", "ltl", "FILE"],
+            ["translate", "--to", "rll", "FILE"], ["equiv", "FILE", "OTHER"],
+            ["incl", "FILE", "OTHER"]]
+
+
+class TestFuzz:
+    """Random bytes, malformed headers and malformed lassos: every
+    subcommand that reads an expression or formula file answers with an
+    exit code, never an exception."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(argv=st.sampled_from(COMMANDS), content=FILES,
+           other=st.none() | FILES, lasso=LASSOS)
+    def test_exit_codes(self, argv, content, other, lasso, tmp_path, capsys):
+        left, right = tmp_path / "left.rll", tmp_path / "right.rll"
+        left.write_bytes(content)
+        right.write_bytes(content if other is None else other)
+        names = {"FILE": str(left), "OTHER": str(right), "LASSO": lasso}
+        code, _out, err = run(capsys, [names.get(a, a) for a in argv])
+        assert code in (0, 1, 2)
+        assert code != 2 or err.startswith("error: ")
+
+    def test_invalid_utf8_is_an_input_error(self, tmp_path, capsys):
+        path = tmp_path / "bytes.rll"
+        path.write_bytes(b"alphabet a ;\n\xff")
+        code, out, err = run(capsys, ["parse", str(path)])
+        assert code == 2 and out == ""
+        assert err == (f"error: {path}: not UTF-8 text (invalid start byte "
+                       "at byte 13)\n")
+
+
 class TestSelftest:
     def test_small_run_passes(self, capsys):
         code, out, _ = run(capsys, ["selftest", "--pairs", "40"])

@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from helpers import fl_successors, reference_closure
+from helpers import fl_successors, reference_closure, reference_priorities
 from rll import algebra
 from rll.closure import (ClosureError, assign_priorities, export_dot,
                          fl_closure, closure_with_priorities, format_closure)
@@ -137,6 +137,15 @@ class TestAgainstReference:
             assert export_dot(got) == export_dot(want)
             assert got.subformula_pairs == want.subformula_pairs
             assert got.priority == want.priority
+
+    def test_priorities_match_reference(self):
+        """The heap-ordered ranks against the per-rank rescan they
+        replaced."""
+        rng = random.Random(808)
+        for _ in range(200):
+            ab = gen_alphabet(rng)
+            c = fl_closure(gen_expr(rng, ab, rng.randint(1, 40)), ab)
+            assert assign_priorities(c) == reference_priorities(c)
 
     def test_errors_match_reference(self):
         for e in (Var("X"), Act("c", Var("X")), Mu("X", Act("c", Var("X")))):
