@@ -4,7 +4,6 @@ the derivation mutation machinery."""
 
 from __future__ import annotations
 
-import copy
 import os
 from dataclasses import replace
 
@@ -276,14 +275,20 @@ def _with_claim(d: Derivation, path, claim) -> Derivation:
 
 
 def _with_step(d: Derivation, path, edit) -> Derivation:
-    """A copy of d with edit applied to the step at path."""
-    m = copy.deepcopy(d)
+    """A copy of d with edit applied to the step at path. Only the steps on
+    the path and the lists holding them are copied; claims are immutable and
+    shared."""
+    m = replace(d, steps=list(d.steps))
     steps = m.steps
     target = None
     for key in path:
         if key == "hyp":
             steps = target.hyp.steps
             continue
-        target = steps[key]
+        s = steps[key]
+        hyp = s.hyp and replace(s.hyp, fresh=list(s.hyp.fresh),
+                                steps=list(s.hyp.steps))
+        target = steps[key] = replace(s, subst=dict(s.subst),
+                                      premises=list(s.premises), hyp=hyp)
     edit(target)
     return m
