@@ -7,12 +7,16 @@ is not a node of its own but a back-edge to its binder's node. Non-binder
 nodes are hash-consed on (kind, letter, successor ids), so the copies of top,
 b.top and the like that complementation makes share one node; binders are
 never merged. Merged nodes have the same owner, priority and successors, so
-merging changes the outcome of no play. A binder's priority is its nesting
-depth d (the number of binders above it): 2d for nu, 2d+1 for mu. Every
-other node takes one neutral value above all of these. An infinite play
-passes through binders infinitely often, and the outermost of those is
-unique, so the minimum priority seen infinitely often is that binder's and
-its kind decides the winner.
+merging changes the outcome of no play. A binder's priority is 2l for nu and
+2l+1 for mu, where l is its alternation level (Emerson and Lei 1986): 0 for
+a binder with no binder above it, the level of the nearest binder above it
+if that has the same kind, and one more if not. Every other node takes one
+neutral value above all of these. An infinite play passes through binders
+infinitely often, and the outermost of those is unique. A binder below it
+has the same priority only if it has the same kind, and a higher one
+otherwise, so the minimum priority seen infinitely often has that binder's
+parity and its kind decides the winner. Zielonka's recursion then goes no
+deeper than the alternation of mu and nu, however deep the binders nest.
 
 The closure is the paper's view of the same automaton, kept for ``rll
 closure`` and ``rll apa-dot``. It is the least set containing the root and
@@ -75,7 +79,7 @@ def occurrence_graph(e: Expr, alphabet: Alphabet) -> OccurrenceGraph:
     kinds: list[str] = []
     letters: list[Optional[str]] = []
     succs: list[tuple[int, ...]] = []
-    depth: dict[int, int] = {}  # binder node -> number of binders above it
+    level: dict[int, int] = {}  # binder node -> its alternation level
     shared: dict[tuple, int] = {}
     declared = frozenset(alphabet.letters)
 
@@ -85,7 +89,8 @@ def occurrence_graph(e: Expr, alphabet: Alphabet) -> OccurrenceGraph:
         succs.append(succ)
         return len(kinds) - 1
 
-    def go(t: Expr, scope: dict[str, int], d: int) -> int:
+    def go(t: Expr, scope: dict[str, int], up: int) -> int:
+        """The node of t, whose nearest binder above is node up (or -1)."""
         if isinstance(t, Var):
             if t.name not in scope:
                 raise ClosureError(
@@ -93,16 +98,16 @@ def occurrence_graph(e: Expr, alphabet: Alphabet) -> OccurrenceGraph:
             return scope[t.name]
         if isinstance(t, (Mu, Nu)):
             i = new("mu" if isinstance(t, Mu) else "nu", None, ())
-            depth[i] = d
-            succs[i] = (go(t.body, {**scope, t.var: i}, d + 1),)
+            level[i] = 0 if up < 0 else level[up] + (kinds[up] != kinds[i])
+            succs[i] = (go(t.body, {**scope, t.var: i}, i),)
             return i
         if isinstance(t, Act):
             if t.letter not in declared:
                 raise ClosureError(f"undeclared letter {t.letter!r}")
-            key = ("act", t.letter, (go(t.body, scope, d),))
+            key = ("act", t.letter, (go(t.body, scope, up),))
         elif isinstance(t, (Sum, Meet)):
             kind = "sum" if isinstance(t, Sum) else "meet"
-            pair = (go(t.left, scope, d), go(t.right, scope, d))
+            pair = (go(t.left, scope, up), go(t.right, scope, up))
             key = (kind, None, pair if pair[0] != pair[1] else pair[:1])
         elif isinstance(t, Zero):
             key = ("zero", None, ())
@@ -116,11 +121,11 @@ def occurrence_graph(e: Expr, alphabet: Alphabet) -> OccurrenceGraph:
         return i
 
     try:
-        root = go(e, {}, 0)
+        root = go(e, {}, -1)
     finally:
         del go  # go refers to itself; unbinding it frees its tables
-    neutral = 2 * (max(depth.values()) + 1) if depth else 0
-    priority = tuple(2 * depth[i] + (kinds[i] == "mu") if i in depth
+    neutral = 2 * (max(level.values()) + 1) if level else 0
+    priority = tuple(2 * level[i] + (kinds[i] == "mu") if i in level
                      else neutral for i in range(len(kinds)))
     return OccurrenceGraph(root, tuple(kinds), tuple(letters), tuple(succs),
                            priority)

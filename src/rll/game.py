@@ -11,11 +11,16 @@ infinite play is won by Eloise iff the minimum priority seen infinitely
 often is even, that is iff the outermost binder passed infinitely often is
 a nu.
 
-The solver is the classic recursive attractor decomposition. Deadlocks are
-handled natively: the attractor's for-all clause holds vacuously at opponent
-deadlocks, so two initial attractor sweeps (each player attracting to the
-empty set) classify every position that wins by stranding the opponent, and
-the remainder is a total game for the recursion.
+Both halves work on flat integer arrays. The arena grows two parallel lists
+(lasso position, graph node) breadth-first and finds a pair's position in a
+flat list indexed by ``i * nodes + v``, which ``MAX_ARENA`` caps. The solver
+is Zielonka's recursive attractor decomposition: the subgame is a bytearray,
+an attractor is a list queue that counts an opponent position's live moves
+when it first reaches it, and one move per position, written when its winner
+is settled, gives both strategies at the end. Each player's attractor of the
+opponent's deadlocks goes first. What is left is total, and so is every
+subgame the recursion makes of it, since removing an attractor from a total
+game leaves a total game; the recursion never looks for deadlocks.
 """
 
 from __future__ import annotations
@@ -30,6 +35,7 @@ from .syntax import Alphabet, Expr, Meet, RllError, free_vars
 
 ELOISE = "eloise"
 ABELARD = "abelard"
+_PLAYERS = (ELOISE, ABELARD)  # the solver's player numbers
 
 
 class GameError(RllError):
@@ -52,11 +58,15 @@ class ParityGame:
             raise GameError("owners, priorities, edges must align")
 
 
-@dataclass
+@dataclass(frozen=True)
 class Solution:
+    """Winners by position, each player's positional strategy on the
+    positions it owns and wins, and the number of attractors computed."""
+
     winner: tuple[str, ...]
     strategy_eloise: dict[int, int] = field(default_factory=dict)
     strategy_abelard: dict[int, int] = field(default_factory=dict)
+    attractor_calls: int = 0
 
     def region(self, player: str) -> frozenset[int]:
         return frozenset(i for i, w in enumerate(self.winner) if w == player)
@@ -64,6 +74,10 @@ class Solution:
 
 _OWNER = {"act": ELOISE, "zero": ELOISE, "sum": ELOISE, "mu": ELOISE,
           "nu": ELOISE, "top": ABELARD, "meet": ABELARD}
+
+# The arena's flat index has one slot per (lasso position, graph node) pair;
+# a game with more slots is refused before the index is allocated.
+MAX_ARENA = 2 ** 22
 
 
 def build_arena(e: Expr, w: Lasso,
@@ -75,129 +89,130 @@ def build_arena(e: Expr, w: Lasso,
             raise GameError("the evaluation game needs a closed expression")
         graph = occurrence_graph(e, w.alphabet)
     kinds, letters, succs = graph.kinds, graph.letters, graph.succs
-    priority = graph.priority
+    nodes = len(kinds)
+    if w.length * nodes > MAX_ARENA:
+        raise GameError(f"the arena needs {w.length} x {nodes} slots (lasso "
+                        f"letters x graph nodes), more than {MAX_ARENA}")
     word = [w.letter_at(i) for i in range(w.length)]
     nxt = [w.succ(i) for i in range(w.length)]
 
-    order: list[tuple[int, int]] = [(0, graph.root)]
-    index: dict[tuple[int, int], int] = {order[0]: 0}
-    owners: list[str] = []
-    prios: list[int] = []
+    at, node = [0], [graph.root]  # position k is (at[k], node[k])
+    index = [-1] * (w.length * nodes)  # slot i * nodes + v: its position
+    index[graph.root] = 0
     edges: list[tuple[int, ...]] = []
-    for i, v in order:  # grows while it is walked: breadth-first
-        kind = kinds[v]
-        owners.append(_OWNER[kind])
-        prios.append(priority[v])
-        if kind == "act":
-            targets = [(nxt[i], succs[v][0])] if word[i] == letters[v] else []
-        else:
-            targets = [(i, s) for s in succs[v]]
+    for i, v in zip(at, node):  # both grow while walked: breadth-first
+        if kinds[v] == "act":
+            if word[i] != letters[v]:
+                edges.append(())
+                continue
+            i = nxt[i]
+        base = i * nodes
         moves = []
-        for pos in targets:
-            j = index.get(pos)
-            if j is None:
-                j = index[pos] = len(order)
-                order.append(pos)
+        for s in succs[v]:
+            j = index[base + s]
+            if j < 0:
+                j = index[base + s] = len(at)
+                at.append(i)
+                node.append(s)
             moves.append(j)
         edges.append(tuple(moves))
-    return ParityGame(tuple(owners), tuple(prios), tuple(edges), 0,
-                      tuple(order))
-
-
-def _attractor(g: ParityGame, preds: list[list[int]], alive: set[int],
-               target: set[int], player: str) -> tuple[set[int], dict[int, int]]:
-    """Least set containing target from which player forces reaching it;
-    opponent positions with no live successors join vacuously."""
-    out_count = {v: sum(1 for s in g.edges[v] if s in alive) for v in alive}
-    attr = set(target)
-    strategy: dict[int, int] = {}
-    queue = list(target)
-    # opponent deadlocks join the attractor of any target
-    for v in alive:
-        if v not in attr and g.owners[v] != player and out_count[v] == 0:
-            attr.add(v)
-            queue.append(v)
-    while queue:
-        t = queue.pop()
-        for p in preds[t]:
-            if p not in alive or p in attr:
-                continue
-            if g.owners[p] == player:
-                attr.add(p)
-                strategy[p] = t
-                queue.append(p)
-            else:
-                out_count[p] -= 1
-                if out_count[p] == 0:
-                    attr.add(p)
-                    queue.append(p)
-    return attr, strategy
+    owner = [_OWNER[k] for k in kinds]
+    return ParityGame(tuple(map(owner.__getitem__, node)),
+                      tuple(map(graph.priority.__getitem__, node)),
+                      tuple(edges), 0, tuple(zip(at, node)))
 
 
 def solve_parity(g: ParityGame) -> Solution:
     """Zielonka's recursive algorithm, min-parity convention."""
     n = len(g.owners)
+    edges, prio = g.edges, g.priorities
+    owner = bytes(map(ABELARD.__eq__, g.owners))  # 0 Eloise, 1 Abelard
     preds: list[list[int]] = [[] for _ in range(n)]
-    for v, succs in enumerate(g.edges):
-        for s in succs:
+    for v, succ in enumerate(edges):
+        for s in succ:
             preds[s].append(v)
+    alive = bytearray(b"\1") * n  # 1 in the subgame, 2 attracted, 0 not
+    winner = bytearray(n)
+    move = [-1] * n
+    calls = 0
 
-    winner: list[Optional[str]] = [None] * n
-    strat: dict[str, dict[int, int]] = {ELOISE: {}, ABELARD: {}}
+    def attract(target: list[int], player: int) -> list[int]:
+        """Remove from the subgame, and return, the least set containing
+        target from which player forces reaching it, with player's moves."""
+        nonlocal calls
+        calls += 1
+        for v in target:
+            alive[v] = 2
+        attr = list(target)
+        left: dict[int, int] = {}  # opponent position: moves not yet attracted
+        for t in attr:  # grows while walked: the queue
+            for p in preds[t]:
+                if alive[p] != 1:
+                    continue
+                if owner[p] == player:
+                    move[p] = t
+                else:
+                    k = left.get(p)
+                    if k is None:  # first reached: count its live moves
+                        k = 0
+                        for s in edges[p]:
+                            if alive[s]:
+                                k += 1
+                    if k > 1:
+                        left[p] = k - 1
+                        continue
+                alive[p] = 2
+                attr.append(p)
+        for v in attr:
+            alive[v] = 0
+        return attr
 
-    def opp(p: str) -> str:
-        return ABELARD if p == ELOISE else ELOISE
-
-    def mark(region: set[int], player: str, strategy: dict[int, int]):
-        for v in region:
-            winner[v] = player
-        for v, t in strategy.items():
-            if v in region:
-                strat[player][v] = t
-
-    def zielonka(alive: set[int]):
-        """Classify a deadlock-free total subgame."""
-        if not alive:
-            return
-        d = min(g.priorities[v] for v in alive)
-        sigma = ELOISE if d % 2 == 0 else ABELARD
-        target = {v for v in alive if g.priorities[v] == d}
-        attr, astrat = _attractor(g, preds, alive, target, sigma)
-        rest = alive - attr
-        zielonka(rest)
-        losing = {v for v in rest if winner[v] == opp(sigma)}
-        if not losing:
-            # sigma wins everywhere: attractor strategy into the top
-            # priority, any live move from there
-            mark(attr, sigma, astrat)
+    def zielonka(region: list[int]):
+        """Solve the total subgame of the alive positions, which region
+        lists, and leave them alive."""
+        removed: list[int] = []
+        while region:
+            d = min(prio[v] for v in region)
+            sigma = d & 1
+            top = [v for v in region if prio[v] == d]
+            for v in top:  # if sigma wins, any move inside will do
+                if owner[v] == sigma:
+                    move[v] = next(s for s in edges[v] if alive[s])
+            attr = attract(top, sigma)
+            rest = [v for v in region if alive[v]]
+            zielonka(rest)
+            lost = [v for v in rest if winner[v] != sigma]
             for v in attr:
-                if g.owners[v] == sigma and v not in strat[sigma]:
-                    for s in g.edges[v]:
-                        if s in alive:
-                            strat[sigma][v] = s
-                            break
-            return
-        battr, bstrat = _attractor(g, preds, alive, losing, opp(sigma))
-        mark(battr - losing, opp(sigma), bstrat)
-        for v in alive - battr:
-            winner[v] = None
-        zielonka(alive - battr)
+                alive[v] = 1
+            if not lost:
+                for v in attr:
+                    winner[v] = sigma
+                break
+            won = attract(lost, 1 - sigma)
+            for v in won:
+                winner[v] = 1 - sigma
+            removed += won
+            region = [v for v in region if alive[v]]
+        for v in removed:
+            alive[v] = 1
 
-    alive = set(range(n))
-    dead_e, stratg_e = _attractor(g, preds, alive, set(), ELOISE)
-    mark(dead_e, ELOISE, stratg_e)
-    alive -= dead_e
-    dead_a, stratg_a = _attractor(g, preds, alive, set(), ABELARD)
-    mark(dead_a, ABELARD, stratg_a)
-    alive -= dead_a
+    for player in (0, 1):  # what is left after both sweeps is total
+        stuck = [v for v in range(n) if not edges[v] and owner[v] != player]
+        if stuck:
+            for v in attract(stuck, player):
+                winner[v] = player
     # zielonka refers to itself; unbinding it breaks that cycle, so the
-    # arena's working sets are freed on return, not by the cyclic collector
+    # arena's working lists are freed on return, not by the cyclic collector
     try:
-        zielonka(alive)
+        zielonka([v for v in range(n) if alive[v]])
     finally:
         del zielonka
-    assert all(w is not None for w in winner)
-    return Solution(tuple(winner), strat[ELOISE], strat[ABELARD])
+    strategies: tuple[dict[int, int], dict[int, int]] = ({}, {})
+    for v, (w, o) in enumerate(zip(winner, owner)):
+        if w == o:
+            strategies[o][v] = move[v]
+    return Solution(tuple(map(_PLAYERS.__getitem__, winner)), *strategies,
+                    calls)
 
 
 def member_game(e: Expr, w: Lasso,

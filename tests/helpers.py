@@ -1,15 +1,19 @@
 """Shared helpers for the test suite: desk-scale word sets, corpus access,
-the tree-substituting reference closure and its rescanning priorities, and
-the derivation mutation machinery."""
+the tree-substituting reference closure and its rescanning priorities, the
+set-based reference game and nesting-depth priorities, and the derivation
+mutation machinery."""
 
 from __future__ import annotations
 
 import os
 from dataclasses import replace
+from typing import Optional
 
 from rll.calculus import Claim, Derivation, FormulaClaim, Step, bool_taut
-from rll.closure import ClosureError, FlClosure
-from rll.semantics import enumerate_lassos
+from rll.closure import (ClosureError, FlClosure, OccurrenceGraph,
+                         occurrence_graph)
+from rll.game import (ABELARD, ELOISE, GameError, ParityGame, Solution)
+from rll.semantics import Lasso, enumerate_lassos
 from rll.syntax import (Act, Alphabet, Expr, Meet, Mu, MuF, MuLtlFormula,
                         NegProp, Nu, NuF, Prop, Sum, Top, Var, Zero, alpha_eq,
                         alpha_key, free_vars, negate_formula, parse_expr,
@@ -98,6 +102,171 @@ def reference_priorities(c: FlClosure) -> FlClosure:
     prio = tuple(2 * rank[i] + 1 if isinstance(m, Mu) else 2 * rank[i]
                  for i, m in enumerate(c.members))
     return replace(c, priority=prio)
+
+
+# ---------------------------------------------------------------------------
+# Reference game: the arena keyed by tuples in a dict and the set-based
+# Zielonka solver that the flat-array ones replaced.
+# ---------------------------------------------------------------------------
+
+_OWNER = {"act": ELOISE, "zero": ELOISE, "sum": ELOISE, "mu": ELOISE,
+          "nu": ELOISE, "top": ABELARD, "meet": ABELARD}
+
+
+def reference_build_arena(e: Expr, w: Lasso,
+                          graph: Optional[OccurrenceGraph] = None
+                          ) -> ParityGame:
+    """The reachable evaluation-game arena for (w, e), its positions keyed
+    by (lasso position, graph node) tuples in a dict."""
+    if graph is None:
+        if free_vars(e):
+            raise GameError("the evaluation game needs a closed expression")
+        graph = occurrence_graph(e, w.alphabet)
+    kinds, letters, succs = graph.kinds, graph.letters, graph.succs
+    priority = graph.priority
+    word = [w.letter_at(i) for i in range(w.length)]
+    nxt = [w.succ(i) for i in range(w.length)]
+
+    order: list[tuple[int, int]] = [(0, graph.root)]
+    index: dict[tuple[int, int], int] = {order[0]: 0}
+    owners: list[str] = []
+    prios: list[int] = []
+    edges: list[tuple[int, ...]] = []
+    for i, v in order:  # grows while it is walked: breadth-first
+        kind = kinds[v]
+        owners.append(_OWNER[kind])
+        prios.append(priority[v])
+        if kind == "act":
+            targets = [(nxt[i], succs[v][0])] if word[i] == letters[v] else []
+        else:
+            targets = [(i, s) for s in succs[v]]
+        moves = []
+        for pos in targets:
+            j = index.get(pos)
+            if j is None:
+                j = index[pos] = len(order)
+                order.append(pos)
+            moves.append(j)
+        edges.append(tuple(moves))
+    return ParityGame(tuple(owners), tuple(prios), tuple(edges), 0,
+                      tuple(order))
+
+
+def _attractor(g: ParityGame, preds: list[list[int]], alive: set[int],
+               target: set[int], player: str
+               ) -> tuple[set[int], dict[int, int]]:
+    """Least set containing target from which player forces reaching it;
+    opponent positions with no live successors join vacuously."""
+    out_count = {v: sum(1 for s in g.edges[v] if s in alive) for v in alive}
+    attr = set(target)
+    strategy: dict[int, int] = {}
+    queue = list(target)
+    # opponent deadlocks join the attractor of any target
+    for v in alive:
+        if v not in attr and g.owners[v] != player and out_count[v] == 0:
+            attr.add(v)
+            queue.append(v)
+    while queue:
+        t = queue.pop()
+        for p in preds[t]:
+            if p not in alive or p in attr:
+                continue
+            if g.owners[p] == player:
+                attr.add(p)
+                strategy[p] = t
+                queue.append(p)
+            else:
+                out_count[p] -= 1
+                if out_count[p] == 0:
+                    attr.add(p)
+                    queue.append(p)
+    return attr, strategy
+
+
+def reference_solve_parity(g: ParityGame) -> Solution:
+    """Zielonka's recursive algorithm on sets, min-parity convention."""
+    n = len(g.owners)
+    preds: list[list[int]] = [[] for _ in range(n)]
+    for v, succs in enumerate(g.edges):
+        for s in succs:
+            preds[s].append(v)
+
+    winner: list[Optional[str]] = [None] * n
+    strat: dict[str, dict[int, int]] = {ELOISE: {}, ABELARD: {}}
+
+    def opp(p: str) -> str:
+        return ABELARD if p == ELOISE else ELOISE
+
+    def mark(region: set[int], player: str, strategy: dict[int, int]):
+        for v in region:
+            winner[v] = player
+        for v, t in strategy.items():
+            if v in region:
+                strat[player][v] = t
+
+    def zielonka(alive: set[int]):
+        """Classify a deadlock-free total subgame."""
+        if not alive:
+            return
+        d = min(g.priorities[v] for v in alive)
+        sigma = ELOISE if d % 2 == 0 else ABELARD
+        target = {v for v in alive if g.priorities[v] == d}
+        attr, astrat = _attractor(g, preds, alive, target, sigma)
+        rest = alive - attr
+        zielonka(rest)
+        losing = {v for v in rest if winner[v] == opp(sigma)}
+        if not losing:
+            # sigma wins everywhere: attractor strategy into the top
+            # priority, any live move from there
+            mark(attr, sigma, astrat)
+            for v in attr:
+                if g.owners[v] == sigma and v not in strat[sigma]:
+                    for s in g.edges[v]:
+                        if s in alive:
+                            strat[sigma][v] = s
+                            break
+            return
+        battr, bstrat = _attractor(g, preds, alive, losing, opp(sigma))
+        mark(battr - losing, opp(sigma), bstrat)
+        for v in alive - battr:
+            winner[v] = None
+        zielonka(alive - battr)
+
+    alive = set(range(n))
+    dead_e, stratg_e = _attractor(g, preds, alive, set(), ELOISE)
+    mark(dead_e, ELOISE, stratg_e)
+    alive -= dead_e
+    dead_a, stratg_a = _attractor(g, preds, alive, set(), ABELARD)
+    mark(dead_a, ABELARD, stratg_a)
+    alive -= dead_a
+    # zielonka refers to itself; unbinding it breaks that cycle, so the
+    # arena's working sets are freed on return, not by the cyclic collector
+    try:
+        zielonka(alive)
+    finally:
+        del zielonka
+    assert all(w is not None for w in winner)
+    return Solution(tuple(winner), strat[ELOISE], strat[ABELARD])
+
+
+def depth_priorities(graph: OccurrenceGraph) -> tuple[int, ...]:
+    """Node priorities by nesting depth d, the number of binders above a
+    binder: 2d for nu, 2d+1 for mu, one neutral value above these for other
+    nodes. A node that reaches a binder other than through it lies on the
+    binder's path from the root, so a breadth-first walk first meets each
+    binder from its parent, and counts the binders above it on the way."""
+    binder = [k in ("mu", "nu") for k in graph.kinds]
+    above = {graph.root: 0}  # node -> binders above it, on its first path
+    order = [graph.root]
+    for v in order:  # grows while walked
+        for s in graph.succs[v]:
+            if s not in above:
+                above[s] = above[v] + binder[v]
+                order.append(s)
+    depth = {v: d for v, d in above.items() if binder[v]}
+    neutral = 2 * (max(depth.values()) + 1) if depth else 0
+    return tuple(2 * depth[v] + (graph.kinds[v] == "mu") if v in depth
+                 else neutral for v in range(len(graph.kinds)))
 
 
 # ---------------------------------------------------------------------------

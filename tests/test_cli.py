@@ -183,6 +183,26 @@ class TestPropositionCap:
         self._timed(capsys, ["check", str(path)])
 
 
+class TestArenaCap:
+    """An arena over ``game.MAX_ARENA`` slots (lasso letters x graph
+    nodes) is refused before it is built."""
+
+    def test_member_over_cap_exits_two(self, tmp_path, capsys):
+        def balanced(k):  # 2^k distinct binders: about 3 * 2^k graph nodes
+            return ("nu X. a.X" if k == 0
+                    else f"({balanced(k - 1)}) + ({balanced(k - 1)})")
+
+        path = tmp_path / "wide.rll"
+        path.write_text(f"alphabet a b ;\n{balanced(10)}\n")
+        start = time.perf_counter()
+        code, out, err = run(capsys, ["member", str(path),
+                                      "ba" * 1000 + "(b)"])
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert "2001 x 3071 slots" in err
+
+
 class TestTranslate:
     def test_to_ltl_and_back(self, tmp_path, capsys):
         src = tmp_path / "e.rll"

@@ -5,6 +5,8 @@ import random
 
 import pytest
 
+from helpers import (depth_priorities, desk_lassos, reference_build_arena,
+                     reference_solve_parity)
 from rll import algebra
 from rll.closure import ClosureError, fl_closure, occurrence_graph
 from rll.corpus import agreement_pairs, gen_alphabet, gen_expr, gen_lasso
@@ -61,6 +63,15 @@ def _binder_nesting(e) -> int:
                default=0)
 
 
+def _alternation_depth(e, above=None) -> int:
+    """The most blocks of same-kind binders on one root-to-leaf path."""
+    if isinstance(e, (Mu, Nu)):
+        return (type(e) is not above) + _alternation_depth(e.body, type(e))
+    return max((_alternation_depth(getattr(e, f), above)
+                for f in ("body", "left", "right") if hasattr(e, f)),
+               default=0)
+
+
 class TestOccurrenceGraph:
     def test_node_counts_match_closure_on_paper_languages(self):
         counts = []
@@ -95,6 +106,20 @@ class TestOccurrenceGraph:
             e = gen_expr(rng, ab, rng.randint(1, 60))
             g = occurrence_graph(e, ab)
             assert len(set(g.priority)) <= 2 * _binder_nesting(e) + 2
+
+    def test_same_kind_nested_binders_share_priority(self):
+        g = occurrence_graph(parse_expr("mu X. mu Y. (a.X + b.Y)", AB), AB)
+        mu_y, = g.succs[g.root]
+        assert g.kinds[mu_y] == "mu"
+        assert g.priority[g.root] == g.priority[mu_y] == 1
+
+    def test_distinct_priorities_bounded_by_alternation(self):
+        rng = random.Random(62)
+        for _ in range(300):
+            ab = gen_alphabet(rng)
+            e = gen_expr(rng, ab, rng.randint(1, 60))
+            g = occurrence_graph(e, ab)
+            assert len(set(g.priority)) <= 2 * _alternation_depth(e) + 2
 
     def test_oracle_agreement_and_complement_law(self):
         for e, w in agreement_pairs(3031, 1000):
@@ -174,6 +199,99 @@ class TestSolver:
                         _check_play(g, sol, player, strat, opp_choice, start)
                         checked += 1
         assert checked > 50
+
+
+    def test_attractor_calls_counted(self):
+        # no deadlocks and one priority: one attractor takes everything
+        g = ParityGame((ABELARD, ELOISE), (0, 0), ((1,), (0,)), 0)
+        assert solve_parity(g).attractor_calls == 1
+        # each deadlock sweep is one more
+        g = ParityGame((ABELARD, ELOISE, ELOISE), (1, 1, 1),
+                       ((), (), (0, 1)), 0)
+        assert solve_parity(g).attractor_calls == 2
+
+    def test_alternation_levels_need_no_more_attractor_calls(self):
+        """Alternation-level priorities against nesting-depth ones on the
+        same arenas: never more attractor calls in total."""
+        rng = random.Random(64)
+        lassos = desk_lassos(AB, 2, 3)
+        by_level = by_depth = differ = 0
+        for _ in range(40):
+            e = gen_expr(rng, AB, rng.randint(1, 14))
+            graph = occurrence_graph(e, AB)
+            depth = depth_priorities(graph)
+            differ += depth != graph.priority
+            for w in lassos:
+                g = build_arena(e, w, graph)
+                deep = ParityGame(g.owners,
+                                  tuple(depth[v] for _i, v in g.labels),
+                                  g.edges, g.initial, g.labels)
+                level, nested = solve_parity(g), solve_parity(deep)
+                assert level.winner == nested.winner
+                by_level += level.attractor_calls
+                by_depth += nested.attractor_calls
+        assert differ and by_level <= by_depth
+
+
+def _random_arena(rng: random.Random) -> ParityGame:
+    """1-14 positions of random owners and priorities 0-6, each with 0-3
+    distinct moves, so deadlocks of both owners occur."""
+    n = rng.randint(1, 14)
+    return ParityGame(
+        tuple(rng.choice((ELOISE, ABELARD)) for _ in range(n)),
+        tuple(rng.randint(0, 6) for _ in range(n)),
+        tuple(tuple(rng.sample(range(n), rng.randint(0, min(3, n))))
+              for _ in range(n)), 0)
+
+
+class TestAgainstReference:
+    """The flat-array arena and solver against the dict-and-set ones they
+    replaced (``tests/helpers.py``)."""
+
+    def test_random_arena_winners(self):
+        rng = random.Random(65)
+        stuck = set()
+        for _ in range(20000):
+            g = _random_arena(rng)
+            stuck.update(o for o, succ in zip(g.owners, g.edges) if not succ)
+            assert solve_parity(g).winner == \
+                reference_solve_parity(g).winner, g
+        assert stuck == {ELOISE, ABELARD}
+
+    def test_agreement_pair_arenas_and_winners(self):
+        for e, w in agreement_pairs(66, 2000):
+            g = build_arena(e, w)
+            assert g == reference_build_arena(e, w), \
+                f"arenas differ on {e} / {print_lasso(w)}"
+            assert solve_parity(g).winner == \
+                reference_solve_parity(g).winner, \
+                f"winners differ on {e} / {print_lasso(w)}"
+
+
+def _assert_traps(g: ParityGame):
+    """Each winning region is closed under its winner's strategy and under
+    every move of the opponent."""
+    sol = solve_parity(g)
+    for player, strat in ((ELOISE, sol.strategy_eloise),
+                          (ABELARD, sol.strategy_abelard)):
+        for v in sol.region(player):
+            if g.owners[v] == player:
+                assert strat[v] in g.edges[v], (g, v)
+                assert sol.winner[strat[v]] == player, (g, v)
+            else:
+                assert all(sol.winner[s] == player for s in g.edges[v]), \
+                    (g, v)
+
+
+class TestStrategyTraps:
+    def test_random_arenas(self):
+        rng = random.Random(67)
+        for _ in range(3000):
+            _assert_traps(_random_arena(rng))
+
+    def test_agreement_pair_arenas(self):
+        for e, w in agreement_pairs(68, 2000):
+            _assert_traps(build_arena(e, w))
 
 
 def _check_play(g, sol, player, strat, opp_choice, start):
