@@ -145,6 +145,18 @@ def _strings(value, what: str) -> list[str]:
     return list(value)
 
 
+class _Terms(dict):
+    """Text -> term, each distinct text parsed once into one term; a text
+    that fails to parse is not stored, so it fails alike every time."""
+
+    def __init__(self, parse: Callable, alphabet: Alphabet):
+        self.parse = partial(parse, alphabet=alphabet)
+
+    def __missing__(self, text: str) -> Term:
+        t = self[text] = self.parse(text)
+        return t
+
+
 def derivation_from_json(data: dict) -> Derivation:
     """The derivation derivation_to_json wrote; CalculusError on JSON of
     another shape."""
@@ -157,15 +169,16 @@ def derivation_from_json(data: dict) -> Derivation:
         raise CalculusError(f"unknown tier {tier!r}")
     names = _strings(data["alphabet"], "alphabet")
     ab = Alphabet.powerset(*names) if system == "multl" else Alphabet.plain(*names)
+    terms = _Terms(parse_formula if system == "multl" else parse_expr, ab)
 
     def load_step(s) -> Step:
         _json(s, dict, "each step")
         claim = _json(s["claim"], dict, "a claim")
         if system == "multl":
             parsed: AnyClaim = FormulaClaim(
-                parse_formula(_json(claim["formula"], str, "a formula"), ab))
+                terms[_json(claim["formula"], str, "a formula")])
         else:
-            lhs, rhs = (parse_expr(_json(claim[k], str, f"claim {k!r}"), ab)
+            lhs, rhs = (terms[_json(claim[k], str, f"claim {k!r}")]
                         for k in ("lhs", "rhs"))
             parsed = Claim(claim["rel"], lhs, rhs)
         subst = dict(_json(s.get("subst") or {}, dict, "subst"))
@@ -184,8 +197,12 @@ def derivation_from_json(data: dict) -> Derivation:
                     _json(s["rule"], str, "a rule"), subst,
                     _strings(s.get("premises") or [], "premises"), hyp)
 
-    return Derivation(system, tier, ab, [
-        load_step(s) for s in _json(data["steps"], list, "steps")])
+    # load_step refers to itself; unbinding it frees the memo on return
+    try:
+        return Derivation(system, tier, ab, [
+            load_step(s) for s in _json(data["steps"], list, "steps")])
+    finally:
+        del load_step
 
 
 def derivation_to_json(d: Derivation) -> dict:
@@ -505,6 +522,7 @@ class _Checker:
         self.alphabet = d.alphabet
         self.tier = tier
         self.frames: list[_Frame] = [_Frame()]
+        self.terms = _Terms(self.parse, self.alphabet)
 
     def expect(self, c: AnyClaim) -> AnyClaim:
         if not isinstance(c, self.claim_type):
@@ -526,7 +544,7 @@ class _Checker:
                 raise CalculusError(f"undeclared letter in subst[{key!r}]")
         else:
             try:
-                return self.parse(raw, self.alphabet)
+                return self.terms[raw]
             except RllError as err:
                 raise CalculusError(
                     f"bad {self.term_noun} in subst[{key!r}]: {err}")
@@ -663,7 +681,7 @@ class _RllChecker(_Checker):
                 if not isinstance(raw, list):
                     raise CalculusError("atoms must be a list of expressions")
                 try:
-                    atoms = [parse_expr(a, self.alphabet) for a in raw]
+                    atoms = [self.terms[a] for a in raw]
                 except RllError as err:
                     raise CalculusError(f"bad atom: {err}")
             eprems = [self.expect(p) for p in prems]

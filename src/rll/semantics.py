@@ -125,12 +125,23 @@ def lasso_normalize(w: Lasso) -> Lasso:
     return Lasso(tuple(prefix), tuple(period), w.alphabet)
 
 
+MAX_LASSOS = 2**20  # candidate words (u, v) that enumerate_lassos may try
+
+
+def _words(k: int, least: int, most: int) -> int:
+    """The sum of k^n for least <= n <= most, exact up to MAX_LASSOS."""
+    if k == 1:
+        return most - least + 1
+    most = min(most, MAX_LASSOS.bit_length())  # k^n > MAX_LASSOS from here
+    return (k ** (most + 1) - k ** least) // (k - 1)
+
+
 def enumerate_lassos(alphabet: Alphabet, max_prefix: int,
                      max_period: int) -> Iterator[Lasso]:
     """All normalized lassos with |u| <= max_prefix, 1 <= |v| <= max_period,
     in length-lexicographic order: ascending |u|+|v|, then ascending |u|, then
-    lexicographic by alphabet order. A bound that admits no lasso is a
-    SemanticsError."""
+    lexicographic by alphabet order. A bound that admits no lasso, or
+    bounds that would try over MAX_LASSOS words, is a SemanticsError."""
     from itertools import product
 
     for name, bound, least in (("max-prefix", max_prefix, 0),
@@ -139,6 +150,10 @@ def enumerate_lassos(alphabet: Alphabet, max_prefix: int,
             raise SemanticsError(
                 f"{name} must be at least {least}, not {bound}")
     letters = alphabet.letters
+    k = len(letters)
+    if _words(k, 0, max_prefix) * _words(k, 1, max_period) > MAX_LASSOS:
+        raise SemanticsError(f"max-prefix {max_prefix} and max-period "
+                             f"{max_period} would try over {MAX_LASSOS} lassos")
     for total in range(1, max_prefix + max_period + 1):
         for plen in range(0, min(max_prefix, total - 1) + 1):
             vlen = total - plen

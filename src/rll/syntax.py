@@ -1,10 +1,11 @@
 """Abstract syntax, parsing and printing for RLL expressions and muLTL formulas.
 
 Everything here is immutable and pure: expressions and formulas are frozen
-dataclasses, operations return fresh values, and structural comparison up to
-bound-variable renaming goes through ``alpha_key``. Expressions and formulas
-are binder terms of one shape, so free variables, substitution, alpha keys,
-size and printing are written once and serve both; only the parsers differ.
+dataclasses that memoise only their free variables and alpha key, operations
+return fresh values, and comparison up to renaming goes through
+``alpha_key``. Expressions and formulas are binder terms of one shape, so
+free variables, substitution, alpha keys, size and printing are written once
+and serve both; only the parsers differ.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import wraps
 from typing import Iterator, Optional, Union
 
 
@@ -33,8 +34,6 @@ class AlphabetError(RllError):
 
 
 KEYWORDS = {"mu", "nu", "top", "ff", "tt", "O", "alphabet", "props"}
-
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 MAX_PROPS = 16  # propositions of a powerset alphabet, like truth tables' atoms
 
@@ -320,7 +319,21 @@ _PREC = {Sum: 1, Or: 1, Meet: 2, And: 2}
 _TAG = {**_SYMBOL, Top: "T"}
 
 
-@lru_cache(maxsize=None)
+def _memo_on_node(fn):
+    """fn, memoised in each node's instance dict, which a frozen dataclass's
+    ==, hash and repr ignore: freed with the term, found without hashing."""
+    name = fn.__name__
+
+    @wraps(fn)
+    def memoised(t: Term):
+        memo = t.__dict__
+        if name not in memo:
+            memo[name] = fn(t)
+        return memo[name]
+    return memoised
+
+
+@_memo_on_node
 def free_vars(t: Term) -> frozenset[str]:
     if isinstance(t, VARS):
         return frozenset({t.name})
@@ -386,7 +399,7 @@ def substitute(t: Term, var: str, replacement: Term) -> Term:
     return t
 
 
-@lru_cache(maxsize=None)
+@_memo_on_node
 def alpha_key(t: Term) -> str:
     """Canonical serialization: alpha-equivalent terms get equal keys."""
     out: list[str] = []
@@ -464,34 +477,23 @@ class Token:
     pos: int
 
 
-_SYMBOLS = ["<->", "->", "+", "&", "|", "~", "!", ".", "(", ")", "{", "}", ",",
-            ";", "0"]
+# whitespace, a comment to the end of the line, an identifier or a symbol
+_TOKEN_RE = re.compile(r"\s+|#[^\n]*|([A-Za-z_][A-Za-z0-9_]*)"
+                       r"|(<->|->|[+&|~!.(){},;0])")
 
 
 def tokenize(text: str) -> list[Token]:
     tokens: list[Token] = []
+    match = _TOKEN_RE.match
     i, n = 0, len(text)
     while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c == "#":  # comment to end of line
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        m = _IDENT_RE.match(text, i)
-        if m:
-            tokens.append(Token("ident", m.group(), i))
-            i = m.end()
-            continue
-        for sym in _SYMBOLS:
-            if text.startswith(sym, i):
-                tokens.append(Token(sym, sym, i))
-                i += len(sym)
-                break
-        else:
-            raise ParseError(f"unexpected character {c!r}", i)
+        m = match(text, i)
+        if m is None:
+            raise ParseError(f"unexpected character {text[i]!r}", i)
+        ident, sym = m.groups()
+        if ident or sym:
+            tokens.append(Token("ident" if ident else sym, ident or sym, i))
+        i = m.end()
     tokens.append(Token("eof", "", n))
     return tokens
 

@@ -1,11 +1,12 @@
 """Shared helpers for the test suite: desk-scale word sets, corpus access,
-the tree-substituting reference closure and its rescanning priorities, the
-set-based reference game and nesting-depth priorities, and the derivation
-mutation machinery."""
+the symbol-loop reference tokenizer, the tree-substituting reference closure
+and its rescanning priorities, the set-based reference game and
+nesting-depth priorities, and the derivation mutation machinery."""
 
 from __future__ import annotations
 
 import os
+import re
 from dataclasses import replace
 from typing import Optional
 
@@ -15,9 +16,10 @@ from rll.closure import (ClosureError, FlClosure, OccurrenceGraph,
 from rll.game import (ABELARD, ELOISE, GameError, ParityGame, Solution)
 from rll.semantics import Lasso, enumerate_lassos
 from rll.syntax import (Act, Alphabet, Expr, Meet, Mu, MuF, MuLtlFormula,
-                        NegProp, Nu, NuF, Prop, Sum, Top, Var, Zero, alpha_eq,
-                        alpha_key, free_vars, negate_formula, parse_expr,
-                        parse_formula, subexpressions, substitute)
+                        NegProp, Nu, NuF, ParseError, Prop, Sum, Token, Top,
+                        Var, Zero, alpha_eq, alpha_key, free_vars,
+                        negate_formula, parse_expr, parse_formula,
+                        subexpressions, substitute)
 
 PROOF_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "proofs")
 
@@ -29,6 +31,43 @@ def proof_paths() -> list[str]:
 
 def desk_lassos(alphabet, max_prefix=2, max_period=2):
     return list(enumerate_lassos(alphabet, max_prefix, max_period))
+
+
+# ---------------------------------------------------------------------------
+# Reference tokenizer: a character loop that tries each symbol in turn
+# ---------------------------------------------------------------------------
+
+_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+_SYMBOLS = ["<->", "->", "+", "&", "|", "~", "!", ".", "(", ")", "{", "}", ",",
+            ";", "0"]
+
+
+def reference_tokenize(text: str) -> list[Token]:
+    tokens: list[Token] = []
+    i, n = 0, len(text)
+    while i < n:
+        c = text[i]
+        if c.isspace():
+            i += 1
+            continue
+        if c == "#":  # comment to end of line
+            while i < n and text[i] != "\n":
+                i += 1
+            continue
+        m = _IDENT_RE.match(text, i)
+        if m:
+            tokens.append(Token("ident", m.group(), i))
+            i = m.end()
+            continue
+        for sym in _SYMBOLS:
+            if text.startswith(sym, i):
+                tokens.append(Token(sym, sym, i))
+                i += len(sym)
+                break
+        else:
+            raise ParseError(f"unexpected character {c!r}", i)
+    tokens.append(Token("eof", "", n))
+    return tokens
 
 
 # ---------------------------------------------------------------------------

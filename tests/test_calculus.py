@@ -13,17 +13,18 @@ import pytest
 from helpers import PROOF_DIR, desk_lassos, mutants, proof_paths
 from rll import algebra
 from rll.calculus import (RULES, CalculusError, Claim, Derivation,
-                          FormulaClaim, HypContext, Step, Verdict, bool_taut,
-                          check_derivation, check_multl, check_rll,
+                          FormulaClaim, HypContext, Step, Verdict, _Terms,
+                          bool_taut, check_derivation, check_multl, check_rll,
                           derivation_from_json, derivation_to_json,
                           derive_complement, load_proof_file,
                           propositional_valid)
 from rll.corpus import gen_alphabet, gen_expr
 from rll.semantics import (enumerate_lassos, eval_multl, eval_rll,
                            member_oracle)
-from rll.syntax import (Alphabet, And, FVar, Meet, Mu, MuF, Next, Nu, NuF,
-                        Or, Prop, Sum, TOP, Var, ZERO, alpha_eq, free_vars,
-                        implies, parse_expr, parse_formula, print_expr)
+from rll.syntax import (Alphabet, And, Bot, FVar, Meet, Mu, MuF, Next, Nu,
+                        NuF, Or, ParseError, Prop, Sum, TOP, Top, TopF, Var,
+                        ZERO, Zero, alpha_eq, free_vars, implies, parse_expr,
+                        parse_formula, print_expr)
 
 AB = Alphabet.plain("a", "b")
 PQ = Alphabet.powerset("P", "Q")
@@ -618,6 +619,20 @@ class TestProofCorpus:
         finally:
             gc.enable()
 
+    def test_loading_leaves_no_cyclic_garbage(self):
+        texts = [json.dumps(derivation_to_json(d)) for d in derive_complement(
+            parse_expr("nu X. mu Y. (a.X + b.Y)", AB), AB)]
+        gc.collect()
+        gc.disable()
+        try:
+            for path in proof_paths():
+                load_proof_file(path)
+            for text in texts:
+                derivation_from_json(json.loads(text))
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
     def test_soundness_spot_check(self):
         """Accepted equational derivations with closed conclusions never
         contradict the semantics on desk-scale lassos."""
@@ -636,6 +651,67 @@ class TestProofCorpus:
                 else:
                     assert (not ml) or mr, \
                         f"{path} contradicts semantics on {w}"
+
+
+def _texts_and_terms(raw_steps, steps):
+    """Each claim text of a proof's JSON with the term it loaded as."""
+    for raw, step in zip(raw_steps, steps):
+        claim = raw["claim"]
+        if "formula" in claim:
+            yield claim["formula"], step.claim.formula
+        else:
+            yield claim["lhs"], step.claim.lhs
+            yield claim["rhs"], step.claim.rhs
+        if step.hyp is not None:
+            yield from _texts_and_terms(raw["hyp"]["steps"], step.hyp.steps)
+
+
+class TestParseMemo:
+    """Each distinct text is parsed once per load and once per check."""
+
+    def _proof(self, *substs):
+        return {"system": "rll", "tier": "strict", "alphabet": ["a", "b"],
+                "steps": [{"id": f"s{i}", "claim": {"rel": "eq",
+                                                    "lhs": "b.top + 0",
+                                                    "rhs": "b.top"},
+                           "rule": "plus_zero", "subst": {"e": e}}
+                          for i, e in enumerate(substs, 1)]}
+
+    def test_equal_claim_texts_load_as_one_term(self):
+        d = derivation_from_json(self._proof("b.top", "b.top"))
+        s1, s2 = (s.claim for s in d.steps)
+        assert s1.lhs is s2.lhs and s1.rhs is s2.rhs
+        assert check_rll(d).accepted
+
+    def test_shipped_proofs_load_each_text_once_per_call(self):
+        for path in proof_paths():
+            with open(path, encoding="utf-8") as fh:
+                data = json.load(fh)
+            first, second = (derivation_from_json(data) for _ in range(2))
+            terms = {}
+            for text, t in _texts_and_terms(data["steps"], first.steps):
+                assert terms.setdefault(text, t) is t
+            for text, t in _texts_and_terms(data["steps"], second.steps):
+                assert t == terms[text]
+                # the parser returns its constants as shared singletons
+                assert t is not terms[text] or isinstance(t, (
+                    Zero, Top, Bot, TopF))
+
+    def test_bad_subst_term_cited_twice(self):
+        reason = ("bad expression in subst['e']: expected ')', found '' "
+                  "(at position 6)")
+        for substs, step in [(("b.top", "b.(top", "b.(top"), "s2"),
+                             (("b.top", "b.top", "b.(top"), "s3")]:
+            d = derivation_from_json(self._proof(*substs))
+            for _ in range(2):
+                assert check_rll(d) == Verdict.rejected(step, reason)
+
+    def test_failed_parse_is_not_stored(self):
+        terms = _Terms(parse_expr, AB)
+        for _ in range(2):
+            with pytest.raises(ParseError, match="expected '\\)'"):
+                terms["b.(top"]
+        assert not terms and terms["b.top"] is terms["b.top"]
 
 
 class TestDeriveComplement:

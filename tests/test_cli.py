@@ -1,16 +1,22 @@
 """CLI: subcommand behaviour, exit codes, output stability."""
 
+import gc
 import json
 import os
+import random
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import rll
 from helpers import PROOF_DIR
 from rll.cli import main
+from rll.corpus import gen_expr
+from rll.syntax import Alphabet, print_expr
 
 IA = "alphabet a b ;\nnu X. mu Y. (a.X + b.Y)\n"
 NUAX = "alphabet a b ;\nnu X. a.X\n"
@@ -94,6 +100,16 @@ class TestSearch:
                                       *bound])
         assert code == 2 and out == ""
         assert err.startswith(f"error: {bound[0][2:]} must be at least ")
+
+    @pytest.mark.parametrize("command", ["equiv", "incl"])
+    def test_bounds_over_the_cap_exit_two(self, files, capsys, command):
+        start = time.perf_counter()
+        code, out, err = run(capsys, [command, files["fb"], files["both"],
+                                      "--max-prefix", "40"])
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and out == ""
+        assert err == ("error: max-prefix 40 and max-period 3 would try over "
+                       "1048576 lassos\n")
 
 
 class TestInspection:
@@ -201,6 +217,41 @@ class TestArenaCap:
         assert code == 2 and out == ""
         assert err.startswith("error: ") and "Traceback" not in err
         assert "2001 x 3071 slots" in err
+
+
+class TestBoundedMemory:
+    """In-process queries leave nothing behind: term facts live on the
+    terms, not in module-level caches."""
+
+    def test_distinct_member_queries(self, tmp_path, capsys):
+        rng, ab, texts = random.Random(3), Alphabet.plain("a", "b"), set()
+        while len(texts) < 300:
+            texts.add(print_expr(gen_expr(rng, ab, 30)))
+        paths = []
+        for i, text in enumerate(sorted(texts)):
+            path = tmp_path / f"e{i}.rll"
+            path.write_text(f"alphabet a b ;\n{text}\n")
+            paths.append(str(path))
+        for path in paths[:20]:
+            assert run(capsys, ["member", path, "a(b)"])[0] in (0, 1)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for path in paths[20:]:
+                assert run(capsys, ["member", path, "a(b)"])[0] in (0, 1)
+            gc.collect()
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert grown < 512 * 1024
+
+    def test_no_lru_cache(self):
+        src = os.path.dirname(rll.__file__)
+        for name in sorted(os.listdir(src)):
+            if name.endswith(".py"):
+                with open(os.path.join(src, name), encoding="utf-8") as fh:
+                    assert "lru_cache" not in fh.read(), name
 
 
 class TestTranslate:

@@ -8,9 +8,10 @@ from hypothesis import given, settings, strategies as st
 
 from rll.algebra import complement
 from rll.corpus import gen_expr, gen_lasso
-from rll.semantics import (Lasso, SemanticsError, enumerate_lassos,
-                           eval_multl, eval_rll, lasso_normalize,
-                           member_oracle, models, parse_lasso, print_lasso)
+from rll.semantics import (MAX_LASSOS, Lasso, SemanticsError,
+                           enumerate_lassos, eval_multl, eval_rll,
+                           lasso_normalize, member_oracle, models,
+                           parse_lasso, print_lasso)
 from rll.syntax import (Alphabet, And, FVar, Meet, MuF, Mu, Next, Nu, NuF, Or,
                         Prop, Sum, Var, parse_expr, parse_formula)
 
@@ -96,6 +97,21 @@ class TestEnumerate:
                                              (1, 0, "max-period")):
             with pytest.raises(SemanticsError, match=name):
                 list(enumerate_lassos(AB, max_prefix, max_period))
+
+    def test_candidate_cap(self):
+        """The words tried are the sum of |alphabet|^(|u|+|v|) over the
+        lengths; past MAX_LASSOS of them nothing is yielded."""
+        assert MAX_LASSOS == 2**20
+        one = Alphabet.plain("a")
+        assert next(enumerate_lassos(one, MAX_LASSOS - 1, 1)) is not None
+        abc = Alphabet.plain("a", "b", "c")
+        # (1 + 3 + ... + 3^6) * (3 + ... + 3^5) = 1093 * 363 = 396,759 words
+        assert next(enumerate_lassos(abc, 6, 5)) is not None
+        for alphabet, max_prefix, max_period in [
+                (one, MAX_LASSOS, 1), (one, 2**10, 2**10), (abc, 6, 6),
+                (abc, 7, 5), (AB, 40, 3), (AB, 0, 10**12), (AB, 10**12, 1)]:
+            with pytest.raises(SemanticsError, match="would try over 1048576"):
+                next(enumerate_lassos(alphabet, max_prefix, max_period))
 
 
 class TestEvalRll:

@@ -6,12 +6,14 @@ from hypothesis import given, settings, strategies as st
 from rll import algebra
 from rll.syntax import (Act, Alphabet, AlphabetError, And, FVar, Meet, Mu,
                         MuF, NegProp, Next, Nu, NuF, Or, ParseError, Prop,
-                        Sum, TOP, Top, Var, ZERO, Zero, alpha_eq, free_vars,
-                        negate_formula, parse_alphabet_header, parse_expr,
-                        parse_expr_file, parse_formula, print_expr,
-                        substitute)
+                        Sum, TOP, Top, Var, ZERO, Zero, alpha_eq, alpha_key,
+                        free_vars, negate_formula, parse_alphabet_header,
+                        parse_expr, parse_expr_file, parse_formula,
+                        print_expr, substitute, tokenize)
 from rll.corpus import gen_expr
+from helpers import reference_tokenize
 import random
+from dataclasses import fields
 
 AB = Alphabet.plain("a", "b")
 PQ = Alphabet.powerset("P", "Q")
@@ -191,6 +193,54 @@ class TestFreeVars:
             if "X" in free_vars(e):
                 want |= free_vars(c)
             assert got == want
+
+
+class TestNodeMemo:
+    def test_memo_is_invisible_to_equality_hash_and_repr(self):
+        e, fresh = (parse_expr("mu X. a.X + Y", AB) for _ in range(2))
+        assert free_vars(e) == {"Y"} and alpha_key(e) == "mu0(+(a[a](b0),f:Y;))"
+        assert set(vars(e)) == {"var", "body", "free_vars", "alpha_key"}
+        assert set(vars(fresh)) == {"var", "body"}
+        assert e == fresh and hash(e) == hash(fresh) and repr(e) == repr(fresh)
+        assert [f.name for f in fields(e)] == ["var", "body"]
+
+
+# pieces of tokenizer input: identifiers, every symbol, symbol fragments,
+# comments, newlines, Unicode whitespace, non-ASCII letters and digits
+TOKEN_PIECES = [
+    "a", "mu", "X_1", "_x", "top", "Ab9", "+", "&", "|", "~", "!", ".", "(",
+    ")", "{", "}", ",", ";", "0", "->", "<->", "-", "<", ">", "# note", "#",
+    "\n", " ", "\t", "\r", "\x85", "\x1c", "\u3000", "\xa0", "\u2028", "é",
+    "λ", "ß", "Ω", "1", "9", "*", "=", "[", "\x00"]
+
+
+def _lex(tokenize_fn, text):
+    try:
+        return [(t.kind, t.value, t.pos) for t in tokenize_fn(text)]
+    except Exception as err:
+        return type(err), str(err)
+
+
+class TestTokenize:
+    """The one-regex tokenizer against the symbol-loop tokenizer it
+    replaced."""
+
+    @settings(max_examples=1000, deadline=None, derandomize=True)
+    @given(st.lists(st.sampled_from(TOKEN_PIECES) | st.text(max_size=2),
+                    max_size=12).map("".join))
+    def test_matches_reference(self, text):
+        assert _lex(tokenize, text) == _lex(reference_tokenize, text)
+
+    def test_pieces_alone_and_in_pairs(self):
+        for a in TOKEN_PIECES:
+            for b in [""] + TOKEN_PIECES:
+                text = a + b
+                assert _lex(tokenize, text) == _lex(reference_tokenize, text)
+
+    def test_unexpected_character(self):
+        with pytest.raises(ParseError, match=r"unexpected character '-' "
+                                             r"\(at position 2\)"):
+            tokenize("a -b")
 
 
 class TestPrintParse:
