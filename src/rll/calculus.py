@@ -99,6 +99,12 @@ class Derivation:
     tier: str  # "strict" | "extended"
     alphabet: Alphabet
     steps: list[Step]
+    # text -> term: claims, subst terms and atoms, each text parsed once
+    terms: _Terms = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.terms = _Terms(parse_formula if self.system == "multl"
+                            else parse_expr, self.alphabet)
 
     def conclusion(self) -> AnyClaim:
         return self.steps[-1].claim
@@ -169,7 +175,8 @@ def derivation_from_json(data: dict) -> Derivation:
         raise CalculusError(f"unknown tier {tier!r}")
     names = _strings(data["alphabet"], "alphabet")
     ab = Alphabet.powerset(*names) if system == "multl" else Alphabet.plain(*names)
-    terms = _Terms(parse_formula if system == "multl" else parse_expr, ab)
+    d = Derivation(system, tier, ab, [])
+    terms = d.terms
 
     def load_step(s) -> Step:
         _json(s, dict, "each step")
@@ -197,10 +204,10 @@ def derivation_from_json(data: dict) -> Derivation:
                     _json(s["rule"], str, "a rule"), subst,
                     _strings(s.get("premises") or [], "premises"), hyp)
 
-    # load_step refers to itself; unbinding it frees the memo on return
+    # load_step refers to itself; unbinding it frees the closure on return
     try:
-        return Derivation(system, tier, ab, [
-            load_step(s) for s in _json(data["steps"], list, "steps")])
+        d.steps = [load_step(s) for s in _json(data["steps"], list, "steps")]
+        return d
     finally:
         del load_step
 
@@ -515,14 +522,15 @@ def _want(n: int, prems: list, rule: str):
 class _Checker:
     """The walk over a derivation's steps, shared by both systems. A step
     fails with a CalculusError. A subclass names its system's claim type and
-    subst term parser, and checks the rules that are not in RULES."""
+    checks the rules that are not in RULES. Terms in subst are parsed
+    through the derivation's own memo, which loading filled with the
+    claims."""
 
     def __init__(self, d: Derivation, tier: str):
         self.d = d
         self.alphabet = d.alphabet
         self.tier = tier
         self.frames: list[_Frame] = [_Frame()]
-        self.terms = _Terms(self.parse, self.alphabet)
 
     def expect(self, c: AnyClaim) -> AnyClaim:
         if not isinstance(c, self.claim_type):
@@ -544,7 +552,7 @@ class _Checker:
                 raise CalculusError(f"undeclared letter in subst[{key!r}]")
         else:
             try:
-                return self.terms[raw]
+                return self.d.terms[raw]
             except RllError as err:
                 raise CalculusError(
                     f"bad {self.term_noun} in subst[{key!r}]: {err}")
@@ -627,7 +635,7 @@ class _Checker:
 
 
 class _RllChecker(_Checker):
-    claim_type, parse = Claim, staticmethod(parse_expr)
+    claim_type = Claim
     claim_noun, term_noun = "an equational claim", "expression"
 
     def check_step(self, step: Step, prems: list[AnyClaim]):
@@ -681,7 +689,7 @@ class _RllChecker(_Checker):
                 if not isinstance(raw, list):
                     raise CalculusError("atoms must be a list of expressions")
                 try:
-                    atoms = [self.terms[a] for a in raw]
+                    atoms = [self.d.terms[a] for a in raw]
                 except RllError as err:
                     raise CalculusError(f"bad atom: {err}")
             eprems = [self.expect(p) for p in prems]
@@ -765,7 +773,7 @@ def propositional_valid(claim: MuLtlFormula,
 
 
 class _MultlChecker(_Checker):
-    claim_type, parse = FormulaClaim, staticmethod(parse_formula)
+    claim_type = FormulaClaim
     claim_noun, term_noun = "a formula claim", "formula"
 
     def check_step(self, step: Step, prems: list[AnyClaim]):

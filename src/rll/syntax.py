@@ -4,8 +4,10 @@ Everything here is immutable and pure: expressions and formulas are frozen
 dataclasses that memoise only their free variables and alpha key, operations
 return fresh values, and comparison up to renaming goes through
 ``alpha_key``. Expressions and formulas are binder terms of one shape, so
-free variables, substitution, alpha keys, size and printing are written once
-and serve both; only the parsers differ.
+free variables, substitution, alpha keys, size, printing and parsing are
+written once and serve both. The parser is one grammar frame (binders, then
+infix operators by precedence, then operands); a syntax differs only in its
+table of infix operators and in its prefix/atom level.
 """
 
 from __future__ import annotations
@@ -498,53 +500,182 @@ def tokenize(text: str) -> list[Token]:
     return tokens
 
 
-class _TokenStream:
-    def __init__(self, tokens: list[Token]):
-        self.tokens = tokens
+# ---------------------------------------------------------------------------
+# Parser: one grammar frame; each syntax brings its operator table and its
+# prefix/atom level
+# ---------------------------------------------------------------------------
+
+def _infix_table(levels: list) -> dict:
+    """Token kind -> (level, builder, least level of the right operand),
+    from (kind, builder, right-associative) triples listed weakest first."""
+    return {kind: (lvl, build, lvl if right else lvl + 1)
+            for lvl, (kind, build, right) in enumerate(levels)}
+
+
+class _Parser:
+    """A term is a binder ``(mu|nu) X. term``, which extends as far right as
+    it can, or operands joined by the syntax's infix operators, where the
+    right operand of an operator may be such a binder. Precedence climbing
+    (Pratt 1973) reads the operators, so the recursion deepens with
+    parentheses, binders and right operands, not with the number of operator
+    levels; ``operand`` reads a chain of prefixes in a loop."""
+
+    noun: str  # what the error messages call a term
+    binders: dict  # keyword -> binder constructor
+    infix: dict  # from _infix_table
+
+    def __init__(self, text: str, alphabet: Alphabet, reserved: tuple):
+        self.tokens = tokenize(text)
         self.i = 0
+        self.ab = alphabet
+        self.reserved = reserved  # names that no bound variable may take
 
-    def peek(self) -> Token:
-        return self.tokens[self.i]
-
-    def next(self) -> Token:
+    def parse(self, require_closed: bool) -> Term:
+        t = self.term(0)
         tok = self.tokens[self.i]
+        if tok.kind != "eof":
+            raise ParseError(f"trailing input {tok.value!r}", tok.pos)
+        if require_closed and free_vars(t):
+            names = ", ".join(sorted(free_vars(t)))
+            raise ParseError(f"{self.noun} is not closed (free: {names})", 0)
+        return t
+
+    def term(self, level: int) -> Term:
+        """A binder, or operands joined by infix operators of level >= level."""
+        tok = self.tokens[self.i]
+        if tok.value in self.binders:  # only an identifier can be mu or nu
+            self.i += 1
+            at = self.tokens[self.i].pos
+            var = self.var_name()
+            if var in self.reserved:
+                raise ParseError(f"variable {var!r} clashes with a proposition",
+                                 at)
+            self.expect(".")
+            return self.binders[tok.value](var, self.term(0))
+        left = self.operand()
+        infix, tokens = self.infix, self.tokens
+        while True:
+            op = infix.get(tokens[self.i].kind)
+            if op is None or op[0] < level:
+                return left
+            self.i += 1
+            left = op[1](left, self.term(op[2]))
+
+    def expect(self, kind: str) -> Token:
+        tok = self.tokens[self.i]
+        if tok.kind != kind:
+            raise ParseError(f"expected {kind!r}, found {tok.value!r}", tok.pos)
         self.i += 1
         return tok
 
-    def expect(self, kind: str) -> Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            raise ParseError(f"expected {kind!r}, found {tok.value!r}", tok.pos)
-        return self.next()
+    def var_name(self) -> str:
+        tok = self.expect("ident")
+        if tok.value in KEYWORDS:
+            raise ParseError(f"keyword {tok.value!r} cannot be a variable",
+                             tok.pos)
+        return tok.value
 
 
-def _parse_letter(ts: _TokenStream, alphabet: Alphabet) -> str:
-    """A letter token: an identifier, or {P,Q} in powerset mode."""
-    tok = ts.peek()
-    if tok.kind == "{":
-        ts.next()
+class _ExprParser(_Parser):
+    noun, binders = "expression", {"mu": Mu, "nu": Nu}
+    infix = _infix_table([("+", Sum, False), ("&", Meet, False)])
+
+    def operand(self) -> Expr:
+        """``LETTER.`` prefixes, then 0, top, a variable or ``(term)``."""
+        tokens, letters = self.tokens, []
+        tok = tokens[self.i]
+        while tok.kind == "{" or (tok.kind == "ident"
+                                  and tokens[self.i + 1].kind == "."
+                                  and tok.value not in self.binders):
+            letter = self.letter()
+            if letter not in self.ab.letters:
+                raise AlphabetError(f"undeclared letter {letter!r} "
+                                    f"at position {tok.pos}")
+            self.expect(".")
+            letters.append(letter)
+            tok = tokens[self.i]
+        if tok.kind == "0":
+            self.i += 1
+            e = ZERO
+        elif tok.kind == "(":
+            self.i += 1
+            e = self.term(0)
+            self.expect(")")
+        elif tok.value == "top":
+            self.i += 1
+            e = TOP
+        elif tok.kind == "ident":
+            e = Var(self.var_name())
+        else:
+            raise ParseError(f"expected an expression, found {tok.value!r}",
+                             tok.pos)
+        for letter in reversed(letters):
+            e = Act(letter, e)
+        return e
+
+    def letter(self) -> str:
+        """An identifier, or {P,Q} in powerset mode."""
+        tok = self.tokens[self.i]
+        self.i += 1
+        if tok.kind != "{":
+            return tok.value
         names = []
-        if ts.peek().kind != "}":
-            names.append(ts.expect("ident").value)
-            while ts.peek().kind == ",":
-                ts.next()
-                names.append(ts.expect("ident").value)
-        ts.expect("}")
-        if alphabet.props is None:
+        if self.tokens[self.i].kind != "}":
+            names.append(self.expect("ident").value)
+            while self.tokens[self.i].kind == ",":
+                self.i += 1
+                names.append(self.expect("ident").value)
+        self.expect("}")
+        props = self.ab.props
+        if props is None:
             raise AlphabetError("powerset letter used with a plain alphabet")
         for p in names:
-            if p not in alphabet.props:
+            if p not in props:
                 raise AlphabetError(f"undeclared proposition {p!r}")
-        in_order = tuple(p for p in alphabet.props if p in names)
-        return subset_letter_name(in_order)
-    if tok.kind == "ident":
-        return ts.next().value
-    raise ParseError(f"expected a letter, found {tok.value!r}", tok.pos)
+        return subset_letter_name(tuple(p for p in props if p in names))
 
 
-# ---------------------------------------------------------------------------
-# Expression parser
-# ---------------------------------------------------------------------------
+class _FormulaParser(_Parser):
+    """muLTL formulas, with ->, <-> and ! desugared into NNF."""
+
+    noun, binders = "formula", {"mu": MuF, "nu": NuF}
+    infix = _infix_table([("<->", iff, False), ("->", implies, True),
+                          ("|", Or, False), ("&", And, False)])
+
+    def operand(self) -> MuLtlFormula:
+        """``O`` and ``!`` prefixes, then ~P, ff, tt, a proposition, a
+        variable or ``(term)``."""
+        tokens, prefixes = self.tokens, []
+        tok = tokens[self.i]
+        while tok.kind == "!" or tok.value == "O":
+            prefixes.append(negate_formula if tok.kind == "!" else Next)
+            self.i += 1
+            tok = tokens[self.i]
+        if tok.kind == "~":
+            self.i += 1
+            name = self.expect("ident").value
+            if name not in self.ab.props:
+                raise AlphabetError(f"undeclared proposition {name!r}")
+            phi = NegProp(name)
+        elif tok.kind == "(":
+            self.i += 1
+            phi = self.term(0)
+            self.expect(")")
+        elif tok.value == "ff":
+            self.i += 1
+            phi = BOT
+        elif tok.value == "tt":
+            self.i += 1
+            phi = TT
+        elif tok.kind == "ident":
+            name = self.var_name()
+            phi = Prop(name) if name in self.ab.props else FVar(name)
+        else:
+            raise ParseError(f"expected a formula, found {tok.value!r}", tok.pos)
+        for prefix in reversed(prefixes):
+            phi = prefix(phi)
+        return phi
+
 
 def parse_expr(text: str, alphabet: Alphabet, require_closed: bool = False) -> Expr:
     """Parse an RLL expression.
@@ -552,208 +683,19 @@ def parse_expr(text: str, alphabet: Alphabet, require_closed: bool = False) -> E
     Grammar (binders weakest and maximally right, & tighter than +, a.e
     tightest): ``0 | top | IDENT | LETTER.e | e+e | e&e | (mu|nu) X. e | (e)``.
     """
-    ts = _TokenStream(tokenize(text))
-    e = _parse_expr(ts, alphabet)
-    tok = ts.peek()
-    if tok.kind != "eof":
-        raise ParseError(f"trailing input {tok.value!r}", tok.pos)
-    if require_closed and free_vars(e):
-        names = ", ".join(sorted(free_vars(e)))
-        raise ParseError(f"expression is not closed (free: {names})", 0)
-    return e
+    return _ExprParser(text, alphabet, ()).parse(require_closed)
 
-
-def _parse_expr(ts: _TokenStream, ab: Alphabet) -> Expr:
-    tok = ts.peek()
-    if tok.kind == "ident" and tok.value in ("mu", "nu"):
-        return _parse_binder(ts, ab)
-    return _parse_sum(ts, ab)
-
-
-def _parse_binder(ts: _TokenStream, ab: Alphabet) -> Expr:
-    kw = ts.next().value
-    var = _parse_var_name(ts)
-    ts.expect(".")
-    body = _parse_expr(ts, ab)
-    return Mu(var, body) if kw == "mu" else Nu(var, body)
-
-
-def _parse_var_name(ts: _TokenStream) -> str:
-    tok = ts.expect("ident")
-    if tok.value in KEYWORDS:
-        raise ParseError(f"keyword {tok.value!r} cannot be a variable", tok.pos)
-    return tok.value
-
-
-def _parse_sum(ts: _TokenStream, ab: Alphabet) -> Expr:
-    e = _parse_meet(ts, ab)
-    while ts.peek().kind == "+":
-        ts.next()
-        nxt = ts.peek()
-        if nxt.kind == "ident" and nxt.value in ("mu", "nu"):
-            return Sum(e, _parse_binder(ts, ab))  # trailing binder, max right
-        e = Sum(e, _parse_meet(ts, ab))
-    return e
-
-
-def _parse_meet(ts: _TokenStream, ab: Alphabet) -> Expr:
-    e = _parse_act(ts, ab)
-    while ts.peek().kind == "&":
-        ts.next()
-        nxt = ts.peek()
-        if nxt.kind == "ident" and nxt.value in ("mu", "nu"):
-            return Meet(e, _parse_binder(ts, ab))
-        e = Meet(e, _parse_act(ts, ab))
-    return e
-
-
-def _parse_act(ts: _TokenStream, ab: Alphabet) -> Expr:
-    tok = ts.peek()
-    if tok.kind == "{" or (tok.kind == "ident"
-                           and ts.tokens[ts.i + 1].kind == "."
-                           and tok.value not in ("mu", "nu")):
-        pos = tok.pos
-        letter = _parse_letter(ts, ab)
-        if letter not in ab.letters:
-            raise AlphabetError(f"undeclared letter {letter!r} at position {pos}")
-        ts.expect(".")
-        return Act(letter, _parse_act(ts, ab))
-    return _parse_atom(ts, ab)
-
-
-def _parse_atom(ts: _TokenStream, ab: Alphabet) -> Expr:
-    tok = ts.peek()
-    if tok.kind == "0":
-        ts.next()
-        return ZERO
-    if tok.kind == "(":
-        ts.next()
-        e = _parse_expr(ts, ab)
-        ts.expect(")")
-        return e
-    if tok.kind == "ident":
-        if tok.value == "top":
-            ts.next()
-            return TOP
-        return Var(_parse_var_name(ts))
-    raise ParseError(f"expected an expression, found {tok.value!r}", tok.pos)
-
-
-# ---------------------------------------------------------------------------
-# Formula parser (with ->, <->, ! sugar desugared into NNF)
-# ---------------------------------------------------------------------------
 
 def parse_formula(text: str, alphabet: Alphabet,
                   require_closed: bool = False) -> MuLtlFormula:
-    """Parse a muLTL formula over a powerset alphabet into NNF."""
+    """Parse a muLTL formula over a powerset alphabet into NNF.
+
+    Grammar, weakest first: binders, <->, -> (to the right), |, &, then the
+    prefixes O and !: ``ff | tt | P | ~P | X | O phi | !phi | (phi)``.
+    """
     if alphabet.props is None:
         raise AlphabetError("formulas need an alphabet with a proposition basis")
-    ts = _TokenStream(tokenize(text))
-    phi = _parse_formula(ts, alphabet)
-    tok = ts.peek()
-    if tok.kind != "eof":
-        raise ParseError(f"trailing input {tok.value!r}", tok.pos)
-    if require_closed and free_vars(phi):
-        names = ", ".join(sorted(free_vars(phi)))
-        raise ParseError(f"formula is not closed (free: {names})", 0)
-    return phi
-
-
-def _parse_formula(ts: _TokenStream, ab: Alphabet) -> MuLtlFormula:
-    tok = ts.peek()
-    if tok.kind == "ident" and tok.value in ("mu", "nu"):
-        return _parse_fbinder(ts, ab)
-    return _parse_iff(ts, ab)
-
-
-def _parse_fbinder(ts: _TokenStream, ab: Alphabet) -> MuLtlFormula:
-    kw = ts.next().value
-    var = _parse_var_name(ts)
-    if var in ab.props:
-        raise ParseError(f"variable {var!r} clashes with a proposition", 0)
-    ts.expect(".")
-    body = _parse_formula(ts, ab)
-    return MuF(var, body) if kw == "mu" else NuF(var, body)
-
-
-def _parse_iff(ts: _TokenStream, ab: Alphabet) -> MuLtlFormula:
-    phi = _parse_impl(ts, ab)
-    while ts.peek().kind == "<->":
-        ts.next()
-        nxt = ts.peek()
-        if nxt.kind == "ident" and nxt.value in ("mu", "nu"):
-            return iff(phi, _parse_fbinder(ts, ab))
-        phi = iff(phi, _parse_impl(ts, ab))
-    return phi
-
-
-def _parse_impl(ts: _TokenStream, ab: Alphabet) -> MuLtlFormula:
-    phi = _parse_or(ts, ab)
-    if ts.peek().kind == "->":
-        ts.next()
-        nxt = ts.peek()
-        if nxt.kind == "ident" and nxt.value in ("mu", "nu"):
-            return implies(phi, _parse_fbinder(ts, ab))
-        return implies(phi, _parse_impl(ts, ab))  # right-associative
-    return phi
-
-
-def _parse_or(ts: _TokenStream, ab: Alphabet) -> MuLtlFormula:
-    phi = _parse_and(ts, ab)
-    while ts.peek().kind == "|":
-        ts.next()
-        nxt = ts.peek()
-        if nxt.kind == "ident" and nxt.value in ("mu", "nu"):
-            return Or(phi, _parse_fbinder(ts, ab))
-        phi = Or(phi, _parse_and(ts, ab))
-    return phi
-
-
-def _parse_and(ts: _TokenStream, ab: Alphabet) -> MuLtlFormula:
-    phi = _parse_funary(ts, ab)
-    while ts.peek().kind == "&":
-        ts.next()
-        nxt = ts.peek()
-        if nxt.kind == "ident" and nxt.value in ("mu", "nu"):
-            return And(phi, _parse_fbinder(ts, ab))
-        phi = And(phi, _parse_funary(ts, ab))
-    return phi
-
-
-def _parse_funary(ts: _TokenStream, ab: Alphabet) -> MuLtlFormula:
-    tok = ts.peek()
-    if tok.kind == "ident" and tok.value == "O":
-        ts.next()
-        return Next(_parse_funary(ts, ab))
-    if tok.kind == "~":
-        ts.next()
-        name = ts.expect("ident")
-        if name.value not in ab.props:
-            raise AlphabetError(f"undeclared proposition {name.value!r}")
-        return NegProp(name.value)
-    if tok.kind == "!":
-        ts.next()
-        return negate_formula(_parse_funary(ts, ab))
-    return _parse_fatom(ts, ab)
-
-
-def _parse_fatom(ts: _TokenStream, ab: Alphabet) -> MuLtlFormula:
-    tok = ts.peek()
-    if tok.kind == "(":
-        ts.next()
-        phi = _parse_formula(ts, ab)
-        ts.expect(")")
-        return phi
-    if tok.kind == "ident":
-        if tok.value == "ff":
-            ts.next()
-            return BOT
-        if tok.value == "tt":
-            ts.next()
-            return TT
-        name = _parse_var_name(ts)
-        return Prop(name) if name in ab.props else FVar(name)
-    raise ParseError(f"expected a formula, found {tok.value!r}", tok.pos)
+    return _FormulaParser(text, alphabet, alphabet.props).parse(require_closed)
 
 
 # ---------------------------------------------------------------------------

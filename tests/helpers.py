@@ -1,7 +1,8 @@
 """Shared helpers for the test suite: desk-scale word sets, corpus access,
-the symbol-loop reference tokenizer, the tree-substituting reference closure
-and its rescanning priorities, the set-based reference game and
-nesting-depth priorities, and the derivation mutation machinery."""
+the symbol-loop reference tokenizer, the recursive-descent reference
+parsers, the tree-substituting reference closure and its rescanning
+priorities, the set-based reference game and nesting-depth priorities, and
+the derivation mutation machinery."""
 
 from __future__ import annotations
 
@@ -15,11 +16,13 @@ from rll.closure import (ClosureError, FlClosure, OccurrenceGraph,
                          occurrence_graph)
 from rll.game import (ABELARD, ELOISE, GameError, ParityGame, Solution)
 from rll.semantics import Lasso, enumerate_lassos
-from rll.syntax import (Act, Alphabet, Expr, Meet, Mu, MuF, MuLtlFormula,
-                        NegProp, Nu, NuF, ParseError, Prop, Sum, Token, Top,
-                        Var, Zero, alpha_eq, alpha_key, free_vars,
-                        negate_formula, parse_expr, parse_formula,
-                        subexpressions, substitute)
+from rll.syntax import (BOT, KEYWORDS, TOP, TT, ZERO, Act, Alphabet,
+                        AlphabetError, And, Expr, FVar, Meet, Mu, MuF,
+                        MuLtlFormula, NegProp, Next, Nu, NuF, Or, ParseError,
+                        Prop, Sum, Token, Top, Var, Zero, alpha_eq, alpha_key,
+                        free_vars, iff, implies, negate_formula, parse_expr,
+                        parse_formula, subexpressions, subset_letter_name,
+                        substitute, tokenize)
 
 PROOF_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "proofs")
 
@@ -68,6 +71,265 @@ def reference_tokenize(text: str) -> list[Token]:
             raise ParseError(f"unexpected character {c!r}", i)
     tokens.append(Token("eof", "", n))
     return tokens
+
+
+# ---------------------------------------------------------------------------
+# Reference parsers: recursive descent with one function per precedence
+# level, written once per syntax. A clash of a bound variable with a
+# proposition reports the variable's position (it reported position 0).
+# ---------------------------------------------------------------------------
+
+class _RefTokens:
+    def __init__(self, tokens: list[Token]):
+        self.tokens = tokens
+        self.i = 0
+
+    def peek(self) -> Token:
+        return self.tokens[self.i]
+
+    def next(self) -> Token:
+        tok = self.tokens[self.i]
+        self.i += 1
+        return tok
+
+    def expect(self, kind: str) -> Token:
+        tok = self.peek()
+        if tok.kind != kind:
+            raise ParseError(f"expected {kind!r}, found {tok.value!r}", tok.pos)
+        return self.next()
+
+
+def _ref_letter(ts: _RefTokens, alphabet: Alphabet) -> str:
+    """A letter token: an identifier, or {P,Q} in powerset mode."""
+    tok = ts.peek()
+    if tok.kind == "{":
+        ts.next()
+        names = []
+        if ts.peek().kind != "}":
+            names.append(ts.expect("ident").value)
+            while ts.peek().kind == ",":
+                ts.next()
+                names.append(ts.expect("ident").value)
+        ts.expect("}")
+        if alphabet.props is None:
+            raise AlphabetError("powerset letter used with a plain alphabet")
+        for p in names:
+            if p not in alphabet.props:
+                raise AlphabetError(f"undeclared proposition {p!r}")
+        in_order = tuple(p for p in alphabet.props if p in names)
+        return subset_letter_name(in_order)
+    if tok.kind == "ident":
+        return ts.next().value
+    raise ParseError(f"expected a letter, found {tok.value!r}", tok.pos)
+
+
+def reference_parse_expr(text: str, alphabet: Alphabet,
+                         require_closed: bool = False) -> Expr:
+    """Parse an RLL expression.
+
+    Grammar (binders weakest and maximally right, & tighter than +, a.e
+    tightest): ``0 | top | IDENT | LETTER.e | e+e | e&e | (mu|nu) X. e | (e)``.
+    """
+    ts = _RefTokens(tokenize(text))
+    e = _ref_expr(ts, alphabet)
+    tok = ts.peek()
+    if tok.kind != "eof":
+        raise ParseError(f"trailing input {tok.value!r}", tok.pos)
+    if require_closed and free_vars(e):
+        names = ", ".join(sorted(free_vars(e)))
+        raise ParseError(f"expression is not closed (free: {names})", 0)
+    return e
+
+
+def _ref_expr(ts: _RefTokens, ab: Alphabet) -> Expr:
+    tok = ts.peek()
+    if tok.kind == "ident" and tok.value in ("mu", "nu"):
+        return _ref_binder(ts, ab)
+    return _ref_sum(ts, ab)
+
+
+def _ref_binder(ts: _RefTokens, ab: Alphabet) -> Expr:
+    kw = ts.next().value
+    var = _ref_var_name(ts)
+    ts.expect(".")
+    body = _ref_expr(ts, ab)
+    return Mu(var, body) if kw == "mu" else Nu(var, body)
+
+
+def _ref_var_name(ts: _RefTokens) -> str:
+    tok = ts.expect("ident")
+    if tok.value in KEYWORDS:
+        raise ParseError(f"keyword {tok.value!r} cannot be a variable", tok.pos)
+    return tok.value
+
+
+def _ref_sum(ts: _RefTokens, ab: Alphabet) -> Expr:
+    e = _ref_meet(ts, ab)
+    while ts.peek().kind == "+":
+        ts.next()
+        nxt = ts.peek()
+        if nxt.kind == "ident" and nxt.value in ("mu", "nu"):
+            return Sum(e, _ref_binder(ts, ab))  # trailing binder, max right
+        e = Sum(e, _ref_meet(ts, ab))
+    return e
+
+
+def _ref_meet(ts: _RefTokens, ab: Alphabet) -> Expr:
+    e = _ref_act(ts, ab)
+    while ts.peek().kind == "&":
+        ts.next()
+        nxt = ts.peek()
+        if nxt.kind == "ident" and nxt.value in ("mu", "nu"):
+            return Meet(e, _ref_binder(ts, ab))
+        e = Meet(e, _ref_act(ts, ab))
+    return e
+
+
+def _ref_act(ts: _RefTokens, ab: Alphabet) -> Expr:
+    tok = ts.peek()
+    if tok.kind == "{" or (tok.kind == "ident"
+                           and ts.tokens[ts.i + 1].kind == "."
+                           and tok.value not in ("mu", "nu")):
+        pos = tok.pos
+        letter = _ref_letter(ts, ab)
+        if letter not in ab.letters:
+            raise AlphabetError(f"undeclared letter {letter!r} at position {pos}")
+        ts.expect(".")
+        return Act(letter, _ref_act(ts, ab))
+    return _ref_atom(ts, ab)
+
+
+def _ref_atom(ts: _RefTokens, ab: Alphabet) -> Expr:
+    tok = ts.peek()
+    if tok.kind == "0":
+        ts.next()
+        return ZERO
+    if tok.kind == "(":
+        ts.next()
+        e = _ref_expr(ts, ab)
+        ts.expect(")")
+        return e
+    if tok.kind == "ident":
+        if tok.value == "top":
+            ts.next()
+            return TOP
+        return Var(_ref_var_name(ts))
+    raise ParseError(f"expected an expression, found {tok.value!r}", tok.pos)
+
+
+def reference_parse_formula(text: str, alphabet: Alphabet,
+                            require_closed: bool = False) -> MuLtlFormula:
+    """Parse a muLTL formula over a powerset alphabet into NNF."""
+    if alphabet.props is None:
+        raise AlphabetError("formulas need an alphabet with a proposition basis")
+    ts = _RefTokens(tokenize(text))
+    phi = _ref_formula(ts, alphabet)
+    tok = ts.peek()
+    if tok.kind != "eof":
+        raise ParseError(f"trailing input {tok.value!r}", tok.pos)
+    if require_closed and free_vars(phi):
+        names = ", ".join(sorted(free_vars(phi)))
+        raise ParseError(f"formula is not closed (free: {names})", 0)
+    return phi
+
+
+def _ref_formula(ts: _RefTokens, ab: Alphabet) -> MuLtlFormula:
+    tok = ts.peek()
+    if tok.kind == "ident" and tok.value in ("mu", "nu"):
+        return _ref_fbinder(ts, ab)
+    return _ref_iff(ts, ab)
+
+
+def _ref_fbinder(ts: _RefTokens, ab: Alphabet) -> MuLtlFormula:
+    kw = ts.next().value
+    var = _ref_var_name(ts)
+    if var in ab.props:
+        raise ParseError(f"variable {var!r} clashes with a proposition",
+                         ts.tokens[ts.i - 1].pos)
+    ts.expect(".")
+    body = _ref_formula(ts, ab)
+    return MuF(var, body) if kw == "mu" else NuF(var, body)
+
+
+def _ref_iff(ts: _RefTokens, ab: Alphabet) -> MuLtlFormula:
+    phi = _ref_impl(ts, ab)
+    while ts.peek().kind == "<->":
+        ts.next()
+        nxt = ts.peek()
+        if nxt.kind == "ident" and nxt.value in ("mu", "nu"):
+            return iff(phi, _ref_fbinder(ts, ab))
+        phi = iff(phi, _ref_impl(ts, ab))
+    return phi
+
+
+def _ref_impl(ts: _RefTokens, ab: Alphabet) -> MuLtlFormula:
+    phi = _ref_or(ts, ab)
+    if ts.peek().kind == "->":
+        ts.next()
+        nxt = ts.peek()
+        if nxt.kind == "ident" and nxt.value in ("mu", "nu"):
+            return implies(phi, _ref_fbinder(ts, ab))
+        return implies(phi, _ref_impl(ts, ab))  # right-associative
+    return phi
+
+
+def _ref_or(ts: _RefTokens, ab: Alphabet) -> MuLtlFormula:
+    phi = _ref_and(ts, ab)
+    while ts.peek().kind == "|":
+        ts.next()
+        nxt = ts.peek()
+        if nxt.kind == "ident" and nxt.value in ("mu", "nu"):
+            return Or(phi, _ref_fbinder(ts, ab))
+        phi = Or(phi, _ref_and(ts, ab))
+    return phi
+
+
+def _ref_and(ts: _RefTokens, ab: Alphabet) -> MuLtlFormula:
+    phi = _ref_funary(ts, ab)
+    while ts.peek().kind == "&":
+        ts.next()
+        nxt = ts.peek()
+        if nxt.kind == "ident" and nxt.value in ("mu", "nu"):
+            return And(phi, _ref_fbinder(ts, ab))
+        phi = And(phi, _ref_funary(ts, ab))
+    return phi
+
+
+def _ref_funary(ts: _RefTokens, ab: Alphabet) -> MuLtlFormula:
+    tok = ts.peek()
+    if tok.kind == "ident" and tok.value == "O":
+        ts.next()
+        return Next(_ref_funary(ts, ab))
+    if tok.kind == "~":
+        ts.next()
+        name = ts.expect("ident")
+        if name.value not in ab.props:
+            raise AlphabetError(f"undeclared proposition {name.value!r}")
+        return NegProp(name.value)
+    if tok.kind == "!":
+        ts.next()
+        return negate_formula(_ref_funary(ts, ab))
+    return _ref_fatom(ts, ab)
+
+
+def _ref_fatom(ts: _RefTokens, ab: Alphabet) -> MuLtlFormula:
+    tok = ts.peek()
+    if tok.kind == "(":
+        ts.next()
+        phi = _ref_formula(ts, ab)
+        ts.expect(")")
+        return phi
+    if tok.kind == "ident":
+        if tok.value == "ff":
+            ts.next()
+            return BOT
+        if tok.value == "tt":
+            ts.next()
+            return TT
+        name = _ref_var_name(ts)
+        return Prop(name) if name in ab.props else FVar(name)
+    raise ParseError(f"expected a formula, found {tok.value!r}", tok.pos)
+
 
 
 # ---------------------------------------------------------------------------

@@ -667,7 +667,8 @@ def _texts_and_terms(raw_steps, steps):
 
 
 class TestParseMemo:
-    """Each distinct text is parsed once per load and once per check."""
+    """Each distinct text of a derivation is parsed once, whether a claim,
+    a subst term or an atom names it."""
 
     def _proof(self, *substs):
         return {"system": "rll", "tier": "strict", "alphabet": ["a", "b"],
@@ -682,6 +683,13 @@ class TestParseMemo:
         s1, s2 = (s.claim for s in d.steps)
         assert s1.lhs is s2.lhs and s1.rhs is s2.rhs
         assert check_rll(d).accepted
+
+    def test_subst_term_is_the_loaded_claim_side(self):
+        d = derivation_from_json(self._proof("b.top"))
+        parsed, parse = [], d.terms.parse
+        d.terms.parse = lambda text: parsed.append(text) or parse(text)
+        assert check_rll(d).accepted and parsed == []
+        assert d.terms["b.top"] is d.steps[0].claim.rhs
 
     def test_shipped_proofs_load_each_text_once_per_call(self):
         for path in proof_paths():

@@ -148,7 +148,9 @@ class TestInspection:
 
 
 class TestDeepNesting:
-    """Nesting past the interpreter's recursion limit is an input error."""
+    """Nesting past the interpreter's recursion limit is an input error;
+    prefix chains, which the parser reads in a loop, and parentheses well
+    inside the limit parse."""
 
     @pytest.fixture
     def deep(self, tmp_path):
@@ -171,6 +173,20 @@ class TestDeepNesting:
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
         assert proc.stderr.strip() == "error: expression nested too deeply"
+
+    @pytest.mark.parametrize("argv,text", [
+        (["parse", "--formula", "FILE"], "props P ;\n" + "! " * 2000 + "P\n"),
+        (["parse", "--formula", "FILE"],
+         "props P ;\n" + "(" * 170 + "tt" + ")" * 170),
+        (["member", "FILE", "(a)"],
+         "alphabet a b ;\n" + "(" * 250 + "top" + ")" * 250),
+    ], ids=["not-chain-2000", "formula-parens-170", "expr-parens-250"])
+    def test_parser_reads_deep_prefixes_and_parentheses(self, tmp_path, argv,
+                                                        text):
+        path = tmp_path / "deep.txt"
+        path.write_text(text)
+        proc = self._run([str(path) if a == "FILE" else a for a in argv])
+        assert (proc.returncode, proc.stderr) == (0, "")
 
 
 class TestPropositionCap:

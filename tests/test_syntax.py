@@ -11,7 +11,8 @@ from rll.syntax import (Act, Alphabet, AlphabetError, And, FVar, Meet, Mu,
                         parse_expr, parse_expr_file, parse_formula,
                         print_expr, substitute, tokenize)
 from rll.corpus import gen_expr
-from helpers import reference_tokenize
+from helpers import (reference_parse_expr, reference_parse_formula,
+                     reference_tokenize)
 import random
 from dataclasses import fields
 
@@ -137,6 +138,11 @@ class TestParseFormula:
         phi = parse_formula("!(P & O Q)", PQ)
         assert phi == Or(NegProp("P"), Next(NegProp("Q")))
 
+    def test_clash_reports_the_variable_position(self):
+        with pytest.raises(ParseError, match=r"^variable 'P' clashes with a "
+                                             r"proposition \(at position 8\)$"):
+            parse_formula("tt | mu P. P", Alphabet.powerset("P"))
+
 
 class TestSubstitute:
     def test_basic(self):
@@ -241,6 +247,60 @@ class TestTokenize:
         with pytest.raises(ParseError, match=r"unexpected character '-' "
                                              r"\(at position 2\)"):
             tokenize("a -b")
+
+
+# pieces of parser input: identifiers, every symbol, binder heads, prefixes,
+# literals, powerset letters, comments and parentheses
+PARSE_PIECES = [
+    "a", "b", "c", "X", "Y", "P", "Q", "R", "mu", "nu", "top", "ff", "tt", "O",
+    "props", "+", "&", "|", "~", "!", ".", "(", ")", "{", "}", ",", ";", "0",
+    "->", "<->", "mu X.", "nu Y.", "mu P.", "a.", "b.", "{P}.", "~P", "{P,Q}",
+    "{}", "# note\n", "(", ")"]
+# operands of both syntaxes, for chains of infix operators
+OPERANDS = ["P", "~Q", "O P", "! Q", "X", "tt", "ff", "(P | Q)", "a.X", "top",
+            "0", "{P}.X", "(b.0 + a.top)", "mu X. X", "nu Y. O Y"]
+INFIX = ["+", "&", "|", "->", "<->"]
+
+
+def _chain(pairs):
+    """The operands of (operand, operator) pairs joined by the operators
+    between them."""
+    return " ".join(f"{x} {op}" for x, op in pairs[:-1]) + " " + pairs[-1][0]
+
+
+def _printed(seed):
+    """A printed random expression over a b or P Q, or muLTL formula."""
+    rng = random.Random(seed)
+    kind = seed % 3
+    e = gen_expr(rng, PQ if kind else AB, rng.randint(1, 14))
+    return print_expr(algebra.to_multl(e, PQ) if kind == 2 else e)
+
+
+def _parse(parse, text, ab, closed):
+    try:
+        return parse(text, ab, require_closed=closed)
+    except Exception as err:
+        return type(err), str(err)
+
+
+class TestAgainstReferenceParser:
+    """The precedence-climbing parser against the recursive-descent parsers
+    it replaced: an equal term, or an equal exception type and message."""
+
+    @settings(max_examples=1500, deadline=None, derandomize=True)
+    @given(st.sampled_from(["", " "]).flatmap(
+        lambda sep: st.lists(st.sampled_from(PARSE_PIECES), min_size=1,
+                             max_size=14).map(sep.join))
+        | st.lists(st.tuples(st.sampled_from(OPERANDS), st.sampled_from(INFIX)),
+                   min_size=1, max_size=6).map(_chain)
+        | st.integers(0, 10**6).map(_printed))
+    def test_matches_reference(self, text):
+        for parse, reference in [(parse_expr, reference_parse_expr),
+                                 (parse_formula, reference_parse_formula)]:
+            for ab in (AB, PQ):
+                for closed in (False, True):
+                    assert _parse(parse, text, ab, closed) == \
+                        _parse(reference, text, ab, closed)
 
 
 class TestPrintParse:
