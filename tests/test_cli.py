@@ -1,6 +1,7 @@
 """CLI: subcommand behaviour, exit codes, output stability."""
 
 import gc
+import hashlib
 import json
 import os
 import random
@@ -448,3 +449,99 @@ class TestSelftest:
         a = run(capsys, ["selftest", "--pairs", "25"])
         b = run(capsys, ["selftest", "--pairs", "25"])
         assert a == b
+
+
+def invoke(main_fn, argv, capsys):
+    """Exit code, stdout and stderr of one command, argparse exits
+    included."""
+    try:
+        code = main_fn(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+# help, version and usage errors of every subcommand, at 80 columns: the
+# SHA-256 of exit code, stdout and stderr (see TestCliContract.digest)
+CONTRACT = {
+    ():
+        "7b5071d14735463542e0314d00e7f6ea25701c5d85f1f08b7cf833ccf52b4684",
+    ("-h",):
+        "2e9bcd22a59ecc66fe758fcf74d2cfecd988b2fa124f84a2f6e5427666c561be",
+    ("--version",):
+        "c9d096b80b37e74f8de552a417237015735ede3bb11528d97ba5122abd2dc245",
+    ("bogus",):
+        "aa7c07740f6c0a3cf2590327be49e1b94e25a8e78bdea23da03342ca06e59fd3",
+    ("--alphabet", "a", "member"):
+        "5c06c36eb92d406018dc91ba8ce7cc833c25482d95c1b1bbd88574a66a87bbca",
+    ("parse", "-h"):
+        "50db115089b1df2cb29bec45970aa44d5f44896c68e3ccd8716432738f1d79be",
+    ("closure", "-h"):
+        "b09cca26cea8bd29a619c9e2fa5a3b6f29307ca9136b8359df456d199151d715",
+    ("apa-dot", "-h"):
+        "35f3c8a836d6b91886a6f7ed4d93844443ab32aa8dd0cb4a1462fd4b629adc68",
+    ("member", "-h"):
+        "fbd545f65e0e451e91cccce0be7d090de4a33a75aa49a20b273628fd12cf992a",
+    ("oracle-member", "-h"):
+        "91a8d96149a3705aee6374765ae81f9154d68fd5014ae74e48da73e1c36725f6",
+    ("complement", "-h"):
+        "0c630dc7683a2efcd4b0e0b5bb134f3314fa293714079a44094d9128e76b210b",
+    ("translate", "-h"):
+        "740eaff3c8d1b940d9307679417a00937fe62f18084252ca08c6ab1ec77e02d9",
+    ("equiv", "-h"):
+        "4813d3384fb008fb5200beefe88638cc6bd60af23ccdcaaf447a50d84afec5e6",
+    ("incl", "-h"):
+        "7a06cc023f4d33a4094abac51017ec2e9dcf4b46101f489e594250acd5a037e4",
+    ("check", "-h"):
+        "02e3ee358b31e0e9aa85f502fb330ddff6363a0fc2e0d0d4ba4275d5ec780efb",
+    ("selftest", "-h"):
+        "d801ef16ddab8340599440415d6536d27d39ee014b8ea867cb9321e58e03aa53",
+    ("parse",):
+        "1d68be86264351a5249e6ab7c28bcbb0d43362528ca733ac917a4d83363acfaf",
+    ("closure",):
+        "3b1ea6cae09e6c026dc7aae39f65f056f9d817069e6462443ae432240de4c841",
+    ("apa-dot",):
+        "8f266678e9657144d35f1b60fba8e1e8e5d22d8d7183c76256b32aed9ab4e434",
+    ("member",):
+        "49236e5fdfb5a00837c7000242a66fd3201a00267201c0172f998bc1076321cf",
+    ("oracle-member",):
+        "162d59742f4f6b23fa6d8e7688b8b0f8acfc204beb33db50b3dba3b59040d4cd",
+    ("complement",):
+        "1041613fd66380e71f8200c076e066d77254e8cd415e7957bd73cf39787e0aba",
+    ("translate",):
+        "9649f053d6b16b3adfed95857d8e06ed9c0d55ae57169827ac525daa433380c5",
+    ("equiv",):
+        "f632883a737b550eec96db2edea6d93f48268ea143ca7887f0061ff12237d7df",
+    ("incl",):
+        "ffa102687a5db7e6bef9f9974155ca67f05149b728f8782bfed14fa9bd8d2bc0",
+    ("check",):
+        "4d5bf7488189d25229b4eb8c03967aa9316bdbe7985d18ca87aa33f475621beb",
+    ("selftest", "--pairs"):
+        "5ea929fff93e2a5b06d6f2263abae8648fb03f6fd3be58c93857e2acfa73e7de",
+    ("member", "F", "(ab)", "extra"):
+        "1de6b9b7362256dac184521558a63f69f97ffcd39b9de4ed193a2c52e0962dca",
+    ("member", "F", "(ab)", "--version"):
+        "227243cecea68fa73e33037579ac0c072c369a0ec8126d4bc22fb5b404e406af",
+    ("member", "F", "(ab)", "--via", "x"):
+        "dddd23949e2bc872e6f31132ebfad37950eca7f11306d1bf9b3ab13919425652",
+    ("equiv", "L", "R", "--max-prefix", "x"):
+        "cc08c2e4869ca4580e4d25cf26d49c27cf2ee4e69fca013de80c70c00f5ac6d0",
+}
+
+
+class TestCliContract:
+    """Help, version and usage errors, byte for byte: argparse prints these,
+    so only the parser front end can change them."""
+
+    @staticmethod
+    def digest(code, out, err) -> str:
+        return hashlib.sha256(
+            json.dumps([code, out, err]).encode()).hexdigest()
+
+    @pytest.mark.parametrize("argv", list(CONTRACT), ids=" ".join)
+    def test_pinned(self, argv, monkeypatch, capsys):
+        monkeypatch.setenv("COLUMNS", "80")
+        got = invoke(main, list(argv), capsys)
+        assert got[0] in (0, 2)
+        assert self.digest(*got) == CONTRACT[argv], got
