@@ -3,6 +3,13 @@
 Exit codes: 0 = positive/agreement/none-found, 1 = negative/counterexample/
 rejected, 2 = usage or input error. Output is deterministic for identical
 invocations (fixed orderings, fixed default seeds).
+
+``COMMANDS`` lists each subcommand once. A command line that starts with a
+subcommand's name is read by that subcommand's parser alone. Everything
+else (no arguments, ``-h``, ``--version``, an unknown command, an option
+before the command, or arguments the subcommand leaves over) goes to
+``build_parser()``, the parser with every subcommand, so help and usage
+errors read the same either way.
 """
 
 from __future__ import annotations
@@ -229,96 +236,130 @@ def cmd_selftest(args) -> int:
     return 0 if failures == 0 else 1
 
 
+def _common(p):
+    p.add_argument("--alphabet", help="expected plain alphabet, e.g. 'a b'")
+    p.add_argument("--props", help="expected proposition basis, e.g. 'P Q'")
+
+
+def _file_args(p):
+    p.add_argument("file")
+    _common(p)
+
+
+def _parse_args(p):
+    p.add_argument("file")
+    p.add_argument("--formula", action="store_true",
+                   help="parse a muLTL formula file instead")
+    _common(p)
+
+
+def _member_args(p):
+    p.add_argument("file")
+    p.add_argument("lasso")
+    p.add_argument("--via", choices=["game", "oracle", "both"], default="both")
+    _common(p)
+
+
+def _oracle_member_args(p):
+    p.add_argument("file")
+    p.add_argument("lasso")
+    _common(p)
+
+
+def _translate_args(p):
+    p.add_argument("--to", choices=["ltl", "rll"], required=True)
+    _file_args(p)
+
+
+def _search_args(p):
+    p.add_argument("left")
+    p.add_argument("right")
+    p.add_argument("--max-prefix", type=int, default=2)
+    p.add_argument("--max-period", type=int, default=3)
+    _common(p)
+
+
+def _check_args(p):
+    p.add_argument("file")
+
+
+def _selftest_args(p):
+    p.add_argument("--seed", type=int, default=2024)
+    p.add_argument("--pairs", type=int, default=300)
+
+
+# name -> (help, argument adder, defaults); an adder adds its arguments in
+# the order the usage line lists them
+COMMANDS = {
+    "parse": ("parse and reprint an expression file", _parse_args,
+              {"fn": cmd_parse}),
+    "closure": ("print the Fischer-Ladner closure", _file_args,
+                {"fn": cmd_closure}),
+    "apa-dot": ("print the automaton in DOT format", _file_args,
+                {"fn": cmd_apa_dot}),
+    "member": ("lasso membership (game and/or oracle)", _member_args,
+               {"fn": cmd_member}),
+    "oracle-member": ("lasso membership via the fixpoint oracle",
+                      _oracle_member_args, {"fn": cmd_member, "via": "oracle"}),
+    "complement": ("print the complement expression", _file_args,
+                   {"fn": cmd_complement}),
+    "translate": ("translate between RLL and muLTL", _translate_args,
+                  {"fn": cmd_translate}),
+    "equiv": ("bounded equivalence search", _search_args, {"fn": cmd_equiv}),
+    "incl": ("bounded inclusion search", _search_args, {"fn": cmd_incl}),
+    "check": ("check a proof file", _check_args, {"fn": cmd_check}),
+    "selftest": ("run the built-in example suites", _selftest_args,
+                 {"fn": cmd_selftest}),
+}
+
+
+def _fill(p: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
+    _help, add_args, defaults = COMMANDS[name]
+    add_args(p)
+    p.set_defaults(**defaults)
+    return p
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """The full parser: ``rll`` with every subcommand."""
     ap = argparse.ArgumentParser(
         prog="rll",
         description="omega-regular languages as right-linear lattice "
                     "mu/nu-expressions")
     ap.add_argument("--version", action="version", version=f"rll {__version__}")
     sub = ap.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--alphabet", help="expected plain alphabet, e.g. 'a b'")
-        p.add_argument("--props", help="expected proposition basis, e.g. 'P Q'")
-
-    p = sub.add_parser("parse", help="parse and reprint an expression file")
-    p.add_argument("file")
-    p.add_argument("--formula", action="store_true",
-                   help="parse a muLTL formula file instead")
-    common(p)
-    p.set_defaults(fn=cmd_parse)
-
-    p = sub.add_parser("closure", help="print the Fischer-Ladner closure")
-    p.add_argument("file")
-    common(p)
-    p.set_defaults(fn=cmd_closure)
-
-    p = sub.add_parser("apa-dot", help="print the automaton in DOT format")
-    p.add_argument("file")
-    common(p)
-    p.set_defaults(fn=cmd_apa_dot)
-
-    p = sub.add_parser("member", help="lasso membership (game and/or oracle)")
-    p.add_argument("file")
-    p.add_argument("lasso")
-    p.add_argument("--via", choices=["game", "oracle", "both"], default="both")
-    common(p)
-    p.set_defaults(fn=cmd_member)
-
-    p = sub.add_parser("oracle-member",
-                       help="lasso membership via the fixpoint oracle")
-    p.add_argument("file")
-    p.add_argument("lasso")
-    common(p)
-    p.set_defaults(fn=cmd_member, via="oracle")
-
-    p = sub.add_parser("complement", help="print the complement expression")
-    p.add_argument("file")
-    common(p)
-    p.set_defaults(fn=cmd_complement)
-
-    p = sub.add_parser("translate", help="translate between RLL and muLTL")
-    p.add_argument("--to", choices=["ltl", "rll"], required=True)
-    p.add_argument("file")
-    common(p)
-    p.set_defaults(fn=cmd_translate)
-
-    p = sub.add_parser("equiv", help="bounded equivalence search")
-    p.add_argument("left")
-    p.add_argument("right")
-    p.add_argument("--max-prefix", type=int, default=2)
-    p.add_argument("--max-period", type=int, default=3)
-    common(p)
-    p.set_defaults(fn=cmd_equiv)
-
-    p = sub.add_parser("incl", help="bounded inclusion search")
-    p.add_argument("left")
-    p.add_argument("right")
-    p.add_argument("--max-prefix", type=int, default=2)
-    p.add_argument("--max-period", type=int, default=3)
-    common(p)
-    p.set_defaults(fn=cmd_incl)
-
-    p = sub.add_parser("check", help="check a proof file")
-    p.add_argument("file")
-    p.set_defaults(fn=cmd_check)
-
-    p = sub.add_parser("selftest", help="run the built-in example suites")
-    p.add_argument("--seed", type=int, default=2024)
-    p.add_argument("--pairs", type=int, default=300)
-    p.set_defaults(fn=cmd_selftest)
-
+    for name, (help_, _add_args, _defaults) in COMMANDS.items():
+        _fill(sub.add_parser(name, help=help_), name)
     return ap
 
 
+def parse_args(argv) -> argparse.Namespace:
+    """The namespace ``build_parser().parse_args(argv)`` gives, or its exit.
+
+    When ``argv`` starts with a subcommand, only that subcommand's parser is
+    built. Anything it does not consume goes to the full parser, which
+    reports it with the top-level usage; so does ``--=...`` before ``--``,
+    which the top level rejects as an ambiguous ``--help``/``--version``.
+    """
+    argv = sys.argv[1:] if argv is None else list(argv)
+    name = argv[0] if argv else None
+    if name in COMMANDS:
+        rest = argv[1:]
+        plain = rest[:rest.index("--")] if "--" in rest else rest
+        if not any(a.startswith("--=") for a in plain):
+            args, extra = _fill(argparse.ArgumentParser(prog=f"rll {name}"),
+                                name).parse_known_args(rest)
+            if not extra:
+                args.command = name
+                return args
+    return build_parser().parse_args(argv)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = parse_args(argv)
     try:
         return args.fn(args)
-    except CliError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except RllError as err:
+    except (CliError, RllError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except RecursionError:

@@ -524,9 +524,11 @@ class _Parser:
     binders: dict  # keyword -> binder constructor
     infix: dict  # from _infix_table
 
-    def __init__(self, text: str, alphabet: Alphabet, reserved: tuple):
-        self.tokens = tokenize(text)
+    def __init__(self, tokens: list[Token], start: int, alphabet: Alphabet,
+                 reserved: tuple):
+        self.tokens = tokens
         self.i = 0
+        self.start = start  # where the term's text begins
         self.ab = alphabet
         self.reserved = reserved  # names that no bound variable may take
 
@@ -537,7 +539,8 @@ class _Parser:
             raise ParseError(f"trailing input {tok.value!r}", tok.pos)
         if require_closed and free_vars(t):
             names = ", ".join(sorted(free_vars(t)))
-            raise ParseError(f"{self.noun} is not closed (free: {names})", 0)
+            raise ParseError(f"{self.noun} is not closed (free: {names})",
+                             self.start)
         return t
 
     def term(self, level: int) -> Term:
@@ -683,7 +686,7 @@ def parse_expr(text: str, alphabet: Alphabet, require_closed: bool = False) -> E
     Grammar (binders weakest and maximally right, & tighter than +, a.e
     tightest): ``0 | top | IDENT | LETTER.e | e+e | e&e | (mu|nu) X. e | (e)``.
     """
-    return _ExprParser(text, alphabet, ()).parse(require_closed)
+    return _ExprParser(tokenize(text), 0, alphabet, ()).parse(require_closed)
 
 
 def parse_formula(text: str, alphabet: Alphabet,
@@ -693,23 +696,27 @@ def parse_formula(text: str, alphabet: Alphabet,
     Grammar, weakest first: binders, <->, -> (to the right), |, &, then the
     prefixes O and !: ``ff | tt | P | ~P | X | O phi | !phi | (phi)``.
     """
+    _need_props(alphabet)
+    return _FormulaParser(tokenize(text), 0, alphabet,
+                          alphabet.props).parse(require_closed)
+
+
+def _need_props(alphabet: Alphabet):
     if alphabet.props is None:
         raise AlphabetError("formulas need an alphabet with a proposition basis")
-    return _FormulaParser(text, alphabet, alphabet.props).parse(require_closed)
 
 
 # ---------------------------------------------------------------------------
 # Alphabet headers and self-contained files
 # ---------------------------------------------------------------------------
 
-def parse_alphabet_header(text: str) -> tuple[Alphabet, str]:
-    """Split off a leading ``alphabet a b ;`` or ``props P Q ;`` declaration.
-
-    Returns the alphabet and the remaining text.
-    """
+def _header(text: str) -> tuple[Alphabet, list[Token], int]:
+    """Tokenize a whole file and read its leading ``alphabet a b ;`` or
+    ``props P Q ;`` declaration. Returns the alphabet, the tokens after the
+    ``;`` (positions still count from the file's start) and where the text
+    after the ``;`` begins."""
     tokens = tokenize(text)
-    if not tokens or tokens[0].kind != "ident" \
-            or tokens[0].value not in ("alphabet", "props"):
+    if tokens[0].kind != "ident" or tokens[0].value not in ("alphabet", "props"):
         raise ParseError("expected 'alphabet ... ;' or 'props ... ;' header", 0)
     mode = tokens[0].value
     names: list[str] = []
@@ -720,20 +727,35 @@ def parse_alphabet_header(text: str) -> tuple[Alphabet, str]:
     semi = tokens[i]
     if semi.kind != ";":
         raise ParseError("alphabet header must end with ';'", semi.pos)
-    rest = text[semi.pos + 1:]
     if mode == "alphabet":
         if not names:
             raise AlphabetError("alphabet declaration needs at least one letter")
-        return Alphabet.plain(*names), rest
-    return Alphabet.powerset(*names), rest
+        ab = Alphabet.plain(*names)
+    else:
+        ab = Alphabet.powerset(*names)
+    return ab, tokens[i + 1:], semi.pos + 1
+
+
+def parse_alphabet_header(text: str) -> tuple[Alphabet, str]:
+    """Split off a leading ``alphabet a b ;`` or ``props P Q ;`` declaration.
+
+    Returns the alphabet and the remaining text.
+    """
+    ab, _tokens, start = _header(text)
+    return ab, text[start:]
 
 
 def parse_expr_file(text: str, require_closed: bool = False) -> tuple[Alphabet, Expr]:
-    ab, rest = parse_alphabet_header(text)
-    return ab, parse_expr(rest, ab, require_closed=require_closed)
+    """A header, then an expression; error positions count from the file's
+    start."""
+    ab, tokens, start = _header(text)
+    return ab, _ExprParser(tokens, start, ab, ()).parse(require_closed)
 
 
 def parse_formula_file(text: str,
                        require_closed: bool = False) -> tuple[Alphabet, MuLtlFormula]:
-    ab, rest = parse_alphabet_header(text)
-    return ab, parse_formula(rest, ab, require_closed=require_closed)
+    """A ``props`` header, then a formula; error positions count from the
+    file's start."""
+    ab, tokens, start = _header(text)
+    _need_props(ab)
+    return ab, _FormulaParser(tokens, start, ab, ab.props).parse(require_closed)

@@ -1,16 +1,20 @@
 """Shared helpers for the test suite: desk-scale word sets, corpus access,
 the symbol-loop reference tokenizer, the recursive-descent reference
 parsers, the tree-substituting reference closure and its rescanning
-priorities, the set-based reference game and nesting-depth priorities, and
-the derivation mutation machinery."""
+priorities, the set-based reference game and nesting-depth priorities, the
+derivation mutation machinery, and the CLI entry point that builds every
+subcommand's parser on every call."""
 
 from __future__ import annotations
 
+import argparse
 import os
 import re
+import sys
 from dataclasses import replace
 from typing import Optional
 
+from rll import __version__, cli
 from rll.calculus import Claim, Derivation, FormulaClaim, Step, bool_taut
 from rll.closure import (ClosureError, FlClosure, OccurrenceGraph,
                          occurrence_graph)
@@ -762,3 +766,105 @@ def _with_step(d: Derivation, path, edit) -> Derivation:
                                       premises=list(s.premises), hyp=hyp)
     edit(target)
     return m
+
+
+# ---------------------------------------------------------------------------
+# CLI: the full argparse tree, built on every call
+# ---------------------------------------------------------------------------
+
+def reference_build_parser() -> argparse.ArgumentParser:
+    ap = argparse.ArgumentParser(
+        prog="rll",
+        description="omega-regular languages as right-linear lattice "
+                    "mu/nu-expressions")
+    ap.add_argument("--version", action="version", version=f"rll {__version__}")
+    sub = ap.add_subparsers(dest="command", required=True)
+
+    def common(p):
+        p.add_argument("--alphabet", help="expected plain alphabet, e.g. 'a b'")
+        p.add_argument("--props", help="expected proposition basis, e.g. 'P Q'")
+
+    p = sub.add_parser("parse", help="parse and reprint an expression file")
+    p.add_argument("file")
+    p.add_argument("--formula", action="store_true",
+                   help="parse a muLTL formula file instead")
+    common(p)
+    p.set_defaults(fn=cli.cmd_parse)
+
+    p = sub.add_parser("closure", help="print the Fischer-Ladner closure")
+    p.add_argument("file")
+    common(p)
+    p.set_defaults(fn=cli.cmd_closure)
+
+    p = sub.add_parser("apa-dot", help="print the automaton in DOT format")
+    p.add_argument("file")
+    common(p)
+    p.set_defaults(fn=cli.cmd_apa_dot)
+
+    p = sub.add_parser("member", help="lasso membership (game and/or oracle)")
+    p.add_argument("file")
+    p.add_argument("lasso")
+    p.add_argument("--via", choices=["game", "oracle", "both"], default="both")
+    common(p)
+    p.set_defaults(fn=cli.cmd_member)
+
+    p = sub.add_parser("oracle-member",
+                       help="lasso membership via the fixpoint oracle")
+    p.add_argument("file")
+    p.add_argument("lasso")
+    common(p)
+    p.set_defaults(fn=cli.cmd_member, via="oracle")
+
+    p = sub.add_parser("complement", help="print the complement expression")
+    p.add_argument("file")
+    common(p)
+    p.set_defaults(fn=cli.cmd_complement)
+
+    p = sub.add_parser("translate", help="translate between RLL and muLTL")
+    p.add_argument("--to", choices=["ltl", "rll"], required=True)
+    p.add_argument("file")
+    common(p)
+    p.set_defaults(fn=cli.cmd_translate)
+
+    p = sub.add_parser("equiv", help="bounded equivalence search")
+    p.add_argument("left")
+    p.add_argument("right")
+    p.add_argument("--max-prefix", type=int, default=2)
+    p.add_argument("--max-period", type=int, default=3)
+    common(p)
+    p.set_defaults(fn=cli.cmd_equiv)
+
+    p = sub.add_parser("incl", help="bounded inclusion search")
+    p.add_argument("left")
+    p.add_argument("right")
+    p.add_argument("--max-prefix", type=int, default=2)
+    p.add_argument("--max-period", type=int, default=3)
+    common(p)
+    p.set_defaults(fn=cli.cmd_incl)
+
+    p = sub.add_parser("check", help="check a proof file")
+    p.add_argument("file")
+    p.set_defaults(fn=cli.cmd_check)
+
+    p = sub.add_parser("selftest", help="run the built-in example suites")
+    p.add_argument("--seed", type=int, default=2024)
+    p.add_argument("--pairs", type=int, default=300)
+    p.set_defaults(fn=cli.cmd_selftest)
+
+    return ap
+
+
+def reference_main(argv=None) -> int:
+    args = reference_build_parser().parse_args(argv)
+    try:
+        return args.fn(args)
+    except cli.CliError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 2
+    except cli.RllError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 2
+    except RecursionError:
+        # parsing and evaluation recurse once per level of nesting
+        print("error: expression nested too deeply", file=sys.stderr)
+        return 2

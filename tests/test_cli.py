@@ -9,13 +9,14 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import rll
-from helpers import PROOF_DIR
-from rll.cli import main
+from helpers import PROOF_DIR, reference_build_parser, reference_main
+from rll.cli import main, parse_args
 from rll.corpus import gen_expr
 from rll.syntax import Alphabet, print_expr
 
@@ -545,3 +546,64 @@ class TestCliContract:
         got = invoke(main, list(argv), capsys)
         assert got[0] in (0, 2)
         assert self.digest(*got) == CONTRACT[argv], got
+
+
+SUBCOMMANDS = ["parse", "closure", "apa-dot", "member", "oracle-member",
+               "complement", "translate", "equiv", "incl", "check",
+               "selftest"]
+# subcommands, every option, values, `--`, help, stray words (abbreviations,
+# `--=x`, which the top level finds ambiguous) and file placeholders
+WORDS = st.sampled_from(
+    SUBCOMMANDS + ["bogus"]
+    + ["-h", "--help", "--version", "--alphabet", "--props", "--formula",
+       "--via", "--to", "--max-prefix", "--max-period", "--seed", "--pairs"]
+    + ["game", "oracle", "both", "ltl", "rll", "0", "1", "-1", "x", "a b",
+       "P Q", "(ab)", "a(b)", "(", "--"]
+    + ["extra", "--=x", "--=", "--v", "--he", "--max", "--via=game",
+       "--pairs=1", "-hx", "-x", "-", ""]
+    + ["EXPR", "FORMULA", "PROOF", "MISSING"])
+ARGVS = st.one_of(
+    st.lists(WORDS, max_size=6),
+    st.tuples(st.sampled_from(SUBCOMMANDS), st.lists(WORDS, max_size=6))
+    .map(lambda t: [t[0], *t[1]]))
+
+
+@pytest.fixture(scope="module")
+def placeholders(tmp_path_factory):
+    root = tmp_path_factory.mktemp("cli")
+    (root / "expr.rll").write_text(IA)
+    (root / "formula.rll").write_text("props P Q ;\nnu X. (Q | (P & O X))\n")
+    return {"EXPR": str(root / "expr.rll"),
+            "FORMULA": str(root / "formula.rll"),
+            "PROOF": os.path.join(PROOF_DIR, "zero_le_e.json"),
+            "MISSING": str(root / "missing.rll")}
+
+
+class TestSubcommandParser:
+    """``main`` builds only the named subcommand's parser; it answers as the
+    full parser does, every call."""
+
+    @settings(max_examples=400, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(argv=ARGVS, columns=st.sampled_from(["40", "80", "200"]))
+    def test_matches_full_parser(self, argv, columns, placeholders, capsys):
+        argv = [placeholders.get(a, a) for a in argv]
+        if "selftest" in argv:  # keep each example fast
+            argv += ["--pairs", "1"]
+        with mock.patch.dict(os.environ, {"COLUMNS": columns}):
+            got = invoke(main, argv, capsys)
+            assert got == invoke(reference_main, argv, capsys)
+            try:
+                expected = vars(reference_build_parser().parse_args(argv))
+            except SystemExit:
+                capsys.readouterr()
+                return
+            assert vars(parse_args(argv)) == expected
+
+    def test_full_parser_not_built(self, files, capsys, monkeypatch):
+        def refuse():
+            raise AssertionError("the full parser was built")
+
+        monkeypatch.setattr(rll.cli, "build_parser", refuse)
+        assert run(capsys, ["member", files["ia"], "(ab)"]) == (
+            0, "true (game=oracle)\n", "")

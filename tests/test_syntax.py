@@ -3,13 +3,15 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import rll.syntax
 from rll import algebra
 from rll.syntax import (Act, Alphabet, AlphabetError, And, FVar, Meet, Mu,
                         MuF, NegProp, Next, Nu, NuF, Or, ParseError, Prop,
                         Sum, TOP, Top, Var, ZERO, Zero, alpha_eq, alpha_key,
                         free_vars, negate_formula, parse_alphabet_header,
-                        parse_expr, parse_expr_file, parse_formula,
-                        print_expr, substitute, tokenize)
+                        RllError, parse_expr, parse_expr_file,
+                        parse_formula, parse_formula_file, print_expr,
+                        substitute, tokenize)
 from rll.corpus import gen_expr
 from helpers import (reference_parse_expr, reference_parse_formula,
                      reference_tokenize)
@@ -112,6 +114,47 @@ class TestParseExpr:
     def test_expr_file(self):
         ab, e = parse_expr_file("alphabet a b ;\n# comment\nnu X. a.X\n")
         assert ab == AB and e == Nu("X", Act("a", Var("X")))
+
+
+class TestFiles:
+    """A file is tokenized once, header and body together, so every position
+    in a file error counts from the file's start."""
+
+    @pytest.mark.parametrize("parse_file,text,message", [
+        (parse_expr_file, "alphabet a b ;\nnu X. a.$",
+         "unexpected character '$' (at position 23)"),
+        (parse_expr_file, "alphabet a b ;\n(a.top",
+         "expected ')', found '' (at position 21)"),
+        (parse_formula_file, "props P ;\n(P | ",
+         "expected a formula, found '' (at position 15)"),
+        (parse_expr_file, "alphabet a b ;\nc.top",
+         "undeclared letter 'c' at position 15"),
+        (parse_expr_file, "alphabet a b ;\na.X",
+         "expression is not closed (free: X) (at position 14)"),
+    ], ids=["lexical", "syntax", "formula-syntax", "undeclared-letter",
+            "not-closed"])
+    def test_error_positions_count_from_file_start(self, parse_file, text,
+                                                   message):
+        with pytest.raises(RllError) as err:
+            parse_file(text, require_closed=True)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("text", [
+        "alphabet a b ;\n# comment\nnu X. mu Y. (a.X + b.Y)\n",
+        "props P Q ;\n{P}.top + {}.0", "alphabet a ;0"],
+        ids=["comment", "powerset", "no-space"])
+    def test_tokenized_once(self, text, monkeypatch):
+        calls = []
+
+        def counting(t):
+            calls.append(t)
+            return tokenize(t)
+
+        monkeypatch.setattr(rll.syntax, "tokenize", counting)
+        ab, e = parse_expr_file(text)
+        assert calls == [text]
+        _ab, rest = parse_alphabet_header(text)
+        assert e == parse_expr(rest, ab)
 
 
 class TestParseFormula:
