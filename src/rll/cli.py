@@ -20,7 +20,8 @@ import sys
 from . import __version__, algebra, calculus, corpus
 from .closure import closure_with_priorities, export_dot, format_closure
 from .game import equiv_bounded, inclusion_bounded, member_game
-from .semantics import member_oracle, parse_lasso, print_lasso
+from .semantics import (lasso_normalize, member_oracle, parse_lasso,
+                        print_lasso)
 from .syntax import (Alphabet, RllError, parse_expr_file, parse_formula_file,
                      print_expr)
 
@@ -94,14 +95,15 @@ def cmd_apa_dot(args) -> int:
 def cmd_member(args) -> int:
     ab, e = _load(parse_expr_file, args.file, args)
     w = _lasso(args.lasso, ab)
+    # the game solves on the normal form, the oracle reads w as typed
     if args.via == "game":
-        res = member_game(e, w)
+        res = member_game(e, lasso_normalize(w))
         print("true" if res else "false")
     elif args.via == "oracle":
         res = member_oracle(e, w)
         print("true" if res else "false")
     else:
-        g = member_game(e, w)
+        g = member_game(e, lasso_normalize(w))
         o = member_oracle(e, w)
         if g != o:
             raise CliError(f"game and oracle disagree (game={g}, oracle={o})")

@@ -4,8 +4,9 @@ A lasso u(v) denotes the ultimately periodic word u v^omega. Its distinct
 tails are indexed by the positions 0..|u|+|v|-1, with the successor of the
 last position wrapping to |u|. Expression and formula semantics restricted to
 these tails are computed by Kleene iteration in the finite lattice of position
-sets; on a lattice of n positions every fixpoint converges within n+1 rounds,
-so the iterates realize the ordinal approximants exactly.
+sets, each set held as an integer bit mask with bit i for position i; on a
+lattice of n positions every fixpoint converges within n+1 rounds, so the
+iterates realize the ordinal approximants exactly.
 """
 
 from __future__ import annotations
@@ -169,24 +170,33 @@ def enumerate_lassos(alphabet: Alphabet, max_prefix: int,
 Env = Mapping[str, PositionSet]
 
 
+def _mask(positions: Iterable[int]) -> int:
+    """The bit mask of a set of positions: bit i set iff i is in it."""
+    return sum(1 << i for i in positions)
+
+
 def _kleene(term: Term, w: Lasso, env: Optional[Env],
-            local: Callable[[Term], Iterable[int]]) -> PositionSet:
+            local: Callable[[Term], int]) -> PositionSet:
     """Positions of w where the expression or formula ``term`` holds.
 
-    ``local`` gives what a node's own test admits: for a prefix node the
+    Position sets are bit masks: bit i stands for position i, so bottom is 0,
+    top is all n bits, and join and meet are ``|`` and ``&``. ``local`` gives
+    the mask of what a node's own test admits: for a prefix node the
     positions it may step from, for a literal the positions where it holds.
-    Fixpoints are computed by Kleene iteration: mu from the empty set, nu from
-    the full set of positions.
+    A prefix node's body mask is moved one position back, and the bit of the
+    period's first position also lands on the last position, whose successor
+    it is. Fixpoints are computed by Kleene iteration: mu from the empty set,
+    nu from the full set of positions.
     """
-    env = dict(env) if env else {}
-    missing = free_vars(term) - set(env)
+    n, start = w.length, len(w.prefix)
+    full, last = (1 << n) - 1, n - 1
+    masks = {v: _mask(s) & full for v, s in (env or {}).items()}
+    missing = free_vars(term) - set(masks)
     if missing:
         raise SemanticsError(f"unbound variables: {', '.join(sorted(missing))}")
-    full = frozenset(range(w.length))
-    succ = [w.succ(i) for i in range(w.length)]
     memo: dict = {}
 
-    def go(t: Term, env: dict[str, PositionSet]) -> PositionSet:
+    def go(t: Term, env: dict[str, int]) -> int:
         fv = free_vars(t)
         key = (t, frozenset((v, env[v]) for v in fv))
         hit = memo.get(key)
@@ -195,18 +205,18 @@ def _kleene(term: Term, w: Lasso, env: Optional[Env],
         if isinstance(t, VARS):
             res = env[t.name]
         elif isinstance(t, BOTTOMS):
-            res = frozenset()
+            res = 0
         elif isinstance(t, TOPS):
             res = full
         elif isinstance(t, PREFIXES):
             body = go(t.body, env)
-            res = frozenset(i for i in local(t) if succ[i] in body)
+            res = local(t) & ((body >> 1) | (((body >> start) & 1) << last))
         elif isinstance(t, JOINS):
             res = go(t.left, env) | go(t.right, env)
         elif isinstance(t, MEETS):
             res = go(t.left, env) & go(t.right, env)
         elif isinstance(t, BINDERS):
-            cur = frozenset() if isinstance(t, MUS) else full
+            cur = 0 if isinstance(t, MUS) else full
             while True:
                 nxt = go(t.body, {**env, t.var: cur})
                 if nxt == cur:
@@ -221,20 +231,23 @@ def _kleene(term: Term, w: Lasso, env: Optional[Env],
     # go refers to itself; unbinding it breaks that cycle, so its memo is
     # freed on return rather than by the cyclic collector
     try:
-        return go(term, env)
+        res = go(term, masks)
     finally:
         del go
+    return frozenset(i for i, bit in enumerate(reversed(bin(res)[2:]))
+                     if bit == "1")
 
 
 def eval_rll(e: Expr, w: Lasso, env: Optional[Env] = None) -> PositionSet:
     """Positions i such that the i-th tail of w lies in the language of e."""
-    with_letter: dict[str, list[int]] = {}
+    with_letter: dict[str, int] = {}
     for i in range(w.length):
-        with_letter.setdefault(w.letter_at(i), []).append(i)
+        letter = w.letter_at(i)
+        with_letter[letter] = with_letter.get(letter, 0) | 1 << i
 
-    def local(t: Term) -> Iterable[int]:
+    def local(t: Term) -> int:
         if isinstance(t, Act):
-            return with_letter.get(t.letter, ())
+            return with_letter.get(t.letter, 0)
         raise TypeError(f"not an expression: {t!r}")
 
     return _kleene(e, w, env, local)
@@ -255,13 +268,13 @@ def eval_multl(phi: MuLtlFormula, w: Lasso,
     n = w.length
     props_at = [w.alphabet.letter_props(w.letter_at(i)) for i in range(n)]
 
-    def local(t: Term) -> Iterable[int]:
+    def local(t: Term) -> int:
         if isinstance(t, Next):
-            return range(n)
+            return (1 << n) - 1
         if isinstance(t, Prop):
-            return frozenset(i for i in range(n) if t.name in props_at[i])
+            return _mask(i for i in range(n) if t.name in props_at[i])
         if isinstance(t, NegProp):
-            return frozenset(i for i in range(n) if t.name not in props_at[i])
+            return _mask(i for i in range(n) if t.name not in props_at[i])
         raise TypeError(f"not a formula: {t!r}")
 
     return _kleene(phi, w, env, local)

@@ -2,7 +2,7 @@
 the symbol-loop reference tokenizer, the recursive-descent reference
 parsers, the tree-substituting reference closure and its rescanning
 priorities, the set-based reference game and nesting-depth priorities, the
-derivation mutation machinery, and the CLI entry point that builds every
+frozenset reference evaluators, the derivation mutation machinery, and the CLI entry point that builds every
 subcommand's parser on every call."""
 
 from __future__ import annotations
@@ -19,14 +19,15 @@ from rll.calculus import Claim, Derivation, FormulaClaim, Step, bool_taut
 from rll.closure import (ClosureError, FlClosure, OccurrenceGraph,
                          occurrence_graph)
 from rll.game import (ABELARD, ELOISE, GameError, ParityGame, Solution)
-from rll.semantics import Lasso, enumerate_lassos
-from rll.syntax import (BOT, KEYWORDS, TOP, TT, ZERO, Act, Alphabet,
+from rll.semantics import Lasso, SemanticsError, enumerate_lassos
+from rll.syntax import (BINDERS, BOT, BOTTOMS, JOINS, KEYWORDS, MEETS, MUS,
+                        PREFIXES, TOP, TOPS, TT, VARS, ZERO, Act, Alphabet,
                         AlphabetError, And, Expr, FVar, Meet, Mu, MuF,
                         MuLtlFormula, NegProp, Next, Nu, NuF, Or, ParseError,
-                        Prop, Sum, Token, Top, Var, Zero, alpha_eq, alpha_key,
-                        free_vars, iff, implies, negate_formula, parse_expr,
-                        parse_formula, subexpressions, subset_letter_name,
-                        substitute, tokenize)
+                        Prop, Sum, Term, Token, Top, Var, Zero, alpha_eq,
+                        alpha_key, free_vars, iff, implies, negate_formula,
+                        parse_expr, parse_formula, subexpressions,
+                        subset_letter_name, substitute, tokenize)
 
 PROOF_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "proofs")
 
@@ -38,6 +39,18 @@ def proof_paths() -> list[str]:
 
 def desk_lassos(alphabet, max_prefix=2, max_period=2):
     return list(enumerate_lassos(alphabet, max_prefix, max_period))
+
+
+def spellings(w: Lasso) -> list[Lasso]:
+    """Other lassos for w's word: the period pumped into the prefix
+    (u v^k (v)), the period doubled (u (vv)), and the period rotated by
+    moving its first j letters into the prefix."""
+    u, v = w.prefix, w.period
+    out = [Lasso(u + v * k, v, w.alphabet) for k in (1, 2)]
+    out.append(Lasso(u, v * 2, w.alphabet))
+    out += [Lasso(u + v[:j], v[j:] + v[:j], w.alphabet)
+            for j in range(1, len(v) + 1)]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -572,6 +585,86 @@ def depth_priorities(graph: OccurrenceGraph) -> tuple[int, ...]:
     neutral = 2 * (max(depth.values()) + 1) if depth else 0
     return tuple(2 * depth[v] + (graph.kinds[v] == "mu") if v in depth
                  else neutral for v in range(len(graph.kinds)))
+
+
+# ---------------------------------------------------------------------------
+# Reference evaluators: Kleene iteration over frozensets of positions, which
+# the bit-mask evaluators replaced.
+# ---------------------------------------------------------------------------
+
+def _reference_kleene(term: Term, w: Lasso, env, local) -> frozenset:
+    env = dict(env) if env else {}
+    missing = free_vars(term) - set(env)
+    if missing:
+        raise SemanticsError(f"unbound variables: {', '.join(sorted(missing))}")
+    full = frozenset(range(w.length))
+    succ = [w.succ(i) for i in range(w.length)]
+    memo: dict = {}
+
+    def go(t: Term, env: dict) -> frozenset:
+        key = (t, frozenset((v, env[v]) for v in free_vars(t)))
+        hit = memo.get(key)
+        if hit is not None:
+            return hit
+        if isinstance(t, VARS):
+            res = env[t.name]
+        elif isinstance(t, BOTTOMS):
+            res = frozenset()
+        elif isinstance(t, TOPS):
+            res = full
+        elif isinstance(t, PREFIXES):
+            body = go(t.body, env)
+            res = frozenset(i for i in local(t) if succ[i] in body)
+        elif isinstance(t, JOINS):
+            res = go(t.left, env) | go(t.right, env)
+        elif isinstance(t, MEETS):
+            res = go(t.left, env) & go(t.right, env)
+        elif isinstance(t, BINDERS):
+            cur = frozenset() if isinstance(t, MUS) else full
+            while True:
+                nxt = go(t.body, {**env, t.var: cur})
+                if nxt == cur:
+                    break
+                cur = nxt
+            res = cur
+        else:
+            res = local(t)
+        memo[key] = res
+        return res
+
+    try:
+        return go(term, env)
+    finally:
+        del go
+
+
+def reference_eval_rll(e: Expr, w: Lasso, env=None) -> frozenset:
+    with_letter: dict[str, list[int]] = {}
+    for i in range(w.length):
+        with_letter.setdefault(w.letter_at(i), []).append(i)
+
+    def local(t):
+        if isinstance(t, Act):
+            return with_letter.get(t.letter, ())
+        raise TypeError(f"not an expression: {t!r}")
+
+    return _reference_kleene(e, w, env, local)
+
+
+def reference_eval_multl(phi: MuLtlFormula, w: Lasso, env=None) -> frozenset:
+    n = w.length
+    props_at = [w.alphabet.letter_props(w.letter_at(i)) for i in range(n)]
+
+    def local(t):
+        if isinstance(t, Next):
+            return range(n)
+        if isinstance(t, Prop):
+            return frozenset(i for i in range(n) if t.name in props_at[i])
+        if isinstance(t, NegProp):
+            return frozenset(i for i in range(n) if t.name not in props_at[i])
+        raise TypeError(f"not a formula: {t!r}")
+
+    return _reference_kleene(phi, w, env, local)
 
 
 # ---------------------------------------------------------------------------

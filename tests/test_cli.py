@@ -15,9 +15,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import rll
-from helpers import PROOF_DIR, reference_build_parser, reference_main
+from helpers import (PROOF_DIR, reference_build_parser, reference_main,
+                     spellings)
 from rll.cli import main, parse_args
-from rll.corpus import gen_expr
+from rll.corpus import gen_expr, gen_lasso
+from rll.game import member_game
+from rll.semantics import print_lasso
 from rll.syntax import Alphabet, print_expr
 
 IA = "alphabet a b ;\nnu X. mu Y. (a.X + b.Y)\n"
@@ -26,6 +29,7 @@ TOP = "alphabet a b ;\ntop\n"
 FB = "alphabet a b ;\nmu X. (b.X + a.X + a.(nu Y. a.Y))\n"
 BOTH = ("alphabet a b ;\n(nu X. mu Y. (a.X + b.Y)) & "
         "(mu X. (b.X + a.X + a.(nu Y. a.Y)))\n")
+AB = Alphabet.plain("a", "b")
 
 
 @pytest.fixture
@@ -66,6 +70,31 @@ class TestMember:
         assert code == 0 and out.strip() == "true"
         code, out, _ = run(capsys, ["oracle-member", files["fb"], "(ab)"])
         assert code == 1 and out.strip() == "false"
+
+    def test_spellings_agree(self, tmp_path, capsys):
+        """Every spelling of a word gets the game's verdict, and the game on
+        the normal form agrees with the oracle on the spelling as typed."""
+        rng = random.Random(41)
+        path = tmp_path / "e.rll"
+        for _ in range(40):
+            e = gen_expr(rng, AB, rng.randint(1, 12))
+            path.write_text(f"alphabet a b ;\n{print_expr(e)}\n")
+            w = gen_lasso(rng, AB, 3, 4)
+            want = member_game(e, w)
+            for s in [w] + spellings(w):
+                code, out, _ = run(capsys, ["member", str(path),
+                                            print_lasso(s)])
+                assert (code, out) == (0 if want else 1,
+                                       f"{str(want).lower()} (game=oracle)\n")
+
+    def test_oracle_reads_lasso_as_typed(self, files, capsys, monkeypatch):
+        def refuse(w):
+            raise AssertionError("the oracle normalised its lasso")
+
+        monkeypatch.setattr(rll.cli, "lasso_normalize", refuse)
+        code, out, _ = run(capsys, ["member", files["ia"], "ab(ab)",
+                                    "--via", "oracle"])
+        assert (code, out) == (0, "true\n")
 
     def test_bad_lasso_is_usage_error(self, files, capsys):
         code, _out, err = run(capsys, ["member", files["ia"], "(c)"])
@@ -235,6 +264,17 @@ class TestArenaCap:
         assert code == 2 and out == ""
         assert err.startswith("error: ") and "Traceback" not in err
         assert "2001 x 3071 slots" in err
+
+    def test_member_solves_the_normal_form(self, tmp_path, capsys):
+        """3001 letters as typed are over the cap; the normal form (b) is one
+        letter, so the game is solved."""
+        text = "nu X. a.X"
+        for _ in range(10):  # the 3071-node expression above
+            text = f"({text}) + ({text})"
+        path = tmp_path / "wide.rll"
+        path.write_text(f"alphabet a b ;\n{text}\n")
+        code, out, err = run(capsys, ["member", str(path), "b" * 3000 + "(b)"])
+        assert (code, out, err) == (1, "false (game=oracle)\n", "")
 
 
 class TestBoundedMemory:

@@ -4,16 +4,18 @@ import gc
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from helpers import (depth_priorities, desk_lassos, reference_build_arena,
-                     reference_solve_parity)
+                     reference_solve_parity, spellings)
 from rll import algebra
 from rll.closure import ClosureError, fl_closure, occurrence_graph
 from rll.corpus import agreement_pairs, gen_alphabet, gen_expr, gen_lasso
 from rll.game import (ABELARD, ELOISE, Counterexample, GameError, ParityGame,
                       build_arena, equiv_bounded, inclusion_bounded,
                       member_game, solve_parity)
-from rll.semantics import member_oracle, parse_lasso, print_lasso
+from rll.semantics import (lasso_normalize, member_oracle, parse_lasso,
+                           print_lasso)
 from rll.syntax import Alphabet, Mu, Nu, Sum, Var, expr_size, parse_expr
 
 AB = Alphabet.plain("a", "b")
@@ -331,6 +333,23 @@ class TestMemberGame:
         for e, w in agreement_pairs(2024, 400):
             assert member_game(e, w) == member_oracle(e, w), \
                 f"disagreement on {e} / {print_lasso(w)}"
+
+
+class TestNormalForm:
+    """The game gives one verdict for every spelling of a word, on the
+    spelling as typed and on its normal form."""
+
+    @given(st.integers(0, 10**9))
+    @settings(max_examples=500, deadline=None)
+    def test_spellings_agree(self, seed):
+        rng = random.Random(seed)
+        ab = gen_alphabet(rng)
+        e = gen_expr(rng, ab, rng.randint(1, 12))
+        w = gen_lasso(rng, ab, 3, 4)
+        want = member_game(e, w)
+        for s in spellings(w):
+            assert member_game(e, s) == want
+            assert member_game(e, lasso_normalize(s)) == want
 
 
 class TestGarbage:

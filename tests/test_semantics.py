@@ -2,12 +2,14 @@
 
 import gc
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rll.algebra import complement
-from rll.corpus import gen_expr, gen_lasso
+from helpers import reference_eval_multl, reference_eval_rll
+from rll.algebra import complement, to_multl
+from rll.corpus import agreement_pairs, gen_alphabet, gen_expr, gen_lasso
 from rll.semantics import (MAX_LASSOS, Lasso, SemanticsError,
                            enumerate_lassos, eval_multl, eval_rll,
                            lasso_normalize, member_oracle, models,
@@ -207,6 +209,48 @@ class TestSemanticLaws:
             for fix in (Mu("X", body), Nu("X", body)):
                 s = eval_rll(fix, w)
                 assert eval_rll(body, w, {"X": s}) == s
+
+
+class TestBitMasks:
+    """The bit-mask evaluators give the same position sets as the frozenset
+    ones they replaced (kept in ``helpers``)."""
+
+    @given(st.integers(0, 10**9))
+    @settings(max_examples=600, deadline=None)
+    def test_matches_frozenset_reference(self, seed):
+        rng = random.Random(seed)
+        kind, names = seed % 4, ()
+        evaluate, reference = eval_rll, reference_eval_rll
+        if kind == 0:  # the oracle-agreement corpus
+            term, w = next(agreement_pairs(seed, 1))
+        elif kind in (1, 2):  # long prefixes; open terms for kind 2
+            ab = gen_alphabet(rng)
+            names = ("X", "Y")[:rng.randint(1, 2)] if kind == 2 else ()
+            term = gen_expr(rng, ab, rng.randint(1, 14), bound=names)
+            w = gen_lasso(rng, ab, 40, 8)
+        else:  # muLTL formulas, open or closed, over a powerset alphabet
+            ab = Alphabet.powerset("P", "Q")
+            names = ("X", "Y")[:rng.randint(0, 2)]
+            term = to_multl(gen_expr(rng, ab, rng.randint(1, 12), names), ab)
+            w = gen_lasso(rng, ab, 20, 6)
+            evaluate, reference = eval_multl, reference_eval_multl
+        env = {v: frozenset(i for i in range(w.length) if rng.random() < 0.5)
+               for v in names}
+        got = evaluate(term, w, env)
+        assert type(got) is frozenset
+        assert got == reference(term, w, env)
+
+    def test_long_prefix(self):
+        """A 700-letter prefix before a 700-letter one-letter period: the
+        frozenset evaluator took 1.2-1.8 s here and 450 MB of memory."""
+        rng = random.Random(13)
+        ia = parse_expr("nu X. mu Y. (a.X + b.Y)", AB)
+        w = Lasso(tuple(rng.choice("ab") for _ in range(700)), ("b",) * 700,
+                  AB)
+        start = time.perf_counter()
+        got = eval_rll(complement(ia, AB), w)
+        assert time.perf_counter() - start < 1.0
+        assert got == frozenset(range(1400))
 
 
 class TestEvalMultl:
