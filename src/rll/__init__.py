@@ -12,7 +12,7 @@ from .semantics import (Lasso, enumerate_lassos, eval_multl, eval_rll,
                         print_lasso)
 from .game import (ParityGame, Solution, build_arena, equiv_bounded,
                    inclusion_bounded, member_game, solve_parity)
-from .algebra import binary_encoding, complement, encode_expr, to_multl, to_rll
+from .algebra import complement, to_multl, to_rll
 from .calculus import (Claim, Derivation, Verdict, bool_taut, check_multl,
                        check_rll, check_derivation, derivation_from_json,
                        derivation_to_json, derive_complement, load_proof_file)

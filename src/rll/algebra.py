@@ -1,136 +1,59 @@
-"""Syntactic complementation and the translations to and from muLTL.
-
-Complement is structural: letters dualize against the rest of the alphabet,
-sums against meets, mu against nu, variables are fixed. The translations to
-and from the linear-time mu-calculus require a powerset alphabet; sums over
-letters and conjunctions over propositions are taken in declared order and
-right-associated, so outputs print stably.
+"""Syntactic complementation and the translations to and from muLTL, each a
+table of constructors over ``syntax.rebuild`` (only the letter, literal and O
+cases are functions). Complement dualizes letters against the rest of the
+alphabet, sums against meets, mu against nu, and fixes variables. The
+translations to and from the linear-time mu-calculus require a powerset
+alphabet; sums over letters and conjunctions over propositions are taken in
+declared order and right-associated, so outputs print stably.
 """
 
 from __future__ import annotations
 
 from .syntax import (Act, Alphabet, AlphabetError, And, Bot, Expr, FVar, Meet,
                      Mu, MuF, MuLtlFormula, NegProp, Next, Nu, NuF, Or, Prop,
-                     Sum, Top, TopF, Var, Zero, ZERO, TOP, TT, BOT, and_of,
-                     subset_letter_name, sum_of)
+                     Sum, Top, TopF, Var, Zero, TOP, and_of, rebuild, sum_of)
 
 
 def complement(e: Expr, alphabet: Alphabet) -> Expr:
     """The complement expression e^c; on variables, X^c = X."""
-    if isinstance(e, Var):
-        return e
-    if isinstance(e, Zero):
-        return TOP
-    if isinstance(e, Top):
-        return ZERO
-    if isinstance(e, Act):
-        others = [Act(b, TOP) for b in alphabet.letters if b != e.letter]
-        return Sum(Act(e.letter, complement(e.body, alphabet)), sum_of(others))
-    if isinstance(e, Sum):
-        return Meet(complement(e.left, alphabet), complement(e.right, alphabet))
-    if isinstance(e, Meet):
-        return Sum(complement(e.left, alphabet), complement(e.right, alphabet))
-    if isinstance(e, Mu):
-        return Nu(e.var, complement(e.body, alphabet))
-    if isinstance(e, Nu):
-        return Mu(e.var, complement(e.body, alphabet))
-    raise TypeError(f"not an expression: {e!r}")
+    def act(letter: str, body: Expr) -> Expr:
+        others = [Act(b, TOP) for b in alphabet.letters if b != letter]
+        return Sum(Act(letter, body), sum_of(others))
+
+    return rebuild(e, {Var: Var, Zero: Top, Top: Zero, Act: act, Sum: Meet,
+                       Meet: Sum, Mu: Nu, Nu: Mu})
 
 
 def to_multl(e: Expr, alphabet: Alphabet) -> MuLtlFormula:
-    """The formula of an expression over a powerset alphabet.
-
-    A letter action becomes the conjunction of its positive and negated
-    propositions followed by O applied to the translated body.
-    """
+    """The formula of an expression over a powerset alphabet: a letter action
+    is the conjunction of its literals and O of the translated body."""
     if alphabet.props is None:
         raise AlphabetError("translation to muLTL needs a powerset alphabet")
-    if isinstance(e, Var):
-        return FVar(e.name)
-    if isinstance(e, Zero):
-        return MuF("X", FVar("X"))
-    if isinstance(e, Top):
-        return NuF("X", FVar("X"))
-    if isinstance(e, Act):
-        present = alphabet.letter_props(e.letter)
-        literals: list[MuLtlFormula] = [
-            Prop(p) if p in present else NegProp(p) for p in alphabet.props]
-        return and_of(literals + [Next(to_multl(e.body, alphabet))])
-    if isinstance(e, Sum):
-        return Or(to_multl(e.left, alphabet), to_multl(e.right, alphabet))
-    if isinstance(e, Meet):
-        return And(to_multl(e.left, alphabet), to_multl(e.right, alphabet))
-    if isinstance(e, Mu):
-        return MuF(e.var, to_multl(e.body, alphabet))
-    if isinstance(e, Nu):
-        return NuF(e.var, to_multl(e.body, alphabet))
-    raise TypeError(f"not an expression: {e!r}")
+
+    def act(letter: str, body: MuLtlFormula) -> MuLtlFormula:
+        present = alphabet.letter_props(letter)
+        return and_of([Prop(p) if p in present else NegProp(p)
+                       for p in alphabet.props] + [Next(body)])
+
+    return rebuild(e, {Var: FVar, Zero: lambda: MuF("X", FVar("X")),
+                       Top: lambda: NuF("X", FVar("X")), Act: act, Sum: Or,
+                       Meet: And, Mu: MuF, Nu: NuF})
 
 
 def to_rll(phi: MuLtlFormula, alphabet: Alphabet) -> Expr:
-    """The expression of a formula over a powerset alphabet.
-
-    Literals become sums of letter actions into top; O becomes the sum over
-    all letters.
-    """
+    """The expression of a formula over a powerset alphabet: a literal is the
+    sum of its letters' actions into top, O the sum over all letters."""
     if alphabet.props is None:
         raise AlphabetError("translation from muLTL needs a powerset alphabet")
-    if isinstance(phi, Bot):
-        return ZERO
-    if isinstance(phi, TopF):
-        return TOP
-    if isinstance(phi, Prop):
-        return sum_of([Act(a, TOP) for a in alphabet.letters
-                       if phi.name in alphabet.letter_props(a)])
-    if isinstance(phi, NegProp):
-        return sum_of([Act(a, TOP) for a in alphabet.letters
-                       if phi.name not in alphabet.letter_props(a)])
-    if isinstance(phi, FVar):
-        return Var(phi.name)
-    if isinstance(phi, Or):
-        return Sum(to_rll(phi.left, alphabet), to_rll(phi.right, alphabet))
-    if isinstance(phi, And):
-        return Meet(to_rll(phi.left, alphabet), to_rll(phi.right, alphabet))
-    if isinstance(phi, Next):
-        body = to_rll(phi.body, alphabet)
-        return sum_of([Act(a, body) for a in alphabet.letters])
-    if isinstance(phi, MuF):
-        return Mu(phi.var, to_rll(phi.body, alphabet))
-    if isinstance(phi, NuF):
-        return Nu(phi.var, to_rll(phi.body, alphabet))
-    raise TypeError(f"not a formula: {phi!r}")
+    letters = alphabet.letters
 
+    def literal(holds: bool):
+        return lambda name: sum_of([
+            Act(a, TOP) for a in letters
+            if (name in alphabet.letter_props(a)) is holds])
 
-def binary_encoding(alphabet: Alphabet) -> tuple[Alphabet, dict[str, str]]:
-    """Encode an n-letter plain alphabet into the powerset alphabet over
-    ceil(log2 n) propositions, letter i mapped to the subset with bitmask i.
-
-    Round-trip properties need the encoding to be onto the powerset, so n must
-    be a power of two.
-    """
-    n = len(alphabet.letters)
-    if n & (n - 1) != 0:
-        raise AlphabetError("binary encoding needs a power-of-two alphabet")
-    k = n.bit_length() - 1
-    props = tuple(f"B{i}" for i in range(k))
-    target = Alphabet.powerset(*props)
-    mapping = {}
-    for i, letter in enumerate(alphabet.letters):
-        subset = tuple(p for j, p in enumerate(props) if i >> j & 1)
-        mapping[letter] = subset_letter_name(subset)
-    return target, mapping
-
-
-def encode_expr(e: Expr, mapping: dict[str, str]) -> Expr:
-    """Rename every letter action along a letter mapping."""
-    if isinstance(e, Act):
-        return Act(mapping[e.letter], encode_expr(e.body, mapping))
-    if isinstance(e, Sum):
-        return Sum(encode_expr(e.left, mapping), encode_expr(e.right, mapping))
-    if isinstance(e, Meet):
-        return Meet(encode_expr(e.left, mapping), encode_expr(e.right, mapping))
-    if isinstance(e, Mu):
-        return Mu(e.var, encode_expr(e.body, mapping))
-    if isinstance(e, Nu):
-        return Nu(e.var, encode_expr(e.body, mapping))
-    return e
+    return rebuild(phi, {Bot: Zero, TopF: Top, Prop: literal(True),
+                         NegProp: literal(False), FVar: Var, Or: Sum,
+                         And: Meet, MuF: Mu, NuF: Nu,
+                         Next: lambda body: sum_of([Act(a, body)
+                                                    for a in letters])})

@@ -29,10 +29,11 @@ occurrences finds them all without unfolding a binder. Members are compared
 by interned keys in de Bruijn's style: a variable bound inside the occurrence
 is its index, one bound outside is its binder's member key. A member's
 subterms are the keys reachable from its key. Member expressions are built
-only to be listed. ``export_dot`` draws the closure as an alternating
-automaton: members are states, act edges are letter transitions, the other
-edges epsilon transitions; top and meet members are universal (boxes), the
-others existential (diamonds).
+only to be listed, and a listing whose members could print over MAX_LISTING
+characters is refused before any is printed. ``export_dot`` draws the
+closure as an alternating automaton: members are states, act edges are
+letter transitions, the other edges epsilon transitions; top and meet
+members are universal (boxes), the others existential (diamonds).
 
 Closure priorities pick the Kahn topological order r of the subformula order
 on members (discovery-order tie-breaks), and set priority 2r+1 on
@@ -260,8 +261,31 @@ def closure_with_priorities(e: Expr, alphabet: Alphabet) -> FlClosure:
     return assign_priorities(fl_closure(e, alphabet))
 
 
+MAX_LISTING = 2**24  # characters the root and members of a listing may take
+
+
+def _printed(t: Expr, memo: dict[int, int]) -> int:
+    """An upper bound on len(print_expr(t)): per node, its name and 7 more
+    characters. Memoised on node identity, since members share subtrees."""
+    if id(t) not in memo:
+        memo[id(t)] = 7
+        for f in t.__dataclass_fields__:  # a name or a part
+            x = getattr(t, f)
+            memo[id(t)] += len(x) if isinstance(x, str) else _printed(x, memo)
+    return memo[id(t)]
+
+
+def _check_listing(c: FlClosure):
+    memo: dict[int, int] = {}
+    size = sum(_printed(t, memo) for t in (c.root, *c.members))
+    if size > MAX_LISTING:
+        raise ClosureError(f"the listing may take {size} characters, over "
+                           f"the cap of {MAX_LISTING}")
+
+
 def format_closure(c: FlClosure) -> str:
     """Stable line-oriented listing of members, edges and priorities."""
+    _check_listing(c)
     lines = [f"root: {print_expr(c.root)}", "members:"]
     prio = c.priority or ()
     for i, m in enumerate(c.members):
@@ -278,6 +302,7 @@ def export_dot(c: FlClosure) -> str:
     assigned. Top and meet members are universal (boxes), the others
     existential (diamonds); act edges are labelled letter transitions, the
     other edges epsilon transitions. Output follows member and edge order."""
+    _check_listing(c)
     lines = ["digraph apa {", "  rankdir=LR;"]
     for i, m in enumerate(c.members):
         shape = "box" if isinstance(m, (Top, Meet)) else "diamond"

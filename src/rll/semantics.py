@@ -194,11 +194,10 @@ def _kleene(term: Term, w: Lasso, env: Optional[Env],
     missing = free_vars(term) - set(masks)
     if missing:
         raise SemanticsError(f"unbound variables: {', '.join(sorted(missing))}")
-    memo: dict = {}
+    memo: dict = {}  # keyed on id(t), as hashing a term walks all of it
 
     def go(t: Term, env: dict[str, int]) -> int:
-        fv = free_vars(t)
-        key = (t, frozenset((v, env[v]) for v in fv))
+        key = (id(t), frozenset((v, env[v]) for v in free_vars(t)))
         hit = memo.get(key)
         if hit is not None:
             return hit

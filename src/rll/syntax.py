@@ -4,10 +4,11 @@ Everything here is immutable and pure: expressions and formulas are frozen
 dataclasses that memoise only their free variables and alpha key, operations
 return fresh values, and comparison up to renaming goes through
 ``alpha_key``. Expressions and formulas are binder terms of one shape, so
-free variables, substitution, alpha keys, size, printing and parsing are
-written once and serve both. The parser is one grammar frame (binders, then
-infix operators by precedence, then operands); a syntax differs only in its
-table of infix operators and in its prefix/atom level.
+free variables, substitution, alpha keys, size, printing, parsing and
+constructor maps (``rebuild``) are written once and serve both. The parser
+is one grammar frame (binders, then infix operators by precedence, then
+operands); a syntax differs only in its table of infix operators and in its
+prefix/atom level.
 """
 
 from __future__ import annotations
@@ -259,27 +260,11 @@ def and_of(parts: list[MuLtlFormula]) -> MuLtlFormula:
 
 def negate_formula(phi: MuLtlFormula) -> MuLtlFormula:
     """De Morgan dual with self-dual O; an involution, total on open formulas."""
-    if isinstance(phi, Bot):
-        return TT
-    if isinstance(phi, TopF):
-        return BOT
-    if isinstance(phi, Prop):
-        return NegProp(phi.name)
-    if isinstance(phi, NegProp):
-        return Prop(phi.name)
-    if isinstance(phi, FVar):
-        return phi
-    if isinstance(phi, Or):
-        return And(negate_formula(phi.left), negate_formula(phi.right))
-    if isinstance(phi, And):
-        return Or(negate_formula(phi.left), negate_formula(phi.right))
-    if isinstance(phi, Next):
-        return Next(negate_formula(phi.body))
-    if isinstance(phi, MuF):
-        return NuF(phi.var, negate_formula(phi.body))
-    if isinstance(phi, NuF):
-        return MuF(phi.var, negate_formula(phi.body))
-    raise TypeError(f"not a formula: {phi!r}")
+    return rebuild(phi, _DUAL)
+
+
+_DUAL = {Bot: TopF, TopF: Bot, Prop: NegProp, NegProp: Prop, FVar: FVar,
+         Or: And, And: Or, Next: Next, MuF: NuF, NuF: MuF}
 
 
 def implies(a: MuLtlFormula, b: MuLtlFormula) -> MuLtlFormula:
@@ -298,7 +283,9 @@ def iff(a: MuLtlFormula, b: MuLtlFormula) -> MuLtlFormula:
 # Expressions and formulas are binder terms of one shape: variables, mu/nu
 # binders, a join, a meet, a bottom, a top and one prefix operator (a.e or
 # O phi); formulas add literals as leaves. The operations below branch on a
-# node's shape, never on its family.
+# node's shape, never on its family. Negation, complement and the muLTL
+# translations send each constructor to a constructor, so each is a table
+# of images over ``rebuild``.
 
 Term = Union[Expr, MuLtlFormula]
 
@@ -399,6 +386,24 @@ def substitute(t: Term, var: str, replacement: Term) -> Term:
             return cls(new, substitute(body, var, replacement))
         return cls(t.var, substitute(t.body, var, replacement))
     return t
+
+
+def rebuild(t: Term, image: dict) -> Term:
+    """The image of t under a constructor map: each node ``C(x, ...)``
+    becomes ``image[C](x, ...)``, fields in declaration order and subterms
+    rebuilt first. A node whose type has no image is a TypeError."""
+    make = image.get(type(t))
+    if make is None:
+        raise TypeError(f"no image for {t!r}")
+    if isinstance(t, LATTICE):
+        return make(rebuild(t.left, image), rebuild(t.right, image))
+    if isinstance(t, Act):
+        return make(t.letter, rebuild(t.body, image))
+    if isinstance(t, BINDERS):
+        return make(t.var, rebuild(t.body, image))
+    if isinstance(t, Next):
+        return make(rebuild(t.body, image))
+    return make(t.name) if isinstance(t, (VARS, Prop, NegProp)) else make()
 
 
 @_memo_on_node

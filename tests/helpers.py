@@ -2,7 +2,8 @@
 the symbol-loop reference tokenizer, the recursive-descent reference
 parsers, the tree-substituting reference closure and its rescanning
 priorities, the set-based reference game and nesting-depth priorities, the
-frozenset reference evaluators, the derivation mutation machinery, and the CLI entry point that builds every
+frozenset reference evaluators, the isinstance-walk reference translations,
+the derivation mutation machinery, and the CLI entry point that builds every
 subcommand's parser on every call."""
 
 from __future__ import annotations
@@ -22,12 +23,13 @@ from rll.game import (ABELARD, ELOISE, GameError, ParityGame, Solution)
 from rll.semantics import Lasso, SemanticsError, enumerate_lassos
 from rll.syntax import (BINDERS, BOT, BOTTOMS, JOINS, KEYWORDS, MEETS, MUS,
                         PREFIXES, TOP, TOPS, TT, VARS, ZERO, Act, Alphabet,
-                        AlphabetError, And, Expr, FVar, Meet, Mu, MuF,
+                        AlphabetError, And, Bot, Expr, FVar, Meet, Mu, MuF,
                         MuLtlFormula, NegProp, Next, Nu, NuF, Or, ParseError,
-                        Prop, Sum, Term, Token, Top, Var, Zero, alpha_eq,
-                        alpha_key, free_vars, iff, implies, negate_formula,
-                        parse_expr, parse_formula, subexpressions,
-                        subset_letter_name, substitute, tokenize)
+                        Prop, Sum, Term, Token, Top, TopF, Var, Zero, alpha_eq,
+                        alpha_key, and_of, free_vars, iff, implies,
+                        negate_formula, parse_expr, parse_formula,
+                        subexpressions, subset_letter_name, substitute,
+                        sum_of, tokenize)
 
 PROOF_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "proofs")
 
@@ -665,6 +667,119 @@ def reference_eval_multl(phi: MuLtlFormula, w: Lasso, env=None) -> frozenset:
         raise TypeError(f"not a formula: {t!r}")
 
     return _reference_kleene(phi, w, env, local)
+
+
+# ---------------------------------------------------------------------------
+# Reference translations: one isinstance walk per map, which the constructor
+# tables over syntax.rebuild replaced.
+# ---------------------------------------------------------------------------
+
+def reference_complement(e: Expr, alphabet: Alphabet) -> Expr:
+    if isinstance(e, Var):
+        return e
+    if isinstance(e, Zero):
+        return TOP
+    if isinstance(e, Top):
+        return ZERO
+    if isinstance(e, Act):
+        others = [Act(b, TOP) for b in alphabet.letters if b != e.letter]
+        return Sum(Act(e.letter, reference_complement(e.body, alphabet)),
+                   sum_of(others))
+    if isinstance(e, Sum):
+        return Meet(reference_complement(e.left, alphabet),
+                    reference_complement(e.right, alphabet))
+    if isinstance(e, Meet):
+        return Sum(reference_complement(e.left, alphabet),
+                   reference_complement(e.right, alphabet))
+    if isinstance(e, Mu):
+        return Nu(e.var, reference_complement(e.body, alphabet))
+    if isinstance(e, Nu):
+        return Mu(e.var, reference_complement(e.body, alphabet))
+    raise TypeError(f"not an expression: {e!r}")
+
+
+def reference_to_multl(e: Expr, alphabet: Alphabet) -> MuLtlFormula:
+    if alphabet.props is None:
+        raise AlphabetError("translation to muLTL needs a powerset alphabet")
+    if isinstance(e, Var):
+        return FVar(e.name)
+    if isinstance(e, Zero):
+        return MuF("X", FVar("X"))
+    if isinstance(e, Top):
+        return NuF("X", FVar("X"))
+    if isinstance(e, Act):
+        present = alphabet.letter_props(e.letter)
+        literals: list[MuLtlFormula] = [
+            Prop(p) if p in present else NegProp(p) for p in alphabet.props]
+        return and_of(literals + [Next(reference_to_multl(e.body, alphabet))])
+    if isinstance(e, Sum):
+        return Or(reference_to_multl(e.left, alphabet),
+                  reference_to_multl(e.right, alphabet))
+    if isinstance(e, Meet):
+        return And(reference_to_multl(e.left, alphabet),
+                   reference_to_multl(e.right, alphabet))
+    if isinstance(e, Mu):
+        return MuF(e.var, reference_to_multl(e.body, alphabet))
+    if isinstance(e, Nu):
+        return NuF(e.var, reference_to_multl(e.body, alphabet))
+    raise TypeError(f"not an expression: {e!r}")
+
+
+def reference_to_rll(phi: MuLtlFormula, alphabet: Alphabet) -> Expr:
+    if alphabet.props is None:
+        raise AlphabetError("translation from muLTL needs a powerset alphabet")
+    if isinstance(phi, Bot):
+        return ZERO
+    if isinstance(phi, TopF):
+        return TOP
+    if isinstance(phi, Prop):
+        return sum_of([Act(a, TOP) for a in alphabet.letters
+                       if phi.name in alphabet.letter_props(a)])
+    if isinstance(phi, NegProp):
+        return sum_of([Act(a, TOP) for a in alphabet.letters
+                       if phi.name not in alphabet.letter_props(a)])
+    if isinstance(phi, FVar):
+        return Var(phi.name)
+    if isinstance(phi, Or):
+        return Sum(reference_to_rll(phi.left, alphabet),
+                   reference_to_rll(phi.right, alphabet))
+    if isinstance(phi, And):
+        return Meet(reference_to_rll(phi.left, alphabet),
+                    reference_to_rll(phi.right, alphabet))
+    if isinstance(phi, Next):
+        body = reference_to_rll(phi.body, alphabet)
+        return sum_of([Act(a, body) for a in alphabet.letters])
+    if isinstance(phi, MuF):
+        return Mu(phi.var, reference_to_rll(phi.body, alphabet))
+    if isinstance(phi, NuF):
+        return Nu(phi.var, reference_to_rll(phi.body, alphabet))
+    raise TypeError(f"not a formula: {phi!r}")
+
+
+def reference_negate_formula(phi: MuLtlFormula) -> MuLtlFormula:
+    if isinstance(phi, Bot):
+        return TT
+    if isinstance(phi, TopF):
+        return BOT
+    if isinstance(phi, Prop):
+        return NegProp(phi.name)
+    if isinstance(phi, NegProp):
+        return Prop(phi.name)
+    if isinstance(phi, FVar):
+        return phi
+    if isinstance(phi, Or):
+        return And(reference_negate_formula(phi.left),
+                   reference_negate_formula(phi.right))
+    if isinstance(phi, And):
+        return Or(reference_negate_formula(phi.left),
+                  reference_negate_formula(phi.right))
+    if isinstance(phi, Next):
+        return Next(reference_negate_formula(phi.body))
+    if isinstance(phi, MuF):
+        return NuF(phi.var, reference_negate_formula(phi.body))
+    if isinstance(phi, NuF):
+        return MuF(phi.var, reference_negate_formula(phi.body))
+    raise TypeError(f"not a formula: {phi!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -4,13 +4,16 @@ import random
 
 import pytest
 
+from helpers import (reference_complement, reference_negate_formula,
+                     reference_to_multl, reference_to_rll)
 from rll import algebra
-from rll.corpus import agreement_pairs, gen_expr, gen_lasso
+from rll.corpus import agreement_pairs, gen_expr
 from rll.game import member_game
 from rll.semantics import member_oracle, models, parse_lasso
 from rll.syntax import (Act, Alphabet, AlphabetError, And, FVar, Meet, Mu,
                         MuF, NegProp, Next, Nu, NuF, Or, Prop, Sum, TOP, Top,
-                        Var, ZERO, alpha_eq, parse_expr, parse_formula)
+                        Var, ZERO, alpha_eq, negate_formula, parse_expr,
+                        parse_formula)
 
 AB = Alphabet.plain("a", "b")
 P1 = Alphabet.powerset("P")
@@ -126,24 +129,64 @@ class TestTranslationLaws:
                 assert member_oracle(rt, w) == member_oracle(e, w)
 
 
-class TestBinaryEncoding:
-    def test_two_letters(self):
-        target, mapping = algebra.binary_encoding(AB)
-        assert target.props == ("B0",)
-        assert mapping == {"a": "{}", "b": "{B0}"}
+def formula_text(rng: random.Random, size: int, bound: tuple = ()) -> str:
+    """A random formula text over {P,Q} that uses !, -> and <->."""
+    if size <= 1:
+        return rng.choice(["P", "Q", "~P", "~Q", "ff", "tt", *bound * 2])
+    pick = rng.choice(["!", "O", "mu", "nu"] + ["|", "&", "->", "<->"] *
+                      (size >= 3))
+    if pick in ("!", "O"):
+        return f"{pick} ({formula_text(rng, size - 1, bound)})"
+    if pick in ("mu", "nu"):
+        var = f"Z{len(bound)}"
+        return f"{pick} {var}. {formula_text(rng, size - 1, bound + (var,))}"
+    left = rng.randint(1, size - 2)
+    return (f"({formula_text(rng, left, bound)}) {pick} "
+            f"({formula_text(rng, size - 1 - left, bound)})")
 
-    def test_non_power_of_two_rejected(self):
-        with pytest.raises(AlphabetError):
-            algebra.binary_encoding(Alphabet.plain("a", "b", "c"))
 
-    def test_encoding_preserves_membership(self):
-        rng = random.Random(10)
-        target, mapping = algebra.binary_encoding(AB)
-        for _ in range(60):
-            e = gen_expr(rng, AB, rng.randint(1, 9))
-            w = gen_lasso(rng, AB, 2, 3)
-            ew = algebra.encode_expr(e, mapping)
-            from rll.semantics import Lasso
-            ww = Lasso(tuple(mapping[x] for x in w.prefix),
-                       tuple(mapping[x] for x in w.period), target)
-            assert member_oracle(e, w) == member_oracle(ew, ww)
+class TestMatchesReference:
+    """Each constructor map over rebuild against the isinstance walk it
+    replaced, compared by ==."""
+
+    def test_complement(self):
+        rng = random.Random(131)
+        for ab in (AB, Alphabet.plain("a", "b", "c"), PQ):
+            for _ in range(300):
+                bound = rng.choice([(), ("X0", "X1")])
+                e = gen_expr(rng, ab, rng.randint(1, 40), bound)
+                assert algebra.complement(e, ab) == reference_complement(e, ab)
+
+    def test_translations_and_negation(self):
+        rng = random.Random(132)
+        for ab in (P1, PQ):
+            for _ in range(300):
+                bound = rng.choice([(), ("X0", "X1")])
+                e = gen_expr(rng, ab, rng.randint(1, 10), bound)
+                phi = algebra.to_multl(e, ab)
+                assert phi == reference_to_multl(e, ab)
+                assert algebra.to_rll(phi, ab) == reference_to_rll(phi, ab)
+                assert negate_formula(phi) == reference_negate_formula(phi)
+
+    def test_parsed_formulas(self):
+        rng = random.Random(133)
+        for _ in range(300):
+            text = formula_text(rng, rng.randint(1, 10),
+                                rng.choice([(), ("Y",)]))
+            phi = parse_formula(text, PQ)
+            assert negate_formula(phi) == reference_negate_formula(phi)
+            assert algebra.to_rll(phi, PQ) == reference_to_rll(phi, PQ)
+
+    def test_other_family_is_type_error(self):
+        e = parse_expr("mu X. ({P}.X + top)", PQ)
+        phi = parse_formula("nu Z. (P & O Z)", PQ)
+        for fn in (algebra.complement, reference_complement, algebra.to_multl,
+                   reference_to_multl):
+            with pytest.raises(TypeError):
+                fn(phi, PQ)
+        for fn in (algebra.to_rll, reference_to_rll):
+            with pytest.raises(TypeError):
+                fn(e, PQ)
+        for fn in (negate_formula, reference_negate_formula):
+            with pytest.raises(TypeError):
+                fn(e)

@@ -277,6 +277,28 @@ class TestArenaCap:
         assert (code, out, err) == (1, "false (game=oracle)\n", "")
 
 
+class TestListingCap:
+    """A closure listing whose root and members may print over
+    ``closure.MAX_LISTING`` characters is refused before any is printed."""
+
+    @pytest.mark.parametrize("command", ["closure", "apa-dot"])
+    def test_exponential_listing_exits_two(self, tmp_path, capsys, command):
+        # the 2nd draw: 144 members of 50,699,265 nodes in all, which would
+        # print 248 MB; the closure itself takes milliseconds
+        ab = Alphabet.plain("a", "b", "c")
+        rng = random.Random(200)
+        gen_expr(rng, ab, 200)
+        path = tmp_path / "wide.rll"
+        text = print_expr(gen_expr(rng, ab, 200))
+        path.write_text(f"{ab.header()}\n{text}\n")
+        start = time.perf_counter()
+        code, out, err = run(capsys, [command, str(path)])
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert "over the cap of 16777216" in err
+
+
 class TestBoundedMemory:
     """In-process queries leave nothing behind: term facts live on the
     terms, not in module-level caches."""

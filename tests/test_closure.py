@@ -8,11 +8,12 @@ import pytest
 
 from helpers import fl_successors, reference_closure, reference_priorities
 from rll import algebra
-from rll.closure import (ClosureError, assign_priorities, export_dot,
-                         fl_closure, closure_with_priorities, format_closure)
+from rll.closure import (ClosureError, _printed, assign_priorities,
+                         export_dot, fl_closure, closure_with_priorities,
+                         format_closure)
 from rll.corpus import gen_alphabet, gen_expr
 from rll.syntax import (Act, Alphabet, Mu, Nu, Sum, Var, ZERO, alpha_eq,
-                        alpha_key, expr_size, parse_expr)
+                        alpha_key, expr_size, parse_expr, print_expr)
 
 AB = Alphabet.plain("a", "b")
 ABC = Alphabet.plain("a", "b", "c")
@@ -165,6 +166,18 @@ class TestScaling:
         start = time.perf_counter()
         closure_with_priorities(e, ABC)
         assert time.perf_counter() - start < 1.0
+
+
+class TestListingBound:
+    def test_bound_covers_every_printed_member(self):
+        """The listing cap reads a bound that no member's text exceeds."""
+        rng = random.Random(17)
+        for _ in range(80):
+            ab = gen_alphabet(rng)
+            c = fl_closure(gen_expr(rng, ab, rng.randint(1, 40)), ab)
+            memo: dict = {}
+            for t in (c.root, *c.members):
+                assert len(print_expr(t)) <= _printed(t, memo)
 
 
 class TestGarbage:
