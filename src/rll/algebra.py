@@ -35,8 +35,11 @@ def to_multl(e: Expr, alphabet: Alphabet) -> MuLtlFormula:
         return and_of([Prop(p) if p in present else NegProp(p)
                        for p in alphabet.props] + [Next(body)])
 
-    return rebuild(e, {Var: FVar, Zero: lambda: MuF("X", FVar("X")),
-                       Top: lambda: NuF("X", FVar("X")), Act: act, Sum: Or,
+    x, i = "X", 0  # 0 and top bind a variable no proposition is named
+    while x in alphabet.props:
+        x, i = f"X{i}", i + 1
+    return rebuild(e, {Var: FVar, Zero: lambda: MuF(x, FVar(x)),
+                       Top: lambda: NuF(x, FVar(x)), Act: act, Sum: Or,
                        Meet: And, Mu: MuF, Nu: NuF})
 
 

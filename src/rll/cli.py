@@ -18,7 +18,8 @@ import argparse
 import sys
 
 from . import __version__, algebra, calculus, corpus
-from .closure import closure_with_priorities, export_dot, format_closure
+from .closure import (check_printed, closure_with_priorities, export_dot,
+                      format_closure)
 from .game import equiv_bounded, inclusion_bounded, member_game
 from .semantics import (lasso_normalize, member_oracle, parse_lasso,
                         print_lasso)
@@ -128,8 +129,10 @@ def cmd_translate(args) -> int:
         print(print_expr(algebra.to_multl(e, ab)))
     else:
         ab, phi = _load(parse_formula_file, args.file, args)
+        e = algebra.to_rll(phi, ab)  # O's body, shared, prints once a letter
+        check_printed("translation", (e,))
         print(ab.header())
-        print(print_expr(algebra.to_rll(phi, ab)))
+        print(print_expr(e))
     return 0
 
 

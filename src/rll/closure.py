@@ -30,10 +30,11 @@ by interned keys in de Bruijn's style: a variable bound inside the occurrence
 is its index, one bound outside is its binder's member key. A member's
 subterms are the keys reachable from its key. Member expressions are built
 only to be listed, and a listing whose members could print over MAX_LISTING
-characters is refused before any is printed. ``export_dot`` draws the
-closure as an alternating automaton: members are states, act edges are
-letter transitions, the other edges epsilon transitions; top and meet
-members are universal (boxes), the others existential (diamonds).
+characters is refused before any is printed (``check_printed``, which
+bounds any terms' printed size). ``export_dot`` draws the closure as an
+alternating automaton: members are states, act edges are letter
+transitions, the other edges epsilon transitions; top and meet members are
+universal (boxes), the others existential (diamonds).
 
 Closure priorities pick the Kahn topological order r of the subformula order
 on members (discovery-order tie-breaks), and set priority 2r+1 on
@@ -49,7 +50,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, replace
-from typing import NamedTuple, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .syntax import (Act, Alphabet, Expr, Meet, Mu, Nu, RllError, Sum, Top,
                      Var, Zero, print_expr)
@@ -275,17 +276,19 @@ def _printed(t: Expr, memo: dict[int, int]) -> int:
     return memo[id(t)]
 
 
-def _check_listing(c: FlClosure):
+def check_printed(what: str, terms: Iterable[Expr]):
+    """Refuse, with a ClosureError, terms whose printed forms may take over
+    MAX_LISTING characters in all, before any is printed."""
     memo: dict[int, int] = {}
-    size = sum(_printed(t, memo) for t in (c.root, *c.members))
+    size = sum(_printed(t, memo) for t in terms)
     if size > MAX_LISTING:
-        raise ClosureError(f"the listing may take {size} characters, over "
+        raise ClosureError(f"the {what} may take {size} characters, over "
                            f"the cap of {MAX_LISTING}")
 
 
 def format_closure(c: FlClosure) -> str:
     """Stable line-oriented listing of members, edges and priorities."""
-    _check_listing(c)
+    check_printed("listing", (c.root, *c.members))
     lines = [f"root: {print_expr(c.root)}", "members:"]
     prio = c.priority or ()
     for i, m in enumerate(c.members):
@@ -302,7 +305,7 @@ def export_dot(c: FlClosure) -> str:
     assigned. Top and meet members are universal (boxes), the others
     existential (diamonds); act edges are labelled letter transitions, the
     other edges epsilon transitions. Output follows member and edge order."""
-    _check_listing(c)
+    check_printed("listing", (c.root, *c.members))
     lines = ["digraph apa {", "  rankdir=LR;"]
     for i, m in enumerate(c.members):
         shape = "box" if isinstance(m, (Top, Meet)) else "diamond"

@@ -1,18 +1,23 @@
 """The evaluation game: arena construction, a recursive parity solver with
 positional strategies, game-based membership, and bounded search.
 
-Positions pair a lasso position with a node of the expression's occurrence
-graph (see ``closure.py``). Moves follow the node's successors: letter
-actions consume the matching letter (a mismatch deadlocks, owned by Eloise),
-sums branch for Eloise, meets for Abelard, binders step to their body and
-variables jump back to their binder silently, and the constants 0 / top
-deadlock for Eloise / Abelard respectively. A deadlocked player loses; an
-infinite play is won by Eloise iff the minimum priority seen infinitely
-often is even, that is iff the outermost binder passed infinitely often is
-a nu.
+Positions pair a vertex of a word graph with a node of the expression's
+occurrence graph (see ``closure.py``). A word graph gives each vertex one
+letter and one successor, so every vertex reads one ultimately periodic
+word; a lasso is the case whose vertices are its positions 0..n-1, with its
+successor map and root 0. Moves follow the node's successors: letter
+actions consume the vertex's letter and step to its successor (a mismatch
+deadlocks, owned by Eloise), sums branch for Eloise, meets for Abelard,
+binders step to their body and variables jump back to their binder
+silently, and the constants 0 / top deadlock for Eloise / Abelard
+respectively. A deadlocked player loses; an infinite play is won by Eloise
+iff the minimum priority seen infinitely often is even, that is iff the
+outermost binder passed infinitely often is a nu. The arena starts from
+every root at once, root k's start being position k, so one solve decides
+the word of every root.
 
 Both halves work on flat integer arrays. The arena grows two parallel lists
-(lasso position, graph node) breadth-first and finds a pair's position in a
+(word vertex, graph node) breadth-first and finds a pair's position in a
 flat list indexed by ``i * nodes + v``, which ``MAX_ARENA`` caps. The solver
 is Zielonka's recursive attractor decomposition: the subgame is a bytearray,
 an attractor is a list queue that counts an opponent position's live moves
@@ -21,12 +26,24 @@ is settled, gives both strategies at the end. Each player's attractor of the
 opponent's deadlocks goes first. What is left is total, and so is every
 subgame the recursion makes of it, since removing an attractor from a total
 game leaves a total game; the recursion never looks for deadlocks.
+
+The bounded search decides all enumerated lassos of one length, a batch, by
+one game per expression over their word graph. The tail of a normal lasso is
+a normal lasso no longer than it, so the enumerated lassos are closed under
+tails and their word graph needs no other vertex. A batch whose word graph
+would pass ``BATCH_SLOTS`` slots is split into runs of consecutive roots.
+The search stops at the first batch with a separating lasso and returns the
+first such lasso in enumeration order; a length that the per-lasso game
+would refuse is refused before its batch is built.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
-from typing import Optional
+from itertools import groupby
+from typing import (Callable, Iterable, Iterator, NamedTuple, Optional,
+                    Sequence)
 
 from . import algebra
 from .closure import OccurrenceGraph, occurrence_graph
@@ -50,7 +67,7 @@ class ParityGame:
     priorities: tuple[int, ...]
     edges: tuple[tuple[int, ...], ...]
     initial: int
-    # (lasso position, graph node) labels when built as an arena
+    # (word vertex, graph node) labels when built as an arena
     labels: tuple = ()
 
     def __post_init__(self):
@@ -75,30 +92,60 @@ class Solution:
 _OWNER = {"act": ELOISE, "zero": ELOISE, "sum": ELOISE, "mu": ELOISE,
           "nu": ELOISE, "top": ABELARD, "meet": ABELARD}
 
-# The arena's flat index has one slot per (lasso position, graph node) pair;
+# The arena's flat index has one slot per (word vertex, graph node) pair;
 # a game with more slots is refused before the index is allocated.
 MAX_ARENA = 2 ** 22
+# The bounded search splits a length class into word graphs of at most this
+# many slots each, but always takes at least one root, so it refuses only
+# what the per-lasso game refuses.
+BATCH_SLOTS = 2 ** 16
 
 
-def build_arena(e: Expr, w: Lasso,
+class WordGraph(NamedTuple):
+    """Ultimately periodic words that share their tails: vertex i reads
+    ``letters[i]`` and moves on to ``successors[i]``, and the word read
+    from each root is one the arena decides."""
+
+    letters: Sequence[str]
+    successors: Sequence[int]
+    roots: Sequence[int]
+
+
+def lasso_graph(w: Lasso) -> WordGraph:
+    """The word graph of one lasso: its positions 0..n-1, root 0."""
+    n = w.length
+    return WordGraph(w.prefix + w.period,
+                     [*range(1, n), len(w.prefix)], (0,))
+
+
+def _check_slots(length: int, nodes: int):
+    if length * nodes > MAX_ARENA:
+        raise GameError(f"the arena needs {length} x {nodes} slots (lasso "
+                        f"letters x graph nodes), more than {MAX_ARENA}")
+
+
+def build_arena(e: Expr, w: Lasso | WordGraph,
                 graph: Optional[OccurrenceGraph] = None) -> ParityGame:
-    """The reachable evaluation-game arena for (w, e); ``graph``, when
-    given, is the occurrence graph of e."""
-    if graph is None:
-        if free_vars(e):
-            raise GameError("the evaluation game needs a closed expression")
-        graph = occurrence_graph(e, w.alphabet)
+    """The reachable evaluation-game arena for e over the word graph w, or
+    over the positions of the lasso w. The k-th root's start, the pair of
+    the root and the graph's root, is position k. ``graph``, when given,
+    is the occurrence graph of e; a word graph needs it."""
+    if isinstance(w, Lasso):
+        if graph is None:
+            if free_vars(e):
+                raise GameError(
+                    "the evaluation game needs a closed expression")
+            graph = occurrence_graph(e, w.alphabet)
+        w = lasso_graph(w)
     kinds, letters, succs = graph.kinds, graph.letters, graph.succs
     nodes = len(kinds)
-    if w.length * nodes > MAX_ARENA:
-        raise GameError(f"the arena needs {w.length} x {nodes} slots (lasso "
-                        f"letters x graph nodes), more than {MAX_ARENA}")
-    word = [w.letter_at(i) for i in range(w.length)]
-    nxt = [w.succ(i) for i in range(w.length)]
+    word, nxt, roots = w
+    _check_slots(len(word), nodes)
 
-    at, node = [0], [graph.root]  # position k is (at[k], node[k])
-    index = [-1] * (w.length * nodes)  # slot i * nodes + v: its position
-    index[graph.root] = 0
+    at, node = list(roots), [graph.root] * len(roots)  # k is (at[k], node[k])
+    index = [-1] * (len(word) * nodes)  # slot i * nodes + v: its position
+    for k, i in enumerate(roots):
+        index[i * nodes + graph.root] = k
     edges: list[tuple[int, ...]] = []
     for i, v in zip(at, node):  # both grow while walked: breadth-first
         if kinds[v] == "act":
@@ -229,6 +276,78 @@ class Counterexample:
     lasso: Lasso
 
 
+def _tail(word: tuple) -> tuple:
+    """The normal lasso of a normal lasso's first tail."""
+    u, v = word
+    return (u[1:], v) if u else ((), v[1:] + v[:1])
+
+
+def _fresh(word: tuple, index: dict) -> dict:
+    """The tails of word, itself first, up to the first one in index or
+    already met, in order (a dict, for its order and its fast lookup)."""
+    fresh: dict = {}
+    while word not in index and word not in fresh:
+        fresh[word] = None
+        word = _tail(word)
+    return fresh
+
+
+def word_graphs(lassos: Iterable[Lasso], budget: int
+                ) -> Iterator[tuple[WordGraph, list[tuple]]]:
+    """The normal lassos, in order, as the roots of word graphs over them
+    and their tails, with each vertex's (prefix, period). A graph takes
+    consecutive roots while it has at most ``budget`` vertices, and at
+    least one root. The tail of a normal u(v) is normal: u[1:](v) if u is
+    not empty, else the rotation (v[1:] v[0]); so a root of n letters
+    reaches n vertices, and the enumerated lassos are closed under tails."""
+    words: list[tuple] = []
+    index: dict[tuple, int] = {}
+    letters: list[str] = []
+    succ: list[int] = []
+    roots: list[int] = []
+    for w in lassos:
+        root = (w.prefix, w.period)
+        fresh = _fresh(root, index)
+        if roots and len(words) + len(fresh) > budget:
+            yield WordGraph(letters, succ, roots), words
+            words, index, letters, succ, roots = [], {}, [], [], []
+            fresh = _fresh(root, index)
+        for word in fresh:
+            index[word] = len(words)
+            words.append(word)
+        for u, v in fresh:
+            letters.append(u[0] if u else v[0])
+            succ.append(index[_tail((u, v))])
+        roots.append(index[root])
+    if roots:
+        yield WordGraph(letters, succ, roots), words
+
+
+def _first_separating(exprs: list[Expr], alphabet: Alphabet,
+                      max_prefix: int, max_period: int,
+                      separates: Callable[..., bool]
+                      ) -> Optional[Counterexample]:
+    """The first enumerated lasso whose memberships in ``exprs`` satisfy
+    ``separates``. Each length class of lassos is one batch, solved as one
+    game per expression over a word graph, unless it needs more than
+    BATCH_SLOTS slots; the search stops at the first batch that separates.
+    """
+    graphs = [occurrence_graph(x, alphabet) for x in exprs]
+    nodes = [len(g.kinds) for g in graphs]
+    budget = max(1, min(BATCH_SLOTS, MAX_ARENA) // max(nodes))
+    lassos = enumerate_lassos(alphabet, max_prefix, max_period)
+    for length, batch in groupby(lassos, operator.attrgetter("length")):
+        for n in nodes:  # where the per-lasso game would refuse
+            _check_slots(length, n)
+        for words, vertices in word_graphs(batch, budget):
+            wins = [solve_parity(build_arena(x, words, g)).winner
+                    for x, g in zip(exprs, graphs)]
+            for k, r in enumerate(words.roots):
+                if separates(*(won[k] == ELOISE for won in wins)):
+                    return Counterexample(Lasso(*vertices[r], alphabet))
+    return None
+
+
 def equiv_bounded(e: Expr, f: Expr, alphabet: Alphabet, max_prefix: int,
                   max_period: int) -> Optional[Counterexample]:
     """First normalized lasso (in enumeration order) on which the memberships
@@ -236,20 +355,13 @@ def equiv_bounded(e: Expr, f: Expr, alphabet: Alphabet, max_prefix: int,
 
     This is a semi-decision: agreement within bounds is not equivalence.
     """
-    ge = occurrence_graph(e, alphabet)
-    gf = occurrence_graph(f, alphabet)
-    for w in enumerate_lassos(alphabet, max_prefix, max_period):
-        if member_game(e, w, ge) != member_game(f, w, gf):
-            return Counterexample(w)
-    return None
+    return _first_separating([e, f], alphabet, max_prefix, max_period,
+                             operator.ne)
 
 
 def inclusion_bounded(e: Expr, f: Expr, alphabet: Alphabet, max_prefix: int,
                       max_period: int) -> Optional[Counterexample]:
     """First lasso in L(e) but not in L(f), searched via e & complement(f)."""
     witness = Meet(e, algebra.complement(f, alphabet))
-    gw = occurrence_graph(witness, alphabet)
-    for w in enumerate_lassos(alphabet, max_prefix, max_period):
-        if member_game(witness, w, gw):
-            return Counterexample(w)
-    return None
+    return _first_separating([witness], alphabet, max_prefix, max_period,
+                             bool)

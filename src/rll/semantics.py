@@ -155,16 +155,20 @@ def enumerate_lassos(alphabet: Alphabet, max_prefix: int,
     if _words(k, 0, max_prefix) * _words(k, 1, max_period) > MAX_LASSOS:
         raise SemanticsError(f"max-prefix {max_prefix} and max-period "
                              f"{max_period} would try over {MAX_LASSOS} lassos")
+    # u(v) is normal iff u is empty or ends in another letter than v, and
+    # v is primitive: for no proper divisor d of |v| is v a power of v[:d]
     for total in range(1, max_prefix + max_period + 1):
         for plen in range(0, min(max_prefix, total - 1) + 1):
             vlen = total - plen
             if vlen > max_period:
                 continue
+            divisors = [d for d in range(1, vlen) if vlen % d == 0]
             for u in product(letters, repeat=plen):
+                last = u[-1] if u else None
                 for v in product(letters, repeat=vlen):
-                    w = Lasso(u, v, alphabet)
-                    if lasso_normalize(w) == w:
-                        yield w
+                    if v[-1] != last and all(v[:d] * (vlen // d) != v
+                                             for d in divisors):
+                        yield Lasso(u, v, alphabet)
 
 
 Env = Mapping[str, PositionSet]

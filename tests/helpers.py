@@ -2,7 +2,8 @@
 the symbol-loop reference tokenizer, the recursive-descent reference
 parsers, the tree-substituting reference closure and its rescanning
 priorities, the set-based reference game and nesting-depth priorities, the
-frozenset reference evaluators, the isinstance-walk reference translations,
+frozenset reference evaluators, the per-lasso reference bounded search and
+its normalising enumerator, the isinstance-walk reference translations,
 the derivation mutation machinery, and the CLI entry point that builds every
 subcommand's parser on every call."""
 
@@ -13,14 +14,17 @@ import os
 import re
 import sys
 from dataclasses import replace
-from typing import Optional
+from itertools import product
+from typing import Iterator, Optional
 
-from rll import __version__, cli
+from rll import __version__, algebra, cli
 from rll.calculus import Claim, Derivation, FormulaClaim, Step, bool_taut
 from rll.closure import (ClosureError, FlClosure, OccurrenceGraph,
                          occurrence_graph)
-from rll.game import (ABELARD, ELOISE, GameError, ParityGame, Solution)
-from rll.semantics import Lasso, SemanticsError, enumerate_lassos
+from rll.game import (ABELARD, ELOISE, Counterexample, GameError, ParityGame,
+                      Solution, member_game)
+from rll.semantics import (Lasso, SemanticsError, enumerate_lassos,
+                           lasso_normalize)
 from rll.syntax import (BINDERS, BOT, BOTTOMS, JOINS, KEYWORDS, MEETS, MUS,
                         PREFIXES, TOP, TOPS, TT, VARS, ZERO, Act, Alphabet,
                         AlphabetError, And, Bot, Expr, FVar, Meet, Mu, MuF,
@@ -587,6 +591,60 @@ def depth_priorities(graph: OccurrenceGraph) -> tuple[int, ...]:
     neutral = 2 * (max(depth.values()) + 1) if depth else 0
     return tuple(2 * depth[v] + (graph.kinds[v] == "mu") if v in depth
                  else neutral for v in range(len(graph.kinds)))
+
+
+# ---------------------------------------------------------------------------
+# Reference bounded search: one game per enumerated lasso, over lassos
+# enumerated by normalising every candidate, which the word-graph batches and
+# the tuple test of normality replaced.
+# ---------------------------------------------------------------------------
+
+def reference_enumerate_lassos(alphabet: Alphabet, max_prefix: int,
+                               max_period: int) -> Iterator[Lasso]:
+    """Every candidate u(v) within the bounds, in length-lexicographic order,
+    that ``lasso_normalize`` leaves as it is."""
+    for name, bound, least in (("max-prefix", max_prefix, 0),
+                               ("max-period", max_period, 1)):
+        if bound < least:
+            raise SemanticsError(
+                f"{name} must be at least {least}, not {bound}")
+    letters = alphabet.letters
+    for total in range(1, max_prefix + max_period + 1):
+        for plen in range(0, min(max_prefix, total - 1) + 1):
+            vlen = total - plen
+            if vlen > max_period:
+                continue
+            for u in product(letters, repeat=plen):
+                for v in product(letters, repeat=vlen):
+                    w = Lasso(u, v, alphabet)
+                    if lasso_normalize(w) == w:
+                        yield w
+
+
+def reference_equiv_bounded(e: Expr, f: Expr, alphabet: Alphabet,
+                            max_prefix: int, max_period: int
+                            ) -> Optional[Counterexample]:
+    """The first lasso, in enumeration order, whose games for e and f have
+    different winners, each lasso with its own two arenas."""
+    ge = occurrence_graph(e, alphabet)
+    gf = occurrence_graph(f, alphabet)
+    for w in reference_enumerate_lassos(alphabet, max_prefix, max_period):
+        if member_game(e, w, ge) != member_game(f, w, gf):
+            return Counterexample(w)
+    return None
+
+
+def reference_inclusion_bounded(e: Expr, f: Expr, alphabet: Alphabet,
+                                max_prefix: int, max_period: int
+                                ) -> Optional[Counterexample]:
+    """The first lasso, in enumeration order, whose own game for
+    e & complement(f) Eloise wins."""
+    witness = Meet(e, algebra.complement(f, alphabet))
+    gw = occurrence_graph(witness, alphabet)
+    for w in reference_enumerate_lassos(alphabet, max_prefix, max_period):
+        if member_game(witness, w, gw):
+            return Counterexample(w)
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -15,13 +15,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import rll
-from helpers import (PROOF_DIR, reference_build_parser, reference_main,
-                     spellings)
+from helpers import (PROOF_DIR, reference_build_parser,
+                     reference_equiv_bounded, reference_main, spellings)
 from rll.cli import main, parse_args
 from rll.corpus import gen_expr, gen_lasso
-from rll.game import member_game
+from rll.game import GameError, member_game
 from rll.semantics import print_lasso
-from rll.syntax import Alphabet, print_expr
+from rll.syntax import Alphabet, parse_expr, print_expr
 
 IA = "alphabet a b ;\nnu X. mu Y. (a.X + b.Y)\n"
 NUAX = "alphabet a b ;\nnu X. a.X\n"
@@ -277,6 +277,30 @@ class TestArenaCap:
         assert (code, out, err) == (1, "false (game=oracle)\n", "")
 
 
+    def test_equiv_over_cap_exits_two(self, tmp_path, capsys, monkeypatch):
+        """A lasso length times graph nodes past MAX_ARENA is refused where
+        the per-lasso search refuses, with its message. MAX_LASSOS keeps
+        lassos under about 20 letters, far below 4,194,304 / 3071, so
+        MAX_ARENA is lowered to 3 x 3071: lengths 1-3 are solved, length 4
+        is refused."""
+        text = "nu X. a.X"
+        for _ in range(10):  # the 3071-node expression above
+            text = f"({text}) + ({text})"
+        path = tmp_path / "wide.rll"
+        path.write_text(f"alphabet a b ;\n{text}\n")
+        monkeypatch.setattr(rll.game, "MAX_ARENA", 3 * 3071)
+        e = parse_expr(text, AB)
+        with pytest.raises(GameError) as refused:
+            reference_equiv_bounded(e, e, AB, 2, 2)
+        start = time.perf_counter()
+        code, out, err = run(capsys, ["equiv", str(path), str(path),
+                                      "--max-prefix", "2",
+                                      "--max-period", "2"])
+        assert time.perf_counter() - start < 5.0
+        assert (code, out, err) == (2, "", f"error: {refused.value}\n")
+        assert "4 x 3071 slots" in err
+
+
 class TestListingCap:
     """A closure listing whose root and members may print over
     ``closure.MAX_LISTING`` characters is refused before any is printed."""
@@ -346,6 +370,37 @@ class TestTranslate:
         code, out2, _ = run(capsys, ["translate", "--to", "rll",
                                      str(formula_file)])
         assert code == 0
+
+    def test_round_trip_with_a_proposition_named_x(self, tmp_path,
+                                                    capsys):
+        """0 and top translate to fixpoints whose variable is no
+        proposition's name, so the formula reads back, meaning the same."""
+        src = tmp_path / "e.rll"
+        src.write_text("props X ;\n{X}.0 + {}.top\n")
+        code, out, err = run(capsys, ["translate", "--to", "ltl", str(src)])
+        assert (code, err) == (0, "")
+        assert out == "props X ;\nX & O (mu X0. X0) | ~X & O (nu X0. X0)\n"
+        formula_file = tmp_path / "f.mltl"
+        formula_file.write_text(out)
+        code, out, err = run(capsys, ["translate", "--to", "rll",
+                                      str(formula_file)])
+        assert (code, err) == (0, "")
+        back = tmp_path / "back.rll"
+        back.write_text(out)
+        code, out, _ = run(capsys, ["equiv", str(src), str(back)])
+        assert code == 0, out
+
+    def test_exponential_output_exits_two(self, tmp_path, capsys):
+        """O^10 P prints each O's body once per letter: 33 MB. Its memoised
+        size bound refuses it before the header is printed."""
+        path = tmp_path / "deep.mltl"
+        path.write_text("props P Q ;\n" + "O " * 10 + "P\n")
+        start = time.perf_counter()
+        code, out, err = run(capsys, ["translate", "--to", "rll", str(path)])
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert "over the cap of 16777216" in err
 
     def test_plain_alphabet_rejected_for_ltl(self, files, capsys):
         code, _out, err = run(capsys, ["translate", "--to", "ltl",

@@ -7,16 +7,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import (depth_priorities, desk_lassos, reference_build_arena,
+                     reference_equiv_bounded, reference_inclusion_bounded,
                      reference_solve_parity, spellings)
-from rll import algebra
+from rll import algebra, game
 from rll.closure import ClosureError, fl_closure, occurrence_graph
 from rll.corpus import agreement_pairs, gen_alphabet, gen_expr, gen_lasso
 from rll.game import (ABELARD, ELOISE, Counterexample, GameError, ParityGame,
                       build_arena, equiv_bounded, inclusion_bounded,
-                      member_game, solve_parity)
-from rll.semantics import (lasso_normalize, member_oracle, parse_lasso,
-                           print_lasso)
-from rll.syntax import Alphabet, Mu, Nu, Sum, Var, expr_size, parse_expr
+                      lasso_graph, member_game, solve_parity, word_graphs)
+from rll.semantics import (Lasso, enumerate_lassos, lasso_normalize,
+                           member_oracle, parse_lasso, print_lasso)
+from rll.syntax import (Alphabet, Meet, Mu, Nu, Sum, Var, expr_size,
+                        parse_expr)
 
 AB = Alphabet.plain("a", "b")
 IA = "nu X. mu Y. (a.X + b.Y)"
@@ -400,3 +402,146 @@ class TestBoundedSearch:
         assert cex is not None and print_lasso(cex.lasso) == "(b)"
         zero = parse_expr("0", AB)
         assert inclusion_bounded(zero, nuax, AB, 2, 2) is None
+
+
+def _search_pairs(seed: int, rounds: int):
+    """Seeded (expression, expression, alphabet, bounds) cases: random
+    pairs over ``a b`` and ``a b c``, the lattice-law pairs and the two
+    usually separating pairs of the ``bounded-search`` benchmark, and pairs
+    that first differ on a b after k >= 3 a's, so on a longer lasso."""
+    rng = random.Random(seed)
+    abc = Alphabet.plain("a", "b", "c")
+    eventually_b = parse_expr("mu X. (b.top + a.X)", AB)
+    for _ in range(rounds):
+        for ab in (AB, abc):
+            e, f = (gen_expr(rng, ab, rng.randint(1, 12)) for _ in range(2))
+            most = (3, 4) if ab is AB else (2, 3)
+            yield e, f, ab, (rng.randint(0, most[0]), rng.randint(1, most[1]))
+        e, f, g = (gen_expr(rng, AB, rng.choice((6, 8, 10, 7, 9, 11)))
+                   for _ in range(3))
+        for left, right in [(e, Sum(e, e)), (Meet(e, f), Meet(f, e)),
+                            (e, Meet(e, Sum(e, f))),
+                            (Sum(Sum(e, f), g), Sum(e, Sum(f, g))),
+                            (Meet(e, f), e), (e, Sum(e, f)), (e, f),
+                            (Sum(e, f), e)]:
+            yield left, right, AB, rng.choice(((3, 4), (4, 3)))
+        k = rng.randint(3, 5)  # b within the first k letters
+        within = parse_expr(" + ".join("a." * i + "b.top" for i in range(k)),
+                            AB)
+        e = gen_expr(rng, AB, rng.randint(1, 6))
+        for left, right in [(within, eventually_b),
+                            (eventually_b, within),
+                            (Sum(e, within), Sum(e, eventually_b)),
+                            (Meet(e, eventually_b), Meet(e, within))]:
+            yield left, right, AB, rng.choice(((3, 4), (4, 3)))
+
+
+def _outcome(search, *args):
+    try:
+        return search(*args)
+    except GameError as err:
+        return str(err)
+
+
+class TestSearchMatchesReference:
+    """The word-graph batches against the per-lasso search they replaced
+    (``tests/helpers.py``): the same first counterexample, or None."""
+
+    def test_same_first_counterexample(self):
+        found = late = 0
+        for e, f, ab, bounds in _search_pairs(70, 8):
+            for search, reference in (
+                    (equiv_bounded, reference_equiv_bounded),
+                    (inclusion_bounded, reference_inclusion_bounded)):
+                got = search(e, f, ab, *bounds)
+                assert got == reference(e, f, ab, *bounds), (e, f, bounds)
+                if got is not None:
+                    found += 1
+                    late += got.lasso.length >= 4
+        assert found >= 60 and late >= 20, (found, late)
+
+    def test_split_batches_and_refusals(self, monkeypatch):
+        """With small caps a length class is split into several word graphs,
+        and a batch whose length times an expression's nodes passes
+        MAX_ARENA is refused at the same lasso, e's size checked before
+        f's, with the per-lasso game's message."""
+        rng = random.Random(71)
+        refused = 0
+        for e, f, ab, bounds in _search_pairs(72, 6):
+            monkeypatch.setattr(game, "MAX_ARENA", rng.randint(1, 150))
+            monkeypatch.setattr(game, "BATCH_SLOTS", rng.randint(1, 200))
+            for search, reference in (
+                    (equiv_bounded, reference_equiv_bounded),
+                    (inclusion_bounded, reference_inclusion_bounded)):
+                got = _outcome(search, e, f, ab, *bounds)
+                assert got == _outcome(reference, e, f, ab, *bounds), \
+                    (e, f, bounds)
+                refused += isinstance(got, str)
+        assert refused >= 30, refused
+
+    def test_one_game_per_expression_and_batch(self, monkeypatch):
+        """Without a separating lasso, equiv solves two games per length
+        class and incl one."""
+        solved = []
+        monkeypatch.setattr(game, "solve_parity",
+                            lambda g: solved.append(g) or solve_parity(g))
+        e = parse_expr(IA, AB)
+        assert equiv_bounded(e, Sum(e, e), AB, 3, 4) is None
+        assert len(solved) == 2 * 7
+        solved.clear()
+        assert inclusion_bounded(e, Sum(e, e), AB, 4, 3) is None
+        assert len(solved) == 7
+
+
+class TestWordGraph:
+    """The word graphs of enumerated lassos: roots in enumeration order, and
+    every vertex a normal lasso whose successor is its tail."""
+
+    @pytest.mark.parametrize("letters", ["a", "ab", "abc"])
+    def test_vertices_are_normal_tails(self, letters):
+        ab = Alphabet.plain(*letters)
+        for bounds in [(0, 1), (1, 2), (2, 3), (3, 3), (4, 4)]:
+            if len(letters) == 3 and bounds == (4, 4):
+                continue  # 2,040 lassos; (3, 3) already has 372
+            lassos = list(enumerate_lassos(ab, *bounds))
+            enumerated = {(w.prefix, w.period) for w in lassos}
+            for budget in (1, 9, 10**6):
+                roots = []
+                for g, vertices in word_graphs(lassos, budget):
+                    assert len(set(vertices)) == len(vertices)
+                    assert len(vertices) <= budget or len(g.roots) == 1
+                    roots += [vertices[r] for r in g.roots]
+                    for i, (u, v) in enumerate(vertices):
+                        s = g.successors[i]
+                        assert vertices[s] in enumerated
+                        raw = Lasso(u[1:], v, ab) if u else Lasso(v[1:], v, ab)
+                        assert Lasso(*vertices[s], ab) == lasso_normalize(raw)
+                        walk, j = [], i
+                        for _ in range(12):
+                            walk.append(g.letters[j])
+                            j = g.successors[j]
+                        assert tuple(walk) == Lasso(u, v, ab).unroll(12)
+                assert roots == [(w.prefix, w.period) for w in lassos]
+
+    def test_lasso_case_is_one_root(self):
+        w = lasso("ab(bab)")
+        g = lasso_graph(w)
+        assert tuple(g.letters) == tuple("abbab")
+        assert list(g.successors) == [w.succ(i) for i in range(5)]
+        assert list(g.roots) == [0]
+
+    def test_roots_lead_the_arena(self):
+        """Root k's start is position k, and its winner is the lasso's
+        membership."""
+        ab = Alphabet.plain("a", "b")
+        lassos = list(enumerate_lassos(ab, 2, 3))
+        for text in (IA, FB, f"({IA}) & ({FB})", "nu X. a.X"):
+            e = parse_expr(text, ab)
+            graph = occurrence_graph(e, ab)
+            for g, vertices in word_graphs(lassos, 10**6):
+                arena = build_arena(e, g, graph)
+                winners = solve_parity(arena).winner
+                for k, r in enumerate(g.roots):
+                    assert arena.labels[k] == (r, graph.root)
+                    assert (winners[k] == ELOISE) == \
+                        member_oracle(e, Lasso(*vertices[r], ab))

@@ -7,7 +7,8 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import reference_eval_multl, reference_eval_rll
+from helpers import (reference_enumerate_lassos, reference_eval_multl,
+                     reference_eval_rll)
 from rll.algebra import complement, to_multl
 from rll.corpus import agreement_pairs, gen_alphabet, gen_expr, gen_lasso
 from rll.semantics import (MAX_LASSOS, Lasso, SemanticsError,
@@ -114,6 +115,25 @@ class TestEnumerate:
                 (abc, 7, 5), (AB, 40, 3), (AB, 0, 10**12), (AB, 10**12, 1)]:
             with pytest.raises(SemanticsError, match="would try over 1048576"):
                 next(enumerate_lassos(alphabet, max_prefix, max_period))
+
+
+class TestEnumerateMatchesReference:
+    """The tuple test of normality against normalising every candidate
+    (``tests/helpers.py``)."""
+
+    @pytest.mark.parametrize("letters", ["a", "ab", "abc"])
+    def test_same_lassos_in_same_order(self, letters):
+        ab = Alphabet.plain(*letters)
+        for max_prefix in range(5):
+            for max_period in range(1, 5):
+                assert list(enumerate_lassos(ab, max_prefix, max_period)) \
+                    == list(reference_enumerate_lassos(ab, max_prefix,
+                                                       max_period))
+
+    def test_normalises_no_candidate(self, monkeypatch):
+        """Normality is tested on the tuples, not by lasso_normalize."""
+        monkeypatch.setattr("rll.semantics.lasso_normalize", None)
+        assert len(list(enumerate_lassos(AB, 3, 4))) == 176
 
 
 class TestEvalRll:
