@@ -11,7 +11,7 @@ notation: premises, then the conclusion, separated by `` / ``. A claim is
 top, applied after instantiation; the side ``e[f/X]`` substitutes f for X.
 Metavariables are ``X Y`` (binders), ``a b`` (letters) and ``e f g phi psi``
 (terms); a rule's parameters are those it names, in that order, and other
-names are fixed. ``_instance`` builds every instance, for both checkers and
+names are fixed. ``_instance`` builds every instance, for the checker and
 the generator. Rules instantiated from a step's ``subst`` match claims up to
 bound-variable renaming, an inequation e <= f read as its defining equation
 e+f = f. The structural rules ``sym``, ``eq_weaken``, ``leq_def_intro``,
@@ -318,8 +318,12 @@ def _parse_rule(text: str) -> tuple[tuple[str, tuple], ...]:
 _SCHEMAS = {rule: _parse_rule(text) for rule, text in RULES.items()}
 _PARAMS = {rule: tuple(m for m in _VOCABULARY if m in re.findall(r"\w+", text))
            for rule, text in RULES.items()}
-_SYSTEM = {rule: "rll" if schemas[-1][0] in ("=", "<=") else "multl"
-           for rule, schemas in _SCHEMAS.items()}
+# each rule's system: the table's, by its conclusion's relation, and the
+# rules the checker states in code
+_SYSTEM = {**{rule: "rll" if schemas[-1][0] in ("=", "<=") else "multl"
+              for rule, schemas in _SCHEMAS.items()},
+           **dict.fromkeys(("refl", "trans", "cong", "mono", "hyp",
+                            "bool_taut"), "rll"), "taut": "multl"}
 _CLAIM = {"=": partial(Claim, "eq"), "<=": partial(Claim, "leq"),
           "->": lambda a, b: FormulaClaim(implies(a, b)),
           "<->": lambda a, b: FormulaClaim(iff(a, b)), "": FormulaClaim}
@@ -418,6 +422,32 @@ def maximal_atoms(terms: list[Term]) -> list[Term]:
     return list(seen.values())
 
 
+MAX_ATOMS = 16  # Boolean variables of one truth table
+
+
+def boolean_variables(atoms: list[Term], dual: Callable[[Term], Term]
+                      ) -> tuple[dict[str, tuple[int, bool]], int]:
+    """The truth table's variables: each atom's alpha key -> (index, sign),
+    and their number. Atoms are taken in order; an atom not yet assigned
+    gets a new variable, and the first later unassigned atom that is its
+    dual, either way round, gets the same variable negated."""
+    keys = [alpha_key(a) for a in atoms]
+    duals = [alpha_key(dual(a)) for a in atoms]
+    var_of: dict[str, tuple[int, bool]] = {}
+    nvars = 0
+    for i, key in enumerate(keys):
+        if key in var_of:
+            continue
+        var_of[key] = (nvars, True)
+        for j in range(i + 1, len(keys)):
+            if keys[j] not in var_of and (keys[j] == duals[i]
+                                          or duals[j] == key):
+                var_of[keys[j]] = (nvars, False)
+                break
+        nvars += 1
+    return var_of, nvars
+
+
 def _skeleton_value(var_of: dict[str, tuple[int, bool]],
                     assign: tuple[bool, ...], t: Term) -> bool:
     """Truth of a lattice skeleton whose maximal atoms are the Boolean
@@ -436,11 +466,15 @@ def _skeleton_value(var_of: dict[str, tuple[int, bool]],
     return assign[idx] if sign else not assign[idx]
 
 
-def _truth_table(claim, premises: list, var_of: dict[str, tuple[int, bool]],
-                 nvars: int, holds: Callable) -> bool:
-    """Whether every assignment of the nvars Boolean variables that satisfies
-    the premises satisfies the claim; ``holds(c, value)`` decides one claim,
-    given ``value``, the truth of a skeleton under the assignment."""
+def _truth_table(claim, premises: list, atoms: list[Term], dual: Callable,
+                 noun: str, holds: Callable) -> bool:
+    """Whether every assignment of the atoms' Boolean variables that
+    satisfies the premises satisfies the claim; ``holds(c, value)`` decides
+    one claim, given ``value``, the truth of a skeleton under the
+    assignment."""
+    var_of, nvars = boolean_variables(atoms, dual)
+    if nvars > MAX_ATOMS:
+        raise CalculusError(f"too many {noun} atoms")
     for assign in itertools.product((False, True), repeat=nvars):
         value = partial(_skeleton_value, var_of, assign)
         if all(holds(p, value) for p in premises) and not holds(claim, value):
@@ -470,37 +504,26 @@ def bool_taut(claim: Claim, premises: list[Claim], atoms: Optional[list[Expr]],
         if free_vars(t):
             raise CalculusError(f"open atom {print_expr(t)}")
 
-    # group each atom with its syntactic complement if both are present
-    keys = [alpha_key(a) for a in atoms]
-    var_of: dict[str, tuple[int, bool]] = {}  # alpha key -> (var index, sign)
-    nvars = 0
-    for i, a in enumerate(atoms):
-        if keys[i] in var_of:
-            continue
-        comp_key = alpha_key(algebra.complement(a, alphabet))
-        partner = None
-        for j in range(len(atoms)):
-            if j != i and keys[j] not in var_of:
-                if keys[j] == comp_key or \
-                        alpha_key(algebra.complement(atoms[j], alphabet)) == keys[i]:
-                    partner = j
-                    break
-        var_of[keys[i]] = (nvars, True)
-        if partner is not None:
-            var_of[keys[partner]] = (nvars, False)
-        nvars += 1
-    if nvars > 16:
-        raise CalculusError("too many Boolean atoms")
-
     def holds(c: Claim, value: Callable[[Expr], bool]) -> bool:
         l, r = value(c.lhs), value(c.rhs)
         return l == r if c.rel == "eq" else (not l) or r
 
-    return _truth_table(claim, premises, var_of, nvars, holds)
+    return _truth_table(claim, premises, atoms,
+                        partial(algebra.complement, alphabet=alphabet),
+                        "Boolean", holds)
+
+
+def propositional_valid(claim: MuLtlFormula,
+                        premises: list[MuLtlFormula] = ()) -> bool:
+    """Truth-table validity treating maximal non-propositional subformulas as
+    opaque atoms, a formula and its negation complementary."""
+    return _truth_table(claim, premises, maximal_atoms([claim, *premises]),
+                        negate_formula, "propositional",
+                        lambda phi, value: value(phi))
 
 
 # ---------------------------------------------------------------------------
-# The checkers
+# The checker, for both systems
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -519,18 +542,23 @@ def _want(n: int, prems: list, rule: str):
         raise CalculusError(f"{rule} needs exactly {n} premise(s)")
 
 
+# per system: its claim type, and what the messages call a claim, a term and
+# a derivation of it
+_SYSTEMS = {"rll": (Claim, "an equational claim", "expression", "an equational"),
+            "multl": (FormulaClaim, "a formula claim", "formula", "a muLTL")}
+
+
 class _Checker:
-    """The walk over a derivation's steps, shared by both systems. A step
-    fails with a CalculusError. A subclass names its system's claim type and
-    checks the rules that are not in RULES. Terms in subst are parsed
-    through the derivation's own memo, which loading filled with the
-    claims."""
+    """The walk over a derivation's steps, for either system. A step fails
+    with a CalculusError. Terms in subst are parsed through the derivation's
+    own memo, which loading filled with the claims."""
 
     def __init__(self, d: Derivation, tier: str):
         self.d = d
         self.alphabet = d.alphabet
         self.tier = tier
         self.frames: list[_Frame] = [_Frame()]
+        self.claim_type, self.claim_noun, self.term_noun, _ = _SYSTEMS[d.system]
 
     def expect(self, c: AnyClaim) -> AnyClaim:
         if not isinstance(c, self.claim_type):
@@ -630,21 +658,16 @@ class _Checker:
             last = step.claim
         return last
 
-    def check_step(self, step: Step, prems: list[AnyClaim]):
-        raise NotImplementedError
-
-
-class _RllChecker(_Checker):
-    claim_type = Claim
-    claim_noun, term_noun = "an equational claim", "expression"
-
+    # -- one step ---------------------------------------------------------
     def check_step(self, step: Step, prems: list[AnyClaim]):
         claim = self.expect(step.claim)
         rule = step.rule
+        if _SYSTEM.get(rule) != self.d.system:
+            raise CalculusError(f"unknown rule {rule!r}")
         if rule in ("duality_plus", "duality_meet"):
             _want(0, prems, rule)
             self._check_duality(step, claim)
-        elif _SYSTEM.get(rule) == "rll":
+        elif rule in _SCHEMAS:
             self.check_instance(step, prems)
         elif rule == "refl":
             _want(0, prems, rule)
@@ -695,8 +718,10 @@ class _RllChecker(_Checker):
             eprems = [self.expect(p) for p in prems]
             if not bool_taut(claim, eprems, atoms, self.alphabet):
                 raise CalculusError("not valid in the two-element lattice")
-        else:
-            raise CalculusError(f"unknown rule {rule!r}")
+        else:  # taut
+            _want(0, prems, rule)
+            if not propositional_valid(claim.formula):
+                raise CalculusError("not a propositional tautology")
 
     def _check_duality(self, step: Step, claim: Claim):
         """The conclusion, then the sub-derivation under the hypothesis, in a
@@ -735,64 +760,20 @@ def _hole_count(ctx: Expr, hole: str) -> int:
     return 0
 
 
+def _check(d: Derivation, tier: Optional[str], system: str) -> Verdict:
+    if d.system != system:
+        return Verdict.rejected("-", f"not {_SYSTEMS[system][3]} derivation")
+    return _Checker(d, tier or d.tier).run()
+
+
 def check_rll(d: Derivation, tier: Optional[str] = None) -> Verdict:
     """Check an equational derivation: accepted, or rejected at a named step."""
-    if d.system != "rll":
-        return Verdict.rejected("-", "not an equational derivation")
-    return _RllChecker(d, tier or d.tier).run()
-
-
-# ---------------------------------------------------------------------------
-# The muLTL Hilbert checker
-# ---------------------------------------------------------------------------
-
-def _skeleton_atoms(phis: list[MuLtlFormula]) -> tuple[dict, int]:
-    """Boolean variables for tautology checking: the maximal non-lattice
-    subformulas, each grouped with its negation (so P with ~P)."""
-    var_of: dict[str, tuple[int, bool]] = {}
-    nvars = 0
-    for atom in maximal_atoms(phis):
-        neg = var_of.get(alpha_key(negate_formula(atom)))
-        if neg is None:
-            var_of[alpha_key(atom)] = (nvars, True)
-            nvars += 1
-        else:
-            var_of[alpha_key(atom)] = (neg[0], not neg[1])
-    return var_of, nvars
-
-
-def propositional_valid(claim: MuLtlFormula,
-                        premises: list[MuLtlFormula] = ()) -> bool:
-    """Truth-table validity treating maximal non-propositional subformulas as
-    opaque atoms, a formula and its negation complementary."""
-    var_of, nvars = _skeleton_atoms([claim, *premises])
-    if nvars > 16:
-        raise CalculusError("too many propositional atoms")
-    return _truth_table(claim, premises, var_of, nvars,
-                        lambda phi, value: value(phi))
-
-
-class _MultlChecker(_Checker):
-    claim_type = FormulaClaim
-    claim_noun, term_noun = "a formula claim", "formula"
-
-    def check_step(self, step: Step, prems: list[AnyClaim]):
-        phi = self.expect(step.claim).formula
-        if step.rule == "taut":
-            _want(0, prems, step.rule)
-            if not propositional_valid(phi):
-                raise CalculusError("not a propositional tautology")
-        elif _SYSTEM.get(step.rule) == "multl":
-            self.check_instance(step, prems)
-        else:
-            raise CalculusError(f"unknown rule {step.rule!r}")
+    return _check(d, tier, "rll")
 
 
 def check_multl(d: Derivation, tier: Optional[str] = None) -> Verdict:
     """Check a Hilbert-style muLTL derivation."""
-    if d.system != "multl":
-        return Verdict.rejected("-", "not a muLTL derivation")
-    return _MultlChecker(d, tier or d.tier).run()
+    return _check(d, tier, "multl")
 
 
 def check_derivation(d: Derivation) -> Verdict:

@@ -16,7 +16,8 @@ from typing import Callable, Iterable, Iterator, Mapping, Optional
 
 from .syntax import (BINDERS, BOTTOMS, JOINS, MEETS, MUS, PREFIXES, TOPS, VARS,
                      Act, Alphabet, Expr, MuLtlFormula, NegProp, Next,
-                     ParseError, Prop, RllError, Term, free_vars)
+                     ParseError, Prop, RllError, Term, braced_letter,
+                     free_vars)
 
 
 class SemanticsError(RllError):
@@ -79,10 +80,9 @@ def parse_lasso(text: str, alphabet: Alphabet) -> Lasso:
                 j = chunk.find("}", i)
                 if j < 0:
                     raise ParseError("unterminated powerset letter", offset + i)
-                name = chunk[i:j + 1].replace(" ", "")
-                if name not in alphabet.letters:
-                    raise SemanticsError(f"letter {name!r} is not in the alphabet")
-                out.append(name)
+                names = chunk[i + 1:j].replace(" ", "")
+                out.append(braced_letter(names.split(",") if names else [],
+                                         alphabet))
                 i = j + 1
                 continue
             for letter in letters:

@@ -113,6 +113,18 @@ def subset_letter_name(subset: tuple[str, ...]) -> str:
     return "{" + ",".join(subset) + "}"
 
 
+def braced_letter(names: list[str], alphabet: Alphabet) -> str:
+    """The powerset letter written ``{names}``: the set of the named
+    propositions, in any order and with repeats, named in basis order."""
+    props = alphabet.props
+    if props is None:
+        raise AlphabetError("powerset letter used with a plain alphabet")
+    for p in names:
+        if p not in props:
+            raise AlphabetError(f"undeclared proposition {p!r}")
+    return subset_letter_name(tuple(p for p in props if p in names))
+
+
 # ---------------------------------------------------------------------------
 # RLL expressions
 # ---------------------------------------------------------------------------
@@ -634,13 +646,7 @@ class _ExprParser(_Parser):
                 self.i += 1
                 names.append(self.expect("ident").value)
         self.expect("}")
-        props = self.ab.props
-        if props is None:
-            raise AlphabetError("powerset letter used with a plain alphabet")
-        for p in names:
-            if p not in props:
-                raise AlphabetError(f"undeclared proposition {p!r}")
-        return subset_letter_name(tuple(p for p in props if p in names))
+        return braced_letter(names, self.ab)
 
 
 class _FormulaParser(_Parser):

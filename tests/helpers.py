@@ -4,7 +4,8 @@ parsers, the tree-substituting reference closure and its rescanning
 priorities, the set-based reference game and nesting-depth priorities, the
 frozenset reference evaluators, the per-lasso reference bounded search and
 its normalising enumerator, the isinstance-walk reference translations,
-the derivation mutation machinery, and the CLI entry point that builds every
+the two Boolean-variable groupings of the truth tables, the derivation
+mutation machinery, and the CLI entry point that builds every
 subcommand's parser on every call."""
 
 from __future__ import annotations
@@ -18,7 +19,8 @@ from itertools import product
 from typing import Iterator, Optional
 
 from rll import __version__, algebra, cli
-from rll.calculus import Claim, Derivation, FormulaClaim, Step, bool_taut
+from rll.calculus import (CalculusError, Claim, Derivation, FormulaClaim,
+                          Step, _skeleton_value, bool_taut, maximal_atoms)
 from rll.closure import (ClosureError, FlClosure, OccurrenceGraph,
                          occurrence_graph)
 from rll.game import (ABELARD, ELOISE, Counterexample, GameError, ParityGame,
@@ -838,6 +840,83 @@ def reference_negate_formula(phi: MuLtlFormula) -> MuLtlFormula:
     if isinstance(phi, NuF):
         return MuF(phi.var, reference_negate_formula(phi.body))
     raise TypeError(f"not a formula: {phi!r}")
+
+
+# ---------------------------------------------------------------------------
+# The Boolean-variable groupings of bool_taut and propositional_valid, each
+# with its own truth table, as they were before the two shared one grouping
+# ---------------------------------------------------------------------------
+
+def reference_bool_variables(atoms: list[Expr], alphabet: Alphabet
+                             ) -> tuple[dict, int]:
+    """Each atom grouped with the first other unassigned atom that is its
+    complement, or whose complement it is; complements recomputed per pair."""
+    keys = [alpha_key(a) for a in atoms]
+    var_of: dict[str, tuple[int, bool]] = {}
+    nvars = 0
+    for i, a in enumerate(atoms):
+        if keys[i] in var_of:
+            continue
+        comp_key = alpha_key(algebra.complement(a, alphabet))
+        partner = None
+        for j in range(len(atoms)):
+            if j != i and keys[j] not in var_of:
+                if keys[j] == comp_key or \
+                        alpha_key(algebra.complement(atoms[j], alphabet)) == keys[i]:
+                    partner = j
+                    break
+        var_of[keys[i]] = (nvars, True)
+        if partner is not None:
+            var_of[keys[partner]] = (nvars, False)
+        nvars += 1
+    return var_of, nvars
+
+
+def reference_prop_variables(phis: list[MuLtlFormula]) -> tuple[dict, int]:
+    """The maximal non-lattice subformulas, each grouped with an earlier one
+    that is its negation."""
+    var_of: dict[str, tuple[int, bool]] = {}
+    nvars = 0
+    for atom in maximal_atoms(phis):
+        neg = var_of.get(alpha_key(negate_formula(atom)))
+        if neg is None:
+            var_of[alpha_key(atom)] = (nvars, True)
+            nvars += 1
+        else:
+            var_of[alpha_key(atom)] = (neg[0], not neg[1])
+    return var_of, nvars
+
+
+def _reference_truth_table(claim, premises, var_of, nvars, holds) -> bool:
+    for assign in product((False, True), repeat=nvars):
+        def value(t, assign=assign):
+            return _skeleton_value(var_of, assign, t)
+        if all(holds(p, value) for p in premises) and not holds(claim, value):
+            return False
+    return True
+
+
+def reference_bool_taut(claim: Claim, premises: list[Claim],
+                        atoms: list[Expr], alphabet: Alphabet) -> bool:
+    """bool_taut's truth table over a given list of closed atoms."""
+    var_of, nvars = reference_bool_variables(atoms, alphabet)
+    if nvars > 16:
+        raise CalculusError("too many Boolean atoms")
+
+    def holds(c, value):
+        l, r = value(c.lhs), value(c.rhs)
+        return l == r if c.rel == "eq" else (not l) or r
+
+    return _reference_truth_table(claim, premises, var_of, nvars, holds)
+
+
+def reference_propositional_valid(claim: MuLtlFormula,
+                                  premises: list[MuLtlFormula] = ()) -> bool:
+    var_of, nvars = reference_prop_variables([claim, *premises])
+    if nvars > 16:
+        raise CalculusError("too many propositional atoms")
+    return _reference_truth_table(claim, premises, var_of, nvars,
+                                  lambda phi, value: value(phi))
 
 
 # ---------------------------------------------------------------------------

@@ -9,11 +9,11 @@ from helpers import (reference_complement, reference_negate_formula,
 from rll import algebra
 from rll.corpus import agreement_pairs, gen_expr
 from rll.game import member_game
-from rll.semantics import member_oracle, models, parse_lasso
+from rll.semantics import enumerate_lassos, member_oracle, models, parse_lasso
 from rll.syntax import (Act, Alphabet, AlphabetError, And, FVar, Meet, Mu,
                         MuF, NegProp, Next, Nu, NuF, Or, Prop, Sum, TOP, Top,
                         Var, ZERO, alpha_eq, negate_formula, parse_expr,
-                        parse_formula)
+                        parse_formula, parse_formula_file, print_expr)
 
 AB = Alphabet.plain("a", "b")
 P1 = Alphabet.powerset("P")
@@ -84,6 +84,31 @@ class TestToMultl:
     def test_constants_use_fixpoints(self):
         assert alpha_eq(algebra.to_multl(ZERO, PQ), MuF("X", FVar("X")))
         assert alpha_eq(algebra.to_multl(TOP, PQ), NuF("X", FVar("X")))
+
+    def test_binders_named_as_propositions_are_renamed(self):
+        """Over props X0 X1 every binder of gen_expr at depth 0 or 1 clashes;
+        the formula prints and parses back, and means what the expression
+        means."""
+        ab = Alphabet.powerset("X0", "X1")
+        rng = random.Random(45)
+        lassos = list(enumerate_lassos(ab, 1, 2))
+        renamed = 0
+        for _ in range(150):
+            e = gen_expr(rng, ab, rng.randint(2, 8))
+            phi = algebra.to_multl(e, ab)
+            renamed += "X0_1" in print_expr(phi)
+            text = f"{ab.header()}\n{print_expr(phi)}\n"
+            assert parse_formula_file(text) == (ab, phi)
+            for w in rng.sample(lassos, 6):
+                assert models(phi, w) == member_oracle(e, w)
+        assert renamed > 20
+
+    def test_renaming_keeps_free_and_other_variables(self):
+        ab = Alphabet.powerset("X", "X_1")
+        e = parse_expr("mu X. (X + mu X. {X}.X) + mu X_2. X_2 & Y", ab)
+        assert print_expr(algebra.to_multl(e, ab)) == (
+            "mu X_3. X_3 | (mu X_3. X & (~X_1 & O X_3)) | (mu X_2. X_2 & Y)")
+        assert algebra.to_multl(parse_expr("X", ab), ab) == FVar("X")
 
     def test_empty_basis_action_is_bare_next(self):
         ab = Alphabet.powerset()

@@ -1,5 +1,6 @@
 """Proof checking: equational and Hilbert tiers, Boolean steps, generator."""
 
+import functools
 import gc
 import hashlib
 import importlib.util
@@ -10,21 +11,23 @@ import random
 
 import pytest
 
-from helpers import PROOF_DIR, desk_lassos, mutants, proof_paths
+from helpers import (PROOF_DIR, desk_lassos, mutants, proof_paths,
+                     reference_bool_taut, reference_bool_variables,
+                     reference_prop_variables, reference_propositional_valid)
 from rll import algebra
 from rll.calculus import (RULES, CalculusError, Claim, Derivation,
                           FormulaClaim, HypContext, Step, Verdict, _Terms,
-                          bool_taut, check_derivation, check_multl, check_rll,
-                          derivation_from_json, derivation_to_json,
-                          derive_complement, load_proof_file,
-                          propositional_valid)
+                          bool_taut, boolean_variables, check_derivation,
+                          check_multl, check_rll, derivation_from_json,
+                          derivation_to_json, derive_complement,
+                          load_proof_file, maximal_atoms, propositional_valid)
 from rll.corpus import gen_alphabet, gen_expr
 from rll.semantics import (enumerate_lassos, eval_multl, eval_rll,
                            member_oracle)
-from rll.syntax import (Alphabet, And, Bot, FVar, Meet, Mu, MuF, Next, Nu,
-                        NuF, Or, ParseError, Prop, Sum, TOP, Top, TopF, Var,
-                        ZERO, Zero, alpha_eq, free_vars, implies, parse_expr,
-                        parse_formula, print_expr)
+from rll.syntax import (Alphabet, And, BOT, Bot, FVar, Meet, Mu, MuF, Next,
+                        Nu, NuF, Or, ParseError, Prop, Sum, TOP, TT, Top, TopF,
+                        Var, ZERO, Zero, alpha_eq, free_vars, implies,
+                        negate_formula, parse_expr, parse_formula, print_expr)
 
 AB = Alphabet.plain("a", "b")
 PQ = Alphabet.powerset("P", "Q")
@@ -94,6 +97,13 @@ class TestRllRules:
         d = rll_d([estep("s1", "eq", "0", "0", "hocus_pocus")])
         v = check_rll(d)
         assert not v.accepted and "unknown rule" in v.reason
+
+    @pytest.mark.parametrize("rule", ["taut", "mp", "nec"])
+    def test_hilbert_rule_is_unknown(self, rule):
+        d = rll_d([estep("s1", "eq", "0", "0", "refl"),
+                   estep("s2", "eq", "0", "0", rule, premises=["s1"])],
+                  tier="extended")
+        assert check_rll(d) == Verdict(False, "s2", f"unknown rule {rule!r}")
 
     def test_duplicate_step_id(self):
         d = rll_d([estep("s1", "eq", "0", "0", "refl"),
@@ -243,15 +253,10 @@ class TestBoolTaut:
                 ("a.top", "b.top", "nu X. a.X", "mu X. (a.X + b.top)",
                  "a.0", "b.(mu Y. b.Y)")]
 
-        def rand_term(depth=0):
-            r = rng.random()
-            if depth > 2 or r < 0.4:
-                return rng.choice(pool + [TOP, ZERO])
-            l, rr = rand_term(depth + 1), rand_term(depth + 1)
-            return Sum(l, rr) if r < 0.7 else Meet(l, rr)
-
         def rand_claim():
-            return Claim(rng.choice(["eq", "leq"]), rand_term(), rand_term())
+            return Claim(rng.choice(["eq", "leq"]),
+                         *(_lattice_term(rng, pool, TOP, ZERO, Sum, Meet)
+                           for _ in "lr"))
 
         for _ in range(200):
             claim = rand_claim()
@@ -317,6 +322,84 @@ def _brute_bool(claim, premises):
     return True
 
 
+def _outcome(fn, *args):
+    """fn's value, or its CalculusError's message."""
+    try:
+        return fn(*args)
+    except CalculusError as err:
+        return str(err)
+
+
+def _lattice_term(rng, pool, top, bottom, join, meet, depth=0):
+    """A random join/meet term of depth at most 3 over the pool's terms and
+    the two constants."""
+    r = rng.random()
+    if depth > 2 or r < 0.4:
+        return rng.choice(pool + [top, bottom])
+    left = _lattice_term(rng, pool, top, bottom, join, meet, depth + 1)
+    right = _lattice_term(rng, pool, top, bottom, join, meet, depth + 1)
+    return join(left, right) if r < 0.7 else meet(left, right)
+
+
+class TestBooleanVariables:
+    """The one atom grouping against the two it replaced, on seeded atom
+    lists: the same variable numbers and signs, and the same verdicts."""
+
+    def test_expression_atoms(self):
+        rng = random.Random(41)
+        verdicts = set()
+        for ab in (AB, Alphabet.plain("a", "b", "c")):
+            dual = functools.partial(algebra.complement, alphabet=ab)
+            for _ in range(300):
+                pool = [gen_expr(rng, ab, rng.randint(1, 6))
+                        for _ in range(rng.randint(1, 5))]
+                pool += [dual(e) for e in pool if rng.random() < 0.6]
+                atoms = [rng.choice(pool) for _ in range(rng.randint(1, 8))]
+                assert boolean_variables(atoms, dual) == \
+                    reference_bool_variables(atoms, ab)
+
+                def claim():
+                    if rng.random() < 0.3:
+                        e = rng.choice(atoms)
+                        return Claim("leq", TOP, Sum(e, dual(e)))
+                    return Claim(rng.choice(["eq", "leq"]),
+                                 *(_lattice_term(rng, atoms, TOP, ZERO, Sum,
+                                                 Meet) for _ in "lr"))
+
+                c, prems = claim(), [claim() for _ in range(rng.randint(0, 2))]
+                found = maximal_atoms([s for x in (c, *prems)
+                                       for s in (x.lhs, x.rhs)])
+                for given, ref in ((atoms, atoms), (None, found)):
+                    got = _outcome(bool_taut, c, prems, given, ab)
+                    if any(all(not alpha_eq(a, b) for b in ref)
+                           for a in found):
+                        assert got.startswith("subterm ")  # not listed
+                        continue
+                    assert got == _outcome(reference_bool_taut, c, prems,
+                                           ref, ab)
+                    verdicts.add(got)
+        assert {True, False} <= verdicts
+
+    def test_formula_atoms(self):
+        rng = random.Random(42)
+        verdicts = set()
+        opaque = [FVar("Z"), Next(FVar("Z")), Prop("P"), parse_formula("~Q", PQ)]
+        for _ in range(400):
+            pool = [algebra.to_multl(gen_expr(rng, PQ, rng.randint(1, 4)), PQ)
+                    for _ in range(rng.randint(1, 3))]
+            pool += rng.sample(opaque, rng.randint(0, 2))
+            pool += [negate_formula(phi) for phi in pool if rng.random() < 0.6]
+            phis = [_lattice_term(rng, pool, TT, BOT, Or, And)
+                    for _ in range(rng.randint(1, 3))]
+            assert boolean_variables(maximal_atoms(phis), negate_formula) == \
+                reference_prop_variables(phis)
+            got = _outcome(propositional_valid, phis[0], phis[1:])
+            assert got == _outcome(reference_propositional_valid, phis[0],
+                                   phis[1:])
+            verdicts.add(got)
+        assert {True, False} <= verdicts
+
+
 class TestMultl:
     def fstep(self, sid, text, rule, subst=None, premises=None):
         return Step(sid, FormulaClaim(parse_formula(text, PQ)), rule,
@@ -375,6 +458,18 @@ class TestMultl:
                        premises=["s4"]),
         ])
         assert check_multl(d).accepted
+
+    @pytest.mark.parametrize("rule", ["refl", "trans", "bool_taut",
+                                      "duality_plus"])
+    def test_equational_rule_is_unknown(self, rule):
+        hyp = (HypContext(["X", "Y"], [self.fstep("h1", "P | ~P", "taut")])
+               if rule == "duality_plus" else None)
+        d = Derivation("multl", "extended", PQ, [
+            self.fstep("s1", "P | ~P", "taut"),
+            Step("s2", FormulaClaim(parse_formula("P | ~P", PQ)), rule,
+                 {"X": "X", "Y": "Y", "e": "X", "f": "Y"}, ["s1", "s1"],
+                 hyp)])
+        assert check_multl(d) == Verdict(False, "s2", f"unknown rule {rule!r}")
 
     def test_unknown_tier_rejected(self):
         """Both checkers refuse a tier they do not know, whether the
@@ -547,6 +642,17 @@ class TestRuleTable:
                 assert left == right if concl.rel == "eq" else left <= right
 
 
+def _pinned_mutant_verdicts() -> list:
+    """(label, verdict) of every mutant of the shipped proofs and of six
+    seeded complement derivations, in a fixed order."""
+    ds = [load_proof_file(path) for path in proof_paths()]
+    rng = random.Random(3)
+    for _ in range(6):
+        ab = gen_alphabet(rng, 2)
+        ds += derive_complement(gen_expr(rng, ab, 3), ab)
+    return [(label, check_derivation(m)) for d in ds for label, m in mutants(d)]
+
+
 class TestProofCorpus:
     def test_ships_at_least_six(self):
         assert len(proof_paths()) >= 6
@@ -571,21 +677,25 @@ class TestProofCorpus:
         """Every mutant of the shipped proofs and of seeded complement
         derivations is rejected at the same step as when each rule's
         instance was built by its own code, pinned by hash."""
-        ds = [load_proof_file(path) for path in proof_paths()]
-        rng = random.Random(3)
-        for _ in range(6):
-            ab = gen_alphabet(rng, 2)
-            ds += derive_complement(gen_expr(rng, ab, 3), ab)
+        verdicts = _pinned_mutant_verdicts()
         digest = hashlib.sha256()
-        count = 0
-        for d in ds:
-            for label, m in mutants(d):
-                v = check_derivation(m)
-                digest.update(f"{label} {v.accepted} {v.step}\n".encode())
-                count += 1
-        assert count == 1059
+        for label, v in verdicts:
+            digest.update(f"{label} {v.accepted} {v.step}\n".encode())
+        assert len(verdicts) == 1059
         assert digest.hexdigest() == (
             "947637aaf3db65c58fcbf648cb7caa2785a8bfe766d51e316f682e98c1665083")
+
+    def test_mutant_reasons_pinned(self):
+        """The same mutants are rejected for the same reason, word for word,
+        as when each system had its own checker."""
+        verdicts = _pinned_mutant_verdicts()
+        digest = hashlib.sha256()
+        for label, v in verdicts:
+            digest.update(f"{label} {v.accepted} {v.step} {v.reason}\n"
+                          .encode())
+        assert len(verdicts) == 1059
+        assert digest.hexdigest() == (
+            "fa0f7a5a9de25f27496295e6103bd99f45258f0f7bfd25233e0c7ebfe321c7fb")
 
     def test_json_roundtrip(self):
         for path in proof_paths():

@@ -100,6 +100,19 @@ class TestMember:
         code, _out, err = run(capsys, ["member", files["ia"], "(c)"])
         assert code == 2 and "error" in err
 
+    def test_powerset_letter_spellings(self, tmp_path, capsys):
+        """{Q,P} and {P,P,Q} name the letter {P,Q}, in a lasso as in an
+        expression; an undeclared proposition is a usage error."""
+        path = tmp_path / "pq.rll"
+        path.write_text("props P Q ;\nnu X. {Q,P}.X\n")
+        for period, want in (("{P,Q}", 0), ("{Q,P}", 0), ("{P,P,Q}", 0),
+                             ("{Q}", 1), ("{Q,Q}", 1)):
+            code, out, _ = run(capsys, ["member", str(path), f"({period})"])
+            assert code == want, (period, out)
+        code, out, err = run(capsys, ["member", str(path), "({P,R})"])
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "'R'" in err
+
 
 class TestSearch:
     def test_equiv_counterexample(self, files, capsys):
@@ -380,6 +393,24 @@ class TestTranslate:
         code, out, err = run(capsys, ["translate", "--to", "ltl", str(src)])
         assert (code, err) == (0, "")
         assert out == "props X ;\nX & O (mu X0. X0) | ~X & O (nu X0. X0)\n"
+        formula_file = tmp_path / "f.mltl"
+        formula_file.write_text(out)
+        code, out, err = run(capsys, ["translate", "--to", "rll",
+                                      str(formula_file)])
+        assert (code, err) == (0, "")
+        back = tmp_path / "back.rll"
+        back.write_text(out)
+        code, out, _ = run(capsys, ["equiv", str(src), str(back)])
+        assert code == 0, out
+
+    def test_bound_variable_named_as_a_proposition(self, tmp_path, capsys):
+        """A binder named as a proposition is renamed in the formula, so the
+        formula reads back, meaning the same."""
+        src = tmp_path / "e.rll"
+        src.write_text("props X ;\nmu X. {X}.X\n")
+        code, out, err = run(capsys, ["translate", "--to", "ltl", str(src)])
+        assert (code, err) == (0, "")
+        assert out == "props X ;\nmu X_1. X & O X_1\n"
         formula_file = tmp_path / "f.mltl"
         formula_file.write_text(out)
         code, out, err = run(capsys, ["translate", "--to", "rll",

@@ -15,8 +15,9 @@ from rll.semantics import (MAX_LASSOS, Lasso, SemanticsError,
                            enumerate_lassos, eval_multl, eval_rll,
                            lasso_normalize, member_oracle, models,
                            parse_lasso, print_lasso)
-from rll.syntax import (Alphabet, And, FVar, Meet, MuF, Mu, Next, Nu, NuF, Or,
-                        Prop, Sum, Var, parse_expr, parse_formula)
+from rll.syntax import (Alphabet, AlphabetError, And, FVar, Meet, MuF, Mu,
+                        Next, Nu, NuF, Or, ParseError, Prop, Sum, Var,
+                        parse_expr, parse_formula)
 
 AB = Alphabet.plain("a", "b")
 P1 = Alphabet.powerset("P")
@@ -42,6 +43,20 @@ class TestLasso:
         w = parse_lasso("{P}{P,Q}({})", ab)
         assert w.prefix == ("{P}", "{P,Q}")
         assert w.period == ("{}",)
+
+    def test_powerset_letter_spellings(self):
+        """A braced letter reads as the set it names, as in expressions:
+        propositions in any order, repeated, spaced."""
+        ab = Alphabet.powerset("P", "Q")
+        w = parse_lasso("{Q,P}({P,P,Q}{ Q })", ab)
+        assert w == parse_lasso("{P,Q}({P,Q}{Q})", ab)
+        assert w.prefix[0] == parse_expr("{Q,P}.top", ab).letter
+        for text, err in (("({R})", AlphabetError), ("({P,})", AlphabetError),
+                          ("({P}", ParseError), ("{P}(a)", ParseError)):
+            with pytest.raises(err):
+                parse_lasso(text, ab)
+        with pytest.raises(AlphabetError):
+            lasso("({a})")
 
     def test_empty_period_rejected(self):
         with pytest.raises(Exception):
