@@ -95,14 +95,15 @@ def parse_lasso(text: str, alphabet: Alphabet) -> Lasso:
                                  offset + i)
         return out
 
+    lead = len(text) - len(text.lstrip())  # positions count from text
     text = text.strip()
     open_i = text.find("(")
     if open_i < 0 or not text.endswith(")"):
         raise ParseError("lasso must have the form u(v)", 0)
-    prefix = scan(text[:open_i], 0)
-    period = scan(text[open_i + 1:-1], open_i + 1)
+    prefix = scan(text[:open_i], lead)
+    period = scan(text[open_i + 1:-1], lead + open_i + 1)
     if not period:
-        raise ParseError("lasso period must be nonempty", open_i)
+        raise ParseError("lasso period must be nonempty", lead + open_i)
     return Lasso(tuple(prefix), tuple(period), alphabet)
 
 

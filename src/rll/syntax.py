@@ -2,12 +2,15 @@
 
 Everything here is immutable and pure: expressions and formulas are frozen
 dataclasses that memoise only their free variables and alpha key, operations
-return fresh values, and comparison up to renaming goes through
-``alpha_key``. Expressions and formulas are binder terms of one shape, so
+return fresh values, and comparison up to renaming (``alpha_eq``) tries
+structural equality before ``alpha_key``. Expressions and formulas are binder terms of one shape, so
 free variables, substitution, alpha keys, size, printing, parsing and
-constructor maps (``rebuild``) are written once and serve both. The parser
-is one grammar frame (binders, then infix operators by precedence, then
-operands); a syntax differs only in its table of infix operators and in its
+constructor maps (``rebuild``) are written once and serve both. The lexer
+is one regular-expression pass that returns each token as its text, with
+``""`` for the end of the input; a token's position is found again, by
+rescanning the text, only when an error message needs it. The parser is one
+grammar frame (binders, then infix operators by precedence, then operands);
+a syntax differs only in its table of infix operators and in its
 prefix/atom level.
 """
 
@@ -459,7 +462,8 @@ def alpha_key(t: Term) -> str:
 
 
 def alpha_eq(a: Term, b: Term) -> bool:
-    return a is b or alpha_key(a) == alpha_key(b)
+    # equal fields imply alpha-equivalence, and cost no key
+    return a is b or a == b or alpha_key(a) == alpha_key(b)
 
 
 def print_expr(t: Term, _prec: int = 0) -> str:
@@ -489,32 +493,43 @@ def print_expr(t: Term, _prec: int = 0) -> str:
 # Lexer
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Token:
-    kind: str
-    value: str
-    pos: int
+# A token is its text, and "" marks the end of the input. Its kind is its
+# text for a symbol, "ident" for an identifier and "eof" for the end. No
+# position is kept: ``token_positions`` rescans the text when an error
+# message needs one.
+_SYMBOLS = frozenset(["<->", "->", "+", "&", "|", "~", "!", ".", "(", ")",
+                      "{", "}", ",", ";", "0"])
+_TOKEN = r"[A-Za-z_][A-Za-z0-9_]*|<->|->|[+&|~!.(){},;0]"
+# whitespace and comments; a comment is anchored to its line's end, so that
+# no backtracking can read its tail as tokens
+_SKIP = r"(?:\s|#[^\n]*(?![^\n]))*"
+# the leading whitespace and comments (group 1), then every legal piece after
+# them: the match ends at the first illegal character
+_LEGAL_RE = re.compile(rf"({_SKIP})(?:{_TOKEN}|\s|#[^\n]*)*")
+# a token, or the empty end of the text, with the whitespace and comments
+# after it: searched from the first token, each match ends where the next
+# begins, and the text's end gives exactly one ""
+_TOKEN_RE = re.compile(rf"({_TOKEN}|\Z){_SKIP}")
 
 
-# whitespace, a comment to the end of the line, an identifier or a symbol
-_TOKEN_RE = re.compile(r"\s+|#[^\n]*|([A-Za-z_][A-Za-z0-9_]*)"
-                       r"|(<->|->|[+&|~!.(){},;0])")
+def tokenize(text: str) -> list[str]:
+    """The tokens of text, ending with the sentinel ""."""
+    legal = _LEGAL_RE.match(text)
+    i = legal.end()
+    if i < len(text):
+        raise ParseError(f"unexpected character {text[i]!r}", i)
+    return _TOKEN_RE.findall(text, legal.end(1))
 
 
-def tokenize(text: str) -> list[Token]:
-    tokens: list[Token] = []
-    match = _TOKEN_RE.match
-    i, n = 0, len(text)
-    while i < n:
-        m = match(text, i)
-        if m is None:
-            raise ParseError(f"unexpected character {text[i]!r}", i)
-        ident, sym = m.groups()
-        if ident or sym:
-            tokens.append(Token("ident" if ident else sym, ident or sym, i))
-        i = m.end()
-    tokens.append(Token("eof", "", n))
-    return tokens
+def token_positions(text: str) -> list[int]:
+    """Where each token of ``tokenize(text)`` begins; the sentinel's
+    position is ``len(text)``."""
+    lead = _LEGAL_RE.match(text).end(1)
+    return [m.start() for m in _TOKEN_RE.finditer(text, lead)]
+
+
+def token_kind(tok: str) -> str:
+    return tok if tok in _SYMBOLS else "ident" if tok else "eof"
 
 
 # ---------------------------------------------------------------------------
@@ -541,59 +556,66 @@ class _Parser:
     binders: dict  # keyword -> binder constructor
     infix: dict  # from _infix_table
 
-    def __init__(self, tokens: list[Token], start: int, alphabet: Alphabet,
-                 reserved: tuple):
-        self.tokens = tokens
-        self.i = 0
-        self.start = start  # where the term's text begins
+    def __init__(self, text: str, tokens: list[str], first: int,
+                 alphabet: Alphabet, reserved: tuple):
+        self.text = text
+        self.tokens = tokens  # tokenize(text)
+        self.i = self.first = first  # the term's first token
         self.ab = alphabet
         self.reserved = reserved  # names that no bound variable may take
+
+    def pos(self, i: int) -> int:
+        """Where token i begins in the text."""
+        return token_positions(self.text)[i]
 
     def parse(self, require_closed: bool) -> Term:
         t = self.term(0)
         tok = self.tokens[self.i]
-        if tok.kind != "eof":
-            raise ParseError(f"trailing input {tok.value!r}", tok.pos)
+        if tok:
+            raise ParseError(f"trailing input {tok!r}", self.pos(self.i))
         if require_closed and free_vars(t):
             names = ", ".join(sorted(free_vars(t)))
+            # the term's text begins after the one-character ';' before it
+            start = self.pos(self.first - 1) + 1 if self.first else 0
             raise ParseError(f"{self.noun} is not closed (free: {names})",
-                             self.start)
+                             start)
         return t
 
     def term(self, level: int) -> Term:
         """A binder, or operands joined by infix operators of level >= level."""
         tok = self.tokens[self.i]
-        if tok.value in self.binders:  # only an identifier can be mu or nu
+        if tok in self.binders:
             self.i += 1
-            at = self.tokens[self.i].pos
+            at = self.i
             var = self.var_name()
             if var in self.reserved:
                 raise ParseError(f"variable {var!r} clashes with a proposition",
-                                 at)
+                                 self.pos(at))
             self.expect(".")
-            return self.binders[tok.value](var, self.term(0))
+            return self.binders[tok](var, self.term(0))
         left = self.operand()
         infix, tokens = self.infix, self.tokens
         while True:
-            op = infix.get(tokens[self.i].kind)
+            op = infix.get(tokens[self.i])
             if op is None or op[0] < level:
                 return left
             self.i += 1
             left = op[1](left, self.term(op[2]))
 
-    def expect(self, kind: str) -> Token:
+    def expect(self, kind: str) -> str:
         tok = self.tokens[self.i]
-        if tok.kind != kind:
-            raise ParseError(f"expected {kind!r}, found {tok.value!r}", tok.pos)
+        if token_kind(tok) != kind:
+            raise ParseError(f"expected {kind!r}, found {tok!r}",
+                             self.pos(self.i))
         self.i += 1
         return tok
 
     def var_name(self) -> str:
         tok = self.expect("ident")
-        if tok.value in KEYWORDS:
-            raise ParseError(f"keyword {tok.value!r} cannot be a variable",
-                             tok.pos)
-        return tok.value
+        if tok in KEYWORDS:
+            raise ParseError(f"keyword {tok!r} cannot be a variable",
+                             self.pos(self.i - 1))
+        return tok
 
 
 class _ExprParser(_Parser):
@@ -604,31 +626,32 @@ class _ExprParser(_Parser):
         """``LETTER.`` prefixes, then 0, top, a variable or ``(term)``."""
         tokens, letters = self.tokens, []
         tok = tokens[self.i]
-        while tok.kind == "{" or (tok.kind == "ident"
-                                  and tokens[self.i + 1].kind == "."
-                                  and tok.value not in self.binders):
+        while tok == "{" or (token_kind(tok) == "ident"
+                             and tokens[self.i + 1] == "."
+                             and tok not in self.binders):
+            at = self.i
             letter = self.letter()
             if letter not in self.ab.letters:
                 raise AlphabetError(f"undeclared letter {letter!r} "
-                                    f"at position {tok.pos}")
+                                    f"at position {self.pos(at)}")
             self.expect(".")
             letters.append(letter)
             tok = tokens[self.i]
-        if tok.kind == "0":
+        if tok == "0":
             self.i += 1
             e = ZERO
-        elif tok.kind == "(":
+        elif tok == "(":
             self.i += 1
             e = self.term(0)
             self.expect(")")
-        elif tok.value == "top":
+        elif tok == "top":
             self.i += 1
             e = TOP
-        elif tok.kind == "ident":
+        elif token_kind(tok) == "ident":
             e = Var(self.var_name())
         else:
-            raise ParseError(f"expected an expression, found {tok.value!r}",
-                             tok.pos)
+            raise ParseError(f"expected an expression, found {tok!r}",
+                             self.pos(self.i))
         for letter in reversed(letters):
             e = Act(letter, e)
         return e
@@ -637,14 +660,14 @@ class _ExprParser(_Parser):
         """An identifier, or {P,Q} in powerset mode."""
         tok = self.tokens[self.i]
         self.i += 1
-        if tok.kind != "{":
-            return tok.value
+        if tok != "{":
+            return tok
         names = []
-        if self.tokens[self.i].kind != "}":
-            names.append(self.expect("ident").value)
-            while self.tokens[self.i].kind == ",":
+        if self.tokens[self.i] != "}":
+            names.append(self.expect("ident"))
+            while self.tokens[self.i] == ",":
                 self.i += 1
-                names.append(self.expect("ident").value)
+                names.append(self.expect("ident"))
         self.expect("}")
         return braced_letter(names, self.ab)
 
@@ -661,31 +684,32 @@ class _FormulaParser(_Parser):
         variable or ``(term)``."""
         tokens, prefixes = self.tokens, []
         tok = tokens[self.i]
-        while tok.kind == "!" or tok.value == "O":
-            prefixes.append(negate_formula if tok.kind == "!" else Next)
+        while tok == "!" or tok == "O":
+            prefixes.append(negate_formula if tok == "!" else Next)
             self.i += 1
             tok = tokens[self.i]
-        if tok.kind == "~":
+        if tok == "~":
             self.i += 1
-            name = self.expect("ident").value
+            name = self.expect("ident")
             if name not in self.ab.props:
                 raise AlphabetError(f"undeclared proposition {name!r}")
             phi = NegProp(name)
-        elif tok.kind == "(":
+        elif tok == "(":
             self.i += 1
             phi = self.term(0)
             self.expect(")")
-        elif tok.value == "ff":
+        elif tok == "ff":
             self.i += 1
             phi = BOT
-        elif tok.value == "tt":
+        elif tok == "tt":
             self.i += 1
             phi = TT
-        elif tok.kind == "ident":
+        elif token_kind(tok) == "ident":
             name = self.var_name()
             phi = Prop(name) if name in self.ab.props else FVar(name)
         else:
-            raise ParseError(f"expected a formula, found {tok.value!r}", tok.pos)
+            raise ParseError(f"expected a formula, found {tok!r}",
+                             self.pos(self.i))
         for prefix in reversed(prefixes):
             phi = prefix(phi)
         return phi
@@ -697,7 +721,8 @@ def parse_expr(text: str, alphabet: Alphabet, require_closed: bool = False) -> E
     Grammar (binders weakest and maximally right, & tighter than +, a.e
     tightest): ``0 | top | IDENT | LETTER.e | e+e | e&e | (mu|nu) X. e | (e)``.
     """
-    return _ExprParser(tokenize(text), 0, alphabet, ()).parse(require_closed)
+    return _ExprParser(text, tokenize(text), 0, alphabet,
+                       ()).parse(require_closed)
 
 
 def parse_formula(text: str, alphabet: Alphabet,
@@ -708,7 +733,7 @@ def parse_formula(text: str, alphabet: Alphabet,
     prefixes O and !: ``ff | tt | P | ~P | X | O phi | !phi | (phi)``.
     """
     _need_props(alphabet)
-    return _FormulaParser(tokenize(text), 0, alphabet,
+    return _FormulaParser(text, tokenize(text), 0, alphabet,
                           alphabet.props).parse(require_closed)
 
 
@@ -721,30 +746,29 @@ def _need_props(alphabet: Alphabet):
 # Alphabet headers and self-contained files
 # ---------------------------------------------------------------------------
 
-def _header(text: str) -> tuple[Alphabet, list[Token], int]:
+def _header(text: str) -> tuple[Alphabet, list[str], int]:
     """Tokenize a whole file and read its leading ``alphabet a b ;`` or
-    ``props P Q ;`` declaration. Returns the alphabet, the tokens after the
-    ``;`` (positions still count from the file's start) and where the text
-    after the ``;`` begins."""
+    ``props P Q ;`` declaration. Returns the alphabet, the file's tokens and
+    the index of the first token after the ``;``."""
     tokens = tokenize(text)
-    if tokens[0].kind != "ident" or tokens[0].value not in ("alphabet", "props"):
+    if tokens[0] not in ("alphabet", "props"):
         raise ParseError("expected 'alphabet ... ;' or 'props ... ;' header", 0)
-    mode = tokens[0].value
+    mode = tokens[0]
     names: list[str] = []
     i = 1
-    while tokens[i].kind == "ident":
-        names.append(tokens[i].value)
+    while token_kind(tokens[i]) == "ident":
+        names.append(tokens[i])
         i += 1
-    semi = tokens[i]
-    if semi.kind != ";":
-        raise ParseError("alphabet header must end with ';'", semi.pos)
+    if tokens[i] != ";":
+        raise ParseError("alphabet header must end with ';'",
+                         token_positions(text)[i])
     if mode == "alphabet":
         if not names:
             raise AlphabetError("alphabet declaration needs at least one letter")
         ab = Alphabet.plain(*names)
     else:
         ab = Alphabet.powerset(*names)
-    return ab, tokens[i + 1:], semi.pos + 1
+    return ab, tokens, i + 1
 
 
 def parse_alphabet_header(text: str) -> tuple[Alphabet, str]:
@@ -752,21 +776,22 @@ def parse_alphabet_header(text: str) -> tuple[Alphabet, str]:
 
     Returns the alphabet and the remaining text.
     """
-    ab, _tokens, start = _header(text)
-    return ab, text[start:]
+    ab, _tokens, first = _header(text)
+    return ab, text[token_positions(text)[first - 1] + 1:]
 
 
 def parse_expr_file(text: str, require_closed: bool = False) -> tuple[Alphabet, Expr]:
     """A header, then an expression; error positions count from the file's
     start."""
-    ab, tokens, start = _header(text)
-    return ab, _ExprParser(tokens, start, ab, ()).parse(require_closed)
+    ab, tokens, first = _header(text)
+    return ab, _ExprParser(text, tokens, first, ab, ()).parse(require_closed)
 
 
 def parse_formula_file(text: str,
                        require_closed: bool = False) -> tuple[Alphabet, MuLtlFormula]:
     """A ``props`` header, then a formula; error positions count from the
     file's start."""
-    ab, tokens, start = _header(text)
+    ab, tokens, first = _header(text)
     _need_props(ab)
-    return ab, _FormulaParser(tokens, start, ab, ab.props).parse(require_closed)
+    return ab, _FormulaParser(text, tokens, first, ab,
+                              ab.props).parse(require_closed)

@@ -14,7 +14,7 @@ import argparse
 import os
 import re
 import sys
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from itertools import product
 from typing import Iterator, Optional
 
@@ -31,11 +31,11 @@ from rll.syntax import (BINDERS, BOT, BOTTOMS, JOINS, KEYWORDS, MEETS, MUS,
                         PREFIXES, TOP, TOPS, TT, VARS, ZERO, Act, Alphabet,
                         AlphabetError, And, Bot, Expr, FVar, Meet, Mu, MuF,
                         MuLtlFormula, NegProp, Next, Nu, NuF, Or, ParseError,
-                        Prop, Sum, Term, Token, Top, TopF, Var, Zero, alpha_eq,
+                        Prop, Sum, Term, Top, TopF, Var, Zero, alpha_eq,
                         alpha_key, and_of, free_vars, iff, implies,
                         negate_formula, parse_expr, parse_formula,
                         subexpressions, subset_letter_name, substitute,
-                        sum_of, tokenize)
+                        sum_of)
 
 PROOF_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "proofs")
 
@@ -64,6 +64,13 @@ def spellings(w: Lasso) -> list[Lasso]:
 # ---------------------------------------------------------------------------
 # Reference tokenizer: a character loop that tries each symbol in turn
 # ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Token:
+    kind: str
+    value: str
+    pos: int
+
 
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _SYMBOLS = ["<->", "->", "+", "&", "|", "~", "!", ".", "(", ")", "{", "}", ",",
@@ -155,7 +162,7 @@ def reference_parse_expr(text: str, alphabet: Alphabet,
     Grammar (binders weakest and maximally right, & tighter than +, a.e
     tightest): ``0 | top | IDENT | LETTER.e | e+e | e&e | (mu|nu) X. e | (e)``.
     """
-    ts = _RefTokens(tokenize(text))
+    ts = _RefTokens(reference_tokenize(text))
     e = _ref_expr(ts, alphabet)
     tok = ts.peek()
     if tok.kind != "eof":
@@ -247,7 +254,7 @@ def reference_parse_formula(text: str, alphabet: Alphabet,
     """Parse a muLTL formula over a powerset alphabet into NNF."""
     if alphabet.props is None:
         raise AlphabetError("formulas need an alphabet with a proposition basis")
-    ts = _RefTokens(tokenize(text))
+    ts = _RefTokens(reference_tokenize(text))
     phi = _ref_formula(ts, alphabet)
     tok = ts.peek()
     if tok.kind != "eof":

@@ -43,6 +43,25 @@ def rll_d(steps, tier="strict"):
     return Derivation("rll", tier, AB, steps)
 
 
+class TestSystemMismatch:
+    """check_rll and check_multl each reject the other system's derivation
+    before any step."""
+
+    def test_check_rll_on_a_multl_derivation(self):
+        d = Derivation("multl", "strict", PQ, [Step(
+            "s1", FormulaClaim(parse_formula("P | ~P", PQ)), "taut", {}, [])])
+        assert check_multl(d).accepted
+        assert check_rll(d) == Verdict.rejected(
+            "-", "not an equational derivation")
+
+    def test_check_multl_on_an_equational_derivation(self):
+        d = rll_d([estep("s1", "eq", "a.top + 0", "a.top", "plus_zero",
+                         {"e": "a.top"})])
+        assert check_rll(d).accepted
+        assert check_multl(d) == Verdict.rejected(
+            "-", "not a muLTL derivation")
+
+
 class TestRllRules:
     def test_axiom_instance(self):
         d = rll_d([estep("s1", "eq", "a.top + 0", "a.top", "plus_zero",

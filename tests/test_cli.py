@@ -460,6 +460,26 @@ class TestCheck:
         code, _out, err = run(capsys, ["check", str(bad)])
         assert code == 2
 
+    def test_claims_with_renamed_binders(self, tmp_path, capsys):
+        """Claims are matched against rule instances up to renaming: the
+        instances bind X, these claims bind Y and Z."""
+        data = _shipped("mu_fixpoint_unfold.json")
+        claims = [step["claim"] for step in data["steps"]]
+        for claim in claims:
+            for side in ("lhs", "rhs"):
+                claim[side] = claim[side].replace("X", "Y" if side == "lhs"
+                                                  else "Z")
+        assert claims[2] == {"rel": "leq", "lhs": "mu Y. a.Y",
+                             "rhs": "a.(mu Z. a.Z)"}
+        renamed = tmp_path / "renamed.json"
+        renamed.write_text(json.dumps(data))
+        code, out, _ = run(capsys, ["check", str(renamed)])
+        assert code == 0 and out.strip() == "accepted"
+        claims[2]["lhs"] = "nu Y. a.Y"
+        renamed.write_text(json.dumps(data))
+        code, out, _ = run(capsys, ["check", str(renamed)])
+        assert code == 1 and out.startswith("rejected at step s3")
+
 
 def _shipped(name):
     with open(os.path.join(PROOF_DIR, name), encoding="utf-8") as fh:

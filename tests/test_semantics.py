@@ -58,6 +58,16 @@ class TestLasso:
         with pytest.raises(AlphabetError):
             lasso("({a})")
 
+    @pytest.mark.parametrize("text,pos", [
+        ("ac(b)", 1), (" ac(b)", 2), ("a(bc)", 3), (" a(bc)", 4),
+        ("\t a()", 3)])
+    def test_error_positions_count_from_the_text_as_given(self, text, pos):
+        """Leading whitespace counts, in the prefix and in the period."""
+        with pytest.raises(ParseError) as err:
+            lasso(text)
+        assert err.value.pos == pos
+        assert str(err.value).endswith(f"(at position {pos})")
+
     def test_empty_period_rejected(self):
         with pytest.raises(Exception):
             lasso("ab()")

@@ -5,18 +5,19 @@ from hypothesis import given, settings, strategies as st
 
 import rll.syntax
 from rll import algebra
-from rll.syntax import (Act, Alphabet, AlphabetError, And, FVar, Meet, Mu,
-                        MuF, NegProp, Next, Nu, NuF, Or, ParseError, Prop,
-                        Sum, TOP, Top, Var, ZERO, Zero, alpha_eq, alpha_key,
-                        free_vars, negate_formula, parse_alphabet_header,
-                        RllError, parse_expr, parse_expr_file,
-                        parse_formula, parse_formula_file, print_expr,
-                        substitute, tokenize)
+from rll.syntax import (BINDERS, LATTICE, PREFIXES, Act, Alphabet,
+                        AlphabetError, And, FVar, Meet, Mu, MuF, NegProp,
+                        Next, Nu, NuF, Or, ParseError, Prop, Sum, TOP, Top,
+                        Var, ZERO, Zero, alpha_eq, alpha_key, free_vars,
+                        negate_formula, parse_alphabet_header, RllError,
+                        parse_expr, parse_expr_file, parse_formula,
+                        parse_formula_file, print_expr, substitute,
+                        token_kind, token_positions, tokenize)
 from rll.corpus import gen_expr
 from helpers import (reference_parse_expr, reference_parse_formula,
                      reference_tokenize)
 import random
-from dataclasses import fields
+from dataclasses import fields, replace
 
 AB = Alphabet.plain("a", "b")
 PQ = Alphabet.powerset("P", "Q")
@@ -254,6 +255,45 @@ class TestNodeMemo:
         assert [f.name for f in fields(e)] == ["var", "body"]
 
 
+def _rename_binders(t, rng):
+    """An alpha-variant of t: each binder keeps its name or takes one drawn
+    from a small pool, unless that would capture a free variable."""
+    if isinstance(t, BINDERS):
+        new = rng.choice([t.var, "X0", "X1", "V", "W"])
+        if new in free_vars(t.body) - {t.var}:
+            new = t.var
+        var = Var if isinstance(t, (Mu, Nu)) else FVar
+        body = substitute(t.body, t.var, var(new))
+        return type(t)(new, _rename_binders(body, rng))
+    if isinstance(t, PREFIXES):
+        return replace(t, body=_rename_binders(t.body, rng))
+    if isinstance(t, LATTICE):
+        return type(t)(_rename_binders(t.left, rng),
+                       _rename_binders(t.right, rng))
+    return t
+
+
+class TestAlphaEq:
+    """alpha_eq tries structural equality before alpha keys: it must agree
+    with comparing the keys alone."""
+
+    def test_matches_alpha_keys(self):
+        rng = random.Random(41)
+        seen = {"equal": 0, "renamed": 0, "different": 0}
+        for _ in range(600):
+            for _var, _mu, _join, gen in FAMILIES:
+                a = gen(rng, rng.randint(1, 9), ("W",))
+                for b in (gen(rng, rng.randint(1, 9), ("W",)),
+                          _rename_binders(a, rng),
+                          _rename_binders(_rename_binders(a, rng), rng)):
+                    same = alpha_key(a) == alpha_key(b)
+                    assert alpha_eq(a, b) == same
+                    assert alpha_eq(b, a) == same
+                    seen["equal" if a == b else "renamed" if same
+                         else "different"] += 1
+        assert min(seen.values()) >= 100, seen
+
+
 # pieces of tokenizer input: identifiers, every symbol, symbol fragments,
 # comments, newlines, Unicode whitespace, non-ASCII letters and digits
 TOKEN_PIECES = [
@@ -263,11 +303,24 @@ TOKEN_PIECES = [
     "λ", "ß", "Ω", "1", "9", "*", "=", "[", "\x00"]
 
 
-def _lex(tokenize_fn, text):
+def _outcome(lex, text):
+    """lex(text), or the type and message of the error it raises."""
     try:
-        return [(t.kind, t.value, t.pos) for t in tokenize_fn(text)]
+        return lex(text)
     except Exception as err:
         return type(err), str(err)
+
+
+def _lex(text):
+    """tokenize's tokens as (kind, value, position) triples, the positions
+    found by rescanning the text."""
+    tokens = tokenize(text)
+    return list(zip(map(token_kind, tokens), tokens, token_positions(text),
+                    strict=True))
+
+
+def _ref_lex(text):
+    return [(t.kind, t.value, t.pos) for t in reference_tokenize(text)]
 
 
 class TestTokenize:
@@ -278,13 +331,13 @@ class TestTokenize:
     @given(st.lists(st.sampled_from(TOKEN_PIECES) | st.text(max_size=2),
                     max_size=12).map("".join))
     def test_matches_reference(self, text):
-        assert _lex(tokenize, text) == _lex(reference_tokenize, text)
+        assert _outcome(_lex, text) == _outcome(_ref_lex, text)
 
     def test_pieces_alone_and_in_pairs(self):
         for a in TOKEN_PIECES:
             for b in [""] + TOKEN_PIECES:
                 text = a + b
-                assert _lex(tokenize, text) == _lex(reference_tokenize, text)
+                assert _outcome(_lex, text) == _outcome(_ref_lex, text)
 
     def test_unexpected_character(self):
         with pytest.raises(ParseError, match=r"unexpected character '-' "
