@@ -99,7 +99,7 @@ class Derivation:
     tier: str  # "strict" | "extended"
     alphabet: Alphabet
     steps: list[Step]
-    # text -> term: claims, subst terms and atoms, each text parsed once
+    # the parse memo of its claims, subst terms and atoms
     terms: _Terms = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -152,14 +152,18 @@ def _strings(value, what: str) -> list[str]:
 
 
 class _Terms(dict):
-    """Text -> term, each distinct text parsed once into one term; a text
-    that fails to parse is not stored, so it fails alike every time."""
+    """One derivation's parse memo, under its alphabet and syntax. A text
+    (str) maps to its term, so each distinct claim, subst term or atom is
+    parsed once; the tokens inside a parenthesised group (tuple) map to the
+    group's term, the parser's group memo, shared by all the texts, so
+    equal groups of different texts are one object. Neither a text nor a
+    group that fails to parse is stored, so it fails alike every time."""
 
     def __init__(self, parse: Callable, alphabet: Alphabet):
         self.parse = partial(parse, alphabet=alphabet)
 
     def __missing__(self, text: str) -> Term:
-        t = self[text] = self.parse(text)
+        t = self[text] = self.parse(text, memo=self)
         return t
 
 

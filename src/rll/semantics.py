@@ -16,8 +16,8 @@ from typing import Callable, Iterable, Iterator, Mapping, Optional
 
 from .syntax import (BINDERS, BOTTOMS, JOINS, MEETS, MUS, PREFIXES, TOPS, VARS,
                      Act, Alphabet, Expr, MuLtlFormula, NegProp, Next,
-                     ParseError, Prop, RllError, Term, braced_letter,
-                     free_vars)
+                     ParseError, Prop, RllError, Term, free_vars,
+                     parse_braced_letter)
 
 
 class SemanticsError(RllError):
@@ -80,9 +80,8 @@ def parse_lasso(text: str, alphabet: Alphabet) -> Lasso:
                 j = chunk.find("}", i)
                 if j < 0:
                     raise ParseError("unterminated powerset letter", offset + i)
-                names = chunk[i + 1:j].replace(" ", "")
-                out.append(braced_letter(names.split(",") if names else [],
-                                         alphabet))
+                out.append(parse_braced_letter(chunk[i:j + 1], alphabet,
+                                               offset + i))
                 i = j + 1
                 continue
             for letter in letters:

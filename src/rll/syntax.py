@@ -11,7 +11,15 @@ is one regular-expression pass that returns each token as its text, with
 rescanning the text, only when an error message needs it. The parser is one
 grammar frame (binders, then infix operators by precedence, then operands);
 a syntax differs only in its table of infix operators and in its
-prefix/atom level.
+prefix/atom level. A parenthesised group is parsed once per memo
+(hash-consing at parse time, keyed on the input as in packrat parsing): the
+parser keys each balanced group on the exact tokens between its brackets,
+and a group met again returns the term stored for it, so equal groups are
+one object. Under one alphabet and syntax, equal tokens parse alike; only
+groups that parse are stored, so every error is raised as before. The
+proof checker shares one memo across a derivation's texts; a single text is
+parsed without one, as its groups seldom repeat and their keys would cost
+more than they save.
 """
 
 from __future__ import annotations
@@ -32,7 +40,7 @@ class ParseError(RllError):
 
     def __init__(self, message: str, pos: int):
         super().__init__(f"{message} (at position {pos})")
-        self.pos = pos
+        self.message, self.pos = message, pos
 
 
 class AlphabetError(RllError):
@@ -114,18 +122,6 @@ def _subsets_in_order(basis: tuple[str, ...]) -> Iterator[tuple[str, ...]]:
 
 def subset_letter_name(subset: tuple[str, ...]) -> str:
     return "{" + ",".join(subset) + "}"
-
-
-def braced_letter(names: list[str], alphabet: Alphabet) -> str:
-    """The powerset letter written ``{names}``: the set of the named
-    propositions, in any order and with repeats, named in basis order."""
-    props = alphabet.props
-    if props is None:
-        raise AlphabetError("powerset letter used with a plain alphabet")
-    for p in names:
-        if p not in props:
-            raise AlphabetError(f"undeclared proposition {p!r}")
-    return subset_letter_name(tuple(p for p in props if p in names))
 
 
 # ---------------------------------------------------------------------------
@@ -544,25 +540,48 @@ def _infix_table(levels: list) -> dict:
             for lvl, (kind, build, right) in enumerate(levels)}
 
 
+_PARENS = frozenset("()")
+
+
+def _matching_parens(tokens: list[str]) -> dict[int, int]:
+    """The index of each balanced "(" in tokens -> that of its ")"."""
+    close, open_ = {}, []
+    for i in [i for i, tok in enumerate(tokens) if tok in _PARENS]:
+        if tokens[i] == "(":
+            open_.append(i)
+        elif open_:
+            close[open_.pop()] = i
+    return close
+
+
 class _Parser:
     """A term is a binder ``(mu|nu) X. term``, which extends as far right as
     it can, or operands joined by the syntax's infix operators, where the
     right operand of an operator may be such a binder. Precedence climbing
     (Pratt 1973) reads the operators, so the recursion deepens with
     parentheses, binders and right operands, not with the number of operator
-    levels; ``operand`` reads a chain of prefixes in a loop."""
+    levels; ``operand`` reads a chain of prefixes in a loop.
+
+    ``memo``, if given, maps the tokens inside each balanced group parsed so
+    far to its term (``group``). The term of a group that parses depends
+    only on those tokens, the alphabet, the reserved names and the syntax,
+    so one memo may serve many texts under one alphabet and syntax. Errors
+    depend on where the group stands; a group that fails is not stored."""
 
     noun: str  # what the error messages call a term
     binders: dict  # keyword -> binder constructor
     infix: dict  # from _infix_table
 
     def __init__(self, text: str, tokens: list[str], first: int,
-                 alphabet: Alphabet, reserved: tuple):
+                 alphabet: Alphabet, reserved: tuple,
+                 memo: Optional[dict] = None):
         self.text = text
         self.tokens = tokens  # tokenize(text)
         self.i = self.first = first  # the term's first token
         self.ab = alphabet
         self.reserved = reserved  # names that no bound variable may take
+        self.memo = memo
+        self.close: Optional[dict[int, int]] = None  # "(" -> its ")", lazily
 
     def pos(self, i: int) -> int:
         """Where token i begins in the text."""
@@ -601,6 +620,27 @@ class _Parser:
                 return left
             self.i += 1
             left = op[1](left, self.term(op[2]))
+
+    def group(self) -> Term:
+        """``(term)``, at a ``(``. A balanced group found in the memo is
+        skipped whole; one that is not is parsed, and stored if it parses."""
+        memo, key, end = self.memo, None, None
+        if memo is not None:
+            if self.close is None:
+                self.close = _matching_parens(self.tokens)
+            end = self.close.get(self.i)  # None for an unbalanced "("
+            if end is not None:
+                key = tuple(self.tokens[self.i + 1:end])
+                t = memo.get(key)
+                if t is not None:
+                    self.i = end + 1
+                    return t
+        self.i += 1
+        t = self.term(0)
+        self.expect(")")
+        if key is not None and self.i - 1 == end:
+            memo[key] = t
+        return t
 
     def expect(self, kind: str) -> str:
         tok = self.tokens[self.i]
@@ -641,9 +681,7 @@ class _ExprParser(_Parser):
             self.i += 1
             e = ZERO
         elif tok == "(":
-            self.i += 1
-            e = self.term(0)
-            self.expect(")")
+            e = self.group()
         elif tok == "top":
             self.i += 1
             e = TOP
@@ -660,8 +698,12 @@ class _ExprParser(_Parser):
         """An identifier, or {P,Q} in powerset mode."""
         tok = self.tokens[self.i]
         self.i += 1
-        if tok != "{":
-            return tok
+        return self.braced() if tok == "{" else tok
+
+    def braced(self) -> str:
+        """The rest of a powerset letter ``{P,Q}``, after its ``{``: the set
+        of the named propositions, in any order and with repeats, named in
+        basis order."""
         names = []
         if self.tokens[self.i] != "}":
             names.append(self.expect("ident"))
@@ -669,7 +711,13 @@ class _ExprParser(_Parser):
                 self.i += 1
                 names.append(self.expect("ident"))
         self.expect("}")
-        return braced_letter(names, self.ab)
+        props = self.ab.props
+        if props is None:
+            raise AlphabetError("powerset letter used with a plain alphabet")
+        for p in names:
+            if p not in props:
+                raise AlphabetError(f"undeclared proposition {p!r}")
+        return subset_letter_name(tuple(p for p in props if p in names))
 
 
 class _FormulaParser(_Parser):
@@ -695,9 +743,7 @@ class _FormulaParser(_Parser):
                 raise AlphabetError(f"undeclared proposition {name!r}")
             phi = NegProp(name)
         elif tok == "(":
-            self.i += 1
-            phi = self.term(0)
-            self.expect(")")
+            phi = self.group()
         elif tok == "ff":
             self.i += 1
             phi = BOT
@@ -715,26 +761,44 @@ class _FormulaParser(_Parser):
         return phi
 
 
-def parse_expr(text: str, alphabet: Alphabet, require_closed: bool = False) -> Expr:
+def parse_expr(text: str, alphabet: Alphabet, require_closed: bool = False,
+               memo: Optional[dict] = None) -> Expr:
     """Parse an RLL expression.
 
     Grammar (binders weakest and maximally right, & tighter than +, a.e
     tightest): ``0 | top | IDENT | LETTER.e | e+e | e&e | (mu|nu) X. e | (e)``.
+    ``memo`` is a group memo of ``_Parser`` (a dict), to share between the
+    expressions of one alphabet; none by default.
     """
-    return _ExprParser(text, tokenize(text), 0, alphabet,
-                       ()).parse(require_closed)
+    return _ExprParser(text, tokenize(text), 0, alphabet, (),
+                       memo).parse(require_closed)
 
 
-def parse_formula(text: str, alphabet: Alphabet,
-                  require_closed: bool = False) -> MuLtlFormula:
+def parse_formula(text: str, alphabet: Alphabet, require_closed: bool = False,
+                  memo: Optional[dict] = None) -> MuLtlFormula:
     """Parse a muLTL formula over a powerset alphabet into NNF.
 
     Grammar, weakest first: binders, <->, -> (to the right), |, &, then the
     prefixes O and !: ``ff | tt | P | ~P | X | O phi | !phi | (phi)``.
+    ``memo`` is as for ``parse_expr``.
     """
     _need_props(alphabet)
-    return _FormulaParser(text, tokenize(text), 0, alphabet,
-                          alphabet.props).parse(require_closed)
+    return _FormulaParser(text, tokenize(text), 0, alphabet, alphabet.props,
+                          memo).parse(require_closed)
+
+
+def parse_braced_letter(text: str, alphabet: Alphabet, at: int) -> str:
+    """The powerset letter written ``{P,Q}``, read as an expression reads
+    it: whitespace and comments may surround the names. Error positions
+    count from ``at``, where text begins in the input it was cut from."""
+    try:
+        p = _ExprParser(text, tokenize(text), 0, alphabet, ())
+        p.expect("{")
+        letter = p.braced()
+        p.expect("eof")
+    except ParseError as err:
+        raise ParseError(err.message, at + err.pos) from None
+    return letter
 
 
 def _need_props(alphabet: Alphabet):

@@ -17,6 +17,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import rll
 from helpers import (PROOF_DIR, reference_build_parser,
                      reference_equiv_bounded, reference_main, spellings)
+from rll.calculus import (check_derivation, derivation_to_json,
+                          derive_complement, load_proof_file)
 from rll.cli import main, parse_args
 from rll.corpus import gen_expr, gen_lasso
 from rll.game import GameError, member_game
@@ -112,6 +114,18 @@ class TestMember:
         code, out, err = run(capsys, ["member", str(path), "({P,R})"])
         assert code == 2 and out == ""
         assert err.startswith("error: ") and "'R'" in err
+
+    def test_whitespace_in_a_braced_letter(self, tmp_path, capsys):
+        """A tab or a newline between a lasso's braced names reads as in an
+        expression; a missing name is a syntax error with its position."""
+        path = tmp_path / "pq.rll"
+        path.write_text("props P Q ;\nnu X. {P,\tQ}.X\n")
+        for period in ("{Q,\tP}", "{Q,\nP}"):
+            assert run(capsys, ["member", str(path), f"({period})"])[0] == 0
+        code, out, err = run(capsys, ["member", str(path), "({Q,})"])
+        assert (code, out) == (2, "")
+        assert err == ("error: lasso '({Q,})': expected 'ident', found '}' "
+                       "(at position 4)\n")
 
 
 class TestSearch:
@@ -362,6 +376,46 @@ class TestBoundedMemory:
         finally:
             tracemalloc.stop()
         assert grown < 512 * 1024
+
+    @pytest.fixture
+    def proof_files(self, tmp_path):
+        """60 distinct generated complement derivations, as proof files."""
+        rng, texts, paths = random.Random(5), set(), []
+        while len(paths) < 60:
+            e = gen_expr(rng, AB, rng.randint(6, 16))
+            if print_expr(e) in texts:
+                continue
+            texts.add(print_expr(e))
+            for d in derive_complement(e, AB):
+                path = tmp_path / f"d{len(paths)}.json"
+                path.write_text(json.dumps(derivation_to_json(d)))
+                paths.append(str(path))
+        return paths
+
+    def test_distinct_check_queries(self, capsys, proof_files):
+        for path in proof_files[:10]:
+            assert run(capsys, ["check", path])[0] == 0
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for path in proof_files[10:]:
+                assert run(capsys, ["check", path])[0] == 0
+            gc.collect()
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert grown < 512 * 1024
+
+    def test_checking_leaves_no_cyclic_garbage(self, proof_files):
+        gc.collect()
+        gc.disable()
+        try:
+            for path in proof_files:
+                assert check_derivation(load_proof_file(path)).accepted
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_no_lru_cache(self):
         src = os.path.dirname(rll.__file__)

@@ -51,7 +51,7 @@ class TestLasso:
         w = parse_lasso("{Q,P}({P,P,Q}{ Q })", ab)
         assert w == parse_lasso("{P,Q}({P,Q}{Q})", ab)
         assert w.prefix[0] == parse_expr("{Q,P}.top", ab).letter
-        for text, err in (("({R})", AlphabetError), ("({P,})", AlphabetError),
+        for text, err in (("({R})", AlphabetError), ("({P,})", ParseError),
                           ("({P}", ParseError), ("{P}(a)", ParseError)):
             with pytest.raises(err):
                 parse_lasso(text, ab)
@@ -67,6 +67,33 @@ class TestLasso:
             lasso(text)
         assert err.value.pos == pos
         assert str(err.value).endswith(f"(at position {pos})")
+
+    @pytest.mark.parametrize("text", [
+        "({Q,\tP})", "({Q,\nP})", "( {\tQ ,P } )", "({Q, # note\n P})"])
+    def test_braced_letter_whitespace(self, text):
+        """Whitespace and comments between a braced letter's names read as
+        in an expression, where {P,\tQ}.X parses."""
+        pq = Alphabet.powerset("P", "Q")
+        assert lasso(text, pq) == lasso("({P,Q})", pq)
+
+    @pytest.mark.parametrize("text,expr,message", [
+        ("({Q,})", "{Q,}.X", "expected 'ident', found '}'"),
+        ("{P}({P Q})", "{P Q}.X", "expected '}', found 'Q'"),
+        ("({,P})", "{,P}.X", "expected 'ident', found ','"),
+        ("( {P;} )", "{P;}.X", "expected '}', found ';'")])
+    def test_braced_letter_errors_as_in_expressions(self, text, expr,
+                                                    message):
+        """A malformed braced letter is the expression parser's ParseError,
+        at its position in the lasso."""
+        pq = Alphabet.powerset("P", "Q")
+        with pytest.raises(ParseError) as in_expr:
+            parse_expr(expr, pq)
+        with pytest.raises(ParseError) as err:
+            lasso(text, pq)
+        assert in_expr.value.message == err.value.message == message
+        # the same token, counted from the lasso's text
+        shift = text.rindex("{") - expr.index("{")
+        assert err.value.pos == in_expr.value.pos + shift
 
     def test_empty_period_rejected(self):
         with pytest.raises(Exception):

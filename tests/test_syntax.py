@@ -11,12 +11,16 @@ from rll.syntax import (BINDERS, LATTICE, PREFIXES, Act, Alphabet,
                         Var, ZERO, Zero, alpha_eq, alpha_key, free_vars,
                         negate_formula, parse_alphabet_header, RllError,
                         parse_expr, parse_expr_file, parse_formula,
-                        parse_formula_file, print_expr, substitute,
-                        token_kind, token_positions, tokenize)
+                        parse_formula_file, print_expr, subexpressions,
+                        substitute, token_kind, token_positions, tokenize)
+from rll.calculus import (derivation_from_json, derivation_to_json,
+                          derive_complement)
 from rll.corpus import gen_expr
 from helpers import (reference_parse_expr, reference_parse_formula,
                      reference_tokenize)
+import json
 import random
+import re
 from dataclasses import fields, replace
 
 AB = Alphabet.plain("a", "b")
@@ -397,6 +401,118 @@ class TestAgainstReferenceParser:
                 for closed in (False, True):
                     assert _parse(parse, text, ab, closed) == \
                         _parse(reference, text, ab, closed)
+
+
+# operands for texts that share groups: each syntax and alphabet's own, and
+# faulty ones: undeclared letters and propositions, a binder named as a
+# proposition, the other syntax's pieces and malformed fragments
+MEMO_SYNTAXES = [
+    (parse_expr, reference_parse_expr, AB, ["+", "&"],
+     ["a.X", "b.0", "top", "0", "X", "mu X. a.X", "nu Y. b.Y + X", "a.b.top"]),
+    (parse_expr, reference_parse_expr, PQ, ["+", "&"],
+     ["{P}.X", "{Q,P}.top", "{}.0", "top", "X", "mu X. {P}.X", "{ Q }.Y"]),
+    (parse_formula, reference_parse_formula, PQ, ["|", "&", "->", "<->"],
+     ["P", "~Q", "O P", "! Q", "X", "tt", "ff", "mu X. X", "nu Y. O Y & P"]),
+]
+MEMO_FAULTS = ["c.X", "{R}.top", "~R", "mu P. P", "a b", "(", "+ P", "mu X.",
+               "", "{P,}.0", "a.X", "P", "{P}.X", "->", "|", "+"]
+SPACES = ["", " ", "  ", "\n", " # note\n", "\t"]
+
+
+def _memo_texts(seed, infix, operands):
+    """Forty texts over a few operands, nested in parentheses and joined by
+    infix operators with varied whitespace, so that many parenthesised
+    groups recur, valid or not, across texts."""
+    rng = random.Random(seed)
+    pool = rng.sample(operands, 5) + [_printed(rng.randrange(10**6))]
+
+    def piece(depth):
+        if depth and rng.random() < 0.6:
+            return "(" + chain(depth - 1) + ")"
+        return rng.choice(MEMO_FAULTS if rng.random() < 0.04 else pool)
+
+    def chain(depth):
+        parts = [piece(depth) for _ in range(rng.randint(1, 3))]
+        ops = [rng.choice(SPACES) + rng.choice(infix) + rng.choice(SPACES)
+               for _ in parts[1:]]
+        return parts[0] + "".join(op + p for op, p in zip(ops, parts[1:]))
+
+    return [chain(3) for _ in range(40)]
+
+
+class _CountingMemo(dict):
+    """A group memo that counts its hits."""
+    hits = 0
+
+    def get(self, key, default=None):
+        t = super().get(key, default)
+        self.hits += t is not None
+        return t
+
+
+class TestGroupMemo:
+    """Parsing through one memo shared by a sequence of texts gives what
+    parsing each text alone, without a memo, gives: an equal term, or an
+    equal exception type and message."""
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_shared_memo_matches_parses_one_at_a_time(self, seed):
+        outcomes, hits = [], 0
+        for parse, reference, ab, infix, operands in MEMO_SYNTAXES:
+            texts = _memo_texts(seed, infix, operands)
+            for closed in (False, True):
+                memo = _CountingMemo()
+
+                def shared(text, ab, require_closed):
+                    return parse(text, ab, require_closed, memo=memo)
+
+                for text in texts:
+                    got = _parse(shared, text, ab, closed)
+                    assert got == _parse(parse, text, ab, closed), text
+                    assert got == _parse(reference, text, ab, closed), text
+                    outcomes.append(got)
+                hits += memo.hits
+        # the texts reach the memo, and both parse and fail
+        assert hits >= 40
+        errors = sum(isinstance(o, tuple) for o in outcomes)
+        assert 0.1 < errors / len(outcomes) < 0.9
+
+    def test_equal_groups_in_one_text_are_one_object(self):
+        e = parse_expr("(a.X + (b.0)) & (a.X  +  ( b. 0))", AB, memo={})
+        assert e.left is e.right and e.left.right is e.right.right
+
+    def test_failed_group_fails_again(self):
+        memo = {}
+        for text in ["(c.X) + a.X", "a.X & (c.X)"]:
+            with pytest.raises(AlphabetError, match="undeclared letter 'c'"):
+                parse_expr(text, AB, memo=memo)
+        assert memo == {}
+
+    def test_unbalanced_group_is_not_a_hit(self):
+        memo = {}
+        assert parse_expr("(a.X)", AB, memo=memo) == Act("a", Var("X"))
+        for text, message in [("(a.X", "expected ')', found ''"),
+                              ("((a.X)", "expected ')', found ''")]:
+            with pytest.raises(ParseError, match=re.escape(message)):
+                parse_expr(text, AB, memo=memo)
+
+    def test_groups_of_a_derivation_are_shared(self):
+        """A parenthesised subterm of several claims of a loaded generated
+        derivation is one object in all of them."""
+        e = gen_expr(random.Random(11), AB, 24)
+        for d in derive_complement(e, AB):
+            d = derivation_from_json(json.loads(json.dumps(
+                derivation_to_json(d))))
+            texts = [k for k in d.terms if isinstance(k, str)]
+            groups = [t for k, t in d.terms.items() if isinstance(k, tuple)]
+            most = 0
+            for g in groups:
+                inside = [text for text in texts
+                          if f"({print_expr(g)})" in text]
+                for text in inside:
+                    assert any(s is g for s in subexpressions(d.terms[text]))
+                most = max(most, len(inside))
+            assert most >= 5
 
 
 class TestPrintParse:
