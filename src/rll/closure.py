@@ -3,7 +3,11 @@
 The occurrence graph is what the evaluation game runs on. Its nodes are the
 subterm occurrences of a closed expression, built in one pass over the root:
 each node has a kind, a letter (for a.f) and successor ids, and a variable
-is not a node of its own but a back-edge to its binder's node. Non-binder
+is not a node of its own but a back-edge to its binder's node. Each node
+also lists its moves in the game, worked out once per expression: a move
+into an act reads the act's letter and lands on its body, and a move into a
+0 or a top is that constant's deadlock, so the arena needs a position for
+neither (an act keeps one as the root or as the body of an act). Non-binder
 nodes are hash-consed on (kind, letter, successor ids), so the copies of top,
 b.top and the like that complementation makes share one node; binders are
 never merged. Merged nodes have the same owner, priority and successors, so
@@ -60,6 +64,12 @@ class ClosureError(RllError):
     pass
 
 
+# Move targets that are no node: the deadlocks that a 0 (or a letter that
+# does not match) and a top lead to.
+DEAD_ZERO, DEAD_TOP = -1, -2
+_DEADLOCK = {"zero": DEAD_ZERO, "top": DEAD_TOP}
+
+
 class OccurrenceGraph(NamedTuple):
     """The occurrence graph of a closed expression.
 
@@ -67,6 +77,15 @@ class OccurrenceGraph(NamedTuple):
     letter ``letters[i]`` of an act node (None otherwise), successor ids
     ``succs[i]`` without repeats, and priority ``priority[i]``. ``root`` is
     the node of the whole expression.
+
+    ``moves[i]`` is node i's moves in the evaluation game, one (letter,
+    target) pair per successor, in order, with every act read on the move
+    into it. A successor a.f becomes (a, f): the move reads a and lands on f
+    at the next word vertex. Any other successor s becomes (None, s), a move
+    that stays at the vertex. An act node's own moves are its one (a, f).
+    Wherever the target f or s is a 0 or a top, it is DEAD_ZERO or DEAD_TOP
+    instead, that constant's deadlock; the constants themselves have no
+    moves.
     """
 
     root: int
@@ -74,6 +93,7 @@ class OccurrenceGraph(NamedTuple):
     letters: tuple[Optional[str], ...]
     succs: tuple[tuple[int, ...], ...]
     priority: tuple[int, ...]
+    moves: tuple[tuple[tuple[Optional[str], int], ...], ...]
 
 
 def occurrence_graph(e: Expr, alphabet: Alphabet) -> OccurrenceGraph:
@@ -81,15 +101,28 @@ def occurrence_graph(e: Expr, alphabet: Alphabet) -> OccurrenceGraph:
     kinds: list[str] = []
     letters: list[Optional[str]] = []
     succs: list[tuple[int, ...]] = []
+    enter: list[tuple[Optional[str], int]] = []  # the move into each node
+    moves: list[tuple[tuple[Optional[str], int], ...]] = []
     level: dict[int, int] = {}  # binder node -> its alternation level
     shared: dict[tuple, int] = {}
     declared = frozenset(alphabet.letters)
 
     def new(kind: str, letter: Optional[str], succ: tuple[int, ...]) -> int:
+        """A new node, with the move into it and its moves; a binder's move
+        into its body is set once the body is built."""
+        i = len(kinds)
         kinds.append(kind)
         letters.append(letter)
         succs.append(succ)
-        return len(kinds) - 1
+        if letter is not None:  # an act is read on the move into it
+            body = succ[0]
+            enter.append((letter, _DEADLOCK.get(kinds[body], body)))
+            moves.append((enter[i],))
+        else:  # spelled out: tuple(map(...)) costs twice as much per node
+            enter.append((None, _DEADLOCK.get(kind, i)))
+            moves.append((enter[succ[0]], enter[succ[1]]) if len(succ) == 2
+                         else (enter[succ[0]],) if succ else ())
+        return i
 
     def go(t: Expr, scope: dict[str, int], up: int) -> int:
         """The node of t, whose nearest binder above is node up (or -1)."""
@@ -101,7 +134,9 @@ def occurrence_graph(e: Expr, alphabet: Alphabet) -> OccurrenceGraph:
         if isinstance(t, (Mu, Nu)):
             i = new("mu" if isinstance(t, Mu) else "nu", None, ())
             level[i] = 0 if up < 0 else level[up] + (kinds[up] != kinds[i])
-            succs[i] = (go(t.body, {**scope, t.var: i}, i),)
+            body = go(t.body, {**scope, t.var: i}, i)
+            succs[i] = (body,)
+            moves[i] = (enter[body],)
             return i
         if isinstance(t, Act):
             if t.letter not in declared:
@@ -130,7 +165,7 @@ def occurrence_graph(e: Expr, alphabet: Alphabet) -> OccurrenceGraph:
     priority = tuple(2 * level[i] + (kinds[i] == "mu") if i in level
                      else neutral for i in range(len(kinds)))
     return OccurrenceGraph(root, tuple(kinds), tuple(letters), tuple(succs),
-                           priority)
+                           priority, tuple(moves))
 
 
 @dataclass(frozen=True)

@@ -5,16 +5,29 @@ Positions pair a vertex of a word graph with a node of the expression's
 occurrence graph (see ``closure.py``). A word graph gives each vertex one
 letter and one successor, so every vertex reads one ultimately periodic
 word; a lasso is the case whose vertices are its positions 0..n-1, with its
-successor map and root 0. Moves follow the node's successors: letter
-actions consume the vertex's letter and step to its successor (a mismatch
-deadlocks, owned by Eloise), sums branch for Eloise, meets for Abelard,
-binders step to their body and variables jump back to their binder
-silently, and the constants 0 / top deadlock for Eloise / Abelard
-respectively. A deadlocked player loses; an infinite play is won by Eloise
-iff the minimum priority seen infinitely often is even, that is iff the
-outermost binder passed infinitely often is a nu. The arena starts from
-every root at once, root k's start being position k, so one solve decides
-the word of every root.
+successor map and root 0. As in an alternating parity automaton's acceptance
+game, a letter is read on the move, not at a position of its own: a
+position's moves are its node's ``moves``. A move that reads the vertex's
+letter goes to the vertex's successor, one that reads no letter stays at
+the vertex. Sums branch for Eloise, meets for Abelard, binders step to
+their body and variables jump back to their binder silently. Every move
+into a 0 and every letter mismatch ends in Eloise's deadlock, every move
+into a top in Abelard's: two positions shared by the whole arena, each made
+the first time it is needed, labelled (None, DEAD_ZERO) and (None, DEAD_TOP)
+and given the neutral priority. An act node is a position only as a root,
+and as the body of an act (the b.X of a.b.X), where it reads its own letter.
+A deadlocked player loses; an infinite play is won by Eloise iff the
+minimum priority seen infinitely often is even, that is iff the outermost
+binder passed infinitely often is a nu. The arena starts from every root at
+once, root k's start being position k whatever the root's kind, so one
+solve decides the word of every root.
+
+This game has the winners of the one with a position per act and per
+constant. An act's position had one move and the neutral priority, which is
+never the least seen infinitely often, since every cycle passes a binder;
+and the deadlocks of one owner are interchangeable. Two moves of a position
+may end at one position (a deadlock, or a vertex that is its own successor),
+so a position's moves may repeat.
 
 Both halves work on flat integer arrays. The arena grows two parallel lists
 (word vertex, graph node) breadth-first and finds a pair's position in a
@@ -46,7 +59,7 @@ from typing import (Callable, Iterable, Iterator, NamedTuple, Optional,
                     Sequence)
 
 from . import algebra
-from .closure import OccurrenceGraph, occurrence_graph
+from .closure import DEAD_ZERO, OccurrenceGraph, occurrence_graph
 from .semantics import Lasso, enumerate_lassos
 from .syntax import Alphabet, Expr, Meet, RllError, free_vars
 
@@ -127,9 +140,10 @@ def _check_slots(length: int, nodes: int):
 def build_arena(e: Expr, w: Lasso | WordGraph,
                 graph: Optional[OccurrenceGraph] = None) -> ParityGame:
     """The reachable evaluation-game arena for e over the word graph w, or
-    over the positions of the lasso w. The k-th root's start, the pair of
-    the root and the graph's root, is position k. ``graph``, when given,
-    is the occurrence graph of e; a word graph needs it."""
+    over the positions of the lasso w, with letters read on moves. The k-th
+    root's start, the pair of the root and the graph's root, is position k.
+    ``graph``, when given, is the occurrence graph of e; a word graph needs
+    it."""
     if isinstance(w, Lasso):
         if graph is None:
             if free_vars(e):
@@ -137,8 +151,7 @@ def build_arena(e: Expr, w: Lasso | WordGraph,
                     "the evaluation game needs a closed expression")
             graph = occurrence_graph(e, w.alphabet)
         w = lasso_graph(w)
-    kinds, letters, succs = graph.kinds, graph.letters, graph.succs
-    nodes = len(kinds)
+    nodes = len(graph.kinds)
     word, nxt, roots = w
     _check_slots(len(word), nodes)
 
@@ -146,26 +159,39 @@ def build_arena(e: Expr, w: Lasso | WordGraph,
     index = [-1] * (len(word) * nodes)  # slot i * nodes + v: its position
     for k, i in enumerate(roots):
         index[i * nodes + graph.root] = k
+    # the deadlocks' nodes DEAD_TOP and DEAD_ZERO index these from the end
+    dead = [-1, -1]  # their positions, or -1 until they are needed
+    table = (*graph.moves, (), ())
     edges: list[tuple[int, ...]] = []
     for i, v in zip(at, node):  # both grow while walked: breadth-first
-        if kinds[v] == "act":
-            if word[i] != letters[v]:
-                edges.append(())
-                continue
-            i = nxt[i]
-        base = i * nodes
         moves = []
-        for s in succs[v]:
-            j = index[base + s]
-            if j < 0:
-                j = index[base + s] = len(at)
-                at.append(i)
-                node.append(s)
+        for a, s in table[v]:
+            if a is None:
+                t = i
+            elif a == word[i]:
+                t = nxt[i]
+            else:
+                s = DEAD_ZERO
+            if s < 0:
+                j = dead[s]
+                if j < 0:
+                    j = dead[s] = len(at)
+                    at.append(None)
+                    node.append(s)
+            else:
+                slot = t * nodes + s
+                j = index[slot]
+                if j < 0:
+                    j = index[slot] = len(at)
+                    at.append(t)
+                    node.append(s)
             moves.append(j)
         edges.append(tuple(moves))
-    owner = [_OWNER[k] for k in kinds]
+    owner = [*map(_OWNER.__getitem__, graph.kinds), ABELARD, ELOISE]
+    neutral = max(graph.priority)  # a non-binder's, if a deadlock is reached
+    priority = [*graph.priority, neutral, neutral]
     return ParityGame(tuple(map(owner.__getitem__, node)),
-                      tuple(map(graph.priority.__getitem__, node)),
+                      tuple(map(priority.__getitem__, node)),
                       tuple(edges), 0, tuple(zip(at, node)))
 
 

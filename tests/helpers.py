@@ -485,6 +485,64 @@ def reference_build_arena(e: Expr, w: Lasso,
                       tuple(order))
 
 
+def reference_contracted_arena(e: Expr, w: Lasso,
+                               graph: Optional[OccurrenceGraph] = None
+                               ) -> ParityGame:
+    """The arena of ``reference_build_arena`` with every act read on the
+    move into it, its positions keyed by (lasso position, graph node) in a
+    dict. An act node is a position only as the root or as the body of an
+    act. Every 0, top and letter mismatch is one of two shared deadlocks,
+    keyed (None, -1) for Eloise's and (None, -2) for Abelard's, which take
+    the neutral priority and are added when first reached."""
+    if graph is None:
+        if free_vars(e):
+            raise GameError("the evaluation game needs a closed expression")
+        graph = occurrence_graph(e, w.alphabet)
+    kinds, letters, succs = graph.kinds, graph.letters, graph.succs
+    word = [w.letter_at(i) for i in range(w.length)]
+    nxt = [w.succ(i) for i in range(w.length)]
+    deadlock = {"zero": (None, -1), "top": (None, -2)}
+
+    def land(i: int, v: int) -> tuple:
+        """Where a move to node v at lasso position i ends."""
+        return deadlock.get(kinds[v], (i, v))
+
+    def read(i: int, v: int) -> tuple:
+        """Where the act node v, read at lasso position i, leads."""
+        if word[i] != letters[v]:
+            return deadlock["zero"]
+        return land(nxt[i], succs[v][0])
+
+    order: list[tuple] = [(0, graph.root)]
+    index: dict[tuple, int] = {order[0]: 0}
+    owners: list[str] = []
+    prios: list[int] = []
+    edges: list[tuple[int, ...]] = []
+    for i, v in order:  # grows while it is walked: breadth-first
+        if i is None:  # a shared deadlock
+            owners.append(ELOISE if v == -1 else ABELARD)
+            prios.append(max(graph.priority))
+            targets = []
+        else:
+            owners.append(_OWNER[kinds[v]])
+            prios.append(graph.priority[v])
+            if kinds[v] == "act":
+                targets = [read(i, v)]
+            else:
+                targets = [read(i, s) if kinds[s] == "act" else land(i, s)
+                           for s in succs[v]]
+        moves = []
+        for pos in targets:
+            j = index.get(pos)
+            if j is None:
+                j = index[pos] = len(order)
+                order.append(pos)
+            moves.append(j)
+        edges.append(tuple(moves))
+    return ParityGame(tuple(owners), tuple(prios), tuple(edges), 0,
+                      tuple(order))
+
+
 def _attractor(g: ParityGame, preds: list[list[int]], alive: set[int],
                target: set[int], player: str
                ) -> tuple[set[int], dict[int, int]]:

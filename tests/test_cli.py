@@ -170,6 +170,32 @@ class TestSearch:
                        "1048576 lassos\n")
 
 
+class TestTracedLayers:
+    def test_commands_reach_the_game_layers(self, files, capsys,
+                                            monkeypatch):
+        """``member``, ``equiv`` and ``incl`` call ``build_arena`` and
+        ``solve_parity`` through their ``rll.game`` attributes, which
+        ``bench/spans.py`` wraps, and the arena keeps the ``owners`` and
+        ``edges`` that its counts read."""
+        calls = {"build_arena": [], "solve_parity": []}
+        for name, seen in calls.items():
+            def counted(*args, _real=getattr(rll.game, name), _seen=seen):
+                _seen.append(_real(*args))
+                return _seen[-1]
+            monkeypatch.setattr(rll.game, name, counted)
+        for argv in (["member", files["ia"], "(ab)"],
+                     ["equiv", files["fb"], files["both"]],
+                     ["incl", files["nuax"], files["ia"]]):
+            before = {name: len(seen) for name, seen in calls.items()}
+            assert run(capsys, argv)[0] == 0
+            for name, seen in calls.items():
+                assert len(seen) > before[name], (argv, name)
+        for g in calls["build_arena"]:
+            assert len(g.owners) == len(g.edges) > 0
+            assert all(isinstance(s, int) for moves in g.edges
+                       for s in moves)
+
+
 class TestInspection:
     def test_parse_reprints(self, files, capsys):
         code, out, _ = run(capsys, ["parse", files["ia"]])

@@ -7,10 +7,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import (depth_priorities, desk_lassos, reference_build_arena,
-                     reference_equiv_bounded, reference_inclusion_bounded,
-                     reference_solve_parity, spellings)
+                     reference_contracted_arena, reference_equiv_bounded,
+                     reference_inclusion_bounded, reference_solve_parity,
+                     spellings)
 from rll import algebra, game
-from rll.closure import ClosureError, fl_closure, occurrence_graph
+from rll.closure import (DEAD_TOP, DEAD_ZERO, ClosureError, fl_closure,
+                         occurrence_graph)
 from rll.corpus import agreement_pairs, gen_alphabet, gen_expr, gen_lasso
 from rll.game import (ABELARD, ELOISE, Counterexample, GameError, ParityGame,
                       build_arena, equiv_bounded, inclusion_bounded,
@@ -56,6 +58,124 @@ class TestArena:
     def test_open_expression_rejected(self):
         with pytest.raises(GameError):
             build_arena(Var("X"), lasso("(a)"))
+
+
+class TestActsReadOnMoves:
+    """Each act's letter is read on the move into it: an act node is a
+    position only as a root or as the body of an act, and every 0, top and
+    letter mismatch is its owner's one shared deadlock, at no vertex."""
+
+    def test_constant_roots_are_one_deadlock(self):
+        for text, owner, winner in (("0", ELOISE, ABELARD),
+                                    ("top", ABELARD, ELOISE)):
+            g = build_arena(parse_expr(text, AB), lasso("(a)"))
+            assert g.owners == (owner,) and g.edges == ((),)
+            assert g.labels == ((0, 0),)
+            assert solve_parity(g).winner == (winner,)
+
+    def test_act_root(self):
+        e = parse_expr("a.(nu X. a.X)", AB)
+        graph = occurrence_graph(e, AB)
+        nu, = graph.succs[graph.root]
+        g = build_arena(e, lasso("(a)"), graph)
+        assert g.labels == ((0, graph.root), (0, nu))
+        assert g.edges == ((1,), (1,))
+        assert solve_parity(g).winner == (ELOISE, ELOISE)
+        g = build_arena(e, lasso("b(a)"), graph)
+        assert g.labels == ((0, graph.root), (None, DEAD_ZERO))
+        assert solve_parity(g).winner == (ABELARD, ABELARD)
+
+    def test_act_chains(self):
+        """In a.b.a.X only the acts that are bodies of acts are positions,
+        each reading its letter on the move out of it."""
+        e = parse_expr("nu X. a.b.a.X", AB)
+        graph = occurrence_graph(e, AB)
+        first, = graph.succs[graph.root]
+        second, = graph.succs[first]
+        third, = graph.succs[second]
+        g = build_arena(e, lasso("(aba)"), graph)
+        assert g.labels == ((0, graph.root), (1, second), (2, third))
+        assert g.edges == ((1,), (2,), (0,))
+        assert solve_parity(g).winner == (ELOISE,) * 3
+        e = parse_expr("a.b.a.top", AB)
+        g = build_arena(e, lasso("ab(a)"))
+        assert [i for i, _v in g.labels] == [0, 1, 2, None]
+        assert g.labels[3] == (None, DEAD_TOP) and g.owners[3] == ABELARD
+        assert solve_parity(g).winner[0] == ELOISE
+        g = build_arena(e, lasso("aa(a)"))
+        assert g.labels[2] == (None, DEAD_ZERO)
+        assert solve_parity(g).winner[0] == ABELARD
+
+    def test_two_moves_to_one_position(self):
+        """Both moves of a.0 + b.0 on (a) end in Eloise's deadlock, the 0
+        after a read and the mismatch: the move repeats, and Eloise loses.
+        So do both moves of X + a.X where the vertex is its own successor."""
+        g = build_arena(parse_expr("a.0 + b.0", AB), lasso("(a)"))
+        assert g.edges == ((1, 1), ())
+        assert g.labels[1] == (None, DEAD_ZERO)
+        assert g.owners == (ELOISE, ELOISE)
+        assert solve_parity(g).winner == (ABELARD, ABELARD)
+        assert reference_solve_parity(g).winner == (ABELARD, ABELARD)
+        g = build_arena(parse_expr("mu X. (X + a.X)", AB), lasso("(a)"))
+        assert g.edges == ((1,), (0, 0))
+        assert solve_parity(g).winner == (ABELARD, ABELARD)
+        assert reference_solve_parity(g).winner == (ABELARD, ABELARD)
+
+    def test_abelard_refutes_by_a_wrong_letter(self):
+        """The meet's only losing move for Eloise reads b on an a: Abelard
+        takes it, into Eloise's deadlock."""
+        e = parse_expr("(nu X. a.X) & b.top", AB)
+        g = build_arena(e, lasso("(a)"))
+        sol = solve_parity(g)
+        assert g.owners[0] == ABELARD and sol.winner[0] == ABELARD
+        assert g.labels[sol.strategy_abelard[0]] == (None, DEAD_ZERO)
+        assert not member_oracle(e, lasso("(a)"))
+        e = parse_expr("(nu X. a.X) & a.top", AB)
+        assert solve_parity(build_arena(e, lasso("(a)"))).winner[0] == ELOISE
+
+    def test_positions_and_deadlocks(self):
+        """Acts are positions only as roots and act bodies, constants only
+        as roots, and each deadlock appears once, with its owner and the
+        neutral priority."""
+        acts = deadlocks = 0
+        for e, w in agreement_pairs(69, 2000):
+            graph = occurrence_graph(e, w.alphabet)
+            kinds = graph.kinds
+            bodies = {graph.succs[v][0] for v, k in enumerate(kinds)
+                      if k == "act"}
+            g = build_arena(e, w, graph)
+            for j, (i, v) in enumerate(g.labels):
+                if i is None:
+                    deadlocks += 1
+                    assert v in (DEAD_ZERO, DEAD_TOP) and not g.edges[j]
+                    assert g.owners[j] == (ELOISE if v == DEAD_ZERO
+                                           else ABELARD)
+                    assert g.priorities[j] == max(graph.priority)
+                elif j > 0:  # only the root may be a constant
+                    assert kinds[v] not in ("zero", "top")
+                    if kinds[v] == "act":
+                        acts += 1
+                        assert v in bodies
+            assert len({l for l in g.labels if l[0] is None}) == \
+                sum(l[0] is None for l in g.labels)
+        assert acts > 100 and deadlocks > 2000, (acts, deadlocks)
+
+    def test_word_graph_roots_match_the_per_lasso_reference(self):
+        """Every root of a word graph gets the winner of its own lasso's
+        game with a position per act."""
+        rng = random.Random(73)
+        for _ in range(100):
+            ab = rng.choice((AB, Alphabet.plain("a", "b", "c")))
+            e = gen_expr(rng, ab, rng.randint(1, 14))
+            graph = occurrence_graph(e, ab)
+            lassos = list(enumerate_lassos(ab, 2, 2))
+            for g, vertices in word_graphs(lassos, rng.choice((1, 7, 10**6))):
+                won = solve_parity(build_arena(e, g, graph)).winner
+                for k, r in enumerate(g.roots):
+                    full = reference_build_arena(
+                        e, Lasso(*vertices[r], ab), graph)
+                    assert won[k] == reference_solve_parity(full).winner[0], \
+                        (e, vertices[r])
 
 
 def _binder_nesting(e) -> int:
@@ -227,8 +347,11 @@ class TestSolver:
             differ += depth != graph.priority
             for w in lassos:
                 g = build_arena(e, w, graph)
+                # the shared deadlocks, at no vertex, keep their priority
                 deep = ParityGame(g.owners,
-                                  tuple(depth[v] for _i, v in g.labels),
+                                  tuple(p if i is None else depth[v]
+                                        for (i, v), p in zip(g.labels,
+                                                             g.priorities)),
                                   g.edges, g.initial, g.labels)
                 level, nested = solve_parity(g), solve_parity(deep)
                 assert level.winner == nested.winner
@@ -263,13 +386,26 @@ class TestAgainstReference:
         assert stuck == {ELOISE, ABELARD}
 
     def test_agreement_pair_arenas_and_winners(self):
+        """The arena equals the dict-keyed one with acts read on moves, and
+        every (lasso position, node) it shares with the arena that has a
+        position per act has the same winner there."""
+        shared = 0
         for e, w in agreement_pairs(66, 2000):
             g = build_arena(e, w)
-            assert g == reference_build_arena(e, w), \
+            assert g == reference_contracted_arena(e, w), \
                 f"arenas differ on {e} / {print_lasso(w)}"
-            assert solve_parity(g).winner == \
-                reference_solve_parity(g).winner, \
+            won = reference_solve_parity(g).winner
+            assert solve_parity(g).winner == won, \
                 f"winners differ on {e} / {print_lasso(w)}"
+            full = reference_build_arena(e, w)
+            full_won = dict(zip(full.labels,
+                                reference_solve_parity(full).winner))
+            for label, winner in zip(g.labels, won):
+                if label in full_won:
+                    shared += 1
+                    assert full_won[label] == winner, \
+                        f"{label} differs on {e} / {print_lasso(w)}"
+        assert shared > 5000, shared
 
 
 def _assert_traps(g: ParityGame):
