@@ -1,26 +1,34 @@
 """The game's occurrence graph, and the paper's Fischer-Ladner closure.
 
 The occurrence graph is what the evaluation game runs on. Its nodes are the
-subterm occurrences of a closed expression, built in one pass over the root:
-each node has a kind, a letter (for a.f) and successor ids, and a variable
-is not a node of its own but a back-edge to its binder's node. Each node
-also lists its moves in the game, worked out once per expression: a move
-into an act reads the act's letter and lands on its body, and a move into a
-0 or a top is that constant's deadlock, so the arena needs a position for
-neither (an act keeps one as the root or as the body of an act). Non-binder
-nodes are hash-consed on (kind, letter, successor ids), so the copies of top,
-b.top and the like that complementation makes share one node; binders are
-never merged. Merged nodes have the same owner, priority and successors, so
-merging changes the outcome of no play. A binder's priority is 2l for nu and
-2l+1 for mu, where l is its alternation level (Emerson and Lei 1986): 0 for
-a binder with no binder above it, the level of the nearest binder above it
-if that has the same kind, and one more if not. Every other node takes one
-neutral value above all of these. An infinite play passes through binders
-infinitely often, and the outermost of those is unique. A binder below it
-has the same priority only if it has the same kind, and a higher one
-otherwise, so the minimum priority seen infinitely often has that binder's
-parity and its kind decides the winner. Zielonka's recursion then goes no
-deeper than the alternation of mu and nu, however deep the binders nest.
+subterm occurrences of one or more closed expressions, built in one pass
+over the roots: each node has a kind, a letter (for a.f) and successor ids,
+and a variable is not a node of its own but a back-edge to its binder's
+node. Each node also lists its moves in the game, worked out once per
+graph: a move into an act reads the act's letter and lands on its body,
+and a move into a 0 or a top is that constant's deadlock, so the arena needs
+a position for neither (an act keeps one as the root or as the body of an
+act). Non-binder nodes are hash-consed on (kind, letter, successor ids), so
+the copies of top, b.top and the like that complementation makes share one
+node. A graph may hold several expressions, one root each, as the sides of a
+bounded search do. Then a closed binder occurrence is looked up first, keyed
+on its exact structure and its alternation level, and a hit returns the
+existing node before the body is walked, so e and e + e share all of e's
+nodes. No play leaves a closed subterm, and the level fixes the priorities
+of every binder below it, so the merged copies have the same plays. A graph
+of one expression merges no binder, since the key hashes the whole subterm
+and would double the graph's cost for membership. Merged nodes have the same
+owner, priority and successors, so merging changes the outcome of no play. A
+binder's priority is 2l for nu and 2l+1 for mu, where l is its alternation
+level (Emerson and Lei 1986): 0 for a binder with no binder above it, the
+level of the nearest binder above it if that has the same kind, and one more
+if not. Every other node takes one neutral value above all of these. An
+infinite play passes through binders infinitely often, and the outermost of
+those is unique. A binder below it has the same priority only if it has the
+same kind, and a higher one otherwise, so the minimum priority seen
+infinitely often has that binder's parity and its kind decides the winner.
+Zielonka's recursion then goes no deeper than the alternation of mu and nu,
+however deep the binders nest.
 
 The closure is the paper's view of the same automaton, kept for ``rll
 closure`` and ``rll apa-dot``. It is the least set containing the root and
@@ -54,10 +62,10 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, replace
-from typing import Iterable, NamedTuple, Optional
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .syntax import (Act, Alphabet, Expr, Meet, Mu, Nu, RllError, Sum, Top,
-                     Var, Zero, print_expr)
+                     Var, Zero, free_vars, print_expr)
 
 
 class ClosureError(RllError):
@@ -71,12 +79,15 @@ _DEADLOCK = {"zero": DEAD_ZERO, "top": DEAD_TOP}
 
 
 class OccurrenceGraph(NamedTuple):
-    """The occurrence graph of a closed expression.
+    """The occurrence graph of one or more closed expressions.
 
     Node i has kind ``kinds[i]`` (act, sum, meet, mu, nu, zero or top), the
     letter ``letters[i]`` of an act node (None otherwise), successor ids
-    ``succs[i]`` without repeats, and priority ``priority[i]``. ``root`` is
-    the node of the whole expression.
+    ``succs[i]`` without repeats, and priority ``priority[i]``. ``roots``
+    has the node of each whole expression the graph was built from, in
+    order, and ``root`` is the first. Two roots may be one node (as for e
+    and e), and only a graph of several roots merges binders: closed ones
+    with the same structure and alternation level.
 
     ``moves[i]`` is node i's moves in the evaluation game, one (letter,
     target) pair per successor, in order, with every act read on the move
@@ -94,10 +105,14 @@ class OccurrenceGraph(NamedTuple):
     succs: tuple[tuple[int, ...], ...]
     priority: tuple[int, ...]
     moves: tuple[tuple[tuple[Optional[str], int], ...], ...]
+    roots: tuple[int, ...]
 
 
-def occurrence_graph(e: Expr, alphabet: Alphabet) -> OccurrenceGraph:
-    """The occurrence graph of a closed expression, built in one pass."""
+def occurrence_graph(e: Expr | Sequence[Expr],
+                     alphabet: Alphabet) -> OccurrenceGraph:
+    """The occurrence graph of a closed expression, or of several on one
+    graph, built in one pass."""
+    exprs = (e,) if isinstance(e, Expr) else tuple(e)
     kinds: list[str] = []
     letters: list[Optional[str]] = []
     succs: list[tuple[int, ...]] = []
@@ -105,6 +120,8 @@ def occurrence_graph(e: Expr, alphabet: Alphabet) -> OccurrenceGraph:
     moves: list[tuple[tuple[Optional[str], int], ...]] = []
     level: dict[int, int] = {}  # binder node -> its alternation level
     shared: dict[tuple, int] = {}
+    # closed binder occurrence and its level -> its node, with several roots
+    closed: Optional[dict[tuple, int]] = {} if len(exprs) > 1 else None
     declared = frozenset(alphabet.letters)
 
     def new(kind: str, letter: Optional[str], succ: tuple[int, ...]) -> int:
@@ -132,8 +149,17 @@ def occurrence_graph(e: Expr, alphabet: Alphabet) -> OccurrenceGraph:
                     "closure is only defined for closed expressions")
             return scope[t.name]
         if isinstance(t, (Mu, Nu)):
-            i = new("mu" if isinstance(t, Mu) else "nu", None, ())
-            level[i] = 0 if up < 0 else level[up] + (kinds[up] != kinds[i])
+            kind = "mu" if isinstance(t, Mu) else "nu"
+            lvl = 0 if up < 0 else level[up] + (kinds[up] != kind)
+            if closed is not None and not free_vars(t):
+                key = (t, lvl)
+                i = closed.get(key)
+                if i is not None:
+                    return i
+                i = closed[key] = new(kind, None, ())
+            else:
+                i = new(kind, None, ())
+            level[i] = lvl
             body = go(t.body, {**scope, t.var: i}, i)
             succs[i] = (body,)
             moves[i] = (enter[body],)
@@ -158,14 +184,16 @@ def occurrence_graph(e: Expr, alphabet: Alphabet) -> OccurrenceGraph:
         return i
 
     try:
-        root = go(e, {}, -1)
+        roots = ()  # a loop: a generator costs a one-root graph 1 us more
+        for x in exprs:
+            roots += (go(x, {}, -1),)
     finally:
         del go  # go refers to itself; unbinding it frees its tables
     neutral = 2 * (max(level.values()) + 1) if level else 0
     priority = tuple(2 * level[i] + (kinds[i] == "mu") if i in level
                      else neutral for i in range(len(kinds)))
-    return OccurrenceGraph(root, tuple(kinds), tuple(letters), tuple(succs),
-                           priority, tuple(moves))
+    return OccurrenceGraph(roots[0], tuple(kinds), tuple(letters),
+                           tuple(succs), priority, tuple(moves), roots)
 
 
 @dataclass(frozen=True)

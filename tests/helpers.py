@@ -1,9 +1,10 @@
 """Shared helpers for the test suite: desk-scale word sets, corpus access,
 the symbol-loop reference tokenizer, the recursive-descent reference
 parsers, the tree-substituting reference closure and its rescanning
-priorities, the set-based reference game and nesting-depth priorities, the
-frozenset reference evaluators, the per-lasso reference bounded search and
-its normalising enumerator, the isinstance-walk reference translations,
+priorities, the one-expression reference occurrence graph, the set-based
+reference game and nesting-depth priorities, the frozenset reference
+evaluators, the per-lasso reference bounded searches and their normalising
+enumerator, the isinstance-walk reference translations,
 the two Boolean-variable groupings of the truth tables, the derivation
 mutation machinery, and the CLI entry point that builds every
 subcommand's parser on every call."""
@@ -21,8 +22,8 @@ from typing import Iterator, Optional
 from rll import __version__, algebra, cli
 from rll.calculus import (CalculusError, Claim, Derivation, FormulaClaim,
                           Step, _skeleton_value, bool_taut, maximal_atoms)
-from rll.closure import (ClosureError, FlClosure, OccurrenceGraph,
-                         occurrence_graph)
+from rll.closure import (DEAD_TOP, DEAD_ZERO, ClosureError, FlClosure,
+                         OccurrenceGraph, occurrence_graph)
 from rll.game import (ABELARD, ELOISE, Counterexample, GameError, ParityGame,
                       Solution, member_game)
 from rll.semantics import (Lasso, SemanticsError, enumerate_lassos,
@@ -438,6 +439,81 @@ def reference_priorities(c: FlClosure) -> FlClosure:
 
 
 # ---------------------------------------------------------------------------
+# Reference occurrence graph: the one-expression walk as it was before graphs
+# of several roots, which merges no binder.
+# ---------------------------------------------------------------------------
+
+_DEADLOCK = {"zero": DEAD_ZERO, "top": DEAD_TOP}
+
+
+def reference_occurrence_graph(e: Expr, alphabet: Alphabet
+                               ) -> OccurrenceGraph:
+    """The occurrence graph of one closed expression, built in one pass,
+    with ``roots`` its one root."""
+    kinds: list[str] = []
+    letters: list[Optional[str]] = []
+    succs: list[tuple[int, ...]] = []
+    enter: list[tuple[Optional[str], int]] = []  # the move into each node
+    moves: list[tuple[tuple[Optional[str], int], ...]] = []
+    level: dict[int, int] = {}  # binder node -> its alternation level
+    shared: dict[tuple, int] = {}
+    declared = frozenset(alphabet.letters)
+
+    def new(kind: str, letter: Optional[str], succ: tuple[int, ...]) -> int:
+        i = len(kinds)
+        kinds.append(kind)
+        letters.append(letter)
+        succs.append(succ)
+        if letter is not None:  # an act is read on the move into it
+            body = succ[0]
+            enter.append((letter, _DEADLOCK.get(kinds[body], body)))
+            moves.append((enter[i],))
+        else:
+            enter.append((None, _DEADLOCK.get(kind, i)))
+            moves.append(tuple(enter[s] for s in succ))
+        return i
+
+    def go(t: Expr, scope: dict[str, int], up: int) -> int:
+        if isinstance(t, Var):
+            if t.name not in scope:
+                raise ClosureError(
+                    "closure is only defined for closed expressions")
+            return scope[t.name]
+        if isinstance(t, (Mu, Nu)):
+            i = new("mu" if isinstance(t, Mu) else "nu", None, ())
+            level[i] = 0 if up < 0 else level[up] + (kinds[up] != kinds[i])
+            body = go(t.body, {**scope, t.var: i}, i)
+            succs[i] = (body,)
+            moves[i] = (enter[body],)
+            return i
+        if isinstance(t, Act):
+            if t.letter not in declared:
+                raise ClosureError(f"undeclared letter {t.letter!r}")
+            key = ("act", t.letter, (go(t.body, scope, up),))
+        elif isinstance(t, (Sum, Meet)):
+            kind = "sum" if isinstance(t, Sum) else "meet"
+            pair = (go(t.left, scope, up), go(t.right, scope, up))
+            key = (kind, None, pair if pair[0] != pair[1] else pair[:1])
+        elif isinstance(t, Zero):
+            key = ("zero", None, ())
+        elif isinstance(t, Top):
+            key = ("top", None, ())
+        else:
+            raise TypeError(f"not an expression: {t!r}")
+        i = shared.get(key)
+        if i is None:
+            i = shared[key] = new(*key)
+        return i
+
+    root = go(e, {}, -1)
+    neutral = 2 * (max(level.values()) + 1) if level else 0
+    priority = tuple(2 * level[i] + (kinds[i] == "mu") if i in level
+                     else neutral for i in range(len(kinds)))
+    return OccurrenceGraph(root, tuple(kinds), tuple(letters), tuple(succs),
+                           priority, tuple(moves), (root,))
+
+
+# ---------------------------------------------------------------------------
 # Reference game: the arena keyed by tuples in a dict and the set-based
 # Zielonka solver that the flat-array ones replaced.
 # ---------------------------------------------------------------------------
@@ -710,6 +786,22 @@ def reference_inclusion_bounded(e: Expr, f: Expr, alphabet: Alphabet,
     gw = occurrence_graph(witness, alphabet)
     for w in reference_enumerate_lassos(alphabet, max_prefix, max_period):
         if member_game(witness, w, gw):
+            return Counterexample(w)
+    return None
+
+
+def reference_inclusion_sides(e: Expr, f: Expr, alphabet: Alphabet,
+                              max_prefix: int, max_period: int
+                              ) -> Optional[Counterexample]:
+    """The first lasso, in enumeration order, that e's game accepts and
+    f's rejects, each lasso with its own two arenas. Both are built for
+    every lasso, e's first, so a length that f's arena refuses is refused
+    even where e rejects."""
+    ge = occurrence_graph(e, alphabet)
+    gf = occurrence_graph(f, alphabet)
+    for w in reference_enumerate_lassos(alphabet, max_prefix, max_period):
+        in_e, in_f = member_game(e, w, ge), member_game(f, w, gf)
+        if in_e and not in_f:
             return Counterexample(w)
     return None
 

@@ -176,12 +176,14 @@ class TestTracedLayers:
         """``member``, ``equiv`` and ``incl`` call ``build_arena`` and
         ``solve_parity`` through their ``rll.game`` attributes, which
         ``bench/spans.py`` wraps, and the arena keeps the ``owners`` and
-        ``edges`` that its counts read."""
+        ``edges`` that its counts read. ``equiv`` and ``incl`` build one
+        arena per batch, here one per lasso length 1-5 at the default
+        bounds, on one graph of both sides."""
         calls = {"build_arena": [], "solve_parity": []}
         for name, seen in calls.items():
             def counted(*args, _real=getattr(rll.game, name), _seen=seen):
-                _seen.append(_real(*args))
-                return _seen[-1]
+                _seen.append((args, _real(*args)))
+                return _seen[-1][1]
             monkeypatch.setattr(rll.game, name, counted)
         for argv in (["member", files["ia"], "(ab)"],
                      ["equiv", files["fb"], files["both"]],
@@ -190,7 +192,12 @@ class TestTracedLayers:
             assert run(capsys, argv)[0] == 0
             for name, seen in calls.items():
                 assert len(seen) > before[name], (argv, name)
-        for g in calls["build_arena"]:
+            if argv[0] != "member":
+                built = calls["build_arena"][before["build_arena"]:]
+                solved = calls["solve_parity"][before["solve_parity"]:]
+                assert len(built) == len(solved) == 5, argv
+                assert all(len(args[2].roots) == 2 for args, _g in built)
+        for _args, g in calls["build_arena"]:
             assert len(g.owners) == len(g.edges) > 0
             assert all(isinstance(s, int) for moves in g.edges
                        for s in moves)

@@ -8,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import (depth_priorities, desk_lassos, reference_build_arena,
                      reference_contracted_arena, reference_equiv_bounded,
-                     reference_inclusion_bounded, reference_solve_parity,
+                     reference_inclusion_bounded, reference_inclusion_sides,
+                     reference_occurrence_graph, reference_solve_parity,
                      spellings)
 from rll import algebra, game
 from rll.closure import (DEAD_TOP, DEAD_ZERO, ClosureError, fl_closure,
@@ -266,6 +267,104 @@ class TestOccurrenceGraph:
         e = parse_expr("nu X. c.X", Alphabet.plain("a", "b", "c"))
         with pytest.raises(ClosureError):
             occurrence_graph(e, AB)
+
+
+class TestSharedGraph:
+    """One occurrence graph of several expressions, as the bounded search
+    builds for its sides: closed binders with the same structure and level
+    are one node, and each root keeps its own expression's winners."""
+
+    def test_one_expression_graphs_are_unchanged(self):
+        for e, w in agreement_pairs(74, 2000):
+            got = occurrence_graph(e, w.alphabet)
+            want = reference_occurrence_graph(e, w.alphabet)
+            assert got._asdict() == want._asdict(), e
+            assert occurrence_graph([e], w.alphabet) == got
+
+    def test_roots_match_their_own_games(self):
+        """Law-shaped pairs, unrelated pairs and a triple: every root's
+        winner on every word root is its own game's and the oracle's."""
+        rng = random.Random(75)
+        lassos = list(enumerate_lassos(AB, 2, 3))
+        shared = 0
+        for _ in range(12):
+            e, f, g = (gen_expr(rng, AB, rng.randint(1, 11))
+                       for _ in range(3))
+            for exprs in ([e, Sum(e, e)], [Meet(e, f), Meet(f, e)],
+                          [e, Meet(e, Sum(e, f))],
+                          [Sum(Sum(e, f), g), Sum(e, Sum(f, g))],
+                          [e, f], [e, f, g]):
+                graph = occurrence_graph(exprs, AB)
+                own = [occurrence_graph(x, AB) for x in exprs]
+                m = len(exprs)
+                assert len(graph.roots) == m and graph.root == graph.roots[0]
+                assert len(graph.kinds) <= sum(len(o.kinds) for o in own)
+                shared += len(graph.kinds) < sum(len(o.kinds) for o in own)
+                for words, vertices in word_graphs(lassos,
+                                                   rng.choice((5, 10**6))):
+                    arena = build_arena(exprs, words, graph)
+                    won = solve_parity(arena).winner
+                    for k, r in enumerate(words.roots):
+                        w = Lasso(*vertices[r], AB)
+                        for x, (t, o) in enumerate(zip(exprs, own)):
+                            assert arena.labels[k * m + x] == \
+                                (r, graph.roots[x])
+                            assert (won[k * m + x] == ELOISE) == \
+                                member_game(t, w, o) == \
+                                member_oracle(t, w), (t, vertices[r])
+        assert shared >= 50, shared
+
+    def test_a_copy_adds_only_its_sum(self):
+        ia = parse_expr(IA, AB)
+        alone = occurrence_graph(ia, AB)
+        both = occurrence_graph([ia, Sum(ia, ia)], AB)
+        assert len(both.kinds) == len(alone.kinds) + 1
+        assert both.succs[both.roots[1]] == (both.roots[0],)
+
+    def test_levels_keep_copies_apart(self):
+        """IA's closed nu at level 0 is merged with a copy under a nu, and
+        not with a copy under a mu, where its level and priority differ."""
+        ia = parse_expr(IA, AB)
+        for text, nus, mus in ((f"nu Z. (({IA}) + a.Z)", 2, 1),
+                               (f"mu Z. (({IA}) + a.Z)", 2, 3)):
+            graph = occurrence_graph([ia, parse_expr(text, AB)], AB)
+            assert graph.kinds.count("nu") == nus
+            assert graph.kinds.count("mu") == mus
+            assert sorted(p for p, k in zip(graph.priority, graph.kinds)
+                          if k == "nu") == ([0, 0] if mus == 1 else [0, 2])
+
+    def test_open_binders_are_not_merged(self):
+        """A binder with a free variable is never looked up, under two
+        binders or under one. Under two, a merged copy would answer for
+        IA's X: wrong on a(b), aa(b) and ba(b)."""
+        inner = "mu Y. (a.X + b.Y)"
+        for texts in ([IA, f"nu X. (({inner}) + b.b.X)"],
+                      [f"nu X. (({inner}) & ({inner}))", "top"]):
+            exprs = [parse_expr(t, AB) for t in texts]
+            graph = occurrence_graph(exprs, AB)
+            for w in desk_lassos(AB):
+                won = solve_parity(build_arena(exprs, w, graph)).winner
+                for x, t in enumerate(exprs):
+                    assert (won[x] == ELOISE) == member_oracle(t, w), (t, w)
+            assert graph.kinds.count("mu") == 2
+
+    def test_an_expression_against_itself(self):
+        """equiv e e and incl e e have one node for both roots: each word
+        root still gets two start positions, with one winner."""
+        rng = random.Random(76)
+        lassos = list(enumerate_lassos(AB, 2, 2))
+        for _ in range(20):
+            e = gen_expr(rng, AB, rng.randint(1, 10))
+            graph = occurrence_graph([e, e], AB)
+            assert graph.roots[0] == graph.roots[1]
+            for words, _vertices in word_graphs(lassos, 10**6):
+                arena = build_arena([e, e], words, graph)
+                won = solve_parity(arena).winner
+                for k in range(len(words.roots)):
+                    assert arena.labels[2 * k] == arena.labels[2 * k + 1]
+                    assert won[2 * k] == won[2 * k + 1]
+            assert equiv_bounded(e, e, AB, 2, 3) is None
+            assert inclusion_bounded(e, e, AB, 3, 2) is None
 
 
 class TestSolver:
@@ -598,32 +697,38 @@ class TestSearchMatchesReference:
 
     def test_split_batches_and_refusals(self, monkeypatch):
         """With small caps a length class is split into several word graphs,
-        and a batch whose length times an expression's nodes passes
+        and a batch whose length times an expression's own nodes passes
         MAX_ARENA is refused at the same lasso, e's size checked before
-        f's, with the per-lasso game's message."""
+        f's, with the per-lasso game's message. Where incl does not refuse,
+        its answer is also that of the search for e & complement(f)."""
         rng = random.Random(71)
-        refused = 0
+        refused = witnessed = 0
         for e, f, ab, bounds in _search_pairs(72, 6):
-            monkeypatch.setattr(game, "MAX_ARENA", rng.randint(1, 150))
-            monkeypatch.setattr(game, "BATCH_SLOTS", rng.randint(1, 200))
-            for search, reference in (
-                    (equiv_bounded, reference_equiv_bounded),
-                    (inclusion_bounded, reference_inclusion_bounded)):
-                got = _outcome(search, e, f, ab, *bounds)
-                assert got == _outcome(reference, e, f, ab, *bounds), \
-                    (e, f, bounds)
-                refused += isinstance(got, str)
-        assert refused >= 30, refused
+            witness = reference_inclusion_bounded(e, f, ab, *bounds)
+            with monkeypatch.context() as patch:
+                patch.setattr(game, "MAX_ARENA", rng.randint(1, 150))
+                patch.setattr(game, "BATCH_SLOTS", rng.randint(1, 200))
+                for search, reference in (
+                        (equiv_bounded, reference_equiv_bounded),
+                        (inclusion_bounded, reference_inclusion_sides)):
+                    got = _outcome(search, e, f, ab, *bounds)
+                    assert got == _outcome(reference, e, f, ab, *bounds), \
+                        (e, f, bounds)
+                    refused += isinstance(got, str)
+            if not isinstance(got, str):
+                assert got == witness, (e, f, bounds)
+                witnessed += 1
+        assert refused >= 30 and witnessed >= 30, (refused, witnessed)
 
-    def test_one_game_per_expression_and_batch(self, monkeypatch):
-        """Without a separating lasso, equiv solves two games per length
-        class and incl one."""
+    def test_one_game_per_batch(self, monkeypatch):
+        """Without a separating lasso, equiv and incl each solve one game
+        per length class, on the graph of both sides."""
         solved = []
         monkeypatch.setattr(game, "solve_parity",
                             lambda g: solved.append(g) or solve_parity(g))
         e = parse_expr(IA, AB)
         assert equiv_bounded(e, Sum(e, e), AB, 3, 4) is None
-        assert len(solved) == 2 * 7
+        assert len(solved) == 7
         solved.clear()
         assert inclusion_bounded(e, Sum(e, e), AB, 4, 3) is None
         assert len(solved) == 7
