@@ -7,8 +7,9 @@ and a variable is not a node of its own but a back-edge to its binder's
 node. Each node also lists its moves in the game, worked out once per
 graph: a move into an act reads the act's letter and lands on its body,
 and a move into a 0 or a top is that constant's deadlock, so the arena needs
-a position for neither (an act keeps one as the root or as the body of an
-act). Non-binder nodes are hash-consed on (kind, letter, successor ids), so
+a position for neither (an act keeps one only as a start: the arena
+resolves the act of every other slot at its vertex's letter, see
+``game.py``). Non-binder nodes are hash-consed on (kind, letter, successor ids), so
 the copies of top, b.top and the like that complementation makes share one
 node. A graph may hold several expressions, one root each, as the sides of a
 bounded search do. Then a closed binder occurrence is looked up first, keyed

@@ -7,42 +7,60 @@ letter and one successor, so every vertex reads one ultimately periodic
 word; a lasso is the case whose vertices are its positions 0..n-1, with its
 successor map and root 0. As in an alternating parity automaton's acceptance
 game, a letter is read on the move, not at a position of its own: a
-position's moves are its node's ``moves``. A move that reads the vertex's
-letter goes to the vertex's successor, one that reads no letter stays at
-the vertex. Sums branch for Eloise, meets for Abelard, binders step to
-their body and variables jump back to their binder silently. Every move
-into a 0 and every letter mismatch ends in Eloise's deadlock, every move
-into a top in Abelard's: two positions shared by the whole arena, each made
-the first time it is needed, labelled (None, DEAD_ZERO) and (None, DEAD_TOP)
-and given the neutral priority. An act node is a position only as a root,
-and as the body of an act (the b.X of a.b.X), where it reads its own letter.
-A deadlocked player loses; an infinite play is won by Eloise iff the
-minimum priority seen infinitely often is even, that is iff the outermost
-binder passed infinitely often is a nu. The arena starts from every pair of
-a word root and an expression root at once: with m expression roots (see
-``OccurrenceGraph.roots``), the start of word root k and expression root x
-is position k * m + x whatever the root's kind, so one solve decides the word
-of every word root for every expression. With one expression, root k's
-start is position k.
+node's moves are its ``moves``. A move that reads the vertex's letter goes
+to the vertex's successor, one that reads no letter stays at the vertex.
+Sums branch for Eloise, meets for Abelard, binders step to their body and
+variables jump back to their binder silently. Every move into a 0 and every
+letter mismatch ends in Eloise's deadlock, every move into a top in
+Abelard's: two positions shared by the whole arena, each made the first
+time it is needed, labelled (None, DEAD_ZERO) and (None, DEAD_TOP) and
+given the neutral priority. A deadlocked player loses; an infinite play is
+won by Eloise iff the minimum priority seen infinitely often is even, that
+is iff the outermost binder passed infinitely often is a nu. The arena
+starts from every pair of a word root and an expression root at once: with
+m expression roots (see ``OccurrenceGraph.roots``), the start of word root k
+and expression root x is position k * m + x whatever the root's kind, so one
+solve decides the word of every word root for every expression. With one
+expression, root k's start is position k.
 
-This game has the winners of the one with a position per act and per
-constant. An act's position had one move and the neutral priority, which is
-never the least seen infinitely often, since every cycle passes a binder;
-and the deadlocks of one owner are interchangeable. Two moves of a position
-may end at one position (a deadlock, or a vertex that is its own successor),
-so a position's moves may repeat.
+A position is a start, a binder, or a sum or meet with two distinct live
+moves at its vertex's letter, where a live move is one that does not end in
+its owner's deadlock. As an automaton's transition simplifies at a letter
+(an a.f disjunct is false at b), the arena resolves every other node at
+the letter of the vertex it lands on. A sum, meet or act that is not a
+start is no position in three cases, each of which keeps every winner:
+- its owner can move into the opponent's deadlock: its slot is that
+  deadlock, since that player wins by moving there;
+- it has no move but into its owner's deadlock: its slot is that deadlock.
+  A player never gains by moving into their own deadlock, so such moves
+  are dropped wherever there is another;
+- it has exactly one other distinct move: its slot is that move's target,
+  followed on through moves that stay and across moves that read, until a
+  binder, a choice left with two live moves or a deadlock. A position with
+  one move and the neutral priority can be skipped, since the neutral
+  priority is never the least seen infinitely often: every cycle passes a
+  binder, whose priority is lower.
+So an act is a position only as a start, and so is a constant: the
+deadlocks of one owner are interchangeable. Each node's resolution at a
+letter depends only on the graph, so it is worked out once per build, when
+first needed, after every non-binder that node reaches without reading; a
+non-binder's successors all have smaller ids, so an explicit stack
+suffices. A choice keeps its moves as resolved at its letter, and a move
+that reads may still end where the other ends, or in a deadlock, once it is
+followed past the letter; a start keeps every move of its root. So a
+position's moves may repeat.
 
 Both halves work on flat integer arrays. The arena grows two parallel lists
-(word vertex, graph node) breadth-first and finds a pair's position in a
-flat list indexed by ``i * nodes + v``, which ``MAX_ARENA`` caps per
-expression root. The solver is Zielonka's recursive attractor decomposition:
-the subgame is a bytearray, an attractor is a list queue that counts an
-opponent position's live moves when it first reaches it, and one move per
-position, written when its winner is settled, gives both strategies at the
-end. Each player's attractor of the opponent's deadlocks goes first. What is
-left is total, and so is every subgame the recursion makes of it, since
-removing an attractor from a total game leaves a total game; the recursion
-never looks for deadlocks.
+(word vertex, graph node) breadth-first and finds the position a pair
+resolves to in a flat list indexed by ``i * nodes + v``, which
+``MAX_ARENA`` caps per expression root. The solver is Zielonka's recursive
+attractor decomposition: the subgame is a bytearray, an attractor is a list
+queue that counts an opponent position's live moves when it first reaches
+it, and one move per position, written when its winner is settled, gives
+both strategies at the end. Each player's attractor of the opponent's
+deadlocks goes first. What is left is total, and so is every subgame the
+recursion makes of it, since removing an attractor from a total game leaves
+a total game; the recursion never looks for deadlocks.
 
 The bounded search decides all enumerated lassos of one length, a batch, by
 one game over their word graph and one occurrence graph of all its
@@ -53,10 +71,12 @@ needs no other vertex. A batch whose word graph would pass ``BATCH_SLOTS``
 slots per expression is split into runs of consecutive roots. The search
 stops at the first batch with a separating lasso and returns the first such
 lasso in enumeration order. A length at which an expression's own
-per-lasso game would refuse, its own occurrence graph counted, is refused
-before its batch is built, the expressions checked in order. ``equiv``
-separates where the two sides' memberships differ, ``incl`` where e's holds
-and f's does not, so neither builds a complement.
+per-lasso game would refuse is refused before its batch is built, the
+expressions checked in order; an expression's own occurrence graph is
+built, to count its nodes, only where its size, which bounds them, could
+pass the cap at the longest length. ``equiv`` separates where the two
+sides' memberships differ, ``incl`` where e's holds and f's does not, so
+neither builds a complement.
 """
 
 from __future__ import annotations
@@ -67,9 +87,9 @@ from itertools import groupby
 from typing import (Callable, Iterable, Iterator, NamedTuple, Optional,
                     Sequence)
 
-from .closure import DEAD_ZERO, OccurrenceGraph, occurrence_graph
+from .closure import DEAD_TOP, DEAD_ZERO, OccurrenceGraph, occurrence_graph
 from .semantics import Lasso, enumerate_lassos
-from .syntax import Alphabet, Expr, RllError, free_vars
+from .syntax import Alphabet, Expr, RllError, expr_size, free_vars
 
 ELOISE = "eloise"
 ABELARD = "abelard"
@@ -112,6 +132,10 @@ class Solution:
 
 _OWNER = {"act": ELOISE, "zero": ELOISE, "sum": ELOISE, "mu": ELOISE,
           "nu": ELOISE, "top": ABELARD, "meet": ABELARD}
+# a non-binder's own deadlock, where its owner loses, and its opponent's
+_DEADLOCKS = {"act": (DEAD_ZERO, DEAD_TOP), "zero": (DEAD_ZERO, DEAD_TOP),
+              "sum": (DEAD_ZERO, DEAD_TOP), "top": (DEAD_TOP, DEAD_ZERO),
+              "meet": (DEAD_TOP, DEAD_ZERO)}
 
 # The arena's flat index has one slot per (word vertex, graph node) pair;
 # a game with more slots per expression root is refused before the index is
@@ -147,14 +171,59 @@ def _check_slots(length: int, nodes: int, roots: int = 1):
                         f"letters x graph nodes), more than {cap}")
 
 
+def _settle(graph: OccurrenceGraph, letter: str, step: list, moves: list,
+            s: int) -> int:
+    """Resolve the non-binder node s at a vertex that reads the letter, by
+    the rules of the module docstring, after every non-binder it reaches
+    without reading; return s's slot code. ``step`` and ``moves`` are the
+    letter's tables, None where unresolved: each node's slot code and its
+    moves as codes. A code below 0 is that deadlock, u below n the slot of
+    node u at the same vertex and n + u that of node u at the successor, n
+    the graph's nodes; a node whose slot code is itself is a position. The
+    stack is explicit, as nested sums may run deep."""
+    kinds, n = graph.kinds, len(step)
+    todo = [s]
+    while todo:
+        v = todo.pop()
+        codes = []
+        for a, x in graph.moves[v]:
+            if a is not None:
+                x = DEAD_ZERO if a != letter else x if x < 0 else n + x
+            elif x >= 0:
+                if step[x] is None:
+                    todo += (v, x)
+                    break
+                x = step[x]
+            codes.append(x)
+        else:
+            moves[v] = codes = (*codes,)
+            own, opponent = _DEADLOCKS[kinds[v]]
+            if opponent in codes:  # the owner wins by moving there
+                step[v] = opponent
+                continue
+            x = codes[0] if codes else own
+            if len(codes) == 2:
+                y = codes[1]
+                if x == own or x == y:
+                    x = y
+                elif y != own:
+                    x = v
+            step[v] = x
+    return step[s]
+
+
 def build_arena(e: Expr | Sequence[Expr], w: Lasso | WordGraph,
                 graph: Optional[OccurrenceGraph] = None) -> ParityGame:
     """The reachable evaluation-game arena for e, an expression or a list of
     them, over the word graph w, or over the positions of the lasso w, with
     letters read on moves. With m expressions, the start of the k-th word
     root and the x-th expression, the pair of the two roots, is position
-    k * m + x. ``graph``, when given, is the occurrence graph of e; a word
-    graph and a list need it."""
+    k * m + x. Every other (vertex, node) pair the game lands on is first
+    resolved at the vertex's letter (``_settle``): it is a position only as
+    a binder or as a choice with two distinct live moves, and any other
+    pair stands for the position or deadlock it resolves to. ``graph``,
+    when given, is the occurrence graph of e; a word graph and a list need
+    it."""
     if isinstance(w, Lasso):
         if graph is None:
             if free_vars(e):
@@ -170,35 +239,64 @@ def build_arena(e: Expr | Sequence[Expr], w: Lasso | WordGraph,
     # x; one graph root skips the comprehension, which costs member 0.5 us
     at = [i for i in roots for _ in graph.roots] if m > 1 else list(roots)
     node = [*graph.roots] * len(roots)
-    index = [-1] * (len(word) * nodes)  # slot i * nodes + v: its position
+    # slot i * nodes + v: its position; the deadlocks' slots are the last two
+    index = [-1] * (len(word) * nodes + 2)
     for k in range(len(at) - 1, -1, -1):  # two roots may be one node: the
         index[at[k] * nodes + node[k]] = k  # first start keeps their slot
-    # the deadlocks' nodes DEAD_TOP and DEAD_ZERO index these from the end
-    dead = [-1, -1]  # their positions, or -1 until they are needed
-    table = (*graph.moves, (), ())
+    # per letter, each node's slot code, a binder's its own from the start,
+    # and each position's moves, as _settle fills them; and per vertex, its
+    # letter's two tables
+    binders = [v if k == "mu" or k == "nu" else None
+               for v, k in enumerate(graph.kinds)]
+    tables = {c: ([*binders], [None] * nodes) for c in set(word)}
+    steps = [tables[c][0] for c in word]
+    codes = [tables[c][1] for c in word]
     edges: list[tuple[int, ...]] = []
     for i, v in zip(at, node):  # both grow while walked: breadth-first
+        if i is None:  # a deadlock
+            edges.append(())
+            continue
+        out = codes[i][v]
+        if out is None:
+            if steps[i][v] != v:  # a start's root, not yet resolved
+                _settle(graph, word[i], steps[i], codes[i], v)
+                out = codes[i][v]
+            else:  # a binder: its body, at the vertex or after a letter
+                (a, x), = graph.moves[v]
+                if a is not None:
+                    x = (DEAD_ZERO if a != word[i] else x if x < 0
+                         else nodes + x)
+                out = codes[i][v] = (x,)
         moves = []
-        for a, s in table[v]:
-            if a is None:
-                t = i
-            elif a == word[i]:
-                t = nxt[i]
-            else:
-                s = DEAD_ZERO
-            if s < 0:
-                j = dead[s]
-                if j < 0:
-                    j = dead[s] = len(at)
-                    at.append(None)
-                    node.append(s)
-            else:
-                slot = t * nodes + s
-                j = index[slot]
-                if j < 0:
-                    j = index[slot] = len(at)
-                    at.append(t)
-                    node.append(s)
+        for code in out:
+            t = i
+            if code >= nodes:
+                t, code = nxt[i], code - nodes
+            slot = t * nodes + code if code >= 0 else code
+            j = index[slot]
+            if j < 0:  # follow the slot's codes to its position
+                chain = []
+                while True:
+                    s = code
+                    if s >= 0:
+                        code = steps[t][s]
+                        if code is None:
+                            code = _settle(graph, word[t], steps[t],
+                                           codes[t], s)
+                    if code == s:
+                        j = index[slot] = len(at)
+                        at.append(t if s >= 0 else None)
+                        node.append(s)
+                        break
+                    chain.append(slot)
+                    if code >= nodes:
+                        t, code = nxt[t], code - nodes
+                    slot = t * nodes + code if code >= 0 else code
+                    j = index[slot]
+                    if j >= 0:
+                        break
+                for slot in chain:
+                    index[slot] = j
             moves.append(j)
         edges.append(tuple(moves))
     owner = [*map(_OWNER.__getitem__, graph.kinds), ABELARD, ELOISE]
@@ -372,7 +470,13 @@ def _first_separating(exprs: list[Expr], alphabet: Alphabet,
     game over a word graph and the occurrence graph of all of ``exprs``,
     unless it needs more than BATCH_SLOTS slots per expression; the search
     stops at the first batch that separates."""
-    sizes = [len(occurrence_graph(x, alphabet).kinds) for x in exprs]
+    # an expression's own graph has at most expr_size nodes: it is built,
+    # to count them, only where that bound passes the cap at some length
+    longest, sizes = max_prefix + max_period, []
+    for x in exprs:
+        n = expr_size(x)
+        sizes.append(len(occurrence_graph(x, alphabet).kinds)
+                     if longest * n > MAX_ARENA else n)
     graph = occurrence_graph(exprs, alphabet)
     m = len(exprs)
     budget = max(1, min(BATCH_SLOTS, MAX_ARENA) * m // len(graph.kinds))

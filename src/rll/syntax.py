@@ -541,6 +541,7 @@ def _infix_table(levels: list) -> dict:
 
 
 _PARENS = frozenset("()")
+_BINDER, _INFIX, _GROUP = range(3)  # what a term waits on in _Parser.term
 
 
 def _matching_parens(tokens: list[str]) -> dict[int, int]:
@@ -558,12 +559,14 @@ class _Parser:
     """A term is a binder ``(mu|nu) X. term``, which extends as far right as
     it can, or operands joined by the syntax's infix operators, where the
     right operand of an operator may be such a binder. Precedence climbing
-    (Pratt 1973) reads the operators, so the recursion deepens with
-    parentheses, binders and right operands, not with the number of operator
-    levels; ``operand`` reads a chain of prefixes in a loop.
+    (Pratt 1973) reads the operators in one loop, where the binders,
+    operators and parentheses still open wait on an explicit stack, so no
+    nesting deepens the recursion. Each syntax reads an operand as a chain
+    of prefixes, then a group or an atom (``operand``), and applies the
+    prefixes to a group (``wrap``).
 
     ``memo``, if given, maps the tokens inside each balanced group parsed so
-    far to its term (``group``). The term of a group that parses depends
+    far to its term (``open_group``). The term of a group that parses depends
     only on those tokens, the alphabet, the reserved names and the syntax,
     so one memo may serve many texts under one alphabet and syntax. Errors
     depend on where the group stands; a group that fails is not stored."""
@@ -582,6 +585,7 @@ class _Parser:
         self.reserved = reserved  # names that no bound variable may take
         self.memo = memo
         self.close: Optional[dict[int, int]] = None  # "(" -> its ")", lazily
+        self.held: list = []  # the prefixes of a group, from operand
 
     def pos(self, i: int) -> int:
         """Where token i begins in the text."""
@@ -601,46 +605,77 @@ class _Parser:
         return t
 
     def term(self, level: int) -> Term:
-        """A binder, or operands joined by infix operators of level >= level."""
-        tok = self.tokens[self.i]
-        if tok in self.binders:
-            self.i += 1
-            at = self.i
-            var = self.var_name()
-            if var in self.reserved:
-                raise ParseError(f"variable {var!r} clashes with a proposition",
-                                 self.pos(at))
-            self.expect(".")
-            return self.binders[tok](var, self.term(0))
-        left = self.operand()
-        infix, tokens = self.infix, self.tokens
+        """A binder, or operands joined by infix operators of level >= level,
+        read in one loop; what is still open waits in ``waiting``."""
+        tokens, infix, binders = self.tokens, self.infix, self.binders
+        waiting: list[tuple] = []
         while True:
-            op = infix.get(tokens[self.i])
-            if op is None or op[0] < level:
-                return left
-            self.i += 1
-            left = op[1](left, self.term(op[2]))
-
-    def group(self) -> Term:
-        """``(term)``, at a ``(``. A balanced group found in the memo is
-        skipped whole; one that is not is parsed, and stored if it parses."""
-        memo, key, end = self.memo, None, None
-        if memo is not None:
-            if self.close is None:
-                self.close = _matching_parens(self.tokens)
-            end = self.close.get(self.i)  # None for an unbalanced "("
-            if end is not None:
-                key = tuple(self.tokens[self.i + 1:end])
-                t = memo.get(key)
-                if t is not None:
-                    self.i = end + 1
+            tok = tokens[self.i]
+            if tok in binders:  # its body is a term of level 0
+                self.i += 1
+                at = self.i
+                var = self.var_name()
+                if var in self.reserved:
+                    raise ParseError(f"variable {var!r} clashes with a "
+                                     "proposition", self.pos(at))
+                self.expect(".")
+                waiting.append((_BINDER, binders[tok], var))
+                level = 0
+                continue
+            t = self.operand()
+            if t is None:  # a group, after the prefixes in self.held
+                prefixes = self.held
+                if self.memo is None:
+                    self.i += 1
+                    key = end = None
+                else:
+                    t, key, end = self.open_group()
+                if t is None:  # its inside is a term of level 0
+                    waiting.append((_GROUP, prefixes, key, end, level))
+                    level = 0
+                    continue
+                if prefixes:
+                    t = self.wrap(prefixes, t)
+            while True:  # t ends a term of this level, or an operator's left
+                op = infix.get(tokens[self.i])
+                if op is not None and op[0] >= level:
+                    self.i += 1
+                    waiting.append((_INFIX, op[1], t, level))
+                    level = op[2]  # of its right operand
+                    break
+                if not waiting:
                     return t
+                frame = waiting.pop()
+                if frame[0] == _INFIX:
+                    _, build, left, level = frame
+                    t = build(left, t)
+                elif frame[0] == _BINDER:
+                    t = frame[1](frame[2], t)
+                else:
+                    _, prefixes, key, end, level = frame
+                    self.expect(")")
+                    if key is not None and self.i - 1 == end:
+                        self.memo[key] = t
+                    if prefixes:
+                        t = self.wrap(prefixes, t)
+
+    def open_group(self) -> tuple[Optional[Term], Optional[tuple],
+                                  Optional[int]]:
+        """At a ``(``, with a memo: a balanced group found in the memo,
+        skipped whole, or None past the ``(``, with the group's memo key and
+        its ``)``, both None where the ``(`` has no balanced ``)``."""
+        if self.close is None:
+            self.close = _matching_parens(self.tokens)
+        end = self.close.get(self.i)  # None for an unbalanced "("
+        key = None
+        if end is not None:
+            key = tuple(self.tokens[self.i + 1:end])
+            t = self.memo.get(key)
+            if t is not None:
+                self.i = end + 1
+                return t, None, None
         self.i += 1
-        t = self.term(0)
-        self.expect(")")
-        if key is not None and self.i - 1 == end:
-            memo[key] = t
-        return t
+        return None, key, end
 
     def expect(self, kind: str) -> str:
         tok = self.tokens[self.i]
@@ -662,8 +697,9 @@ class _ExprParser(_Parser):
     noun, binders = "expression", {"mu": Mu, "nu": Nu}
     infix = _infix_table([("+", Sum, False), ("&", Meet, False)])
 
-    def operand(self) -> Expr:
-        """``LETTER.`` prefixes, then 0, top, a variable or ``(term)``."""
+    def operand(self) -> Optional[Expr]:
+        """``LETTER.`` prefixes, then 0, top or a variable; or None at a
+        ``(``, with the prefixes' letters left in ``held``."""
         tokens, letters = self.tokens, []
         tok = tokens[self.i]
         while tok == "{" or (token_kind(tok) == "ident"
@@ -681,7 +717,8 @@ class _ExprParser(_Parser):
             self.i += 1
             e = ZERO
         elif tok == "(":
-            e = self.group()
+            self.held = letters
+            return None
         elif tok == "top":
             self.i += 1
             e = TOP
@@ -690,6 +727,10 @@ class _ExprParser(_Parser):
         else:
             raise ParseError(f"expected an expression, found {tok!r}",
                              self.pos(self.i))
+        return self.wrap(letters, e) if letters else e
+
+    @staticmethod
+    def wrap(letters: list[str], e: Expr) -> Expr:
         for letter in reversed(letters):
             e = Act(letter, e)
         return e
@@ -727,9 +768,10 @@ class _FormulaParser(_Parser):
     infix = _infix_table([("<->", iff, False), ("->", implies, True),
                           ("|", Or, False), ("&", And, False)])
 
-    def operand(self) -> MuLtlFormula:
-        """``O`` and ``!`` prefixes, then ~P, ff, tt, a proposition, a
-        variable or ``(term)``."""
+    def operand(self) -> Optional[MuLtlFormula]:
+        """``O`` and ``!`` prefixes, then ~P, ff, tt, a proposition or a
+        variable; or None at a ``(``, with the prefixes, as functions, left
+        in ``held``."""
         tokens, prefixes = self.tokens, []
         tok = tokens[self.i]
         while tok == "!" or tok == "O":
@@ -743,7 +785,8 @@ class _FormulaParser(_Parser):
                 raise AlphabetError(f"undeclared proposition {name!r}")
             phi = NegProp(name)
         elif tok == "(":
-            phi = self.group()
+            self.held = prefixes
+            return None
         elif tok == "ff":
             self.i += 1
             phi = BOT
@@ -756,6 +799,10 @@ class _FormulaParser(_Parser):
         else:
             raise ParseError(f"expected a formula, found {tok!r}",
                              self.pos(self.i))
+        return self.wrap(prefixes, phi) if prefixes else phi
+
+    @staticmethod
+    def wrap(prefixes: list, phi: MuLtlFormula) -> MuLtlFormula:
         for prefix in reversed(prefixes):
             phi = prefix(phi)
         return phi

@@ -238,10 +238,20 @@ class TestInspection:
         assert code == 2 and "does not match" in err
 
 
+def _nested_sum(levels: int) -> str:
+    """b.0 + (b.0 + (... + a.top)), with levels sums."""
+    text = "a.top"
+    for _ in range(levels):
+        text = f"b.0 + ({text})"
+    return text
+
+
 class TestDeepNesting:
     """Nesting past the interpreter's recursion limit is an input error;
-    prefix chains, which the parser reads in a loop, and parentheses well
-    inside the limit parse."""
+    prefix chains and parentheses, which the parser reads in a loop, parse.
+    At 490 levels ``member --via both`` answers, and both judges agree (a
+    disagreement exits 2): the arena resolves each choice at its letter
+    with no recursion."""
 
     @pytest.fixture
     def deep(self, tmp_path):
@@ -271,7 +281,12 @@ class TestDeepNesting:
          "props P ;\n" + "(" * 170 + "tt" + ")" * 170),
         (["member", "FILE", "(a)"],
          "alphabet a b ;\n" + "(" * 250 + "top" + ")" * 250),
-    ], ids=["not-chain-2000", "formula-parens-170", "expr-parens-250"])
+        (["member", "--via", "both", "FILE", "(a)"],
+         "alphabet a b ;\n" + "a." * 490 + "top\n"),
+        (["member", "--via", "both", "FILE", "(a)"],
+         "alphabet a b ;\n" + _nested_sum(490) + "\n"),
+    ], ids=["not-chain-2000", "formula-parens-170", "expr-parens-250",
+            "member-act-chain-490", "member-nested-sum-490"])
     def test_parser_reads_deep_prefixes_and_parentheses(self, tmp_path, argv,
                                                         text):
         path = tmp_path / "deep.txt"

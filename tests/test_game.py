@@ -46,15 +46,16 @@ class TestArena:
         assert dead, "expected a reachable mismatch deadlock"
 
     def test_arena_shape_for_infinitely_many_as(self):
+        """On (ab) each vertex's sum has one live move, the one that reads
+        the vertex's letter, so the sum is no position: the arena is the
+        two binders at each vertex, and no choice is left."""
         e = parse_expr(IA, AB)
-        w = lasso("(ab)")
-        g = build_arena(e, w)
-        assert len(g.owners) <= 2 * 5  # reachable part of positions x members
-        # exactly one Eloise choice node (the sum) per lasso position
-        choices = [i for i, succs in enumerate(g.edges)
-                   if len(succs) == 2 and g.owners[i] == ELOISE]
-        lasso_positions = {g.labels[i][0] for i in choices}
-        assert len(choices) == 2 and lasso_positions == {0, 1}
+        graph = occurrence_graph(e, AB)
+        mu, = graph.succs[graph.root]
+        g = build_arena(e, lasso("(ab)"), graph)
+        assert g.labels == ((0, graph.root), (0, mu), (1, graph.root), (1, mu))
+        assert g.edges == ((1,), (2,), (3,), (1,))
+        assert solve_parity(g).winner == (ELOISE,) * 4
 
     def test_open_expression_rejected(self):
         with pytest.raises(GameError):
@@ -87,24 +88,22 @@ class TestActsReadOnMoves:
         assert solve_parity(g).winner == (ABELARD, ABELARD)
 
     def test_act_chains(self):
-        """In a.b.a.X only the acts that are bodies of acts are positions,
-        each reading its letter on the move out of it."""
+        """In a.b.a.X no act is a position but the root: each act's slot
+        goes on to the slot its letter leads to, and a wrong letter or a
+        top ends the chain in a deadlock."""
         e = parse_expr("nu X. a.b.a.X", AB)
         graph = occurrence_graph(e, AB)
-        first, = graph.succs[graph.root]
-        second, = graph.succs[first]
-        third, = graph.succs[second]
         g = build_arena(e, lasso("(aba)"), graph)
-        assert g.labels == ((0, graph.root), (1, second), (2, third))
-        assert g.edges == ((1,), (2,), (0,))
-        assert solve_parity(g).winner == (ELOISE,) * 3
+        assert g.labels == ((0, graph.root),) and g.edges == ((0,),)
+        assert solve_parity(g).winner == (ELOISE,)
         e = parse_expr("a.b.a.top", AB)
-        g = build_arena(e, lasso("ab(a)"))
-        assert [i for i, _v in g.labels] == [0, 1, 2, None]
-        assert g.labels[3] == (None, DEAD_TOP) and g.owners[3] == ABELARD
+        graph = occurrence_graph(e, AB)
+        g = build_arena(e, lasso("ab(a)"), graph)
+        assert g.labels == ((0, graph.root), (None, DEAD_TOP))
+        assert g.edges == ((1,), ()) and g.owners[1] == ABELARD
         assert solve_parity(g).winner[0] == ELOISE
-        g = build_arena(e, lasso("aa(a)"))
-        assert g.labels[2] == (None, DEAD_ZERO)
+        g = build_arena(e, lasso("aa(a)"), graph)
+        assert g.labels == ((0, graph.root), (None, DEAD_ZERO))
         assert solve_parity(g).winner[0] == ABELARD
 
     def test_two_moves_to_one_position(self):
@@ -135,15 +134,12 @@ class TestActsReadOnMoves:
         assert solve_parity(build_arena(e, lasso("(a)"))).winner[0] == ELOISE
 
     def test_positions_and_deadlocks(self):
-        """Acts are positions only as roots and act bodies, constants only
-        as roots, and each deadlock appears once, with its owner and the
-        neutral priority."""
-        acts = deadlocks = 0
+        """Acts and constants are positions only as roots, and each
+        deadlock appears once, with its owner and the neutral priority."""
+        choices = deadlocks = 0
         for e, w in agreement_pairs(69, 2000):
             graph = occurrence_graph(e, w.alphabet)
             kinds = graph.kinds
-            bodies = {graph.succs[v][0] for v, k in enumerate(kinds)
-                      if k == "act"}
             g = build_arena(e, w, graph)
             for j, (i, v) in enumerate(g.labels):
                 if i is None:
@@ -152,14 +148,12 @@ class TestActsReadOnMoves:
                     assert g.owners[j] == (ELOISE if v == DEAD_ZERO
                                            else ABELARD)
                     assert g.priorities[j] == max(graph.priority)
-                elif j > 0:  # only the root may be a constant
-                    assert kinds[v] not in ("zero", "top")
-                    if kinds[v] == "act":
-                        acts += 1
-                        assert v in bodies
+                elif j > 0:  # only the root may be an act or a constant
+                    assert kinds[v] not in ("act", "zero", "top")
+                    choices += kinds[v] in ("sum", "meet")
             assert len({l for l in g.labels if l[0] is None}) == \
                 sum(l[0] is None for l in g.labels)
-        assert acts > 100 and deadlocks > 2000, (acts, deadlocks)
+        assert choices > 400 and deadlocks > 1500, (choices, deadlocks)
 
     def test_word_graph_roots_match_the_per_lasso_reference(self):
         """Every root of a word graph gets the winner of its own lasso's
@@ -309,9 +303,13 @@ class TestSharedGraph:
                         for x, (t, o) in enumerate(zip(exprs, own)):
                             assert arena.labels[k * m + x] == \
                                 (r, graph.roots[x])
+                            ref = reference_contracted_arena(t, w, o)
                             assert (won[k * m + x] == ELOISE) == \
                                 member_game(t, w, o) == \
+                                (reference_solve_parity(ref).winner[0]
+                                 == ELOISE) == \
                                 member_oracle(t, w), (t, vertices[r])
+                    _assert_resolved(arena, graph, words, m)
         assert shared >= 50, shared
 
     def test_a_copy_adds_only_its_sum(self):
@@ -485,26 +483,115 @@ class TestAgainstReference:
         assert stuck == {ELOISE, ABELARD}
 
     def test_agreement_pair_arenas_and_winners(self):
-        """The arena equals the dict-keyed one with acts read on moves, and
-        every (lasso position, node) it shares with the arena that has a
-        position per act has the same winner there."""
+        """Every position of the arena is one of the dict-keyed arena with
+        acts read on moves, with the same winner there, and every (lasso
+        position, node) it shares with the arena that has a position per
+        act has that winner too."""
         shared = 0
         for e, w in agreement_pairs(66, 2000):
             g = build_arena(e, w)
-            assert g == reference_contracted_arena(e, w), \
-                f"arenas differ on {e} / {print_lasso(w)}"
             won = reference_solve_parity(g).winner
             assert solve_parity(g).winner == won, \
                 f"winners differ on {e} / {print_lasso(w)}"
+            ref = reference_contracted_arena(e, w)
+            ref_won = dict(zip(ref.labels,
+                               reference_solve_parity(ref).winner))
             full = reference_build_arena(e, w)
             full_won = dict(zip(full.labels,
                                 reference_solve_parity(full).winner))
             for label, winner in zip(g.labels, won):
+                assert ref_won[label] == winner, \
+                    f"{label} differs on {e} / {print_lasso(w)}"
                 if label in full_won:
                     shared += 1
                     assert full_won[label] == winner, \
                         f"{label} differs on {e} / {print_lasso(w)}"
         assert shared > 5000, shared
+
+
+def _assert_resolved(g: ParityGame, graph, words, m: int = 1):
+    """No position but a start is a non-binder with fewer than two distinct
+    live moves at its vertex's letter, and each deadlock appears at most
+    once: a sum or a meet is left a position only with two moves, neither
+    of which reads a wrong letter or goes into a deadlock."""
+    letters, succ = words.letters, words.successors
+    neutral = max(graph.priority)
+    dead = [v for i, v in g.labels if i is None]
+    assert len(set(dead)) == len(dead)
+    for j, (i, v) in enumerate(g.labels):
+        if i is None or j < len(words.roots) * m:
+            continue
+        kind = graph.kinds[v]
+        if kind in ("mu", "nu"):
+            continue
+        assert kind in ("sum", "meet") and g.priorities[j] == neutral, j
+        own, opp = ((DEAD_ZERO, DEAD_TOP) if kind == "sum"
+                    else (DEAD_TOP, DEAD_ZERO))
+        first = set()  # where each move goes before any is resolved
+        for a, x in graph.moves[v]:
+            if a is not None and a != letters[i]:
+                x = DEAD_ZERO
+            first.add(x if x < 0 else (i if a is None else succ[i], x))
+        assert opp not in first and len(first - {own}) == 2, (j, first)
+        assert len(g.edges[j]) == 2
+
+
+class TestResolvedArena:
+    """Each choice is resolved at its vertex's letter while the arena is
+    built: against the arena with a position per reachable choice
+    (``tests/helpers.py::reference_contracted_arena``) and the oracle."""
+
+    def test_starts_match_reference_and_oracle(self):
+        for e, w in agreement_pairs(78, 2000):
+            graph = occurrence_graph(e, w.alphabet)
+            g = build_arena(e, w, graph)
+            ref = reference_contracted_arena(e, w, graph)
+            want = member_oracle(e, w)
+            assert (solve_parity(g).winner[0] == ELOISE) == want, \
+                f"{e} / {print_lasso(w)}"
+            assert (reference_solve_parity(ref).winner[0] == ELOISE) == want
+            _assert_resolved(g, graph, lasso_graph(w))
+
+    def test_nested_choices_resolve_first(self):
+        """A meet's sums resolve before it. On an a the left sum reaches
+        Abelard's deadlock, which he never takes, and the right sum reads
+        a: the meet is that read, back to the nu. On a b the left sum is
+        Eloise's deadlock, which Abelard takes. Two sums that resolve alike
+        leave their meet one move."""
+        e = parse_expr("nu X. ((b.0 + a.top) & (a.X + b.0))", AB)
+        graph = occurrence_graph(e, AB)
+        g = build_arena(e, lasso("(a)"), graph)
+        assert g.labels == ((0, graph.root),) and g.edges == ((0,),)
+        assert solve_parity(g).winner == (ELOISE,)
+        g = build_arena(e, lasso("(b)"), graph)
+        assert g.labels == ((0, graph.root), (None, DEAD_ZERO))
+        assert g.edges == ((1,), ())
+        assert solve_parity(g).winner == (ABELARD, ABELARD)
+        assert member_oracle(e, lasso("(a)"))
+        assert not member_oracle(e, lasso("(b)"))
+        # two sums that each leave the one move that reads a: the meet's
+        # moves are one, so the meet is that move too
+        e = parse_expr("nu X. ((a.X + b.0) & (a.X + b.top))", AB)
+        g = build_arena(e, lasso("(a)"))
+        assert g.edges == ((0,),) and solve_parity(g).winner == (ELOISE,)
+
+    def test_paper_languages_halve_positions(self):
+        """On the paper's languages and their complements, over long
+        lassos, the arena keeps under half the reference's positions."""
+        rng = random.Random(79)
+        langs = [parse_expr(t, AB) for t in (IA, FB, f"({IA}) & ({FB})")]
+        langs += [algebra.complement(e, AB) for e in langs]
+        kept = full = 0
+        for e in langs:
+            for _ in range(4):
+                w = gen_lasso(rng, AB, 20, 30)
+                g = build_arena(e, w)
+                ref = reference_contracted_arena(e, w)
+                assert (solve_parity(g).winner[0] ==
+                        reference_solve_parity(ref).winner[0])
+                kept += len(g.owners)
+                full += len(ref.owners)
+        assert 2 * kept < full, (kept, full)
 
 
 def _assert_traps(g: ParityGame):
@@ -719,6 +806,26 @@ class TestSearchMatchesReference:
                 assert got == witness, (e, f, bounds)
                 witnessed += 1
         assert refused >= 30 and witnessed >= 30, (refused, witnessed)
+
+    def test_own_graphs_only_where_the_cap_may_refuse(self, monkeypatch):
+        """An expression's own graph is built, to count its nodes, only
+        where its size times the longest length passes MAX_ARENA. Each
+        refusal still counts the graph's nodes, not the expression's."""
+        e = parse_expr("a.top + a.top", AB)  # 5 terms, 3 graph nodes
+        f = parse_expr("a.top", AB)  # 2 terms, 2 graph nodes
+        real, built = game.occurrence_graph, []
+        for cap, own in ((10**6, []), (15, [e]), (7, [e, f])):
+            with monkeypatch.context() as patch:
+                patch.setattr(game, "MAX_ARENA", cap)
+                want = _outcome(reference_equiv_bounded, e, f, AB, 2, 2)
+                patch.setattr(game, "occurrence_graph",
+                              lambda x, ab: built.append(x) or real(x, ab))
+                got = _outcome(equiv_bounded, e, f, AB, 2, 2)
+            assert got == want, cap
+            assert built == [*own, [e, f]], cap
+            built.clear()
+        assert want == ("the arena needs 3 x 3 slots (lasso letters x "
+                        "graph nodes), more than 7")
 
     def test_one_game_per_batch(self, monkeypatch):
         """Without a separating lasso, equiv and incl each solve one game
