@@ -10,11 +10,23 @@ else (no arguments, ``-h``, ``--version``, an unknown command, an option
 before the command, or arguments the subcommand leaves over) goes to
 ``build_parser()``, the parser with every subcommand, so help and usage
 errors read the same either way.
+
+A subcommand's parser is built once per process, on first use, and reused
+by every later command line. Only a process that runs several command
+lines gains by it (a Python caller of ``main``, the test suite, the
+benchmark), where building the parser took about a third of a small
+``member`` query; a one-shot ``rll`` still builds its one parser once, so
+it runs no faster and frees nothing sooner. Reuse changes no answer. ``parse_known_args`` makes a
+fresh namespace on each call and leaves the parser as it was; help and
+usage widths are read when a formatter is made, at format time, not when
+the parser is built; and no argument has a mutable default.
+``build_parser()`` still builds its whole tree on each call.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from . import __version__, algebra, calculus, corpus
@@ -202,6 +214,8 @@ CURATED = [
 def cmd_selftest(args) -> int:
     from .syntax import parse_expr
 
+    if args.pairs < 0:
+        raise CliError(f"pairs must be at least 0, not {args.pairs}")
     ab = Alphabet.plain("a", "b")
     failures = 0
 
@@ -338,13 +352,23 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+@functools.cache
+def _subparser(name: str) -> argparse.ArgumentParser:
+    """The parser of subcommand ``name``, built on first use."""
+    return _fill(argparse.ArgumentParser(prog=f"rll {name}"), name)
+
+
 def parse_args(argv) -> argparse.Namespace:
     """The namespace ``build_parser().parse_args(argv)`` gives, or its exit.
 
-    When ``argv`` starts with a subcommand, only that subcommand's parser is
-    built. Anything it does not consume goes to the full parser, which
-    reports it with the top-level usage; so does ``--=...`` before ``--``,
-    which the top level rejects as an ambiguous ``--help``/``--version``.
+    When ``argv`` starts with a subcommand, only that subcommand's parser
+    reads it, built once per process by ``_subparser``. Reusing it is safe:
+    ``parse_known_args`` returns a new namespace and does not change the
+    parser, the help and usage width is read when a message is formatted,
+    and no default is mutable. Anything the subcommand does not consume
+    goes to the full parser, which reports it with the top-level usage; so
+    does ``--=...`` before ``--``, which the top level rejects as an
+    ambiguous ``--help``/``--version``.
     """
     argv = sys.argv[1:] if argv is None else list(argv)
     name = argv[0] if argv else None
@@ -352,8 +376,7 @@ def parse_args(argv) -> argparse.Namespace:
         rest = argv[1:]
         plain = rest[:rest.index("--")] if "--" in rest else rest
         if not any(a.startswith("--=") for a in plain):
-            args, extra = _fill(argparse.ArgumentParser(prog=f"rll {name}"),
-                                name).parse_known_args(rest)
+            args, extra = _subparser(name).parse_known_args(rest)
             if not extra:
                 args.command = name
                 return args

@@ -465,6 +465,26 @@ class TestBoundedMemory:
         finally:
             gc.enable()
 
+    def test_commands_leave_no_cyclic_garbage(self, files, capsys):
+        """A subcommand's parser outlives its command line, so a successful
+        command leaves nothing for the cyclic collector."""
+        argvs = [["member", files["ia"], "(ab)"],
+                 ["equiv", files["ia"], files["fb"]],
+                 ["incl", files["ia"], files["fb"]],
+                 ["check", os.path.join(PROOF_DIR, "zero_le_e.json")],
+                 ["selftest", "--pairs", "3"]]
+        for argv in argvs:
+            assert run(capsys, argv)[0] in (0, 1)
+        gc.collect()
+        gc.disable()
+        try:
+            for argv in argvs:
+                for _ in range(5):
+                    assert run(capsys, argv)[0] in (0, 1)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
     def test_no_lru_cache(self):
         src = os.path.dirname(rll.__file__)
         for name in sorted(os.listdir(src)):
@@ -721,6 +741,14 @@ class TestSelftest:
         b = run(capsys, ["selftest", "--pairs", "25"])
         assert a == b
 
+    def test_pair_count_at_least_zero(self, capsys):
+        assert run(capsys, ["selftest", "--pairs", "-3"]) == (
+            2, "", "error: pairs must be at least 0, not -3\n")
+        code, out, _ = run(capsys, ["selftest", "--pairs", "0"])
+        assert code == 0
+        assert "[ok] complement law on 0 seeded pairs\n" in out
+        assert out.endswith("selftest: all checks passed\n")
+
 
 def invoke(main_fn, argv, capsys):
     """Exit code, stdout and stderr of one command, argparse exits
@@ -877,3 +905,70 @@ class TestSubcommandParser:
         monkeypatch.setattr(rll.cli, "build_parser", refuse)
         assert run(capsys, ["member", files["ia"], "(ab)"]) == (
             0, "true (game=oracle)\n", "")
+
+
+# one command line per subcommand that its parser accepts
+SUBCOMMAND_ARGVS = {
+    "parse": ["parse", "F", "--formula", "--props", "P Q"],
+    "closure": ["closure", "F", "--alphabet", "a b"],
+    "apa-dot": ["apa-dot", "F"],
+    "member": ["member", "F", "a(b)", "--via", "game"],
+    "oracle-member": ["oracle-member", "F", "(ab)"],
+    "complement": ["complement", "F", "--props", "P"],
+    "translate": ["translate", "--to", "ltl", "F"],
+    "equiv": ["equiv", "L", "R", "--max-prefix", "1"],
+    "incl": ["incl", "L", "R", "--max-period", "4"],
+    "check": ["check", "PROOF"],
+    "selftest": ["selftest", "--seed", "7", "--pairs", "0"],
+}
+
+
+class TestReusedSubparser:
+    """Each subcommand's parser is built once per process; every call that
+    reuses it answers as a freshly built full parser does."""
+
+    @pytest.mark.parametrize("name", list(rll.cli.COMMANDS))
+    def test_calls_are_independent(self, name):
+        argv = SUBCOMMAND_ARGVS[name]
+        first, second = parse_args(argv), parse_args(argv)
+        assert first is not second
+        assert vars(first) == vars(second)
+        assert vars(second) == vars(reference_build_parser().parse_args(argv))
+        # a change to one namespace does not reach the next
+        first.fn = None
+        assert vars(parse_args(argv)) == vars(second)
+
+    @pytest.mark.parametrize("bad, good", [
+        (["member", "F", "L", "--via", "x"], ["member", "F", "L"]),
+        (["equiv", "L", "R", "--max-prefix", "z"], ["equiv", "L", "R"]),
+    ])
+    def test_usage_error_leaves_no_trace(self, bad, good, capsys):
+        parse_args(good)  # the parser exists before the error
+        with pytest.raises(SystemExit) as exc:
+            parse_args(bad)
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.startswith(f"usage: rll {bad[0]} ")
+        assert vars(parse_args(good)) == vars(
+            reference_build_parser().parse_args(good))
+
+    def test_help_width_read_per_call(self, capsys):
+        outs = []
+        for columns in ("40", "200"):
+            with mock.patch.dict(os.environ, {"COLUMNS": columns}):
+                got = invoke(main, ["member", "-h"], capsys)
+                assert got == invoke(reference_main, ["member", "-h"], capsys)
+                outs.append(got[1])
+        assert outs[0] != outs[1]
+
+    def test_unknown_command_not_cached(self, capsys, monkeypatch):
+        seen, subparser = [], rll.cli._subparser
+
+        def spy(name):
+            seen.append(name)
+            return subparser(name)
+
+        monkeypatch.setattr(rll.cli, "_subparser", spy)
+        assert invoke(main, ["bogus"], capsys)[0] == 2
+        assert seen == []
+        parse_args(["member", "F", "L"])
+        assert seen == ["member"]
