@@ -145,6 +145,11 @@ def _json(value, kind: type, what: str):
     return value
 
 
+def _missing(owner: str, err: KeyError) -> CalculusError:
+    """The error for a JSON object, owner, that lacks the field err names."""
+    return CalculusError(f"{owner} has no {err.args[0]!r} field")
+
+
 def _strings(value, what: str) -> list[str]:
     for item in _json(value, list, what):
         _json(item, str, f"each entry of {what}")
@@ -152,12 +157,15 @@ def _strings(value, what: str) -> list[str]:
 
 
 class _Terms(dict):
-    """One derivation's parse memo, under its alphabet and syntax. A text
-    (str) maps to its term, so each distinct claim, subst term or atom is
-    parsed once; the tokens inside a parenthesised group (tuple) map to the
-    group's term, the parser's group memo, shared by all the texts, so
-    equal groups of different texts are one object. Neither a text nor a
-    group that fails to parse is stored, so it fails alike every time."""
+    """One derivation's parse memo, under its alphabet and syntax, which is
+    also the parser's group memo, shared by all the texts. A text (str)
+    maps to its term: each distinct claim, subst term or atom, and the text
+    between the brackets of each group parsed, so that a text is parsed
+    once, whether it came whole or as a group, and the parser lexes only
+    what no text in the memo covers. The tokens of a group that was lexed
+    (tuple) map to its term too, so equal groups of different texts are
+    one object. Neither a text nor a group that fails to parse is stored,
+    so it fails alike every time."""
 
     def __init__(self, parse: Callable, alphabet: Alphabet):
         self.parse = partial(parse, alphabet=alphabet)
@@ -171,27 +179,40 @@ def derivation_from_json(data: dict) -> Derivation:
     """The derivation derivation_to_json wrote; CalculusError on JSON of
     another shape."""
     _json(data, dict, "a proof")
-    system = data["system"]
+    try:
+        system, names, steps = data["system"], data["alphabet"], data["steps"]
+    except KeyError as err:
+        raise _missing("the proof", err) from None
     tier = data.get("tier", "strict")
     if system not in ("rll", "multl"):
         raise CalculusError(f"unknown proof system {system!r}")
     if tier not in ("strict", "extended"):
         raise CalculusError(f"unknown tier {tier!r}")
-    names = _strings(data["alphabet"], "alphabet")
+    names = _strings(names, "alphabet")
     ab = Alphabet.powerset(*names) if system == "multl" else Alphabet.plain(*names)
     d = Derivation(system, tier, ab, [])
     terms = d.terms
 
     def load_step(s) -> Step:
         _json(s, dict, "each step")
-        claim = _json(s["claim"], dict, "a claim")
+        try:
+            sid, claim, rule = s["id"], s["claim"], s["rule"]
+        except KeyError as err:
+            raise _missing("a step", err) from None
+        _json(claim, dict, "a claim")
+        try:
+            if system == "multl":
+                formula = claim["formula"]
+            else:
+                rel, lhs, rhs = claim["rel"], claim["lhs"], claim["rhs"]
+        except KeyError as err:
+            raise _missing("a claim", err) from None
         if system == "multl":
             parsed: AnyClaim = FormulaClaim(
-                terms[_json(claim["formula"], str, "a formula")])
+                terms[_json(formula, str, "a formula")])
         else:
-            lhs, rhs = (terms[_json(claim[k], str, f"claim {k!r}")]
-                        for k in ("lhs", "rhs"))
-            parsed = Claim(claim["rel"], lhs, rhs)
+            parsed = Claim(rel, terms[_json(lhs, str, "claim 'lhs'")],
+                           terms[_json(rhs, str, "claim 'rhs'")])
         subst = dict(_json(s.get("subst") or {}, dict, "subst"))
         for key, val in subst.items():
             if key == "atoms":
@@ -201,16 +222,20 @@ def derivation_from_json(data: dict) -> Derivation:
         hyp = s.get("hyp")
         if hyp is not None:
             _json(hyp, dict, "hyp")
-            hyp = HypContext(_strings(hyp["fresh"], "hyp 'fresh'"),
+            try:
+                fresh, hsteps = hyp["fresh"], hyp["steps"]
+            except KeyError as err:
+                raise _missing("hyp", err) from None
+            hyp = HypContext(_strings(fresh, "hyp 'fresh'"),
                              [load_step(t) for t in
-                              _json(hyp["steps"], list, "hyp 'steps'")])
-        return Step(_json(s["id"], str, "a step id"), parsed,
-                    _json(s["rule"], str, "a rule"), subst,
+                              _json(hsteps, list, "hyp 'steps'")])
+        return Step(_json(sid, str, "a step id"), parsed,
+                    _json(rule, str, "a rule"), subst,
                     _strings(s.get("premises") or [], "premises"), hyp)
 
     # load_step refers to itself; unbinding it frees the closure on return
     try:
-        d.steps = [load_step(s) for s in _json(data["steps"], list, "steps")]
+        d.steps = [load_step(s) for s in _json(steps, list, "steps")]
         return d
     finally:
         del load_step
@@ -241,7 +266,11 @@ def derivation_to_json(d: Derivation) -> dict:
 
 def load_proof_file(path: str) -> Derivation:
     with open(path, "r", encoding="utf-8") as fh:
-        return derivation_from_json(json.load(fh))
+        try:
+            data = json.load(fh)
+        except RecursionError:  # the decoder recurses once per level
+            raise CalculusError("JSON nested too deeply") from None
+    return derivation_from_json(data)
 
 
 # ---------------------------------------------------------------------------

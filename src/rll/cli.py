@@ -181,7 +181,7 @@ def cmd_incl(args) -> int:
 def cmd_check(args) -> int:
     try:
         d = calculus.load_proof_file(args.file)
-    except (OSError, ValueError, KeyError, RllError) as err:
+    except (OSError, ValueError, RllError) as err:
         raise CliError(f"{args.file}: {err}")
     verdict = calculus.check_derivation(d)
     if verdict.accepted:

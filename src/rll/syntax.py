@@ -12,14 +12,18 @@ rescanning the text, only when an error message needs it. The parser is one
 grammar frame (binders, then infix operators by precedence, then operands);
 a syntax differs only in its table of infix operators and in its
 prefix/atom level. A parenthesised group is parsed once per memo
-(hash-consing at parse time, keyed on the input as in packrat parsing): the
-parser keys each balanced group on the exact tokens between its brackets,
-and a group met again returns the term stored for it, so equal groups are
-one object. Under one alphabet and syntax, equal tokens parse alike; only
-groups that parse are stored, so every error is raised as before. The
-proof checker shares one memo across a derivation's texts; a single text is
-parsed without one, as its groups seldom repeat and their keys would cost
-more than they save.
+(hash-consing at parse time, keyed on the input as in packrat parsing).
+Before a text is lexed, its brackets are matched on its characters, outside
+comments, and each balanced group is looked up by the text between its
+brackets, outermost first; only the text around the groups found is
+lexed, and each found group stands in the tokens as its ``(``. A group that
+is lexed is looked up again by its tokens, so that groups that differ only
+in whitespace or comments are one object, and is stored under both keys.
+Under one alphabet and syntax, equal texts and equal tokens parse alike;
+only groups that parse are stored, so every error is raised as before, at
+the same position. The proof checker shares one memo across a derivation's
+texts; a single text is parsed without one, as its groups seldom repeat
+and their keys would cost more than they save.
 """
 
 from __future__ import annotations
@@ -542,17 +546,8 @@ def _infix_table(levels: list) -> dict:
 
 _PARENS = frozenset("()")
 _BINDER, _INFIX, _GROUP = range(3)  # what a term waits on in _Parser.term
-
-
-def _matching_parens(tokens: list[str]) -> dict[int, int]:
-    """The index of each balanced "(" in tokens -> that of its ")"."""
-    close, open_ = {}, []
-    for i in [i for i, tok in enumerate(tokens) if tok in _PARENS]:
-        if tokens[i] == "(":
-            open_.append(i)
-        elif open_:
-            close[open_.pop()] = i
-    return close
+# a bracket, or a comment, which may hold brackets
+_BRACKET_RE = re.compile(r"[()]|#[^\n]*")
 
 
 class _Parser:
@@ -565,31 +560,108 @@ class _Parser:
     of prefixes, then a group or an atom (``operand``), and applies the
     prefixes to a group (``wrap``).
 
-    ``memo``, if given, maps the tokens inside each balanced group parsed so
-    far to its term (``open_group``). The term of a group that parses depends
-    only on those tokens, the alphabet, the reserved names and the syntax,
-    so one memo may serve many texts under one alphabet and syntax. Errors
-    depend on where the group stands; a group that fails is not stored."""
+    ``memo``, if given, maps each balanced group parsed so far to its term,
+    under two keys: the text between its brackets, and the tokens there.
+    Before lexing, each group is looked up by its text, outermost first,
+    and only the text around the groups found is lexed (``lex_misses``); a
+    group lexed is looked up by its tokens when the parser reaches it
+    (``open_group``), so that groups that differ only in whitespace or
+    comments are one object. The term of a group that parses depends only
+    on its text, or its tokens, and on the alphabet, the reserved names and
+    the syntax, so one memo may serve many texts under one alphabet and
+    syntax; a whole text that parses is a group's text too, so a caller may
+    store it in the memo under itself. Errors depend on where the group
+    stands; a group that fails is not stored."""
 
     noun: str  # what the error messages call a term
     binders: dict  # keyword -> binder constructor
     infix: dict  # from _infix_table
 
-    def __init__(self, text: str, tokens: list[str], first: int,
-                 alphabet: Alphabet, reserved: tuple,
-                 memo: Optional[dict] = None):
+    def __init__(self, text: str, alphabet: Alphabet, reserved: tuple,
+                 memo: Optional[dict] = None,
+                 tokens: Optional[list[str]] = None, first: int = 0):
         self.text = text
-        self.tokens = tokens  # tokenize(text)
-        self.i = self.first = first  # the term's first token
         self.ab = alphabet
         self.reserved = reserved  # names that no bound variable may take
         self.memo = memo
-        self.close: Optional[dict[int, int]] = None  # "(" -> its ")", lazily
+        self.lexed = text  # the text less the groups found, from lex_misses
+        self.skipped: list[tuple[int, int]] = []  # their brackets in text
+        self.heads: list[tuple] = []  # (text, term or None) per "(" token
+        if tokens is None:
+            tokens = tokenize(text) if memo is None else self.lex_misses()
+        self.tokens = tokens
+        self.i = self.first = first  # the term's first token
+        self.close: Optional[dict] = None  # from groups, lazily
+        self.found: dict[int, Term] = {}  # from groups, lazily
         self.held: list = []  # the prefixes of a group, from operand
+
+    def lex_misses(self) -> list[str]:
+        """The tokens of the text, where each group that the memo holds by
+        its text stands as its "(" alone. The brackets are matched on the
+        text's characters, outside comments; no group inside a group found
+        is looked up. ``heads`` gets, for each "(" token in order, its
+        group's text, or None where it has no balanced ")", and the term
+        found for it, or None."""
+        text = self.text
+        opens, close, stack = [], {}, []
+        for m in _BRACKET_RE.finditer(text):
+            bracket = m.group()
+            if bracket == "(":
+                opens.append(m.start())
+                stack.append(m.start())
+            elif bracket == ")" and stack:
+                close[stack.pop()] = m.start()
+        pieces, start = [], 0
+        for s in opens:
+            if s < start:  # inside the group found last
+                continue
+            e = close.get(s)
+            inner = None if e is None else text[s + 1:e]
+            t = None if inner is None else self.memo.get(inner)
+            self.heads.append((inner, t))
+            if t is not None:
+                pieces.append(text[start:s])
+                self.skipped.append((s, e))
+                start = e + 1
+        if pieces:  # each group found becomes a bare "("
+            self.lexed = "(".join(pieces + [text[start:]])
+        try:
+            return tokenize(self.lexed)
+        except ParseError as err:
+            raise ParseError(err.message, self.source_pos(err.pos)) from None
+
+    def source_pos(self, at: int) -> int:
+        """The position in the text of position ``at`` of ``lexed``."""
+        shift = 0
+        for s, e in self.skipped:
+            if at <= s - shift:
+                break
+            shift += e - s
+        return at + shift
+
+    def groups(self) -> dict[int, tuple[int, str, tuple]]:
+        """The "(" of each balanced group lexed -> its ")", its text and the
+        texts of the groups found inside it; and into ``found``, the "(" of
+        each group found -> its term."""
+        tokens, heads = self.tokens, iter(self.heads)
+        close, open_, inside = {}, [], []
+        for i in [i for i, tok in enumerate(tokens) if tok in _PARENS]:
+            if tokens[i] == ")":
+                if open_:
+                    j, text, n = open_.pop()
+                    close[j] = i, text, tuple(inside[n:])
+                continue
+            text, t = next(heads)
+            if t is None:
+                open_.append((i, text, len(inside)))
+            else:
+                self.found[i] = t
+                inside.append(text)
+        return close
 
     def pos(self, i: int) -> int:
         """Where token i begins in the text."""
-        return token_positions(self.text)[i]
+        return self.source_pos(token_positions(self.lexed)[i])
 
     def parse(self, require_closed: bool) -> Term:
         t = self.term(0)
@@ -627,11 +699,11 @@ class _Parser:
                 prefixes = self.held
                 if self.memo is None:
                     self.i += 1
-                    key = end = None
+                    keys = end = None
                 else:
-                    t, key, end = self.open_group()
+                    t, keys, end = self.open_group()
                 if t is None:  # its inside is a term of level 0
-                    waiting.append((_GROUP, prefixes, key, end, level))
+                    waiting.append((_GROUP, prefixes, keys, end, level))
                     level = 0
                     continue
                 if prefixes:
@@ -652,30 +724,42 @@ class _Parser:
                 elif frame[0] == _BINDER:
                     t = frame[1](frame[2], t)
                 else:
-                    _, prefixes, key, end, level = frame
+                    _, prefixes, keys, end, level = frame
                     self.expect(")")
-                    if key is not None and self.i - 1 == end:
-                        self.memo[key] = t
+                    if keys is not None and self.i - 1 == end:
+                        for key in keys:
+                            self.memo[key] = t
                     if prefixes:
                         t = self.wrap(prefixes, t)
 
     def open_group(self) -> tuple[Optional[Term], Optional[tuple],
                                   Optional[int]]:
-        """At a ``(``, with a memo: a balanced group found in the memo,
-        skipped whole, or None past the ``(``, with the group's memo key and
-        its ``)``, both None where the ``(`` has no balanced ``)``."""
+        """At a ``(``, with a memo: the term of a group found by its text or
+        by its tokens, skipped whole; or None past the ``(``, with the
+        group's memo keys and its ``)``, both None where the ``(`` has no
+        balanced ``)``. The tokens key of a group with groups found inside
+        it holds their texts too, as their tokens were never lexed."""
+        i = self.i
         if self.close is None:
-            self.close = _matching_parens(self.tokens)
-        end = self.close.get(self.i)  # None for an unbalanced "("
-        key = None
-        if end is not None:
-            key = tuple(self.tokens[self.i + 1:end])
+            self.close = self.groups()
+        t = self.found.get(i)
+        if t is None:
+            group = self.close.get(i)
+            if group is None:
+                self.i = i + 1
+                return None, None, None
+            end, text, inside = group
+            key = tuple(self.tokens[i + 1:end])
+            if inside:
+                key = key, inside
             t = self.memo.get(key)
-            if t is not None:
-                self.i = end + 1
-                return t, None, None
-        self.i += 1
-        return None, key, end
+            if t is None:
+                self.i = i + 1
+                return None, (key, text), end
+            self.memo[text] = t
+            i = end
+        self.i = i + 1
+        return t, None, None
 
     def expect(self, kind: str) -> str:
         tok = self.tokens[self.i]
@@ -817,8 +901,7 @@ def parse_expr(text: str, alphabet: Alphabet, require_closed: bool = False,
     ``memo`` is a group memo of ``_Parser`` (a dict), to share between the
     expressions of one alphabet; none by default.
     """
-    return _ExprParser(text, tokenize(text), 0, alphabet, (),
-                       memo).parse(require_closed)
+    return _ExprParser(text, alphabet, (), memo).parse(require_closed)
 
 
 def parse_formula(text: str, alphabet: Alphabet, require_closed: bool = False,
@@ -830,7 +913,7 @@ def parse_formula(text: str, alphabet: Alphabet, require_closed: bool = False,
     ``memo`` is as for ``parse_expr``.
     """
     _need_props(alphabet)
-    return _FormulaParser(text, tokenize(text), 0, alphabet, alphabet.props,
+    return _FormulaParser(text, alphabet, alphabet.props,
                           memo).parse(require_closed)
 
 
@@ -839,7 +922,7 @@ def parse_braced_letter(text: str, alphabet: Alphabet, at: int) -> str:
     it: whitespace and comments may surround the names. Error positions
     count from ``at``, where text begins in the input it was cut from."""
     try:
-        p = _ExprParser(text, tokenize(text), 0, alphabet, ())
+        p = _ExprParser(text, alphabet, ())
         p.expect("{")
         letter = p.braced()
         p.expect("eof")
@@ -895,7 +978,8 @@ def parse_expr_file(text: str, require_closed: bool = False) -> tuple[Alphabet, 
     """A header, then an expression; error positions count from the file's
     start."""
     ab, tokens, first = _header(text)
-    return ab, _ExprParser(text, tokens, first, ab, ()).parse(require_closed)
+    return ab, _ExprParser(text, ab, (), tokens=tokens,
+                           first=first).parse(require_closed)
 
 
 def parse_formula_file(text: str,
@@ -904,5 +988,5 @@ def parse_formula_file(text: str,
     file's start."""
     ab, tokens, first = _header(text)
     _need_props(ab)
-    return ab, _FormulaParser(text, tokens, first, ab,
-                              ab.props).parse(require_closed)
+    return ab, _FormulaParser(text, ab, ab.props, tokens=tokens,
+                              first=first).parse(require_closed)

@@ -5,9 +5,9 @@ priorities, the one-expression reference occurrence graph, the set-based
 reference game and nesting-depth priorities, the frozenset reference
 evaluators, the per-lasso reference bounded searches and their normalising
 enumerator, the isinstance-walk reference translations,
-the two Boolean-variable groupings of the truth tables, the derivation
-mutation machinery, and the CLI entry point that builds every
-subcommand's parser on every call."""
+the two Boolean-variable groupings of the truth tables, the proof loader
+that parses each text alone, the derivation mutation machinery, and the
+CLI entry point that builds every subcommand's parser on every call."""
 
 from __future__ import annotations
 
@@ -18,8 +18,9 @@ import sys
 from dataclasses import dataclass, replace
 from itertools import product
 from typing import Iterator, Optional
+from unittest import mock
 
-from rll import __version__, algebra, cli
+from rll import __version__, algebra, calculus, cli
 from rll.calculus import (CalculusError, Claim, Derivation, FormulaClaim,
                           Step, _skeleton_value, bool_taut, maximal_atoms)
 from rll.closure import (DEAD_TOP, DEAD_ZERO, ClosureError, FlClosure,
@@ -1074,6 +1075,27 @@ def reference_propositional_valid(claim: MuLtlFormula,
         raise CalculusError("too many propositional atoms")
     return _reference_truth_table(claim, premises, var_of, nvars,
                                   lambda phi, value: value(phi))
+
+
+# ---------------------------------------------------------------------------
+# Reference proof loading: each text of a derivation parsed alone
+# ---------------------------------------------------------------------------
+
+class _TextsAlone(calculus._Terms):
+    """A derivation's texts, each parsed once and alone, with no group
+    memo."""
+
+    def __missing__(self, text: str) -> Term:
+        t = self[text] = self.parse(text)
+        return t
+
+
+def reference_derivation_from_json(data: dict) -> Derivation:
+    """``derivation_from_json`` with each distinct text parsed alone, so
+    that the parser lexes every text whole and shares no group between
+    texts: the reference for the memo's lookups by text and by tokens."""
+    with mock.patch.object(calculus, "_Terms", _TextsAlone):
+        return calculus.derivation_from_json(data)
 
 
 # ---------------------------------------------------------------------------

@@ -647,6 +647,27 @@ MALFORMED = {
                                "subst": {"atoms": [5]}}]},
 }
 
+def _duality_proof():
+    """A generated derivation whose first step is a duality step, with a
+    hypothetical sub-derivation."""
+    plus, _meet = derive_complement(parse_expr("mu X. a.X", AB), AB)
+    return derivation_to_json(plus)
+
+
+# each required field: a proof that has it, the path of the object that
+# holds it, the field, and what the message calls that object
+REQUIRED = [
+    *[("zero_le_e", (), key, "the proof")
+      for key in ("system", "alphabet", "steps")],
+    *[("zero_le_e", ("steps", 0), key, "a step")
+      for key in ("id", "claim", "rule")],
+    *[("zero_le_e", ("steps", 0, "claim"), key, "a claim")
+      for key in ("rel", "lhs", "rhs")],
+    ("until_next_distribution", ("steps", 0, "claim"), "formula", "a claim"),
+    *[("duality", ("steps", 0, "hyp"), key, "hyp")
+      for key in ("fresh", "steps")],
+]
+
 FIELDS = [(name, path) for name in sorted(os.listdir(PROOF_DIR))
           for path in _field_paths(_shipped(name))]
 
@@ -666,6 +687,28 @@ class TestMalformedProof:
         code, out, err = run(capsys, ["check", str(path)])
         assert code == 2 and out == ""
         assert err.startswith(f"error: {path}: ")
+
+    @pytest.mark.parametrize("name,path,key,owner", REQUIRED,
+                             ids=[f"{r[0]}-{r[2]}" for r in REQUIRED])
+    def test_missing_field_is_named(self, name, path, key, owner, tmp_path,
+                                    capsys):
+        data = (_duality_proof() if name == "duality"
+                else _shipped(f"{name}.json"))
+        target = data
+        for k in path:
+            target = target[k]
+        del target[key]
+        proof = tmp_path / "proof.json"
+        proof.write_text(json.dumps(data))
+        assert run(capsys, ["check", str(proof)]) == (
+            2, "", f"error: {proof}: {owner} has no {key!r} field\n")
+
+    def test_deep_json_is_named(self, tmp_path, capsys):
+        """The JSON decoder recurses once per level of nesting."""
+        proof = tmp_path / "deep.json"
+        proof.write_text("[" * 100_000)
+        assert run(capsys, ["check", str(proof)]) == (
+            2, "", f"error: {proof}: JSON nested too deeply\n")
 
     @settings(max_examples=100, deadline=None, derandomize=True,
               suppress_health_check=[HealthCheck.function_scoped_fixture])

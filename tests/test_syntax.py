@@ -515,6 +515,26 @@ class TestGroupMemo:
             assert most >= 5
 
 
+class TestGroupsFoundByText:
+    """A memo that holds a group's text: the parse lexes around the group,
+    and gives what a parse without a memo gives, error positions included,
+    also where the error is at the group's bracket."""
+
+    @pytest.mark.parametrize("text", [
+        "a.X (b.0)", "mu (b.0). X", "a.X + (b.0) (b.0)", "((b.0)", "(b.0))",
+        "(b.0) $", "c.(b.0)", "(b.0) + (b.0 # )\n)", "# (b.0)\n(b.0) + (",
+        "a.(b.0) & (b.0)"])
+    def test_outcome_as_without_memo(self, text):
+        memo = _CountingMemo({"b.0": parse_expr("b.0", AB)})
+
+        def shared(text, ab, require_closed):
+            return parse_expr(text, ab, require_closed, memo=memo)
+
+        assert _parse(shared, text, AB, False) == \
+            _parse(parse_expr, text, AB, False)
+        assert memo.hits
+
+
 class TestPrintParse:
     @given(st.integers(0, 10_000))
     @settings(max_examples=100, deadline=None)
