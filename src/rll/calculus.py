@@ -609,7 +609,7 @@ class _Checker:
             if not isinstance(raw, str) or not raw.isidentifier():
                 raise CalculusError(f"bad variable name in subst[{key!r}]")
         elif key in ("a", "b"):
-            if raw not in self.alphabet.letters:
+            if raw not in self.alphabet.letter_set:
                 raise CalculusError(f"undeclared letter in subst[{key!r}]")
         else:
             try:

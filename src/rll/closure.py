@@ -123,7 +123,6 @@ def occurrence_graph(e: Expr | Sequence[Expr],
     shared: dict[tuple, int] = {}
     # closed binder occurrence and its level -> its node, with several roots
     closed: Optional[dict[tuple, int]] = {} if len(exprs) > 1 else None
-    declared = frozenset(alphabet.letters)
 
     def new(kind: str, letter: Optional[str], succ: tuple[int, ...]) -> int:
         """A new node, with the move into it and its moves; a binder's move
@@ -166,7 +165,7 @@ def occurrence_graph(e: Expr | Sequence[Expr],
             moves[i] = (enter[body],)
             return i
         if isinstance(t, Act):
-            if t.letter not in declared:
+            if t.letter not in alphabet.letter_set:
                 raise ClosureError(f"undeclared letter {t.letter!r}")
             key = ("act", t.letter, (go(t.body, scope, up),))
         elif isinstance(t, (Sum, Meet)):
@@ -268,7 +267,7 @@ def fl_closure(e: Expr, alphabet: Alphabet) -> FlClosure:
     try:
         index(e, {}, 0)
         for t in occ:
-            if isinstance(t, Act) and t.letter not in alphabet.letters:
+            if isinstance(t, Act) and t.letter not in alphabet.letter_set:
                 raise ClosureError(f"undeclared letter {t.letter!r}")
         for i in range(len(occ)):  # outer binders' members come first
             keys[i], trees[i] = walk(i, i)

@@ -7,11 +7,20 @@ these tails are computed by Kleene iteration in the finite lattice of position
 sets, each set held as an integer bit mask with bit i for position i; on a
 lattice of n positions every fixpoint converges within n+1 rounds, so the
 iterates realize the ordinal approximants exactly.
+
+Each evaluation first compiles its term, in one walk, into a flat program:
+one slot per node, holding that node's current mask, and for each binder
+the steps that recompute the nodes whose innermost free binder it is. A
+variable reads its binder's slot, where the current approximant is. A round
+of a binder thus recomputes only the nodes that can change in it, a closed
+node is computed once, and nothing is hashed: the working memory is one
+mask per node, however many rounds run.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress, count
 from typing import Callable, Iterable, Iterator, Mapping, Optional
 
 from .syntax import (BINDERS, BOTTOMS, JOINS, MEETS, MUS, PREFIXES, TOPS, VARS,
@@ -39,7 +48,7 @@ class Lasso:
         if not self.period:
             raise SemanticsError("lasso period must be nonempty")
         for letter in self.prefix + self.period:
-            if letter not in self.alphabet.letters:
+            if letter not in self.alphabet.letter_set:
                 raise SemanticsError(f"letter {letter!r} is not in the alphabet")
 
     @property
@@ -179,9 +188,129 @@ def _mask(positions: Iterable[int]) -> int:
     return sum(1 << i for i in positions)
 
 
+_ZERO_ONE = bytes.maketrans(b"01", b"\0\1")
+
+
+def _positions(mask: int) -> PositionSet:
+    """The set of positions whose bits are set in mask."""
+    return frozenset(compress(count(),
+                              bin(mask)[:1:-1].encode().translate(_ZERO_ONE)))
+
+
+def _letter_masks(w: Lasso) -> dict[str, int]:
+    """The mask of the positions holding each letter of w."""
+    masks: dict[str, int] = {}
+    for i, letter in enumerate(w.prefix + w.period):
+        masks[letter] = masks.get(letter, 0) | 1 << i
+    return masks
+
+
+# opcodes of a compiled node: those below _VAR become steps of the program
+_PREFIX, _JOIN, _MEET, _MU, _NU, _VAR, _BOTTOM, _TOP, _LEAF = range(9)
+_OPCODE = {cls: op for op, classes in enumerate((
+    PREFIXES, JOINS, MEETS, MUS, tuple(b for b in BINDERS if b not in MUS),
+    VARS, BOTTOMS, TOPS)) for cls in classes}
+
+
+def _compile(term: Term, full: int, masks: dict[str, int],
+             local: Callable[[Term], int]) -> tuple[list[int], dict, int]:
+    """The program of term: its slots, its steps and the root's slot.
+
+    Slot 0 holds bottom, slot 1 top, then one slot per free variable with
+    its mask from ``masks``, then one slot per other node; a literal's
+    holds its local mask. A variable takes no slot of its own: it reads its
+    binder's slot, which holds the current approximant, or its free
+    variable's. The binders free in a node are a bit set of their slots.
+    Each step ``(op, slot, a, b)`` computes a node into its slot from slots
+    a and b; a prefix node's b is its local mask, a binder's a is its body
+    and b its first approximant. ``steps`` maps each binder's slot, or -1
+    for the whole term, to the steps of the nodes whose innermost free
+    binder it is, in post-order, so children come before their parents.
+    The walk keeps its own stack.
+    """
+    slots = [0, full]
+    bound = {}  # variable -> the slot it reads, innermost binder first
+    for v, m in masks.items():
+        bound[v] = len(slots)
+        slots.append(m)
+    first = len(slots)  # the lowest slot of a node
+    steps: dict[int, list[tuple]] = {-1: []}
+    done: list[tuple[int, int]] = []  # per finished node: slot, free binders
+    todo: list = [term]
+    while todo:
+        t = todo.pop()
+        if t.__class__ is tuple:  # leaving a node
+            op, i, x, y = t
+            if op == _PREFIX:
+                a, free = done.pop()
+                step = (op, i, a, x)
+            elif op >= _MU:  # x is the variable, y its outer slot or None
+                a, free = done.pop()
+                free &= ~(1 << i)
+                if y is None:
+                    del bound[x]
+                else:
+                    bound[x] = y
+                step = (op, i, a, 0 if op == _MU else full)
+            else:
+                b, free = done.pop()
+                a, left = done.pop()
+                free |= left
+                step = (op, i, a, b)
+            steps[free.bit_length() - 1].append(step)
+            done.append((i, free))
+            continue
+        op = _OPCODE.get(t.__class__, _LEAF)
+        if op < _VAR:
+            i = len(slots)
+            slots.append(0)
+            if op == _PREFIX:
+                todo += ((op, i, local(t), None), t.body)
+            elif op >= _MU:
+                todo += ((op, i, t.var, bound.get(t.var)), t.body)
+                bound[t.var] = i
+                steps[i] = []
+            else:
+                todo += ((op, i, None, None), t.right, t.left)
+        elif op == _VAR:
+            i = bound[t.name]
+            done.append((i, 1 << i if i >= first else 0))
+        elif op == _LEAF:
+            done.append((len(slots), 0))
+            slots.append(local(t))
+        else:
+            done.append((0 if op == _BOTTOM else 1, 0))
+    return slots, steps, done[0][0]
+
+
+def _run(program: list[tuple], steps: dict, slots: list[int], start: int,
+         last: int) -> None:
+    """Run the steps of program over slots. A binder's step iterates from
+    its first approximant, running the binder's own steps each round, until
+    its body's slot equals the approximant it was computed from."""
+    for op, i, a, b in program:
+        if op == _PREFIX:
+            x = slots[a]
+            slots[i] = b & ((x >> 1) | ((x >> start & 1) << last))
+        elif op == _JOIN:
+            slots[i] = slots[a] | slots[b]
+        elif op == _MEET:
+            slots[i] = slots[a] & slots[b]
+        else:  # a binder
+            body, cur = steps[i], b
+            while True:
+                slots[i] = cur
+                _run(body, steps, slots, start, last)
+                nxt = slots[a]
+                if nxt == cur:
+                    break
+                cur = nxt
+
+
 def _kleene(term: Term, w: Lasso, env: Optional[Env],
-            local: Callable[[Term], int]) -> PositionSet:
-    """Positions of w where the expression or formula ``term`` holds.
+            local: Callable[[Term], int]) -> int:
+    """The mask of the positions of w where the expression or formula
+    ``term`` holds.
 
     Position sets are bit masks: bit i stands for position i, so bottom is 0,
     top is all n bits, and join and meet are ``|`` and ``&``. ``local`` gives
@@ -191,69 +320,37 @@ def _kleene(term: Term, w: Lasso, env: Optional[Env],
     period's first position also lands on the last position, whose successor
     it is. Fixpoints are computed by Kleene iteration: mu from the empty set,
     nu from the full set of positions.
+
+    The term is compiled into a flat program (``_compile``) whose slots
+    cache one mask per node, for the current round only. A node is
+    recomputed once per round of the innermost binder free in it: the
+    binders outside that one stay fixed while its rounds run, so a new round
+    is exactly when a mask the node reads may have moved. A closed node is
+    computed once, and no mask is ever hashed.
     """
     n, start = w.length, len(w.prefix)
-    full, last = (1 << n) - 1, n - 1
-    masks = {v: _mask(s) & full for v, s in (env or {}).items()}
-    missing = free_vars(term) - set(masks)
+    full = (1 << n) - 1
+    env = env or {}
+    names = free_vars(term)
+    missing = names - env.keys()
     if missing:
         raise SemanticsError(f"unbound variables: {', '.join(sorted(missing))}")
-    memo: dict = {}  # keyed on id(t), as hashing a term walks all of it
-
-    def go(t: Term, env: dict[str, int]) -> int:
-        key = (id(t), frozenset((v, env[v]) for v in free_vars(t)))
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        if isinstance(t, VARS):
-            res = env[t.name]
-        elif isinstance(t, BOTTOMS):
-            res = 0
-        elif isinstance(t, TOPS):
-            res = full
-        elif isinstance(t, PREFIXES):
-            body = go(t.body, env)
-            res = local(t) & ((body >> 1) | (((body >> start) & 1) << last))
-        elif isinstance(t, JOINS):
-            res = go(t.left, env) | go(t.right, env)
-        elif isinstance(t, MEETS):
-            res = go(t.left, env) & go(t.right, env)
-        elif isinstance(t, BINDERS):
-            cur = 0 if isinstance(t, MUS) else full
-            while True:
-                nxt = go(t.body, {**env, t.var: cur})
-                if nxt == cur:
-                    break
-                cur = nxt
-            res = cur
-        else:
-            res = local(t)
-        memo[key] = res
-        return res
-
-    # go refers to itself; unbinding it breaks that cycle, so its memo is
-    # freed on return rather than by the cyclic collector
-    try:
-        res = go(term, masks)
-    finally:
-        del go
-    return frozenset(i for i, bit in enumerate(reversed(bin(res)[2:]))
-                     if bit == "1")
+    slots, steps, root = _compile(
+        term, full, {v: _mask(env[v]) & full for v in names}, local)
+    _run(steps[-1], steps, slots, start, n - 1)
+    return slots[root]
 
 
 def eval_rll(e: Expr, w: Lasso, env: Optional[Env] = None) -> PositionSet:
     """Positions i such that the i-th tail of w lies in the language of e."""
-    with_letter: dict[str, int] = {}
-    for i in range(w.length):
-        letter = w.letter_at(i)
-        with_letter[letter] = with_letter.get(letter, 0) | 1 << i
+    with_letter = _letter_masks(w)
 
     def local(t: Term) -> int:
         if isinstance(t, Act):
             return with_letter.get(t.letter, 0)
         raise TypeError(f"not an expression: {t!r}")
 
-    return _kleene(e, w, env, local)
+    return _positions(_kleene(e, w, env, local))
 
 
 def member_oracle(e: Expr, w: Lasso) -> bool:
@@ -268,19 +365,20 @@ def eval_multl(phi: MuLtlFormula, w: Lasso,
     """Positions of w satisfying phi, for powerset alphabets."""
     if w.alphabet.props is None:
         raise SemanticsError("muLTL semantics needs a powerset alphabet")
-    n = w.length
-    props_at = [w.alphabet.letter_props(w.letter_at(i)) for i in range(n)]
+    full = (1 << w.length) - 1
+    with_letter = _letter_masks(w)
+    props = [(w.alphabet.letter_props(letter), m)
+             for letter, m in with_letter.items()]
 
     def local(t: Term) -> int:
         if isinstance(t, Next):
-            return (1 << n) - 1
-        if isinstance(t, Prop):
-            return _mask(i for i in range(n) if t.name in props_at[i])
-        if isinstance(t, NegProp):
-            return _mask(i for i in range(n) if t.name not in props_at[i])
+            return full
+        if isinstance(t, (Prop, NegProp)):
+            holds = sum(m for p, m in props if t.name in p)
+            return holds if isinstance(t, Prop) else full ^ holds
         raise TypeError(f"not a formula: {t!r}")
 
-    return _kleene(phi, w, env, local)
+    return _positions(_kleene(phi, w, env, local))
 
 
 def models(phi: MuLtlFormula, w: Lasso) -> bool:

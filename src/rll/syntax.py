@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import wraps
 from typing import Iterator, Optional, Union
 
@@ -71,11 +71,14 @@ class Alphabet:
 
     letters: tuple[str, ...]
     props: Optional[tuple[str, ...]] = None
+    # the letters again, for membership tests in constant time
+    letter_set: frozenset[str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.letters:
             raise AlphabetError("alphabet must be nonempty")
-        if len(set(self.letters)) != len(self.letters):
+        object.__setattr__(self, "letter_set", frozenset(self.letters))
+        if len(self.letter_set) != len(self.letters):
             raise AlphabetError("letter names must be unique")
         if self.props is not None:
             if len(set(self.props)) != len(self.props):
@@ -107,7 +110,7 @@ class Alphabet:
         """Propositions contained in a powerset letter."""
         if self.props is None:
             raise AlphabetError("alphabet has no proposition basis")
-        if letter not in self.letters:
+        if letter not in self.letter_set:
             raise AlphabetError(f"undeclared letter {letter!r}")
         body = letter[1:-1]
         return frozenset(body.split(",")) if body else frozenset()
@@ -791,7 +794,7 @@ class _ExprParser(_Parser):
                              and tok not in self.binders):
             at = self.i
             letter = self.letter()
-            if letter not in self.ab.letters:
+            if letter not in self.ab.letter_set:
                 raise AlphabetError(f"undeclared letter {letter!r} "
                                     f"at position {self.pos(at)}")
             self.expect(".")

@@ -3,7 +3,7 @@ the symbol-loop reference tokenizer, the recursive-descent reference
 parsers, the tree-substituting reference closure and its rescanning
 priorities, the one-expression reference occurrence graph, the set-based
 reference game and nesting-depth priorities, the frozenset reference
-evaluators, the per-lasso reference bounded searches and their normalising
+evaluators and the memoised bit-mask ones, the per-lasso reference bounded searches and their normalising
 enumerator, the isinstance-walk reference translations,
 the two Boolean-variable groupings of the truth tables, the proof loader
 that parses each text alone, the derivation mutation machinery, and the
@@ -885,6 +885,92 @@ def reference_eval_multl(phi: MuLtlFormula, w: Lasso, env=None) -> frozenset:
         raise TypeError(f"not a formula: {t!r}")
 
     return _reference_kleene(phi, w, env, local)
+
+
+# ---------------------------------------------------------------------------
+# Reference bit-mask evaluators: the recursive Kleene walk with a memo keyed
+# on the node's id and the masks of its free variables, which the compiled
+# program with one slot per node replaced.
+# ---------------------------------------------------------------------------
+
+def _reference_mask_kleene(term: Term, w: Lasso, env, local) -> frozenset:
+    n, start = w.length, len(w.prefix)
+    full, last = (1 << n) - 1, n - 1
+    masks = {v: sum(1 << i for i in s) & full
+             for v, s in (env or {}).items()}
+    missing = free_vars(term) - set(masks)
+    if missing:
+        raise SemanticsError(f"unbound variables: {', '.join(sorted(missing))}")
+    memo: dict = {}
+
+    def go(t: Term, env: dict[str, int]) -> int:
+        key = (id(t), frozenset((v, env[v]) for v in free_vars(t)))
+        hit = memo.get(key)
+        if hit is not None:
+            return hit
+        if isinstance(t, VARS):
+            res = env[t.name]
+        elif isinstance(t, BOTTOMS):
+            res = 0
+        elif isinstance(t, TOPS):
+            res = full
+        elif isinstance(t, PREFIXES):
+            body = go(t.body, env)
+            res = local(t) & ((body >> 1) | (((body >> start) & 1) << last))
+        elif isinstance(t, JOINS):
+            res = go(t.left, env) | go(t.right, env)
+        elif isinstance(t, MEETS):
+            res = go(t.left, env) & go(t.right, env)
+        elif isinstance(t, BINDERS):
+            cur = 0 if isinstance(t, MUS) else full
+            while True:
+                nxt = go(t.body, {**env, t.var: cur})
+                if nxt == cur:
+                    break
+                cur = nxt
+            res = cur
+        else:
+            res = local(t)
+        memo[key] = res
+        return res
+
+    try:
+        res = go(term, masks)
+    finally:
+        del go
+    return frozenset(i for i, bit in enumerate(reversed(bin(res)[2:]))
+                     if bit == "1")
+
+
+def reference_mask_eval_rll(e: Expr, w: Lasso, env=None) -> frozenset:
+    with_letter: dict[str, int] = {}
+    for i in range(w.length):
+        letter = w.letter_at(i)
+        with_letter[letter] = with_letter.get(letter, 0) | 1 << i
+
+    def local(t):
+        if isinstance(t, Act):
+            return with_letter.get(t.letter, 0)
+        raise TypeError(f"not an expression: {t!r}")
+
+    return _reference_mask_kleene(e, w, env, local)
+
+
+def reference_mask_eval_multl(phi: MuLtlFormula, w: Lasso,
+                              env=None) -> frozenset:
+    n = w.length
+    props_at = [w.alphabet.letter_props(w.letter_at(i)) for i in range(n)]
+
+    def local(t):
+        if isinstance(t, Next):
+            return (1 << n) - 1
+        if isinstance(t, Prop):
+            return sum(1 << i for i in range(n) if t.name in props_at[i])
+        if isinstance(t, NegProp):
+            return sum(1 << i for i in range(n) if t.name not in props_at[i])
+        raise TypeError(f"not a formula: {t!r}")
+
+    return _reference_mask_kleene(phi, w, env, local)
 
 
 # ---------------------------------------------------------------------------

@@ -3,21 +3,24 @@
 import gc
 import random
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import (reference_enumerate_lassos, reference_eval_multl,
-                     reference_eval_rll)
+                     reference_eval_rll, reference_mask_eval_multl,
+                     reference_mask_eval_rll)
 from rll.algebra import complement, to_multl
 from rll.corpus import agreement_pairs, gen_alphabet, gen_expr, gen_lasso
+from rll.game import member_game
 from rll.semantics import (MAX_LASSOS, Lasso, SemanticsError,
                            enumerate_lassos, eval_multl, eval_rll,
                            lasso_normalize, member_oracle, models,
                            parse_lasso, print_lasso)
-from rll.syntax import (Alphabet, AlphabetError, And, FVar, Meet, MuF, Mu,
-                        Next, Nu, NuF, Or, ParseError, Prop, Sum, Var,
-                        parse_expr, parse_formula)
+from rll.syntax import (Act, Alphabet, AlphabetError, And, FVar, Meet, MuF,
+                        Mu, Next, Nu, NuF, Or, ParseError, Prop, Sum, Var,
+                        parse_expr, parse_formula, sum_of)
 
 AB = Alphabet.plain("a", "b")
 P1 = Alphabet.powerset("P")
@@ -284,15 +287,17 @@ class TestSemanticLaws:
 
 
 class TestBitMasks:
-    """The bit-mask evaluators give the same position sets as the frozenset
-    ones they replaced (kept in ``helpers``)."""
+    """The compiled evaluators give the same position sets as the frozenset
+    ones and the memoised bit-mask ones they replaced (kept in
+    ``helpers``)."""
 
     @given(st.integers(0, 10**9))
     @settings(max_examples=600, deadline=None)
     def test_matches_frozenset_reference(self, seed):
         rng = random.Random(seed)
         kind, names = seed % 4, ()
-        evaluate, reference = eval_rll, reference_eval_rll
+        evaluate = eval_rll
+        references = (reference_eval_rll, reference_mask_eval_rll)
         if kind == 0:  # the oracle-agreement corpus
             term, w = next(agreement_pairs(seed, 1))
         elif kind in (1, 2):  # long prefixes; open terms for kind 2
@@ -305,12 +310,66 @@ class TestBitMasks:
             names = ("X", "Y")[:rng.randint(0, 2)]
             term = to_multl(gen_expr(rng, ab, rng.randint(1, 12), names), ab)
             w = gen_lasso(rng, ab, 20, 6)
-            evaluate, reference = eval_multl, reference_eval_multl
+            evaluate = eval_multl
+            references = (reference_eval_multl, reference_mask_eval_multl)
         env = {v: frozenset(i for i in range(w.length) if rng.random() < 0.5)
                for v in names}
         got = evaluate(term, w, env)
         assert type(got) is frozenset
-        assert got == reference(term, w, env)
+        for reference in references:
+            assert got == reference(term, w, env)
+
+    def test_nested_binders_on_long_lassos(self):
+        """Two nested binders, of one kind or alternating, over a body that
+        mostly steps to each of them and may read a free variable, on lassos
+        of 200 to 240 letters with long one-letter runs."""
+        pq = Alphabet.powerset("P", "Q")
+        nests = set()
+        for seed in range(120):
+            rng = random.Random(seed)
+            ab = pq if seed % 2 else AB
+            kinds = [rng.choice((Mu, Nu)) for _ in range(2)]
+            nests.add(len(set(kinds)))
+            names = tuple(f"V{k}" for k in range(len(kinds)))
+            term = gen_expr(rng, ab, rng.randint(3, 10), bound=names + ("Z",))
+            if rng.random() < 0.7:
+                term = Sum(term, sum_of([Act(rng.choice(ab.letters), Var(v))
+                                         for v in names]))
+            for kind, name in zip(reversed(kinds), reversed(names)):
+                term = kind(name, term)
+            n = rng.randint(200, 240)
+            letters = []
+            while len(letters) < n:
+                letters += [rng.choice(ab.letters)] * rng.choice((1, 2, 5, 30))
+            cut = rng.randrange(n)
+            w = Lasso(tuple(letters[:cut]), tuple(letters[cut:n]), ab)
+            env = {"Z": frozenset(i for i in range(n) if rng.random() < 0.5)}
+            evaluate = eval_rll
+            references = (reference_eval_rll, reference_mask_eval_rll)
+            if ab is pq:
+                term = to_multl(term, ab)
+                evaluate = eval_multl
+                references = (reference_eval_multl, reference_mask_eval_multl)
+            got = evaluate(term, w, env)
+            for reference in references:
+                assert got == reference(term, w, env), seed
+        assert nests == {1, 2}  # same-kind and alternating nests both ran
+
+    @pytest.mark.parametrize("text", [
+        "mu X. (a.X + nu X. (b.X + a.Z))",
+        "nu X. (b.X & mu X. (a.X + b.top)) + a.X",
+        "nu Z. mu X. (a.Z + b.X) + Z",
+        "(mu X. a.X + b.Z) + (nu X. b.X) + X"])
+    def test_shadowed_names(self, text):
+        """A variable reads its innermost binder, and its free variable
+        again once that binder's scope ends."""
+        e = parse_expr(text, AB)
+        w = Lasso(tuple("ab" * 5), tuple("aab" * 3 + "b" * 4), AB)
+        env = {"X": frozenset(range(0, 23, 3)),
+               "Z": frozenset(range(0, 23, 2))}
+        got = eval_rll(e, w, env)
+        assert got == reference_eval_rll(e, w, env)
+        assert got == reference_mask_eval_rll(e, w, env)
 
     def test_long_prefix(self):
         """A 700-letter prefix before a 700-letter one-letter period: the
@@ -323,6 +382,24 @@ class TestBitMasks:
         got = eval_rll(complement(ia, AB), w)
         assert time.perf_counter() - start < 1.0
         assert got == frozenset(range(1400))
+
+    def test_memory_stays_bounded(self):
+        """On the oracle-scaling probe at n = 1,600 the oracle keeps one mask
+        per node, not one per node and round: a memo of every round's masks
+        peaked at 21.9 MB here. The answer is the game's."""
+        e = parse_expr("nu V. mu W. nu X. mu Y. (a.V + b.W + a.b.X + b.a.Y)",
+                       AB)
+        n = 1600
+        w = Lasso(("b",) * (n // 4), ("b",) * (n - 1) + ("a",), AB)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            got = member_oracle(e, w)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert got == member_game(e, w)
 
 
 class TestEvalMultl:
