@@ -161,11 +161,10 @@ class _Terms(dict):
     also the parser's group memo, shared by all the texts. A text (str)
     maps to its term: each distinct claim, subst term or atom, and the text
     between the brackets of each group parsed, so that a text is parsed
-    once, whether it came whole or as a group, and the parser lexes only
-    what no text in the memo covers. The tokens of a group that was lexed
-    (tuple) map to its term too, so equal groups of different texts are
-    one object. Neither a text nor a group that fails to parse is stored,
-    so it fails alike every time."""
+    once, whether it came whole or as a group, the parser lexes only what
+    no text in the memo covers, and equal groups of different texts are one
+    object. Neither a text nor a group that fails to parse is stored, so it
+    fails alike every time, with the error that it raises parsed alone."""
 
     def __init__(self, parse: Callable, alphabet: Alphabet):
         self.parse = partial(parse, alphabet=alphabet)

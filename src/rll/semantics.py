@@ -76,7 +76,7 @@ class Lasso:
 def parse_lasso(text: str, alphabet: Alphabet) -> Lasso:
     """Parse the lasso format u(v), letters juxtaposed, e.g. ab(ba) or {P}({}).
     """
-    letters = sorted(alphabet.letters, key=len, reverse=True)
+    letters: list[str] = []  # longest first, sorted at the first plain letter
 
     def scan(chunk: str, offset: int) -> list[str]:
         out = []
@@ -93,6 +93,8 @@ def parse_lasso(text: str, alphabet: Alphabet) -> Lasso:
                                                offset + i))
                 i = j + 1
                 continue
+            if not letters:
+                letters.extend(sorted(alphabet.letters, key=len, reverse=True))
             for letter in letters:
                 if chunk.startswith(letter, i):
                     out.append(letter)

@@ -7,23 +7,23 @@ structural equality before ``alpha_key``. Expressions and formulas are binder te
 free variables, substitution, alpha keys, size, printing, parsing and
 constructor maps (``rebuild``) are written once and serve both. The lexer
 is one regular-expression pass that returns each token as its text, with
-``""`` for the end of the input; a token's position is found again, by
-rescanning the text, only when an error message needs it. The parser is one
-grammar frame (binders, then infix operators by precedence, then operands);
-a syntax differs only in its table of infix operators and in its
-prefix/atom level. A parenthesised group is parsed once per memo
-(hash-consing at parse time, keyed on the input as in packrat parsing).
+``""`` for the end of the input (an earlier ``""`` marks an illegal
+character); a token's position is found again, by rescanning the text, only
+when an error message needs it. The parser is one grammar frame (binders,
+then infix operators by precedence, then operands); a syntax differs only in
+its table of infix operators and in its prefix/atom level. A parenthesised
+group is parsed once per memo (hash-consing at parse time, keyed on the
+input as in packrat parsing): the memo maps the text between a group's
+brackets to its term.
 Before a text is lexed, its brackets are matched on its characters, outside
-comments, and each balanced group is looked up by the text between its
-brackets, outermost first; only the text around the groups found is
-lexed, and each found group stands in the tokens as its ``(``. A group that
-is lexed is looked up again by its tokens, so that groups that differ only
-in whitespace or comments are one object, and is stored under both keys.
-Under one alphabet and syntax, equal texts and equal tokens parse alike;
-only groups that parse are stored, so every error is raised as before, at
-the same position. The proof checker shares one memo across a derivation's
-texts; a single text is parsed without one, as its groups seldom repeat
-and their keys would cost more than they save.
+comments, and each balanced group is looked up by its text, outermost
+first; only the text around the groups found is lexed, and each found group
+stands in the tokens as its ``(``. Under one alphabet and syntax, equal
+texts parse alike, and only groups that parse are stored; a text that fails
+where groups were found is parsed again without the memo, so every error is
+raised as before, at the same position. The proof checker shares one memo
+across a derivation's texts; a single text is parsed without one, as its
+groups seldom repeat and their keys would cost more than they save.
 """
 
 from __future__ import annotations
@@ -506,28 +506,27 @@ _TOKEN = r"[A-Za-z_][A-Za-z0-9_]*|<->|->|[+&|~!.(){},;0]"
 # whitespace and comments; a comment is anchored to its line's end, so that
 # no backtracking can read its tail as tokens
 _SKIP = r"(?:\s|#[^\n]*(?![^\n]))*"
-# the leading whitespace and comments (group 1), then every legal piece after
-# them: the match ends at the first illegal character
-_LEGAL_RE = re.compile(rf"({_SKIP})(?:{_TOKEN}|\s|#[^\n]*)*")
-# a token, or the empty end of the text, with the whitespace and comments
-# after it: searched from the first token, each match ends where the next
-# begins, and the text's end gives exactly one ""
-_TOKEN_RE = re.compile(rf"({_TOKEN}|\Z){_SKIP}")
+_SKIP_RE = re.compile(_SKIP)
+# a token, or the empty string, with the whitespace and comments after it:
+# searched from the first token, each match ends where the next begins, the
+# text's end gives one "", and so does each illegal character before it
+_TOKEN_RE = re.compile(rf"({_TOKEN}|){_SKIP}")
 
 
 def tokenize(text: str) -> list[str]:
-    """The tokens of text, ending with the sentinel ""."""
-    legal = _LEGAL_RE.match(text)
-    i = legal.end()
-    if i < len(text):
+    """The tokens of text, ending with the sentinel "", in one pass."""
+    tokens = _TOKEN_RE.findall(text, _SKIP_RE.match(text).end())
+    k = tokens.index("")
+    if k < len(tokens) - 1:  # the first illegal character
+        i = token_positions(text)[k]
         raise ParseError(f"unexpected character {text[i]!r}", i)
-    return _TOKEN_RE.findall(text, legal.end(1))
+    return tokens
 
 
 def token_positions(text: str) -> list[int]:
     """Where each token of ``tokenize(text)`` begins; the sentinel's
     position is ``len(text)``."""
-    lead = _LEGAL_RE.match(text).end(1)
+    lead = _SKIP_RE.match(text).end()
     return [m.start() for m in _TOKEN_RE.finditer(text, lead)]
 
 
@@ -547,7 +546,6 @@ def _infix_table(levels: list) -> dict:
             for lvl, (kind, build, right) in enumerate(levels)}
 
 
-_PARENS = frozenset("()")
 _BINDER, _INFIX, _GROUP = range(3)  # what a term waits on in _Parser.term
 # a bracket, or a comment, which may hold brackets
 _BRACKET_RE = re.compile(r"[()]|#[^\n]*")
@@ -563,18 +561,18 @@ class _Parser:
     of prefixes, then a group or an atom (``operand``), and applies the
     prefixes to a group (``wrap``).
 
-    ``memo``, if given, maps each balanced group parsed so far to its term,
-    under two keys: the text between its brackets, and the tokens there.
-    Before lexing, each group is looked up by its text, outermost first,
-    and only the text around the groups found is lexed (``lex_misses``); a
-    group lexed is looked up by its tokens when the parser reaches it
-    (``open_group``), so that groups that differ only in whitespace or
-    comments are one object. The term of a group that parses depends only
-    on its text, or its tokens, and on the alphabet, the reserved names and
-    the syntax, so one memo may serve many texts under one alphabet and
-    syntax; a whole text that parses is a group's text too, so a caller may
-    store it in the memo under itself. Errors depend on where the group
-    stands; a group that fails is not stored."""
+    ``memo``, if given, maps the text between the brackets of each balanced
+    group parsed so far to its term. Before lexing, each group is looked up
+    by its text, outermost first, and only the text around the groups found
+    is lexed (``lex_misses``), each found group standing as its ``(``; a
+    group that the parser closes is stored under its text. The term of a
+    group that parses depends only on its text and on the alphabet, the
+    reserved names and the syntax, so one memo may serve many texts under
+    one alphabet and syntax; a whole text that parses is a group's text
+    too, so a caller may store it in the memo under itself. A group that
+    fails is not stored, and a text that fails where groups were found is
+    parsed again alone, which raises its error at the text's own position:
+    a parse through the memo that raises no error is the parse alone's."""
 
     noun: str  # what the error messages call a term
     binders: dict  # keyword -> binder constructor
@@ -588,15 +586,13 @@ class _Parser:
         self.reserved = reserved  # names that no bound variable may take
         self.memo = memo
         self.lexed = text  # the text less the groups found, from lex_misses
-        self.skipped: list[tuple[int, int]] = []  # their brackets in text
-        self.heads: list[tuple] = []  # (text, term or None) per "(" token
-        if tokens is None:
-            tokens = tokenize(text) if memo is None else self.lex_misses()
+        # (text, term) per "(" token, in order: from lex_misses, or none
+        self.heads = itertools.repeat((None, None))
         self.tokens = tokens
         self.i = self.first = first  # the term's first token
-        self.close: Optional[dict] = None  # from groups, lazily
-        self.found: dict[int, Term] = {}  # from groups, lazily
         self.held: list = []  # the prefixes of a group, from operand
+        if tokens is None and memo is None:
+            self.tokens = tokenize(text)
 
     def lex_misses(self) -> list[str]:
         """The tokens of the text, where each group that the memo holds by
@@ -614,63 +610,39 @@ class _Parser:
                 stack.append(m.start())
             elif bracket == ")" and stack:
                 close[stack.pop()] = m.start()
-        pieces, start = [], 0
+        heads, pieces, start = [], [], 0
         for s in opens:
             if s < start:  # inside the group found last
                 continue
             e = close.get(s)
             inner = None if e is None else text[s + 1:e]
             t = None if inner is None else self.memo.get(inner)
-            self.heads.append((inner, t))
+            heads.append((inner, t))
             if t is not None:
                 pieces.append(text[start:s])
-                self.skipped.append((s, e))
                 start = e + 1
+        self.heads = iter(heads)
         if pieces:  # each group found becomes a bare "("
             self.lexed = "(".join(pieces + [text[start:]])
-        try:
-            return tokenize(self.lexed)
-        except ParseError as err:
-            raise ParseError(err.message, self.source_pos(err.pos)) from None
-
-    def source_pos(self, at: int) -> int:
-        """The position in the text of position ``at`` of ``lexed``."""
-        shift = 0
-        for s, e in self.skipped:
-            if at <= s - shift:
-                break
-            shift += e - s
-        return at + shift
-
-    def groups(self) -> dict[int, tuple[int, str, tuple]]:
-        """The "(" of each balanced group lexed -> its ")", its text and the
-        texts of the groups found inside it; and into ``found``, the "(" of
-        each group found -> its term."""
-        tokens, heads = self.tokens, iter(self.heads)
-        close, open_, inside = {}, [], []
-        for i in [i for i, tok in enumerate(tokens) if tok in _PARENS]:
-            if tokens[i] == ")":
-                if open_:
-                    j, text, n = open_.pop()
-                    close[j] = i, text, tuple(inside[n:])
-                continue
-            text, t = next(heads)
-            if t is None:
-                open_.append((i, text, len(inside)))
-            else:
-                self.found[i] = t
-                inside.append(text)
-        return close
+        return tokenize(self.lexed)
 
     def pos(self, i: int) -> int:
-        """Where token i begins in the text."""
-        return self.source_pos(token_positions(self.lexed)[i])
+        """Where token i begins in the lexed text."""
+        return token_positions(self.lexed)[i]
 
     def parse(self, require_closed: bool) -> Term:
-        t = self.term(0)
-        tok = self.tokens[self.i]
-        if tok:
-            raise ParseError(f"trailing input {tok!r}", self.pos(self.i))
+        try:
+            if self.tokens is None:
+                self.tokens = self.lex_misses()
+            t = self.term(0)
+            tok = self.tokens[self.i]
+            if tok:
+                raise ParseError(f"trailing input {tok!r}", self.pos(self.i))
+        except RllError:
+            if self.lexed is self.text:  # no group was found
+                raise
+            return type(self)(self.text, self.ab,
+                              self.reserved).parse(require_closed)
         if require_closed and free_vars(t):
             names = ", ".join(sorted(free_vars(t)))
             # the term's text begins after the one-character ';' before it
@@ -700,13 +672,10 @@ class _Parser:
             t = self.operand()
             if t is None:  # a group, after the prefixes in self.held
                 prefixes = self.held
-                if self.memo is None:
-                    self.i += 1
-                    keys = end = None
-                else:
-                    t, keys, end = self.open_group()
+                self.i += 1
+                key, t = next(self.heads)
                 if t is None:  # its inside is a term of level 0
-                    waiting.append((_GROUP, prefixes, keys, end, level))
+                    waiting.append((_GROUP, prefixes, key, level))
                     level = 0
                     continue
                 if prefixes:
@@ -727,42 +696,12 @@ class _Parser:
                 elif frame[0] == _BINDER:
                     t = frame[1](frame[2], t)
                 else:
-                    _, prefixes, keys, end, level = frame
+                    _, prefixes, key, level = frame
                     self.expect(")")
-                    if keys is not None and self.i - 1 == end:
-                        for key in keys:
-                            self.memo[key] = t
+                    if key is not None:  # a group of equal text is one term
+                        t = self.memo.setdefault(key, t)
                     if prefixes:
                         t = self.wrap(prefixes, t)
-
-    def open_group(self) -> tuple[Optional[Term], Optional[tuple],
-                                  Optional[int]]:
-        """At a ``(``, with a memo: the term of a group found by its text or
-        by its tokens, skipped whole; or None past the ``(``, with the
-        group's memo keys and its ``)``, both None where the ``(`` has no
-        balanced ``)``. The tokens key of a group with groups found inside
-        it holds their texts too, as their tokens were never lexed."""
-        i = self.i
-        if self.close is None:
-            self.close = self.groups()
-        t = self.found.get(i)
-        if t is None:
-            group = self.close.get(i)
-            if group is None:
-                self.i = i + 1
-                return None, None, None
-            end, text, inside = group
-            key = tuple(self.tokens[i + 1:end])
-            if inside:
-                key = key, inside
-            t = self.memo.get(key)
-            if t is None:
-                self.i = i + 1
-                return None, (key, text), end
-            self.memo[text] = t
-            i = end
-        self.i = i + 1
-        return t, None, None
 
     def expect(self, kind: str) -> str:
         tok = self.tokens[self.i]

@@ -25,6 +25,7 @@ import random
 import re
 import time
 from dataclasses import fields, replace
+from typing import Iterator
 
 AB = Alphabet.plain("a", "b")
 PQ = Alphabet.powerset("P", "Q")
@@ -526,10 +527,6 @@ class TestGroupMemo:
         errors = sum(isinstance(o, tuple) for o in outcomes)
         assert 0.1 < errors / len(outcomes) < 0.9
 
-    def test_equal_groups_in_one_text_are_one_object(self):
-        e = parse_expr("(a.X + (b.0)) & (a.X  +  ( b. 0))", AB, memo={})
-        assert e.left is e.right and e.left.right is e.right.right
-
     def test_failed_group_fails_again(self):
         memo = {}
         for text in ["(c.X) + a.X", "a.X & (c.X)"]:
@@ -546,22 +543,39 @@ class TestGroupMemo:
                 parse_expr(text, AB, memo=memo)
 
     def test_groups_of_a_derivation_are_shared(self):
-        """A parenthesised subterm of several claims of a loaded generated
-        derivation is one object in all of them."""
+        """The text of a parenthesised subterm of several claims of a loaded
+        generated derivation maps to one object, found in all of them."""
         e = gen_expr(random.Random(11), AB, 24)
         for d in derive_complement(e, AB):
-            d = derivation_from_json(json.loads(json.dumps(
-                derivation_to_json(d))))
-            texts = [k for k in d.terms if isinstance(k, str)]
-            groups = [t for k, t in d.terms.items() if isinstance(k, tuple)]
+            data = json.loads(json.dumps(derivation_to_json(d)))
+            d = derivation_from_json(data)
+            claims = set(_claim_texts(data["steps"]))
             most = 0
-            for g in groups:
-                inside = [text for text in texts
-                          if f"({print_expr(g)})" in text]
+            for key, g in d.terms.items():
+                if key in claims:
+                    continue
+                inside = [text for text in claims if f"({key})" in text]
                 for text in inside:
                     assert any(s is g for s in subexpressions(d.terms[text]))
                 most = max(most, len(inside))
             assert most >= 5
+
+    def test_memo_keys_are_texts(self):
+        """Loading and checking a derivation keys its memo on texts alone."""
+        e = gen_expr(random.Random(11), AB, 24)
+        for d in derive_complement(e, AB):
+            d = derivation_from_json(json.loads(json.dumps(
+                derivation_to_json(d))))
+            assert check_rll(d) == Verdict.ok()
+            assert d.terms and all(type(key) is str for key in d.terms)
+
+
+def _claim_texts(steps: list) -> Iterator[str]:
+    """The lhs and rhs texts of each claim of JSON steps, hypotheses' too."""
+    for s in steps:
+        yield s["claim"]["lhs"]
+        yield s["claim"]["rhs"]
+        yield from _claim_texts(s.get("hyp", {}).get("steps", []))
 
 
 class TestGroupsFoundByText:
