@@ -34,7 +34,7 @@ from .closure import (check_printed, closure_with_priorities, export_dot,
                       format_closure)
 from .game import equiv_bounded, inclusion_bounded, member_game
 from .semantics import (lasso_normalize, member_oracle, parse_lasso,
-                        print_lasso)
+                        print_lasso, quoted)
 from .syntax import (Alphabet, RllError, parse_expr_file, parse_formula_file,
                      print_expr)
 
@@ -78,7 +78,7 @@ def _lasso(text: str, ab: Alphabet):
     try:
         return parse_lasso(text, ab)
     except RllError as err:
-        raise CliError(f"lasso {text!r}: {err}")
+        raise CliError(f"lasso {quoted(text)}: {err}")
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,16 @@ sets, each set held as an integer bit mask with bit i for position i; on a
 lattice of n positions every fixpoint converges within n+1 rounds, so the
 iterates realize the ordinal approximants exactly.
 
+Every step on a lasso before the fixpoints is a linear pass of C-level
+string, set and int operations: ``parse_lasso`` reads the prefix and the
+period each with one regex findall and checks the tokens with one set test,
+going position by position only for a braced letter spelled otherwise, for
+errors, and for a plain alphabet with a letter that is empty or begins
+with whitespace or ``{``; ``Lasso`` checks its letters with set tests;
+``lasso_normalize`` counts its folds by index and rotates the period once;
+and ``_letter_masks`` reads each letter's mask of a long word of few
+distinct letters from a translated byte code of it.
+
 Each evaluation first compiles its term, in one walk, into a flat program:
 one slot per node, holding that node's current mask, and for each binder
 the steps that recompute the nodes whose innermost free binder it is. A
@@ -19,6 +29,7 @@ mask per node, however many rounds run.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from itertools import compress, count
 from typing import Callable, Iterable, Iterator, Mapping, Optional
@@ -47,9 +58,12 @@ class Lasso:
     def __post_init__(self):
         if not self.period:
             raise SemanticsError("lasso period must be nonempty")
-        for letter in self.prefix + self.period:
-            if letter not in self.alphabet.letter_set:
-                raise SemanticsError(f"letter {letter!r} is not in the alphabet")
+        letter_set = self.alphabet.letter_set
+        if not (letter_set.issuperset(self.prefix)
+                and letter_set.issuperset(self.period)):
+            bad = next(letter for letter in self.prefix + self.period
+                       if letter not in letter_set)
+            raise SemanticsError(f"letter {bad!r} is not in the alphabet")
 
     @property
     def length(self) -> int:
@@ -73,45 +87,119 @@ class Lasso:
         return tuple(out)
 
 
+QUOTE_CAP = 40  # characters of an input that an error message quotes
+
+
+def quoted(text: str) -> str:
+    """The repr of text, cut after QUOTE_CAP characters and then ended with
+    ``...``, so that an error about a long input stays short."""
+    if len(text) <= QUOTE_CAP:
+        return repr(text)
+    return f"{text[:QUOTE_CAP]!r}..."
+
+
+# the tokens of a powerset lasso: a braced letter, or any other character
+_BRACED_TOKENS = re.compile(r"\{[^}]*\}|\S")
+
+
+def _token_pattern(alphabet: Alphabet) -> Optional[re.Pattern]:
+    """The pattern whose findall reads a chunk of a lasso over alphabet into
+    the tokens that ``_scan`` takes there, wherever those are all letters;
+    or None for a plain alphabet with a letter that is empty or begins with
+    whitespace or ``{``, which ``_scan`` alone reads.
+
+    No token begins with whitespace, so findall steps over it as ``_scan``
+    does. A plain alphabet's letters stand longest first in the
+    alternation, and nothing after it can fail, so each match takes the
+    first letter that ``_scan`` would try with success, and ``\\S`` takes
+    a character where no letter matches. Powerset letters are never listed:
+    there are 2^n of them, and a braced token is checked against the letter
+    set.
+    """
+    if alphabet.props is not None:
+        return _BRACED_TOKENS
+    letters = sorted(alphabet.letters, key=len, reverse=True)
+    if not letters[-1] or any(letter[0] == "{" or letter[0].isspace()
+                              for letter in letters):
+        return None
+    return re.compile("|".join(map(re.escape, letters)) + r"|\S")
+
+
+def _scan(chunk: str, offset: int, alphabet: Alphabet) -> list[str]:
+    """The letters of chunk, read one position at a time: the reader of
+    every error, of every braced letter spelled otherwise, and of every
+    text over an alphabet that has no token pattern. Error positions count
+    from offset."""
+    letters: list[str] = []  # longest first, sorted at the first plain letter
+    out = []
+    i = 0
+    while i < len(chunk):
+        if chunk[i].isspace():
+            i += 1
+            continue
+        if chunk[i] == "{":
+            j = chunk.find("}", i)
+            if j < 0:
+                raise ParseError("unterminated powerset letter", offset + i)
+            out.append(parse_braced_letter(chunk[i:j + 1], alphabet,
+                                           offset + i))
+            i = j + 1
+            continue
+        if not letters:
+            letters.extend(sorted(alphabet.letters, key=len, reverse=True))
+        for letter in letters:
+            if chunk.startswith(letter, i):
+                out.append(letter)
+                i += len(letter)
+                break
+        else:
+            raise ParseError(f"no letter matches here: {quoted(chunk[i:])}",
+                             offset + i)
+    return out
+
+
 def parse_lasso(text: str, alphabet: Alphabet) -> Lasso:
     """Parse the lasso format u(v), letters juxtaposed, e.g. ab(ba) or {P}({}).
+
+    The grammar: the text, stripped of surrounding whitespace, is a prefix,
+    a ``(``, a nonempty period and a closing ``)``; the prefix is what comes
+    before the first ``(``. Whitespace may stand anywhere between letters.
+    At each position the longest letter of a plain alphabet that matches is
+    taken, and never given back for a shorter one: over the letters ``a``,
+    ``ab`` and ``bc``, ``aab`` reads ``a ab``, and ``abc`` is an error at
+    ``c``, though ``a bc`` would read. A powerset letter is written in
+    braces, its propositions in any order, repeated and spaced, as in an
+    expression: ``{Q, P}`` and ``{P,Q,P}`` both read ``{P,Q}``.
+
+    Errors are ParseErrors, their positions counted from the text as given,
+    leading whitespace included: position 0 for a text not of the form
+    u(v), the first character that no letter matches, the ``{`` of a
+    powerset letter that is never closed, the token of a malformed braced
+    letter, and the ``(`` of an empty period. A braced letter over a plain
+    alphabet, or one naming an undeclared proposition, is an AlphabetError.
+
+    Each chunk is read with one findall of ``_token_pattern``; where that
+    yields letters alone, they are the chunk's letters. Otherwise ``_scan``
+    reads the whole chunk again, one position at a time: it reads a braced
+    letter in another spelling with ``parse_braced_letter``, and raises
+    each error at its position.
     """
-    letters: list[str] = []  # longest first, sorted at the first plain letter
-
-    def scan(chunk: str, offset: int) -> list[str]:
-        out = []
-        i = 0
-        while i < len(chunk):
-            if chunk[i].isspace():
-                i += 1
-                continue
-            if chunk[i] == "{":
-                j = chunk.find("}", i)
-                if j < 0:
-                    raise ParseError("unterminated powerset letter", offset + i)
-                out.append(parse_braced_letter(chunk[i:j + 1], alphabet,
-                                               offset + i))
-                i = j + 1
-                continue
-            if not letters:
-                letters.extend(sorted(alphabet.letters, key=len, reverse=True))
-            for letter in letters:
-                if chunk.startswith(letter, i):
-                    out.append(letter)
-                    i += len(letter)
-                    break
-            else:
-                raise ParseError(f"no letter matches here: {chunk[i:]!r}",
-                                 offset + i)
-        return out
-
     lead = len(text) - len(text.lstrip())  # positions count from text
     text = text.strip()
     open_i = text.find("(")
     if open_i < 0 or not text.endswith(")"):
         raise ParseError("lasso must have the form u(v)", 0)
-    prefix = scan(text[:open_i], lead)
-    period = scan(text[open_i + 1:-1], lead + open_i + 1)
+    pattern = _token_pattern(alphabet)
+
+    def read(chunk: str, offset: int) -> list[str]:
+        if pattern is not None:
+            letters = pattern.findall(chunk)
+            if alphabet.letter_set.issuperset(letters):
+                return letters
+        return _scan(chunk, offset, alphabet)
+
+    prefix = read(text[:open_i], lead)
+    period = read(text[open_i + 1:-1], lead + open_i + 1)
     if not period:
         raise ParseError("lasso period must be nonempty", lead + open_i)
     return Lasso(tuple(prefix), tuple(period), alphabet)
@@ -124,17 +212,24 @@ def print_lasso(w: Lasso) -> str:
 def lasso_normalize(w: Lasso) -> Lasso:
     """Canonical form: fold the prefix into the period, then take the
     primitive root of the period. Two lassos denote the same omega-word iff
-    their normal forms are equal."""
-    prefix, period = list(w.prefix), list(w.period)
-    while prefix and prefix[-1] == period[-1]:
-        period = [period[-1]] + period[:-1]
-        prefix.pop()
+    their normal forms are equal.
+
+    A fold moves the prefix's last letter to the front of the period when it
+    equals the period's last letter. The folds are counted by index, with
+    ``last`` the index in the period of the rotated period's last letter,
+    and the period is rotated once at the end."""
+    prefix, period = w.prefix, w.period
     n = len(period)
-    for d in range(1, n + 1):
+    kept, last = len(prefix), n - 1
+    while kept and prefix[kept - 1] == period[last]:
+        kept -= 1
+        last = (last - 1) % n
+    period = period[last + 1:] + period[:last + 1]
+    for d in range(1, n):
         if n % d == 0 and period == period[:d] * (n // d):
             period = period[:d]
             break
-    return Lasso(tuple(prefix), tuple(period), w.alphabet)
+    return Lasso(tuple(prefix[:kept]), tuple(period), w.alphabet)
 
 
 MAX_LASSOS = 2**20  # candidate words (u, v) that enumerate_lassos may try
@@ -199,10 +294,34 @@ def _positions(mask: int) -> PositionSet:
                               bin(mask)[:1:-1].encode().translate(_ZERO_ONE)))
 
 
+# the coded masks pay off on words of more than this many positions and at
+# most this many distinct letters; elsewhere one Python step per position
+# costs less than a fixed set-up and a C-level pass per letter
+_CODED_LETTERS = 32
+# the translation of letter code c to the digit 1 and of every other to 0
+_DIGITS = [b"0" * c + b"1" + b"0" * (255 - c) for c in range(_CODED_LETTERS)]
+
+
 def _letter_masks(w: Lasso) -> dict[str, int]:
-    """The mask of the positions holding each letter of w."""
+    """The mask of the positions holding each letter of w.
+
+    The word is coded one byte per position, last position first; for each
+    letter, ``bytes.translate`` turns the code into the binary digits of its
+    mask, which ``int(..., 2)`` reads. Both are linear C-level passes, so a
+    mask costs O(n), not an OR into a growing n-bit mask at each of its
+    positions. A short word, or one of more than ``_CODED_LETTERS``
+    distinct letters (a powerset alphabet's), takes those per-position ORs,
+    which cost less there."""
+    word = w.prefix + w.period
+    if len(word) > _CODED_LETTERS:
+        letters = set(word)
+        if len(letters) <= _CODED_LETTERS:
+            code = dict(zip(letters, range(_CODED_LETTERS)))
+            coded = bytes(map(code.__getitem__, reversed(word)))
+            return {letter: int(coded.translate(_DIGITS[c]), 2)
+                    for letter, c in code.items()}
     masks: dict[str, int] = {}
-    for i, letter in enumerate(w.prefix + w.period):
+    for i, letter in enumerate(word):
         masks[letter] = masks.get(letter, 0) | 1 << i
     return masks
 
@@ -343,8 +462,8 @@ def _kleene(term: Term, w: Lasso, env: Optional[Env],
     return slots[root]
 
 
-def eval_rll(e: Expr, w: Lasso, env: Optional[Env] = None) -> PositionSet:
-    """Positions i such that the i-th tail of w lies in the language of e."""
+def _rll_mask(e: Expr, w: Lasso, env: Optional[Env]) -> int:
+    """The mask of the positions of w whose tails lie in L(e)."""
     with_letter = _letter_masks(w)
 
     def local(t: Term) -> int:
@@ -352,14 +471,20 @@ def eval_rll(e: Expr, w: Lasso, env: Optional[Env] = None) -> PositionSet:
             return with_letter.get(t.letter, 0)
         raise TypeError(f"not an expression: {t!r}")
 
-    return _positions(_kleene(e, w, env, local))
+    return _kleene(e, w, env, local)
+
+
+def eval_rll(e: Expr, w: Lasso, env: Optional[Env] = None) -> PositionSet:
+    """Positions i such that the i-th tail of w lies in the language of e."""
+    return _positions(_rll_mask(e, w, env))
 
 
 def member_oracle(e: Expr, w: Lasso) -> bool:
-    """Membership of the lasso word in L(e), via the fixpoint evaluator."""
+    """Membership of the lasso word in L(e), via the fixpoint evaluator:
+    bit 0 of the mask, position 0 being the word itself."""
     if free_vars(e):
         raise SemanticsError("membership needs a closed expression")
-    return 0 in eval_rll(e, w)
+    return bool(_rll_mask(e, w, None) & 1)
 
 
 def eval_multl(phi: MuLtlFormula, w: Lasso,

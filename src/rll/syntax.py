@@ -83,9 +83,8 @@ class Alphabet:
         if self.props is not None:
             if len(set(self.props)) != len(self.props):
                 raise AlphabetError("proposition names must be unique")
-            expected = tuple(subset_letter_name(s)
-                             for s in _subsets_in_order(self.props))
-            if self.letters != expected:
+            if (len(self.letters) != 1 << len(self.props)
+                    or self.letters != _powerset_letters(self.props)):
                 raise AlphabetError("powerset alphabet letters must be all "
                                     "subsets of the basis, in bitmask order")
 
@@ -98,9 +97,11 @@ class Alphabet:
         if len(props) > MAX_PROPS:  # 2^n letters are built eagerly
             raise AlphabetError(f"{len(props)} propositions exceed the cap "
                                 f"of {MAX_PROPS}")
-        basis = tuple(props)
-        letters = tuple(subset_letter_name(s) for s in _subsets_in_order(basis))
-        return Alphabet(letters, basis)
+        # one build: the names are checked as a plain alphabet's (unique),
+        # not against a second build, as a directly constructed one's are
+        ab = Alphabet(_powerset_letters(props))
+        object.__setattr__(ab, "props", props)
+        return ab
 
     @property
     def is_powerset(self) -> bool:
@@ -122,9 +123,17 @@ class Alphabet:
         return "alphabet " + " ".join(self.letters) + " ;"
 
 
-def _subsets_in_order(basis: tuple[str, ...]) -> Iterator[tuple[str, ...]]:
-    for mask in range(1 << len(basis)):
-        yield tuple(p for i, p in enumerate(basis) if mask >> i & 1)
+def _powerset_letters(basis: tuple[str, ...]) -> tuple[str, ...]:
+    """The names of the subsets of basis, in bitmask order, as
+    ``subset_letter_name`` writes them.
+
+    The subsets with basis[k] follow those without it in the same order, so
+    each proposition doubles the list; a name's body is kept with a leading
+    comma."""
+    bodies = [""]
+    for p in basis:
+        bodies += [f"{body},{p}" for body in bodies]
+    return tuple(f"{{{body[1:]}}}" for body in bodies)
 
 
 def subset_letter_name(subset: tuple[str, ...]) -> str:

@@ -3,11 +3,13 @@ the symbol-loop reference tokenizer, the recursive-descent reference
 parsers, the tree-substituting reference closure and its rescanning
 priorities, the one-expression reference occurrence graph, the set-based
 reference game and nesting-depth priorities, the frozenset reference
-evaluators and the memoised bit-mask ones, the per-lasso reference bounded searches and their normalising
-enumerator, the isinstance-walk reference translations,
-the two Boolean-variable groupings of the truth tables, the proof loader
-that parses each text alone, the derivation mutation machinery, and the
-CLI entry point that builds every subcommand's parser on every call."""
+evaluators and the memoised bit-mask ones, the character-scanning lasso
+reader with the rebuilding normaliser and the per-position masks, the
+per-lasso reference bounded searches and their normalising enumerator, the
+isinstance-walk reference translations, the two Boolean-variable groupings
+of the truth tables, the proof loader that parses each text alone, the
+derivation mutation machinery, and the CLI entry point that builds every
+subcommand's parser on every call."""
 
 from __future__ import annotations
 
@@ -28,16 +30,16 @@ from rll.closure import (DEAD_TOP, DEAD_ZERO, ClosureError, FlClosure,
 from rll.game import (ABELARD, ELOISE, Counterexample, GameError, ParityGame,
                       Solution, member_game)
 from rll.semantics import (Lasso, SemanticsError, enumerate_lassos,
-                           lasso_normalize)
+                           lasso_normalize, quoted)
 from rll.syntax import (BINDERS, BOT, BOTTOMS, JOINS, KEYWORDS, MEETS, MUS,
                         PREFIXES, TOP, TOPS, TT, VARS, ZERO, Act, Alphabet,
                         AlphabetError, And, Bot, Expr, FVar, Meet, Mu, MuF,
                         MuLtlFormula, NegProp, Next, Nu, NuF, Or, ParseError,
                         Prop, Sum, Term, Top, TopF, Var, Zero, alpha_eq,
                         alpha_key, and_of, free_vars, iff, implies,
-                        negate_formula, parse_expr, parse_formula,
-                        subexpressions, subset_letter_name, substitute,
-                        sum_of)
+                        negate_formula, parse_braced_letter, parse_expr,
+                        parse_formula, subexpressions, subset_letter_name,
+                        substitute, sum_of)
 
 PROOF_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "proofs")
 
@@ -735,6 +737,81 @@ def depth_priorities(graph: OccurrenceGraph) -> tuple[int, ...]:
     neutral = 2 * (max(depth.values()) + 1) if depth else 0
     return tuple(2 * depth[v] + (graph.kinds[v] == "mu") if v in depth
                  else neutral for v in range(len(graph.kinds)))
+
+
+# ---------------------------------------------------------------------------
+# Reference lasso steps: the character scanner, the fold that rebuilds the
+# period at each step, and the masks built by an OR at each position, which
+# the findall reader, the counted folds and the translated byte code
+# replaced.
+# ---------------------------------------------------------------------------
+
+def reference_parse_lasso(text: str, alphabet: Alphabet) -> Lasso:
+    """A lasso u(v), read one position at a time: whitespace skipped, a
+    braced letter read as an expression reads it, otherwise the longest
+    plain letter that matches."""
+    letters: list[str] = []
+
+    def scan(chunk: str, offset: int) -> list[str]:
+        out = []
+        i = 0
+        while i < len(chunk):
+            if chunk[i].isspace():
+                i += 1
+                continue
+            if chunk[i] == "{":
+                j = chunk.find("}", i)
+                if j < 0:
+                    raise ParseError("unterminated powerset letter", offset + i)
+                out.append(parse_braced_letter(chunk[i:j + 1], alphabet,
+                                               offset + i))
+                i = j + 1
+                continue
+            if not letters:
+                letters.extend(sorted(alphabet.letters, key=len, reverse=True))
+            for letter in letters:
+                if chunk.startswith(letter, i):
+                    out.append(letter)
+                    i += len(letter)
+                    break
+            else:
+                raise ParseError(f"no letter matches here: {quoted(chunk[i:])}",
+                                 offset + i)
+        return out
+
+    lead = len(text) - len(text.lstrip())
+    text = text.strip()
+    open_i = text.find("(")
+    if open_i < 0 or not text.endswith(")"):
+        raise ParseError("lasso must have the form u(v)", 0)
+    prefix = scan(text[:open_i], lead)
+    period = scan(text[open_i + 1:-1], lead + open_i + 1)
+    if not period:
+        raise ParseError("lasso period must be nonempty", lead + open_i)
+    return Lasso(tuple(prefix), tuple(period), alphabet)
+
+
+def reference_lasso_normalize(w: Lasso) -> Lasso:
+    """Fold the prefix into the period one letter at a time, rebuilding the
+    period at each fold, then take the period's primitive root."""
+    prefix, period = list(w.prefix), list(w.period)
+    while prefix and prefix[-1] == period[-1]:
+        period = [period[-1]] + period[:-1]
+        prefix.pop()
+    n = len(period)
+    for d in range(1, n + 1):
+        if n % d == 0 and period == period[:d] * (n // d):
+            period = period[:d]
+            break
+    return Lasso(tuple(prefix), tuple(period), w.alphabet)
+
+
+def reference_letter_masks(w: Lasso) -> dict[str, int]:
+    """Each letter's mask, ORing the bit of each of its positions."""
+    masks: dict[str, int] = {}
+    for i, letter in enumerate(w.prefix + w.period):
+        masks[letter] = masks.get(letter, 0) | 1 << i
+    return masks
 
 
 # ---------------------------------------------------------------------------

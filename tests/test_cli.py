@@ -1,5 +1,6 @@
 """CLI: subcommand behaviour, exit codes, output stability."""
 
+import argparse
 import gc
 import hashlib
 import json
@@ -101,6 +102,17 @@ class TestMember:
     def test_bad_lasso_is_usage_error(self, files, capsys):
         code, _out, err = run(capsys, ["member", files["ia"], "(c)"])
         assert code == 2 and "error" in err
+
+    def test_long_bad_lasso_error_is_short(self, files, capsys):
+        """A lasso of 50,000 letters with a typo at position 1 exits 2 with
+        an error that quotes 40 characters of the text and of its unread
+        rest, not all of both."""
+        text = "ac" + "a" * 49_998 + "(b)"
+        code, out, err = run(capsys, ["member", files["ia"], text])
+        assert (code, out) == (2, "")
+        assert err == (f"error: lasso {text[:40]!r}...: no letter matches "
+                       f"here: {'c' + 'a' * 39!r}... (at position 1)\n")
+        assert len(err) < 200
 
     def test_powerset_letter_spellings(self, tmp_path, capsys):
         """{Q,P} and {P,P,Q} name the letter {P,Q}, in a lasso as in an
@@ -870,6 +882,59 @@ CONTRACT = {
     ("equiv", "L", "R", "--max-prefix", "x"):
         "cc08c2e4869ca4580e4d25cf26d49c27cf2ee4e69fca013de80c70c00f5ac6d0",
 }
+
+
+def argparse_quotes_choices() -> bool:
+    """Whether this Python's argparse lists the choices of an invalid-choice
+    error with repr(), as 3.10-3.12.1 and 3.13.0 do, rather than str()."""
+    probe = argparse.ArgumentParser(exit_on_error=False)
+    probe.add_argument("x", choices=["y"])
+    try:
+        probe.parse_args(["z"])
+    except argparse.ArgumentError as err:
+        return "'y'" in str(err)
+    raise AssertionError("argparse accepted an invalid choice")
+
+
+# argparse's own text differs between Python releases in the cases below:
+# from 3.13 the top-level usage ends its line of subcommands with ` ...`
+# instead of wrapping it, and later releases (3.13.13 here) list choices
+# with str(). Each is pinned byte for byte, for each style seen, keyed by
+# (3.13 or later, choices quoted); the pins above are 3.10-3.12.1's.
+ARGPARSE_STYLES = {
+    (True, True): {  # 3.13.0
+        ():
+            "491f3be7d63414f89a412f35899e7295d740d734ac1189f64d4955e90555cf8e",
+        ("-h",):
+            "81f4e530a38d34e17ebfb17dd23b025589c15e5d2296fe61a85a10a6f6efb1d0",
+        ("bogus",):
+            "17b9338635c3a8bc6616fd45a83f52e615152326cd7e2f7d579d74e4ce3d47db",
+        ("--alphabet", "a", "member"):
+            "ab7bb3845ad14a5238204674003accfe0351db5afff45f1108fb1c6ec41eec0b",
+        ("member", "F", "(ab)", "extra"):
+            "c4ae6dedabd4df592ff2cd0cc09b8836b464add7594ac50ac70c78f3494fe743",
+        ("member", "F", "(ab)", "--version"):
+            "be7499cbf809d71a3b2488074d70fdf74a0f3ea5178db0edf9d28b994ec82f14",
+    },
+    (True, False): {  # 3.13.13
+        ():
+            "491f3be7d63414f89a412f35899e7295d740d734ac1189f64d4955e90555cf8e",
+        ("-h",):
+            "81f4e530a38d34e17ebfb17dd23b025589c15e5d2296fe61a85a10a6f6efb1d0",
+        ("bogus",):
+            "7cc8e700888517b6246965b8a6b1512fe1daff187841d65a11f6fc3e386ad5f3",
+        ("--alphabet", "a", "member"):
+            "e7f739388eb8a053cb0a94bfba0420b3f93b82ea0d6cace2a1e0d9803ce1ae3d",
+        ("member", "F", "(ab)", "extra"):
+            "c4ae6dedabd4df592ff2cd0cc09b8836b464add7594ac50ac70c78f3494fe743",
+        ("member", "F", "(ab)", "--version"):
+            "be7499cbf809d71a3b2488074d70fdf74a0f3ea5178db0edf9d28b994ec82f14",
+        ("member", "F", "(ab)", "--via", "x"):
+            "0369f2023d0d14a4b23a17f138746dd2acefd0f93a59387f676aac68ed3e961c",
+    },
+}
+CONTRACT.update(ARGPARSE_STYLES.get(
+    (sys.version_info >= (3, 13), argparse_quotes_choices()), {}))
 
 
 class TestCliContract:

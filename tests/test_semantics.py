@@ -9,18 +9,20 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import (reference_enumerate_lassos, reference_eval_multl,
-                     reference_eval_rll, reference_mask_eval_multl,
-                     reference_mask_eval_rll)
+                     reference_eval_rll, reference_lasso_normalize,
+                     reference_letter_masks, reference_mask_eval_multl,
+                     reference_mask_eval_rll, reference_parse_lasso)
 from rll.algebra import complement, to_multl
 from rll.corpus import agreement_pairs, gen_alphabet, gen_expr, gen_lasso
 from rll.game import member_game
-from rll.semantics import (MAX_LASSOS, Lasso, SemanticsError,
-                           enumerate_lassos, eval_multl, eval_rll,
-                           lasso_normalize, member_oracle, models,
+from rll import semantics
+from rll.semantics import (MAX_LASSOS, QUOTE_CAP, Lasso, SemanticsError,
+                           _letter_masks, enumerate_lassos, eval_multl,
+                           eval_rll, lasso_normalize, member_oracle, models,
                            parse_lasso, print_lasso)
 from rll.syntax import (Act, Alphabet, AlphabetError, And, FVar, Meet, MuF,
-                        Mu, Next, Nu, NuF, Or, ParseError, Prop, Sum, Var,
-                        parse_expr, parse_formula, sum_of)
+                        Mu, Next, Nu, NuF, Or, ParseError, Prop, RllError,
+                        Sum, Var, parse_expr, parse_formula, sum_of)
 
 AB = Alphabet.plain("a", "b")
 P1 = Alphabet.powerset("P")
@@ -105,6 +107,154 @@ class TestLasso:
     def test_foreign_letter_rejected(self):
         with pytest.raises(Exception):
             lasso("c(a)")
+
+
+def outcome(parse, text, ab):
+    """What parse makes of text: its lasso, or its error's type, message
+    and position."""
+    try:
+        return parse(text, ab)
+    except RllError as err:
+        return type(err), str(err), getattr(err, "pos", None)
+
+
+WHITESPACE = [" ", "\t", "\n", "\x1c", "\x1f", "\u00a0", "\u2003"]
+STRAY = ["{", "}", "(", ")", "c", "#", ",", "\u00e9", "x y", "{a}"]
+OVERLAPPING = Alphabet.plain("a", "ab", "ba", "b")
+PLAIN_ALPHABETS = [AB, OVERLAPPING, Alphabet.plain("a", "aa", "aab", "b"),
+                   Alphabet.plain("ab", "bc", "a")]
+PQ = Alphabet.powerset("P", "Q")
+SPELLINGS = ["{Q,P}", "{P,P,Q}", "{ Q }", "{\tP ,Q}", "{P, # c\n Q}", "{R}",
+             "{P,}", "{,P}", "{P Q}", "{P", "P", "{}{}", "{ }"]
+PROPS16 = Alphabet.powerset(*(f"P{i}" for i in range(16)))
+
+
+def random_lasso_text(rng: random.Random, ab: Alphabet) -> str:
+    """A lasso text over ab, mostly well formed: letters, whitespace, and
+    now and then a stray character, a non-canonical braced letter, an empty
+    prefix or period, or a missing bracket."""
+    def chunk(most: int) -> str:
+        pieces = []
+        for _ in range(rng.randint(0, most)):
+            roll = rng.random()
+            if roll < 0.15:
+                pieces.append(rng.choice(WHITESPACE))
+            elif roll < 0.17:
+                pieces.append(rng.choice(STRAY))
+            elif roll < 0.3 and ab.is_powerset:
+                pieces.append(rng.choice(SPELLINGS))
+            else:
+                pieces.append(rng.choice(ab.letters))
+        return "".join(pieces)
+
+    most = rng.choice([3, 8, 40])
+    text = chunk(most) + "(" + chunk(most) + ")"
+    roll = rng.random()
+    if roll < 0.05:
+        text = text[:-1]
+    elif roll < 0.1:
+        text = text.replace("(", "", 1)
+    elif roll < 0.25:
+        text = rng.choice(WHITESPACE) + text + rng.choice(WHITESPACE)
+    return text
+
+
+class TestLassoMatchesReference:
+    """The findall reader, the counted folds and the translated masks agree
+    with the scanner, the rebuilding fold and the per-position ORs they
+    replaced (kept in ``helpers``)."""
+
+    @given(st.integers(0, 10**9))
+    @settings(max_examples=1500, deadline=None)
+    def test_parse(self, seed):
+        rng = random.Random(seed)
+        ab = rng.choice(PLAIN_ALPHABETS + [PQ, P1])
+        text = random_lasso_text(rng, ab)
+        assert (outcome(parse_lasso, text, ab)
+                == outcome(reference_parse_lasso, text, ab)), text
+
+    @pytest.mark.parametrize("text", [
+        "(a)", "ab(ba)", " ab ( ba ) ", "aab\t(\x1cbab)", "a(bc)", "()",
+        "a{(b)", "a}(b)", "((a))", "a(b", "ab(ba))", "{a}(b)", "abc(ab)"])
+    def test_parse_cases(self, text):
+        """Fixed cases over each plain alphabet, overlapping letters among
+        them, where the longest letter wins at each position."""
+        for ab in PLAIN_ALPHABETS:
+            assert (outcome(parse_lasso, text, ab)
+                    == outcome(reference_parse_lasso, text, ab)), (text, ab)
+
+    def test_letters_the_scanner_reads_alone(self):
+        """A plain letter that is empty or begins with whitespace or a brace
+        leaves every text to the scanner."""
+        for letters, text in ((("{a}", "b"), "b({a})"), ((" a", "b"), "b( a)"),
+                              (("{", "b"), "b({)"), (("a b", "b"), "a b(b)")):
+            ab = Alphabet.plain(*letters)
+            assert (outcome(parse_lasso, text, ab)
+                    == outcome(reference_parse_lasso, text, ab))
+
+    def test_letters_alone_are_never_scanned(self, monkeypatch):
+        """Text that reads into letters alone, braced letters in their
+        canonical spelling among them, is read by the token pattern, with no
+        call to the character scanner."""
+        texts = [("ab(ba)", OVERLAPPING), (" a \t b(\x1cab )", AB),
+                 ("{P}{P,Q}({} {Q})", PQ), ("{}\t{Q}({P,Q} )", PQ)]
+        expected = [parse_lasso(text, ab) for text, ab in texts]
+
+        def refuse(*args):
+            raise AssertionError("scanned")
+
+        monkeypatch.setattr(semantics, "_scan", refuse)
+        assert [parse_lasso(text, ab) for text, ab in texts] == expected
+
+    def test_errors_quote_a_bounded_text(self):
+        """An error quotes at most ``QUOTE_CAP`` characters of the unread
+        text, then ``...``; a shorter rest is quoted whole."""
+        with pytest.raises(ParseError) as err:
+            lasso("ac" + "a" * 50_000 + "(b)")
+        assert err.value.message == (
+            f"no letter matches here: {'c' + 'a' * (QUOTE_CAP - 1)!r}...")
+        with pytest.raises(ParseError) as err:
+            lasso("a" * 50_000 + "c" + "a" * (QUOTE_CAP - 1) + "(b)")
+        assert err.value.pos == 50_000
+        assert err.value.message == (
+            f"no letter matches here: {'c' + 'a' * (QUOTE_CAP - 1)!r}")
+
+    @given(st.integers(0, 10**9))
+    @settings(max_examples=400, deadline=None)
+    def test_normalize(self, seed):
+        """Random prefixes and periods, with periods that are powers and
+        prefixes ending in a suffix of the period's powers, so that folds run
+        past a whole period."""
+        rng = random.Random(seed)
+        ab = rng.choice([AB, Alphabet.plain("a"), OVERLAPPING])
+        root = [rng.choice(ab.letters) for _ in range(rng.randint(1, 4))]
+        period = root * rng.randint(1, 4)
+        turn = rng.randrange(len(period))
+        period = period[turn:] + period[:turn]
+        tail = (period * 4)[len(period) * 4 - rng.randint(0, 3 * len(period)):]
+        prefix = [rng.choice(ab.letters) for _ in range(rng.randint(0, 5))]
+        w = Lasso(tuple(prefix + tail), tuple(period), ab)
+        assert lasso_normalize(w) == reference_lasso_normalize(w)
+
+    @given(st.integers(0, 10**9))
+    @settings(max_examples=120, deadline=None)
+    def test_letter_masks(self, seed):
+        """Lassos of up to 5,000 letters over plain alphabets and over 16
+        propositions, with few distinct letters or with many: on both sides
+        of ``_CODED_LETTERS`` in length and in distinct letters."""
+        rng = random.Random(seed)
+        if seed % 2:
+            ab = rng.choice(PLAIN_ALPHABETS + [Alphabet.plain("a")])
+            pool = ab.letters
+        else:
+            ab = PROPS16
+            pool = rng.sample(ab.letters, rng.choice([1, 2, 31, 32, 33, 300,
+                                                      5000]))
+        n = rng.choice([1, 2, 7, 64, 1000, 5000])
+        word = [rng.choice(pool) for _ in range(n)]
+        cut = rng.randrange(n)
+        w = Lasso(tuple(word[:cut]), tuple(word[cut:]), ab)
+        assert _letter_masks(w) == reference_letter_masks(w)
 
 
 class TestNormalize:

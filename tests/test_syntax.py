@@ -12,7 +12,8 @@ from rll.syntax import (BINDERS, LATTICE, PREFIXES, Act, Alphabet,
                         negate_formula, parse_alphabet_header, RllError,
                         parse_expr, parse_expr_file, parse_formula,
                         parse_formula_file, print_expr, subexpressions,
-                        substitute, token_kind, token_positions, tokenize)
+                        subset_letter_name, substitute, token_kind,
+                        token_positions, tokenize)
 from rll.calculus import (Verdict, check_rll, derivation_from_json,
                           derivation_to_json, derive_complement)
 from rll.closure import ClosureError, closure_with_priorities, occurrence_graph
@@ -82,6 +83,36 @@ class TestAlphabet:
         assert repr(AB) == "Alphabet(letters=('a', 'b'), props=None)"
         assert hash(AB) == hash(Alphabet.plain("a", "b"))
         assert replace(AB, letters=("c",)).letter_set == {"c"}
+
+    def test_powerset_letters_built_once(self, monkeypatch):
+        """``powerset`` builds each name once, in bitmask order as
+        ``subset_letter_name`` writes it; a directly constructed powerset
+        alphabet is still checked against those names."""
+        for basis in ((), ("P",), ("P", "Q"), ("Q1", "P", "x_2"),
+                      tuple(f"P{i}" for i in range(6))):
+            names = tuple(
+                subset_letter_name(tuple(p for i, p in enumerate(basis)
+                                         if mask >> i & 1))
+                for mask in range(1 << len(basis)))
+            ab = Alphabet.powerset(*basis)
+            assert (ab.letters, ab.props) == (names, basis)
+            assert ab == Alphabet(names, basis)
+            assert ab.letter_set == frozenset(names)
+        calls = []
+        build = rll.syntax._powerset_letters
+        monkeypatch.setattr(rll.syntax, "_powerset_letters",
+                            lambda basis: calls.append(basis) or build(basis))
+        Alphabet.powerset("P", "Q", "R")
+        assert calls == [("P", "Q", "R")]
+        message = ("powerset alphabet letters must be all subsets of the "
+                   "basis, in bitmask order")
+        for letters in (("{}", "{Q}", "{P}", "{P,Q}"), ("{}", "{P}", "{Q}"),
+                        ("{}", "{P}", "{Q}", "{Q,P}"),
+                        ("{}", "{P}", "{Q}", "{P,Q}", "{R}")):
+            with pytest.raises(AlphabetError, match=f"^{message}$"):
+                Alphabet(letters, ("P", "Q"))
+        with pytest.raises(AlphabetError, match="^letter names must be unique$"):
+            Alphabet.powerset("P", "P")
 
     def test_long_lasso_over_sixteen_propositions(self):
         """Checking a letter is a set lookup, not a scan of the 65,536
