@@ -91,9 +91,7 @@ from .closure import DEAD_TOP, DEAD_ZERO, OccurrenceGraph, occurrence_graph
 from .semantics import Lasso, enumerate_lassos
 from .syntax import Alphabet, Expr, RllError, expr_size, free_vars
 
-ELOISE = "eloise"
-ABELARD = "abelard"
-_PLAYERS = (ELOISE, ABELARD)  # the solver's player numbers
+ELOISE, ABELARD = 0, 1  # so the player a priority d favours is d & 1
 
 
 class GameError(RllError):
@@ -104,7 +102,7 @@ class GameError(RllError):
 class ParityGame:
     """A finite min-parity game; deadlocked positions lose for their owner."""
 
-    owners: tuple[str, ...]
+    owners: tuple[int, ...]
     priorities: tuple[int, ...]
     edges: tuple[tuple[int, ...], ...]
     initial: int
@@ -121,12 +119,12 @@ class Solution:
     """Winners by position, each player's positional strategy on the
     positions it owns and wins, and the number of attractors computed."""
 
-    winner: tuple[str, ...]
+    winner: tuple[int, ...]
     strategy_eloise: dict[int, int] = field(default_factory=dict)
     strategy_abelard: dict[int, int] = field(default_factory=dict)
     attractor_calls: int = 0
 
-    def region(self, player: str) -> frozenset[int]:
+    def region(self, player: int) -> frozenset[int]:
         return frozenset(i for i, w in enumerate(self.winner) if w == player)
 
 
@@ -311,7 +309,7 @@ def solve_parity(g: ParityGame) -> Solution:
     """Zielonka's recursive algorithm, min-parity convention."""
     n = len(g.owners)
     edges, prio = g.edges, g.priorities
-    owner = bytes(map(ABELARD.__eq__, g.owners))  # 0 Eloise, 1 Abelard
+    owner = bytes(g.owners)
     preds: list[list[int]] = [[] for _ in range(n)]
     for v, succ in enumerate(edges):
         for s in succ:
@@ -396,8 +394,7 @@ def solve_parity(g: ParityGame) -> Solution:
     for v, (w, o) in enumerate(zip(winner, owner)):
         if w == o:
             strategies[o][v] = move[v]
-    return Solution(tuple(map(_PLAYERS.__getitem__, winner)), *strategies,
-                    calls)
+    return Solution(tuple(winner), *strategies, calls)
 
 
 def member_game(e: Expr, w: Lasso,

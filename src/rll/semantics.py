@@ -11,11 +11,10 @@ iterates realize the ordinal approximants exactly.
 Every step on a lasso before the fixpoints is a linear pass of C-level
 string, set and int operations: ``parse_lasso`` reads the prefix and the
 period each with one regex findall and checks the tokens with one set test,
-going position by position only for a braced letter spelled otherwise, for
-errors, and for a plain alphabet with a letter that is empty or begins
-with whitespace or ``{``; ``Lasso`` checks its letters with set tests;
-``lasso_normalize`` counts its folds by index and rotates the period once;
-and ``_letter_masks`` reads each letter's mask of a long word of few
+and walks the same pattern again token by token only for a braced letter
+spelled otherwise and for errors; ``Lasso`` checks its letters with set
+tests; ``lasso_normalize`` counts its folds by index and rotates the period
+once; and ``_letter_masks`` reads each letter's mask of a long word of few
 distinct letters from a translated byte code of it.
 
 Each evaluation first compiles its term, in one walk, into a flat program:
@@ -98,64 +97,34 @@ def quoted(text: str) -> str:
     return f"{text[:QUOTE_CAP]!r}..."
 
 
-# the tokens of a powerset lasso: a braced letter, or any other character
+# a lasso's tokens other than plain letters: a braced letter, or any other
+# character but whitespace
 _BRACED_TOKENS = re.compile(r"\{[^}]*\}|\S")
 
 
-def _token_pattern(alphabet: Alphabet) -> Optional[re.Pattern]:
-    """The pattern whose findall reads a chunk of a lasso over alphabet into
-    the tokens that ``_scan`` takes there, wherever those are all letters;
-    or None for a plain alphabet with a letter that is empty or begins with
-    whitespace or ``{``, which ``_scan`` alone reads.
+def _reader(alphabet: Alphabet) -> tuple[re.Pattern, frozenset]:
+    """The token pattern of lassos over alphabet, and the letters that its
+    tokens may be.
 
-    No token begins with whitespace, so findall steps over it as ``_scan``
-    does. A plain alphabet's letters stand longest first in the
-    alternation, and nothing after it can fail, so each match takes the
-    first letter that ``_scan`` would try with success, and ``\\S`` takes
-    a character where no letter matches. Powerset letters are never listed:
-    there are 2^n of them, and a braced token is checked against the letter
-    set.
+    No token begins with whitespace, so a findall steps over it. A plain
+    alphabet's letters stand first in the pattern, longest first, so each
+    match takes the longest letter there, and ``\\S`` takes a character
+    where no letter or braced token matches. A plain letter that is empty
+    or begins with whitespace or ``{`` is left out, as none is ever read:
+    whitespace is stepped over, a ``{`` begins a braced token, and an empty
+    letter reads nothing. Powerset letters are never listed: there are 2^n
+    of them, and a braced token runs from a ``{`` to the next ``}``.
     """
     if alphabet.props is not None:
-        return _BRACED_TOKENS
-    letters = sorted(alphabet.letters, key=len, reverse=True)
-    if not letters[-1] or any(letter[0] == "{" or letter[0].isspace()
-                              for letter in letters):
-        return None
-    return re.compile("|".join(map(re.escape, letters)) + r"|\S")
-
-
-def _scan(chunk: str, offset: int, alphabet: Alphabet) -> list[str]:
-    """The letters of chunk, read one position at a time: the reader of
-    every error, of every braced letter spelled otherwise, and of every
-    text over an alphabet that has no token pattern. Error positions count
-    from offset."""
-    letters: list[str] = []  # longest first, sorted at the first plain letter
-    out = []
-    i = 0
-    while i < len(chunk):
-        if chunk[i].isspace():
-            i += 1
-            continue
-        if chunk[i] == "{":
-            j = chunk.find("}", i)
-            if j < 0:
-                raise ParseError("unterminated powerset letter", offset + i)
-            out.append(parse_braced_letter(chunk[i:j + 1], alphabet,
-                                           offset + i))
-            i = j + 1
-            continue
-        if not letters:
-            letters.extend(sorted(alphabet.letters, key=len, reverse=True))
-        for letter in letters:
-            if chunk.startswith(letter, i):
-                out.append(letter)
-                i += len(letter)
-                break
-        else:
-            raise ParseError(f"no letter matches here: {quoted(chunk[i:])}",
-                             offset + i)
-    return out
+        return _BRACED_TOKENS, alphabet.letter_set
+    letters = sorted((letter for letter in alphabet.letters
+                      if letter and not letter[0].isspace()
+                      and letter[0] != "{"), key=len, reverse=True)
+    pattern = re.compile("|".join([*map(re.escape, letters),
+                                   _BRACED_TOKENS.pattern]))
+    if len(letters) == len(alphabet.letters):
+        return pattern, alphabet.letter_set
+    return pattern, frozenset(letters)
 
 
 def parse_lasso(text: str, alphabet: Alphabet) -> Lasso:
@@ -178,25 +147,36 @@ def parse_lasso(text: str, alphabet: Alphabet) -> Lasso:
     letter, and the ``(`` of an empty period. A braced letter over a plain
     alphabet, or one naming an undeclared proposition, is an AlphabetError.
 
-    Each chunk is read with one findall of ``_token_pattern``; where that
-    yields letters alone, they are the chunk's letters. Otherwise ``_scan``
-    reads the whole chunk again, one position at a time: it reads a braced
-    letter in another spelling with ``parse_braced_letter``, and raises
-    each error at its position.
+    Each chunk is read into tokens by one findall of the pattern of
+    ``_reader``; where the tokens are all letters, they are the chunk's
+    letters. Otherwise the same pattern walks the chunk again, keeping each
+    letter, reading each other braced token with ``parse_braced_letter``,
+    and raising an error at the first token that is neither.
     """
     lead = len(text) - len(text.lstrip())  # positions count from text
     text = text.strip()
     open_i = text.find("(")
     if open_i < 0 or not text.endswith(")"):
         raise ParseError("lasso must have the form u(v)", 0)
-    pattern = _token_pattern(alphabet)
+    pattern, letters = _reader(alphabet)
 
     def read(chunk: str, offset: int) -> list[str]:
-        if pattern is not None:
-            letters = pattern.findall(chunk)
-            if alphabet.letter_set.issuperset(letters):
-                return letters
-        return _scan(chunk, offset, alphabet)
+        tokens = pattern.findall(chunk)
+        if letters.issuperset(tokens):
+            return tokens
+        out = []
+        for m in pattern.finditer(chunk):
+            token, at = m.group(), offset + m.start()
+            if token in letters:
+                out.append(token)
+            elif token == "{":  # no "}" follows it
+                raise ParseError("unterminated powerset letter", at)
+            elif token[0] == "{":
+                out.append(parse_braced_letter(token, alphabet, at))
+            else:
+                raise ParseError("no letter matches here: "
+                                 f"{quoted(chunk[m.start():])}", at)
+        return out
 
     prefix = read(text[:open_i], lead)
     period = read(text[open_i + 1:-1], lead + open_i + 1)

@@ -575,24 +575,24 @@ class _Parser:
     by its text, outermost first, and only the text around the groups found
     is lexed (``lex_misses``), each found group standing as its ``(``; a
     group that the parser closes is stored under its text. The term of a
-    group that parses depends only on its text and on the alphabet, the
-    reserved names and the syntax, so one memo may serve many texts under
-    one alphabet and syntax; a whole text that parses is a group's text
-    too, so a caller may store it in the memo under itself. A group that
-    fails is not stored, and a text that fails where groups were found is
-    parsed again alone, which raises its error at the text's own position:
-    a parse through the memo that raises no error is the parse alone's."""
+    group that parses depends only on its text, the alphabet and the
+    syntax, so one memo may serve many texts under one alphabet and syntax;
+    a whole text that parses is a group's text too, so a caller may store
+    it in the memo under itself. A group that fails is not stored, and a
+    text that fails where groups were found is parsed again alone, which
+    raises its error at the text's own position: a parse through the memo
+    that raises no error is the parse alone's."""
 
     noun: str  # what the error messages call a term
+    reserved: tuple  # names that no bound variable may take
     binders: dict  # keyword -> binder constructor
     infix: dict  # from _infix_table
 
-    def __init__(self, text: str, alphabet: Alphabet, reserved: tuple,
+    def __init__(self, text: str, alphabet: Alphabet,
                  memo: Optional[dict] = None,
                  tokens: Optional[list[str]] = None, first: int = 0):
         self.text = text
         self.ab = alphabet
-        self.reserved = reserved  # names that no bound variable may take
         self.memo = memo
         self.lexed = text  # the text less the groups found, from lex_misses
         # (text, term) per "(" token, in order: from lex_misses, or none
@@ -650,8 +650,7 @@ class _Parser:
         except RllError:
             if self.lexed is self.text:  # no group was found
                 raise
-            return type(self)(self.text, self.ab,
-                              self.reserved).parse(require_closed)
+            return type(self)(self.text, self.ab).parse(require_closed)
         if require_closed and free_vars(t):
             names = ", ".join(sorted(free_vars(t)))
             # the term's text begins after the one-character ';' before it
@@ -730,6 +729,7 @@ class _Parser:
 
 class _ExprParser(_Parser):
     noun, binders = "expression", {"mu": Mu, "nu": Nu}
+    reserved = ()
     infix = _infix_table([("+", Sum, False), ("&", Meet, False)])
 
     def operand(self) -> Optional[Expr]:
@@ -803,6 +803,10 @@ class _FormulaParser(_Parser):
     infix = _infix_table([("<->", iff, False), ("->", implies, True),
                           ("|", Or, False), ("&", And, False)])
 
+    @property
+    def reserved(self) -> tuple:
+        return self.ab.props
+
     def operand(self) -> Optional[MuLtlFormula]:
         """``O`` and ``!`` prefixes, then ~P, ff, tt, a proposition or a
         variable; or None at a ``(``, with the prefixes, as functions, left
@@ -852,7 +856,7 @@ def parse_expr(text: str, alphabet: Alphabet, require_closed: bool = False,
     ``memo`` is a group memo of ``_Parser`` (a dict), to share between the
     expressions of one alphabet; none by default.
     """
-    return _ExprParser(text, alphabet, (), memo).parse(require_closed)
+    return _ExprParser(text, alphabet, memo).parse(require_closed)
 
 
 def parse_formula(text: str, alphabet: Alphabet, require_closed: bool = False,
@@ -864,8 +868,7 @@ def parse_formula(text: str, alphabet: Alphabet, require_closed: bool = False,
     ``memo`` is as for ``parse_expr``.
     """
     _need_props(alphabet)
-    return _FormulaParser(text, alphabet, alphabet.props,
-                          memo).parse(require_closed)
+    return _FormulaParser(text, alphabet, memo).parse(require_closed)
 
 
 def parse_braced_letter(text: str, alphabet: Alphabet, at: int) -> str:
@@ -873,7 +876,7 @@ def parse_braced_letter(text: str, alphabet: Alphabet, at: int) -> str:
     it: whitespace and comments may surround the names. Error positions
     count from ``at``, where text begins in the input it was cut from."""
     try:
-        p = _ExprParser(text, alphabet, ())
+        p = _ExprParser(text, alphabet)
         p.expect("{")
         letter = p.braced()
         p.expect("eof")
@@ -929,7 +932,7 @@ def parse_expr_file(text: str, require_closed: bool = False) -> tuple[Alphabet, 
     """A header, then an expression; error positions count from the file's
     start."""
     ab, tokens, first = _header(text)
-    return ab, _ExprParser(text, ab, (), tokens=tokens,
+    return ab, _ExprParser(text, ab, tokens=tokens,
                            first=first).parse(require_closed)
 
 
@@ -939,5 +942,5 @@ def parse_formula_file(text: str,
     file's start."""
     ab, tokens, first = _header(text)
     _need_props(ab)
-    return ab, _FormulaParser(text, ab, ab.props, tokens=tokens,
+    return ab, _FormulaParser(text, ab, tokens=tokens,
                               first=first).parse(require_closed)

@@ -541,7 +541,7 @@ def reference_build_arena(e: Expr, w: Lasso,
 
     order: list[tuple[int, int]] = [(0, graph.root)]
     index: dict[tuple[int, int], int] = {order[0]: 0}
-    owners: list[str] = []
+    owners: list[int] = []
     prios: list[int] = []
     edges: list[tuple[int, ...]] = []
     for i, v in order:  # grows while it is walked: breadth-first
@@ -594,7 +594,7 @@ def reference_contracted_arena(e: Expr, w: Lasso,
 
     order: list[tuple] = [(0, graph.root)]
     index: dict[tuple, int] = {order[0]: 0}
-    owners: list[str] = []
+    owners: list[int] = []
     prios: list[int] = []
     edges: list[tuple[int, ...]] = []
     for i, v in order:  # grows while it is walked: breadth-first
@@ -623,7 +623,7 @@ def reference_contracted_arena(e: Expr, w: Lasso,
 
 
 def _attractor(g: ParityGame, preds: list[list[int]], alive: set[int],
-               target: set[int], player: str
+               target: set[int], player: int
                ) -> tuple[set[int], dict[int, int]]:
     """Least set containing target from which player forces reaching it;
     opponent positions with no live successors join vacuously."""
@@ -661,13 +661,13 @@ def reference_solve_parity(g: ParityGame) -> Solution:
         for s in succs:
             preds[s].append(v)
 
-    winner: list[Optional[str]] = [None] * n
-    strat: dict[str, dict[int, int]] = {ELOISE: {}, ABELARD: {}}
+    winner: list[Optional[int]] = [None] * n
+    strat: dict[int, dict[int, int]] = {ELOISE: {}, ABELARD: {}}
 
-    def opp(p: str) -> str:
+    def opp(p: int) -> int:
         return ABELARD if p == ELOISE else ELOISE
 
-    def mark(region: set[int], player: str, strategy: dict[int, int]):
+    def mark(region: set[int], player: int, strategy: dict[int, int]):
         for v in region:
             winner[v] = player
         for v, t in strategy.items():

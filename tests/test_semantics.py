@@ -2,8 +2,10 @@
 
 import gc
 import random
+import signal
 import time
 import tracemalloc
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -104,6 +106,27 @@ class TestLasso:
         with pytest.raises(Exception):
             lasso("ab()")
 
+    def test_empty_letter_is_never_read(self):
+        """An empty plain letter reads nothing, so it is never taken: where
+        no other letter matches, the text is an error, not an endless run of
+        empty letters. The calls run under an alarm, which ends such a run."""
+        ab = Alphabet.plain("a", "")
+
+        def stop(signum, frame):
+            raise TimeoutError("parse_lasso did not return")
+
+        handler = signal.signal(signal.SIGALRM, stop)
+        signal.alarm(2)
+        try:
+            with pytest.raises(ParseError) as err:
+                parse_lasso("x(a)", ab)
+            assert parse_lasso("a(a)", ab) == Lasso(("a",), ("a",), ab)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, handler)
+        assert err.value.message == "no letter matches here: 'x'"
+        assert err.value.pos == 0
+
     def test_foreign_letter_rejected(self):
         with pytest.raises(Exception):
             lasso("c(a)")
@@ -184,8 +207,8 @@ class TestLassoMatchesReference:
                     == outcome(reference_parse_lasso, text, ab)), (text, ab)
 
     def test_letters_the_scanner_reads_alone(self):
-        """A plain letter that is empty or begins with whitespace or a brace
-        leaves every text to the scanner."""
+        """A plain letter that begins with whitespace or a brace is never
+        read, as the scanner never reads one."""
         for letters, text in ((("{a}", "b"), "b({a})"), ((" a", "b"), "b( a)"),
                               (("{", "b"), "b({)"), (("a b", "b"), "a b(b)")):
             ab = Alphabet.plain(*letters)
@@ -194,16 +217,23 @@ class TestLassoMatchesReference:
 
     def test_letters_alone_are_never_scanned(self, monkeypatch):
         """Text that reads into letters alone, braced letters in their
-        canonical spelling among them, is read by the token pattern, with no
-        call to the character scanner."""
+        canonical spelling among them, is read by one findall of the token
+        pattern per chunk: it is never walked token by token, and no braced
+        letter is parsed."""
         texts = [("ab(ba)", OVERLAPPING), (" a \t b(\x1cab )", AB),
                  ("{P}{P,Q}({} {Q})", PQ), ("{}\t{Q}({P,Q} )", PQ)]
         expected = [parse_lasso(text, ab) for text, ab in texts]
+        reader = semantics._reader
+
+        def findall_alone(ab):
+            pattern, letters = reader(ab)
+            return SimpleNamespace(findall=pattern.findall), letters
 
         def refuse(*args):
-            raise AssertionError("scanned")
+            raise AssertionError("braced letter parsed")
 
-        monkeypatch.setattr(semantics, "_scan", refuse)
+        monkeypatch.setattr(semantics, "_reader", findall_alone)
+        monkeypatch.setattr(semantics, "parse_braced_letter", refuse)
         assert [parse_lasso(text, ab) for text, ab in texts] == expected
 
     def test_errors_quote_a_bounded_text(self):
