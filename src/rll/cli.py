@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import operator
 import sys
 
 from . import __version__, algebra, calculus, corpus
@@ -156,6 +157,19 @@ def _two_exprs(args):
     return ab1, e, f
 
 
+def _counterexample(e, f, w, separates) -> int:
+    """Print the search's counterexample w once the fixpoint oracle agrees
+    that its memberships in e and f satisfy ``separates``, as
+    ``member --via both`` re-checks the game."""
+    in_e, in_f = member_oracle(e, w), member_oracle(f, w)
+    if not separates(in_e, in_f):
+        raise CliError(f"game and oracle disagree on the counterexample "
+                       f"{print_lasso(w)} (oracle: left={in_e}, "
+                       f"right={in_f})")
+    print(f"counterexample: {print_lasso(w)}")
+    return 1
+
+
 def cmd_equiv(args) -> int:
     ab, e, f = _two_exprs(args)
     cex = equiv_bounded(e, f, ab, args.max_prefix, args.max_period)
@@ -163,8 +177,7 @@ def cmd_equiv(args) -> int:
         print(f"no difference found up to bounds "
               f"(max-prefix={args.max_prefix}, max-period={args.max_period})")
         return 0
-    print(f"counterexample: {print_lasso(cex.lasso)}")
-    return 1
+    return _counterexample(e, f, cex.lasso, operator.ne)
 
 
 def cmd_incl(args) -> int:
@@ -174,8 +187,7 @@ def cmd_incl(args) -> int:
         print(f"no inclusion counterexample up to bounds "
               f"(max-prefix={args.max_prefix}, max-period={args.max_period})")
         return 0
-    print(f"counterexample: {print_lasso(cex.lasso)}")
-    return 1
+    return _counterexample(e, f, cex.lasso, lambda a, b: a and not b)
 
 
 def cmd_check(args) -> int:

@@ -65,9 +65,16 @@ a total game; the recursion never looks for deadlocks.
 The bounded search decides all enumerated lassos of one length, a batch, by
 one game over their word graph and one occurrence graph of all its
 expressions, which shares the closed subterms the sides have in common (e
-against e + e). The tail of a normal lasso is a normal lasso no longer than
-it, so the enumerated lassos are closed under tails and their word graph
-needs no other vertex. A batch whose word graph would pass ``BATCH_SLOTS``
+against e + e). The search numbers its lassos in enumeration order, and
+``enumerate_lassos`` gives it each lasso's tail's number as a column of
+integers: the tail of a normal lasso is a normal lasso no longer than it, so
+the enumerated lassos are closed under tails. A batch's word graph is the
+closure of its roots under that column, with no other vertex, and no word
+is sliced or hashed to find a tail. Each batch walks its roots' tails
+afresh, so the shorter lassos return as vertices of later batches; on the
+benchmark's searches only about 6 % of the arenas' positions repeat a
+(lasso, node) pair that an earlier batch had, too few to pay for keeping
+the earlier games. A batch whose word graph would pass ``BATCH_SLOTS``
 slots per expression is split into runs of consecutive roots. The search
 stops at the first batch with a separating lasso and returns the first such
 lasso in enumeration order. A length at which an expression's own
@@ -83,7 +90,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
-from itertools import groupby
+from itertools import compress, groupby
 from typing import (Callable, Iterable, Iterator, NamedTuple, Optional,
                     Sequence)
 
@@ -411,62 +418,64 @@ class Counterexample:
     lasso: Lasso
 
 
-def _tail(word: tuple) -> tuple:
-    """The normal lasso of a normal lasso's first tail."""
-    u, v = word
-    return (u[1:], v) if u else ((), v[1:] + v[:1])
-
-
-def _fresh(word: tuple, index: dict) -> dict:
-    """The tails of word, itself first, up to the first one in index or
-    already met, in order (a dict, for its order and its fast lookup)."""
-    fresh: dict = {}
-    while word not in index and word not in fresh:
-        fresh[word] = None
-        word = _tail(word)
+def _walk(i: int, tails: Sequence[int], vertex: dict, order: list) -> int:
+    """Give lasso i and its tails vertices, in order, up to the first tail
+    that has one; return the number of vertices before."""
+    fresh = n = len(order)
+    while i not in vertex:
+        vertex[i] = n
+        n += 1
+        order.append(i)
+        i = tails[i]
     return fresh
 
 
-def word_graphs(lassos: Iterable[Lasso], budget: int
-                ) -> Iterator[tuple[WordGraph, list[tuple]]]:
-    """The normal lassos, in order, as the roots of word graphs over them
-    and their tails, with each vertex's (prefix, period). A graph takes
-    consecutive roots while it has at most ``budget`` vertices, and at
-    least one root. The tail of a normal u(v) is normal: u[1:](v) if u is
-    not empty, else the rotation (v[1:] v[0]); so a root of n letters
-    reaches n vertices, and the enumerated lassos are closed under tails."""
-    words: list[tuple] = []
-    index: dict[tuple, int] = {}
+def word_graphs(lassos: Iterable[Lasso], tails: Sequence[int], budget: int,
+                first: int = 0) -> Iterator[tuple[WordGraph, list[Lasso]]]:
+    """The lassos, in order, as the roots of word graphs over them and their
+    tails, with each graph's roots' lassos. The lassos are numbered from
+    ``first`` on in an enumeration closed under tails, and ``tails[i]`` is
+    the number of lasso i's tail (see ``enumerate_lassos``), so a graph's
+    vertices are the closure of its roots under ``tails``: each root walks
+    its tails, in a dict from number to vertex, up to the first one the
+    graph has. The walk from a root reads the root's word, so its new
+    vertices' letters are the first letters of the root's prefix and
+    period, and a root of n letters reaches at most n new vertices. A graph
+    takes consecutive roots while it has at most ``budget`` vertices, and
+    at least one root."""
+    vertex: dict[int, int] = {}
+    order: list[int] = []  # each vertex's lasso number, by vertex
     letters: list[str] = []
     succ: list[int] = []
     roots: list[int] = []
-    for w in lassos:
-        root = (w.prefix, w.period)
-        fresh = _fresh(root, index)
-        if roots and len(words) + len(fresh) > budget:
-            yield WordGraph(letters, succ, roots), words
-            words, index, letters, succ, roots = [], {}, [], [], []
-            fresh = _fresh(root, index)
-        for word in fresh:
-            index[word] = len(words)
-            words.append(word)
-        for u, v in fresh:
-            letters.append(u[0] if u else v[0])
-            succ.append(index[_tail((u, v))])
-        roots.append(index[root])
+    batch: list[Lasso] = []
+    for r, w in enumerate(lassos, first):
+        fresh = _walk(r, tails, vertex, order)
+        if roots and len(order) > budget:  # a new graph starts at this root
+            yield WordGraph(letters, succ, roots), batch
+            vertex, order, letters, succ, roots, batch = {}, [], [], [], [], []
+            fresh = _walk(r, tails, vertex, order)
+        letters += (w.prefix + w.period)[:len(order) - fresh]
+        succ += map(vertex.__getitem__, map(tails.__getitem__, order[fresh:]))
+        roots.append(vertex[r])
+        batch.append(w)
     if roots:
-        yield WordGraph(letters, succ, roots), words
+        yield WordGraph(letters, succ, roots), batch
 
 
-def _first_separating(exprs: list[Expr], alphabet: Alphabet,
+def _first_separating(e: Expr, f: Expr, alphabet: Alphabet,
                       max_prefix: int, max_period: int,
-                      separates: Callable[..., bool]
+                      separates: Callable[[int, int], bool]
                       ) -> Optional[Counterexample]:
-    """The first enumerated lasso whose memberships in ``exprs`` satisfy
-    ``separates``. Each length class of lassos is one batch, solved as one
-    game over a word graph and the occurrence graph of all of ``exprs``,
-    unless it needs more than BATCH_SLOTS slots per expression; the search
-    stops at the first batch that separates."""
+    """The first enumerated lasso whose winners for e and for f satisfy
+    ``separates``; a side's winner is ELOISE (0) where the lasso is in its
+    language, ABELARD (1) where not. Each length class of lassos is one
+    batch, solved as one game over a word graph and the occurrence graph of
+    both sides, unless it needs more than BATCH_SLOTS slots per expression;
+    the search stops at the first batch that separates."""
+    from array import array  # an extension module: loaded when first used
+
+    exprs = [e, f]
     # an expression's own graph has at most expr_size nodes: it is built,
     # to count them, only where that bound passes the cap at some length
     longest, sizes = max_prefix + max_period, []
@@ -475,17 +484,20 @@ def _first_separating(exprs: list[Expr], alphabet: Alphabet,
         sizes.append(len(occurrence_graph(x, alphabet).kinds)
                      if longest * n > MAX_ARENA else n)
     graph = occurrence_graph(exprs, alphabet)
-    m = len(exprs)
-    budget = max(1, min(BATCH_SLOTS, MAX_ARENA) * m // len(graph.kinds))
-    lassos = enumerate_lassos(alphabet, max_prefix, max_period)
+    budget = max(1, min(BATCH_SLOTS, MAX_ARENA) * 2 // len(graph.kinds))
+    tails = array("i")  # four bytes per lasso
+    lassos = enumerate_lassos(alphabet, max_prefix, max_period, tails)
+    first = 0  # the number of the batch's first lasso
     for length, batch in groupby(lassos, operator.attrgetter("length")):
         for n in sizes:  # where the per-lasso game would refuse
             _check_slots(length, n)
-        for words, vertices in word_graphs(batch, budget):
+        for words, roots in word_graphs(batch, tails, budget, first):
+            first += len(roots)
             won = solve_parity(build_arena(exprs, words, graph)).winner
-            for k, r in enumerate(words.roots):
-                if separates(*(x == ELOISE for x in won[k * m:k * m + m])):
-                    return Counterexample(Lasso(*vertices[r], alphabet))
+            starts = 2 * len(roots)  # root k's are 2k for e, 2k + 1 for f
+            for w in compress(roots, map(separates, won[0:starts:2],
+                                         won[1:starts:2])):
+                return Counterexample(w)
     return None
 
 
@@ -496,7 +508,7 @@ def equiv_bounded(e: Expr, f: Expr, alphabet: Alphabet, max_prefix: int,
 
     This is a semi-decision: agreement within bounds is not equivalence.
     """
-    return _first_separating([e, f], alphabet, max_prefix, max_period,
+    return _first_separating(e, f, alphabet, max_prefix, max_period,
                              operator.ne)
 
 
@@ -504,6 +516,7 @@ def inclusion_bounded(e: Expr, f: Expr, alphabet: Alphabet, max_prefix: int,
                       max_period: int) -> Optional[Counterexample]:
     """First normalized lasso (in enumeration order) in L(e) but not in
     L(f), or None if there is none within the bounds; e and f are decided
-    on one game per batch, as for ``equiv_bounded``."""
-    return _first_separating([e, f], alphabet, max_prefix, max_period,
-                             lambda a, b: a and not b)
+    on one game per batch, as for ``equiv_bounded``. ELOISE < ABELARD, so
+    ``operator.lt`` holds where e's winner is Eloise and f's Abelard."""
+    return _first_separating(e, f, alphabet, max_prefix, max_period,
+                             operator.lt)

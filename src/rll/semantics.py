@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import compress, count
+from itertools import accumulate, chain, compress, count, product
 from typing import Callable, Iterable, Iterator, Mapping, Optional
 
 from .syntax import (BINDERS, BOTTOMS, JOINS, MEETS, MUS, PREFIXES, TOPS, VARS,
@@ -84,6 +84,20 @@ class Lasso:
             out.append(self.letter_at(i))
             i = self.succ(i)
         return tuple(out)
+
+
+def _lasso(prefix: tuple[str, ...], period: tuple[str, ...],
+           alphabet: Alphabet) -> Lasso:
+    """The lasso u(v) without ``Lasso``'s checks, which cost as much as the
+    rest of its construction: for a nonempty period and letters taken from
+    the alphabet's own, as ``enumerate_lassos`` builds them. Its fields are
+    set one by one, as ``Lasso.__init__`` sets them; reading ``__dict__``
+    would give each lasso a dict of its own, twice the memory."""
+    w = object.__new__(Lasso)
+    object.__setattr__(w, "prefix", prefix)
+    object.__setattr__(w, "period", period)
+    object.__setattr__(w, "alphabet", alphabet)
+    return w
 
 
 QUOTE_CAP = 40  # characters of an input that an error message quotes
@@ -223,14 +237,53 @@ def _words(k: int, least: int, most: int) -> int:
     return (k ** (most + 1) - k ** least) // (k - 1)
 
 
-def enumerate_lassos(alphabet: Alphabet, max_prefix: int,
-                     max_period: int) -> Iterator[Lasso]:
+def _primitive(k: int, n: int) -> bytearray:
+    """One flag per word of n letters over k >= 2 letters, in ``product``
+    order: 1 iff the word is primitive. A word's code is its letters'
+    indices read as base-k digits, the first letter highest, so the code of
+    the power of a d-letter word p is p's code times (k^n - 1) / (k^d - 1);
+    for a proper divisor d of n, those are the k^d multiples of that step
+    below k^n, and one slice assignment clears them."""
+    size = k ** n
+    flags = bytearray(b"\1") * size
+    for d in range(1, n):
+        if n % d == 0:
+            flags[::(size - 1) // (k ** d - 1)] = bytes(k ** d)
+    return flags
+
+
+def _rotation_tails(k: int, flags: bytearray, start: int) -> Iterator[int]:
+    """For each primitive word, in ``product`` order, the number of its
+    rotation (v[1:] v[0]), where the primitive words with these flags are
+    numbered from start in that order. The rotation of the word of code
+    a k^(n-1) + b has code b k + a, so the codes of the rotations run
+    through each residue a mod k in turn."""
+    from array import array  # an extension module: loaded when first used
+
+    rank = array("i", accumulate(flags, initial=start))
+    return compress(map(rank.__getitem__, chain.from_iterable(
+        range(a, len(flags), k) for a in range(k))), flags)
+
+
+def enumerate_lassos(alphabet: Alphabet, max_prefix: int, max_period: int,
+                     tails=None) -> Iterator[Lasso]:
     """All normalized lassos with |u| <= max_prefix, 1 <= |v| <= max_period,
     in length-lexicographic order: ascending |u|+|v|, then ascending |u|, then
     lexicographic by alphabet order. A bound that admits no lasso, or
-    bounds that would try over MAX_LASSOS words, is a SemanticsError."""
-    from itertools import product
+    bounds that would try over MAX_LASSOS words, is a SemanticsError.
 
+    u(v) is normal iff v is primitive and u is empty or ends in another
+    letter than v. Primitivity is tested once per period length
+    (``_primitive``), and each u's periods are its block's ``product``
+    through those flags, with the words that end in u's last letter
+    cleared; in ``product`` order, the word of code x ends in letter x % k.
+
+    ``tails``, a list or an array of ints, if given, is extended with the
+    number in this enumeration of each lasso's tail, by the time the lasso
+    is yielded or earlier. The tail of a normal u(v) is the normal lasso
+    u[1:](v) if u is not empty, else the rotation (v[1:] v[0]); so the
+    lassos are closed under tails, and each tail's number follows from the
+    numbers of the blocks of one prefix and one period length."""
     for name, bound, least in (("max-prefix", max_prefix, 0),
                                ("max-period", max_period, 1)):
         if bound < least:
@@ -241,20 +294,50 @@ def enumerate_lassos(alphabet: Alphabet, max_prefix: int,
     if _words(k, 0, max_prefix) * _words(k, 1, max_period) > MAX_LASSOS:
         raise SemanticsError(f"max-prefix {max_prefix} and max-period "
                              f"{max_period} would try over {MAX_LASSOS} lassos")
-    # u(v) is normal iff u is empty or ends in another letter than v, and
-    # v is primitive: for no proper divisor d of |v| is v a power of v[:d]
+    if k == 1:  # a^n is primitive only for n = 1, and every u ends in a
+        if tails is not None:
+            tails.append(0)
+        yield Lasso((), letters, alphabet)
+        return
+    primitive: dict[int, bytearray] = {}  # period length -> its flags
+    unlike: dict[int, list[bytearray]] = {}  # and per last letter c, those
+    # flags with the words that end in c cleared: as many for every c
+    first: dict[tuple[int, int], int] = {}  # (|u|, |v|) -> its first number
+    number = 0
     for total in range(1, max_prefix + max_period + 1):
-        for plen in range(0, min(max_prefix, total - 1) + 1):
+        for plen in range(max(0, total - max_period),
+                          min(max_prefix, total - 1) + 1):
             vlen = total - plen
-            if vlen > max_period:
+            if vlen not in primitive:
+                primitive[vlen] = _primitive(k, vlen)
+            flags = primitive[vlen]
+            first[plen, vlen] = number
+            if plen == 0:
+                if tails is not None:
+                    tails.extend(_rotation_tails(k, flags, number))
+                number += flags.count(1)
+                for v in compress(product(letters, repeat=vlen), flags):
+                    yield _lasso((), v, alphabet)
                 continue
-            divisors = [d for d in range(1, vlen) if vlen % d == 0]
-            for u in product(letters, repeat=plen):
-                last = u[-1] if u else None
-                for v in product(letters, repeat=vlen):
-                    if v[-1] != last and all(v[:d] * (vlen // d) != v
-                                             for d in divisors):
-                        yield Lasso(u, v, alphabet)
+            if vlen not in unlike:
+                unlike[vlen] = [bytearray(flags) for _ in range(k)]
+                for c, cleared in enumerate(unlike[vlen]):
+                    cleared[c::k] = bytes(len(range(c, len(flags), k)))
+            ends = unlike[vlen]
+            periods = ends[0].count(1)
+            shorter, below = first[plen - 1, vlen], k ** (plen - 1)
+            for i, u in enumerate(product(letters, repeat=plen)):
+                if tails is not None and plen == 1:  # (v), numbered
+                    # among all primitive v
+                    tails.extend(compress(count(shorter),
+                                          compress(ends[i % k], flags)))
+                elif tails is not None:  # u[1:], number i % below of its
+                    # block, ends in u's last letter too: the same periods
+                    tail = shorter + i % below * periods
+                    tails.extend(range(tail, tail + periods))
+                number += periods
+                for v in compress(product(letters, repeat=vlen), ends[i % k]):
+                    yield _lasso(u, v, alphabet)
 
 
 Env = Mapping[str, PositionSet]

@@ -5,11 +5,12 @@ priorities, the one-expression reference occurrence graph, the set-based
 reference game and nesting-depth priorities, the frozenset reference
 evaluators and the memoised bit-mask ones, the character-scanning lasso
 reader with the rebuilding normaliser and the per-position masks, the
-per-lasso reference bounded searches and their normalising enumerator, the
-isinstance-walk reference translations, the two Boolean-variable groupings
-of the truth tables, the proof loader that parses each text alone, the
-derivation mutation machinery, and the CLI entry point that builds every
-subcommand's parser on every call."""
+per-lasso reference bounded searches, their normalising enumerator and the
+tuple-walking word-graph builder, the isinstance-walk reference
+translations, the two Boolean-variable groupings of the truth tables, the
+proof loader that parses each text alone, the derivation mutation
+machinery, and the CLI entry point that builds every subcommand's parser on
+every call."""
 
 from __future__ import annotations
 
@@ -28,7 +29,7 @@ from rll.calculus import (CalculusError, Claim, Derivation, FormulaClaim,
 from rll.closure import (DEAD_TOP, DEAD_ZERO, ClosureError, FlClosure,
                          OccurrenceGraph, occurrence_graph)
 from rll.game import (ABELARD, ELOISE, Counterexample, GameError, ParityGame,
-                      Solution, member_game)
+                      Solution, WordGraph, member_game)
 from rll.semantics import (Lasso, SemanticsError, enumerate_lassos,
                            lasso_normalize, quoted)
 from rll.syntax import (BINDERS, BOT, BOTTOMS, JOINS, KEYWORDS, MEETS, MUS,
@@ -882,6 +883,52 @@ def reference_inclusion_sides(e: Expr, f: Expr, alphabet: Alphabet,
         if in_e and not in_f:
             return Counterexample(w)
     return None
+
+
+def _reference_tail(word: tuple) -> tuple:
+    """The normal lasso of a normal lasso's first tail."""
+    u, v = word
+    return (u[1:], v) if u else ((), v[1:] + v[:1])
+
+
+def _reference_fresh(word: tuple, index: dict) -> dict:
+    """The tails of word, itself first, up to the first one in index or
+    already met, in order (a dict, for its order and its fast lookup)."""
+    fresh: dict = {}
+    while word not in index and word not in fresh:
+        fresh[word] = None
+        word = _reference_tail(word)
+    return fresh
+
+
+def reference_word_graphs(lassos, budget: int
+                          ) -> Iterator[tuple[WordGraph, list[tuple]]]:
+    """The normal lassos, in order, as the roots of word graphs over them
+    and their tails, with each vertex's (prefix, period), walked as tuples:
+    the builder that per-search lasso indices and a tail column replaced.
+    A graph takes consecutive roots while it has at most ``budget``
+    vertices, and at least one root."""
+    words: list[tuple] = []
+    index: dict[tuple, int] = {}
+    letters: list[str] = []
+    succ: list[int] = []
+    roots: list[int] = []
+    for w in lassos:
+        root = (w.prefix, w.period)
+        fresh = _reference_fresh(root, index)
+        if roots and len(words) + len(fresh) > budget:
+            yield WordGraph(letters, succ, roots), words
+            words, index, letters, succ, roots = [], {}, [], [], []
+            fresh = _reference_fresh(root, index)
+        for word in fresh:
+            index[word] = len(words)
+            words.append(word)
+        for u, v in fresh:
+            letters.append(u[0] if u else v[0])
+            succ.append(index[_reference_tail((u, v))])
+        roots.append(index[root])
+    if roots:
+        yield WordGraph(letters, succ, roots), words
 
 
 # ---------------------------------------------------------------------------

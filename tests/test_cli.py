@@ -6,6 +6,7 @@ import hashlib
 import json
 import os
 import random
+import signal
 import subprocess
 import sys
 import time
@@ -180,6 +181,64 @@ class TestSearch:
         assert code == 2 and out == ""
         assert err == ("error: max-prefix 40 and max-period 3 would try over "
                        "1048576 lassos\n")
+
+
+class TestRejudgedCounterexample:
+    """``equiv`` and ``incl`` print a counterexample only once the fixpoint
+    oracle agrees that it separates the two sides."""
+
+    @pytest.mark.parametrize("argv,oracle", [
+        (["equiv", "nuax", "top", "--max-prefix", "1", "--max-period", "2"],
+         lambda e, w: True),
+        (["incl", "top", "nuax", "--max-prefix", "1", "--max-period", "1"],
+         lambda e, w: False)])
+    def test_a_disagreeing_oracle_exits_two(self, files, capsys, monkeypatch,
+                                            argv, oracle):
+        judged = []
+        monkeypatch.setattr(rll.cli, "member_oracle",
+                            lambda e, w: judged.append(w) or oracle(e, w))
+        argv = [argv[0], files[argv[1]], files[argv[2]], *argv[3:]]
+        code, out, err = run(capsys, argv)
+        assert code == 2 and out == ""
+        verdict = oracle(None, None)
+        assert err == ("error: game and oracle disagree on the "
+                       f"counterexample (b) (oracle: left={verdict}, "
+                       f"right={verdict})\n")
+        assert [print_lasso(w) for w in judged] == ["(b)", "(b)"]
+
+    def test_an_agreeing_oracle_judges_both_sides(self, files, capsys,
+                                                   monkeypatch):
+        judged = []
+        real = rll.cli.member_oracle
+        monkeypatch.setattr(rll.cli, "member_oracle",
+                            lambda e, w: judged.append(w) or real(e, w))
+        code, out, err = run(capsys, ["equiv", files["nuax"], files["top"],
+                                      "--max-prefix", "1", "--max-period",
+                                      "2"])
+        assert (code, out, err) == (1, "counterexample: (b)\n", "")
+        assert [print_lasso(w) for w in judged] == ["(b)", "(b)"]
+
+    def test_one_letter_at_the_largest_prefix_bound(self, tmp_path, capsys):
+        """Over one letter the only normal lasso is (a), found at once even
+        where the bounds admit a million candidate prefixes; the run is
+        under an alarm, which ends a search that keeps scanning."""
+        nu, mu = tmp_path / "nu.rll", tmp_path / "mu.rll"
+        nu.write_text("alphabet a ;\nnu X. a.X\n")
+        mu.write_text("alphabet a ;\nmu X. a.X\n")
+
+        def stop(signum, frame):
+            raise TimeoutError("the one-letter search did not return")
+
+        handler = signal.signal(signal.SIGALRM, stop)
+        signal.alarm(5)
+        try:
+            got = [run(capsys, [command, str(nu), str(mu), "--max-prefix",
+                                "1048000", "--max-period", "1"])
+                   for command in ("equiv", "incl")]
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, handler)
+        assert got == [(1, "counterexample: (a)\n", "")] * 2
 
 
 class TestTracedLayers:

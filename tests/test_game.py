@@ -2,6 +2,8 @@
 
 import gc
 import random
+from array import array
+from itertools import groupby
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,7 +12,7 @@ from helpers import (depth_priorities, desk_lassos, reference_build_arena,
                      reference_contracted_arena, reference_equiv_bounded,
                      reference_inclusion_bounded, reference_inclusion_sides,
                      reference_occurrence_graph, reference_solve_parity,
-                     spellings)
+                     reference_word_graphs, spellings)
 from rll import algebra, game
 from rll.closure import (DEAD_TOP, DEAD_ZERO, ClosureError, fl_closure,
                          occurrence_graph)
@@ -30,6 +32,14 @@ FB = "mu X. (b.X + a.X + a.(nu Y. a.Y))"
 
 def lasso(text, ab=AB):
     return parse_lasso(text, ab)
+
+
+def search_graphs(ab, max_prefix, max_period, budget):
+    """The word graphs of every lasso within the bounds, as one run of
+    roots, each with its roots' lassos."""
+    tails = array("i")
+    lassos = enumerate_lassos(ab, max_prefix, max_period, tails)
+    return word_graphs(lassos, tails, budget)
 
 
 class TestArena:
@@ -163,14 +173,13 @@ class TestActsReadOnMoves:
             ab = rng.choice((AB, Alphabet.plain("a", "b", "c")))
             e = gen_expr(rng, ab, rng.randint(1, 14))
             graph = occurrence_graph(e, ab)
-            lassos = list(enumerate_lassos(ab, 2, 2))
-            for g, vertices in word_graphs(lassos, rng.choice((1, 7, 10**6))):
+            for g, roots in search_graphs(ab, 2, 2,
+                                          rng.choice((1, 7, 10**6))):
                 won = solve_parity(build_arena(e, g, graph)).winner
-                for k, r in enumerate(g.roots):
-                    full = reference_build_arena(
-                        e, Lasso(*vertices[r], ab), graph)
+                for k, w in enumerate(roots):
+                    full = reference_build_arena(e, w, graph)
                     assert won[k] == reference_solve_parity(full).winner[0], \
-                        (e, vertices[r])
+                        (e, w)
 
 
 def _binder_nesting(e) -> int:
@@ -279,7 +288,6 @@ class TestSharedGraph:
         """Law-shaped pairs, unrelated pairs and a triple: every root's
         winner on every word root is its own game's and the oracle's."""
         rng = random.Random(75)
-        lassos = list(enumerate_lassos(AB, 2, 3))
         shared = 0
         for _ in range(12):
             e, f, g = (gen_expr(rng, AB, rng.randint(1, 11))
@@ -294,12 +302,11 @@ class TestSharedGraph:
                 assert len(graph.roots) == m and graph.root == graph.roots[0]
                 assert len(graph.kinds) <= sum(len(o.kinds) for o in own)
                 shared += len(graph.kinds) < sum(len(o.kinds) for o in own)
-                for words, vertices in word_graphs(lassos,
-                                                   rng.choice((5, 10**6))):
+                for words, roots in search_graphs(AB, 2, 3,
+                                                  rng.choice((5, 10**6))):
                     arena = build_arena(exprs, words, graph)
                     won = solve_parity(arena).winner
-                    for k, r in enumerate(words.roots):
-                        w = Lasso(*vertices[r], AB)
+                    for k, (r, w) in enumerate(zip(words.roots, roots)):
                         for x, (t, o) in enumerate(zip(exprs, own)):
                             assert arena.labels[k * m + x] == \
                                 (r, graph.roots[x])
@@ -308,7 +315,7 @@ class TestSharedGraph:
                                 member_game(t, w, o) == \
                                 (reference_solve_parity(ref).winner[0]
                                  == ELOISE) == \
-                                member_oracle(t, w), (t, vertices[r])
+                                member_oracle(t, w), (t, w)
                     _assert_resolved(arena, graph, words, m)
         assert shared >= 50, shared
 
@@ -350,12 +357,11 @@ class TestSharedGraph:
         """equiv e e and incl e e have one node for both roots: each word
         root still gets two start positions, with one winner."""
         rng = random.Random(76)
-        lassos = list(enumerate_lassos(AB, 2, 2))
         for _ in range(20):
             e = gen_expr(rng, AB, rng.randint(1, 10))
             graph = occurrence_graph([e, e], AB)
             assert graph.roots[0] == graph.roots[1]
-            for words, _vertices in word_graphs(lassos, 10**6):
+            for words, _roots in search_graphs(AB, 2, 2, 10**6):
                 arena = build_arena([e, e], words, graph)
                 won = solve_parity(arena).winner
                 for k in range(len(words.roots)):
@@ -841,6 +847,17 @@ class TestSearchMatchesReference:
         assert len(solved) == 7
 
 
+def vertex_lasso(g, i, ab) -> Lasso:
+    """The lasso that vertex i of the word graph g reads: the letters up
+    to the first vertex its walk meets again, then those of the cycle."""
+    met, j = {}, i
+    while j not in met:
+        met[j] = len(met)
+        j = g.successors[j]
+    word = [g.letters[x] for x in met]
+    return Lasso(tuple(word[:met[j]]), tuple(word[met[j]:]), ab)
+
+
 class TestWordGraph:
     """The word graphs of enumerated lassos: roots in enumeration order, and
     every vertex a normal lasso whose successor is its tail."""
@@ -852,24 +869,22 @@ class TestWordGraph:
             if len(letters) == 3 and bounds == (4, 4):
                 continue  # 2,040 lassos; (3, 3) already has 372
             lassos = list(enumerate_lassos(ab, *bounds))
-            enumerated = {(w.prefix, w.period) for w in lassos}
+            enumerated = set(lassos)
             for budget in (1, 9, 10**6):
-                roots = []
-                for g, vertices in word_graphs(lassos, budget):
-                    assert len(set(vertices)) == len(vertices)
-                    assert len(vertices) <= budget or len(g.roots) == 1
-                    roots += [vertices[r] for r in g.roots]
-                    for i, (u, v) in enumerate(vertices):
-                        s = g.successors[i]
-                        assert vertices[s] in enumerated
+                found = []
+                for g, roots in search_graphs(ab, *bounds, budget):
+                    words = [vertex_lasso(g, i, ab)
+                             for i in range(len(g.letters))]
+                    assert len(set(words)) == len(words)
+                    assert len(words) <= budget or len(g.roots) == 1
+                    assert [words[r] for r in g.roots] == roots
+                    found += roots
+                    for w, s in zip(words, g.successors):
+                        assert w in enumerated and lasso_normalize(w) == w
+                        u, v = w.prefix, w.period
                         raw = Lasso(u[1:], v, ab) if u else Lasso(v[1:], v, ab)
-                        assert Lasso(*vertices[s], ab) == lasso_normalize(raw)
-                        walk, j = [], i
-                        for _ in range(12):
-                            walk.append(g.letters[j])
-                            j = g.successors[j]
-                        assert tuple(walk) == Lasso(u, v, ab).unroll(12)
-                assert roots == [(w.prefix, w.period) for w in lassos]
+                        assert words[s] == lasso_normalize(raw)
+                assert found == lassos
 
     def test_lasso_case_is_one_root(self):
         w = lasso("ab(bab)")
@@ -882,14 +897,45 @@ class TestWordGraph:
         """Root k's start is position k, and its winner is the lasso's
         membership."""
         ab = Alphabet.plain("a", "b")
-        lassos = list(enumerate_lassos(ab, 2, 3))
         for text in (IA, FB, f"({IA}) & ({FB})", "nu X. a.X"):
             e = parse_expr(text, ab)
             graph = occurrence_graph(e, ab)
-            for g, vertices in word_graphs(lassos, 10**6):
+            for g, roots in search_graphs(ab, 2, 3, 10**6):
                 arena = build_arena(e, g, graph)
                 winners = solve_parity(arena).winner
-                for k, r in enumerate(g.roots):
+                for k, (r, w) in enumerate(zip(g.roots, roots)):
                     assert arena.labels[k] == (r, graph.root)
-                    assert (winners[k] == ELOISE) == \
-                        member_oracle(e, Lasso(*vertices[r], ab))
+                    assert (winners[k] == ELOISE) == member_oracle(e, w)
+
+
+class TestWordGraphMatchesReference:
+    """The graphs built over per-search lasso indices and their tail column
+    against the tuple-walking builder (``tests/helpers.py``): the same
+    letters, successors and roots, graph by graph, and the roots' words in
+    order, over the whole enumeration as one run of roots and over each
+    length's batch as the search takes it."""
+
+    @pytest.mark.parametrize("letters", ["a", "ab", "abc"])
+    def test_same_graphs(self, letters):
+        ab = Alphabet.plain(*letters)
+        for max_prefix in range(5):
+            for max_period in range(1, 5):
+                tails = array("i")
+                lassos = list(enumerate_lassos(ab, max_prefix, max_period,
+                                               tails))
+                runs, first = [(lassos, 0)], 0
+                for _, batch in groupby(lassos, lambda w: w.length):
+                    runs.append((list(batch), first))
+                    first += len(runs[-1][0])
+                for budget in (1, 7, 10**6):
+                    for run, first in runs:
+                        got = list(word_graphs(run, tails, budget, first))
+                        want = list(reference_word_graphs(run, budget))
+                        assert len(got) == len(want)
+                        for (g, roots), (h, words) in zip(got, want):
+                            assert (list(g.letters), list(g.successors),
+                                    list(g.roots)) == \
+                                (h.letters, h.successors, h.roots)
+                            assert [(w.prefix, w.period) for w in roots] \
+                                == [words[r] for r in h.roots]
+                            assert len(words) <= budget or len(roots) == 1

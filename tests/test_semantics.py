@@ -352,18 +352,66 @@ class TestEnumerate:
                 next(enumerate_lassos(alphabet, max_prefix, max_period))
 
 
+class TestEnumerateOneLetter:
+    """Over one letter no nonempty prefix is normal and no period longer
+    than 1 is primitive, so (a) is the only lasso at any bounds. The calls
+    run under an alarm: scanning the bounds' candidates instead took
+    seconds at a prefix bound of a few thousand."""
+
+    def test_only_unit_period(self):
+        one = Alphabet.plain("a")
+
+        def stop(signum, frame):
+            raise TimeoutError("enumerate_lassos did not return")
+
+        handler = signal.signal(signal.SIGALRM, stop)
+        signal.alarm(2)
+        try:
+            got = [list(enumerate_lassos(one, max_prefix, max_period, tails))
+                   for max_prefix, max_period, tails in (
+                       (1048000, 1, None), (0, MAX_LASSOS, None),
+                       (1023, 1023, []))]
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, handler)
+        assert got == [[Lasso((), ("a",), one)]] * 3
+
+
 class TestEnumerateMatchesReference:
     """The tuple test of normality against normalising every candidate
     (``tests/helpers.py``)."""
 
     @pytest.mark.parametrize("letters", ["a", "ab", "abc"])
     def test_same_lassos_in_same_order(self, letters):
+        """Over ``a b`` up to period length 6, which has two proper
+        divisors above 1, 2 and 3, each clearing its own powers."""
         ab = Alphabet.plain(*letters)
         for max_prefix in range(5):
-            for max_period in range(1, 5):
+            for max_period in range(1, 7 if letters == "ab" else 5):
                 assert list(enumerate_lassos(ab, max_prefix, max_period)) \
                     == list(reference_enumerate_lassos(ab, max_prefix,
                                                        max_period))
+
+    @pytest.mark.parametrize("letters", ["ab", "abc"])
+    def test_tails_are_the_tails_indices(self, letters):
+        """Each lasso's entry in ``tails`` is its tail's index in the
+        enumeration, u[1:](v) for a nonempty u, else (v[1:] v[0]), and it
+        is there when the lasso is yielded, as are its tails' entries."""
+        ab = Alphabet.plain(*letters)
+        for max_prefix in range(4):
+            for max_period in range(1, 7 - len(letters)):
+                tails: list[int] = []
+                lassos = []
+                for w in enumerate_lassos(ab, max_prefix, max_period, tails):
+                    lassos.append(w)  # every tail reached is known by now
+                    assert max(tails) < len(tails) >= len(lassos)
+                index = {(w.prefix, w.period): i
+                         for i, w in enumerate(lassos)}
+                assert len(tails) == len(lassos)
+                for w, t in zip(lassos, tails):
+                    u, v = w.prefix, w.period
+                    assert t == index[(u[1:], v) if u
+                                      else ((), v[1:] + v[:1])]
 
     def test_normalises_no_candidate(self, monkeypatch):
         """Normality is tested on the tuples, not by lasso_normalize."""
