@@ -23,11 +23,12 @@ and expression root x is position k * m + x whatever the root's kind, so one
 solve decides the word of every word root for every expression. With one
 expression, root k's start is position k.
 
-A position is a start, a binder, or a sum or meet with two distinct live
-moves at its vertex's letter, where a live move is one that does not end in
-its owner's deadlock. As an automaton's transition simplifies at a letter
-(an a.f disjunct is false at b), the arena resolves every other node at
-the letter of the vertex it lands on. A sum, meet or act that is not a
+A position is a start, a sum or meet with two distinct live moves at its
+vertex's letter, where a live move is one that does not end in its owner's
+deadlock, or a binder whose move leads neither to a deadlock nor to a
+binder of no higher priority. As an automaton's transition simplifies at a
+letter (an a.f disjunct is false at b), the arena resolves every other node
+at the letter of the vertex it lands on. A sum, meet or act that is not a
 start is no position in three cases, each of which keeps every winner:
 - its owner can move into the opponent's deadlock: its slot is that
   deadlock, since that player wins by moving there;
@@ -41,14 +42,31 @@ start is no position in three cases, each of which keeps every winner:
   priority is never the least seen infinitely often: every cycle passes a
   binder, whose priority is lower.
 So an act is a position only as a start, and so is a constant: the
-deadlocks of one owner are interchangeable. Each node's resolution at a
-letter depends only on the graph, so it is worked out once per build, when
-first needed, after every non-binder that node reaches without reading; a
-non-binder's successors all have smaller ids, so an explicit stack
-suffices. A choice keeps its moves as resolved at its letter, and a move
-that reads may still end where the other ends, or in a deadlock, once it is
-followed past the letter; a start keeps every move of its root. So a
-position's moves may repeat.
+deadlocks of one owner are interchangeable. A binder that is not a start
+has one move, to its body, resolved at the letter like any other; it is no
+position where that move leads to a deadlock, whose slot it then is, or to
+a binder u of no higher priority, at the same vertex or the next, other
+than its own slot: its slot is then u's. Every play through the binder goes
+on to u, past nodes of no lower priority than u's only, and u's priority is
+no higher than the binder's, so dropping the binder changes no minimum seen
+infinitely often (this generalises the skip of a neutral position above).
+Binders that stand for one another in a cycle all have one priority, none
+being higher than the next, so where a chain of slots comes back to one of
+its own, the arena makes a position of that slot, a binder on the cycle,
+and the cycle keeps its priority. As the priorities come from alternation
+levels, the rule is decided one letter at a time, before the arena is
+known. Each node's resolution at a letter is worked out once per build,
+when first needed, after every node it reaches without reading. A
+non-binder's successors all have smaller ids and a cycle of moves that stay
+at a vertex passes a binder, which takes its own slot until its body is
+resolved; so such a cycle stops at a binder and an explicit stack suffices.
+A node resolved meanwhile may keep that binder's slot rather than what the
+binder resolves to, so which nodes are positions can depend on the order
+they are first needed in; every such arena keeps every winner. A choice
+keeps its moves as resolved at its letter, and a move that reads may still
+end where the other ends, or in a deadlock, once it is followed past the
+letter; a start keeps every move of its root. So a position's moves may
+repeat.
 
 Both halves work on flat integer arrays. The arena grows two parallel lists
 (word vertex, graph node) breadth-first and finds the position a pair
@@ -72,7 +90,7 @@ the enumerated lassos are closed under tails. A batch's word graph is the
 closure of its roots under that column, with no other vertex, and no word
 is sliced or hashed to find a tail. Each batch walks its roots' tails
 afresh, so the shorter lassos return as vertices of later batches; on the
-benchmark's searches only about 6 % of the arenas' positions repeat a
+benchmark's searches only about 1 % of the arenas' positions repeat a
 (lasso, node) pair that an earlier batch had, too few to pay for keeping
 the earlier games. A batch whose word graph would pass ``BATCH_SLOTS``
 slots per expression is split into runs of consecutive roots. The search
@@ -141,6 +159,7 @@ _OWNER = {"act": ELOISE, "zero": ELOISE, "sum": ELOISE, "mu": ELOISE,
 _DEADLOCKS = {"act": (DEAD_ZERO, DEAD_TOP), "zero": (DEAD_ZERO, DEAD_TOP),
               "sum": (DEAD_ZERO, DEAD_TOP), "top": (DEAD_TOP, DEAD_ZERO),
               "meet": (DEAD_TOP, DEAD_ZERO)}
+_BINDERS = frozenset(("mu", "nu"))
 
 # The arena's flat index has one slot per (word vertex, graph node) pair;
 # a game with more slots per expression root is refused before the index is
@@ -178,15 +197,19 @@ def _check_slots(length: int, nodes: int, roots: int = 1):
 
 def _settle(graph: OccurrenceGraph, letter: str, step: list, moves: list,
             s: int) -> int:
-    """Resolve the non-binder node s at a vertex that reads the letter, by
-    the rules of the module docstring, after every non-binder it reaches
-    without reading; return s's slot code. ``step`` and ``moves`` are the
-    letter's tables, None where unresolved: each node's slot code and its
-    moves as codes. A code below 0 is that deadlock, u below n the slot of
-    node u at the same vertex and n + u that of node u at the successor, n
-    the graph's nodes; a node whose slot code is itself is a position. The
-    stack is explicit, as nested sums may run deep."""
-    kinds, n = graph.kinds, len(step)
+    """Resolve node s at a vertex that reads the letter, by the rules of the
+    module docstring, after every node it reaches without reading; return
+    s's slot code. ``step`` and ``moves`` are the letter's tables, None
+    where unresolved: each node's slot code and its moves as codes. A code
+    below 0 is that deadlock, u below n the slot of node u at the same
+    vertex and n + u that of node u at the successor, n the graph's nodes;
+    a node whose slot code is itself is a position. A binder whose body is
+    unresolved takes its own slot as its code until the body is resolved,
+    so a cycle of moves that stay at the vertex, which passes a binder,
+    stops there: a node resolved meanwhile may lead to that binder's slot
+    rather than to what it resolves to. The stack is explicit, as nested
+    sums may run deep."""
+    kinds, priority, n = graph.kinds, graph.priority, len(step)
     todo = [s]
     while todo:
         v = todo.pop()
@@ -196,13 +219,21 @@ def _settle(graph: OccurrenceGraph, letter: str, step: list, moves: list,
                 x = DEAD_ZERO if a != letter else x if x < 0 else n + x
             elif x >= 0:
                 if step[x] is None:
+                    if kinds[v] in _BINDERS:  # its own slot meanwhile
+                        step[v] = v
                     todo += (v, x)
                     break
                 x = step[x]
             codes.append(x)
         else:
             moves[v] = codes = (*codes,)
-            own, opponent = _DEADLOCKS[kinds[v]]
+            kind = kinds[v]
+            if kind in _BINDERS:  # a deadlock, or another binder's slot of
+                x, = codes  # no higher priority (a non-binder's is higher)
+                step[v] = x if x < 0 or x != v and priority[
+                    x - n if x >= n else x] <= priority[v] else v
+                continue
+            own, opponent = _DEADLOCKS[kind]
             if opponent in codes:  # the owner wins by moving there
                 step[v] = opponent
                 continue
@@ -225,10 +256,13 @@ def build_arena(e: Expr | Sequence[Expr], w: Lasso | WordGraph,
     root and the x-th expression, the pair of the two roots, is position
     k * m + x. Every other (vertex, node) pair the game lands on is first
     resolved at the vertex's letter (``_settle``): it is a position only as
-    a binder or as a choice with two distinct live moves, and any other
-    pair stands for the position or deadlock it resolves to. ``graph``,
-    when given, is the occurrence graph of e; a word graph and a list need
-    it."""
+    a choice with two distinct live moves or as a binder that does not
+    stand for a deadlock or for a binder of no higher priority, and any
+    other pair stands for the position or deadlock its chain of slots
+    leads to. A chain that comes back to one of its own slots runs around
+    a cycle of binders of one priority, and its position is the slot where
+    it closes. ``graph``, when given, is the occurrence graph of e; a word
+    graph and a list need it."""
     if isinstance(w, Lasso):
         if graph is None:
             if free_vars(e):
@@ -244,16 +278,14 @@ def build_arena(e: Expr | Sequence[Expr], w: Lasso | WordGraph,
     # x; one graph root skips the comprehension, which costs member 0.5 us
     at = [i for i in roots for _ in graph.roots] if m > 1 else list(roots)
     node = [*graph.roots] * len(roots)
-    # slot i * nodes + v: its position; the deadlocks' slots are the last two
+    # slot i * nodes + v: its position, -2 while on the chain being
+    # followed; the deadlocks' slots are the last two
     index = [-1] * (len(word) * nodes + 2)
     for k in range(len(at) - 1, -1, -1):  # two roots may be one node: the
         index[at[k] * nodes + node[k]] = k  # first start keeps their slot
-    # per letter, each node's slot code, a binder's its own from the start,
-    # and each position's moves, as _settle fills them; and per vertex, its
-    # letter's two tables
-    binders = [v if k == "mu" or k == "nu" else None
-               for v, k in enumerate(graph.kinds)]
-    tables = {c: ([*binders], [None] * nodes) for c in set(word)}
+    # per letter, each node's slot code and each position's moves, as
+    # _settle fills them; and per vertex, its letter's two tables
+    tables = {c: ([None] * nodes, [None] * nodes) for c in set(word)}
     steps = [tables[c][0] for c in word]
     codes = [tables[c][1] for c in word]
     edges: list[tuple[int, ...]] = []
@@ -262,16 +294,9 @@ def build_arena(e: Expr | Sequence[Expr], w: Lasso | WordGraph,
             edges.append(())
             continue
         out = codes[i][v]
-        if out is None:
-            if steps[i][v] != v:  # a start's root, not yet resolved
-                _settle(graph, word[i], steps[i], codes[i], v)
-                out = codes[i][v]
-            else:  # a binder: its body, at the vertex or after a letter
-                (a, x), = graph.moves[v]
-                if a is not None:
-                    x = (DEAD_ZERO if a != word[i] else x if x < 0
-                         else nodes + x)
-                out = codes[i][v] = (x,)
+        if out is None:  # a start's root, not yet resolved
+            _settle(graph, word[i], steps[i], codes[i], v)
+            out = codes[i][v]
         moves = []
         for code in out:
             t = i
@@ -288,11 +313,12 @@ def build_arena(e: Expr | Sequence[Expr], w: Lasso | WordGraph,
                         if code is None:
                             code = _settle(graph, word[t], steps[t],
                                            codes[t], s)
-                    if code == s:
-                        j = index[slot] = len(at)
+                    if code == s or j == -2:  # a position, or a cycle
+                        j = index[slot] = len(at)  # closed at this binder
                         at.append(t if s >= 0 else None)
                         node.append(s)
                         break
+                    index[slot] = -2
                     chain.append(slot)
                     if code >= nodes:
                         t, code = nxt[t], code - nodes

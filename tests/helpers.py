@@ -2,8 +2,9 @@
 the symbol-loop reference tokenizer, the recursive-descent reference
 parsers, the tree-substituting reference closure and its rescanning
 priorities, the one-expression reference occurrence graph, the set-based
-reference game and nesting-depth priorities, the frozenset reference
-evaluators and the memoised bit-mask ones, the character-scanning lasso
+reference game, the flat arena whose binders are all positions and
+nesting-depth priorities, the frozenset reference evaluators and the
+memoised bit-mask ones, the character-scanning lasso
 reader with the rebuilding normaliser and the per-position masks, the
 per-lasso reference bounded searches, their normalising enumerator and the
 tuple-walking word-graph builder, the isinstance-walk reference
@@ -29,7 +30,7 @@ from rll.calculus import (CalculusError, Claim, Derivation, FormulaClaim,
 from rll.closure import (DEAD_TOP, DEAD_ZERO, ClosureError, FlClosure,
                          OccurrenceGraph, occurrence_graph)
 from rll.game import (ABELARD, ELOISE, Counterexample, GameError, ParityGame,
-                      Solution, WordGraph, member_game)
+                      Solution, WordGraph, lasso_graph, member_game)
 from rll.semantics import (Lasso, SemanticsError, enumerate_lassos,
                            lasso_normalize, quoted)
 from rll.syntax import (BINDERS, BOT, BOTTOMS, JOINS, KEYWORDS, MEETS, MUS,
@@ -518,8 +519,9 @@ def reference_occurrence_graph(e: Expr, alphabet: Alphabet
 
 
 # ---------------------------------------------------------------------------
-# Reference game: the arena keyed by tuples in a dict and the set-based
-# Zielonka solver that the flat-array ones replaced.
+# Reference game: the arena keyed by tuples in a dict, the flat arena in
+# which every binder is a position, and the set-based Zielonka solver that
+# the flat-array ones replaced.
 # ---------------------------------------------------------------------------
 
 _OWNER = {"act": ELOISE, "zero": ELOISE, "sum": ELOISE, "mu": ELOISE,
@@ -621,6 +623,125 @@ def reference_contracted_arena(e: Expr, w: Lasso,
         edges.append(tuple(moves))
     return ParityGame(tuple(owners), tuple(prios), tuple(edges), 0,
                       tuple(order))
+
+
+_REF_DEADLOCKS = {"act": (DEAD_ZERO, DEAD_TOP), "zero": (DEAD_ZERO, DEAD_TOP),
+                  "sum": (DEAD_ZERO, DEAD_TOP), "top": (DEAD_TOP, DEAD_ZERO),
+                  "meet": (DEAD_TOP, DEAD_ZERO)}
+
+
+def _reference_settle(graph: OccurrenceGraph, letter: str, step: list,
+                      moves: list, s: int) -> int:
+    """Resolve the non-binder node s at a vertex that reads the letter, as
+    ``game._settle`` did when every binder was a position: ``step`` holds
+    each binder as its own slot code from the start."""
+    kinds, n = graph.kinds, len(step)
+    todo = [s]
+    while todo:
+        v = todo.pop()
+        codes = []
+        for a, x in graph.moves[v]:
+            if a is not None:
+                x = DEAD_ZERO if a != letter else x if x < 0 else n + x
+            elif x >= 0:
+                if step[x] is None:
+                    todo += (v, x)
+                    break
+                x = step[x]
+            codes.append(x)
+        else:
+            moves[v] = codes = (*codes,)
+            own, opponent = _REF_DEADLOCKS[kinds[v]]
+            if opponent in codes:
+                step[v] = opponent
+                continue
+            x = codes[0] if codes else own
+            if len(codes) == 2:
+                y = codes[1]
+                if x == own or x == y:
+                    x = y
+                elif y != own:
+                    x = v
+            step[v] = x
+    return step[s]
+
+
+def reference_resolved_arena(e, w, graph: Optional[OccurrenceGraph] = None
+                             ) -> ParityGame:
+    """The flat-array arena of ``game.build_arena`` as it was while every
+    binder the game reached was a position: only non-binders are resolved
+    at their vertex's letter, and a chain of slots ends at the first
+    binder. Same arguments, start numbering and labels."""
+    if isinstance(w, Lasso):
+        if graph is None:
+            graph = occurrence_graph(e, w.alphabet)
+        w = lasso_graph(w)
+    nodes, m = len(graph.kinds), len(graph.roots)
+    word, nxt, roots = w
+    at = [i for i in roots for _ in graph.roots]
+    node = [*graph.roots] * len(roots)
+    index = [-1] * (len(word) * nodes + 2)
+    for k in range(len(at) - 1, -1, -1):
+        index[at[k] * nodes + node[k]] = k
+    binders = [v if k == "mu" or k == "nu" else None
+               for v, k in enumerate(graph.kinds)]
+    tables = {c: ([*binders], [None] * nodes) for c in set(word)}
+    steps = [tables[c][0] for c in word]
+    codes = [tables[c][1] for c in word]
+    edges: list[tuple[int, ...]] = []
+    for i, v in zip(at, node):
+        if i is None:
+            edges.append(())
+            continue
+        out = codes[i][v]
+        if out is None:
+            if steps[i][v] != v:
+                _reference_settle(graph, word[i], steps[i], codes[i], v)
+                out = codes[i][v]
+            else:
+                (a, x), = graph.moves[v]
+                if a is not None:
+                    x = (DEAD_ZERO if a != word[i] else x if x < 0
+                         else nodes + x)
+                out = codes[i][v] = (x,)
+        moves = []
+        for code in out:
+            t = i
+            if code >= nodes:
+                t, code = nxt[i], code - nodes
+            slot = t * nodes + code if code >= 0 else code
+            j = index[slot]
+            if j < 0:
+                chain = []
+                while True:
+                    s = code
+                    if s >= 0:
+                        code = steps[t][s]
+                        if code is None:
+                            code = _reference_settle(graph, word[t],
+                                                     steps[t], codes[t], s)
+                    if code == s:
+                        j = index[slot] = len(at)
+                        at.append(t if s >= 0 else None)
+                        node.append(s)
+                        break
+                    chain.append(slot)
+                    if code >= nodes:
+                        t, code = nxt[t], code - nodes
+                    slot = t * nodes + code if code >= 0 else code
+                    j = index[slot]
+                    if j >= 0:
+                        break
+                for slot in chain:
+                    index[slot] = j
+            moves.append(j)
+        edges.append(tuple(moves))
+    owner = [*map(_OWNER.__getitem__, graph.kinds), ABELARD, ELOISE]
+    neutral = max(graph.priority)
+    priority = [*graph.priority, neutral, neutral]
+    return ParityGame(tuple(owner[v] for v in node),
+                      tuple(priority[v] for v in node),
+                      tuple(edges), 0, tuple(zip(at, node)))
 
 
 def _attractor(g: ParityGame, preds: list[list[int]], alive: set[int],

@@ -2,6 +2,7 @@
 
 import gc
 import random
+import signal
 from array import array
 from itertools import groupby
 
@@ -11,8 +12,9 @@ from hypothesis import given, settings, strategies as st
 from helpers import (depth_priorities, desk_lassos, reference_build_arena,
                      reference_contracted_arena, reference_equiv_bounded,
                      reference_inclusion_bounded, reference_inclusion_sides,
-                     reference_occurrence_graph, reference_solve_parity,
-                     reference_word_graphs, spellings)
+                     reference_occurrence_graph, reference_resolved_arena,
+                     reference_solve_parity, reference_word_graphs,
+                     spellings)
 from rll import algebra, game
 from rll.closure import (DEAD_TOP, DEAD_ZERO, ClosureError, fl_closure,
                          occurrence_graph)
@@ -57,15 +59,17 @@ class TestArena:
 
     def test_arena_shape_for_infinitely_many_as(self):
         """On (ab) each vertex's sum has one live move, the one that reads
-        the vertex's letter, so the sum is no position: the arena is the
-        two binders at each vertex, and no choice is left."""
+        the vertex's letter, so the sum is no position. The mu then reads
+        its way to the nu after the a and to itself after the b, binders of
+        no higher priority, so it is no position either: the arena is the
+        start and the nu at the b, whose move runs through (1, mu) and
+        (0, mu) back to itself."""
         e = parse_expr(IA, AB)
         graph = occurrence_graph(e, AB)
-        mu, = graph.succs[graph.root]
         g = build_arena(e, lasso("(ab)"), graph)
-        assert g.labels == ((0, graph.root), (0, mu), (1, graph.root), (1, mu))
-        assert g.edges == ((1,), (2,), (3,), (1,))
-        assert solve_parity(g).winner == (ELOISE,) * 4
+        assert g.labels == ((0, graph.root), (1, graph.root))
+        assert g.edges == ((1,), (1,))
+        assert solve_parity(g).winner == (ELOISE,) * 2
 
     def test_open_expression_rejected(self):
         with pytest.raises(GameError):
@@ -147,7 +151,7 @@ class TestActsReadOnMoves:
         """Acts and constants are positions only as roots, and each
         deadlock appears once, with its owner and the neutral priority."""
         choices = deadlocks = 0
-        for e, w in agreement_pairs(69, 2000):
+        for e, w in agreement_pairs(69, 4000):
             graph = occurrence_graph(e, w.alphabet)
             kinds = graph.kinds
             g = build_arena(e, w, graph)
@@ -494,7 +498,7 @@ class TestAgainstReference:
         position, node) it shares with the arena that has a position per
         act has that winner too."""
         shared = 0
-        for e, w in agreement_pairs(66, 2000):
+        for e, w in agreement_pairs(66, 3600):
             g = build_arena(e, w)
             won = reference_solve_parity(g).winner
             assert solve_parity(g).winner == won, \
@@ -519,7 +523,10 @@ def _assert_resolved(g: ParityGame, graph, words, m: int = 1):
     """No position but a start is a non-binder with fewer than two distinct
     live moves at its vertex's letter, and each deadlock appears at most
     once: a sum or a meet is left a position only with two moves, neither
-    of which reads a wrong letter or goes into a deadlock."""
+    of which reads a wrong letter or goes into a deadlock. No position but
+    a start is a binder whose move goes straight into a deadlock, and one
+    whose move lands straight on a binder of no higher priority lies on a
+    cycle of such positions, all of its priority."""
     letters, succ = words.letters, words.successors
     neutral = max(graph.priority)
     dead = [v for i, v in g.labels if i is None]
@@ -529,6 +536,18 @@ def _assert_resolved(g: ParityGame, graph, words, m: int = 1):
             continue
         kind = graph.kinds[v]
         if kind in ("mu", "nu"):
+            (a, x), = graph.moves[v]
+            if a is not None and a != letters[i]:
+                x = DEAD_ZERO
+            assert x >= 0, (j, x)
+            if (graph.kinds[x] in ("mu", "nu")
+                    and graph.priority[x] <= graph.priority[v]):
+                k, seen = j, set()
+                while k not in seen:  # one move each, back to j
+                    seen.add(k)
+                    k, = g.edges[k]
+                    assert g.priorities[k] == g.priorities[j], (j, k)
+                assert k == j, (j, k)
             continue
         assert kind in ("sum", "meet") and g.priorities[j] == neutral, j
         own, opp = ((DEAD_ZERO, DEAD_TOP) if kind == "sum"
@@ -769,6 +788,96 @@ def _outcome(search, *args):
         return search(*args)
     except GameError as err:
         return str(err)
+
+
+def _assert_within_reference(g: ParityGame, ref: ParityGame, starts: int):
+    """Every position of g is one of ref, with the same winner there, and
+    the first ``starts`` positions, the starts, are the same in both."""
+    won = solve_parity(g).winner
+    ref_won = solve_parity(ref).winner
+    by_label = dict(zip(ref.labels, ref_won))
+    for label, winner in zip(g.labels, won):
+        assert by_label[label] == winner, label
+    assert g.labels[:starts] == ref.labels[:starts]
+    assert won[:starts] == ref_won[:starts]
+
+
+class TestBypassedBinders:
+    """Binders that stand for a deadlock or for a binder of no higher
+    priority, against the arena in which every binder the game reaches is
+    a position (``tests/helpers.py::reference_resolved_arena``)."""
+
+    def test_agreement_pairs(self):
+        kept = full = 0
+        for e, w in agreement_pairs(80, 2000):
+            graph = occurrence_graph(e, w.alphabet)
+            g = build_arena(e, w, graph)
+            ref = reference_resolved_arena(e, w, graph)
+            _assert_within_reference(g, ref, 1)
+            kept += len(g.owners)
+            full += len(ref.owners)
+        assert 4 * kept < 3 * full, (kept, full)
+
+    def test_search_batches(self):
+        """The two-expression games of the bounded searches' batches, one
+        start per word root and side."""
+        kept = full = 0
+        for e, f, ab, bounds in _search_pairs(70, 8):
+            graph = occurrence_graph([e, f], ab)
+            for words, _roots in search_graphs(ab, *bounds, 10**6):
+                g = build_arena([e, f], words, graph)
+                ref = reference_resolved_arena([e, f], words, graph)
+                _assert_within_reference(g, ref, 2 * len(words.roots))
+                kept += len(g.owners)
+                full += len(ref.owners)
+        assert 4 * kept < 3 * full, (kept, full)
+
+    def _assert_oracle(self, text: str, lassos):
+        """Under an alarm: a chain of slots that went round a cycle of
+        bypassed binders without closing it would never end."""
+        e = parse_expr(text, AB)
+
+        def stop(signum, frame):
+            raise TimeoutError("the arena's chain of slots did not end")
+
+        handler = signal.signal(signal.SIGALRM, stop)
+        signal.alarm(10)
+        try:
+            for w in lassos:
+                assert member_game(e, w) == member_oracle(e, w), \
+                    (text, print_lasso(w))
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, handler)
+
+    def test_cycles_around_the_period(self):
+        """Both nus read their way to a nu of the same priority after
+        every letter, so the chains of slots run round the period."""
+        rng = random.Random(81)
+        lassos = [lasso("(b)"), lasso("(ab)"), lasso("b(aaa)")]
+        for _ in range(40):
+            period = "".join(rng.choice("ab")
+                             for _ in range(rng.randint(1, 300)))
+            prefix = "".join(rng.choice("ab")
+                             for _ in range(rng.randint(0, 3)))
+            lassos.append(lasso(f"{prefix}({period})"))
+        self._assert_oracle("nu X. nu Y. (a.X + b.Y)", lassos)
+        self._assert_oracle("b.(nu X. nu Y. (a.X + b.Y))", lassos)
+
+    def test_cycle_inside_one_vertex(self):
+        self._assert_oracle("mu X. mu Y. (X + a.Y)", [lasso("(a)")])
+        self._assert_oracle("a.(mu X. mu Y. mu Z. X)", [lasso("(a)")])
+
+    def test_binder_into_a_deadlock(self):
+        self._assert_oracle("mu X. 0", [lasso("(a)")])
+        self._assert_oracle("a.(nu X. b.X) + b.top", [lasso("(a)")])
+        e = parse_expr("a.(mu X. 0)", AB)
+        graph = occurrence_graph(e, AB)
+        mu, = graph.succs[graph.root]
+        g = build_arena(e, lasso("(a)"), graph)
+        assert g.labels == ((0, graph.root), (None, DEAD_ZERO))
+        ref = reference_resolved_arena(e, lasso("(a)"), graph)
+        assert ref.labels == ((0, graph.root), (0, mu), (None, DEAD_ZERO))
 
 
 class TestSearchMatchesReference:
