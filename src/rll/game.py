@@ -17,19 +17,22 @@ time it is needed, labelled (None, DEAD_ZERO) and (None, DEAD_TOP) and
 given the neutral priority. A deadlocked player loses; an infinite play is
 won by Eloise iff the minimum priority seen infinitely often is even, that
 is iff the outermost binder passed infinitely often is a nu. The arena
-starts from every pair of a word root and an expression root at once: with
-m expression roots (see ``OccurrenceGraph.roots``), the start of word root k
-and expression root x is position k * m + x whatever the root's kind, so one
-solve decides the word of every word root for every expression. With one
-expression, root k's start is position k.
+starts from every pair of a word root and an expression root at once, so
+one solve decides the word of every word root for every expression. With m
+expression roots (see ``OccurrenceGraph.roots``), the start of word root k
+and expression root x is the game's ``starts[k * m + x]``: no position of
+its own, but the position or deadlock that pair resolves to, as any other
+pair does below, and its winner is read there. Two starts may share a
+position, as the two sides of e against e always do, and the first start is
+position 0, the game's ``initial``.
 
-A position is a start, a sum or meet with two distinct live moves at its
-vertex's letter, where a live move is one that does not end in its owner's
+A position is a sum or meet with two distinct live moves at its vertex's
+letter, where a live move is one that does not end in its owner's
 deadlock, or a binder whose move leads neither to a deadlock nor to a
 binder of no higher priority. As an automaton's transition simplifies at a
-letter (an a.f disjunct is false at b), the arena resolves every other node
-at the letter of the vertex it lands on. A sum, meet or act that is not a
-start is no position in three cases, each of which keeps every winner:
+letter (an a.f disjunct is false at b), the arena resolves every node at
+the letter of the vertex it lands on, a start's root included. A sum, meet
+or act is no position in three cases, each of which keeps every winner:
 - its owner can move into the opponent's deadlock: its slot is that
   deadlock, since that player wins by moving there;
 - it has no move but into its owner's deadlock: its slot is that deadlock.
@@ -41,15 +44,15 @@ start is no position in three cases, each of which keeps every winner:
   one move and the neutral priority can be skipped, since the neutral
   priority is never the least seen infinitely often: every cycle passes a
   binder, whose priority is lower.
-So an act is a position only as a start, and so is a constant: the
-deadlocks of one owner are interchangeable. A binder that is not a start
-has one move, to its body, resolved at the letter like any other; it is no
-position where that move leads to a deadlock, whose slot it then is, or to
-a binder u of no higher priority, at the same vertex or the next, other
-than its own slot: its slot is then u's. Every play through the binder goes
-on to u, past nodes of no lower priority than u's only, and u's priority is
-no higher than the binder's, so dropping the binder changes no minimum seen
-infinitely often (this generalises the skip of a neutral position above).
+So an act or a constant is never a position: the deadlocks of one owner
+are interchangeable. A binder has one move, to its body, resolved at the
+letter like any other; it is no position where that move leads to a
+deadlock, whose slot it then is, or to a binder u of no higher priority,
+at the same vertex or the next, other than its own slot: its slot is then
+u's. Every play through the binder goes on to u, past nodes of no lower
+priority than u's only, and u's priority is no higher than the binder's,
+so dropping the binder changes no minimum seen infinitely often (this
+generalises the skip of a neutral position above).
 Binders that stand for one another in a cycle all have one priority, none
 being higher than the next, so where a chain of slots comes back to one of
 its own, the arena makes a position of that slot, a binder on the cycle,
@@ -65,8 +68,10 @@ binder resolves to, so which nodes are positions can depend on the order
 they are first needed in; every such arena keeps every winner. A choice
 keeps its moves as resolved at its letter, and a move that reads may still
 end where the other ends, or in a deadlock, once it is followed past the
-letter; a start keeps every move of its root. So a position's moves may
-repeat.
+letter, so a position's moves may repeat. Each rule keeps the winner of the
+pair it drops, so each start's winner is the winner of the position or
+deadlock it stands for, which may be a cycle's binder closed at the start's
+own slot.
 
 Both halves work on flat integer arrays. The arena grows two parallel lists
 (word vertex, graph node) breadth-first and finds the position a pair
@@ -108,7 +113,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
-from itertools import compress, groupby
+from itertools import chain, compress, groupby
 from typing import (Callable, Iterable, Iterator, NamedTuple, Optional,
                     Sequence)
 
@@ -133,10 +138,19 @@ class ParityGame:
     initial: int
     # (word vertex, graph node) labels when built as an arena
     labels: tuple = ()
+    # when built as an arena, the position of each start, in the order of
+    # build_arena; initial is the first
+    starts: tuple[int, ...] = ()
 
     def __post_init__(self):
-        if not (len(self.owners) == len(self.priorities) == len(self.edges)):
+        n = len(self.owners)
+        if not (n == len(self.priorities) == len(self.edges)):
             raise GameError("owners, priorities, edges must align")
+        if not 0 <= self.initial < n or self.starts and not (
+                0 <= min(self.starts) and max(self.starts) < n):
+            raise GameError("a start must be a position")
+        if self.starts and self.initial != self.starts[0]:
+            raise GameError("the initial position must be the first start")
 
 
 @dataclass(frozen=True)
@@ -252,17 +266,19 @@ def build_arena(e: Expr | Sequence[Expr], w: Lasso | WordGraph,
                 graph: Optional[OccurrenceGraph] = None) -> ParityGame:
     """The reachable evaluation-game arena for e, an expression or a list of
     them, over the word graph w, or over the positions of the lasso w, with
-    letters read on moves. With m expressions, the start of the k-th word
-    root and the x-th expression, the pair of the two roots, is position
-    k * m + x. Every other (vertex, node) pair the game lands on is first
-    resolved at the vertex's letter (``_settle``): it is a position only as
-    a choice with two distinct live moves or as a binder that does not
-    stand for a deadlock or for a binder of no higher priority, and any
-    other pair stands for the position or deadlock its chain of slots
-    leads to. A chain that comes back to one of its own slots runs around
-    a cycle of binders of one priority, and its position is the slot where
-    it closes. ``graph``, when given, is the occurrence graph of e; a word
-    graph and a list need it."""
+    letters read on moves. Every (vertex, node) pair the game lands on,
+    each start (the pair of the k-th word root and the x-th expression's
+    root) among them, is first resolved at the vertex's letter
+    (``_settle``): it is a position only as a choice with two distinct live
+    moves or as a binder that does not stand for a deadlock or for a binder
+    of no higher priority, and any other pair stands for the position or
+    deadlock its chain of slots leads to. A chain that comes back to one of
+    its own slots runs around a cycle of binders of one priority, and its
+    position is the slot where it closes. With m expressions, the game's
+    ``starts[k * m + x]`` is the position that start stands for, and
+    ``initial`` is ``starts[0]``; two starts may share a position. ``graph``,
+    when given, is the occurrence graph of e; a word graph and a list need
+    it."""
     if isinstance(w, Lasso):
         if graph is None:
             if free_vars(e):
@@ -272,40 +288,40 @@ def build_arena(e: Expr | Sequence[Expr], w: Lasso | WordGraph,
         w = lasso_graph(w)
     nodes, m = len(graph.kinds), len(graph.roots)
     word, nxt, roots = w
+    if not roots:
+        raise GameError("the word graph has no root to start from")
     _check_slots(len(word), nodes, m)
 
-    # position k * m + x is (at[.], node[.]) of word root k and graph root
-    # x; one graph root skips the comprehension, which costs member 0.5 us
-    at = [i for i in roots for _ in graph.roots] if m > 1 else list(roots)
-    node = [*graph.roots] * len(roots)
+    # position j is the pair (at[j], node[j])
+    at: list[Optional[int]] = []
+    node: list[int] = []
     # slot i * nodes + v: its position, -2 while on the chain being
     # followed; the deadlocks' slots are the last two
     index = [-1] * (len(word) * nodes + 2)
-    for k in range(len(at) - 1, -1, -1):  # two roots may be one node: the
-        index[at[k] * nodes + node[k]] = k  # first start keeps their slot
     # per letter, each node's slot code and each position's moves, as
-    # _settle fills them; and per vertex, its letter's two tables
-    tables = {c: ([None] * nodes, [None] * nodes) for c in set(word)}
+    # _settle fills them; and per vertex, its letter's two tables. Past the
+    # nodes, each moves table has a virtual node whose moves are the
+    # expression roots at the vertex: walked at each word root before any
+    # position, with the same loop, its moves resolve to the root's starts
+    tables = {c: ([None] * nodes, [None] * nodes + [graph.roots])
+              for c in set(word)}
     steps = [tables[c][0] for c in word]
     codes = [tables[c][1] for c in word]
     edges: list[tuple[int, ...]] = []
-    for i, v in zip(at, node):  # both grow while walked: breadth-first
+    # at and node grow while walked: breadth-first
+    for i, v in chain(zip(roots, [nodes] * len(roots)), zip(at, node)):
         if i is None:  # a deadlock
             edges.append(())
             continue
-        out = codes[i][v]
-        if out is None:  # a start's root, not yet resolved
-            _settle(graph, word[i], steps[i], codes[i], v)
-            out = codes[i][v]
         moves = []
-        for code in out:
+        for code in codes[i][v]:
             t = i
             if code >= nodes:
                 t, code = nxt[i], code - nodes
             slot = t * nodes + code if code >= 0 else code
             j = index[slot]
             if j < 0:  # follow the slot's codes to its position
-                chain = []
+                passed = []
                 while True:
                     s = code
                     if s >= 0:
@@ -319,23 +335,27 @@ def build_arena(e: Expr | Sequence[Expr], w: Lasso | WordGraph,
                         node.append(s)
                         break
                     index[slot] = -2
-                    chain.append(slot)
+                    passed.append(slot)
                     if code >= nodes:
                         t, code = nxt[t], code - nodes
                     slot = t * nodes + code if code >= 0 else code
                     j = index[slot]
                     if j >= 0:
                         break
-                for slot in chain:
+                for slot in passed:
                     index[slot] = j
             moves.append(j)
         edges.append(tuple(moves))
+    # the virtual node's moves, root by root, are the starts
+    starts = (*chain.from_iterable(edges[:len(roots)]),)
+    del edges[:len(roots)]
     owner = [*map(_OWNER.__getitem__, graph.kinds), ABELARD, ELOISE]
     neutral = max(graph.priority)  # a non-binder's, if a deadlock is reached
     priority = [*graph.priority, neutral, neutral]
     return ParityGame(tuple(map(owner.__getitem__, node)),
                       tuple(map(priority.__getitem__, node)),
-                      tuple(edges), 0, tuple(zip(at, node)))
+                      tuple(edges), starts[0], tuple(zip(at, node)),
+                      starts)
 
 
 def solve_parity(g: ParityGame) -> Solution:
@@ -498,7 +518,9 @@ def _first_separating(e: Expr, f: Expr, alphabet: Alphabet,
     language, ABELARD (1) where not. Each length class of lassos is one
     batch, solved as one game over a word graph and the occurrence graph of
     both sides, unless it needs more than BATCH_SLOTS slots per expression;
-    the search stops at the first batch that separates."""
+    root k's winners are read at the positions its starts stand for,
+    ``starts[2k]`` for e and ``starts[2k + 1]`` for f. The search stops at
+    the first batch that separates."""
     from array import array  # an extension module: loaded when first used
 
     exprs = [e, f]
@@ -519,10 +541,10 @@ def _first_separating(e: Expr, f: Expr, alphabet: Alphabet,
             _check_slots(length, n)
         for words, roots in word_graphs(batch, tails, budget, first):
             first += len(roots)
-            won = solve_parity(build_arena(exprs, words, graph)).winner
-            starts = 2 * len(roots)  # root k's are 2k for e, 2k + 1 for f
-            for w in compress(roots, map(separates, won[0:starts:2],
-                                         won[1:starts:2])):
+            g = build_arena(exprs, words, graph)
+            # root k's starts are 2k for e and 2k + 1 for f
+            won = [*map(solve_parity(g).winner.__getitem__, g.starts)]
+            for w in compress(roots, map(separates, won[0::2], won[1::2])):
                 return Counterexample(w)
     return None
 

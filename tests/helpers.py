@@ -2,16 +2,16 @@
 the symbol-loop reference tokenizer, the recursive-descent reference
 parsers, the tree-substituting reference closure and its rescanning
 priorities, the one-expression reference occurrence graph, the set-based
-reference game, the flat arena whose binders are all positions and
-nesting-depth priorities, the frozenset reference evaluators and the
-memoised bit-mask ones, the character-scanning lasso
-reader with the rebuilding normaliser and the per-position masks, the
-per-lasso reference bounded searches, their normalising enumerator and the
-tuple-walking word-graph builder, the isinstance-walk reference
-translations, the two Boolean-variable groupings of the truth tables, the
-proof loader that parses each text alone, the derivation mutation
-machinery, and the CLI entry point that builds every subcommand's parser on
-every call."""
+reference game, the flat arena whose binders are all positions, the one
+whose starts are all positions, and nesting-depth priorities, the
+frozenset reference evaluators and the memoised bit-mask ones, the
+character-scanning lasso reader with the rebuilding normaliser and the
+per-position masks, the per-lasso reference bounded searches, their
+normalising enumerator and the tuple-walking word-graph builder, the
+isinstance-walk reference translations, the two Boolean-variable groupings
+of the truth tables, the proof loader that parses each text alone, the
+derivation mutation machinery, and the CLI entry point that builds every
+subcommand's parser on every call."""
 
 from __future__ import annotations
 
@@ -30,7 +30,7 @@ from rll.calculus import (CalculusError, Claim, Derivation, FormulaClaim,
 from rll.closure import (DEAD_TOP, DEAD_ZERO, ClosureError, FlClosure,
                          OccurrenceGraph, occurrence_graph)
 from rll.game import (ABELARD, ELOISE, Counterexample, GameError, ParityGame,
-                      Solution, WordGraph, lasso_graph, member_game)
+                      Solution, WordGraph, _settle, lasso_graph, member_game)
 from rll.semantics import (Lasso, SemanticsError, enumerate_lassos,
                            lasso_normalize, quoted)
 from rll.syntax import (BINDERS, BOT, BOTTOMS, JOINS, KEYWORDS, MEETS, MUS,
@@ -742,6 +742,79 @@ def reference_resolved_arena(e, w, graph: Optional[OccurrenceGraph] = None
     return ParityGame(tuple(owner[v] for v in node),
                       tuple(priority[v] for v in node),
                       tuple(edges), 0, tuple(zip(at, node)))
+
+
+def reference_start_arena(e, w, graph: Optional[OccurrenceGraph] = None
+                          ) -> ParityGame:
+    """The flat-array arena of ``game.build_arena`` as it was while every
+    start was a position of its own: the start of word root k and
+    expression root x is position k * m + x, labelled with those roots and
+    keeping every move of its root, and every other pair is resolved by
+    ``game._settle`` and its chain of slots as in ``build_arena``. Same
+    arguments and labels; its ``starts`` are its first positions, one per
+    word root and expression root."""
+    if isinstance(w, Lasso):
+        if graph is None:
+            graph = occurrence_graph(e, w.alphabet)
+        w = lasso_graph(w)
+    nodes, m = len(graph.kinds), len(graph.roots)
+    word, nxt, roots = w
+    at = [i for i in roots for _ in graph.roots]
+    node = [*graph.roots] * len(roots)
+    index = [-1] * (len(word) * nodes + 2)
+    for k in range(len(at) - 1, -1, -1):  # the first start keeps the slot
+        index[at[k] * nodes + node[k]] = k
+    tables = {c: ([None] * nodes, [None] * nodes) for c in set(word)}
+    steps = [tables[c][0] for c in word]
+    codes = [tables[c][1] for c in word]
+    edges: list[tuple[int, ...]] = []
+    for i, v in zip(at, node):
+        if i is None:
+            edges.append(())
+            continue
+        out = codes[i][v]
+        if out is None:  # a start's root, not yet resolved
+            _settle(graph, word[i], steps[i], codes[i], v)
+            out = codes[i][v]
+        moves = []
+        for code in out:
+            t = i
+            if code >= nodes:
+                t, code = nxt[i], code - nodes
+            slot = t * nodes + code if code >= 0 else code
+            j = index[slot]
+            if j < 0:
+                chain = []
+                while True:
+                    s = code
+                    if s >= 0:
+                        code = steps[t][s]
+                        if code is None:
+                            code = _settle(graph, word[t], steps[t],
+                                           codes[t], s)
+                    if code == s or j == -2:
+                        j = index[slot] = len(at)
+                        at.append(t if s >= 0 else None)
+                        node.append(s)
+                        break
+                    index[slot] = -2
+                    chain.append(slot)
+                    if code >= nodes:
+                        t, code = nxt[t], code - nodes
+                    slot = t * nodes + code if code >= 0 else code
+                    j = index[slot]
+                    if j >= 0:
+                        break
+                for slot in chain:
+                    index[slot] = j
+            moves.append(j)
+        edges.append(tuple(moves))
+    owner = [*map(_OWNER.__getitem__, graph.kinds), ABELARD, ELOISE]
+    neutral = max(graph.priority)
+    priority = [*graph.priority, neutral, neutral]
+    return ParityGame(tuple(owner[v] for v in node),
+                      tuple(priority[v] for v in node), tuple(edges), 0,
+                      tuple(zip(at, node)), tuple(range(len(roots) * m)))
 
 
 def _attractor(g: ParityGame, preds: list[list[int]], alive: set[int],

@@ -4,6 +4,7 @@ import gc
 import random
 import signal
 from array import array
+from contextlib import contextmanager
 from itertools import groupby
 
 import pytest
@@ -13,15 +14,16 @@ from helpers import (depth_priorities, desk_lassos, reference_build_arena,
                      reference_contracted_arena, reference_equiv_bounded,
                      reference_inclusion_bounded, reference_inclusion_sides,
                      reference_occurrence_graph, reference_resolved_arena,
-                     reference_solve_parity, reference_word_graphs,
-                     spellings)
+                     reference_solve_parity, reference_start_arena,
+                     reference_word_graphs, spellings)
 from rll import algebra, game
 from rll.closure import (DEAD_TOP, DEAD_ZERO, ClosureError, fl_closure,
                          occurrence_graph)
 from rll.corpus import agreement_pairs, gen_alphabet, gen_expr, gen_lasso
 from rll.game import (ABELARD, ELOISE, Counterexample, GameError, ParityGame,
-                      build_arena, equiv_bounded, inclusion_bounded,
-                      lasso_graph, member_game, solve_parity, word_graphs)
+                      WordGraph, build_arena, equiv_bounded,
+                      inclusion_bounded, lasso_graph, member_game,
+                      solve_parity, word_graphs)
 from rll.semantics import (Lasso, enumerate_lassos, lasso_normalize,
                            member_oracle, parse_lasso, print_lasso)
 from rll.syntax import (Alphabet, Meet, Mu, Nu, Sum, Var, expr_size,
@@ -61,15 +63,16 @@ class TestArena:
         """On (ab) each vertex's sum has one live move, the one that reads
         the vertex's letter, so the sum is no position. The mu then reads
         its way to the nu after the a and to itself after the b, binders of
-        no higher priority, so it is no position either: the arena is the
-        start and the nu at the b, whose move runs through (1, mu) and
-        (0, mu) back to itself."""
+        no higher priority, so it is no position either, and nor is the
+        nu at the a, which stands for the nu after it. The arena is the nu
+        at the b, whose move runs through (1, mu) and (0, mu) back to
+        itself, and the start stands for it."""
         e = parse_expr(IA, AB)
         graph = occurrence_graph(e, AB)
         g = build_arena(e, lasso("(ab)"), graph)
-        assert g.labels == ((0, graph.root), (1, graph.root))
-        assert g.edges == ((1,), (1,))
-        assert solve_parity(g).winner == (ELOISE,) * 2
+        assert g.labels == ((1, graph.root),)
+        assert g.edges == ((0,),) and g.starts == (0,)
+        assert solve_parity(g).winner == (ELOISE,)
 
     def test_open_expression_rejected(self):
         with pytest.raises(GameError):
@@ -77,34 +80,38 @@ class TestArena:
 
 
 class TestActsReadOnMoves:
-    """Each act's letter is read on the move into it: an act node is a
-    position only as a root or as the body of an act, and every 0, top and
-    letter mismatch is its owner's one shared deadlock, at no vertex."""
+    """Each act's letter is read on the move into it: an act node is never
+    a position, and every 0, top and letter mismatch is its owner's one
+    shared deadlock, at no vertex. A start is resolved like any other
+    pair, so a root that is an act or a constant stands for a position or
+    a deadlock too."""
 
     def test_constant_roots_are_one_deadlock(self):
-        for text, owner, winner in (("0", ELOISE, ABELARD),
-                                    ("top", ABELARD, ELOISE)):
+        for text, owner, winner, dead in (("0", ELOISE, ABELARD, DEAD_ZERO),
+                                          ("top", ABELARD, ELOISE, DEAD_TOP)):
             g = build_arena(parse_expr(text, AB), lasso("(a)"))
             assert g.owners == (owner,) and g.edges == ((),)
-            assert g.labels == ((0, 0),)
+            assert g.labels == ((None, dead),) and g.starts == (0,)
             assert solve_parity(g).winner == (winner,)
 
     def test_act_root(self):
+        """The root a. reads its letter to the nu, which stands for itself:
+        the start is the nu's position, or Eloise's deadlock on a b."""
         e = parse_expr("a.(nu X. a.X)", AB)
         graph = occurrence_graph(e, AB)
         nu, = graph.succs[graph.root]
         g = build_arena(e, lasso("(a)"), graph)
-        assert g.labels == ((0, graph.root), (0, nu))
-        assert g.edges == ((1,), (1,))
-        assert solve_parity(g).winner == (ELOISE, ELOISE)
+        assert g.labels == ((0, nu),)
+        assert g.edges == ((0,),) and g.starts == (0,)
+        assert solve_parity(g).winner == (ELOISE,)
         g = build_arena(e, lasso("b(a)"), graph)
-        assert g.labels == ((0, graph.root), (None, DEAD_ZERO))
-        assert solve_parity(g).winner == (ABELARD, ABELARD)
+        assert g.labels == ((None, DEAD_ZERO),)
+        assert solve_parity(g).winner == (ABELARD,)
 
     def test_act_chains(self):
-        """In a.b.a.X no act is a position but the root: each act's slot
-        goes on to the slot its letter leads to, and a wrong letter or a
-        top ends the chain in a deadlock."""
+        """In a.b.a.X no act is a position: each act's slot goes on to the
+        slot its letter leads to, and a wrong letter or a top ends the
+        chain in a deadlock, for which the start then stands."""
         e = parse_expr("nu X. a.b.a.X", AB)
         graph = occurrence_graph(e, AB)
         g = build_arena(e, lasso("(aba)"), graph)
@@ -113,23 +120,23 @@ class TestActsReadOnMoves:
         e = parse_expr("a.b.a.top", AB)
         graph = occurrence_graph(e, AB)
         g = build_arena(e, lasso("ab(a)"), graph)
-        assert g.labels == ((0, graph.root), (None, DEAD_TOP))
-        assert g.edges == ((1,), ()) and g.owners[1] == ABELARD
-        assert solve_parity(g).winner[0] == ELOISE
+        assert g.labels == ((None, DEAD_TOP),)
+        assert g.edges == ((),) and g.owners == (ABELARD,)
+        assert solve_parity(g).winner[g.initial] == ELOISE
         g = build_arena(e, lasso("aa(a)"), graph)
-        assert g.labels == ((0, graph.root), (None, DEAD_ZERO))
-        assert solve_parity(g).winner[0] == ABELARD
+        assert g.labels == ((None, DEAD_ZERO),)
+        assert solve_parity(g).winner[g.initial] == ABELARD
 
     def test_two_moves_to_one_position(self):
         """Both moves of a.0 + b.0 on (a) end in Eloise's deadlock, the 0
-        after a read and the mismatch: the move repeats, and Eloise loses.
-        So do both moves of X + a.X where the vertex is its own successor."""
+        after a read and the mismatch, so the start stands for that
+        deadlock, and Eloise loses. Both moves of X + a.X, where the vertex
+        is its own successor, lead to the mu: the move repeats."""
         g = build_arena(parse_expr("a.0 + b.0", AB), lasso("(a)"))
-        assert g.edges == ((1, 1), ())
-        assert g.labels[1] == (None, DEAD_ZERO)
-        assert g.owners == (ELOISE, ELOISE)
-        assert solve_parity(g).winner == (ABELARD, ABELARD)
-        assert reference_solve_parity(g).winner == (ABELARD, ABELARD)
+        assert g.edges == ((),) and g.labels == ((None, DEAD_ZERO),)
+        assert g.owners == (ELOISE,)
+        assert solve_parity(g).winner == (ABELARD,)
+        assert reference_solve_parity(g).winner == (ABELARD,)
         g = build_arena(parse_expr("mu X. (X + a.X)", AB), lasso("(a)"))
         assert g.edges == ((1,), (0, 0))
         assert solve_parity(g).winner == (ABELARD, ABELARD)
@@ -137,19 +144,21 @@ class TestActsReadOnMoves:
 
     def test_abelard_refutes_by_a_wrong_letter(self):
         """The meet's only losing move for Eloise reads b on an a: Abelard
-        takes it, into Eloise's deadlock."""
+        would take it, into Eloise's deadlock, so the start stands for that
+        deadlock."""
         e = parse_expr("(nu X. a.X) & b.top", AB)
         g = build_arena(e, lasso("(a)"))
         sol = solve_parity(g)
-        assert g.owners[0] == ABELARD and sol.winner[0] == ABELARD
-        assert g.labels[sol.strategy_abelard[0]] == (None, DEAD_ZERO)
+        assert g.labels[g.initial] == (None, DEAD_ZERO)
+        assert sol.winner[g.initial] == ABELARD
         assert not member_oracle(e, lasso("(a)"))
         e = parse_expr("(nu X. a.X) & a.top", AB)
-        assert solve_parity(build_arena(e, lasso("(a)"))).winner[0] == ELOISE
+        g = build_arena(e, lasso("(a)"))
+        assert solve_parity(g).winner[g.initial] == ELOISE
 
     def test_positions_and_deadlocks(self):
-        """Acts and constants are positions only as roots, and each
-        deadlock appears once, with its owner and the neutral priority."""
+        """Acts and constants are never positions, and each deadlock
+        appears once, with its owner and the neutral priority."""
         choices = deadlocks = 0
         for e, w in agreement_pairs(69, 4000):
             graph = occurrence_graph(e, w.alphabet)
@@ -162,7 +171,7 @@ class TestActsReadOnMoves:
                     assert g.owners[j] == (ELOISE if v == DEAD_ZERO
                                            else ABELARD)
                     assert g.priorities[j] == max(graph.priority)
-                elif j > 0:  # only the root may be an act or a constant
+                else:  # no act or constant, the root's included
                     assert kinds[v] not in ("act", "zero", "top")
                     choices += kinds[v] in ("sum", "meet")
             assert len({l for l in g.labels if l[0] is None}) == \
@@ -179,11 +188,12 @@ class TestActsReadOnMoves:
             graph = occurrence_graph(e, ab)
             for g, roots in search_graphs(ab, 2, 2,
                                           rng.choice((1, 7, 10**6))):
-                won = solve_parity(build_arena(e, g, graph)).winner
+                arena = build_arena(e, g, graph)
+                won = solve_parity(arena).winner
                 for k, w in enumerate(roots):
                     full = reference_build_arena(e, w, graph)
-                    assert won[k] == reference_solve_parity(full).winner[0], \
-                        (e, w)
+                    assert won[arena.starts[k]] == \
+                        reference_solve_parity(full).winner[0], (e, w)
 
 
 def _binder_nesting(e) -> int:
@@ -310,12 +320,12 @@ class TestSharedGraph:
                                                   rng.choice((5, 10**6))):
                     arena = build_arena(exprs, words, graph)
                     won = solve_parity(arena).winner
-                    for k, (r, w) in enumerate(zip(words.roots, roots)):
+                    assert len(arena.starts) == m * len(words.roots)
+                    for k, w in enumerate(roots):
                         for x, (t, o) in enumerate(zip(exprs, own)):
-                            assert arena.labels[k * m + x] == \
-                                (r, graph.roots[x])
                             ref = reference_contracted_arena(t, w, o)
-                            assert (won[k * m + x] == ELOISE) == \
+                            start = arena.starts[k * m + x]
+                            assert (won[start] == ELOISE) == \
                                 member_game(t, w, o) == \
                                 (reference_solve_parity(ref).winner[0]
                                  == ELOISE) == \
@@ -352,27 +362,58 @@ class TestSharedGraph:
             exprs = [parse_expr(t, AB) for t in texts]
             graph = occurrence_graph(exprs, AB)
             for w in desk_lassos(AB):
-                won = solve_parity(build_arena(exprs, w, graph)).winner
+                arena = build_arena(exprs, w, graph)
+                won = solve_parity(arena).winner
                 for x, t in enumerate(exprs):
-                    assert (won[x] == ELOISE) == member_oracle(t, w), (t, w)
+                    assert (won[arena.starts[x]] == ELOISE) == \
+                        member_oracle(t, w), (t, w)
             assert graph.kinds.count("mu") == 2
 
     def test_an_expression_against_itself(self):
         """equiv e e and incl e e have one node for both roots: each word
-        root still gets two start positions, with one winner."""
+        root's two starts are one position."""
         rng = random.Random(76)
         for _ in range(20):
             e = gen_expr(rng, AB, rng.randint(1, 10))
             graph = occurrence_graph([e, e], AB)
             assert graph.roots[0] == graph.roots[1]
-            for words, _roots in search_graphs(AB, 2, 2, 10**6):
+            for words, roots in search_graphs(AB, 2, 2, 10**6):
                 arena = build_arena([e, e], words, graph)
                 won = solve_parity(arena).winner
-                for k in range(len(words.roots)):
-                    assert arena.labels[2 * k] == arena.labels[2 * k + 1]
-                    assert won[2 * k] == won[2 * k + 1]
+                for k, w in enumerate(roots):
+                    assert arena.starts[2 * k] == arena.starts[2 * k + 1]
+                    assert (won[arena.starts[2 * k]] == ELOISE) == \
+                        member_oracle(e, w), (e, w)
             assert equiv_bounded(e, e, AB, 2, 3) is None
             assert inclusion_bounded(e, e, AB, 3, 2) is None
+
+
+class TestParityGame:
+    """A game's initial position and starts must be positions, and the
+    initial position is the first start; an arena needs a word root to
+    start from."""
+
+    def test_initial_must_be_a_position(self):
+        for initial in (-1, 1):
+            with pytest.raises(GameError):
+                ParityGame((ELOISE,), (0,), ((0,),), initial)
+
+    def test_starts_must_be_positions(self):
+        for starts in ((0, 2), (0, -1)):
+            with pytest.raises(GameError):
+                ParityGame((ELOISE, ELOISE), (0, 0), ((1,), (0,)), 0, (),
+                           starts)
+
+    def test_a_word_graph_needs_a_root(self):
+        e = parse_expr("nu X. a.X", AB)
+        with pytest.raises(GameError):
+            build_arena(e, WordGraph("a", [0], []), occurrence_graph(e, AB))
+
+    def test_initial_is_the_first_start(self):
+        with pytest.raises(GameError):
+            ParityGame((ELOISE, ELOISE), (0, 0), ((1,), (0,)), 0, (), (1, 0))
+        g = ParityGame((ELOISE, ELOISE), (0, 0), ((1,), (0,)), 1, (), (1, 0))
+        assert g.initial == g.starts[0] == 1
 
 
 class TestSolver:
@@ -493,23 +534,31 @@ class TestAgainstReference:
         assert stuck == {ELOISE, ABELARD}
 
     def test_agreement_pair_arenas_and_winners(self):
-        """Every position of the arena is one of the dict-keyed arena with
-        acts read on moves, with the same winner there, and every (lasso
-        position, node) it shares with the arena that has a position per
-        act has that winner too."""
+        """Every position of the arena at a vertex is one of the dict-keyed
+        arena with acts read on moves, with the same winner there, and
+        every (lasso position, node) it shares with the arena that has a
+        position per act has that winner too. A deadlock, which that arena
+        has only where a move reaches it, is won by its owner's opponent,
+        and the start's winner is that arena's start's."""
         shared = 0
-        for e, w in agreement_pairs(66, 3600):
+        for e, w in agreement_pairs(66, 7500):
             g = build_arena(e, w)
             won = reference_solve_parity(g).winner
             assert solve_parity(g).winner == won, \
                 f"winners differ on {e} / {print_lasso(w)}"
             ref = reference_contracted_arena(e, w)
-            ref_won = dict(zip(ref.labels,
-                               reference_solve_parity(ref).winner))
+            ref_winner = reference_solve_parity(ref).winner
+            assert won[g.initial] == ref_winner[0], \
+                f"the start differs on {e} / {print_lasso(w)}"
+            ref_won = dict(zip(ref.labels, ref_winner))
             full = reference_build_arena(e, w)
             full_won = dict(zip(full.labels,
                                 reference_solve_parity(full).winner))
             for label, winner in zip(g.labels, won):
+                if label[0] is None:
+                    assert winner == (ABELARD if label[1] == DEAD_ZERO
+                                      else ELOISE), label
+                    continue
                 assert ref_won[label] == winner, \
                     f"{label} differs on {e} / {print_lasso(w)}"
                 if label in full_won:
@@ -520,19 +569,21 @@ class TestAgainstReference:
 
 
 def _assert_resolved(g: ParityGame, graph, words, m: int = 1):
-    """No position but a start is a non-binder with fewer than two distinct
-    live moves at its vertex's letter, and each deadlock appears at most
-    once: a sum or a meet is left a position only with two moves, neither
-    of which reads a wrong letter or goes into a deadlock. No position but
-    a start is a binder whose move goes straight into a deadlock, and one
+    """No position, a start's included, is a non-binder with fewer than two
+    distinct live moves at its vertex's letter, and each deadlock appears
+    at most once: a sum or a meet is left a position only with two moves,
+    neither of which reads a wrong letter or goes into a deadlock. No
+    position is a binder whose move goes straight into a deadlock, and one
     whose move lands straight on a binder of no higher priority lies on a
-    cycle of such positions, all of its priority."""
+    cycle of such positions, all of its priority. There are m starts per
+    word root."""
     letters, succ = words.letters, words.successors
     neutral = max(graph.priority)
     dead = [v for i, v in g.labels if i is None]
     assert len(set(dead)) == len(dead)
+    assert len(g.starts) == len(words.roots) * m
     for j, (i, v) in enumerate(g.labels):
-        if i is None or j < len(words.roots) * m:
+        if i is None:
             continue
         kind = graph.kinds[v]
         if kind in ("mu", "nu"):
@@ -572,7 +623,7 @@ class TestResolvedArena:
             g = build_arena(e, w, graph)
             ref = reference_contracted_arena(e, w, graph)
             want = member_oracle(e, w)
-            assert (solve_parity(g).winner[0] == ELOISE) == want, \
+            assert (solve_parity(g).winner[g.initial] == ELOISE) == want, \
                 f"{e} / {print_lasso(w)}"
             assert (reference_solve_parity(ref).winner[0] == ELOISE) == want
             _assert_resolved(g, graph, lasso_graph(w))
@@ -581,17 +632,17 @@ class TestResolvedArena:
         """A meet's sums resolve before it. On an a the left sum reaches
         Abelard's deadlock, which he never takes, and the right sum reads
         a: the meet is that read, back to the nu. On a b the left sum is
-        Eloise's deadlock, which Abelard takes. Two sums that resolve alike
-        leave their meet one move."""
+        Eloise's deadlock, which Abelard takes, so the meet, the nu and the
+        start stand for that deadlock. Two sums that resolve alike leave
+        their meet one move."""
         e = parse_expr("nu X. ((b.0 + a.top) & (a.X + b.0))", AB)
         graph = occurrence_graph(e, AB)
         g = build_arena(e, lasso("(a)"), graph)
         assert g.labels == ((0, graph.root),) and g.edges == ((0,),)
         assert solve_parity(g).winner == (ELOISE,)
         g = build_arena(e, lasso("(b)"), graph)
-        assert g.labels == ((0, graph.root), (None, DEAD_ZERO))
-        assert g.edges == ((1,), ())
-        assert solve_parity(g).winner == (ABELARD, ABELARD)
+        assert g.labels == ((None, DEAD_ZERO),) and g.edges == ((),)
+        assert solve_parity(g).winner == (ABELARD,)
         assert member_oracle(e, lasso("(a)"))
         assert not member_oracle(e, lasso("(b)"))
         # two sums that each leave the one move that reads a: the meet's
@@ -612,7 +663,7 @@ class TestResolvedArena:
                 w = gen_lasso(rng, AB, 20, 30)
                 g = build_arena(e, w)
                 ref = reference_contracted_arena(e, w)
-                assert (solve_parity(g).winner[0] ==
+                assert (solve_parity(g).winner[g.initial] ==
                         reference_solve_parity(ref).winner[0])
                 kept += len(g.owners)
                 full += len(ref.owners)
@@ -791,15 +842,49 @@ def _outcome(search, *args):
 
 
 def _assert_within_reference(g: ParityGame, ref: ParityGame, starts: int):
-    """Every position of g is one of ref, with the same winner there, and
-    the first ``starts`` positions, the starts, are the same in both."""
+    """Every position of g at a vertex is one of ref, with the same winner
+    there, and each deadlock is won by its owner's opponent: ref has a
+    deadlock only where a move reaches it, and g also where a start stands
+    for it. ref's first ``starts`` positions are its starts, and each
+    start's winner in g, read at the position it stands for, is ref's."""
     won = solve_parity(g).winner
     ref_won = solve_parity(ref).winner
     by_label = dict(zip(ref.labels, ref_won))
     for label, winner in zip(g.labels, won):
-        assert by_label[label] == winner, label
-    assert g.labels[:starts] == ref.labels[:starts]
-    assert won[:starts] == ref_won[:starts]
+        if label[0] is None:
+            assert winner == (ABELARD if label[1] == DEAD_ZERO
+                              else ELOISE), label
+        else:
+            assert by_label[label] == winner, label
+    assert len(g.starts) == starts and g.initial == g.starts[0]
+    assert [won[j] for j in g.starts] == [*ref_won[:starts]]
+
+
+@contextmanager
+def _alarm(seconds: int = 10):
+    """Raise TimeoutError in the block after ``seconds``: a chain of slots
+    that went round a cycle of bypassed binders without closing it would
+    never end."""
+
+    def stop(signum, frame):
+        raise TimeoutError("the arena's chain of slots did not end")
+
+    handler = signal.signal(signal.SIGALRM, stop)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, handler)
+
+
+def _assert_oracle(text: str, lassos):
+    """The game's verdict is the oracle's on each lasso, under an alarm."""
+    e = parse_expr(text, AB)
+    with _alarm():
+        for w in lassos:
+            assert member_game(e, w) == member_oracle(e, w), \
+                (text, print_lasso(w))
 
 
 class TestBypassedBinders:
@@ -832,24 +917,6 @@ class TestBypassedBinders:
                 full += len(ref.owners)
         assert 4 * kept < 3 * full, (kept, full)
 
-    def _assert_oracle(self, text: str, lassos):
-        """Under an alarm: a chain of slots that went round a cycle of
-        bypassed binders without closing it would never end."""
-        e = parse_expr(text, AB)
-
-        def stop(signum, frame):
-            raise TimeoutError("the arena's chain of slots did not end")
-
-        handler = signal.signal(signal.SIGALRM, stop)
-        signal.alarm(10)
-        try:
-            for w in lassos:
-                assert member_game(e, w) == member_oracle(e, w), \
-                    (text, print_lasso(w))
-        finally:
-            signal.alarm(0)
-            signal.signal(signal.SIGALRM, handler)
-
     def test_cycles_around_the_period(self):
         """Both nus read their way to a nu of the same priority after
         every letter, so the chains of slots run round the period."""
@@ -861,23 +928,94 @@ class TestBypassedBinders:
             prefix = "".join(rng.choice("ab")
                              for _ in range(rng.randint(0, 3)))
             lassos.append(lasso(f"{prefix}({period})"))
-        self._assert_oracle("nu X. nu Y. (a.X + b.Y)", lassos)
-        self._assert_oracle("b.(nu X. nu Y. (a.X + b.Y))", lassos)
+        _assert_oracle("nu X. nu Y. (a.X + b.Y)", lassos)
+        _assert_oracle("b.(nu X. nu Y. (a.X + b.Y))", lassos)
 
     def test_cycle_inside_one_vertex(self):
-        self._assert_oracle("mu X. mu Y. (X + a.Y)", [lasso("(a)")])
-        self._assert_oracle("a.(mu X. mu Y. mu Z. X)", [lasso("(a)")])
+        _assert_oracle("mu X. mu Y. (X + a.Y)", [lasso("(a)")])
+        _assert_oracle("a.(mu X. mu Y. mu Z. X)", [lasso("(a)")])
 
     def test_binder_into_a_deadlock(self):
-        self._assert_oracle("mu X. 0", [lasso("(a)")])
-        self._assert_oracle("a.(nu X. b.X) + b.top", [lasso("(a)")])
+        _assert_oracle("mu X. 0", [lasso("(a)")])
+        _assert_oracle("a.(nu X. b.X) + b.top", [lasso("(a)")])
         e = parse_expr("a.(mu X. 0)", AB)
         graph = occurrence_graph(e, AB)
         mu, = graph.succs[graph.root]
         g = build_arena(e, lasso("(a)"), graph)
-        assert g.labels == ((0, graph.root), (None, DEAD_ZERO))
+        assert g.labels == ((None, DEAD_ZERO),) and g.starts == (0,)
         ref = reference_resolved_arena(e, lasso("(a)"), graph)
         assert ref.labels == ((0, graph.root), (0, mu), (None, DEAD_ZERO))
+
+
+class TestStartsStandForSlots:
+    """Each start stands for the position or deadlock its slot resolves
+    to, against the arena in which every start is a position of its own
+    (``tests/helpers.py::reference_start_arena``)."""
+
+    def test_agreement_pairs(self):
+        kept = full = 0
+        for e, w in agreement_pairs(80, 2000):
+            graph = occurrence_graph(e, w.alphabet)
+            g = build_arena(e, w, graph)
+            ref = reference_start_arena(e, w, graph)
+            _assert_within_reference(g, ref, 1)
+            kept += len(g.owners)
+            full += len(ref.owners)
+        assert 3 * kept < 2 * full, (kept, full)
+
+    def test_search_batches(self):
+        """The two-expression games of the bounded searches' batches, two
+        starts per word root, where most starts stand for another slot."""
+        kept = full = 0
+        for e, f, ab, bounds in _search_pairs(70, 8):
+            graph = occurrence_graph([e, f], ab)
+            for words, _roots in search_graphs(ab, *bounds, 10**6):
+                g = build_arena([e, f], words, graph)
+                ref = reference_start_arena([e, f], words, graph)
+                _assert_within_reference(g, ref, 2 * len(words.roots))
+                kept += len(g.owners)
+                full += len(ref.owners)
+        assert 3 * kept < full, (kept, full)
+
+    def test_starts_into_a_deadlock(self):
+        for text, w, dead in (("0", "(a)", DEAD_ZERO),
+                              ("top", "(a)", DEAD_TOP),
+                              ("a.0", "(b)", DEAD_ZERO)):
+            _assert_oracle(text, [lasso(w)])
+            g = build_arena(parse_expr(text, AB), lasso(w))
+            assert g.labels == ((None, dead),) and g.starts == (0,)
+
+    def test_starts_into_a_cycle(self):
+        """The nu's body reads its way to the nu after each letter, and nu
+        Y's to itself on the b: the start's chain of slots closes a cycle
+        of bypassed binders, at the start's own slot or at nu Y's."""
+        for text, w, closed in (("nu X. (a.X + b.X)", "(ab)", (0, 0)),
+                                ("nu X. nu Y. (a.X + b.Y)", "(b)", (0, 1))):
+            _assert_oracle(text, [lasso(w)])
+            g = build_arena(parse_expr(text, AB), lasso(w))
+            assert g.labels == (closed,) and g.edges == ((0,),)
+            assert g.starts == (0,)
+
+    def test_an_expression_against_itself(self):
+        """Both starts of a word root are one slot, so one position."""
+        for text, w in (("0", "(a)"), ("top", "(a)"), ("a.0", "(b)"),
+                        ("nu X. (a.X + b.X)", "(ab)"),
+                        ("nu X. nu Y. (a.X + b.Y)", "(b)"), (IA, "a(b)")):
+            e = parse_expr(text, AB)
+            graph = occurrence_graph([e, e], AB)
+            with _alarm():
+                g = build_arena([e, e], lasso_graph(lasso(w)), graph)
+                won = solve_parity(g).winner
+            assert g.starts[0] == g.starts[1] == g.initial, text
+            assert (won[g.initial] == ELOISE) == member_oracle(e, lasso(w))
+
+    def test_search_whose_starts_are_deadlocks_or_cycles(self):
+        """top against nu X. (a.X + b.X): every start stands for Abelard's
+        deadlock or closes a cycle of bypassed binders."""
+        top = parse_expr("top", AB)
+        e = parse_expr("nu X. (a.X + b.X)", AB)
+        with _alarm():
+            assert equiv_bounded(top, e, AB, 6, 6) is None
 
 
 class TestSearchMatchesReference:
@@ -1003,8 +1141,8 @@ class TestWordGraph:
         assert list(g.roots) == [0]
 
     def test_roots_lead_the_arena(self):
-        """Root k's start is position k, and its winner is the lasso's
-        membership."""
+        """Root k's start is ``starts[k]``, the first of them position 0,
+        and the winner there is the lasso's membership."""
         ab = Alphabet.plain("a", "b")
         for text in (IA, FB, f"({IA}) & ({FB})", "nu X. a.X"):
             e = parse_expr(text, ab)
@@ -1012,9 +1150,11 @@ class TestWordGraph:
             for g, roots in search_graphs(ab, 2, 3, 10**6):
                 arena = build_arena(e, g, graph)
                 winners = solve_parity(arena).winner
-                for k, (r, w) in enumerate(zip(g.roots, roots)):
-                    assert arena.labels[k] == (r, graph.root)
-                    assert (winners[k] == ELOISE) == member_oracle(e, w)
+                assert arena.initial == arena.starts[0] == 0
+                assert len(arena.starts) == len(g.roots)
+                for k, w in enumerate(roots):
+                    assert (winners[arena.starts[k]] == ELOISE) == \
+                        member_oracle(e, w)
 
 
 class TestWordGraphMatchesReference:
