@@ -4,9 +4,7 @@ from .syntax import (Alphabet, Expr, MuLtlFormula, ParseError, RllError,
                      alpha_eq, free_vars, negate_formula, parse_expr,
                      parse_expr_file, parse_formula, parse_formula_file,
                      print_expr, substitute)
-from .closure import (FlClosure, OccurrenceGraph, assign_priorities,
-                      closure_with_priorities, export_dot, fl_closure,
-                      occurrence_graph)
+from .closure import OccurrenceGraph, occurrence_graph
 from .semantics import (Lasso, enumerate_lassos, eval_multl, eval_rll,
                         lasso_normalize, member_oracle, models, parse_lasso,
                         print_lasso)

@@ -31,8 +31,7 @@ import operator
 import sys
 
 from . import __version__, algebra, calculus, corpus
-from .closure import (check_printed, closure_with_priorities, export_dot,
-                      format_closure)
+from .closure import check_printed, format_graph, graph_dot, occurrence_graph
 from .game import equiv_bounded, inclusion_bounded, member_game
 from .semantics import (lasso_normalize, member_oracle, parse_lasso,
                         print_lasso, quoted)
@@ -96,13 +95,13 @@ def cmd_parse(args) -> int:
 
 def cmd_closure(args) -> int:
     ab, e = _load(parse_expr_file, args.file, args)
-    print(format_closure(closure_with_priorities(e, ab)))
+    print(format_graph(e, occurrence_graph(e, ab)))
     return 0
 
 
 def cmd_apa_dot(args) -> int:
     ab, e = _load(parse_expr_file, args.file, args)
-    sys.stdout.write(export_dot(closure_with_priorities(e, ab)))
+    sys.stdout.write(graph_dot(occurrence_graph(e, ab), ab))
     return 0
 
 

@@ -1,4 +1,4 @@
-"""The game's occurrence graph, and the paper's Fischer-Ladner closure.
+"""The game's occurrence graph: the automaton that membership runs on.
 
 The occurrence graph is what the evaluation game runs on. Its nodes are the
 subterm occurrences of one or more closed expressions, built in one pass
@@ -31,38 +31,18 @@ infinitely often has that binder's parity and its kind decides the winner.
 Zielonka's recursion then goes no deeper than the alternation of mu and nu,
 however deep the binders nest.
 
-The closure is the paper's view of the same automaton, kept for ``rll
-closure`` and ``rll apa-dot``. It is the least set containing the root and
-closed under one-step decomposition: a.f steps to f, sums and meets step to
-their components, and fixpoints step to their unfolding. Members are
-discovered breadth-first from the root and deduplicated up to bound-variable
-renaming. Every member is the meaning of one subterm occurrence, its free
-variables standing for their binders' members, so one walk over the
-occurrences finds them all without unfolding a binder. Members are compared
-by interned keys in de Bruijn's style: a variable bound inside the occurrence
-is its index, one bound outside is its binder's member key. A member's
-subterms are the keys reachable from its key. Member expressions are built
-only to be listed, and a listing whose members could print over MAX_LISTING
-characters is refused before any is printed (``check_printed``, which
-bounds any terms' printed size). ``export_dot`` draws the closure as an
-alternating automaton: members are states, act edges are letter
-transitions, the other edges epsilon transitions; top and meet members are
-universal (boxes), the others existential (diamonds).
-
-Closure priorities pick the Kahn topological order r of the subformula order
-on members (discovery-order tie-breaks), and set priority 2r+1 on
-mu-members, 2r on everything else. Ranks are injective and monotone, so along
-any infinite trace the minimum priority seen infinitely often belongs to the
-subformula-minimum member, whose binder decides the winner (mu-members odd,
-nu-members even). Non-fixpoint members take the even value 2r; this is
-harmless because a never-stabilizing trace's minimum infinitely-occurring
-member is always a fixpoint expression.
+Each node is a subterm occurrence whose variables stand for their binders,
+which makes the nodes the expression's Fischer-Ladner closure in Kozen's
+sense, and the graph with its letter-reading moves the alternating parity
+automaton whose acceptance game ``game.py`` solves. ``rll closure`` lists
+the graph (``format_graph``): each node once, so the listing is linear in
+the expression. ``rll apa-dot`` draws what the game can reach from the
+root (``graph_dot``). ``check_printed`` bounds the printed size of terms
+that share subtrees, as ``translate --to rll``'s do.
 """
 
 from __future__ import annotations
 
-import heapq
-from dataclasses import dataclass, replace
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .syntax import (Act, Alphabet, Expr, Meet, Mu, Nu, RllError, Sum, Top,
@@ -196,141 +176,74 @@ def occurrence_graph(e: Expr | Sequence[Expr],
                            tuple(succs), priority, tuple(moves), roots)
 
 
-@dataclass(frozen=True)
-class FlClosure:
-    """The closure of ``root``, with decomposition edges and priorities.
-
-    ``edges`` holds (source index, target index, kind) with kind one of
-    ``act:<letter>``, ``sum-left``, ``sum-right``, ``meet-left``,
-    ``meet-right``, ``unfold``. ``subformula_pairs`` is the subformula order
-    restricted to members, as index pairs (i, j) meaning member i occurs in
-    member j. ``priority`` is None until assign_priorities has run.
-    """
-
-    root: Expr
-    members: tuple[Expr, ...]
-    edges: tuple[tuple[int, int, str], ...]
-    subformula_pairs: frozenset[tuple[int, int]]
-    alphabet: Alphabet
-    priority: Optional[tuple[int, ...]] = None
+# The Fischer-Ladner closure has left the package; bench/spans.py still
+# wraps these two names when it installs a traced run, and never calls
+# them. A benchmark-only change removes them with the closure counters.
+fl_closure = assign_priorities = None
 
 
-# each constructor's parts, with the kind of the edge that steps to each
-_PARTS = {Act: (("body", "act:{}"),), Sum: (("left", "sum-left"),
-                                            ("right", "sum-right")),
-          Meet: (("left", "meet-left"), ("right", "meet-right")),
-          Mu: (("body", "unfold"),), Nu: (("body", "unfold"),),
-          Zero: (), Top: ()}
+def _node(g: OccurrenceGraph, i: int) -> str:
+    """Node i's id, kind and letter (an act's), as listed and drawn."""
+    return " ".join((f"{i}:", g.kinds[i], *filter(None, (g.letters[i],))))
 
 
-def fl_closure(e: Expr, alphabet: Alphabet) -> FlClosure:
-    """Breadth-first closure of a closed expression under decomposition."""
-    occ: list[Expr] = []  # the non-variable occurrences, in preorder
-    kids: dict[int, tuple[int, ...]] = {}  # a variable is its (earlier) binder
-    nest: list[int] = []  # binders among each occurrence and its ancestors
-    table: dict[tuple, int] = {}  # interned keys, numbered children first
-    keys: dict[int, int] = {}  # occurrence -> the key of its member
-    trees: dict[int, Expr] = {}  # occurrence -> its member
-
-    def index(t: Expr, scope: dict[str, int], d: int) -> int:
-        if isinstance(t, Var):
-            if t.name not in scope:
-                raise ClosureError(
-                    "closure is only defined for closed expressions")
-            return scope[t.name]
-        i = len(occ)
-        occ.append(t)
-        if isinstance(t, (Mu, Nu)):
-            scope, d = {**scope, t.var: i}, d + 1
-        nest.append(d)
-        kids[i] = tuple(index(getattr(t, f), scope, d)
-                        for f, _ in _PARTS[type(t)])
-        return i
-
-    def walk(i: int, root: int) -> tuple[int, Expr]:
-        """Key and expression of occurrence i inside the member of
-        occurrence root: a variable bound at or below root is its de Bruijn
-        index, one bound above it is its binder's member."""
-        t, parts = occ[i], []
-        for c in kids[i]:
-            if c > i:
-                parts.append(walk(c, root))
-            elif c >= root:
-                parts.append((table.setdefault((Var, nest[i] - nest[c], ()),
-                                               len(table)), Var(occ[c].var)))
-            else:
-                parts.append((keys[c], trees[c]))
-        key = (type(t), getattr(t, "letter", None), tuple(k for k, _ in parts))
-        return table.setdefault(key, len(table)), replace(t, **{
-            f: x for (f, _), (_, x) in zip(_PARTS[type(t)], parts)})
-
-    try:
-        index(e, {}, 0)
-        for t in occ:
-            if isinstance(t, Act) and t.letter not in alphabet.letter_set:
-                raise ClosureError(f"undeclared letter {t.letter!r}")
-        for i in range(len(occ)):  # outer binders' members come first
-            keys[i], trees[i] = walk(i, i)
-    finally:
-        del index, walk  # both refer to themselves
-
-    members, found, edges = [0], {keys[0]: 0}, []
-    for src, i in enumerate(members):
-        t = occ[i]
-        for (_, kind), c in zip(_PARTS[type(t)], kids[i]):
-            j = found.setdefault(keys[c], len(members))
-            if j == len(members):
-                members.append(c)
-            edges.append((src, j, kind.format(getattr(t, "letter", None))))
-
-    # the subterms of a member are the keys reachable from its key
-    reach: list[int] = []
-    for _type, _tag, children in table:
-        bits = 1 << len(reach)
-        for c in children:
-            bits |= reach[c]
-        reach.append(bits)
-    ids = [keys[i] for i in members]
-    pairs = frozenset((a, b) for b, kb in enumerate(ids)
-                      for a, ka in enumerate(ids) if reach[kb] >> ka & 1)
-    return FlClosure(e, tuple(trees[i] for i in members), tuple(edges), pairs,
-                     alphabet)
+def format_graph(e: Expr, g: OccurrenceGraph) -> str:
+    """The listing of ``rll closure``: the root, then each node of its graph
+    once, with its successor ids and its priority."""
+    lines = [f"root: {print_expr(e)}", f"root node: {g.root}"]
+    for i, (succ, p) in enumerate(zip(g.succs, g.priority)):
+        arrow = " -> " + " ".join(map(str, succ)) if succ else ""
+        lines.append(f"{_node(g, i)}{arrow} [p={p}]")
+    return "\n".join(lines)
 
 
-def assign_priorities(c: FlClosure) -> FlClosure:
-    """Fill priorities from a topological linearization of the subformula
-    order (discovery-order tie-breaks): mu-members 2r+1, others 2r."""
-    n = len(c.members)
-    above: list[list[int]] = [[] for _ in range(n)]
-    waiting = [0] * n  # members strictly below each one, not yet ranked
-    for i, j in c.subformula_pairs:
-        if i != j:
-            above[i].append(j)
-            waiting[j] += 1
-    ready = [j for j in range(n) if not waiting[j]]  # sorted, so a heap
-    rank = [0] * n
-    for r in range(n):
-        i = heapq.heappop(ready)  # discovery-order tie-break
-        rank[i] = r
-        for j in above[i]:
-            waiting[j] -= 1
-            if not waiting[j]:
-                heapq.heappush(ready, j)
-    prio = tuple(2 * rank[i] + 1 if isinstance(m, Mu) else 2 * rank[i]
-                 for i, m in enumerate(c.members))
-    return replace(c, priority=prio)
+# each deadlock's DOT name, shape and label
+_DOT_DEADLOCKS = {DEAD_ZERO: ("dead_zero", "diamond", "dead 0"),
+                  DEAD_TOP: ("dead_top", "box", "dead top")}
 
 
-def closure_with_priorities(e: Expr, alphabet: Alphabet) -> FlClosure:
-    return assign_priorities(fl_closure(e, alphabet))
+def graph_dot(g: OccurrenceGraph, alphabet: Alphabet) -> str:
+    """DOT rendering of the automaton the game runs on: the nodes that moves
+    reach from the root, in the order first reached, and each move as an
+    edge labelled with the letter it reads. A constant root is its
+    deadlock, as a move into it would be. Each deadlock is drawn where a
+    move leads to it, and Eloise's also where a move reads a letter of an
+    alphabet with others, since at any other letter that move ends there.
+    Abelard's nodes (meets, and his deadlock) are boxes, Eloise's diamonds;
+    each label has the node's priority in the game, a deadlock's the
+    neutral one."""
+    start = _DEADLOCK.get(g.kinds[g.root], g.root)
+    order, seen = [start], {start}
+    for v in order:  # grows while walked
+        for _a, x in g.moves[v] if v >= 0 else ():
+            if x not in seen:
+                seen.add(x)
+                order.append(x)
+    if DEAD_ZERO not in seen and len(alphabet.letters) > 1 and any(
+            a is not None for v in order if v >= 0 for a, _x in g.moves[v]):
+        order.append(DEAD_ZERO)
+    dot = {v: (f"n{v}", "box" if g.kinds[v] == "meet" else "diamond",
+               _node(g, v), g.priority[v]) if v >= 0
+           else (*_DOT_DEADLOCKS[v], max(g.priority)) for v in order}
+    lines = ["digraph apa {", "  rankdir=LR;"]
+    for v, (name, shape, text, p) in dot.items():
+        extra = ", penwidth=2" if v == start else ""
+        lines.append(f'  {name} [shape={shape}, label="{text} [p={p}]"'
+                     f"{extra}];")
+    for v in order:
+        for a, x in g.moves[v] if v >= 0 else ():
+            label = f' [label="{a}"]' if a is not None else ""
+            lines.append(f"  {dot[v][0]} -> {dot[x][0]}{label};")
+    lines.append("}")
+    return "\n".join(lines) + "\n"
 
 
-MAX_LISTING = 2**24  # characters the root and members of a listing may take
+MAX_LISTING = 2**24  # characters the terms of one printout may take
 
 
 def _printed(t: Expr, memo: dict[int, int]) -> int:
     """An upper bound on len(print_expr(t)): per node, its name and 7 more
-    characters. Memoised on node identity, since members share subtrees."""
+    characters. Memoised on node identity, since terms may share subtrees."""
     if id(t) not in memo:
         memo[id(t)] = 7
         for f in t.__dataclass_fields__:  # a name or a part
@@ -349,35 +262,3 @@ def check_printed(what: str, terms: Iterable[Expr]):
                            f"the cap of {MAX_LISTING}")
 
 
-def format_closure(c: FlClosure) -> str:
-    """Stable line-oriented listing of members, edges and priorities."""
-    check_printed("listing", (c.root, *c.members))
-    lines = [f"root: {print_expr(c.root)}", "members:"]
-    prio = c.priority or ()
-    for i, m in enumerate(c.members):
-        tag = f"  [p={prio[i]}]" if prio else ""
-        lines.append(f"{i}: {print_expr(m)}{tag}")
-    lines.append("edges:")
-    for src, dst, kind in c.edges:
-        lines.append(f"{src} -{kind}-> {dst}")
-    return "\n".join(lines)
-
-
-def export_dot(c: FlClosure) -> str:
-    """DOT rendering of the closure's automaton, whose priorities must be
-    assigned. Top and meet members are universal (boxes), the others
-    existential (diamonds); act edges are labelled letter transitions, the
-    other edges epsilon transitions. Output follows member and edge order."""
-    check_printed("listing", (c.root, *c.members))
-    lines = ["digraph apa {", "  rankdir=LR;"]
-    for i, m in enumerate(c.members):
-        shape = "box" if isinstance(m, (Top, Meet)) else "diamond"
-        extra = ", penwidth=2" if i == 0 else ""
-        lines.append(f'  n{i} [shape={shape}, label="{print_expr(m)} '
-                     f'[p={c.priority[i]}]"{extra}];')
-    lines += [f'  n{s} -> n{d} [label="{k[4:]}"];'
-              for s, d, k in c.edges if k.startswith("act:")]
-    lines += [f"  n{s} -> n{d};"
-              for s, d, k in c.edges if not k.startswith("act:")]
-    lines.append("}")
-    return "\n".join(lines) + "\n"

@@ -2,12 +2,13 @@
 positional strategies, game-based membership, and bounded search.
 
 Positions pair a vertex of a word graph with a node of the expression's
-occurrence graph (see ``closure.py``). A word graph gives each vertex one
-letter and one successor, so every vertex reads one ultimately periodic
-word; a lasso is the case whose vertices are its positions 0..n-1, with its
-successor map and root 0. As in an alternating parity automaton's acceptance
-game, a letter is read on the move, not at a position of its own: a
-node's moves are its ``moves``. A move that reads the vertex's letter goes
+occurrence graph (see ``closure.py``), the automaton that ``rll closure``
+lists and ``rll apa-dot`` draws. A word graph gives each vertex one letter
+and one successor, so every vertex reads one ultimately periodic word; a
+lasso is the case whose vertices are its positions 0..n-1, with its
+successor map and root 0. As in that automaton's acceptance game, a letter
+is read on the move, not at a position of its own: a node's moves are its
+``moves``. A move that reads the vertex's letter goes
 to the vertex's successor, one that reads no letter stays at the vertex.
 Sums branch for Eloise, meets for Abelard, binders step to their body and
 variables jump back to their binder silently. Every move into a 0 and every

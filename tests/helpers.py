@@ -1,17 +1,16 @@
-"""Shared helpers for the test suite: desk-scale word sets, corpus access,
-the symbol-loop reference tokenizer, the recursive-descent reference
-parsers, the tree-substituting reference closure and its rescanning
-priorities, the one-expression reference occurrence graph, the set-based
-reference game, the flat arena whose binders are all positions, the one
-whose starts are all positions, and nesting-depth priorities, the
-frozenset reference evaluators and the memoised bit-mask ones, the
-character-scanning lasso reader with the rebuilding normaliser and the
-per-position masks, the per-lasso reference bounded searches, their
-normalising enumerator and the tuple-walking word-graph builder, the
-isinstance-walk reference translations, the two Boolean-variable groupings
-of the truth tables, the proof loader that parses each text alone, the
-derivation mutation machinery, and the CLI entry point that builds every
-subcommand's parser on every call."""
+"""Shared helpers for the test suite: desk-scale word sets, corpus access, the
+symbol-loop reference tokenizer, the recursive-descent reference parsers, the
+tree-substituting reference closure, the one-expression reference occurrence
+graph, the set-based reference game, the flat arena whose binders are all
+positions, the one whose starts are all positions, and nesting-depth
+priorities, the frozenset reference evaluators and the memoised bit-mask ones,
+the character-scanning lasso reader with the rebuilding normaliser and the
+per-position masks, the per-lasso reference bounded searches, their normalising
+enumerator and the tuple-walking word-graph builder, the isinstance-walk
+reference translations, the two Boolean-variable groupings of the truth tables,
+the proof loader that parses each text alone, the derivation mutation
+machinery, and the CLI entry point that builds every subcommand's parser on
+every call."""
 
 from __future__ import annotations
 
@@ -27,8 +26,8 @@ from unittest import mock
 from rll import __version__, algebra, calculus, cli
 from rll.calculus import (CalculusError, Claim, Derivation, FormulaClaim,
                           Step, _skeleton_value, bool_taut, maximal_atoms)
-from rll.closure import (DEAD_TOP, DEAD_ZERO, ClosureError, FlClosure,
-                         OccurrenceGraph, occurrence_graph)
+from rll.closure import (DEAD_TOP, DEAD_ZERO, ClosureError, OccurrenceGraph,
+                         occurrence_graph)
 from rll.game import (ABELARD, ELOISE, Counterexample, GameError, ParityGame,
                       Solution, WordGraph, _settle, lasso_graph, member_game)
 from rll.semantics import (Lasso, SemanticsError, enumerate_lassos,
@@ -375,72 +374,28 @@ def _ref_fatom(ts: _RefTokens, ab: Alphabet) -> MuLtlFormula:
 # deduplicated by alpha key. Super-polynomial, but plainly the definition.
 # ---------------------------------------------------------------------------
 
-def fl_successors(e: Expr) -> list[tuple[str, Expr]]:
-    """The one-step decompositions of e, with their edge kinds."""
-    if isinstance(e, Act):
-        return [(f"act:{e.letter}", e.body)]
-    if isinstance(e, Sum):
-        return [("sum-left", e.left), ("sum-right", e.right)]
-    if isinstance(e, Meet):
-        return [("meet-left", e.left), ("meet-right", e.right)]
-    if isinstance(e, (Mu, Nu)):
-        return [("unfold", substitute(e.body, e.var, e))]
-    if isinstance(e, (Zero, Top)):
-        return []
-    if isinstance(e, Var):
-        raise ClosureError("closure is only defined for closed expressions")
-    raise TypeError(f"not an expression: {e!r}")
-
-
-def reference_closure(e: Expr, alphabet: Alphabet) -> FlClosure:
-    """Breadth-first closure of a closed expression under decomposition."""
+def reference_closure(e: Expr, alphabet: Alphabet) -> list[Expr]:
+    """The members of the closure of a closed expression, root first, found
+    breadth-first under one-step decomposition: a.f steps to f, sums and
+    meets to their parts, and a fixpoint to its unfolding."""
     if free_vars(e):
         raise ClosureError("closure is only defined for closed expressions")
     for sub in subexpressions(e):
         if isinstance(sub, Act) and sub.letter not in alphabet.letters:
             raise ClosureError(f"undeclared letter {sub.letter!r}")
-
     members: list[Expr] = [e]
-    index: dict[str, int] = {alpha_key(e): 0}
-    edges: list[tuple[int, int, str]] = []
-    frontier = 0
-    while frontier < len(members):
-        src = frontier
-        for kind, tgt in fl_successors(members[src]):
-            key = alpha_key(tgt)
-            if key not in index:
-                index[key] = len(members)
-                members.append(tgt)
-            edges.append((src, index[key], kind))
-        frontier += 1
-
-    sub_keys = [frozenset(alpha_key(s) for s in subexpressions(m))
-                for m in members]
-    pairs = frozenset((i, j)
-                      for i, mi in enumerate(members)
-                      for j in range(len(members))
-                      if alpha_key(mi) in sub_keys[j])
-    return FlClosure(e, tuple(members), tuple(edges), pairs, alphabet)
-
-
-def reference_priorities(c: FlClosure) -> FlClosure:
-    """Closure priorities by the definition: each rank goes to the first
-    member, in discovery order, all of whose strict subformulas are ranked.
-    Rescans every member for every rank."""
-    n = len(c.members)
-    strictly_below = {j: {i for (i, j2) in c.subformula_pairs
-                          if j2 == j and i != j} for j in range(n)}
-    rank: dict[int, int] = {}
-    placed: set[int] = set()
-    for r in range(n):
-        ready = [j for j in range(n)
-                 if j not in placed and strictly_below[j] <= placed]
-        nxt = min(ready)  # discovery-order tie-break
-        rank[nxt] = r
-        placed.add(nxt)
-    prio = tuple(2 * rank[i] + 1 if isinstance(m, Mu) else 2 * rank[i]
-                 for i, m in enumerate(c.members))
-    return replace(c, priority=prio)
+    keys = {alpha_key(e)}
+    for m in members:  # grows while walked
+        if isinstance(m, (Mu, Nu)):
+            parts = [substitute(m.body, m.var, m)]
+        else:
+            parts = [getattr(m, f) for f in ("body", "left", "right")
+                     if hasattr(m, f)]
+        for t in parts:
+            if alpha_key(t) not in keys:
+                keys.add(alpha_key(t))
+                members.append(t)
+    return members
 
 
 # ---------------------------------------------------------------------------

@@ -1,15 +1,21 @@
-"""The alternating parity automaton read off the closure, and DOT export.
+"""`rll apa-dot`: the automaton the game runs on, drawn from the
+occurrence graph.
 
-States are the closure members. An act edge is a letter transition, every
-other edge an epsilon transition. Top and meet members are universal (boxes
-in DOT), all others existential (diamonds).
+The states are the nodes that moves reach from the root, and the deadlocks
+reached. Each edge is a move, labelled with the letter it reads, if any.
+Abelard's states (meets and his deadlock) are boxes, Eloise's diamonds, and
+each label carries the state's priority in the game. So every position of
+an arena built on the graph is a drawn state with its owner and priority.
 """
 
 import random
+import re
 
-from rll.closure import closure_with_priorities, export_dot
-from rll.corpus import gen_expr
-from rll.syntax import (Act, Alphabet, Meet, Mu, Nu, Sum, Top, parse_expr)
+from rll.closure import DEAD_TOP, DEAD_ZERO, graph_dot, occurrence_graph
+from rll.corpus import agreement_pairs, gen_expr
+from rll.game import ABELARD, build_arena
+from rll.semantics import Lasso
+from rll.syntax import Alphabet, parse_expr
 
 AB = Alphabet.plain("a", "b")
 
@@ -17,101 +23,157 @@ IA = "nu X. mu Y. (a.X + b.Y)"
 FB = "mu X. (b.X + a.X + a.(nu Y. a.Y))"
 BOTH = f"({IA}) & ({FB})"
 
-
-def closure_of(text, ab=AB):
-    return closure_with_priorities(parse_expr(text, ab), ab)
-
-
-def letter_edges(c):
-    return [(s, k[4:], t) for s, t, k in c.edges if k.startswith("act:")]
+NODE = re.compile(r'^  (\w+) \[shape=(\w+), label="(.*) \[p=(\d+)\]"'
+                  r'(, penwidth=2)?\];$')
+EDGE = re.compile(r'^  (\w+) -> (\w+)(?: \[label="(.*)"\])?;$')
+NAMES = {DEAD_ZERO: "dead_zero", DEAD_TOP: "dead_top"}
 
 
-def epsilon_edges(c):
-    return [(s, t) for s, t, k in c.edges if not k.startswith("act:")]
+def name(v):
+    return NAMES.get(v, f"n{v}")
 
 
-def shapes(c):
-    """The DOT shape of each state, in member order."""
-    lines = [ln for ln in export_dot(c).splitlines() if "shape=" in ln]
-    return [ln.split("shape=")[1].split(",")[0] for ln in lines]
+def read_dot(dot):
+    """The DOT text's states, name -> (shape, label text, priority), in
+    order, its root's name and its edges (source, target, letter or
+    None)."""
+    lines = dot.splitlines()
+    assert lines[:2] == ["digraph apa {", "  rankdir=LR;"]
+    assert lines[-1] == "}" and dot.endswith("}\n")
+    states, edges, roots = {}, [], []
+    for line in lines[2:-1]:
+        node, edge = NODE.match(line), EDGE.match(line)
+        if node:
+            assert not edges and node[1] not in states  # states come first
+            states[node[1]] = (node[2], node[3], int(node[4]))
+            if node[5]:
+                roots.append(node[1])
+        else:
+            assert edge, line
+            edges.append((edge[1], edge[2], edge[3]))
+    assert len(roots) == 1
+    return states, roots[0], edges
+
+
+def dot_of(text, ab=AB):
+    return graph_dot(occurrence_graph(parse_expr(text, ab), ab), ab)
+
+
+def move_closure(g):
+    """The root, entered as a move enters a node, and every node or
+    deadlock that moves reach from it."""
+    start = {"zero": DEAD_ZERO, "top": DEAD_TOP}.get(g.kinds[g.root], g.root)
+    seen, todo = {start}, [start]
+    while todo:
+        v = todo.pop()
+        for _a, x in g.moves[v] if v >= 0 else ():
+            if x not in seen:
+                seen.add(x)
+                todo.append(x)
+    return start, seen
+
+
+def reached(dot, start):
+    """The states of ``dot`` reached along its edges from ``start``."""
+    _states, _root, edges = read_dot(dot)
+    seen, todo = {start}, [start]
+    while todo:
+        v = todo.pop()
+        for s, t, _a in edges:
+            if s == v and t not in seen:
+                seen.add(t)
+                todo.append(t)
+    return seen
 
 
 class TestBuildApa:
     def test_simple_mu(self):
-        c = closure_of("mu X. a.X")
-        assert len(c.members) == 2
-        assert [letter for _s, letter, _t in letter_edges(c)] == ["a"]
-        assert len(epsilon_edges(c)) == 1  # the unfolding
+        states, root, edges = read_dot(dot_of("mu X. a.X"))
+        assert root == "n0" and list(states) == ["n0", "dead_zero"]
+        assert edges == [("n0", "n0", "a")]  # the unfolding reads a
 
     def test_zero_is_deadlocked_existential(self):
-        c = closure_of("0")
-        assert len(c.members) == 1
-        assert shapes(c) == ["diamond"]
-        assert c.edges == ()
+        states, root, edges = read_dot(dot_of("0"))
+        assert root == "dead_zero" and states == {
+            "dead_zero": ("diamond", "dead 0", 0)}
+        assert edges == []
 
     def test_meet_root_is_universal_with_two_components(self):
-        c = closure_of(BOTH)
-        assert isinstance(c.members[0], Meet) and shapes(c)[0] == "box"
-        eps_from_root = [t for s, t in epsilon_edges(c) if s == 0]
-        assert len(eps_from_root) == 2
-        # component sizes: 5 states reachable for the infinitely-many-as
-        # component, 7 for the finitely-many-bs one, 13 in total
-        assert len(c.members) == 13
-        succ = {}
-        for s, t, _k in c.edges:
-            succ.setdefault(s, []).append(t)
-        for start, want in zip(sorted(eps_from_root), (5, 7)):
-            seen = {start}
-            frontier = [start]
-            while frontier:
-                v = frontier.pop()
-                for w in succ.get(v, []):
-                    if w not in seen:
-                        seen.add(w)
-                        frontier.append(w)
-            assert len(seen) == want
+        dot = dot_of(BOTH)
+        states, root, edges = read_dot(dot)
+        assert states[root][:2] == ("box", f"{root[1:]}: meet")
+        parts = [t for s, t, a in edges if s == root]
+        assert len(parts) == 2 and all(
+            a is None for s, _t, a in edges if s == root)
+        # IA's nu, mu and sum, and FB's mu, two sums and nu; no edge
+        # enters the deadlock of a letter's mismatch
+        assert [len(reached(dot, p)) for p in parts] == [3, 4]
+        assert len(states) == 1 + 3 + 4 + 1 and "dead_zero" in states
 
     def test_structural_invariants_on_corpus(self):
+        """The states are the root's move-closure, the edges its moves with
+        their letters, and each state's shape and priority its owner's and
+        its priority in the graph."""
         rng = random.Random(13)
         for _ in range(120):
-            e = gen_expr(rng, AB, rng.randint(1, 12))
-            c = closure_with_priorities(e, AB)
-            letter_out = {}
-            eps_out = {}
-            for s, _l, t in letter_edges(c):
-                letter_out[s] = letter_out.get(s, 0) + 1
-            for s, t in epsilon_edges(c):
-                eps_out[s] = eps_out.get(s, 0) + 1
-            for i, (m, shape) in enumerate(zip(c.members, shapes(c))):
-                if isinstance(m, Act):
-                    assert letter_out.get(i, 0) == 1 and eps_out.get(i, 0) == 0
-                elif isinstance(m, (Sum, Meet)):
-                    assert letter_out.get(i, 0) == 0 and eps_out.get(i, 0) == 2
-                elif isinstance(m, (Mu, Nu)):
-                    assert letter_out.get(i, 0) == 0 and eps_out.get(i, 0) == 1
+            ab = rng.choice((AB, Alphabet.plain("a")))
+            g = occurrence_graph(gen_expr(rng, ab, rng.randint(1, 12)), ab)
+            states, root, edges = read_dot(graph_dot(g, ab))
+            start, closure = move_closure(g)
+            reads = any(a for v in closure if v >= 0 for a, _x in g.moves[v])
+            if len(ab.letters) > 1 and reads:
+                closure.add(DEAD_ZERO)  # a letter's mismatch
+            assert root == name(start)
+            assert set(states) == {name(v) for v in closure}
+            assert sorted(edges, key=str) == sorted(
+                ((name(v), name(x), a) for v in closure if v >= 0
+                 for a, x in g.moves[v]), key=str)
+            for v in closure:
+                shape, text, p = states[name(v)]
+                if v >= 0:
+                    assert text.split()[:2] == [f"{v}:", g.kinds[v]]
+                    assert p == g.priority[v]
+                    assert (shape == "box") == (g.kinds[v] == "meet")
                 else:
-                    assert letter_out.get(i, 0) == 0 and eps_out.get(i, 0) == 0
-                assert shape == ("box" if isinstance(m, (Top, Meet))
-                                 else "diamond")
+                    assert p == max(g.priority)
+                    assert (shape == "box") == (v == DEAD_TOP)
+
+
+class TestAgainstArena:
+    def test_arena_labels_name_drawn_states(self):
+        """Every position of build_arena is a drawn state, with the
+        position's owner as its shape and its priority as the label's."""
+        lassos = [("", "ab"), ("", "b"), ("b", "a"), ("aab", "b")]
+        pairs = [(parse_expr(t, AB), Lasso(tuple(u), tuple(v), AB))
+                 for t in (IA, FB, BOTH) for u, v in lassos]
+        pairs += agreement_pairs(31, 200)
+        for e, w in pairs:
+            g = occurrence_graph(e, w.alphabet)
+            states, _root, _edges = read_dot(graph_dot(g, w.alphabet))
+            arena = build_arena(e, w, g)
+            for (_vertex, v), owner, p in zip(arena.labels, arena.owners,
+                                              arena.priorities):
+                shape, _text, drawn = states[name(v)]
+                assert (shape == "box") == (owner == ABELARD)
+                assert drawn == p
 
 
 class TestDot:
     def test_zero_dot(self):
-        dot = export_dot(closure_of("0"))
+        dot = dot_of("0")
         assert "digraph" in dot
-        assert 'shape=diamond, label="0 [p=0]"' in dot
+        assert 'shape=diamond, label="dead 0 [p=0]"' in dot
 
     def test_simple_mu_dot(self):
-        dot = export_dot(closure_of("mu X. a.X"))
-        assert dot == ('digraph apa {\n  rankdir=LR;\n'
-                       '  n0 [shape=diamond, label="mu X. a.X [p=1]", '
-                       'penwidth=2];\n'
-                       '  n1 [shape=diamond, label="a.(mu X. a.X) [p=2]"];\n'
-                       '  n1 -> n0 [label="a"];\n  n0 -> n1;\n}\n')
+        assert dot_of("mu X. a.X") == (
+            'digraph apa {\n  rankdir=LR;\n'
+            '  n0 [shape=diamond, label="0: mu [p=1]", penwidth=2];\n'
+            '  dead_zero [shape=diamond, label="dead 0 [p=2]"];\n'
+            '  n0 -> n0 [label="a"];\n}\n')
 
     def test_byte_stable(self):
-        assert export_dot(closure_of(BOTH)) == export_dot(closure_of(BOTH))
+        assert dot_of(BOTH) == dot_of(BOTH)
 
     def test_universal_states_are_boxes(self):
-        dot = export_dot(closure_of("top & top"))
-        assert "shape=box" in dot
+        dot = dot_of("top & top")
+        assert "n1 [shape=box" in dot and "dead_top [shape=box" in dot

@@ -146,6 +146,33 @@ class TestRllRules:
         assert not check_rll(d).accepted
         assert check_rll(d, tier="extended").accepted
 
+    def test_empty_derivation_rejected(self):
+        assert check_rll(rll_d([])) == Verdict(False, "-", "empty derivation")
+
+    def test_sym_needs_its_premise(self):
+        d = rll_d([estep("s1", "eq", "top", "top", "sym")])
+        assert check_rll(d) == Verdict(False, "s1",
+                                       "sym needs exactly 1 premise(s)")
+
+    def test_bool_taut_atoms(self):
+        """Atoms come as a list of texts, each parsed; one that does not
+        parse rejects the step and quotes the parser."""
+        def with_atoms(*atoms):
+            return rll_d([estep("s1", "leq", "a.top", "a.top + b.top",
+                                "bool_taut", {"atoms": list(atoms)})],
+                         tier="extended")
+        assert check_rll(with_atoms("a.top", "b.top")).accepted
+        d = with_atoms()
+        d.steps[0].subst["atoms"] = "a.top"
+        assert check_rll(d) == Verdict(False, "s1",
+                                       "atoms must be a list of expressions")
+        v = check_rll(with_atoms("a.top", "b.("))
+        assert (v.accepted, v.step) == (False, "s1")
+        assert v.reason.startswith("bad atom: ")
+        with pytest.raises(ParseError) as err:
+            parse_expr("b.(", AB)
+        assert v.reason == f"bad atom: {err.value}"
+
     def test_induction_example_zero_below_everything(self):
         d = rll_d([
             estep("s1", "leq", "E", "E", "refl"),

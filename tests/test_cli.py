@@ -282,16 +282,21 @@ class TestInspection:
         assert "nu X. mu Y. a.X + b.Y" in out
 
     def test_closure_listing(self, files, capsys):
+        """Each node of the occurrence graph once, with its successor ids
+        and its priority in the game."""
         code, out, _ = run(capsys, ["closure", files["nuax"]])
-        assert code == 0
-        assert out.startswith("root: nu X. a.X")
-        assert "0 -unfold-> 1" in out
+        assert (code, out) == (0, "root: nu X. a.X\nroot node: 0\n"
+                                  "0: nu -> 1 [p=0]\n1: act a -> 0 [p=2]\n")
 
     def test_apa_dot(self, files, capsys):
+        """The nu, whose one move reads a and lands on itself, and the
+        deadlock where that move ends at b."""
         code, out, _ = run(capsys, ["apa-dot", files["nuax"]])
-        assert code == 0
-        assert out.startswith("digraph apa {")
-        assert '[label="a"]' in out
+        assert (code, out) == (0, (
+            'digraph apa {\n  rankdir=LR;\n'
+            '  n0 [shape=diamond, label="0: nu [p=0]", penwidth=2];\n'
+            '  dead_zero [shape=diamond, label="dead 0 [p=2]"];\n'
+            '  n0 -> n0 [label="a"];\n}\n'))
 
     def test_complement_example(self, files, capsys):
         code, out, _ = run(capsys, ["complement", files["nuax"]])
@@ -307,6 +312,22 @@ class TestInspection:
         code, _out, err = run(capsys, ["parse", files["ia"],
                                        "--alphabet", "a b c"])
         assert code == 2 and "does not match" in err
+
+    def test_props_flag_mismatch(self, tmp_path, capsys):
+        path = tmp_path / "pq.rll"
+        path.write_text("props P Q ;\nnu X. {P}.X\n")
+        code, out, err = run(capsys, ["parse", str(path), "--props", "Q P"])
+        assert (code, out, err) == (
+            2, "", f"error: {path}: props flag does not match file header\n")
+
+    def test_searches_need_one_alphabet(self, tmp_path, capsys):
+        left, right = tmp_path / "ab.rll", tmp_path / "ac.rll"
+        left.write_text("alphabet a b ;\nnu X. a.X\n")
+        right.write_text("alphabet a c ;\nnu X. a.X\n")
+        for command in ("equiv", "incl"):
+            code, out, err = run(capsys, [command, str(left), str(right)])
+            assert (code, out, err) == (2, "", "error: the two expression "
+                                        "files declare different alphabets\n")
 
 
 def _nested_sum(levels: int) -> str:
@@ -448,13 +469,14 @@ class TestArenaCap:
 
 
 class TestListingCap:
-    """A closure listing whose root and members may print over
-    ``closure.MAX_LISTING`` characters is refused before any is printed."""
+    """The listing and the drawing name each node of the occurrence graph
+    once, so they are linear in the expression: an expression whose
+    Fischer-Ladner closure would print 248 MB answers at once."""
 
     @pytest.mark.parametrize("command", ["closure", "apa-dot"])
-    def test_exponential_listing_exits_two(self, tmp_path, capsys, command):
-        # the 2nd draw: 144 members of 50,699,265 nodes in all, which would
-        # print 248 MB; the closure itself takes milliseconds
+    def test_wide_expression_lists_in_a_second(self, tmp_path, capsys,
+                                               command):
+        # the 2nd draw: 144 closure members of 50,699,265 nodes in all
         ab = Alphabet.plain("a", "b", "c")
         rng = random.Random(200)
         gen_expr(rng, ab, 200)
@@ -464,9 +486,7 @@ class TestListingCap:
         start = time.perf_counter()
         code, out, err = run(capsys, [command, str(path)])
         assert time.perf_counter() - start < 1.0
-        assert code == 2 and out == ""
-        assert err.startswith("error: ") and "Traceback" not in err
-        assert "over the cap of 16777216" in err
+        assert (code, err) == (0, "") and len(out) < 20_000
 
 
 class TestBoundedMemory:

@@ -11,14 +11,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import (depth_priorities, desk_lassos, reference_build_arena,
-                     reference_contracted_arena, reference_equiv_bounded,
-                     reference_inclusion_bounded, reference_inclusion_sides,
-                     reference_occurrence_graph, reference_resolved_arena,
-                     reference_solve_parity, reference_start_arena,
-                     reference_word_graphs, spellings)
+                     reference_closure, reference_contracted_arena,
+                     reference_equiv_bounded, reference_inclusion_bounded,
+                     reference_inclusion_sides, reference_occurrence_graph,
+                     reference_resolved_arena, reference_solve_parity,
+                     reference_start_arena, reference_word_graphs, spellings)
 from rll import algebra, game
-from rll.closure import (DEAD_TOP, DEAD_ZERO, ClosureError, fl_closure,
-                         occurrence_graph)
+from rll.closure import DEAD_TOP, DEAD_ZERO, ClosureError, occurrence_graph
 from rll.corpus import agreement_pairs, gen_alphabet, gen_expr, gen_lasso
 from rll.game import (ABELARD, ELOISE, Counterexample, GameError, ParityGame,
                       WordGraph, build_arena, equiv_bounded,
@@ -221,7 +220,7 @@ class TestOccurrenceGraph:
             e = parse_expr(text, AB)
             for x in (e, algebra.complement(e, AB)):
                 n = len(occurrence_graph(x, AB).kinds)
-                assert n == len(fl_closure(x, AB).members)
+                assert n == len(reference_closure(x, AB))
                 counts.append(n)
         assert counts == [5, 10, 7, 13, 13, 21]
 
@@ -389,9 +388,17 @@ class TestSharedGraph:
 
 
 class TestParityGame:
-    """A game's initial position and starts must be positions, and the
-    initial position is the first start; an arena needs a word root to
-    start from."""
+    """A game's owners, priorities and moves align, its initial position
+    and starts must be positions, and the initial position is the first
+    start; an arena needs a word root to start from."""
+
+    @pytest.mark.parametrize("owners,priorities,edges", [
+        ((ELOISE,), (0, 0), ((0,),)), ((ELOISE, ELOISE), (0, 0), ((0,),)),
+        ((ELOISE,), (0,), ((0,), (0,)))])
+    def test_arrays_must_align(self, owners, priorities, edges):
+        with pytest.raises(GameError, match="^owners, priorities, edges "
+                                            "must align$"):
+            ParityGame(owners, priorities, edges, 0)
 
     def test_initial_must_be_a_position(self):
         for initial in (-1, 1):

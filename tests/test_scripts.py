@@ -1,16 +1,23 @@
-"""The A/B pair script's summary, on fixed numbers; the script itself runs
-the benchmark and stays out of the suite."""
+"""The A/B pair script's summary and the line-coverage listing, on fixed
+inputs; the scripts themselves run the benchmark or the whole suite and
+stay out of it."""
 
 import importlib.util
 import os
 
 import pytest
 
-_PATH = os.path.join(os.path.dirname(__file__), os.pardir, "scripts",
-                     "ab_pairs.py")
-_spec = importlib.util.spec_from_file_location("ab_pairs", _PATH)
-ab_pairs = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(ab_pairs)
+
+def _script(name):
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "scripts",
+                        f"{name}.py")
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+ab_pairs, linecov = _script("ab_pairs"), _script("linecov")
 
 METRICS = [{"name": "verdicts_per_s", "better": "higher"},
            {"name": "verdict_p90_ms", "better": "lower"},
@@ -43,3 +50,33 @@ def test_summary_on_fixed_numbers():
 def test_seed_lists():
     assert ab_pairs.seed_list("9701-9704") == [9701, 9702, 9703, 9704]
     assert ab_pairs.seed_list("1,5,9") == [1, 5, 9]
+
+
+SOURCE = '''"""A module."""
+import os
+
+
+def f(x):
+    if x:
+        return 1
+    return os.sep
+
+
+class C:
+    y = [f(n)
+         for n in range(2)]
+'''
+
+
+def test_linecov_listing_on_fixed_source():
+    # comments, blank lines and the line numbered 0 hold no code
+    assert linecov.code_lines(SOURCE) == {1, 2, 5, 6, 7, 8, 11, 12, 13}
+    assert linecov.never_run(SOURCE, {1, 2, 5, 6, 7, 11, 12}) == [8, 13]
+    assert linecov.ranges([12, 3, 4, 5, 9, 11]) == "3-5, 9, 11-12"
+    assert linecov.ranges([]) == ""
+    ran = {"a.py": {1, 2, 5, 6, 7, 11, 12}, "b.py": set(
+        linecov.code_lines(SOURCE))}
+    assert linecov.listing({"b.py": SOURCE, "a.py": SOURCE, "c.py": SOURCE},
+                           ran).splitlines() == [
+        "a.py: 2 never ran: 8, 13", "b.py: 0 never ran",
+        "c.py: 9 never ran: 1-2, 5-8, 11-13"]

@@ -16,7 +16,7 @@ from rll.syntax import (BINDERS, LATTICE, PREFIXES, Act, Alphabet,
                         token_positions, tokenize)
 from rll.calculus import (Verdict, check_rll, derivation_from_json,
                           derivation_to_json, derive_complement)
-from rll.closure import ClosureError, closure_with_priorities, occurrence_graph
+from rll.closure import ClosureError, occurrence_graph
 from rll.semantics import Lasso, SemanticsError, parse_lasso
 from rll.corpus import gen_expr
 from helpers import (reference_parse_expr, reference_parse_formula,
@@ -140,9 +140,8 @@ class TestAlphabet:
                            match=r"^letter 'c' is not in the alphabet$"):
             Lasso(("a",), ("c",), AB)
         foreign = Act("c", TOP)
-        for build in (occurrence_graph, closure_with_priorities):
-            with pytest.raises(ClosureError, match=r"^undeclared letter 'c'$"):
-                build(foreign, AB)
+        with pytest.raises(ClosureError, match=r"^undeclared letter 'c'$"):
+            occurrence_graph(foreign, AB)
         d = derivation_from_json({
             "system": "rll", "tier": "strict", "alphabet": ["a", "b"],
             "steps": [{"id": "s1", "claim": {"rel": "eq", "lhs": "b.0",
