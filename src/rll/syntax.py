@@ -103,10 +103,6 @@ class Alphabet:
         object.__setattr__(ab, "props", props)
         return ab
 
-    @property
-    def is_powerset(self) -> bool:
-        return self.props is not None
-
     def letter_props(self, letter: str) -> frozenset[str]:
         """Propositions contained in a powerset letter."""
         if self.props is None:
@@ -388,7 +384,6 @@ def fresh_name(base: str, avoid: frozenset[str]) -> str:
         cand = f"{base}_{i}"
         if cand not in avoid:
             return cand
-    raise AssertionError("unreachable")
 
 
 def substitute(t: Term, var: str, replacement: Term) -> Term:
@@ -917,15 +912,6 @@ def _header(text: str) -> tuple[Alphabet, list[str], int]:
     else:
         ab = Alphabet.powerset(*names)
     return ab, tokens, i + 1
-
-
-def parse_alphabet_header(text: str) -> tuple[Alphabet, str]:
-    """Split off a leading ``alphabet a b ;`` or ``props P Q ;`` declaration.
-
-    Returns the alphabet and the remaining text.
-    """
-    ab, _tokens, first = _header(text)
-    return ab, text[token_positions(text)[first - 1] + 1:]
 
 
 def parse_expr_file(text: str, require_closed: bool = False) -> tuple[Alphabet, Expr]:

@@ -24,8 +24,8 @@ from typing import Iterator, Optional
 from unittest import mock
 
 from rll import __version__, algebra, calculus, cli
-from rll.calculus import (CalculusError, Claim, Derivation, FormulaClaim,
-                          Step, _skeleton_value, bool_taut, maximal_atoms)
+from rll.calculus import (Claim, Derivation, FormulaClaim, Step,
+                          _skeleton_value, bool_taut, maximal_atoms)
 from rll.closure import (DEAD_TOP, DEAD_ZERO, ClosureError, OccurrenceGraph,
                          occurrence_graph)
 from rll.game import (ABELARD, ELOISE, Counterexample, GameError, ParityGame,
@@ -36,8 +36,8 @@ from rll.syntax import (BINDERS, BOT, BOTTOMS, JOINS, KEYWORDS, MEETS, MUS,
                         PREFIXES, TOP, TOPS, TT, VARS, ZERO, Act, Alphabet,
                         AlphabetError, And, Bot, Expr, FVar, Meet, Mu, MuF,
                         MuLtlFormula, NegProp, Next, Nu, NuF, Or, ParseError,
-                        Prop, Sum, Term, Top, TopF, Var, Zero, alpha_eq,
-                        alpha_key, and_of, free_vars, iff, implies,
+                        Prop, RllError, Sum, Term, Top, TopF, Var, Zero,
+                        alpha_eq, alpha_key, and_of, free_vars, iff, implies,
                         negate_formula, parse_braced_letter, parse_expr,
                         parse_formula, subexpressions, subset_letter_name,
                         substitute, sum_of)
@@ -1418,7 +1418,7 @@ def reference_bool_taut(claim: Claim, premises: list[Claim],
     """bool_taut's truth table over a given list of closed atoms."""
     var_of, nvars = reference_bool_variables(atoms, alphabet)
     if nvars > 16:
-        raise CalculusError("too many Boolean atoms")
+        raise RllError(f"{nvars} Boolean atoms exceed the cap of 16")
 
     def holds(c, value):
         l, r = value(c.lhs), value(c.rhs)
@@ -1431,7 +1431,7 @@ def reference_propositional_valid(claim: MuLtlFormula,
                                   premises: list[MuLtlFormula] = ()) -> bool:
     var_of, nvars = reference_prop_variables([claim, *premises])
     if nvars > 16:
-        raise CalculusError("too many propositional atoms")
+        raise RllError(f"{nvars} propositional atoms exceed the cap of 16")
     return _reference_truth_table(claim, premises, var_of, nvars,
                                   lambda phi, value: value(phi))
 

@@ -690,15 +690,25 @@ class TestRuleTable:
                 assert left == right if concl.rel == "eq" else left <= right
 
 
-def _pinned_mutant_verdicts() -> list:
-    """(label, verdict) of every mutant of the shipped proofs and of six
-    seeded complement derivations, in a fixed order."""
-    ds = [load_proof_file(path) for path in proof_paths()]
+def _pinned_mutant_digests(line) -> dict:
+    """Per corpus, the shipped proofs and six seeded complement derivations,
+    the number of mutants and the hash of line(label, verdict) over them,
+    in a fixed order."""
     rng = random.Random(3)
+    generated = []
     for _ in range(6):
         ab = gen_alphabet(rng, 2)
-        ds += derive_complement(gen_expr(rng, ab, 3), ab)
-    return [(label, check_derivation(m)) for d in ds for label, m in mutants(d)]
+        generated += derive_complement(gen_expr(rng, ab, 3), ab)
+    out = {}
+    for corpus, ds in (("shipped", map(load_proof_file, proof_paths())),
+                       ("generated", generated)):
+        digest, count = hashlib.sha256(), 0
+        for d in ds:
+            for label, m in mutants(d):
+                digest.update(line(label, check_derivation(m)).encode())
+                count += 1
+        out[corpus] = (count, digest.hexdigest())
+    return out
 
 
 class TestProofCorpus:
@@ -724,26 +734,25 @@ class TestProofCorpus:
     def test_mutant_verdicts_pinned(self):
         """Every mutant of the shipped proofs and of seeded complement
         derivations is rejected at the same step as when each rule's
-        instance was built by its own code, pinned by hash."""
-        verdicts = _pinned_mutant_verdicts()
-        digest = hashlib.sha256()
-        for label, v in verdicts:
-            digest.update(f"{label} {v.accepted} {v.step}\n".encode())
-        assert len(verdicts) == 1059
-        assert digest.hexdigest() == (
-            "947637aaf3db65c58fcbf648cb7caa2785a8bfe766d51e316f682e98c1665083")
+        instance was built by its own code, pinned by hash. The generated
+        derivations are pinned apart: their steps are the generator's."""
+        assert _pinned_mutant_digests(
+            lambda label, v: f"{label} {v.accepted} {v.step}\n") == {
+            "shipped": (145, "0491e1f9f36d41d212e2bb1f78632e5e"
+                             "3d5d1668b17cb48eae0e3dbbd98dfcee"),
+            "generated": (902, "4788a5d90508e59ec0990dc756bf3c1d"
+                               "368a24cbeb5be94cee3b662add96c37c")}
 
     def test_mutant_reasons_pinned(self):
         """The same mutants are rejected for the same reason, word for word,
         as when each system had its own checker."""
-        verdicts = _pinned_mutant_verdicts()
-        digest = hashlib.sha256()
-        for label, v in verdicts:
-            digest.update(f"{label} {v.accepted} {v.step} {v.reason}\n"
-                          .encode())
-        assert len(verdicts) == 1059
-        assert digest.hexdigest() == (
-            "fa0f7a5a9de25f27496295e6103bd99f45258f0f7bfd25233e0c7ebfe321c7fb")
+        assert _pinned_mutant_digests(
+            lambda label, v: f"{label} {v.accepted} {v.step} {v.reason}\n"
+        ) == {
+            "shipped": (145, "c23af2f5f88b599bd7a25e3cb5a51729"
+                             "d804be83feebd228c33d78d88e2dbcb5"),
+            "generated": (902, "808d3a3b70f11583ab2eeb67aedc0a74"
+                               "3ef3cdeecf35e7e6059850886bcbac75")}
 
     def test_json_roundtrip(self):
         for path in proof_paths():
@@ -1024,6 +1033,18 @@ class TestMemoFastPath:
         assert outcomes.count(Verdict.ok()) <= len(outcomes) / 2
 
 
+def _pinned_corpus():
+    """Both derivations of each of 100 seeded expressions."""
+    rng = random.Random(2505)
+    for _ in range(100):
+        ab = gen_alphabet(rng, 3)
+        yield from derive_complement(gen_expr(rng, ab, rng.randint(1, 10)), ab)
+
+
+def _step_count(steps) -> int:
+    return sum(1 + (_step_count(s.hyp.steps) if s.hyp else 0) for s in steps)
+
+
 class TestDeriveComplement:
     def test_conclusions_have_the_right_shape(self):
         e = parse_expr("nu X. mu Y. (a.X + b.Y)", AB)
@@ -1057,16 +1078,25 @@ class TestDeriveComplement:
 
     def test_output_pinned(self):
         """Both derivations of 100 seeded expressions hash as they did
-        before the generator was written once for both laws."""
-        rng = random.Random(2505)
+        when each law wrote one case of each De Morgan pair."""
         digest = hashlib.sha256()
-        for _ in range(100):
-            ab = gen_alphabet(rng, 3)
-            e = gen_expr(rng, ab, rng.randint(1, 10))
-            for d in derive_complement(e, ab):
-                digest.update(json.dumps(derivation_to_json(d)).encode())
+        for d in _pinned_corpus():
+            digest.update(json.dumps(derivation_to_json(d)).encode())
         assert digest.hexdigest() == (
-            "4e867ff8622c3ccf28212b1c871980e595402802fff26d1fd65ab17b9548e624")
+            "d2f76256830ec1706ac8dfeb3f641861689398bb1ee4d942d55b9a6d2fa30145")
+
+    def test_conclusions_pinned(self):
+        """The same corpus concludes, claim for claim, as when each law
+        wrote out both cases of each De Morgan pair, in at most the 10,699
+        steps, hypothetical ones included, that it took then."""
+        digest, steps = hashlib.sha256(), 0
+        for d in _pinned_corpus():
+            digest.update(json.dumps(
+                derivation_to_json(d)["steps"][-1]["claim"]).encode())
+            steps += _step_count(d.steps)
+        assert digest.hexdigest() == (
+            "36a218f8db68e6e0274060f0f4ae69ec6c0569839025f4618dfc7354fe7d5dd8")
+        assert steps <= 10699
 
     def test_generated_mutations_rejected(self):
         e = parse_expr("nu X. a.X", AB)

@@ -413,6 +413,36 @@ class TestPropositionCap:
         self._timed(capsys, ["check", str(path)])
 
 
+class TestAtomCap:
+    """A truth table of over 16 Boolean variables is refused before any row
+    is tried, like every other cap: exit 2, with the cap named, and no
+    rejection of the step."""
+
+    def _timed(self, capsys, tmp_path, data, message):
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps(data))
+        start = time.perf_counter()
+        result = run(capsys, ["check", str(path)])
+        assert time.perf_counter() - start < 1.0
+        assert result == (2, "", f"error: {message}\n")
+
+    def test_boolean_atoms(self, tmp_path, capsys):
+        sides = " + ".join("a." * k + "top" for k in range(1, 18))
+        self._timed(capsys, tmp_path, {
+            "system": "rll", "tier": "extended", "alphabet": ["a"],
+            "steps": [{"id": "s1", "rule": "bool_taut", "claim": {
+                "rel": "leq", "lhs": "top", "rhs": sides}}]},
+            "17 Boolean atoms exceed the cap of 16")
+
+    def test_propositional_atoms(self, tmp_path, capsys):
+        formula = " | ".join("O " * k + "P" for k in range(1, 19))
+        self._timed(capsys, tmp_path, {
+            "system": "multl", "alphabet": ["P"],
+            "steps": [{"id": "s1", "rule": "taut",
+                       "claim": {"formula": formula}}]},
+            "18 propositional atoms exceed the cap of 16")
+
+
 class TestArenaCap:
     """An arena over ``game.MAX_ARENA`` slots (lasso letters x graph
     nodes) is refused before it is built."""
@@ -809,6 +839,49 @@ class TestMalformedProof:
         path.write_text(json.dumps(_with_field(*field, value)))
         code, _out, _err = run(capsys, ["check", str(path)])
         assert code in (0, 1, 2)
+
+
+class TestProofRejections:
+    """A proof that loads but breaks a rule of the JSON or of a duality
+    step, each with its exit code and message."""
+
+    def _check(self, capsys, tmp_path, data):
+        path = tmp_path / "proof.json"
+        path.write_text(json.dumps(data))
+        return path, run(capsys, ["check", str(path)])
+
+    def test_unknown_tier(self, tmp_path, capsys):
+        path, result = self._check(capsys, tmp_path, _with_field(
+            "zero_le_e.json", ["tier"], "loose"))
+        assert result == (2, "", f"error: {path}: unknown tier 'loose'\n")
+
+    def _duality(self, capsys, tmp_path, change):
+        """The verdict on _duality_proof with its duality step changed."""
+        data = _duality_proof()
+        step = data["steps"][0]
+        assert step["rule"] == "duality_plus"
+        change(step)
+        _path, (code, out, err) = self._check(capsys, tmp_path, data)
+        assert (code, err) == (1, "")
+        prefix = f"rejected at step {step['id']}: "
+        assert out.startswith(prefix)
+        return out[len(prefix):]
+
+    def test_duality_without_hyp(self, tmp_path, capsys):
+        assert self._duality(capsys, tmp_path, lambda step: step.pop(
+            "hyp")) == "duality needs a hypothetical sub-derivation\n"
+
+    def test_equal_fresh_variables(self, tmp_path, capsys):
+        def same(step):
+            x = step["subst"]["Y"] = step["subst"]["X"]
+            step["hyp"]["fresh"] = [x, x]
+
+        assert self._duality(capsys, tmp_path, same) == (
+            "the fresh variables must be distinct\n")
+
+    def test_subst_variable_not_an_identifier(self, tmp_path, capsys):
+        assert self._duality(capsys, tmp_path, lambda step: step[
+            "subst"].update(X="1X")) == "bad variable name in subst['X']\n"
 
 
 HEADERS = ["alphabet a b ;", "props P Q ;", "props P ;", "alphabet a ;",

@@ -164,7 +164,7 @@ def random_lasso_text(rng: random.Random, ab: Alphabet) -> str:
                 pieces.append(rng.choice(WHITESPACE))
             elif roll < 0.17:
                 pieces.append(rng.choice(STRAY))
-            elif roll < 0.3 and ab.is_powerset:
+            elif roll < 0.3 and ab.props is not None:
                 pieces.append(rng.choice(SPELLINGS))
             else:
                 pieces.append(rng.choice(ab.letters))

@@ -9,7 +9,7 @@ from rll.syntax import (BINDERS, LATTICE, PREFIXES, Act, Alphabet,
                         AlphabetError, And, FVar, Meet, Mu, MuF, NegProp,
                         Next, Nu, NuF, Or, ParseError, Prop, Sum, TOP, Top,
                         Var, ZERO, Zero, alpha_eq, alpha_key, free_vars,
-                        negate_formula, parse_alphabet_header, RllError,
+                        negate_formula, RllError,
                         parse_expr, parse_expr_file, parse_formula,
                         parse_formula_file, print_expr, subexpressions,
                         subset_letter_name, substitute, token_kind,
@@ -47,7 +47,7 @@ FAMILIES = [
 class TestAlphabet:
     def test_plain(self):
         assert AB.letters == ("a", "b")
-        assert not AB.is_powerset
+        assert AB.props is None
 
     def test_powerset_letters_are_all_subsets(self):
         assert PQ.letters == ("{}", "{P}", "{Q}", "{P,Q}")
@@ -72,8 +72,8 @@ class TestAlphabet:
 
     def test_header_roundtrip(self):
         for ab in (AB, PQ):
-            parsed, rest = parse_alphabet_header(ab.header() + " 0")
-            assert parsed == ab and rest.strip() == "0"
+            parsed, e = parse_expr_file(ab.header() + " 0")
+            assert parsed == ab and e == ZERO
 
     def test_letter_set_is_not_compared(self):
         """The letters' frozenset is derived: ==, hash and repr read only
@@ -238,8 +238,7 @@ class TestFiles:
         monkeypatch.setattr(rll.syntax, "tokenize", counting)
         ab, e = parse_expr_file(text)
         assert calls == [text]
-        _ab, rest = parse_alphabet_header(text)
-        assert e == parse_expr(rest, ab)
+        assert e == parse_expr(text.partition(";")[2], ab)
 
 
 class TestParseFormula:
