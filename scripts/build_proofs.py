@@ -216,7 +216,7 @@ def main() -> int:
             continue
         path = os.path.join(OUT, name)
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(derivation_to_json(d), fh, indent=1)
+            json.dump(derivation_to_json(d, shared=False), fh, indent=1)
             fh.write("\n")
     return 1 if bad else 0
 

@@ -19,6 +19,21 @@ e+f = f. The structural rules ``sym``, ``eq_weaken``, ``leq_def_intro``,
 bare sides and compare relation and sides exactly. A mismatch prints the
 expected instance next to the claim found.
 
+A derivation is stored as JSON (``derivation_to_json``,
+``derivation_from_json``). A claim side, formula or subst term is either
+text, parsed through the derivation's memo, or the index of an entry in an
+optional top-level ``"terms"`` list, which holds each distinct subterm once:
+a constructor and its fields, a subterm as the index of an earlier entry,
+e.g. ``["act", "a", 3]``, ``["sum", 1, 2]``, ``["mu", "X", 5]``,
+``["var", "X"]`` or ``["zero"]``. The loader builds the list in one forward
+pass, with no parser, and refuses an entry that the parser would not have
+read. Entries share subterms, so a few can name a term of exponential size:
+a proof whose claims and subst terms name more than ``MAX_PROOF_NODES`` tree
+nodes by index is refused before any step is checked. The writer lists
+terms this way by default, unless that passes the cap, and keeps the
+conclusion as text; with ``shared=False`` it writes every term as text, as
+the shipped proofs are.
+
 Two tiers: "strict" admits the lattice/homomorphism/partition axioms, the
 fixpoint rules, the duality rules and structural reasoning; "extended" also
 admits bool_taut steps, which decide quasi-equations over closed atoms in the
@@ -31,17 +46,18 @@ from __future__ import annotations
 import itertools
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import partial
 from typing import Callable, Optional, Union
 
 from . import algebra
-from .syntax import (BOTTOMS, JOINS, LATTICE, MEETS, TOPS, VARS, Act, Alphabet,
-                     BINDERS, Expr, Meet, Mu, MuLtlFormula, Next, Nu, RllError,
-                     Sum, TOP, Term, Top, Var, ZERO, Zero, alpha_eq, alpha_key,
-                     free_vars, fresh_name, implies, iff, negate_formula,
-                     parse_expr, parse_formula, print_expr, subexpressions,
-                     substitute, sum_of)
+from .syntax import (BOTTOMS, IDENT, JOINS, KEYWORDS, LATTICE, MEETS, TOPS,
+                     VARS, Act, Alphabet, And, BINDERS, Bot, Expr, FVar, Meet,
+                     Mu, MuF, MuLtlFormula, NegProp, Next, Nu, NuF, Or, Prop,
+                     RllError, Sum, TOP, Term, Top, TopF, Var, ZERO, Zero,
+                     alpha_eq, alpha_key, free_vars, fresh_name, implies, iff,
+                     negate_formula, parse_expr, parse_formula, print_expr,
+                     subexpressions, substitute, sum_of)
 
 
 class CalculusError(RllError):
@@ -99,7 +115,7 @@ class Derivation:
     tier: str  # "strict" | "extended"
     alphabet: Alphabet
     steps: list[Step]
-    # the parse memo of its claims, subst terms and atoms
+    # the parse memo of its texts: claims, subst terms and atoms
     terms: _Terms = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -149,19 +165,21 @@ def _missing(owner: str, err: KeyError) -> CalculusError:
 
 def _strings(value, what: str) -> list[str]:
     for item in _json(value, list, what):
-        _json(item, str, f"each entry of {what}")
+        if not isinstance(item, str):
+            raise CalculusError(f"each entry of {what} must be a string")
     return list(value)
 
 
 class _Terms(dict):
     """One derivation's parse memo, under its alphabet and syntax, which is
     also the parser's group memo, shared by all the texts. A text (str)
-    maps to its term: each distinct claim, subst term or atom, and the text
-    between the brackets of each group parsed, so that a text is parsed
-    once, whether it came whole or as a group, the parser lexes only what
-    no text in the memo covers, and equal groups of different texts are one
-    object. Neither a text nor a group that fails to parse is stored, so it
-    fails alike every time, with the error that it raises parsed alone."""
+    maps to its term: each distinct claim, subst term or atom given as
+    text, and the text between the brackets of each group parsed, so that a
+    text is parsed once, whether it came whole or as a group, the parser
+    lexes only what no text in the memo covers, and equal groups of
+    different texts are one object. Neither a text nor a group that fails
+    to parse is stored, so it fails alike every time, with the error that
+    it raises parsed alone."""
 
     def __init__(self, parse: Callable, alphabet: Alphabet):
         self.parse = partial(parse, alphabet=alphabet)
@@ -171,9 +189,92 @@ class _Terms(dict):
         return t
 
 
+# the constructors of a "terms" entry, per system: each one's node type and
+# the kind of each field after its name: "t" the index of an earlier entry,
+# "v" a variable, "l" a letter, "p" a proposition
+_ENTRIES = {
+    "rll": {"zero": (Zero, ""), "top": (Top, ""), "var": (Var, "v"),
+            "act": (Act, "lt"), "sum": (Sum, "tt"), "meet": (Meet, "tt"),
+            "mu": (Mu, "vt"), "nu": (Nu, "vt")},
+    "multl": {"ff": (Bot, ""), "tt": (TopF, ""), "var": (FVar, "v"),
+              "prop": (Prop, "p"), "neg": (NegProp, "p"), "next": (Next, "t"),
+              "or": (Or, "tt"), "and": (And, "tt"), "mu": (MuF, "vt"),
+              "nu": (NuF, "vt")}}
+_ENTRY_OF = {cls: (name, tuple(f.name for f in fields(cls)))
+             for entries in _ENTRIES.values()
+             for name, (cls, _kinds) in entries.items()}
+_NAME_KINDS = {"v": "a variable name", "l": "a declared letter",
+               "p": "a declared proposition"}
+_TERM_TYPES = (Expr, MuLtlFormula)
+
+# Tree nodes of the claim sides and subst terms that one proof names by
+# index. A table is a DAG, so a few entries can name a term too large for
+# the checker's walks. A complement derivation of a 30-node expression
+# names about 14,000, of a 120-node one about 105,000.
+MAX_PROOF_NODES = 2_000_000
+
+
+def _name_ok(kind: str, x, ab: Alphabet) -> bool:
+    """Whether x is a name of the kind, as the parser would read it."""
+    if type(x) is not str:
+        return False
+    if kind == "l":
+        return x in ab.letter_set
+    if kind == "p":
+        return x in ab.props
+    return (IDENT.fullmatch(x) is not None and x not in KEYWORDS
+            and x not in (ab.props or ()))
+
+
+def _term_table(entries, system: str, ab: Alphabet
+                ) -> tuple[list[Term], list[int]]:
+    """The terms of a proof's "terms" list and the tree size of each, built
+    in one pass, each entry from earlier ones; a CalculusError names the
+    first entry that the parser would not have read. A size past
+    MAX_PROOF_NODES is stored as MAX_PROOF_NODES + 1, so that a long
+    doubling table holds no huge integers."""
+    shapes = _ENTRIES[system]
+    table: list[Term] = []
+    sizes: list[int] = []
+    for k, entry in enumerate(_json(entries, list, "terms")):
+        head = entry[0] if isinstance(entry, list) and entry else None
+        shape = shapes.get(head) if isinstance(head, str) else None
+        if shape is None:
+            raise CalculusError(f"terms[{k}] must be a list that begins "
+                                f"with one of {', '.join(shapes)}")
+        cls, kinds = shape
+        if len(entry) != len(kinds) + 1:
+            raise CalculusError(f"terms[{k}]: {head!r} takes {len(kinds)} "
+                                "field(s)")
+        args, size = [], 1
+        for kind, x in zip(kinds, entry[1:]):
+            if kind == "t":
+                if type(x) is not int or not 0 <= x < k:
+                    raise CalculusError(f"terms[{k}]: a subterm must be the "
+                                        "index of an earlier entry")
+                args.append(table[x])
+                size += sizes[x]
+            elif _name_ok(kind, x, ab):
+                args.append(x)
+            else:
+                raise CalculusError(f"terms[{k}]: {x!r} is not "
+                                    f"{_NAME_KINDS[kind]}")
+        table.append(cls(*args))
+        sizes.append(min(size, MAX_PROOF_NODES + 1))  # a small int
+    return table, sizes
+
+
 def derivation_from_json(data: dict) -> Derivation:
-    """The derivation derivation_to_json wrote; CalculusError on JSON of
-    another shape."""
+    """The derivation derivation_to_json wrote, in either form; CalculusError
+    on JSON of another shape.
+
+    A claim side, formula or subst term is a text, parsed through the
+    derivation's memo, or an index into the optional top-level "terms"
+    list, whose entries are built in one forward pass with no parser (see
+    ``_term_table``). A subst text is parsed when a step reads it, so a bad
+    one rejects that step; every other fault of the JSON is a
+    CalculusError. So is a proof whose terms named by index sum to more
+    than MAX_PROOF_NODES tree nodes."""
     _json(data, dict, "a proof")
     try:
         system, names, steps = data["system"], data["alphabet"], data["steps"]
@@ -188,6 +289,22 @@ def derivation_from_json(data: dict) -> Derivation:
     ab = Alphabet.powerset(*names) if system == "multl" else Alphabet.plain(*names)
     d = Derivation(system, tier, ab, [])
     terms = d.terms
+    table, sizes = _term_table(data.get("terms", []), system, ab)
+    named = 0  # tree nodes of the terms named by index so far
+
+    def side(value, what: str) -> Term:
+        """A claim side or subst term: a text, parsed, or a table index."""
+        nonlocal named
+        if isinstance(value, str):
+            return terms[value]
+        if type(value) is not int or not 0 <= value < len(table):
+            raise CalculusError(f"{what} must be a text or the index of a "
+                                "terms entry")
+        named += sizes[value]
+        if named > MAX_PROOF_NODES:
+            raise CalculusError("the terms named by index exceed the cap of "
+                                f"MAX_PROOF_NODES = {MAX_PROOF_NODES} nodes")
+        return table[value]
 
     def load_step(s) -> Step:
         _json(s, dict, "each step")
@@ -204,17 +321,18 @@ def derivation_from_json(data: dict) -> Derivation:
         except KeyError as err:
             raise _missing("a claim", err) from None
         if system == "multl":
-            parsed: AnyClaim = FormulaClaim(
-                terms[_json(formula, str, "a formula")])
+            parsed: AnyClaim = FormulaClaim(side(formula, "a formula"))
         else:
-            parsed = Claim(rel, terms[_json(lhs, str, "claim 'lhs'")],
-                           terms[_json(rhs, str, "claim 'rhs'")])
+            parsed = Claim(rel, side(lhs, "claim 'lhs'"),
+                           side(rhs, "claim 'rhs'"))
         subst = dict(_json(s.get("subst") or {}, dict, "subst"))
         for key, val in subst.items():
             if key == "atoms":
                 _strings(val, "subst 'atoms'")
-            else:
+            elif key in ("X", "Y", "hole", "a", "b"):  # names, not terms
                 _json(val, str, f"subst {key!r}")
+            elif not isinstance(val, str):  # a text is parsed when read
+                subst[key] = side(val, f"subst {key!r}")
         hyp = s.get("hyp")
         if hyp is not None:
             _json(hyp, dict, "hyp")
@@ -237,18 +355,70 @@ def derivation_from_json(data: dict) -> Derivation:
         del load_step
 
 
-def derivation_to_json(d: Derivation) -> dict:
-    names = list(d.alphabet.props if d.system == "multl" else d.alphabet.letters)
+def _entry(t: Term, table: list, index: dict) -> int:
+    """The index of t's entry in table, appended after its subterms' if it
+    has none yet; index maps each node seen, by id, and each entry, by its
+    fields, to its index."""
+    k = index.get(id(t))
+    if k is None:
+        name, attrs = _ENTRY_OF[type(t)]
+        values = [getattr(t, a) for a in attrs]
+        key = (name, *[x if type(x) is str else _entry(x, table, index)
+                       for x in values])
+        k = index.get(key)
+        if k is None:
+            k = index[key] = len(table)
+            table.append(list(key))
+        index[id(t)] = k
+    return k
 
-    def dump_step(s: Step) -> dict:
+
+def _named_nodes(table: list[list], named: list[int]) -> int:
+    """The tree nodes of the table's entries that named lists, each as
+    often as it is listed, every entry counted at most as MAX_PROOF_NODES +
+    1: what derivation_from_json sums against the cap."""
+    sizes: list[int] = []
+    for entry in table:
+        size = 1 + sum(sizes[x] for x in entry[1:] if type(x) is int)
+        sizes.append(min(size, MAX_PROOF_NODES + 1))
+    return sum(sizes[k] for k in named)
+
+
+def derivation_to_json(d: Derivation, *, shared: bool = True) -> dict:
+    """d as JSON that derivation_from_json reads back.
+
+    The shared form lists each distinct subterm once, in a top-level
+    "terms" list: an entry is a constructor's name and its fields, a
+    subterm as the index of an earlier entry, e.g. ``["act", "a", 3]``,
+    ``["sum", 1, 2]``, ``["mu", "X", 5]``, ``["var", "X"]`` or
+    ``["zero"]`` (muLTL: ``ff tt var prop neg next or and mu nu``). Each
+    claim side, formula and subst term is then the index of its entry,
+    except the claim of the last top-level step, the derivation's
+    conclusion, which stays text. ``shared=False`` writes every term as
+    text. The loader refuses a shared form whose terms named by index pass
+    MAX_PROOF_NODES tree nodes, so such a derivation is written as text
+    whatever ``shared`` says."""
+    names = list(d.alphabet.props if d.system == "multl" else d.alphabet.letters)
+    table: list[list] = []
+    index: dict = {}
+    named: list[int] = []  # the entry of each term written by index
+
+    def put(t: Term, text: bool = False):
+        if text or not shared:
+            return print_expr(t)
+        named.append(_entry(t, table, index))
+        return named[-1]
+
+    def dump_step(s: Step, last: bool = False) -> dict:
         if isinstance(s.claim, FormulaClaim):
-            claim = {"formula": print_expr(s.claim.formula)}
+            claim = {"formula": put(s.claim.formula, last)}
         else:
-            claim = {"rel": s.claim.rel, "lhs": print_expr(s.claim.lhs),
-                     "rhs": print_expr(s.claim.rhs)}
+            claim = {"rel": s.claim.rel, "lhs": put(s.claim.lhs, last),
+                     "rhs": put(s.claim.rhs, last)}
         out = {"id": s.sid, "claim": claim, "rule": s.rule}
         if s.subst:
-            out["subst"] = s.subst
+            out["subst"] = {key: put(val) if isinstance(val, _TERM_TYPES)
+                            else val for key, val in s.subst.items()}
         if s.premises:
             out["premises"] = s.premises
         if s.hyp is not None:
@@ -256,8 +426,14 @@ def derivation_to_json(d: Derivation) -> dict:
                           "steps": [dump_step(t) for t in s.hyp.steps]}
         return out
 
-    return {"system": d.system, "tier": d.tier, "alphabet": names,
-            "steps": [dump_step(s) for s in d.steps]}
+    steps = [dump_step(s, k == len(d.steps) - 1) for k, s in enumerate(d.steps)]
+    if shared and _named_nodes(table, named) > MAX_PROOF_NODES:
+        return derivation_to_json(d, shared=False)
+    out = {"system": d.system, "tier": d.tier, "alphabet": names}
+    if shared:
+        out["terms"] = table
+    out["steps"] = steps
+    return out
 
 
 def load_proof_file(path: str) -> Derivation:
@@ -580,8 +756,8 @@ _SYSTEMS = {"rll": (Claim, "an equational claim", "expression", "an equational")
 
 class _Checker:
     """The walk over a derivation's steps, for either system. A step fails
-    with a CalculusError. Terms in subst are parsed through the derivation's
-    own memo, which loading filled with the claims."""
+    with a CalculusError. Texts in subst are parsed through the derivation's
+    own memo, which loading filled with the claims given as text."""
 
     def __init__(self, d: Derivation, tier: str):
         self.d = d
@@ -598,7 +774,7 @@ class _Checker:
     # -- substitution-field access --------------------------------------
     def sub(self, step: Step, key: str):
         """subst[key], read as what its key names: a variable name (X, Y,
-        hole), a letter (a, b) or a term."""
+        hole), a letter (a, b) or a term, given as one or as text."""
         if key not in step.subst:
             raise CalculusError(f"rule {step.rule} needs subst entry {key!r}")
         raw = step.subst[key]
@@ -608,6 +784,8 @@ class _Checker:
         elif key in ("a", "b"):
             if raw not in self.alphabet.letter_set:
                 raise CalculusError(f"undeclared letter in subst[{key!r}]")
+        elif isinstance(raw, _TERM_TYPES):
+            return raw
         else:
             try:
                 return self.d.terms[raw]
@@ -859,12 +1037,10 @@ class _ComplementGen:
         return step
 
     def ax(self, name: str, **params) -> Step:
-        """An axiom instance, its claim built from the rule table. Letters
-        are recorded as they are, expressions printed."""
-        subst = {k: v if isinstance(v, str) else print_expr(v)
-                 for k, v in params.items()}
+        """An axiom instance, its claim built from the rule table, with its
+        letters and expressions as its subst."""
         return self.emit(name, _instance(name, params, self.ab)[-1],
-                         subst=subst)
+                         subst=params)
 
     def refl(self, e: Expr) -> Step:
         return self.emit("refl", Claim("eq", e, e))
@@ -890,7 +1066,7 @@ class _ComplementGen:
         hole = fresh_name("H", free_vars(c.lhs) | free_vars(c.rhs))
         return self.emit(rule, Claim("eq" if rule == "cong" else "leq",
                                      ctx(c.lhs), ctx(c.rhs)), [s.sid],
-                         {"context": print_expr(ctx(Var(hole))), "hole": hole})
+                         {"context": ctx(Var(hole)), "hole": hole})
 
     def weaken(self, s: Step) -> Step:
         return self.emit("eq_weaken", Claim("leq", s.claim.lhs, s.claim.rhs),
@@ -962,8 +1138,7 @@ class _ComplementGen:
             self.restate(inner, inner.claim)
         steps = self.stack.pop()
         st = self.emit(self.duality, self.law(Mu(x, e_slot), Nu(y, f_slot)),
-                       subst={"X": x, "Y": y, "e": print_expr(e_slot),
-                              "f": print_expr(f_slot)},
+                       subst={"X": x, "Y": y, "e": e_slot, "f": f_slot},
                        hyp=HypContext([x, y], steps))
         if not is_mu:
             st = self.swap(st)

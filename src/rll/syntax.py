@@ -506,7 +506,8 @@ def print_expr(t: Term, _prec: int = 0) -> str:
 # message needs one.
 _SYMBOLS = frozenset(["<->", "->", "+", "&", "|", "~", "!", ".", "(", ")",
                       "{", "}", ",", ";", "0"])
-_TOKEN = r"[A-Za-z_][A-Za-z0-9_]*|<->|->|[+&|~!.(){},;0]"
+IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")  # an identifier token
+_TOKEN = rf"{IDENT.pattern}|<->|->|[+&|~!.(){{}},;0]"
 # whitespace and comments; a comment is anchored to its line's end, so that
 # no backtracking can read its tail as tokens
 _SKIP = r"(?:\s|#[^\n]*(?![^\n]))*"

@@ -1581,22 +1581,27 @@ def _mutate_subst(d: Derivation, step: Step, key: str):
     """A changed subst[key] that changes the rule instance, or None: another
     letter for a letter; a new name for a hole, or for a binder that binds an
     occurrence; 0 (ff for a formula) for an expression, or top (tt) if it is
-    0 (ff) already. The atoms of a bool_taut step name its Boolean
-    variables, not an instance, and are left alone."""
+    0 (ff) already, each a term or text as the value was. The atoms of a
+    bool_taut step name its Boolean variables, not an instance, and are
+    left alone."""
     value = step.subst[key]
+    parse = parse_formula if d.system == "multl" else parse_expr
     if key in ("a", "b"):
         others = [c for c in d.alphabet.letters if c != value]
         return others[0] if others else None
     if key in ("X", "Y", "hole"):
         body = step.subst.get("e", step.subst.get("phi"))
-        parse = parse_formula if d.system == "multl" else parse_expr
+        if isinstance(body, str):
+            body = parse(body, d.alphabet)
         if key == "X" and not step.rule.startswith("duality") and \
-                value not in free_vars(parse(body, d.alphabet)):
+                value not in free_vars(body):
             return None  # renaming a vacuous binder keeps the instance
         return value + "_mut"
     if key == "atoms":
         return None
     zero, top = ("ff", "tt") if d.system == "multl" else ("0", "top")
+    if not isinstance(value, str):
+        zero, top = parse(zero, d.alphabet), parse(top, d.alphabet)
     return top if value == zero else zero
 
 

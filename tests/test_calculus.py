@@ -11,12 +11,13 @@ import random
 import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from helpers import (PROOF_DIR, desk_lassos, mutants, proof_paths,
                      reference_bool_taut, reference_bool_variables,
                      reference_derivation_from_json, reference_prop_variables,
                      reference_propositional_valid)
-from rll import algebra, syntax
+from rll import algebra, calculus, syntax
 from rll.calculus import (RULES, CalculusError, Claim, Derivation,
                           FormulaClaim, HypContext, Step, Verdict, _Terms,
                           bool_taut, boolean_variables, check_derivation,
@@ -770,7 +771,8 @@ class TestProofCorpus:
         spec.loader.exec_module(build_proofs)
         assert len(build_proofs.PROOFS) == 8
         for name, build in build_proofs.PROOFS.items():
-            text = json.dumps(derivation_to_json(build()), indent=1) + "\n"
+            text = json.dumps(derivation_to_json(build(), shared=False),
+                              indent=1) + "\n"
             with open(os.path.join(PROOF_DIR, name), encoding="utf-8") as fh:
                 assert fh.read() == text, name
 
@@ -908,7 +910,8 @@ def _complement_proofs(seed: int) -> list[dict]:
     expression of 10 to 30 nodes."""
     rng = random.Random(seed)
     e = gen_expr(rng, AB, rng.randint(10, 30))
-    return [derivation_to_json(d) for d in derive_complement(e, AB)]
+    return [derivation_to_json(d, shared=False)
+            for d in derive_complement(e, AB)]
 
 
 def _respaced(data: dict, rng: random.Random, rate: float) -> dict:
@@ -1081,7 +1084,8 @@ class TestDeriveComplement:
         when each law wrote one case of each De Morgan pair."""
         digest = hashlib.sha256()
         for d in _pinned_corpus():
-            digest.update(json.dumps(derivation_to_json(d)).encode())
+            digest.update(json.dumps(derivation_to_json(
+                d, shared=False)).encode())
         assert digest.hexdigest() == (
             "d2f76256830ec1706ac8dfeb3f641861689398bb1ee4d942d55b9a6d2fa30145")
 
@@ -1104,3 +1108,112 @@ class TestDeriveComplement:
         bad = [m for label, m in mutants(dp)
                if check_rll(m).accepted]
         assert not bad
+
+
+def _corpus_88():
+    """Both derivations of each of 4 seeded expressions of each size 10,
+    12, ..., 30 over a b."""
+    rng = random.Random(5)
+    for size in range(10, 31, 2):
+        for _ in range(4):
+            yield from derive_complement(gen_expr(rng, AB, size), AB)
+
+
+def _written(d: Derivation, shared: bool) -> Derivation:
+    return derivation_from_json(json.loads(json.dumps(
+        derivation_to_json(d, shared=shared))))
+
+
+def _claims(steps) -> list:
+    """Each step's id and claim, hypothetical steps after their step."""
+    out = []
+    for s in steps:
+        out.append((s.sid, s.claim))
+        if s.hyp is not None:
+            out += _claims(s.hyp.steps)
+    return out
+
+
+class TestSharedTerms:
+    """The shared form, which lists each distinct subterm once and names it
+    by index, against the text form: the same claims and the same
+    verdicts."""
+
+    @pytest.mark.parametrize("corpus", [_pinned_corpus, _corpus_88])
+    def test_forms_load_and_check_alike(self, corpus):
+        for d in corpus():
+            shared, text = _written(d, True), _written(d, False)
+            assert _claims(shared.steps) == _claims(text.steps) == \
+                _claims(d.steps)
+            assert check_derivation(shared) == check_derivation(text) == \
+                Verdict.ok()
+
+    @pytest.mark.parametrize("start", [0, 100, 198])
+    def test_mutants_written_both_ways_get_one_verdict(self, start):
+        """The in-memory mutants of both derivations of one expression of
+        the pinned corpus."""
+        for d in itertools.islice(_pinned_corpus(), start, start + 2):
+            for label, m in mutants(d):
+                assert check_derivation(_written(m, True)) == \
+                    check_derivation(_written(m, False)), label
+
+    def test_conclusion_stays_text(self):
+        for d in itertools.islice(_pinned_corpus(), 20):
+            data = derivation_to_json(d)
+            last = data["steps"][-1]["claim"]
+            assert all(type(last[side]) is str for side in ("lhs", "rhs"))
+            assert last == derivation_to_json(d, shared=False)["steps"][-1][
+                "claim"]
+            assert all(type(x) is int for step in data["steps"][:-1]
+                       for x in (step["claim"]["lhs"], step["claim"]["rhs"]))
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2 ** 32), size=st.integers(1, 30),
+           formula=st.booleans(), open_=st.booleans())
+    def test_one_claim_table_round_trip(self, seed, size, formula, open_):
+        """A random term, as the only indexed claim of a proof, loads equal
+        to itself and to its text parsed."""
+        rng = random.Random(seed)
+        bound = ("Z",) if open_ else ()
+        if formula:
+            ab, parse = PQ, parse_formula
+            t = algebra.to_multl(gen_expr(rng, PQ, size, bound), PQ)
+            claim, system = FormulaClaim(t), "multl"
+        else:
+            ab, parse = gen_alphabet(rng, 3), parse_expr
+            t = gen_expr(rng, ab, size, bound)
+            claim, system = Claim("eq", t, t), "rll"
+        d = Derivation(system, "strict", ab, [Step("s1", claim, "refl"),
+                                              Step("s2", claim, "refl")])
+        data = json.loads(json.dumps(derivation_to_json(d)))
+        # one entry per distinct subterm
+        assert len(data["terms"]) == len(set(syntax.subexpressions(t)))
+        assert type(data["steps"][0]["claim"]["formula" if formula
+                                              else "lhs"]) is int
+        loaded = derivation_from_json(data).steps[0].claim
+        got = loaded.formula if formula else loaded.lhs
+        assert got == t == parse(print_expr(t), ab)
+
+    def test_writer_keeps_under_the_cap(self, monkeypatch):
+        """A derivation whose shared form names more than MAX_PROOF_NODES
+        nodes by index is written as text, which the loader reads."""
+        d = next(_pinned_corpus())
+        monkeypatch.setattr(calculus, "MAX_PROOF_NODES", 50)
+        data = derivation_to_json(d)
+        assert data == derivation_to_json(d, shared=False)
+        assert _claims(derivation_from_json(data).steps) == _claims(d.steps)
+        # and the loader heeds the cap the writer read: 31 + 31 nodes
+        with pytest.raises(CalculusError, match="MAX_PROOF_NODES = 50 "):
+            derivation_from_json({
+                "system": "rll", "alphabet": ["a"],
+                "terms": [["zero"]] + [["sum", k, k] for k in range(4)],
+                "steps": [{"id": "s1", "rule": "refl", "claim": {
+                    "rel": "eq", "lhs": 4, "rhs": 4}}]})
+
+    def test_output_pinned(self):
+        """Both derivations of the pinned corpus, in the shared form."""
+        digest = hashlib.sha256()
+        for d in _pinned_corpus():
+            digest.update(json.dumps(derivation_to_json(d)).encode())
+        assert digest.hexdigest() == (
+            "3bb4260be3803e8ef7e3c6d97c90475711cb37be887c5241ce91462b80c52484")

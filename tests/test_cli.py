@@ -19,8 +19,9 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import rll
 from helpers import (PROOF_DIR, reference_build_parser,
                      reference_equiv_bounded, reference_main, spellings)
-from rll.calculus import (check_derivation, derivation_to_json,
-                          derive_complement, load_proof_file)
+from rll.calculus import (MAX_PROOF_NODES, _term_table, check_derivation,
+                          derivation_to_json, derive_complement,
+                          load_proof_file)
 from rll.cli import main, parse_args
 from rll.corpus import gen_expr, gen_lasso
 from rll.game import GameError, member_game
@@ -443,6 +444,50 @@ class TestAtomCap:
             "18 propositional atoms exceed the cap of 16")
 
 
+class TestProofNodeCap:
+    """A table is a DAG, so a few entries name a term of exponential size:
+    loading refuses a proof whose terms named by index exceed the cap,
+    before the checker walks any of them."""
+
+    def test_doubling_table(self, tmp_path, capsys):
+        path = tmp_path / "doubling.json"
+        path.write_text(json.dumps(_table(_doubling(200), 199, 199)))
+        start = time.perf_counter()
+        code, out, err = run(capsys, ["check", str(path)])
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (2, "")
+        assert err == (f"error: {path}: the terms named by index exceed the "
+                       f"cap of MAX_PROOF_NODES = {MAX_PROOF_NODES} nodes\n")
+
+    @pytest.mark.parametrize("named", [True, False])
+    def test_long_doubling_table(self, named, tmp_path, capsys):
+        """200,000 doubling entries, the last named once or none named:
+        refused or accepted in seconds, each entry's size held as a small
+        number, not one of up to 200,000 bits."""
+        n = 200_000
+        path = tmp_path / "long.json"
+        side = n - 1 if named else "0"
+        path.write_text(json.dumps(_table(_doubling(n), side, side)))
+        start = time.perf_counter()
+        code, out, err = run(capsys, ["check", str(path)])
+        assert time.perf_counter() - start < 5.0
+        _terms, sizes = _term_table(_doubling(n), "rll", Alphabet.plain("a"))
+        assert max(sizes) == MAX_PROOF_NODES + 1
+        if named:
+            assert (code, out) == (2, "")
+            assert "MAX_PROOF_NODES" in err
+        else:
+            assert (code, out, err) == (0, "accepted\n", "")
+
+    def test_below_the_cap(self, tmp_path, capsys):
+        """Claims that name, by index, a term of 2^16 - 1 nodes, twice, are
+        checked."""
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps(_table(_doubling(16), 15, 15)))
+        assert 2 * (2 ** 16 - 1) <= MAX_PROOF_NODES
+        assert run(capsys, ["check", str(path)]) == (0, "accepted\n", "")
+
+
 class TestArenaCap:
     """An arena over ``game.MAX_ARENA`` slots (lasso letters x graph
     nodes) is refused before it is built."""
@@ -729,9 +774,17 @@ def _shipped(name):
         return json.load(fh)
 
 
+def _shared_proof():
+    """A generated derivation in the shared form, its first step a duality
+    step, with a hypothetical sub-derivation."""
+    plus, _meet = derive_complement(parse_expr("mu X. a.X", AB), AB)
+    return derivation_to_json(plus)
+
+
 def _with_field(name, path, value):
-    """The shipped proof name with the JSON field at path set to value."""
-    data = _shipped(name)
+    """The shipped proof name, or the shared proof if name is "shared",
+    with the JSON field at path set to value."""
+    data = _shared_proof() if name == "shared" else _shipped(name)
     target = data
     for key in path[:-1]:
         target = target[key]
@@ -752,6 +805,42 @@ def _field_paths(data, path=()):
         yield from _field_paths(value, path + (key,))
 
 
+def _shared_fields(data):
+    """The paths of the shared form's own fields in data: each entry of its
+    table and each field of an entry, and each claim side and subst term
+    given as an index."""
+    def indices(steps, path):
+        for k, step in enumerate(steps):
+            at = path + (k,)
+            for key in ("lhs", "rhs"):
+                if type(step["claim"][key]) is int:
+                    yield at + ("claim", key)
+            for key, value in step.get("subst", {}).items():
+                if type(value) is int:
+                    yield at + ("subst", key)
+            if "hyp" in step:
+                yield from indices(step["hyp"]["steps"], at + ("hyp", "steps"))
+    yield from _field_paths(data["terms"], ("terms",))
+    yield from indices(data["steps"], ("steps",))
+
+
+def _table(terms, lhs=0, rhs=0, subst=None, system="rll"):
+    """A one-step proof over the table terms whose claim names lhs and rhs
+    (a formula, lhs, for muLTL)."""
+    claim = ({"formula": lhs} if system == "multl"
+             else {"rel": "eq", "lhs": lhs, "rhs": rhs})
+    step = {"id": "s1", "rule": "refl" if system == "rll" else "taut",
+            "claim": claim, "subst": subst or {}}
+    return {"system": system, "alphabet": ["a"] if system == "rll" else ["P"],
+            "terms": terms, "steps": [step]}
+
+
+def _doubling(k):
+    """A table of k entries, each the sum of the one before with itself, so
+    that the last names a term of 2^k - 1 nodes."""
+    return [["zero"]] + [["sum", i - 1, i - 1] for i in range(1, k)]
+
+
 MALFORMED = {
     "top-level-list": [_shipped("zero_le_e.json")],
     "steps-null": _with_field("zero_le_e.json", ["steps"], None),
@@ -766,13 +855,31 @@ MALFORMED = {
                                "claim": {"rel": "leq", "lhs": "0",
                                          "rhs": "top"},
                                "subst": {"atoms": [5]}}]},
+    "terms-object": _table({"0": ["zero"]}),
+    "index-true": _table([["zero"], ["act", "a", True]], 1, 1),
+    "index-negative": _table([["zero"], ["sum", 0, -1]], 1, 1),
+    "index-forward": _table([["sum", 1, 1], ["zero"]]),
+    "index-out-of-range": _table([["zero"], ["sum", 0, 2]], 1, 1),
+    "index-float": _table([["zero"], ["sum", 0, 0.0]], 1, 1),
+    "unknown-constructor": _table([["zero"], ["star", 0]], 1, 1),
+    "other-system-constructor": _table([["ff"]]),
+    "wrong-arity": _table([["zero"], ["sum", 0]], 1, 1),
+    "empty-entry": _table([[]]),
+    "undeclared-letter": _table([["zero"], ["act", "b", 0]], 1, 1),
+    "keyword-variable": _table([["var", "mu"]]),
+    "non-identifier-variable": _table([["var", "1X"]]),
+    "keyword-binder": _table([["var", "X"], ["nu", "top", 0]], 1, 1),
+    "proposition-variable": _table([["var", "P"]], system="multl"),
+    "undeclared-proposition": _table([["prop", "Q"]], system="multl"),
+    "side-past-table": _table([["zero"]], 0, 1),
+    "side-true": _table([["zero"], ["top"]], True, 0),
+    "subst-past-table": _table([["zero"]], subst={"e": 1}),
+    "subst-null": _table([["zero"]], subst={"e": None}),
+    # a name, not a term, so an index is no more a name than in text proofs
+    "subst-variable-index": _table([["zero"]], subst={"X": 0}),
+    "subst-letter-index": _table([["zero"]], subst={"a": 0}),
 }
 
-def _duality_proof():
-    """A generated derivation whose first step is a duality step, with a
-    hypothetical sub-derivation."""
-    plus, _meet = derive_complement(parse_expr("mu X. a.X", AB), AB)
-    return derivation_to_json(plus)
 
 
 # each required field: a proof that has it, the path of the object that
@@ -789,8 +896,9 @@ REQUIRED = [
       for key in ("fresh", "steps")],
 ]
 
-FIELDS = [(name, path) for name in sorted(os.listdir(PROOF_DIR))
-          for path in _field_paths(_shipped(name))]
+FIELDS = [*[(name, path) for name in sorted(os.listdir(PROOF_DIR))
+            for path in _field_paths(_shipped(name))],
+          *[("shared", path) for path in _shared_fields(_shared_proof())]]
 
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False)
@@ -813,7 +921,7 @@ class TestMalformedProof:
                              ids=[f"{r[0]}-{r[2]}" for r in REQUIRED])
     def test_missing_field_is_named(self, name, path, key, owner, tmp_path,
                                     capsys):
-        data = (_duality_proof() if name == "duality"
+        data = (_shared_proof() if name == "duality"
                 else _shipped(f"{name}.json"))
         target = data
         for k in path:
@@ -856,8 +964,8 @@ class TestProofRejections:
         assert result == (2, "", f"error: {path}: unknown tier 'loose'\n")
 
     def _duality(self, capsys, tmp_path, change):
-        """The verdict on _duality_proof with its duality step changed."""
-        data = _duality_proof()
+        """The verdict on _shared_proof with its duality step changed."""
+        data = _shared_proof()
         step = data["steps"][0]
         assert step["rule"] == "duality_plus"
         change(step)
