@@ -21,16 +21,18 @@ expected instance next to the claim found.
 
 A derivation is stored as JSON (``derivation_to_json``,
 ``derivation_from_json``). A claim side, formula or subst term is either
-text, parsed through the derivation's memo, or the index of an entry in an
-optional top-level ``"terms"`` list, which holds each distinct subterm once:
-a constructor and its fields, a subterm as the index of an earlier entry,
-e.g. ``["act", "a", 3]``, ``["sum", 1, 2]``, ``["mu", "X", 5]``,
-``["var", "X"]`` or ``["zero"]``. The loader builds the list in one forward
-pass, with no parser, and refuses an entry that the parser would not have
-read. Entries share subterms, so a few can name a term of exponential size:
-a proof whose claims and subst terms name more than ``MAX_PROOF_NODES`` tree
-nodes by index is refused before any step is checked. The writer lists
-terms this way by default, unless that passes the cap, and keeps the
+text or the index of an entry in an optional top-level ``"terms"`` list,
+which holds each distinct subterm once: a constructor and its fields, a
+subterm as the index of an earlier entry, e.g. ``["act", "a", 3]``,
+``["sum", 1, 2]``, ``["mu", "X", 5]``, ``["var", "X"]`` or ``["zero"]``.
+The loader builds the list in one forward pass, with no parser, and refuses
+an entry that the parser would not have read. Entries share subterms, so a
+few can name a term of exponential size: a proof whose claims and subst
+terms name more than ``MAX_PROOF_NODES`` tree nodes by index is refused
+before any step is checked. Each distinct text of a derivation is parsed
+once and alone (``_Terms``), so equal texts load as one term; a text does
+not share its subterms with other texts, as a table does. The writer lists
+terms by index by default, unless that passes the cap, and keeps the
 conclusion as text; with ``shared=False`` it writes every term as text, as
 the shipped proofs are.
 
@@ -171,21 +173,17 @@ def _strings(value, what: str) -> list[str]:
 
 
 class _Terms(dict):
-    """One derivation's parse memo, under its alphabet and syntax, which is
-    also the parser's group memo, shared by all the texts. A text (str)
-    maps to its term: each distinct claim, subst term or atom given as
-    text, and the text between the brackets of each group parsed, so that a
-    text is parsed once, whether it came whole or as a group, the parser
-    lexes only what no text in the memo covers, and equal groups of
-    different texts are one object. Neither a text nor a group that fails
-    to parse is stored, so it fails alike every time, with the error that
-    it raises parsed alone."""
+    """One derivation's memo of its texts, under its alphabet and syntax: a
+    text (str) maps to its term, each distinct claim side, formula, subst
+    term or atom given as text parsed once and alone, so that equal texts
+    load as one object. A text that fails to parse is not stored, so it
+    fails alike every time."""
 
     def __init__(self, parse: Callable, alphabet: Alphabet):
         self.parse = partial(parse, alphabet=alphabet)
 
     def __missing__(self, text: str) -> Term:
-        t = self[text] = self.parse(text, memo=self)
+        t = self[text] = self.parse(text)
         return t
 
 

@@ -11,19 +11,10 @@ is one regular-expression pass that returns each token as its text, with
 character); a token's position is found again, by rescanning the text, only
 when an error message needs it. The parser is one grammar frame (binders,
 then infix operators by precedence, then operands); a syntax differs only in
-its table of infix operators and in its prefix/atom level. A parenthesised
-group is parsed once per memo (hash-consing at parse time, keyed on the
-input as in packrat parsing): the memo maps the text between a group's
-brackets to its term.
-Before a text is lexed, its brackets are matched on its characters, outside
-comments, and each balanced group is looked up by its text, outermost
-first; only the text around the groups found is lexed, and each found group
-stands in the tokens as its ``(``. Under one alphabet and syntax, equal
-texts parse alike, and only groups that parse are stored; a text that fails
-where groups were found is parsed again without the memo, so every error is
-raised as before, at the same position. The proof checker shares one memo
-across a derivation's texts; a single text is parsed without one, as its
-groups seldom repeat and their keys would cost more than they save.
+its table of infix operators and in its prefix/atom level. Each text is
+tokenized and parsed on its own: proofs that repeat their terms name them
+by index instead (``calculus``), and the proof checker keeps one term per
+distinct text of a derivation.
 """
 
 from __future__ import annotations
@@ -97,6 +88,9 @@ class Alphabet:
         if len(props) > MAX_PROPS:  # 2^n letters are built eagerly
             raise AlphabetError(f"{len(props)} propositions exceed the cap "
                                 f"of {MAX_PROPS}")
+        for p in props:  # each must read back as itself in a formula
+            if IDENT.fullmatch(p) is None or p in KEYWORDS:
+                raise AlphabetError(f"{p!r} cannot be a proposition name")
         # one build: the names are checked as a plain alphabet's (unique),
         # not against a second build, as a directly constructed one's are
         ab = Alphabet(_powerset_letters(props))
@@ -552,8 +546,6 @@ def _infix_table(levels: list) -> dict:
 
 
 _BINDER, _INFIX, _GROUP = range(3)  # what a term waits on in _Parser.term
-# a bracket, or a comment, which may hold brackets
-_BRACKET_RE = re.compile(r"[()]|#[^\n]*")
 
 
 class _Parser:
@@ -564,20 +556,8 @@ class _Parser:
     operators and parentheses still open wait on an explicit stack, so no
     nesting deepens the recursion. Each syntax reads an operand as a chain
     of prefixes, then a group or an atom (``operand``), and applies the
-    prefixes to a group (``wrap``).
-
-    ``memo``, if given, maps the text between the brackets of each balanced
-    group parsed so far to its term. Before lexing, each group is looked up
-    by its text, outermost first, and only the text around the groups found
-    is lexed (``lex_misses``), each found group standing as its ``(``; a
-    group that the parser closes is stored under its text. The term of a
-    group that parses depends only on its text, the alphabet and the
-    syntax, so one memo may serve many texts under one alphabet and syntax;
-    a whole text that parses is a group's text too, so a caller may store
-    it in the memo under itself. A group that fails is not stored, and a
-    text that fails where groups were found is parsed again alone, which
-    raises its error at the text's own position: a parse through the memo
-    that raises no error is the parse alone's."""
+    prefixes to a group (``wrap``). ``tokens`` and ``first``, if given, are
+    a whole file's tokens and the index of the term's first token."""
 
     noun: str  # what the error messages call a term
     reserved: tuple  # names that no bound variable may take
@@ -585,68 +565,22 @@ class _Parser:
     infix: dict  # from _infix_table
 
     def __init__(self, text: str, alphabet: Alphabet,
-                 memo: Optional[dict] = None,
                  tokens: Optional[list[str]] = None, first: int = 0):
         self.text = text
         self.ab = alphabet
-        self.memo = memo
-        self.lexed = text  # the text less the groups found, from lex_misses
-        # (text, term) per "(" token, in order: from lex_misses, or none
-        self.heads = itertools.repeat((None, None))
-        self.tokens = tokens
+        self.tokens = tokenize(text) if tokens is None else tokens
         self.i = self.first = first  # the term's first token
         self.held: list = []  # the prefixes of a group, from operand
-        if tokens is None and memo is None:
-            self.tokens = tokenize(text)
-
-    def lex_misses(self) -> list[str]:
-        """The tokens of the text, where each group that the memo holds by
-        its text stands as its "(" alone. The brackets are matched on the
-        text's characters, outside comments; no group inside a group found
-        is looked up. ``heads`` gets, for each "(" token in order, its
-        group's text, or None where it has no balanced ")", and the term
-        found for it, or None."""
-        text = self.text
-        opens, close, stack = [], {}, []
-        for m in _BRACKET_RE.finditer(text):
-            bracket = m.group()
-            if bracket == "(":
-                opens.append(m.start())
-                stack.append(m.start())
-            elif bracket == ")" and stack:
-                close[stack.pop()] = m.start()
-        heads, pieces, start = [], [], 0
-        for s in opens:
-            if s < start:  # inside the group found last
-                continue
-            e = close.get(s)
-            inner = None if e is None else text[s + 1:e]
-            t = None if inner is None else self.memo.get(inner)
-            heads.append((inner, t))
-            if t is not None:
-                pieces.append(text[start:s])
-                start = e + 1
-        self.heads = iter(heads)
-        if pieces:  # each group found becomes a bare "("
-            self.lexed = "(".join(pieces + [text[start:]])
-        return tokenize(self.lexed)
 
     def pos(self, i: int) -> int:
-        """Where token i begins in the lexed text."""
-        return token_positions(self.lexed)[i]
+        """Where token i begins in the text."""
+        return token_positions(self.text)[i]
 
     def parse(self, require_closed: bool) -> Term:
-        try:
-            if self.tokens is None:
-                self.tokens = self.lex_misses()
-            t = self.term(0)
-            tok = self.tokens[self.i]
-            if tok:
-                raise ParseError(f"trailing input {tok!r}", self.pos(self.i))
-        except RllError:
-            if self.lexed is self.text:  # no group was found
-                raise
-            return type(self)(self.text, self.ab).parse(require_closed)
+        t = self.term(0)
+        tok = self.tokens[self.i]
+        if tok:
+            raise ParseError(f"trailing input {tok!r}", self.pos(self.i))
         if require_closed and free_vars(t):
             names = ", ".join(sorted(free_vars(t)))
             # the term's text begins after the one-character ';' before it
@@ -675,15 +609,10 @@ class _Parser:
                 continue
             t = self.operand()
             if t is None:  # a group, after the prefixes in self.held
-                prefixes = self.held
-                self.i += 1
-                key, t = next(self.heads)
-                if t is None:  # its inside is a term of level 0
-                    waiting.append((_GROUP, prefixes, key, level))
-                    level = 0
-                    continue
-                if prefixes:
-                    t = self.wrap(prefixes, t)
+                self.i += 1  # its inside is a term of level 0
+                waiting.append((_GROUP, self.held, level))
+                level = 0
+                continue
             while True:  # t ends a term of this level, or an operator's left
                 op = infix.get(tokens[self.i])
                 if op is not None and op[0] >= level:
@@ -700,10 +629,8 @@ class _Parser:
                 elif frame[0] == _BINDER:
                     t = frame[1](frame[2], t)
                 else:
-                    _, prefixes, key, level = frame
+                    _, prefixes, level = frame
                     self.expect(")")
-                    if key is not None:  # a group of equal text is one term
-                        t = self.memo.setdefault(key, t)
                     if prefixes:
                         t = self.wrap(prefixes, t)
 
@@ -843,28 +770,25 @@ class _FormulaParser(_Parser):
         return phi
 
 
-def parse_expr(text: str, alphabet: Alphabet, require_closed: bool = False,
-               memo: Optional[dict] = None) -> Expr:
+def parse_expr(text: str, alphabet: Alphabet,
+               require_closed: bool = False) -> Expr:
     """Parse an RLL expression.
 
     Grammar (binders weakest and maximally right, & tighter than +, a.e
     tightest): ``0 | top | IDENT | LETTER.e | e+e | e&e | (mu|nu) X. e | (e)``.
-    ``memo`` is a group memo of ``_Parser`` (a dict), to share between the
-    expressions of one alphabet; none by default.
     """
-    return _ExprParser(text, alphabet, memo).parse(require_closed)
+    return _ExprParser(text, alphabet).parse(require_closed)
 
 
-def parse_formula(text: str, alphabet: Alphabet, require_closed: bool = False,
-                  memo: Optional[dict] = None) -> MuLtlFormula:
+def parse_formula(text: str, alphabet: Alphabet,
+                  require_closed: bool = False) -> MuLtlFormula:
     """Parse a muLTL formula over a powerset alphabet into NNF.
 
     Grammar, weakest first: binders, <->, -> (to the right), |, &, then the
     prefixes O and !: ``ff | tt | P | ~P | X | O phi | !phi | (phi)``.
-    ``memo`` is as for ``parse_expr``.
     """
     _need_props(alphabet)
-    return _FormulaParser(text, alphabet, memo).parse(require_closed)
+    return _FormulaParser(text, alphabet).parse(require_closed)
 
 
 def parse_braced_letter(text: str, alphabet: Alphabet, at: int) -> str:

@@ -21,9 +21,8 @@ import sys
 from dataclasses import dataclass, replace
 from itertools import product
 from typing import Iterator, Optional
-from unittest import mock
 
-from rll import __version__, algebra, calculus, cli
+from rll import __version__, algebra, cli
 from rll.calculus import (Claim, Derivation, FormulaClaim, Step,
                           _skeleton_value, bool_taut, maximal_atoms)
 from rll.closure import (DEAD_TOP, DEAD_ZERO, ClosureError, OccurrenceGraph,
@@ -1434,27 +1433,6 @@ def reference_propositional_valid(claim: MuLtlFormula,
         raise RllError(f"{nvars} propositional atoms exceed the cap of 16")
     return _reference_truth_table(claim, premises, var_of, nvars,
                                   lambda phi, value: value(phi))
-
-
-# ---------------------------------------------------------------------------
-# Reference proof loading: each text of a derivation parsed alone
-# ---------------------------------------------------------------------------
-
-class _TextsAlone(calculus._Terms):
-    """A derivation's texts, each parsed once and alone, with no group
-    memo."""
-
-    def __missing__(self, text: str) -> Term:
-        t = self[text] = self.parse(text)
-        return t
-
-
-def reference_derivation_from_json(data: dict) -> Derivation:
-    """``derivation_from_json`` with each distinct text parsed alone, so
-    that the parser lexes every text whole and shares no group between
-    texts: the reference for the memo's lookups by text and by tokens."""
-    with mock.patch.object(calculus, "_Terms", _TextsAlone):
-        return calculus.derivation_from_json(data)
 
 
 # ---------------------------------------------------------------------------

@@ -8,15 +8,13 @@ import itertools
 import json
 import os
 import random
-import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import (PROOF_DIR, desk_lassos, mutants, proof_paths,
                      reference_bool_taut, reference_bool_variables,
-                     reference_derivation_from_json, reference_prop_variables,
-                     reference_propositional_valid)
+                     reference_prop_variables, reference_propositional_valid)
 from rll import algebra, calculus, syntax
 from rll.calculus import (RULES, CalculusError, Claim, Derivation,
                           FormulaClaim, HypContext, Step, Verdict, _Terms,
@@ -28,7 +26,7 @@ from rll.corpus import gen_alphabet, gen_expr
 from rll.semantics import (enumerate_lassos, eval_multl, eval_rll,
                            member_oracle)
 from rll.syntax import (Alphabet, And, BOT, Bot, FVar, Meet, Mu, MuF, Next,
-                        Nu, NuF, Or, ParseError, Prop, RllError, Sum, TOP, TT,
+                        Nu, NuF, Or, ParseError, Prop, Sum, TOP, TT,
                         Top, TopF, Var, ZERO, Zero, alpha_eq, free_vars, implies,
                         negate_formula, parse_expr, parse_formula, print_expr)
 
@@ -835,6 +833,19 @@ def _texts_and_terms(raw_steps, steps):
             yield from _texts_and_terms(raw["hyp"]["steps"], step.hyp.steps)
 
 
+def _json_texts(steps):
+    """Each claim side, formula, subst term and atom that JSON steps give as
+    text, hypotheses' too."""
+    for s in steps:
+        yield from (text for key, text in s["claim"].items() if key != "rel")
+        for key, value in s.get("subst", {}).items():
+            if key == "atoms":
+                yield from value
+            elif key not in ("X", "Y", "hole", "a", "b"):  # names, not terms
+                yield value
+        yield from _json_texts(s.get("hyp", {}).get("steps", []))
+
+
 class TestParseMemo:
     """Each distinct text of a derivation is parsed once, whether a claim,
     a subst term or an atom names it."""
@@ -874,6 +885,20 @@ class TestParseMemo:
                 assert t is not terms[text] or isinstance(t, (
                     Zero, Top, Bot, TopF))
 
+    def test_keys_are_the_texts_of_the_proof(self):
+        """Loading and checking keeps one term per distinct text of the
+        JSON, and nothing else: no text of a part of a term."""
+        e = gen_expr(random.Random(11), AB, 24)
+        proofs = [derivation_to_json(d, shared=False)
+                  for d in derive_complement(e, AB)]
+        for path in proof_paths():
+            with open(path, encoding="utf-8") as fh:
+                proofs.append(json.load(fh))
+        for data in proofs:
+            d = derivation_from_json(data)
+            assert check_derivation(d) == Verdict.ok()
+            assert set(d.terms) == set(_json_texts(data["steps"]))
+
     def test_bad_subst_term_cited_twice(self):
         reason = ("bad expression in subst['e']: expected ')', found '' "
                   "(at position 6)")
@@ -889,151 +914,6 @@ class TestParseMemo:
             with pytest.raises(ParseError, match="expected '\\)'"):
                 terms["b.(top"]
         assert not terms and terms["b.top"] is terms["b.top"]
-
-
-# whitespace and comments that hold brackets, to add between tokens
-_SPACES = [" ", "  ", "\n", "\t", " # )\n", "# (\n", "\t# ((\n"]
-# subst keys that name a variable or a letter, not a term
-_NAMES = ("X", "Y", "hole", "a", "b")
-# faults at a bracket at i: each makes most texts fail, at some position
-_FAULTS = [
-    lambda t, i: t[:i] + t[i + 1:],  # the bracket dropped
-    lambda t, i: t[:i + 1] + "$" + t[i + 1:],  # an illegal character
-    lambda t, i: t[:i] + "c." + t[i:],  # an undeclared letter
-    lambda t, i: t[:i] + "# " + t[i:],  # the rest of its line a comment
-    lambda t, i: t[:i] + ")" + t[i:],  # a bracket too many
-]
-
-
-def _complement_proofs(seed: int) -> list[dict]:
-    """The JSON of both laws' complement derivations of a seeded
-    expression of 10 to 30 nodes."""
-    rng = random.Random(seed)
-    e = gen_expr(rng, AB, rng.randint(10, 30))
-    return [derivation_to_json(d, shared=False)
-            for d in derive_complement(e, AB)]
-
-
-def _respaced(data: dict, rng: random.Random, rate: float) -> dict:
-    """data with whitespace or a comment added after a share ``rate`` of
-    the spaces and brackets of each claim and subst term."""
-    def respace(_path, text: str) -> str:
-        return re.sub(r"[() ]", lambda m: m.group() + rng.choice(_SPACES)
-                      if rng.random() < rate else m.group(), text)
-    return _map_texts(data, respace)
-
-
-def _map_texts(data: dict, fn) -> dict:
-    """data with each claim side, formula and subst term replaced by
-    fn(path, text), where path is the step's index in each list of steps
-    on the way, then the field."""
-    def steps(raw: list, path: tuple) -> list:
-        out = []
-        for k, step in enumerate(raw):
-            at = path + (k,)
-            step = dict(step)
-            step["claim"] = {key: val if key == "rel" else fn(at + (key,), val)
-                             for key, val in step["claim"].items()}
-            if "subst" in step:
-                step["subst"] = {key: fn(at + (key,), val) if key not in _NAMES
-                                 and isinstance(val, str) else val
-                                 for key, val in step["subst"].items()}
-            if "hyp" in step:
-                step["hyp"] = {**step["hyp"],
-                               "steps": steps(step["hyp"]["steps"], at)}
-            out.append(step)
-        return out
-    return {**data, "steps": steps(data["steps"], ())}
-
-
-def _loaded(load, data: dict) -> tuple:
-    """The verdict and the term of each text that load's derivation
-    parsed; or the type and message of the error that loading raised, and
-    no terms."""
-    try:
-        d = load(data)
-    except RllError as err:
-        return (type(err), str(err)), {}
-    return check_derivation(d), {text: t for text, t in d.terms.items()
-                                 if isinstance(text, str)}
-
-
-def _assert_alike(data: dict):
-    """Loading data through the memo and with each text parsed alone give
-    the same verdict or error and, for each text parsed alone, an equal
-    term."""
-    (memo, terms), (alone, want) = (_loaded(load, data) for load in (
-        derivation_from_json, reference_derivation_from_json))
-    assert memo == alone
-    for text, t in want.items():
-        assert terms[text] == t, text
-    return memo
-
-
-def _shipped(path: str) -> dict:
-    with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
-
-
-class TestMemoFastPath:
-    """Loading a derivation through its memo, which looks each group up by
-    its text before lexing it, against loading it with each text parsed
-    alone: the same verdict, an equal term for each text, and the same
-    error, position included."""
-
-    @pytest.fixture
-    def lexed(self, monkeypatch):
-        """A list that gets the number of tokens of each text lexed."""
-        counts, tokenize = [], syntax.tokenize
-
-        def counting(text):
-            tokens = tokenize(text)
-            counts.append(len(tokens) - 1)
-            return tokens
-        monkeypatch.setattr(syntax, "tokenize", counting)
-        return counts
-
-    @pytest.mark.parametrize("seed", range(4))
-    def test_complement_derivations(self, seed, lexed):
-        for data in _complement_proofs(seed):
-            lexed.clear()
-            derivation_from_json(data)
-            by_memo = sum(lexed)
-            lexed.clear()
-            reference_derivation_from_json(data)
-            # most tokens sit in groups found by their text
-            assert by_memo < sum(lexed) / 2
-            assert _assert_alike(data) == Verdict.ok()
-
-    @pytest.mark.parametrize("seed", range(4))
-    def test_respaced_and_commented(self, seed):
-        rng = random.Random(seed)
-        for data in [*map(_shipped, proof_paths()),
-                     *_complement_proofs(100 + seed)]:
-            for rate in (0.05, 0.3):
-                _assert_alike(_respaced(data, rng, rate))
-
-    @pytest.mark.parametrize("seed", range(4))
-    def test_faults_fail_alike(self, seed):
-        """Each fault at a bracket of a claim or subst term in the second
-        half of a derivation, after the memo has stored most groups:
-        loading fails, or a step is rejected, with the error of the text
-        parsed alone."""
-        rng = random.Random(seed)
-        outcomes = []
-        for data in _complement_proofs(200 + seed):
-            data = _respaced(data, rng, 0.1)
-            texts = []
-            _map_texts(data, lambda path, text: texts.append((path, text)))
-            late = [(path, m.start()) for path, text in texts
-                    if path[0] >= len(data["steps"]) // 2
-                    for m in re.finditer("[()]", text)]
-            for fault in _FAULTS:
-                at, i = rng.choice(late)
-                faulty = _map_texts(data, lambda path, text: fault(text, i)
-                                    if path == at else text)
-                outcomes.append(_assert_alike(faulty))
-        assert outcomes.count(Verdict.ok()) <= len(outcomes) / 2
 
 
 def _pinned_corpus():

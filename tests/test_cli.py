@@ -414,6 +414,21 @@ class TestPropositionCap:
         self._timed(capsys, ["check", str(path)])
 
 
+class TestPropositionNames:
+    """A header's proposition must read back as itself: a keyword would
+    read as the keyword in a formula (``{tt}.top`` translated to
+    ``tt & ...``), and ``O`` as the next-step operator."""
+
+    @pytest.mark.parametrize("basis,body", [("tt P", "{tt}.top"),
+                                            ("O", "top"), ("mu", "top")])
+    def test_keyword_in_props_header(self, tmp_path, capsys, basis, body):
+        path = tmp_path / "props.rll"
+        path.write_text(f"props {basis} ;\n{body}\n")
+        name = basis.split()[0]
+        assert run(capsys, ["parse", str(path)]) == (
+            2, "", f"error: {path}: {name!r} cannot be a proposition name\n")
+
+
 class TestAtomCap:
     """A truth table of over 16 Boolean variables is refused before any row
     is tried, like every other cap: exit 2, with the cap named, and no
@@ -878,6 +893,11 @@ MALFORMED = {
     # a name, not a term, so an index is no more a name than in text proofs
     "subst-variable-index": _table([["zero"]], subst={"X": 0}),
     "subst-letter-index": _table([["zero"]], subst={"a": 0}),
+    # a proposition that formulas would read as a keyword, or as two names
+    "proposition-keyword": {**_table([["tt"]], system="multl"),
+                            "alphabet": ["tt"]},
+    "proposition-comma": {**_table([["tt"]], system="multl"),
+                          "alphabet": ["P,Q"]},
 }
 
 

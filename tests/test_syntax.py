@@ -11,10 +11,10 @@ from rll.syntax import (BINDERS, LATTICE, PREFIXES, Act, Alphabet,
                         Var, ZERO, Zero, alpha_eq, alpha_key, free_vars,
                         negate_formula, RllError,
                         parse_expr, parse_expr_file, parse_formula,
-                        parse_formula_file, print_expr, subexpressions,
+                        parse_formula_file, print_expr,
                         subset_letter_name, substitute, token_kind,
                         token_positions, tokenize)
-from rll.calculus import (Verdict, check_rll, derivation_from_json,
+from rll.calculus import (Verdict, _Terms, check_rll, derivation_from_json,
                           derivation_to_json, derive_complement)
 from rll.closure import ClosureError, occurrence_graph
 from rll.semantics import Lasso, SemanticsError, parse_lasso
@@ -23,10 +23,9 @@ from helpers import (reference_parse_expr, reference_parse_formula,
                      reference_tokenize)
 import json
 import random
-import re
 import time
 from dataclasses import fields, replace
-from typing import Iterator
+from functools import partial
 
 AB = Alphabet.plain("a", "b")
 PQ = Alphabet.powerset("P", "Q")
@@ -519,75 +518,36 @@ def _memo_texts(seed, infix, operands):
     return [chain(3) for _ in range(40)]
 
 
-class _CountingMemo(dict):
-    """A group memo that counts its hits."""
-    hits = 0
-
-    def get(self, key, default=None):
-        t = super().get(key, default)
-        self.hits += t is not None
-        return t
-
-
 class TestGroupMemo:
-    """Parsing through one memo shared by a sequence of texts gives what
-    parsing each text alone, without a memo, gives: an equal term, or an
-    equal exception type and message."""
+    """One memo of texts (``calculus._Terms``, a derivation's), shared by a
+    group of texts, gives what parsing each text alone gives: an equal
+    term, or an equal exception type and message. It keeps one term per
+    text that parses, and nothing of a text that fails."""
 
     @pytest.mark.parametrize("seed", range(40))
     def test_shared_memo_matches_parses_one_at_a_time(self, seed):
-        outcomes, hits = [], 0
+        outcomes = []
         for parse, reference, ab, infix, operands in MEMO_SYNTAXES:
             texts = _memo_texts(seed, infix, operands)
             for closed in (False, True):
-                memo = _CountingMemo()
+                memo = _Terms(partial(parse, require_closed=closed), ab)
 
                 def shared(text, ab, require_closed):
-                    return parse(text, ab, require_closed, memo=memo)
+                    return memo[text]
 
                 for text in texts:
                     got = _parse(shared, text, ab, closed)
                     assert got == _parse(parse, text, ab, closed), text
                     assert got == _parse(reference, text, ab, closed), text
                     outcomes.append(got)
-                hits += memo.hits
-        # the texts reach the memo, and both parse and fail
-        assert hits >= 40
+                parsed = {text: t for text, t in zip(texts, outcomes[-40:])
+                          if not isinstance(t, tuple)}
+                # found again by its text, as the object stored
+                assert memo == parsed
+                assert all(memo[text] is t for text, t in parsed.items())
+        # the texts both parse and fail
         errors = sum(isinstance(o, tuple) for o in outcomes)
         assert 0.1 < errors / len(outcomes) < 0.9
-
-    def test_failed_group_fails_again(self):
-        memo = {}
-        for text in ["(c.X) + a.X", "a.X & (c.X)"]:
-            with pytest.raises(AlphabetError, match="undeclared letter 'c'"):
-                parse_expr(text, AB, memo=memo)
-        assert memo == {}
-
-    def test_unbalanced_group_is_not_a_hit(self):
-        memo = {}
-        assert parse_expr("(a.X)", AB, memo=memo) == Act("a", Var("X"))
-        for text, message in [("(a.X", "expected ')', found ''"),
-                              ("((a.X)", "expected ')', found ''")]:
-            with pytest.raises(ParseError, match=re.escape(message)):
-                parse_expr(text, AB, memo=memo)
-
-    def test_groups_of_a_derivation_are_shared(self):
-        """The text of a parenthesised subterm of several claims of a loaded
-        generated derivation maps to one object, found in all of them."""
-        e = gen_expr(random.Random(11), AB, 24)
-        for d in derive_complement(e, AB):
-            data = json.loads(json.dumps(derivation_to_json(d, shared=False)))
-            d = derivation_from_json(data)
-            claims = set(_claim_texts(data["steps"]))
-            most = 0
-            for key, g in d.terms.items():
-                if key in claims:
-                    continue
-                inside = [text for text in claims if f"({key})" in text]
-                for text in inside:
-                    assert any(s is g for s in subexpressions(d.terms[text]))
-                most = max(most, len(inside))
-            assert most >= 5
 
     def test_memo_keys_are_texts(self):
         """Loading and checking a derivation keys its memo on texts alone."""
@@ -597,34 +557,6 @@ class TestGroupMemo:
                 derivation_to_json(d, shared=False))))
             assert check_rll(d) == Verdict.ok()
             assert d.terms and all(type(key) is str for key in d.terms)
-
-
-def _claim_texts(steps: list) -> Iterator[str]:
-    """The lhs and rhs texts of each claim of JSON steps, hypotheses' too."""
-    for s in steps:
-        yield s["claim"]["lhs"]
-        yield s["claim"]["rhs"]
-        yield from _claim_texts(s.get("hyp", {}).get("steps", []))
-
-
-class TestGroupsFoundByText:
-    """A memo that holds a group's text: the parse lexes around the group,
-    and gives what a parse without a memo gives, error positions included,
-    also where the error is at the group's bracket."""
-
-    @pytest.mark.parametrize("text", [
-        "a.X (b.0)", "mu (b.0). X", "a.X + (b.0) (b.0)", "((b.0)", "(b.0))",
-        "(b.0) $", "c.(b.0)", "(b.0) + (b.0 # )\n)", "# (b.0)\n(b.0) + (",
-        "a.(b.0) & (b.0)"])
-    def test_outcome_as_without_memo(self, text):
-        memo = _CountingMemo({"b.0": parse_expr("b.0", AB)})
-
-        def shared(text, ab, require_closed):
-            return parse_expr(text, ab, require_closed, memo=memo)
-
-        assert _parse(shared, text, AB, False) == \
-            _parse(parse_expr, text, AB, False)
-        assert memo.hits
 
 
 class TestPrintParse:
