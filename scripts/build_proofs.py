@@ -13,7 +13,7 @@ import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from rll.calculus import (Claim, Derivation, FormulaClaim, HypContext, Step,
+from rll.calculus import (Claim, Derivation, HypContext, Step,
                           check_derivation, derivation_to_json)
 from rll.syntax import (Alphabet, And, FVar, Next, NuF, Or, Prop, implies,
                         iff, negate_formula, parse_expr)
@@ -144,8 +144,7 @@ def until_next_distribution() -> Derivation:
     rhs = NuF("Y", nu2_body)                   # (O P) U (O Q)
 
     def fstep(sid, formula, rule, subst=None, premises=None):
-        return Step(sid, FormulaClaim(formula), rule, subst or {},
-                    premises or [])
+        return Step(sid, formula, rule, subst or {}, premises or [])
 
     from rll.syntax import print_expr as pf
 

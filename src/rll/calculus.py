@@ -29,12 +29,12 @@ The loader builds the list in one forward pass, with no parser, and refuses
 an entry that the parser would not have read. Entries share subterms, so a
 few can name a term of exponential size: a proof whose claims and subst
 terms name more than ``MAX_PROOF_NODES`` tree nodes by index is refused
-before any step is checked. Each distinct text of a derivation is parsed
-once and alone (``_Terms``), so equal texts load as one term; a text does
-not share its subterms with other texts, as a table does. The writer lists
-terms by index by default, unless that passes the cap, and keeps the
-conclusion as text; with ``shared=False`` it writes every term as text, as
-the shipped proofs are.
+before any step is checked. A text is parsed alone, where it is read: a
+claim side or formula when the proof is loaded, a subst term or atom when a
+step reads it. The table is the one way to share terms: texts share no
+subterms, not even equal ones. The writer lists terms by index by default,
+unless that passes the cap, and keeps the conclusion as text; with
+``shared=False`` it writes every term as text, as the shipped proofs are.
 
 Two tiers: "strict" admits the lattice/homomorphism/partition axioms, the
 fixpoint rules, the duality rules and structural reasoning; "extended" also
@@ -87,12 +87,7 @@ class Claim:
         return self.lhs, self.rhs
 
 
-@dataclass(frozen=True)
-class FormulaClaim:
-    formula: MuLtlFormula
-
-
-AnyClaim = Union[Claim, FormulaClaim]
+AnyClaim = Union[Claim, MuLtlFormula]  # a muLTL claim is its formula
 
 
 @dataclass
@@ -117,12 +112,6 @@ class Derivation:
     tier: str  # "strict" | "extended"
     alphabet: Alphabet
     steps: list[Step]
-    # the parse memo of its texts: claims, subst terms and atoms
-    terms: _Terms = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        self.terms = _Terms(parse_formula if self.system == "multl"
-                            else parse_expr, self.alphabet)
 
 
 @dataclass(frozen=True)
@@ -170,21 +159,6 @@ def _strings(value, what: str) -> list[str]:
         if not isinstance(item, str):
             raise CalculusError(f"each entry of {what} must be a string")
     return list(value)
-
-
-class _Terms(dict):
-    """One derivation's memo of its texts, under its alphabet and syntax: a
-    text (str) maps to its term, each distinct claim side, formula, subst
-    term or atom given as text parsed once and alone, so that equal texts
-    load as one object. A text that fails to parse is not stored, so it
-    fails alike every time."""
-
-    def __init__(self, parse: Callable, alphabet: Alphabet):
-        self.parse = partial(parse, alphabet=alphabet)
-
-    def __missing__(self, text: str) -> Term:
-        t = self[text] = self.parse(text)
-        return t
 
 
 # the constructors of a "terms" entry, per system: each one's node type and
@@ -266,13 +240,12 @@ def derivation_from_json(data: dict) -> Derivation:
     """The derivation derivation_to_json wrote, in either form; CalculusError
     on JSON of another shape.
 
-    A claim side, formula or subst term is a text, parsed through the
-    derivation's memo, or an index into the optional top-level "terms"
-    list, whose entries are built in one forward pass with no parser (see
-    ``_term_table``). A subst text is parsed when a step reads it, so a bad
-    one rejects that step; every other fault of the JSON is a
-    CalculusError. So is a proof whose terms named by index sum to more
-    than MAX_PROOF_NODES tree nodes."""
+    A claim side, formula or subst term is a text, parsed alone, or an
+    index into the optional top-level "terms" list, whose entries are built
+    in one forward pass with no parser (see ``_term_table``). A subst text
+    is parsed when a step reads it, so a bad one rejects that step; every
+    other fault of the JSON is a CalculusError. So is a proof whose terms
+    named by index sum to more than MAX_PROOF_NODES tree nodes."""
     _json(data, dict, "a proof")
     try:
         system, names, steps = data["system"], data["alphabet"], data["steps"]
@@ -285,8 +258,7 @@ def derivation_from_json(data: dict) -> Derivation:
         raise CalculusError(f"unknown tier {tier!r}")
     names = _strings(names, "alphabet")
     ab = Alphabet.powerset(*names) if system == "multl" else Alphabet.plain(*names)
-    d = Derivation(system, tier, ab, [])
-    terms = d.terms
+    parse = _SYSTEMS[system][1]
     table, sizes = _term_table(data.get("terms", []), system, ab)
     named = 0  # tree nodes of the terms named by index so far
 
@@ -294,7 +266,7 @@ def derivation_from_json(data: dict) -> Derivation:
         """A claim side or subst term: a text, parsed, or a table index."""
         nonlocal named
         if isinstance(value, str):
-            return terms[value]
+            return parse(value, ab)
         if type(value) is not int or not 0 <= value < len(table):
             raise CalculusError(f"{what} must be a text or the index of a "
                                 "terms entry")
@@ -319,7 +291,7 @@ def derivation_from_json(data: dict) -> Derivation:
         except KeyError as err:
             raise _missing("a claim", err) from None
         if system == "multl":
-            parsed: AnyClaim = FormulaClaim(side(formula, "a formula"))
+            parsed: AnyClaim = side(formula, "a formula")
         else:
             parsed = Claim(rel, side(lhs, "claim 'lhs'"),
                            side(rhs, "claim 'rhs'"))
@@ -347,8 +319,8 @@ def derivation_from_json(data: dict) -> Derivation:
 
     # load_step refers to itself; unbinding it frees the closure on return
     try:
-        d.steps = [load_step(s) for s in _json(steps, list, "steps")]
-        return d
+        return Derivation(system, tier, ab,
+                          [load_step(s) for s in _json(steps, list, "steps")])
     finally:
         del load_step
 
@@ -408,8 +380,8 @@ def derivation_to_json(d: Derivation, *, shared: bool = True) -> dict:
         return named[-1]
 
     def dump_step(s: Step, last: bool = False) -> dict:
-        if isinstance(s.claim, FormulaClaim):
-            claim = {"formula": put(s.claim.formula, last)}
+        if isinstance(s.claim, MuLtlFormula):
+            claim = {"formula": put(s.claim, last)}
         else:
             claim = {"rel": s.claim.rel, "lhs": put(s.claim.lhs, last),
                      "rhs": put(s.claim.rhs, last)}
@@ -528,8 +500,7 @@ _SYSTEM = {**{rule: "rll" if schemas[-1][0] in ("=", "<=") else "multl"
            **dict.fromkeys(("refl", "trans", "cong", "mono", "hyp",
                             "bool_taut"), "rll"), "taut": "multl"}
 _CLAIM = {"=": partial(Claim, "eq"), "<=": partial(Claim, "leq"),
-          "->": lambda a, b: FormulaClaim(implies(a, b)),
-          "<->": lambda a, b: FormulaClaim(iff(a, b)), "": FormulaClaim}
+          "->": implies, "<->": iff, "": lambda phi: phi}
 
 
 def _fill(t: Term, p: dict) -> Term:
@@ -563,7 +534,7 @@ def _instance(rule: str, p: dict, alphabet: Alphabet) -> list[AnyClaim]:
 
 
 def _sides(c: AnyClaim) -> tuple:
-    return (c.formula,) if isinstance(c, FormulaClaim) else (c.lhs, c.rhs)
+    return (c,) if isinstance(c, MuLtlFormula) else (c.lhs, c.rhs)
 
 
 def _bare_sides(rule: str, claims: list[AnyClaim]) -> dict:
@@ -579,8 +550,8 @@ def _bare_sides(rule: str, claims: list[AnyClaim]) -> dict:
 
 
 def _show(c: AnyClaim) -> str:
-    if isinstance(c, FormulaClaim):
-        return print_expr(c.formula)
+    if isinstance(c, MuLtlFormula):
+        return print_expr(c)
     rel = "=" if c.rel == "eq" else "<="
     return f"{print_expr(c.lhs)} {rel} {print_expr(c.rhs)}"
 
@@ -589,8 +560,8 @@ def _match(role: str, found: AnyClaim, want: AnyClaim, rule: str,
            exact: bool = False):
     """found must be want: up to renaming and the definitional reading of
     <=, or with relation and sides compared exactly."""
-    if isinstance(want, FormulaClaim):
-        ok = alpha_eq(found.formula, want.formula)
+    if isinstance(want, MuLtlFormula):
+        ok = alpha_eq(found, want)
     elif exact:
         ok = (found.rel == want.rel and alpha_eq(found.lhs, want.lhs)
               and alpha_eq(found.rhs, want.rhs))
@@ -746,23 +717,27 @@ def _want(n: int, prems: list, rule: str):
         raise CalculusError(f"{rule} needs exactly {n} premise(s)")
 
 
-# per system: its claim type, and what the messages call a claim, a term and
-# a derivation of it
-_SYSTEMS = {"rll": (Claim, "an equational claim", "expression", "an equational"),
-            "multl": (FormulaClaim, "a formula claim", "formula", "a muLTL")}
+# per system: its claim type, its parser, and what the messages call a
+# claim, a term and a derivation of it
+_SYSTEMS = {"rll": (Claim, parse_expr, "an equational claim", "expression",
+                    "an equational"),
+            "multl": (MuLtlFormula, parse_formula, "a formula claim", "formula",
+                      "a muLTL")}
 
 
 class _Checker:
     """The walk over a derivation's steps, for either system. A step fails
-    with a CalculusError. Texts in subst are parsed through the derivation's
-    own memo, which loading filled with the claims given as text."""
+    with a CalculusError. A subst term or atom given as text is parsed
+    alone, each time a step reads it; terms are shared only by the proof's
+    "terms" table."""
 
     def __init__(self, d: Derivation, tier: str):
         self.d = d
         self.alphabet = d.alphabet
         self.tier = tier
         self.frames: list[_Frame] = [_Frame()]
-        self.claim_type, self.claim_noun, self.term_noun, _ = _SYSTEMS[d.system]
+        (self.claim_type, self.parse, self.claim_noun, self.term_noun,
+         _) = _SYSTEMS[d.system]
 
     def expect(self, c: AnyClaim) -> AnyClaim:
         if not isinstance(c, self.claim_type):
@@ -777,16 +752,16 @@ class _Checker:
             raise CalculusError(f"rule {step.rule} needs subst entry {key!r}")
         raw = step.subst[key]
         if key in ("X", "Y", "hole"):
-            if not isinstance(raw, str) or not raw.isidentifier():
+            if not _name_ok("v", raw, self.alphabet):
                 raise CalculusError(f"bad variable name in subst[{key!r}]")
         elif key in ("a", "b"):
-            if raw not in self.alphabet.letter_set:
+            if not _name_ok("l", raw, self.alphabet):
                 raise CalculusError(f"undeclared letter in subst[{key!r}]")
         elif isinstance(raw, _TERM_TYPES):
             return raw
         else:
             try:
-                return self.d.terms[raw]
+                return self.parse(raw, self.alphabet)
             except RllError as err:
                 raise CalculusError(
                     f"bad {self.term_noun} in subst[{key!r}]: {err}")
@@ -918,7 +893,7 @@ class _Checker:
                 if not isinstance(raw, list):
                     raise CalculusError("atoms must be a list of expressions")
                 try:
-                    atoms = [self.d.terms[a] for a in raw]
+                    atoms = [self.parse(a, self.alphabet) for a in raw]
                 except RllError as err:
                     raise CalculusError(f"bad atom: {err}")
             eprems = [self.expect(p) for p in prems]
@@ -926,7 +901,7 @@ class _Checker:
                 raise CalculusError("not valid in the two-element lattice")
         else:  # taut
             _want(0, prems, rule)
-            if not propositional_valid(claim.formula):
+            if not propositional_valid(claim):
                 raise CalculusError("not a propositional tautology")
 
     def _check_duality(self, step: Step, claim: Claim):
@@ -968,7 +943,7 @@ def _hole_count(ctx: Expr, hole: str) -> int:
 
 def _check(d: Derivation, tier: Optional[str], system: str) -> Verdict:
     if d.system != system:
-        return Verdict.rejected("-", f"not {_SYSTEMS[system][3]} derivation")
+        return Verdict.rejected("-", f"not {_SYSTEMS[system][4]} derivation")
     return _Checker(d, tier or d.tier).run()
 
 

@@ -71,13 +71,14 @@ class Alphabet:
         object.__setattr__(self, "letter_set", frozenset(self.letters))
         if len(self.letter_set) != len(self.letters):
             raise AlphabetError("letter names must be unique")
-        if self.props is not None:
-            if len(set(self.props)) != len(self.props):
-                raise AlphabetError("proposition names must be unique")
-            if (len(self.letters) != 1 << len(self.props)
-                    or self.letters != _powerset_letters(self.props)):
-                raise AlphabetError("powerset alphabet letters must be all "
-                                    "subsets of the basis, in bitmask order")
+        for name in ("mu", "nu"):  # an expression reads either as a binder
+            if name in self.letter_set:
+                raise AlphabetError(f"{name!r} cannot be a letter name")
+        if self.props is not None and (
+                len(self.letters) != 1 << len(self.props)
+                or self.letters != _powerset_letters(self.props)):
+            raise AlphabetError("powerset alphabet letters must be all "
+                                "subsets of the basis, in bitmask order")
 
     @staticmethod
     def plain(*letters: str) -> "Alphabet":

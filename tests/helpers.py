@@ -23,7 +23,7 @@ from itertools import product
 from typing import Iterator, Optional
 
 from rll import __version__, algebra, cli
-from rll.calculus import (Claim, Derivation, FormulaClaim, Step,
+from rll.calculus import (Claim, Derivation, Step,
                           _skeleton_value, bool_taut, maximal_atoms)
 from rll.closure import (DEAD_TOP, DEAD_ZERO, ClosureError, OccurrenceGraph,
                          occurrence_graph)
@@ -1512,7 +1512,7 @@ def mutants(d: Derivation):
                 yield f"{step.sid}:rename", _with_claim(d, path, mutated)
         else:
             yield (f"{step.sid}:negate",
-                   _with_claim(d, path, FormulaClaim(_mutate_formula(claim.formula))))
+                   _with_claim(d, path, _mutate_formula(claim)))
         for key in step.subst:
             value = _mutate_subst(d, step, key)
             if value is not None:
@@ -1552,7 +1552,7 @@ def _premise_mutants(d: Derivation, path, step: Step, visible: list[Step]):
 def _claim_key(c) -> tuple:
     if isinstance(c, Claim):
         return c.rel, alpha_key(c.lhs), alpha_key(c.rhs)
-    return ("formula", alpha_key(c.formula))
+    return ("formula", alpha_key(c))
 
 
 def _mutate_subst(d: Derivation, step: Step, key: str):

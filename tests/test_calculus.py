@@ -17,7 +17,7 @@ from helpers import (PROOF_DIR, desk_lassos, mutants, proof_paths,
                      reference_prop_variables, reference_propositional_valid)
 from rll import algebra, calculus, syntax
 from rll.calculus import (RULES, CalculusError, Claim, Derivation,
-                          FormulaClaim, HypContext, Step, Verdict, _Terms,
+                          HypContext, Step, Verdict,
                           bool_taut, boolean_variables, check_derivation,
                           check_multl, check_rll, derivation_from_json,
                           derivation_to_json, derive_complement,
@@ -25,10 +25,10 @@ from rll.calculus import (RULES, CalculusError, Claim, Derivation,
 from rll.corpus import gen_alphabet, gen_expr
 from rll.semantics import (enumerate_lassos, eval_multl, eval_rll,
                            member_oracle)
-from rll.syntax import (Alphabet, And, BOT, Bot, FVar, Meet, Mu, MuF, Next,
-                        Nu, NuF, Or, ParseError, Prop, Sum, TOP, TT,
-                        Top, TopF, Var, ZERO, Zero, alpha_eq, free_vars, implies,
-                        negate_formula, parse_expr, parse_formula, print_expr)
+from rll.syntax import (Alphabet, And, BOT, FVar, Meet, Mu, MuF, MuLtlFormula,
+                        Next, Nu, NuF, Or, ParseError, Prop, Sum, TOP, TT, Var,
+                        ZERO, alpha_eq, free_vars, implies, negate_formula,
+                        parse_expr, parse_formula, print_expr)
 
 AB = Alphabet.plain("a", "b")
 PQ = Alphabet.powerset("P", "Q")
@@ -50,7 +50,7 @@ class TestSystemMismatch:
 
     def test_check_rll_on_a_multl_derivation(self):
         d = Derivation("multl", "strict", PQ, [Step(
-            "s1", FormulaClaim(parse_formula("P | ~P", PQ)), "taut", {}, [])])
+            "s1", parse_formula("P | ~P", PQ), "taut", {}, [])])
         assert check_multl(d).accepted
         assert check_rll(d) == Verdict.rejected(
             "-", "not an equational derivation")
@@ -257,7 +257,7 @@ class TestDuality:
         assert v.reason == ("only duality rules take a hypothetical "
                             "sub-derivation")
         d = Derivation("multl", "strict", PQ, [Step(
-            "s1", FormulaClaim(parse_formula("P | ~P", PQ)), "taut", {}, [],
+            "s1", parse_formula("P | ~P", PQ), "taut", {}, [],
             HypContext(["X"], []))])
         assert not check_multl(d).accepted
 
@@ -449,7 +449,7 @@ class TestBooleanVariables:
 
 class TestMultl:
     def fstep(self, sid, text, rule, subst=None, premises=None):
-        return Step(sid, FormulaClaim(parse_formula(text, PQ)), rule,
+        return Step(sid, parse_formula(text, PQ), rule,
                     subst or {}, premises or [])
 
     def multl_d(self, steps):
@@ -513,7 +513,7 @@ class TestMultl:
                if rule == "duality_plus" else None)
         d = Derivation("multl", "extended", PQ, [
             self.fstep("s1", "P | ~P", "taut"),
-            Step("s2", FormulaClaim(parse_formula("P | ~P", PQ)), rule,
+            Step("s2", parse_formula("P | ~P", PQ), rule,
                  {"X": "X", "Y": "Y", "e": "X", "f": "Y"}, ["s1", "s1"],
                  hyp)])
         assert check_multl(d) == Verdict(False, "s2", f"unknown rule {rule!r}")
@@ -542,7 +542,7 @@ def _claim(text, ab):
     """A formula over PQ, or over AB an equational claim "l = r" or
     "l <= r"."""
     if ab is PQ:
-        return FormulaClaim(parse_formula(text, ab))
+        return parse_formula(text, ab)
     rel, sym = ("leq", " <= ") if " <= " in text else ("eq", " = ")
     lhs, rhs = text.split(sym)
     return Claim(rel, parse_expr(lhs, ab), parse_expr(rhs, ab))
@@ -680,9 +680,9 @@ class TestRuleTable:
             assert not v.accepted and v.step == "s", v
             assert f"does not match the {rule} instance: expected " in v.reason
         concl = d.steps[-1].claim
-        if isinstance(concl, FormulaClaim):
+        if isinstance(concl, MuLtlFormula):
             for w in desk_lassos(PQ, 1, 2):
-                assert eval_multl(concl.formula, w) == set(range(w.length))
+                assert eval_multl(concl, w) == set(range(w.length))
         elif not free_vars(concl.lhs) | free_vars(concl.rhs):
             for w in desk_lassos(AB):
                 left, right = eval_rll(concl.lhs, w), eval_rll(concl.rhs, w)
@@ -825,7 +825,7 @@ def _texts_and_terms(raw_steps, steps):
     for raw, step in zip(raw_steps, steps):
         claim = raw["claim"]
         if "formula" in claim:
-            yield claim["formula"], step.claim.formula
+            yield claim["formula"], step.claim
         else:
             yield claim["lhs"], step.claim.lhs
             yield claim["rhs"], step.claim.rhs
@@ -833,22 +833,10 @@ def _texts_and_terms(raw_steps, steps):
             yield from _texts_and_terms(raw["hyp"]["steps"], step.hyp.steps)
 
 
-def _json_texts(steps):
-    """Each claim side, formula, subst term and atom that JSON steps give as
-    text, hypotheses' too."""
-    for s in steps:
-        yield from (text for key, text in s["claim"].items() if key != "rel")
-        for key, value in s.get("subst", {}).items():
-            if key == "atoms":
-                yield from value
-            elif key not in ("X", "Y", "hole", "a", "b"):  # names, not terms
-                yield value
-        yield from _json_texts(s.get("hyp", {}).get("steps", []))
-
-
 class TestParseMemo:
-    """Each distinct text of a derivation is parsed once, whether a claim,
-    a subst term or an atom names it."""
+    """Each text of a derivation is parsed alone, where it is read: equal
+    texts load as equal terms, and a bad subst text rejects each step that
+    reads it."""
 
     def _proof(self, *substs):
         return {"system": "rll", "tier": "strict", "alphabet": ["a", "b"],
@@ -861,43 +849,23 @@ class TestParseMemo:
     def test_equal_claim_texts_load_as_one_term(self):
         d = derivation_from_json(self._proof("b.top", "b.top"))
         s1, s2 = (s.claim for s in d.steps)
-        assert s1.lhs is s2.lhs and s1.rhs is s2.rhs
+        assert s1 == s2
         assert check_rll(d).accepted
 
-    def test_subst_term_is_the_loaded_claim_side(self):
-        d = derivation_from_json(self._proof("b.top"))
-        parsed, parse = [], d.terms.parse
-        d.terms.parse = lambda text: parsed.append(text) or parse(text)
-        assert check_rll(d).accepted and parsed == []
-        assert d.terms["b.top"] is d.steps[0].claim.rhs
-
     def test_shipped_proofs_load_each_text_once_per_call(self):
+        """Each claim text loads as its parse alone; an equal text, in the
+        same load or in another, as an equal term."""
         for path in proof_paths():
             with open(path, encoding="utf-8") as fh:
                 data = json.load(fh)
             first, second = (derivation_from_json(data) for _ in range(2))
+            parse = parse_formula if first.system == "multl" else parse_expr
             terms = {}
             for text, t in _texts_and_terms(data["steps"], first.steps):
-                assert terms.setdefault(text, t) is t
+                assert terms.setdefault(text, t) == t == parse(
+                    text, first.alphabet)
             for text, t in _texts_and_terms(data["steps"], second.steps):
                 assert t == terms[text]
-                # the parser returns its constants as shared singletons
-                assert t is not terms[text] or isinstance(t, (
-                    Zero, Top, Bot, TopF))
-
-    def test_keys_are_the_texts_of_the_proof(self):
-        """Loading and checking keeps one term per distinct text of the
-        JSON, and nothing else: no text of a part of a term."""
-        e = gen_expr(random.Random(11), AB, 24)
-        proofs = [derivation_to_json(d, shared=False)
-                  for d in derive_complement(e, AB)]
-        for path in proof_paths():
-            with open(path, encoding="utf-8") as fh:
-                proofs.append(json.load(fh))
-        for data in proofs:
-            d = derivation_from_json(data)
-            assert check_derivation(d) == Verdict.ok()
-            assert set(d.terms) == set(_json_texts(data["steps"]))
 
     def test_bad_subst_term_cited_twice(self):
         reason = ("bad expression in subst['e']: expected ')', found '' "
@@ -907,13 +875,6 @@ class TestParseMemo:
             d = derivation_from_json(self._proof(*substs))
             for _ in range(2):
                 assert check_rll(d) == Verdict.rejected(step, reason)
-
-    def test_failed_parse_is_not_stored(self):
-        terms = _Terms(parse_expr, AB)
-        for _ in range(2):
-            with pytest.raises(ParseError, match="expected '\\)'"):
-                terms["b.(top"]
-        assert not terms and terms["b.top"] is terms["b.top"]
 
 
 def _pinned_corpus():
@@ -1058,7 +1019,7 @@ class TestSharedTerms:
         if formula:
             ab, parse = PQ, parse_formula
             t = algebra.to_multl(gen_expr(rng, PQ, size, bound), PQ)
-            claim, system = FormulaClaim(t), "multl"
+            claim, system = t, "multl"
         else:
             ab, parse = gen_alphabet(rng, 3), parse_expr
             t = gen_expr(rng, ab, size, bound)
@@ -1071,7 +1032,7 @@ class TestSharedTerms:
         assert type(data["steps"][0]["claim"]["formula" if formula
                                               else "lhs"]) is int
         loaded = derivation_from_json(data).steps[0].claim
-        got = loaded.formula if formula else loaded.lhs
+        got = loaded if formula else loaded.lhs
         assert got == t == parse(print_expr(t), ab)
 
     def test_writer_keeps_under_the_cap(self, monkeypatch):

@@ -417,7 +417,8 @@ class TestPropositionCap:
 class TestPropositionNames:
     """A header's proposition must read back as itself: a keyword would
     read as the keyword in a formula (``{tt}.top`` translated to
-    ``tt & ...``), and ``O`` as the next-step operator."""
+    ``tt & ...``), and ``O`` as the next-step operator. A letter named
+    ``mu`` or ``nu`` would read as a binder in every expression."""
 
     @pytest.mark.parametrize("basis,body", [("tt P", "{tt}.top"),
                                             ("O", "top"), ("mu", "top")])
@@ -427,6 +428,13 @@ class TestPropositionNames:
         name = basis.split()[0]
         assert run(capsys, ["parse", str(path)]) == (
             2, "", f"error: {path}: {name!r} cannot be a proposition name\n")
+
+    @pytest.mark.parametrize("name", ["mu", "nu"])
+    def test_binder_in_alphabet_header(self, tmp_path, capsys, name):
+        path = tmp_path / "letters.rll"
+        path.write_text(f"alphabet {name} a ;\na.top\n")
+        assert run(capsys, ["parse", str(path)]) == (
+            2, "", f"error: {path}: {name!r} cannot be a letter name\n")
 
 
 class TestAtomCap:
@@ -898,6 +906,8 @@ MALFORMED = {
                             "alphabet": ["tt"]},
     "proposition-comma": {**_table([["tt"]], system="multl"),
                           "alphabet": ["P,Q"]},
+    # a letter that expressions would read as a binder
+    "letter-binder": {**_table([["zero"]]), "alphabet": ["nu"]},
 }
 
 
@@ -1010,6 +1020,14 @@ class TestProofRejections:
     def test_subst_variable_not_an_identifier(self, tmp_path, capsys):
         assert self._duality(capsys, tmp_path, lambda step: step[
             "subst"].update(X="1X")) == "bad variable name in subst['X']\n"
+
+    def test_subst_variable_a_keyword(self, tmp_path, capsys):
+        assert self._duality(capsys, tmp_path, lambda step: step[
+            "subst"].update(X="mu")) == "bad variable name in subst['X']\n"
+
+    def test_subst_entry_missing(self, tmp_path, capsys):
+        assert self._duality(capsys, tmp_path, lambda step: step[
+            "subst"].pop("X")) == "rule duality_plus needs subst entry 'X'\n"
 
 
 HEADERS = ["alphabet a b ;", "props P Q ;", "props P ;", "alphabet a ;",

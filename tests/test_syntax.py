@@ -14,18 +14,15 @@ from rll.syntax import (BINDERS, LATTICE, PREFIXES, Act, Alphabet,
                         parse_formula_file, print_expr,
                         subset_letter_name, substitute, token_kind,
                         token_positions, tokenize)
-from rll.calculus import (Verdict, _Terms, check_rll, derivation_from_json,
-                          derivation_to_json, derive_complement)
+from rll.calculus import Verdict, check_rll, derivation_from_json
 from rll.closure import ClosureError, occurrence_graph
 from rll.semantics import Lasso, SemanticsError, parse_lasso
 from rll.corpus import gen_expr
 from helpers import (reference_parse_expr, reference_parse_formula,
                      reference_tokenize)
-import json
 import random
 import time
 from dataclasses import fields, replace
-from functools import partial
 
 AB = Alphabet.plain("a", "b")
 PQ = Alphabet.powerset("P", "Q")
@@ -110,6 +107,8 @@ class TestAlphabet:
                         ("{}", "{P}", "{Q}", "{P,Q}", "{R}")):
             with pytest.raises(AlphabetError, match=f"^{message}$"):
                 Alphabet(letters, ("P", "Q"))
+        with pytest.raises(AlphabetError, match=f"^{message}$"):
+            Alphabet(("a", "b", "c", "d"), ("P", "P"))
         with pytest.raises(AlphabetError, match="^letter names must be unique$"):
             Alphabet.powerset("P", "P")
 
@@ -519,44 +518,22 @@ def _memo_texts(seed, infix, operands):
 
 
 class TestGroupMemo:
-    """One memo of texts (``calculus._Terms``, a derivation's), shared by a
-    group of texts, gives what parsing each text alone gives: an equal
-    term, or an equal exception type and message. It keeps one term per
-    text that parses, and nothing of a text that fails."""
+    """Texts whose parenthesised groups recur across them, as a proof's
+    texts do, each parse as the reference parser reads them alone: an equal
+    term, or an equal exception type and message."""
 
     @pytest.mark.parametrize("seed", range(40))
     def test_shared_memo_matches_parses_one_at_a_time(self, seed):
         outcomes = []
         for parse, reference, ab, infix, operands in MEMO_SYNTAXES:
-            texts = _memo_texts(seed, infix, operands)
-            for closed in (False, True):
-                memo = _Terms(partial(parse, require_closed=closed), ab)
-
-                def shared(text, ab, require_closed):
-                    return memo[text]
-
-                for text in texts:
-                    got = _parse(shared, text, ab, closed)
-                    assert got == _parse(parse, text, ab, closed), text
+            for text in _memo_texts(seed, infix, operands):
+                for closed in (False, True):
+                    got = _parse(parse, text, ab, closed)
                     assert got == _parse(reference, text, ab, closed), text
                     outcomes.append(got)
-                parsed = {text: t for text, t in zip(texts, outcomes[-40:])
-                          if not isinstance(t, tuple)}
-                # found again by its text, as the object stored
-                assert memo == parsed
-                assert all(memo[text] is t for text, t in parsed.items())
         # the texts both parse and fail
         errors = sum(isinstance(o, tuple) for o in outcomes)
         assert 0.1 < errors / len(outcomes) < 0.9
-
-    def test_memo_keys_are_texts(self):
-        """Loading and checking a derivation keys its memo on texts alone."""
-        e = gen_expr(random.Random(11), AB, 24)
-        for d in derive_complement(e, AB):
-            d = derivation_from_json(json.loads(json.dumps(
-                derivation_to_json(d, shared=False))))
-            assert check_rll(d) == Verdict.ok()
-            assert d.terms and all(type(key) is str for key in d.terms)
 
 
 class TestPrintParse:
