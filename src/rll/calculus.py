@@ -59,7 +59,7 @@ from .syntax import (BOTTOMS, IDENT, JOINS, KEYWORDS, LATTICE, MEETS, TOPS,
                      RllError, Sum, TOP, Term, Top, TopF, Var, ZERO, Zero,
                      alpha_eq, alpha_key, free_vars, fresh_name, implies, iff,
                      negate_formula, parse_expr, parse_formula, print_expr,
-                     subexpressions, substitute, sum_of)
+                     rebuild, subexpressions, substitute, sum_of)
 
 
 class CalculusError(RllError):
@@ -688,11 +688,10 @@ def bool_taut(claim: Claim, premises: list[Claim], atoms: Optional[list[Expr]],
                         "Boolean", holds)
 
 
-def propositional_valid(claim: MuLtlFormula,
-                        premises: list[MuLtlFormula] = ()) -> bool:
+def propositional_valid(claim: MuLtlFormula) -> bool:
     """Truth-table validity treating maximal non-propositional subformulas as
     opaque atoms, a formula and its negation complementary."""
-    return _truth_table(claim, premises, maximal_atoms([claim, *premises]),
+    return _truth_table(claim, [], maximal_atoms([claim]),
                         negate_formula, "propositional",
                         lambda phi, value: value(phi))
 
@@ -731,10 +730,9 @@ class _Checker:
     alone, each time a step reads it; terms are shared only by the proof's
     "terms" table."""
 
-    def __init__(self, d: Derivation, tier: str):
+    def __init__(self, d: Derivation):
         self.d = d
         self.alphabet = d.alphabet
-        self.tier = tier
         self.frames: list[_Frame] = [_Frame()]
         (self.claim_type, self.parse, self.claim_noun, self.term_noun,
          _) = _SYSTEMS[d.system]
@@ -811,8 +809,8 @@ class _Checker:
 
     # -- main walk --------------------------------------------------------
     def run(self) -> Verdict:
-        if self.tier not in ("strict", "extended"):
-            return Verdict.rejected("-", f"unknown tier {self.tier!r}")
+        if self.d.tier not in ("strict", "extended"):
+            return Verdict.rejected("-", f"unknown tier {self.d.tier!r}")
         try:
             self.check_steps(self.d.steps)
         except _FailureAt as err:
@@ -885,7 +883,7 @@ class _Checker:
                     return
             raise CalculusError("claim matches no hypothesis in scope")
         elif rule == "bool_taut":
-            if self.tier != "extended":
+            if self.d.tier != "extended":
                 raise CalculusError("bool_taut needs the extended tier")
             atoms = None
             if "atoms" in step.subst:
@@ -941,20 +939,20 @@ def _hole_count(ctx: Expr, hole: str) -> int:
     return 0
 
 
-def _check(d: Derivation, tier: Optional[str], system: str) -> Verdict:
+def _check(d: Derivation, system: str) -> Verdict:
     if d.system != system:
         return Verdict.rejected("-", f"not {_SYSTEMS[system][4]} derivation")
-    return _Checker(d, tier or d.tier).run()
+    return _Checker(d).run()
 
 
-def check_rll(d: Derivation, tier: Optional[str] = None) -> Verdict:
+def check_rll(d: Derivation) -> Verdict:
     """Check an equational derivation: accepted, or rejected at a named step."""
-    return _check(d, tier, "rll")
+    return _check(d, "rll")
 
 
-def check_multl(d: Derivation, tier: Optional[str] = None) -> Verdict:
+def check_multl(d: Derivation) -> Verdict:
     """Check a Hilbert-style muLTL derivation."""
-    return _check(d, tier, "multl")
+    return _check(d, "multl")
 
 
 def check_derivation(d: Derivation) -> Verdict:
@@ -965,40 +963,36 @@ def check_derivation(d: Derivation) -> Verdict:
 # Complement-derivation generator
 # ---------------------------------------------------------------------------
 
-def _sub_pairs(t: Expr, pairs: dict, side: int) -> Expr:
-    """t with each bound variable v of pairs renamed to pairs[v][side]."""
-    for v, pair in pairs.items():
-        t = substitute(t, v, Var(pair[side]))
-    return t
-
-
 class _ComplementGen:
     """One induction on a closed expression e for either complement law;
     the laws top <= e + e^c and e & e^c <= 0 are lattice duals.
 
-    This class holds the dispatch over e and the fixpoint step, which wraps
-    the inductive step in the law's duality rule: a binder's variable is
-    renamed to a fresh pair (p, q) on the sides of e and of e^c, and the
-    hypothesis law(p, q) proves that case. A subclass supplies the rest:
-    ``law`` and ``sides`` build and split the law's claim, ``swap`` proves
-    law(fc, f) from law(f, fc), ``duality`` names the rule, ``glue_act``
-    proves the letter case, and one case of each De Morgan pair, ``zero``
-    or ``top`` and ``glue_sum`` or ``glue_meet``, proves the rest: since
-    complement exchanges the cases of a pair, each case here is the other
-    conjugated by ``swap``. A law overrides exactly one case of each pair;
-    where it overrides neither, the two call each other forever. A proved
-    claim is the Step that states it."""
+    The walk goes down e beside ec, which is e^c with each bound name X
+    renamed once to a fresh X' (``derivation``), so each claim law(t, tc)
+    is built from the two subterms as they stand: sums against meets, a.f
+    against a.f' + (the other letters), a binder against its dual. A
+    fixpoint wraps the inductive step in the law's duality rule on the pair
+    (X, X'), whose hypothesis law(X, X') proves X in the body (``hyps``).
+    A claim is restated only where a context would not end with its
+    conclusion, and at the root, which states e^c unprimed.
+
+    This class holds the walk and the fixpoint step. A subclass supplies the
+    rest: ``law`` and ``sides`` build and split the law's claim, ``swap``
+    proves law(fc, f) from law(f, fc), ``duality`` names the rule,
+    ``glue_act`` proves the letter case, and one case of each De Morgan
+    pair, ``zero`` or ``top`` and ``glue_sum`` or ``glue_meet``, proves the
+    rest: since complement exchanges the cases of a pair, each case here is
+    the other conjugated by ``swap``. A law overrides exactly one case of
+    each pair; where it overrides neither, the two call each other forever.
+    A proved claim is the Step that states it."""
 
     duality: str
 
-    def __init__(self, alphabet: Alphabet, root: Expr):
+    def __init__(self, alphabet: Alphabet):
         self.ab = alphabet
         self.counter = itertools.count(1)
         self.stack: list[list[Step]] = [[]]  # one step list per open context
-        taken = {s.name if isinstance(s, Var) else s.var
-                 for s in subexpressions(root) if isinstance(s, (Var, Mu, Nu))}
-        self.pairs = ((f"V{n}", f"V{n + 1}") for n in itertools.count(0, 2)
-                      if not {f"V{n}", f"V{n + 1}"} & taken)
+        self.hyps: dict[str, Optional[Step]] = {}  # X -> law(X, X') in scope
 
     # -- structural steps -------------------------------------------------
     def emit(self, rule: str, claim: Claim, premises: list[str] = (),
@@ -1035,10 +1029,11 @@ class _ComplementGen:
     def lift(self, rule: str, s: Step, ctx) -> Step:
         """A cong (=) or mono (<=) step applying the one-hole context ctx, a
         function of the hole, to both sides of s."""
-        c = s.claim
-        hole = fresh_name("H", free_vars(c.lhs) | free_vars(c.rhs))
+        lhs, rhs = ctx(s.claim.lhs), ctx(s.claim.rhs)
+        hole = fresh_name("H", free_vars(lhs) | free_vars(rhs)
+                          | set(self.ab.props or ()))
         return self.emit(rule, Claim("eq" if rule == "cong" else "leq",
-                                     ctx(c.lhs), ctx(c.rhs)), [s.sid],
+                                     lhs, rhs), [s.sid],
                          {"context": ctx(Var(hole)), "hole": hole})
 
     def weaken(self, s: Step) -> Step:
@@ -1050,32 +1045,29 @@ class _ComplementGen:
 
     def restate(self, s: Step, goal: Claim) -> Step:
         """Re-emit an alpha-variant claim as a stated step (via trans with a
-        refl), so sub-conclusions sit last in their context with the intended
-        binder names."""
+        refl), so that it sits last in its context, with goal's binder
+        names."""
         r = self.refl(goal.rhs)
         return self.emit("trans", goal, [s.sid, r.sid])
 
     # -- the induction ----------------------------------------------------
-    def gen(self, t: Expr, pairs: dict) -> Step:
-        """law(E, Ec), where E and Ec rename the bound variables of t and of
-        its complement to the p- and q-sides of the pairs."""
+    def gen(self, t: Expr, tc: Expr) -> Step:
+        """law(t, tc), where tc is t's complement with its names primed."""
         if isinstance(t, Var):
-            return pairs[t.name][2]
+            return self.hyps[t.name]
         if isinstance(t, Zero):
             return self.zero()
         if isinstance(t, Top):
             return self.top()
         if isinstance(t, Sum):
-            return self.glue_sum(self.gen(t.left, pairs),
-                                 self.gen(t.right, pairs))
+            return self.glue_sum(self.gen(t.left, tc.left),
+                                 self.gen(t.right, tc.right))
         if isinstance(t, Meet):
-            return self.glue_meet(self.gen(t.left, pairs),
-                                  self.gen(t.right, pairs))
+            return self.glue_meet(self.gen(t.left, tc.left),
+                                  self.gen(t.right, tc.right))
         if isinstance(t, Act):
-            return self.glue_act(self.gen(t.body, pairs), t.letter)
-        if isinstance(t, (Mu, Nu)):
-            return self.gen_fix(t, pairs)
-        raise CalculusError(f"unexpected expression {t!r}")
+            return self.glue_act(self.gen(t.body, tc.left.body), t.letter)
+        return self.gen_fix(t, tc)
 
     # -- the De Morgan conjugates ------------------------------------------
     def zero(self) -> Step:
@@ -1090,37 +1082,45 @@ class _ComplementGen:
     def glue_meet(self, s1: Step, s2: Step) -> Step:
         return self.swap(self.glue_sum(self.swap(s1), self.swap(s2)))
 
-    def gen_fix(self, t: Expr, pairs: dict) -> Step:
-        v = t.var
-        p, q = next(self.pairs)
-        inside = {**pairs, v: (p, q)}
-        e_body = _sub_pairs(t.body, inside, 0)
-        ec_body = _sub_pairs(algebra.complement(t.body, self.ab), inside, 1)
+    def gen_fix(self, t: Expr, tc: Expr) -> Step:
         # the rule's mu comes first: for nu-expressions the complement side
         # takes the mu slot and the law's sides are swapped around the rule
         is_mu = isinstance(t, Mu)
-        x, y = (p, q) if is_mu else (q, p)
-        e_slot, f_slot = (e_body, ec_body) if is_mu else (ec_body, e_body)
+        m, n = (t, tc) if is_mu else (tc, t)
+        outer = self.hyps.get(t.var)
         self.stack.append([])
-        hyp = self.emit("hyp", self.law(Var(x), Var(y)))
-        inner = self.gen(t.body, {
-            **pairs, v: (p, q, hyp if is_mu else self.swap(hyp))})
+        hyp = self.emit("hyp", self.law(Var(m.var), Var(n.var)))
+        self.hyps[t.var] = hyp if is_mu else self.swap(hyp)
+        inner = self.gen(t.body, tc.body)
+        self.hyps[t.var] = outer
         if not is_mu:
             self.swap(inner)
         elif self.stack[-1][-1] is not inner:
             self.restate(inner, inner.claim)
-        steps = self.stack.pop()
-        st = self.emit(self.duality, self.law(Mu(x, e_slot), Nu(y, f_slot)),
-                       subst={"X": x, "Y": y, "e": e_slot, "f": f_slot},
-                       hyp=HypContext([x, y], steps))
-        if not is_mu:
-            st = self.swap(st)
-        return self.restate(st, self.law(
-            _sub_pairs(t, pairs, 0),
-            _sub_pairs(algebra.complement(t, self.ab), pairs, 1)))
+        st = self.emit(self.duality, self.law(m, n),
+                       subst={"X": m.var, "Y": n.var, "e": m.body,
+                              "f": n.body},
+                       hyp=HypContext([m.var, n.var], self.stack.pop()))
+        return st if is_mu else self.swap(st)
 
     def derivation(self, e: Expr) -> Derivation:
-        self.gen(e, {})
+        # each X' avoids e's names, the propositions and the other primes
+        names = {s.var for s in subexpressions(e) if isinstance(s, (Mu, Nu))}
+        taken, prime = {*names, *(self.ab.props or ())}, {}
+        for v in sorted(names):
+            prime[v] = fresh_name(v + "c", taken)
+            taken.add(prime[v])
+
+        def primed(make):
+            return lambda var, *body: make(prime[var], *body)
+
+        ec = algebra.complement(e, self.ab)
+        last = self.gen(e, rebuild(ec, {
+            Zero: Zero, Top: Top, Act: Act, Sum: Sum, Meet: Meet,
+            Var: primed(Var), Mu: primed(Mu), Nu: primed(Nu)}))
+        goal = self.law(e, ec)
+        if last.claim != goal:
+            self.restate(last, goal)
         return Derivation("rll", "extended", self.ab, self.stack[0])
 
 
@@ -1304,5 +1304,5 @@ def derive_complement(e: Expr, alphabet: Alphabet) -> tuple[Derivation, Derivati
     step at fixpoints."""
     if free_vars(e):
         raise CalculusError("complement derivations need a closed expression")
-    return (_PlusLaw(alphabet, e).derivation(e),
-            _MeetLaw(alphabet, e).derivation(e))
+    return (_PlusLaw(alphabet).derivation(e),
+            _MeetLaw(alphabet).derivation(e))

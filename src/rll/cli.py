@@ -171,22 +171,22 @@ def _counterexample(e, f, w, separates) -> int:
 
 def cmd_equiv(args) -> int:
     ab, e, f = _two_exprs(args)
-    cex = equiv_bounded(e, f, ab, args.max_prefix, args.max_period)
-    if cex is None:
+    w = equiv_bounded(e, f, ab, args.max_prefix, args.max_period)
+    if w is None:
         print(f"no difference found up to bounds "
               f"(max-prefix={args.max_prefix}, max-period={args.max_period})")
         return 0
-    return _counterexample(e, f, cex.lasso, operator.ne)
+    return _counterexample(e, f, w, operator.ne)
 
 
 def cmd_incl(args) -> int:
     ab, e, f = _two_exprs(args)
-    cex = inclusion_bounded(e, f, ab, args.max_prefix, args.max_period)
-    if cex is None:
+    w = inclusion_bounded(e, f, ab, args.max_prefix, args.max_period)
+    if w is None:
         print(f"no inclusion counterexample up to bounds "
               f"(max-prefix={args.max_prefix}, max-period={args.max_period})")
         return 0
-    return _counterexample(e, f, cex.lasso, lambda a, b: a and not b)
+    return _counterexample(e, f, w, lambda a, b: a and not b)
 
 
 def cmd_check(args) -> int:

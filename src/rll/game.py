@@ -460,11 +460,6 @@ def member_game(e: Expr, w: Lasso,
     return sol.winner[g.initial] == ELOISE
 
 
-@dataclass(frozen=True)
-class Counterexample:
-    lasso: Lasso
-
-
 def _walk(i: int, tails: Sequence[int], vertex: dict, order: list) -> int:
     """Give lasso i and its tails vertices, in order, up to the first tail
     that has one; return the number of vertices before."""
@@ -513,7 +508,7 @@ def word_graphs(lassos: Iterable[Lasso], tails: Sequence[int], budget: int,
 def _first_separating(e: Expr, f: Expr, alphabet: Alphabet,
                       max_prefix: int, max_period: int,
                       separates: Callable[[int, int], bool]
-                      ) -> Optional[Counterexample]:
+                      ) -> Optional[Lasso]:
     """The first enumerated lasso whose winners for e and for f satisfy
     ``separates``; a side's winner is ELOISE (0) where the lasso is in its
     language, ABELARD (1) where not. Each length class of lassos is one
@@ -546,12 +541,12 @@ def _first_separating(e: Expr, f: Expr, alphabet: Alphabet,
             # root k's starts are 2k for e and 2k + 1 for f
             won = [*map(solve_parity(g).winner.__getitem__, g.starts)]
             for w in compress(roots, map(separates, won[0::2], won[1::2])):
-                return Counterexample(w)
+                return w
     return None
 
 
 def equiv_bounded(e: Expr, f: Expr, alphabet: Alphabet, max_prefix: int,
-                  max_period: int) -> Optional[Counterexample]:
+                  max_period: int) -> Optional[Lasso]:
     """First normalized lasso (in enumeration order) on which the memberships
     of e and f differ, or None if they agree within the bounds.
 
@@ -562,7 +557,7 @@ def equiv_bounded(e: Expr, f: Expr, alphabet: Alphabet, max_prefix: int,
 
 
 def inclusion_bounded(e: Expr, f: Expr, alphabet: Alphabet, max_prefix: int,
-                      max_period: int) -> Optional[Counterexample]:
+                      max_period: int) -> Optional[Lasso]:
     """First normalized lasso (in enumeration order) in L(e) but not in
     L(f), or None if there is none within the bounds; e and f are decided
     on one game per batch, as for ``equiv_bounded``. ELOISE < ABELARD, so

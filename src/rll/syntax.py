@@ -13,8 +13,7 @@ when an error message needs it. The parser is one grammar frame (binders,
 then infix operators by precedence, then operands); a syntax differs only in
 its table of infix operators and in its prefix/atom level. Each text is
 tokenized and parsed on its own: proofs that repeat their terms name them
-by index instead (``calculus``), and the proof checker keeps one term per
-distinct text of a derivation.
+by index instead (``calculus``).
 """
 
 from __future__ import annotations
@@ -267,9 +266,7 @@ TT = TopF()
 
 
 def and_of(parts: list[MuLtlFormula]) -> MuLtlFormula:
-    """Right-associated conjunction; the empty conjunction is tt."""
-    if not parts:
-        return TT
+    """Right-associated conjunction of a nonempty list."""
     acc = parts[-1]
     for p in reversed(parts[:-1]):
         acc = And(p, acc)

@@ -27,8 +27,8 @@ from rll.calculus import (Claim, Derivation, Step,
                           _skeleton_value, bool_taut, maximal_atoms)
 from rll.closure import (DEAD_TOP, DEAD_ZERO, ClosureError, OccurrenceGraph,
                          occurrence_graph)
-from rll.game import (ABELARD, ELOISE, Counterexample, GameError, ParityGame,
-                      Solution, WordGraph, _settle, lasso_graph, member_game)
+from rll.game import (ABELARD, ELOISE, GameError, ParityGame, Solution,
+                      WordGraph, _settle, lasso_graph, member_game)
 from rll.semantics import (Lasso, SemanticsError, enumerate_lassos,
                            lasso_normalize, quoted)
 from rll.syntax import (BINDERS, BOT, BOTTOMS, JOINS, KEYWORDS, MEETS, MUS,
@@ -993,33 +993,33 @@ def reference_enumerate_lassos(alphabet: Alphabet, max_prefix: int,
 
 def reference_equiv_bounded(e: Expr, f: Expr, alphabet: Alphabet,
                             max_prefix: int, max_period: int
-                            ) -> Optional[Counterexample]:
+                            ) -> Optional[Lasso]:
     """The first lasso, in enumeration order, whose games for e and f have
     different winners, each lasso with its own two arenas."""
     ge = occurrence_graph(e, alphabet)
     gf = occurrence_graph(f, alphabet)
     for w in reference_enumerate_lassos(alphabet, max_prefix, max_period):
         if member_game(e, w, ge) != member_game(f, w, gf):
-            return Counterexample(w)
+            return w
     return None
 
 
 def reference_inclusion_bounded(e: Expr, f: Expr, alphabet: Alphabet,
                                 max_prefix: int, max_period: int
-                                ) -> Optional[Counterexample]:
+                                ) -> Optional[Lasso]:
     """The first lasso, in enumeration order, whose own game for
     e & complement(f) Eloise wins."""
     witness = Meet(e, algebra.complement(f, alphabet))
     gw = occurrence_graph(witness, alphabet)
     for w in reference_enumerate_lassos(alphabet, max_prefix, max_period):
         if member_game(witness, w, gw):
-            return Counterexample(w)
+            return w
     return None
 
 
 def reference_inclusion_sides(e: Expr, f: Expr, alphabet: Alphabet,
                               max_prefix: int, max_period: int
-                              ) -> Optional[Counterexample]:
+                              ) -> Optional[Lasso]:
     """The first lasso, in enumeration order, that e's game accepts and
     f's rejects, each lasso with its own two arenas. Both are built for
     every lasso, e's first, so a length that f's arena refuses is refused
@@ -1029,7 +1029,7 @@ def reference_inclusion_sides(e: Expr, f: Expr, alphabet: Alphabet,
     for w in reference_enumerate_lassos(alphabet, max_prefix, max_period):
         in_e, in_f = member_game(e, w, ge), member_game(f, w, gf)
         if in_e and not in_f:
-            return Counterexample(w)
+            return w
     return None
 
 
@@ -1426,12 +1426,11 @@ def reference_bool_taut(claim: Claim, premises: list[Claim],
     return _reference_truth_table(claim, premises, var_of, nvars, holds)
 
 
-def reference_propositional_valid(claim: MuLtlFormula,
-                                  premises: list[MuLtlFormula] = ()) -> bool:
-    var_of, nvars = reference_prop_variables([claim, *premises])
+def reference_propositional_valid(claim: MuLtlFormula) -> bool:
+    var_of, nvars = reference_prop_variables([claim])
     if nvars > 16:
         raise RllError(f"{nvars} propositional atoms exceed the cap of 16")
-    return _reference_truth_table(claim, premises, var_of, nvars,
+    return _reference_truth_table(claim, [], var_of, nvars,
                                   lambda phi, value: value(phi))
 
 

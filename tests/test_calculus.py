@@ -55,6 +55,11 @@ class TestSystemMismatch:
         assert check_rll(d) == Verdict.rejected(
             "-", "not an equational derivation")
 
+    def test_formula_claim_in_an_equational_derivation(self):
+        d = rll_d([Step("s1", parse_formula("P | ~P", PQ), "refl", {}, [])])
+        assert check_rll(d) == Verdict.rejected(
+            "s1", "expected an equational claim")
+
     def test_check_multl_on_an_equational_derivation(self):
         d = rll_d([estep("s1", "eq", "a.top + 0", "a.top", "plus_zero",
                          {"e": "a.top"})])
@@ -143,7 +148,8 @@ class TestRllRules:
     def test_bool_taut_needs_extended_tier(self):
         d = rll_d([estep("s1", "leq", "a.top", "a.top + b.top", "bool_taut")])
         assert not check_rll(d).accepted
-        assert check_rll(d, tier="extended").accepted
+        d.tier = "extended"
+        assert check_rll(d).accepted
 
     def test_empty_derivation_rejected(self):
         assert check_rll(rll_d([])) == Verdict(False, "-", "empty derivation")
@@ -440,9 +446,11 @@ class TestBooleanVariables:
                     for _ in range(rng.randint(1, 3))]
             assert boolean_variables(maximal_atoms(phis), negate_formula) == \
                 reference_prop_variables(phis)
-            got = _outcome(propositional_valid, phis[0], phis[1:])
-            assert got == _outcome(reference_propositional_valid, phis[0],
-                                   phis[1:])
+            # the others, if any, as premises: the antecedent of an implication
+            claim = phis[0] if len(phis) == 1 else implies(
+                functools.reduce(And, phis[1:]), phis[0])
+            got = _outcome(propositional_valid, claim)
+            assert got == _outcome(reference_propositional_valid, claim)
             verdicts.add(got)
         assert {True, False} <= verdicts
 
@@ -519,15 +527,12 @@ class TestMultl:
         assert check_multl(d) == Verdict(False, "s2", f"unknown rule {rule!r}")
 
     def test_unknown_tier_rejected(self):
-        """Both checkers refuse a tier they do not know, whether the
-        derivation or the caller names it."""
+        """Both checkers refuse a tier they do not know."""
         for check, d in (
                 (check_multl, self.multl_d([self.fstep("s1", "P | ~P",
                                                        "taut")])),
                 (check_rll, rll_d([estep("s1", "eq", "0", "0", "refl")]))):
             assert check(d).accepted
-            assert check(d, tier="whatever") == Verdict(
-                False, "-", "unknown tier 'whatever'")
             d.tier = "bogus"
             assert check(d) == Verdict(False, "-", "unknown tier 'bogus'")
 
@@ -739,8 +744,8 @@ class TestProofCorpus:
             lambda label, v: f"{label} {v.accepted} {v.step}\n") == {
             "shipped": (145, "0491e1f9f36d41d212e2bb1f78632e5e"
                              "3d5d1668b17cb48eae0e3dbbd98dfcee"),
-            "generated": (902, "4788a5d90508e59ec0990dc756bf3c1d"
-                               "368a24cbeb5be94cee3b662add96c37c")}
+            "generated": (881, "886f6400ce3990500682078ee8f7f899"
+                               "99bdf40a1306f2dd7bf06c34b1e5bd8d")}
 
     def test_mutant_reasons_pinned(self):
         """The same mutants are rejected for the same reason, word for word,
@@ -750,8 +755,8 @@ class TestProofCorpus:
         ) == {
             "shipped": (145, "c23af2f5f88b599bd7a25e3cb5a51729"
                              "d804be83feebd228c33d78d88e2dbcb5"),
-            "generated": (902, "808d3a3b70f11583ab2eeb67aedc0a74"
-                               "3ef3cdeecf35e7e6059850886bcbac75")}
+            "generated": (881, "592b57ab54c2c021a6cf9b7200ac319d"
+                               "dc3e3f889d6e51c7886401840bc4cc50")}
 
     def test_json_roundtrip(self):
         for path in proof_paths():
@@ -913,6 +918,45 @@ class TestDeriveComplement:
         with pytest.raises(CalculusError):
             derive_complement(Var("X"), AB)
 
+    def test_shadowed_binders_accepted(self):
+        """Seeded expressions with every binder named X, so that each inner
+        binder shadows the outer ones (gen_expr never shadows)."""
+        rng = random.Random(36)
+        same = {C: C for C in (syntax.Zero, syntax.Top, syntax.Act, Sum, Meet)}
+        for _ in range(40):
+            ab = gen_alphabet(rng, 3)
+            e = syntax.rebuild(gen_expr(rng, ab, rng.randint(2, 12)), {
+                **same, Var: lambda name: Var("X"),
+                Mu: lambda var, body: Mu("X", body),
+                Nu: lambda var, body: Nu("X", body)})
+            for d in derive_complement(e, ab):
+                assert check_rll(d).accepted, print_expr(e)
+
+    @pytest.mark.parametrize("letters", ["a", "ab", "abc"])
+    @pytest.mark.parametrize("text", [
+        "mu X. a.(nu X. b.X + X) + X",  # a shadowed binder, then the outer X
+        "nu Xc. mu X. a.Xc + b.X",  # a name that X's prime would take
+        "mu H. a.0 + b.H",  # the name a context's hole would take
+    ])
+    def test_hand_cases_accepted(self, text, letters):
+        ab = Alphabet.plain(*letters)
+        e = parse_expr(text if "b" in letters else text.replace("b.", "a."),
+                       ab)
+        for d in derive_complement(e, ab):
+            assert check_rll(d).accepted
+
+    @pytest.mark.parametrize("prop, text", [
+        ("V0", "mu X. {V0}.X + {}.top"),
+        ("H", "{H}.top + {}.0"),
+        ("Xc", "mu X. {Xc}.X + {}.top"),
+    ])
+    def test_fresh_names_avoid_propositions(self, prop, text):
+        """A binder's fresh pair and a context's hole are no proposition's
+        name, which the checker would refuse as a variable."""
+        ab = Alphabet.powerset(prop)
+        for d in derive_complement(parse_expr(text, ab), ab):
+            assert check_rll(d).accepted
+
     def test_complement_derivations_survive_json(self):
         e = parse_expr("mu X. (a.X & nu Y. (b.Y + X))", AB)
         for d in derive_complement(e, AB):
@@ -922,18 +966,18 @@ class TestDeriveComplement:
 
     def test_output_pinned(self):
         """Both derivations of 100 seeded expressions hash as they did
-        when each law wrote one case of each De Morgan pair."""
+        when the walk went down e beside its primed complement."""
         digest = hashlib.sha256()
         for d in _pinned_corpus():
             digest.update(json.dumps(derivation_to_json(
                 d, shared=False)).encode())
         assert digest.hexdigest() == (
-            "d2f76256830ec1706ac8dfeb3f641861689398bb1ee4d942d55b9a6d2fa30145")
+            "e587428d87cee8cc1144df9cb46729120fdd8f7cad211653446483d12ccf63ab")
 
     def test_conclusions_pinned(self):
         """The same corpus concludes, claim for claim, as when each law
-        wrote out both cases of each De Morgan pair, in at most the 10,699
-        steps, hypothetical ones included, that it took then."""
+        wrote out both cases of each De Morgan pair, in at most the 10,193
+        steps, hypothetical ones included, that it takes now."""
         digest, steps = hashlib.sha256(), 0
         for d in _pinned_corpus():
             digest.update(json.dumps(
@@ -941,7 +985,7 @@ class TestDeriveComplement:
             steps += _step_count(d.steps)
         assert digest.hexdigest() == (
             "36a218f8db68e6e0274060f0f4ae69ec6c0569839025f4618dfc7354fe7d5dd8")
-        assert steps <= 10699
+        assert steps <= 10193
 
     def test_generated_mutations_rejected(self):
         e = parse_expr("nu X. a.X", AB)
@@ -973,6 +1017,13 @@ def _claims(steps) -> list:
         if s.hyp is not None:
             out += _claims(s.hyp.steps)
     return out
+
+
+def test_corpus_88_step_count():
+    """The 88 derivations take 18,384 steps, hypothetical ones included
+    (19,388 when each fixpoint renamed its binders and restated its
+    claim)."""
+    assert sum(_step_count(d.steps) for d in _corpus_88()) <= 18384
 
 
 class TestSharedTerms:
@@ -1057,4 +1108,4 @@ class TestSharedTerms:
         for d in _pinned_corpus():
             digest.update(json.dumps(derivation_to_json(d)).encode())
         assert digest.hexdigest() == (
-            "3bb4260be3803e8ef7e3c6d97c90475711cb37be887c5241ce91462b80c52484")
+            "f60bdbcb37509a6b7170591b8b6a7717896df2d23fcb5b5b6905f4ddec77d5da")

@@ -891,6 +891,7 @@ MALFORMED = {
     "undeclared-letter": _table([["zero"], ["act", "b", 0]], 1, 1),
     "keyword-variable": _table([["var", "mu"]]),
     "non-identifier-variable": _table([["var", "1X"]]),
+    "number-variable": _table([["var", 5]]),
     "keyword-binder": _table([["var", "X"], ["nu", "top", 0]], 1, 1),
     "proposition-variable": _table([["var", "P"]], system="multl"),
     "undeclared-proposition": _table([["prop", "Q"]], system="multl"),

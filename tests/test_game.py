@@ -19,7 +19,7 @@ from helpers import (depth_priorities, desk_lassos, reference_build_arena,
 from rll import algebra, game
 from rll.closure import DEAD_TOP, DEAD_ZERO, ClosureError, occurrence_graph
 from rll.corpus import agreement_pairs, gen_alphabet, gen_expr, gen_lasso
-from rll.game import (ABELARD, ELOISE, Counterexample, GameError, ParityGame,
+from rll.game import (ABELARD, ELOISE, GameError, ParityGame,
                       WordGraph, build_arena, equiv_bounded,
                       inclusion_bounded, lasso_graph, member_game,
                       solve_parity, word_graphs)
@@ -780,8 +780,8 @@ class TestBoundedSearch:
     def test_equiv_finds_first_witness(self):
         e = parse_expr("nu X. a.X", AB)
         top = parse_expr("top", AB)
-        cex = equiv_bounded(e, top, AB, 1, 2)
-        assert cex is not None and print_lasso(cex.lasso) == "(b)"
+        w = equiv_bounded(e, top, AB, 1, 2)
+        assert w is not None and print_lasso(w) == "(b)"
 
     def test_equiv_reflexive(self):
         e = parse_expr(IA, AB)
@@ -803,8 +803,8 @@ class TestBoundedSearch:
         nuax = parse_expr("nu X. a.X", AB)
         ia = parse_expr(IA, AB)
         assert inclusion_bounded(nuax, ia, AB, 2, 2) is None
-        cex = inclusion_bounded(parse_expr("top", AB), nuax, AB, 1, 1)
-        assert cex is not None and print_lasso(cex.lasso) == "(b)"
+        w = inclusion_bounded(parse_expr("top", AB), nuax, AB, 1, 1)
+        assert w is not None and print_lasso(w) == "(b)"
         zero = parse_expr("0", AB)
         assert inclusion_bounded(zero, nuax, AB, 2, 2) is None
 
@@ -1039,7 +1039,7 @@ class TestSearchMatchesReference:
                 assert got == reference(e, f, ab, *bounds), (e, f, bounds)
                 if got is not None:
                     found += 1
-                    late += got.lasso.length >= 4
+                    late += got.length >= 4
         assert found >= 60 and late >= 20, (found, late)
 
     def test_split_batches_and_refusals(self, monkeypatch):

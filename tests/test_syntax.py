@@ -134,6 +134,9 @@ class TestAlphabet:
         with pytest.raises(AlphabetError,
                            match=r"^undeclared letter '\{R\}'$"):
             PQ.letter_props("{R}")
+        with pytest.raises(AlphabetError,
+                           match=r"^alphabet has no proposition basis$"):
+            AB.letter_props("a")
         with pytest.raises(SemanticsError,
                            match=r"^letter 'c' is not in the alphabet$"):
             Lasso(("a",), ("c",), AB)
@@ -557,6 +560,10 @@ class TestPrintParse:
         e = Sum(Var("X"), Sum(Var("Y"), Var("Z")))
         assert print_expr(e) == "X + (Y + Z)"
         assert parse_expr(print_expr(e), AB) == e
+
+    def test_printer_refuses_a_non_term(self):
+        with pytest.raises(TypeError, match="^not an expression or formula: "):
+            print_expr(Sum(Var("X"), "Y"))
 
 
 class TestNegation:
