@@ -245,10 +245,15 @@ def derivation_from_json(data: dict) -> Derivation:
     in one forward pass with no parser (see ``_term_table``). A subst text
     is parsed when a step reads it, so a bad one rejects that step; every
     other fault of the JSON is a CalculusError. So is a proof whose terms
-    named by index sum to more than MAX_PROOF_NODES tree nodes."""
+    named by index sum to more than MAX_PROOF_NODES tree nodes. An rll
+    proof lists its letters as "alphabet" or, for a powerset alphabet, its
+    propositions as "props", not both; a muLTL proof, its propositions as
+    "alphabet"."""
     _json(data, dict, "a proof")
     try:
-        system, names, steps = data["system"], data["alphabet"], data["steps"]
+        system = data["system"]
+        key = "props" if system == "rll" and "props" in data else "alphabet"
+        names, steps = data[key], data["steps"]
     except KeyError as err:
         raise _missing("the proof", err) from None
     tier = data.get("tier", "strict")
@@ -256,8 +261,11 @@ def derivation_from_json(data: dict) -> Derivation:
         raise CalculusError(f"unknown proof system {system!r}")
     if tier not in ("strict", "extended"):
         raise CalculusError(f"unknown tier {tier!r}")
-    names = _strings(names, "alphabet")
-    ab = Alphabet.powerset(*names) if system == "multl" else Alphabet.plain(*names)
+    if key == "props" and "alphabet" in data:
+        raise CalculusError("an rll proof has 'alphabet' or 'props', not both")
+    names = _strings(names, key)
+    ab = (Alphabet.powerset(*names) if system == "multl" or key == "props"
+          else Alphabet.plain(*names))
     parse = _SYSTEMS[system][1]
     table, sizes = _term_table(data.get("terms", []), system, ab)
     named = 0  # tree nodes of the terms named by index so far
@@ -343,17 +351,6 @@ def _entry(t: Term, table: list, index: dict) -> int:
     return k
 
 
-def _named_nodes(table: list[list], named: list[int]) -> int:
-    """The tree nodes of the table's entries that named lists, each as
-    often as it is listed, every entry counted at most as MAX_PROOF_NODES +
-    1: what derivation_from_json sums against the cap."""
-    sizes: list[int] = []
-    for entry in table:
-        size = 1 + sum(sizes[x] for x in entry[1:] if type(x) is int)
-        sizes.append(min(size, MAX_PROOF_NODES + 1))
-    return sum(sizes[k] for k in named)
-
-
 def derivation_to_json(d: Derivation, *, shared: bool = True) -> dict:
     """d as JSON that derivation_from_json reads back.
 
@@ -367,8 +364,11 @@ def derivation_to_json(d: Derivation, *, shared: bool = True) -> dict:
     conclusion, which stays text. ``shared=False`` writes every term as
     text. The loader refuses a shared form whose terms named by index pass
     MAX_PROOF_NODES tree nodes, so such a derivation is written as text
-    whatever ``shared`` says."""
-    names = list(d.alphabet.props if d.system == "multl" else d.alphabet.letters)
+    whatever ``shared`` says. The alphabet is written as the loader reads
+    it, an rll proof's powerset alphabet as its "props"."""
+    ab = d.alphabet
+    key = "props" if d.system == "rll" and ab.props is not None else "alphabet"
+    names = list(ab.letters if ab.props is None else ab.props)
     table: list[list] = []
     index: dict = {}
     named: list[int] = []  # the entry of each term written by index
@@ -397,9 +397,11 @@ def derivation_to_json(d: Derivation, *, shared: bool = True) -> dict:
         return out
 
     steps = [dump_step(s, k == len(d.steps) - 1) for k, s in enumerate(d.steps)]
-    if shared and _named_nodes(table, named) > MAX_PROOF_NODES:
-        return derivation_to_json(d, shared=False)
-    out = {"system": d.system, "tier": d.tier, "alphabet": names}
+    if shared:  # the tree nodes the loader will sum against the cap
+        sizes = _term_table(table, d.system, ab)[1]
+        if sum(sizes[k] for k in named) > MAX_PROOF_NODES:
+            return derivation_to_json(d, shared=False)
+    out = {"system": d.system, "tier": d.tier, key: names}
     if shared:
         out["terms"] = table
     out["steps"] = steps
@@ -972,27 +974,32 @@ class _ComplementGen:
     is built from the two subterms as they stand: sums against meets, a.f
     against a.f' + (the other letters), a binder against its dual. A
     fixpoint wraps the inductive step in the law's duality rule on the pair
-    (X, X'), whose hypothesis law(X, X') proves X in the body (``hyps``).
-    A claim is restated only where a context would not end with its
-    conclusion, and at the root, which states e^c unprimed.
+    (X, X'); a body that names X proves it by the rule's hypothesis
+    (``hyps``). A claim is restated only where a context would not end
+    with its conclusion, and at the root, which states e^c unprimed.
 
-    This class holds the walk and the fixpoint step. A subclass supplies the
-    rest: ``law`` and ``sides`` build and split the law's claim, ``swap``
-    proves law(fc, f) from law(f, fc), ``duality`` names the rule,
-    ``glue_act`` proves the letter case, and one case of each De Morgan
-    pair, ``zero`` or ``top`` and ``glue_sum`` or ``glue_meet``, proves the
-    rest: since complement exchanges the cases of a pair, each case here is
-    the other conjugated by ``swap``. A law overrides exactly one case of
-    each pair; where it overrides neither, the two call each other forever.
-    A proved claim is the Step that states it."""
+    Each case proves the law the way its rule gives it: law(t, tc), or
+    law(tc, t), "turned". The law's own constant and lattice node (``own``)
+    are proved as they stand and their De Morgan duals turned, from turned
+    children; acts and mus as they stand; a nu and its hypothesis turned,
+    as its complement takes the rule's mu slot. ``gen`` turns a result with
+    ``swap`` only where its parent asked for the other way, so no swap
+    undoes another.
+
+    A subclass supplies ``law`` and ``sides``, which build and split the
+    law's claim, ``swap``, which proves law(fc, f) from law(f, fc),
+    ``duality``, its rule, ``own``, and the cases: ``constant`` and
+    ``glue`` for the own kinds, ``glue_act`` for letters. A proved claim is
+    the Step that states it."""
 
     duality: str
+    own: tuple[type, type]
 
     def __init__(self, alphabet: Alphabet):
         self.ab = alphabet
         self.counter = itertools.count(1)
         self.stack: list[list[Step]] = [[]]  # one step list per open context
-        self.hyps: dict[str, Optional[Step]] = {}  # X -> law(X, X') in scope
+        self.hyps: dict = {}  # X -> (the step of its hypothesis, turned)
 
     # -- structural steps -------------------------------------------------
     def emit(self, rule: str, claim: Claim, premises: list[str] = (),
@@ -1051,57 +1058,42 @@ class _ComplementGen:
         return self.emit("trans", goal, [s.sid, r.sid])
 
     # -- the induction ----------------------------------------------------
-    def gen(self, t: Expr, tc: Expr) -> Step:
-        """law(t, tc), where tc is t's complement with its names primed."""
+    def gen(self, t: Expr, tc: Expr, turn: bool = False) -> Step:
+        """law(t, tc), or law(tc, t) where turn is set; tc is t's complement
+        with its names primed."""
         if isinstance(t, Var):
-            return self.hyps[t.name]
-        if isinstance(t, Zero):
-            return self.zero()
-        if isinstance(t, Top):
-            return self.top()
-        if isinstance(t, Sum):
-            return self.glue_sum(self.gen(t.left, tc.left),
-                                 self.gen(t.right, tc.right))
-        if isinstance(t, Meet):
-            return self.glue_meet(self.gen(t.left, tc.left),
-                                  self.gen(t.right, tc.right))
-        if isinstance(t, Act):
-            return self.glue_act(self.gen(t.body, tc.left.body), t.letter)
-        return self.gen_fix(t, tc)
-
-    # -- the De Morgan conjugates ------------------------------------------
-    def zero(self) -> Step:
-        return self.swap(self.top())
-
-    def top(self) -> Step:
-        return self.swap(self.zero())
-
-    def glue_sum(self, s1: Step, s2: Step) -> Step:
-        return self.swap(self.glue_meet(self.swap(s1), self.swap(s2)))
-
-    def glue_meet(self, s1: Step, s2: Step) -> Step:
-        return self.swap(self.glue_sum(self.swap(s1), self.swap(s2)))
+            s, turned = self.hyps[t.name]
+        elif isinstance(t, (Zero, Top)):
+            s, turned = self.constant(), not isinstance(t, self.own)
+        elif isinstance(t, (Sum, Meet)):
+            turned = not isinstance(t, self.own)
+            s = self.glue(self.gen(t.left, tc.left, turned),
+                          self.gen(t.right, tc.right, turned))
+        elif isinstance(t, Act):
+            s, turned = self.glue_act(self.gen(t.body, tc.left.body),
+                                      t.letter), False
+        else:
+            s, turned = self.gen_fix(t, tc), isinstance(t, Nu)
+        return self.swap(s) if turned != turn else s
 
     def gen_fix(self, t: Expr, tc: Expr) -> Step:
-        # the rule's mu comes first: for nu-expressions the complement side
-        # takes the mu slot and the law's sides are swapped around the rule
-        is_mu = isinstance(t, Mu)
-        m, n = (t, tc) if is_mu else (tc, t)
+        """law(t, tc) for a mu, law(tc, t) for a nu: the rule's mu comes
+        first, so a nu's complement takes the mu slot."""
+        turned = isinstance(t, Nu)
+        m, n = (tc, t) if turned else (t, tc)
         outer = self.hyps.get(t.var)
         self.stack.append([])
-        hyp = self.emit("hyp", self.law(Var(m.var), Var(n.var)))
-        self.hyps[t.var] = hyp if is_mu else self.swap(hyp)
-        inner = self.gen(t.body, tc.body)
+        if t.var in free_vars(t.body):
+            self.hyps[t.var] = (
+                self.emit("hyp", self.law(Var(m.var), Var(n.var))), turned)
+        inner = self.gen(t.body, tc.body, turned)
         self.hyps[t.var] = outer
-        if not is_mu:
-            self.swap(inner)
-        elif self.stack[-1][-1] is not inner:
+        if not self.stack[-1] or self.stack[-1][-1] is not inner:
             self.restate(inner, inner.claim)
-        st = self.emit(self.duality, self.law(m, n),
-                       subst={"X": m.var, "Y": n.var, "e": m.body,
-                              "f": n.body},
-                       hyp=HypContext([m.var, n.var], self.stack.pop()))
-        return st if is_mu else self.swap(st)
+        return self.emit(self.duality, self.law(m, n),
+                         subst={"X": m.var, "Y": n.var, "e": m.body,
+                                "f": n.body},
+                         hyp=HypContext([m.var, n.var], self.stack.pop()))
 
     def derivation(self, e: Expr) -> Derivation:
         # each X' avoids e's names, the propositions and the other primes
@@ -1127,6 +1119,7 @@ class _ComplementGen:
 class _PlusLaw(_ComplementGen):
     """top <= e + e^c."""
     duality = "duality_plus"
+    own = (Top, Sum)
 
     def law(self, f: Expr, fc: Expr) -> Claim:
         return Claim("leq", TOP, Sum(f, fc))
@@ -1138,7 +1131,8 @@ class _PlusLaw(_ComplementGen):
         f, fc = self.sides(s.claim)
         return self.tr(s, self.ax("plus_comm", e=f, f=fc))
 
-    def top(self) -> Step:
+    def constant(self) -> Step:
+        # top <= top + 0
         return self.weaken(self.sym(self.ax("plus_zero", e=TOP)))
 
     def leq_plus_left(self, f: Expr, g: Expr) -> Step:
@@ -1162,23 +1156,22 @@ class _PlusLaw(_ComplementGen):
         return self.chain(sv, c3, c5)
 
     def pull_front(self, terms: list[Expr], idx: int) -> Step:
-        """sum(terms) = terms[idx] + sum(terms without idx), len(terms) >= 2."""
-        if idx == 0:
-            return self.refl(sum_of(terms))  # already terms[0] + sum(rest)
+        """sum(terms) = terms[idx] + sum(terms without idx), 0 < idx."""
         if len(terms) == 2:
             return self.ax("plus_comm", e=terms[0], f=terms[1])
         t0, rest = terms[0], terms[1:]
         ti = terms[idx]
         sprime = sum_of(rest[:idx - 1] + rest[idx:])
-        r1 = self.pull_front(rest, idx - 1)
-        r2 = self.lift("cong", r1, lambda z: Sum(t0, z))
         r3 = self.ax("plus_assoc", e=t0, f=ti, g=sprime)
+        if idx > 1:  # else sum(terms) is already t0 + (ti + sprime)
+            r1 = self.pull_front(rest, idx - 1)
+            r3 = self.tr(self.lift("cong", r1, lambda z: Sum(t0, z)), r3)
         r5 = self.lift("cong", self.ax("plus_comm", e=t0, f=ti),
                        lambda z: Sum(z, sprime))
         r7 = self.sym(self.ax("plus_assoc", e=ti, f=t0, g=sprime))
-        return self.chain(r2, r3, r5, r7)
+        return self.chain(r3, r5, r7)
 
-    def glue_sum(self, s1: Step, s2: Step) -> Step:
+    def glue(self, s1: Step, s2: Step) -> Step:
         f, fc = self.sides(s1.claim)
         g, gc = self.sides(s2.claim)
         a2 = self.lift("mono", self.leq_plus_left(f, g), lambda z: Sum(z, fc))
@@ -1203,9 +1196,9 @@ class _PlusLaw(_ComplementGen):
             c6 = self.sym(self.ax("plus_zero", e=afc))
             c8 = self.lift("cong", c6, lambda z: Sum(af, z))
             return self.tr(c5, c8)
-        terms = [Act(c, TOP) for c in letters]
-        c5 = self.pull_front(terms, letters.index(a))
-        c6 = self.tr(c4, c5)
+        idx = letters.index(a)  # Sigma is a.top + r already where idx is 0
+        c6 = c4 if idx == 0 else self.tr(
+            c4, self.pull_front([Act(c, TOP) for c in letters], idx))
         r = sum_of(rest)
         c7 = self.lift("mono", c3, lambda z: Sum(z, r))
         c8 = self.tr(c6, c7)
@@ -1216,6 +1209,7 @@ class _PlusLaw(_ComplementGen):
 class _MeetLaw(_ComplementGen):
     """e & e^c <= 0."""
     duality = "duality_meet"
+    own = (Zero, Meet)
 
     def law(self, f: Expr, fc: Expr) -> Claim:
         return Claim("leq", Meet(f, fc), ZERO)
@@ -1227,7 +1221,8 @@ class _MeetLaw(_ComplementGen):
         f, fc = self.sides(s.claim)
         return self.tr(self.ax("meet_comm", e=fc, f=f), s)
 
-    def zero(self) -> Step:
+    def constant(self) -> Step:
+        # 0 & top <= 0
         return self.weaken(self.ax("meet_top", e=ZERO))
 
     def meet_left(self, f: Expr, g: Expr) -> Step:
@@ -1263,7 +1258,7 @@ class _MeetLaw(_ComplementGen):
         g6 = self.ax("plus_zero", e=ZERO)
         return self.chain(g1, g3, g5, g6)
 
-    def glue_meet(self, s1: Step, s2: Step) -> Step:
+    def glue(self, s1: Step, s2: Step) -> Step:
         f, fc = self.sides(s1.claim)
         g, gc = self.sides(s2.claim)
         e2 = self.lift("mono", self.meet_left(f, g), lambda z: Meet(z, fc))

@@ -323,7 +323,7 @@ def _selftest_args(p):
 COMMANDS = {
     "parse": ("parse and reprint an expression file", _parse_args,
               {"fn": cmd_parse}),
-    "closure": ("print the Fischer-Ladner closure", _file_args,
+    "closure": ("print the occurrence graph", _file_args,
                 {"fn": cmd_closure}),
     "apa-dot": ("print the automaton in DOT format", _file_args,
                 {"fn": cmd_apa_dot}),

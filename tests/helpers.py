@@ -1656,7 +1656,7 @@ def reference_build_parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(fn=cli.cmd_parse)
 
-    p = sub.add_parser("closure", help="print the Fischer-Ladner closure")
+    p = sub.add_parser("closure", help="print the occurrence graph")
     p.add_argument("file")
     common(p)
     p.set_defaults(fn=cli.cmd_closure)

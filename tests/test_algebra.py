@@ -138,6 +138,11 @@ class TestToRll:
         got = algebra.to_rll(NegProp("P"), P1)
         assert got == Act("{}", TOP)
 
+    def test_needs_powerset(self):
+        with pytest.raises(AlphabetError, match="translation from muLTL "
+                           "needs a powerset alphabet"):
+            algebra.to_rll(Prop("P"), AB)
+
 
 class TestTranslationLaws:
     def test_adequacy(self):

@@ -25,10 +25,10 @@ from rll.calculus import (RULES, CalculusError, Claim, Derivation,
 from rll.corpus import gen_alphabet, gen_expr
 from rll.semantics import (enumerate_lassos, eval_multl, eval_rll,
                            member_oracle)
-from rll.syntax import (Alphabet, And, BOT, FVar, Meet, Mu, MuF, MuLtlFormula,
-                        Next, Nu, NuF, Or, ParseError, Prop, Sum, TOP, TT, Var,
-                        ZERO, alpha_eq, free_vars, implies, negate_formula,
-                        parse_expr, parse_formula, print_expr)
+from rll.syntax import (Act, Alphabet, And, BOT, FVar, Meet, Mu, MuF,
+                        MuLtlFormula, Next, Nu, NuF, Or, ParseError, Prop, Sum,
+                        TOP, TT, Var, ZERO, alpha_eq, free_vars, implies,
+                        negate_formula, parse_expr, parse_formula, print_expr)
 
 AB = Alphabet.plain("a", "b")
 PQ = Alphabet.powerset("P", "Q")
@@ -744,8 +744,8 @@ class TestProofCorpus:
             lambda label, v: f"{label} {v.accepted} {v.step}\n") == {
             "shipped": (145, "0491e1f9f36d41d212e2bb1f78632e5e"
                              "3d5d1668b17cb48eae0e3dbbd98dfcee"),
-            "generated": (881, "886f6400ce3990500682078ee8f7f899"
-                               "99bdf40a1306f2dd7bf06c34b1e5bd8d")}
+            "generated": (801, "d7e6fd1e8d263f58c2a3c1ddd791c4e8"
+                               "40b2ec73450595f849cd0ca56a9967f1")}
 
     def test_mutant_reasons_pinned(self):
         """The same mutants are rejected for the same reason, word for word,
@@ -755,8 +755,8 @@ class TestProofCorpus:
         ) == {
             "shipped": (145, "c23af2f5f88b599bd7a25e3cb5a51729"
                              "d804be83feebd228c33d78d88e2dbcb5"),
-            "generated": (881, "592b57ab54c2c021a6cf9b7200ac319d"
-                               "dc3e3f889d6e51c7886401840bc4cc50")}
+            "generated": (801, "e4e965f799834470a26387896ec02508"
+                               "87fdb14831b1975c6d36a0841be1be95")}
 
     def test_json_roundtrip(self):
         for path in proof_paths():
@@ -945,6 +945,29 @@ class TestDeriveComplement:
         for d in derive_complement(e, ab):
             assert check_rll(d).accepted
 
+    @pytest.mark.parametrize("text", [
+        "mu X. a.top",  # binders whose body does not name their variable
+        "nu X. b.0",
+        "nu X. X",  # a nu's hypothesis, turned, as its whole body
+        "mu X. nu Y. X",  # a mu's hypothesis asked turned
+        "(a.0 & b.top) & (0 & top)",  # meets under meets
+        "a.top",  # pull_front at letter index 0, 1 and 2 over a b c
+        "b.0",
+        "c.top + 0",
+    ])
+    def test_walk_cases_accepted(self, text):
+        """Over each of a, a b and a b c that declares the case's letters."""
+        letters = {t.letter for t in syntax.subexpressions(
+            parse_expr(text, Alphabet.plain(*"abc"))) if isinstance(t, Act)}
+        checked = 0
+        for names in ("a", "ab", "abc"):
+            if letters <= set(names):
+                ab = Alphabet.plain(*names)
+                for d in derive_complement(parse_expr(text, ab), ab):
+                    assert check_rll(d).accepted, (text, names)
+                checked += 1
+        assert checked
+
     @pytest.mark.parametrize("prop, text", [
         ("V0", "mu X. {V0}.X + {}.top"),
         ("H", "{H}.top + {}.0"),
@@ -964,20 +987,41 @@ class TestDeriveComplement:
                 json.loads(json.dumps(derivation_to_json(d))))
             assert check_rll(again).accepted
 
+    def test_powerset_derivations_survive_json(self):
+        """An rll derivation over a powerset alphabet is written with its
+        propositions as "props", in both forms, and reads back as itself."""
+        ab = Alphabet.powerset("P")
+        for d in derive_complement(parse_expr("mu X. {P}.X + {}.top", ab), ab):
+            for shared in (True, False):
+                data = json.loads(json.dumps(derivation_to_json(
+                    d, shared=shared)))
+                assert data["props"] == ["P"] and "alphabet" not in data
+                again = derivation_from_json(data)
+                assert again.alphabet == ab
+                assert check_rll(again).accepted
+
+    def test_rll_proof_takes_alphabet_or_props(self):
+        data = derivation_to_json(derive_complement(TOP, AB)[0])
+        with pytest.raises(CalculusError, match="an rll proof has "
+                           "'alphabet' or 'props', not both"):
+            derivation_from_json({**data, "props": ["P"]})
+
     def test_output_pinned(self):
         """Both derivations of 100 seeded expressions hash as they did
-        when the walk went down e beside its primed complement."""
+        when each case first proved the law the way round its rule gives
+        it."""
         digest = hashlib.sha256()
         for d in _pinned_corpus():
             digest.update(json.dumps(derivation_to_json(
                 d, shared=False)).encode())
         assert digest.hexdigest() == (
-            "e587428d87cee8cc1144df9cb46729120fdd8f7cad211653446483d12ccf63ab")
+            "c741b31099caf412e28491b45d64788f9d7ad540de6a7606b40197be96f5b6c6")
 
     def test_conclusions_pinned(self):
         """The same corpus concludes, claim for claim, as when each law
-        wrote out both cases of each De Morgan pair, in at most the 10,193
-        steps, hypothetical ones included, that it takes now."""
+        wrote out both cases of each De Morgan pair, in at most the 9,089
+        steps, hypothetical ones included, that it takes now (10,193 when
+        one case of each pair was the other conjugated by swaps)."""
         digest, steps = hashlib.sha256(), 0
         for d in _pinned_corpus():
             digest.update(json.dumps(
@@ -985,7 +1029,7 @@ class TestDeriveComplement:
             steps += _step_count(d.steps)
         assert digest.hexdigest() == (
             "36a218f8db68e6e0274060f0f4ae69ec6c0569839025f4618dfc7354fe7d5dd8")
-        assert steps <= 10193
+        assert steps <= 9089
 
     def test_generated_mutations_rejected(self):
         e = parse_expr("nu X. a.X", AB)
@@ -1020,10 +1064,32 @@ def _claims(steps) -> list:
 
 
 def test_corpus_88_step_count():
-    """The 88 derivations take 18,384 steps, hypothetical ones included
-    (19,388 when each fixpoint renamed its binders and restated its
-    claim)."""
-    assert sum(_step_count(d.steps) for d in _corpus_88()) <= 18384
+    """The 88 derivations take 16,172 steps, hypothetical ones included
+    (18,384 when one case of each De Morgan pair was the other conjugated
+    by swaps, 19,388 when each fixpoint also renamed its binders and
+    restated its claim)."""
+    assert sum(_step_count(d.steps) for d in _corpus_88()) <= 16172
+
+
+def _contexts(steps):
+    """Each context's step list, the top level first."""
+    yield steps
+    for s in steps:
+        if s.hyp is not None:
+            yield from _contexts(s.hyp.steps)
+
+
+@pytest.mark.parametrize("corpus", [_pinned_corpus, _corpus_88])
+def test_no_step_uncited(corpus):
+    """Every generated step is a premise of a later step, or the last step
+    of its context: no hypothesis of a binder whose body never names it,
+    and no swap of one."""
+    for d in corpus():
+        contexts = list(_contexts(d.steps))
+        cited = {sid for steps in contexts for s in steps
+                 for sid in s.premises}
+        assert [s.sid for steps in contexts for s in steps[:-1]
+                if s.sid not in cited] == []
 
 
 class TestSharedTerms:
@@ -1108,4 +1174,4 @@ class TestSharedTerms:
         for d in _pinned_corpus():
             digest.update(json.dumps(derivation_to_json(d)).encode())
         assert digest.hexdigest() == (
-            "f60bdbcb37509a6b7170591b8b6a7717896df2d23fcb5b5b6905f4ddec77d5da")
+            "a3d30bee4040b28001822722336f6f6c86d8bd09458671a6e86492d9be3701d5")

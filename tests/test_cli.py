@@ -1121,7 +1121,7 @@ CONTRACT = {
     ():
         "7b5071d14735463542e0314d00e7f6ea25701c5d85f1f08b7cf833ccf52b4684",
     ("-h",):
-        "2e9bcd22a59ecc66fe758fcf74d2cfecd988b2fa124f84a2f6e5427666c561be",
+        "a6f5d89ad807946577e66e99cac77ffa7a09d4cadd7c8d7cc7ae5176191d2661",
     ("--version",):
         "c9d096b80b37e74f8de552a417237015735ede3bb11528d97ba5122abd2dc245",
     ("bogus",):
@@ -1205,7 +1205,7 @@ ARGPARSE_STYLES = {
         ():
             "491f3be7d63414f89a412f35899e7295d740d734ac1189f64d4955e90555cf8e",
         ("-h",):
-            "81f4e530a38d34e17ebfb17dd23b025589c15e5d2296fe61a85a10a6f6efb1d0",
+            "4929ab4e0c2cd8629856f957ff088bb4602aba4bd2f2b32e0db27db20ab4a692",
         ("bogus",):
             "17b9338635c3a8bc6616fd45a83f52e615152326cd7e2f7d579d74e4ce3d47db",
         ("--alphabet", "a", "member"):
@@ -1219,7 +1219,7 @@ ARGPARSE_STYLES = {
         ():
             "491f3be7d63414f89a412f35899e7295d740d734ac1189f64d4955e90555cf8e",
         ("-h",):
-            "81f4e530a38d34e17ebfb17dd23b025589c15e5d2296fe61a85a10a6f6efb1d0",
+            "4929ab4e0c2cd8629856f957ff088bb4602aba4bd2f2b32e0db27db20ab4a692",
         ("bogus",):
             "7cc8e700888517b6246965b8a6b1512fe1daff187841d65a11f6fc3e386ad5f3",
         ("--alphabet", "a", "member"):

@@ -17,8 +17,8 @@ from rll import algebra
 from rll.closure import (ClosureError, _printed, format_graph, graph_dot,
                          occurrence_graph)
 from rll.corpus import gen_alphabet, gen_expr
-from rll.syntax import (Act, Alphabet, Mu, Nu, Var, expr_size, parse_expr,
-                        print_expr, subexpressions)
+from rll.syntax import (Act, Alphabet, Mu, Nu, Prop, Var, expr_size,
+                        parse_expr, print_expr, subexpressions)
 
 AB = Alphabet.plain("a", "b")
 ABC = Alphabet.plain("a", "b", "c")
@@ -153,6 +153,11 @@ class TestClosureInvariants:
             e = gen_expr(rng, AB, rng.randint(1, 15))
             out = format_graph(e, occurrence_graph(e, AB))
             assert len(out.splitlines()) - 2 <= expr_size(e)
+
+    def test_formula_is_no_expression(self):
+        with pytest.raises(TypeError,
+                           match=r"not an expression: Prop\(name='P'\)"):
+            occurrence_graph([Prop("P")], PQ)
 
 
 class TestAgainstReference:

@@ -35,6 +35,11 @@ def lasso(text, ab=AB):
 
 
 class TestLasso:
+    def test_empty_period_refused(self):
+        with pytest.raises(SemanticsError,
+                           match="lasso period must be nonempty"):
+            Lasso((), (), AB)
+
     def test_positions_and_wrap(self):
         w = lasso("ab(ba)")
         assert w.length == 4
@@ -428,6 +433,11 @@ class TestEvalRll:
         e = parse_expr("nu X. a.X", AB)
         assert eval_rll(e, lasso("(ab)")) == frozenset()
 
+    def test_formula_is_no_expression(self):
+        with pytest.raises(TypeError,
+                           match=r"not an expression: Prop\(name='P'\)"):
+            eval_rll(Prop("P"), parse_lasso("({P})", P1))
+
     def test_mu_x_x_is_empty(self):
         e = parse_expr("mu X. X", AB)
         for w in ["(a)", "ab(ba)"]:
@@ -648,6 +658,15 @@ class TestEvalMultl:
     def test_needs_powerset(self):
         with pytest.raises(SemanticsError):
             eval_multl(Prop("P"), lasso("(a)"))
+
+    def test_expression_is_no_formula(self):
+        with pytest.raises(TypeError, match=r"not a formula: Act\("):
+            eval_multl(parse_expr("{P}.top", P1), parse_lasso("({P})", P1))
+
+    def test_models_needs_a_closed_formula(self):
+        with pytest.raises(SemanticsError,
+                           match="satisfaction needs a closed formula"):
+            models(parse_formula("P & O X", P1), parse_lasso("({P})", P1))
 
     def test_negprop_is_complementary(self):
         w = parse_lasso("{P}{}({P}{})", P1)
