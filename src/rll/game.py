@@ -59,8 +59,10 @@ being higher than the next, so where a chain of slots comes back to one of
 its own, the arena makes a position of that slot, a binder on the cycle,
 and the cycle keeps its priority. As the priorities come from alternation
 levels, the rule is decided one letter at a time, before the arena is
-known. Each node's resolution at a letter is worked out once per build,
-when first needed, after every node it reaches without reading. A
+known. Each node's resolution at a letter is worked out once per set of
+tables, which a ``member`` query makes for its one build and a bounded
+search keeps for all its batches, when first needed, after every node it
+reaches without reading. A
 non-binder's successors all have smaller ids and a cycle of moves that stay
 at a vertex passes a binder, which takes its own slot until its body is
 resolved; so such a cycle stops at a binder and an explicit stack suffices.
@@ -89,37 +91,42 @@ a total game; the recursion never looks for deadlocks.
 The bounded search decides all enumerated lassos of one length, a batch, by
 one game over their word graph and one occurrence graph of all its
 expressions, which shares the closed subterms the sides have in common (e
-against e + e). The search numbers its lassos in enumeration order, and
-``enumerate_lassos`` gives it each lasso's tail's number as a column of
-integers: the tail of a normal lasso is a normal lasso no longer than it, so
-the enumerated lassos are closed under tails. A batch's word graph is the
-closure of its roots under that column, with no other vertex, and no word
-is sliced or hashed to find a tail. Each batch walks its roots' tails
-afresh, so the shorter lassos return as vertices of later batches; on the
-benchmark's searches only about 1 % of the arenas' positions repeat a
-(lasso, node) pair that an earlier batch had, too few to pay for keeping
-the earlier games. A batch whose word graph would pass ``BATCH_SLOTS``
-slots per expression is split into runs of consecutive roots. The search
-stops at the first batch with a separating lasso and returns the first such
-lasso in enumeration order. A length at which an expression's own
-per-lasso game would refuse is refused before its batch is built, the
-expressions checked in order; an expression's own occurrence graph is
-built, to count its nodes, only where its size, which bounds them, could
-pass the cap at the longest length. ``equiv`` separates where the two
-sides' memberships differ, ``incl`` where e's holds and f's does not, so
-neither builds a complement.
+against e + e). ``enumerate_lassos`` numbers the lassos in enumeration order
+and writes them into integer columns (``LassoColumns``): each lasso's first
+letter, its tail's number and its length. The tail of a normal lasso is a
+normal lasso no longer than it, so the enumerated lassos are closed under
+tails, and the columns are one word graph of the whole search, in which
+each lasso reads its first letter and moves on to its tail. No ``Lasso`` is
+built for a word: only the counterexample returned is read back. A batch is
+a run of consecutive numbers of one length, and its word graph is the
+closure of its roots under the tails, with no other vertex, renumbered from
+0 so that the arena's index covers that batch only. Each batch walks its
+roots' tails afresh, so the shorter lassos return as vertices of later
+batches; on the benchmark's searches only about 1 % of the arenas'
+positions repeat a (lasso, node) pair that an earlier batch had, too few to
+pay for keeping the earlier games. What the batches do share is the
+graph's resolved tables, so that each (letter, node) pair is settled once
+per search. A batch whose word graph would pass ``BATCH_SLOTS`` slots per
+expression is split into runs of consecutive roots. The search stops at the
+first batch with a separating lasso and returns the first such lasso in
+enumeration order. A length at which an expression's own per-lasso game
+would refuse is refused before its batch is built, the expressions checked
+in order; an expression's own occurrence graph is built, to count its
+nodes, only where its size, which bounds them, could pass the cap at the
+longest length. ``equiv`` separates where the two sides' memberships
+differ, ``incl`` where e's holds and f's does not, so neither builds a
+complement.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
-from itertools import chain, compress, groupby
-from typing import (Callable, Iterable, Iterator, NamedTuple, Optional,
-                    Sequence)
+from itertools import chain, compress, count, groupby
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 from .closure import DEAD_TOP, DEAD_ZERO, OccurrenceGraph, occurrence_graph
-from .semantics import Lasso, enumerate_lassos
+from .semantics import Lasso, LassoColumns, enumerate_lassos
 from .syntax import Alphabet, Expr, RllError, expr_size, free_vars
 
 ELOISE, ABELARD = 0, 1  # so the player a priority d favours is d & 1
@@ -264,7 +271,8 @@ def _settle(graph: OccurrenceGraph, letter: str, step: list, moves: list,
 
 
 def build_arena(e: Expr | Sequence[Expr], w: Lasso | WordGraph,
-                graph: Optional[OccurrenceGraph] = None) -> ParityGame:
+                graph: Optional[OccurrenceGraph] = None,
+                resolved: Optional[dict] = None) -> ParityGame:
     """The reachable evaluation-game arena for e, an expression or a list of
     them, over the word graph w, or over the positions of the lasso w, with
     letters read on moves. Every (vertex, node) pair the game lands on,
@@ -279,7 +287,9 @@ def build_arena(e: Expr | Sequence[Expr], w: Lasso | WordGraph,
     ``starts[k * m + x]`` is the position that start stands for, and
     ``initial`` is ``starts[0]``; two starts may share a position. ``graph``,
     when given, is the occurrence graph of e; a word graph and a list need
-    it."""
+    it. ``resolved``, when given, maps letters to the graph's tables at
+    them (see below), to read and fill, and a build without it makes its
+    own: a bounded search passes one to all its batches."""
     if isinstance(w, Lasso):
         if graph is None:
             if free_vars(e):
@@ -304,8 +314,9 @@ def build_arena(e: Expr | Sequence[Expr], w: Lasso | WordGraph,
     # nodes, each moves table has a virtual node whose moves are the
     # expression roots at the vertex: walked at each word root before any
     # position, with the same loop, its moves resolve to the root's starts
-    tables = {c: ([None] * nodes, [None] * nodes + [graph.roots])
-              for c in set(word)}
+    tables = {} if resolved is None else resolved
+    for c in set(word).difference(tables):
+        tables[c] = ([None] * nodes, [None] * nodes + [graph.roots])
     steps = [tables[c][0] for c in word]
     codes = [tables[c][1] for c in word]
     edges: list[tuple[int, ...]] = []
@@ -460,49 +471,42 @@ def member_game(e: Expr, w: Lasso,
     return sol.winner[g.initial] == ELOISE
 
 
-def _walk(i: int, tails: Sequence[int], vertex: dict, order: list) -> int:
-    """Give lasso i and its tails vertices, in order, up to the first tail
-    that has one; return the number of vertices before."""
-    fresh = n = len(order)
-    while i not in vertex:
-        vertex[i] = n
-        n += 1
-        order.append(i)
-        i = tails[i]
-    return fresh
-
-
-def word_graphs(lassos: Iterable[Lasso], tails: Sequence[int], budget: int,
-                first: int = 0) -> Iterator[tuple[WordGraph, list[Lasso]]]:
-    """The lassos, in order, as the roots of word graphs over them and their
-    tails, with each graph's roots' lassos. The lassos are numbered from
-    ``first`` on in an enumeration closed under tails, and ``tails[i]`` is
-    the number of lasso i's tail (see ``enumerate_lassos``), so a graph's
-    vertices are the closure of its roots under ``tails``: each root walks
-    its tails, in a dict from number to vertex, up to the first one the
-    graph has. The walk from a root reads the root's word, so its new
-    vertices' letters are the first letters of the root's prefix and
-    period, and a root of n letters reaches at most n new vertices. A graph
-    takes consecutive roots while it has at most ``budget`` vertices, and
-    at least one root."""
-    vertex: dict[int, int] = {}
-    order: list[int] = []  # each vertex's lasso number, by vertex
-    letters: list[str] = []
-    succ: list[int] = []
-    roots: list[int] = []
-    batch: list[Lasso] = []
-    for r, w in enumerate(lassos, first):
-        fresh = _walk(r, tails, vertex, order)
-        if roots and len(order) > budget:  # a new graph starts at this root
-            yield WordGraph(letters, succ, roots), batch
-            vertex, order, letters, succ, roots, batch = {}, [], [], [], [], []
-            fresh = _walk(r, tails, vertex, order)
-        letters += (w.prefix + w.period)[:len(order) - fresh]
-        succ += map(vertex.__getitem__, map(tails.__getitem__, order[fresh:]))
-        roots.append(vertex[r])
-        batch.append(w)
-    if roots:
-        yield WordGraph(letters, succ, roots), batch
+def batch_graphs(lassos: LassoColumns, first: int, end: int, budget: int
+                 ) -> Iterator[WordGraph]:
+    """The lassos numbered first..end-1, in order, as the roots of word
+    graphs over them and their tails (see ``LassoColumns``): a graph's
+    vertices are the closure of its roots under the tails, numbered from 0
+    in the order they are reached, and each reads its lasso's first letter
+    and moves on to its tail's vertex. A graph takes consecutive roots
+    while it has at most ``budget`` vertices, and at least one root. A root
+    reaches at most n new vertices, its word's n letters, and the last root
+    is the longest; so the roots that surely fit are taken at once, their
+    closure grown a level of tails at a time, as sets, and past them one
+    root at a time, the last one given back where it passes the budget."""
+    heads, tails = lassos.heads, lassos.tails
+    letters, n = lassos.alphabet.letters, lassos.lengths[end - 1]
+    r = first
+    while r < end:
+        start = r
+        order: list[int] = []  # each vertex's lasso number, by vertex
+        vertex: dict[int, int] = {}
+        while r < end:
+            had = len(order)
+            take = min(max(1, (budget - had) // n), end - r)
+            new = set(range(r, r + take)).difference(vertex)
+            while new:
+                vertex.update(zip(new, count(len(order))))
+                order += new
+                new = {tails[i] for i in new}.difference(vertex)
+            if len(order) > budget and r > start:  # r starts the next graph
+                for i in order[had:]:
+                    del vertex[i]
+                del order[had:]
+                break
+            r += take
+        yield WordGraph([letters[heads[i]] for i in order],
+                        [vertex[tails[i]] for i in order],
+                        [*map(vertex.__getitem__, range(start, r))])
 
 
 def _first_separating(e: Expr, f: Expr, alphabet: Alphabet,
@@ -515,10 +519,10 @@ def _first_separating(e: Expr, f: Expr, alphabet: Alphabet,
     batch, solved as one game over a word graph and the occurrence graph of
     both sides, unless it needs more than BATCH_SLOTS slots per expression;
     root k's winners are read at the positions its starts stand for,
-    ``starts[2k]`` for e and ``starts[2k + 1]`` for f. The search stops at
-    the first batch that separates."""
-    from array import array  # an extension module: loaded when first used
-
+    ``starts[2k]`` for e and ``starts[2k + 1]`` for f. Every batch reads
+    and fills one set of that graph's resolved tables. The search stops at
+    the first batch that separates, and reads only that lasso back from the
+    enumeration's columns."""
     exprs = [e, f]
     # an expression's own graph has at most expr_size nodes: it is built,
     # to count them, only where that bound passes the cap at some length
@@ -528,20 +532,23 @@ def _first_separating(e: Expr, f: Expr, alphabet: Alphabet,
         sizes.append(len(occurrence_graph(x, alphabet).kinds)
                      if longest * n > MAX_ARENA else n)
     graph = occurrence_graph(exprs, alphabet)
+    resolved: dict = {}  # letter -> its tables, for every batch
     budget = max(1, min(BATCH_SLOTS, MAX_ARENA) * 2 // len(graph.kinds))
-    tails = array("i")  # four bytes per lasso
-    lassos = enumerate_lassos(alphabet, max_prefix, max_period, tails)
-    first = 0  # the number of the batch's first lasso
-    for length, batch in groupby(lassos, operator.attrgetter("length")):
+    lassos = LassoColumns(alphabet)
+    end = 0  # the number after the length class's last lasso
+    for length, run in groupby(enumerate_lassos(alphabet, max_prefix,
+                                                max_period, lassos)):
         for n in sizes:  # where the per-lasso game would refuse
             _check_slots(length, n)
-        for words, roots in word_graphs(batch, tails, budget, first):
-            first += len(roots)
-            g = build_arena(exprs, words, graph)
+        first, end = end, end + len([*run])
+        for words in batch_graphs(lassos, first, end, budget):
+            g = build_arena(exprs, words, graph, resolved)
             # root k's starts are 2k for e and 2k + 1 for f
             won = [*map(solve_parity(g).winner.__getitem__, g.starts)]
-            for w in compress(roots, map(separates, won[0::2], won[1::2])):
-                return w
+            for i in compress(count(first),
+                              map(separates, won[0::2], won[1::2])):
+                return lassos.lasso(i)
+            first += len(words.roots)
     return None
 
 

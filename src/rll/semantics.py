@@ -30,8 +30,9 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import accumulate, chain, compress, count, product
-from typing import Callable, Iterable, Iterator, Mapping, Optional
+from itertools import accumulate, chain, compress, count, repeat
+from typing import (Callable, Iterable, Iterator, Mapping, MutableSequence,
+                    Optional)
 
 from .syntax import (BINDERS, BOTTOMS, JOINS, MEETS, MUS, PREFIXES, TOPS, VARS,
                      Act, Alphabet, Expr, MuLtlFormula, NegProp, Next,
@@ -84,20 +85,6 @@ class Lasso:
             out.append(self.letter_at(i))
             i = self.succ(i)
         return tuple(out)
-
-
-def _lasso(prefix: tuple[str, ...], period: tuple[str, ...],
-           alphabet: Alphabet) -> Lasso:
-    """The lasso u(v) without ``Lasso``'s checks, which cost as much as the
-    rest of its construction: for a nonempty period and letters taken from
-    the alphabet's own, as ``enumerate_lassos`` builds them. Its fields are
-    set one by one, as ``Lasso.__init__`` sets them; reading ``__dict__``
-    would give each lasso a dict of its own, twice the memory."""
-    w = object.__new__(Lasso)
-    object.__setattr__(w, "prefix", prefix)
-    object.__setattr__(w, "period", period)
-    object.__setattr__(w, "alphabet", alphabet)
-    return w
 
 
 QUOTE_CAP = 40  # characters of an input that an error message quotes
@@ -265,39 +252,95 @@ def _rotation_tails(k: int, flags: bytearray, start: int) -> Iterator[int]:
         range(a, len(flags), k) for a in range(k))), flags)
 
 
+class LassoColumns:
+    """Lassos numbered in enumeration order, held as integer columns that
+    ``enumerate_lassos`` fills: lasso i's first letter, as an index into
+    the alphabet's letters, ``heads[i]``; the number of its tail,
+    ``tails[i]``; and its length |u| + |v|, ``lengths[i]``. The tails make
+    the lassos one word graph, in which lasso i reads its first letter and
+    moves on to its tail. The columns start empty: four bytes per lasso for
+    its tail, one for its length, which the cap on the words tried keeps
+    under 20 over two or more letters (over one, only (a) is normal), and
+    one for its first letter unless the alphabet has over 256."""
+
+    __slots__ = ("alphabet", "heads", "tails", "lengths")
+
+    def __init__(self, alphabet: Alphabet):
+        from array import array  # an extension module: loaded when needed
+
+        self.alphabet = alphabet
+        self.heads = array("i" if len(alphabet.letters) > 256 else "B")
+        self.tails = array("i")
+        self.lengths = array("B")
+
+    def lasso(self, i: int) -> Lasso:
+        """Lasso i, read back from the columns: the walk of n tails from
+        i, n its length, reads u then v and ends at (v), the lasso of its
+        period, whose length is |v|."""
+        letters, heads, tails = self.alphabet.letters, self.heads, self.tails
+        word = []
+        for _ in range(self.lengths[i]):
+            word.append(letters[heads[i]])
+            i = tails[i]
+        p = len(word) - self.lengths[i]
+        return Lasso(tuple(word[:p]), tuple(word[p:]), self.alphabet)
+
+
 def enumerate_lassos(alphabet: Alphabet, max_prefix: int, max_period: int,
-                     tails=None) -> Iterator[Lasso]:
+                     columns: Optional[LassoColumns] = None
+                     ) -> Iterator[Lasso] | Iterator[int]:
     """All normalized lassos with |u| <= max_prefix, 1 <= |v| <= max_period,
     in length-lexicographic order: ascending |u|+|v|, then ascending |u|, then
     lexicographic by alphabet order. A bound that admits no lasso, or
     bounds that would try over MAX_LASSOS words, is a SemanticsError.
 
+    The lassos are numbered in this order and written, a block of one
+    prefix and one period length at a time, into integer columns (see
+    ``LassoColumns``): ``columns`` if given, which must be empty, else
+    columns of the enumeration's own. Each lasso's entries are there by the
+    time it is yielded. With ``columns``, each item yielded is a lasso's
+    length and no ``Lasso`` is built; without, it is the lasso, read back
+    from the columns.
+
     u(v) is normal iff v is primitive and u is empty or ends in another
     letter than v. Primitivity is tested once per period length
-    (``_primitive``), and each u's periods are its block's ``product``
-    through those flags, with the words that end in u's last letter
-    cleared; in ``product`` order, the word of code x ends in letter x % k.
-
-    ``tails``, a list or an array of ints, if given, is extended with the
-    number in this enumeration of each lasso's tail, by the time the lasso
-    is yielded or earlier. The tail of a normal u(v) is the normal lasso
-    u[1:](v) if u is not empty, else the rotation (v[1:] v[0]); so the
-    lassos are closed under tails, and each tail's number follows from the
-    numbers of the blocks of one prefix and one period length."""
+    (``_primitive``), and each u's periods are its block's words in
+    ``product`` order through those flags, with the words that end in u's
+    last letter cleared; in that order, the word of code x ends in letter
+    x % k and begins with letter x // k^(n-1), n its length. The tail of a
+    normal u(v) is the normal lasso u[1:](v) if u is not empty, else the
+    rotation (v[1:] v[0]); so the lassos are closed under tails, and each
+    tail's number follows from the numbers of the blocks of one prefix and
+    one period length."""
     for name, bound, least in (("max-prefix", max_prefix, 0),
                                ("max-period", max_period, 1)):
         if bound < least:
             raise SemanticsError(
                 f"{name} must be at least {least}, not {bound}")
-    letters = alphabet.letters
-    k = len(letters)
+    k = len(alphabet.letters)
     if _words(k, 0, max_prefix) * _words(k, 1, max_period) > MAX_LASSOS:
         raise SemanticsError(f"max-prefix {max_prefix} and max-period "
                              f"{max_period} would try over {MAX_LASSOS} lassos")
+    lassos = LassoColumns(alphabet) if columns is None else columns
+    heads, tails, lengths = lassos.heads, lassos.tails, lassos.lengths
+    for total, start, n in _fill(k, max_prefix, max_period, heads, tails):
+        lengths.extend(repeat(total, n))
+        if columns is None:
+            yield from map(lassos.lasso, range(start, start + n))
+        else:
+            yield from repeat(total, n)
+
+
+def _fill(k: int, max_prefix: int, max_period: int,
+          heads: MutableSequence[int], tails: MutableSequence[int]
+          ) -> Iterator[tuple[int, int, int]]:
+    """Extend heads and tails block by block, for ``enumerate_lassos``; after
+    each block, yield its length, the number of its first lasso and how
+    many lassos it holds."""
     if k == 1:  # a^n is primitive only for n = 1, and every u ends in a
-        if tails is not None:
-            tails.append(0)
-        yield Lasso((), letters, alphabet)
+        heads.append(0)
+        tails.append(0)
+        yield 1, 0, 1
         return
     primitive: dict[int, bytearray] = {}  # period length -> its flags
     unlike: dict[int, list[bytearray]] = {}  # and per last letter c, those
@@ -313,31 +356,33 @@ def enumerate_lassos(alphabet: Alphabet, max_prefix: int, max_period: int,
             flags = primitive[vlen]
             first[plen, vlen] = number
             if plen == 0:
-                if tails is not None:
-                    tails.extend(_rotation_tails(k, flags, number))
-                number += flags.count(1)
-                for v in compress(product(letters, repeat=vlen), flags):
-                    yield _lasso((), v, alphabet)
-                continue
-            if vlen not in unlike:
-                unlike[vlen] = [bytearray(flags) for _ in range(k)]
-                for c, cleared in enumerate(unlike[vlen]):
-                    cleared[c::k] = bytes(len(range(c, len(flags), k)))
-            ends = unlike[vlen]
-            periods = ends[0].count(1)
-            shorter, below = first[plen - 1, vlen], k ** (plen - 1)
-            for i, u in enumerate(product(letters, repeat=plen)):
-                if tails is not None and plen == 1:  # (v), numbered
-                    # among all primitive v
-                    tails.extend(compress(count(shorter),
-                                          compress(ends[i % k], flags)))
-                elif tails is not None:  # u[1:], number i % below of its
-                    # block, ends in u's last letter too: the same periods
-                    tail = shorter + i % below * periods
-                    tails.extend(range(tail, tail + periods))
-                number += periods
-                for v in compress(product(letters, repeat=vlen), ends[i % k]):
-                    yield _lasso(u, v, alphabet)
+                heads.extend(compress(chain.from_iterable(
+                    repeat(a, k ** (vlen - 1)) for a in range(k)), flags))
+                tails.extend(_rotation_tails(k, flags, number))
+                n = flags.count(1)
+            else:
+                if vlen not in unlike:
+                    unlike[vlen] = [bytearray(flags) for _ in range(k)]
+                    for c, cleared in enumerate(unlike[vlen]):
+                        cleared[c::k] = bytes(len(range(c, len(flags), k)))
+                ends = unlike[vlen]
+                periods = ends[0].count(1)
+                shorter, below = first[plen - 1, vlen], k ** (plen - 1)
+                # the u of number i begin with letter i // below, each with
+                # the same periods
+                heads.extend(chain.from_iterable(
+                    repeat(a, below * periods) for a in range(k)))
+                if plen == 1:  # (v), numbered among all primitive v
+                    for c in range(k):
+                        tails.extend(compress(count(shorter),
+                                              compress(ends[c], flags)))
+                else:  # u[1:], number i % below of its block, ends in u's
+                    # last letter too: the same periods, for each first letter
+                    for _ in range(k):
+                        tails.extend(range(shorter, shorter + below * periods))
+                n = k ** plen * periods
+            yield total, number, n
+            number += n
 
 
 Env = Mapping[str, PositionSet]

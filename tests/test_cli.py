@@ -76,6 +76,17 @@ class TestMember:
         code, out, _ = run(capsys, ["oracle-member", files["fb"], "(ab)"])
         assert code == 1 and out.strip() == "false"
 
+    @pytest.mark.parametrize("lasso,game", [("(ab)", True), ("(b)", False)])
+    def test_both_disagreeing_exits_two(self, files, capsys, monkeypatch,
+                                        lasso, game):
+        """An oracle that contradicts the game stops ``--via both``."""
+        monkeypatch.setattr(rll.cli, "member_oracle", lambda e, w: not game)
+        code, out, err = run(capsys, ["member", files["ia"], lasso,
+                                      "--via", "both"])
+        assert (code, out) == (2, "")
+        assert err == ("error: game and oracle disagree "
+                       f"(game={game}, oracle={not game})\n")
+
     def test_spellings_agree(self, tmp_path, capsys):
         """Every spelling of a word gets the game's verdict, and the game on
         the normal form agrees with the oracle on the spelling as typed."""
@@ -1094,6 +1105,28 @@ class TestSelftest:
         a = run(capsys, ["selftest", "--pairs", "25"])
         b = run(capsys, ["selftest", "--pairs", "25"])
         assert a == b
+
+    def test_disagreements_fail(self, capsys, monkeypatch):
+        """A game that accepts every word disagrees with the oracle, and
+        with itself on the complement, wherever the word is not in e: each
+        seeded pair that shows it gets its FAIL lines, and the run exits
+        1."""
+        monkeypatch.setattr(rll.cli, "member_game", lambda e, w: True)
+        code, out, err = run(capsys, ["selftest", "--pairs", "20"])
+        assert code == 1 and err == ""
+        lines = out.splitlines()
+        disagree = [x for x in lines if x.startswith(
+            "[FAIL] oracle disagreement on ")]
+        broken = [x for x in lines if x.startswith(
+            "[FAIL] complement law broken on ")]
+        assert disagree and all(x.endswith(": game=True oracle=False")
+                                for x in disagree)
+        assert len(broken) == 20
+        assert "[FAIL] game/oracle agreement on 20 seeded pairs " \
+            "(seed=2024)" in lines
+        assert "[FAIL] complement law on 20 seeded pairs" in lines
+        curated = sum(x.startswith("[FAIL] curated ") for x in lines)
+        assert lines[-1] == f"selftest: {curated + 2} check(s) failed"
 
     def test_pair_count_at_least_zero(self, capsys):
         assert run(capsys, ["selftest", "--pairs", "-3"]) == (

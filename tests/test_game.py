@@ -3,7 +3,6 @@
 import gc
 import random
 import signal
-from array import array
 from contextlib import contextmanager
 from itertools import groupby
 
@@ -20,11 +19,12 @@ from rll import algebra, game
 from rll.closure import DEAD_TOP, DEAD_ZERO, ClosureError, occurrence_graph
 from rll.corpus import agreement_pairs, gen_alphabet, gen_expr, gen_lasso
 from rll.game import (ABELARD, ELOISE, GameError, ParityGame,
-                      WordGraph, build_arena, equiv_bounded,
+                      WordGraph, batch_graphs, build_arena, equiv_bounded,
                       inclusion_bounded, lasso_graph, member_game,
-                      solve_parity, word_graphs)
-from rll.semantics import (Lasso, enumerate_lassos, lasso_normalize,
-                           member_oracle, parse_lasso, print_lasso)
+                      solve_parity)
+from rll.semantics import (Lasso, LassoColumns, enumerate_lassos,
+                           lasso_normalize, member_oracle, parse_lasso,
+                           print_lasso)
 from rll.syntax import (Alphabet, Meet, Mu, Nu, Sum, Var, expr_size,
                         parse_expr)
 
@@ -39,10 +39,13 @@ def lasso(text, ab=AB):
 
 def search_graphs(ab, max_prefix, max_period, budget):
     """The word graphs of every lasso within the bounds, as one run of
-    roots, each with its roots' lassos."""
-    tails = array("i")
-    lassos = enumerate_lassos(ab, max_prefix, max_period, tails)
-    return word_graphs(lassos, tails, budget)
+    roots, each with its roots' lassos read back from the columns."""
+    lassos = LassoColumns(ab)
+    end = len([*enumerate_lassos(ab, max_prefix, max_period, lassos)])
+    first = 0
+    for g in batch_graphs(lassos, 0, end, budget):
+        yield g, [*map(lassos.lasso, range(first, first + len(g.roots)))]
+        first += len(g.roots)
 
 
 class TestArena:
@@ -1101,6 +1104,82 @@ class TestSearchMatchesReference:
         assert len(solved) == 7
 
 
+class TestSearchOverThreeLetters:
+    """The batches built over the enumeration's columns against the
+    per-lasso reference search, over ``a b c``: random pairs, and pairs
+    equal or included by lattice laws, which try every lasso."""
+
+    def test_same_first_counterexample(self):
+        rng = random.Random(74)
+        abc = Alphabet.plain("a", "b", "c")
+        found = none = 0
+        for _ in range(10):
+            e, f = (gen_expr(rng, abc, rng.randint(1, 10)) for _ in range(2))
+            bounds = rng.choice(((2, 2), (2, 3), (3, 2)))
+            for left, right in ((e, f), (f, e), (e, Sum(e, e)),
+                                (Meet(e, f), e)):
+                for search, reference in (
+                        (equiv_bounded, reference_equiv_bounded),
+                        (inclusion_bounded, reference_inclusion_bounded)):
+                    got = search(left, right, abc, *bounds)
+                    assert got == reference(left, right, abc, *bounds), \
+                        (left, right, bounds)
+                    found += got is not None
+                    none += got is None
+        assert found >= 10 and none >= 30, (found, none)
+
+
+class TestOneResolvedPerSearch:
+    """Every batch of a search reads and fills one set of the graph's
+    resolved tables, which ``_first_separating`` passes to ``build_arena``."""
+
+    @pytest.mark.parametrize("slots", [game.BATCH_SLOTS, 64, 1])
+    def test_each_pair_resolved_once(self, monkeypatch, slots):
+        """``_settle`` resolves each (letter, node) pair at most once per
+        search, counted by the moves it fills, also where small batches
+        split a length class into several games that share the tables.
+        Which nodes are positions may depend on the order they are first
+        needed, so each start's winner is compared, with the oracle's
+        verdict on its root's lasso, not whole arenas."""
+        cases = [(search, e, f, ab, bounds, reference(e, f, ab, *bounds))
+                 for e, f, ab, bounds in _search_pairs(73, 2)
+                 for search, reference in (
+                     (equiv_bounded, reference_equiv_bounded),
+                     (inclusion_bounded, reference_inclusion_bounded))]
+        real_settle, real_build = game._settle, game.build_arena
+        resolved, lengths = [], []
+
+        def settle(graph, letter, step, moves, s):
+            unset = [v for v, m in enumerate(moves) if m is None]
+            code = real_settle(graph, letter, step, moves, s)
+            resolved.extend((letter, v) for v in unset
+                            if moves[v] is not None)
+            return code
+
+        def build(exprs, words, graph, shared):
+            g = real_build(exprs, words, graph, shared)
+            won = solve_parity(g).winner
+            for k, r in enumerate(words.roots):
+                w = vertex_lasso(words, r, ab)
+                for x, side in enumerate(exprs):
+                    assert (won[g.starts[2 * k + x]] == ELOISE) == \
+                        member_oracle(side, w), (side, w)
+            lengths.append(w.length)  # the length class of the batch
+            return g
+
+        monkeypatch.setattr(game, "BATCH_SLOTS", slots)
+        monkeypatch.setattr(game, "_settle", settle)
+        monkeypatch.setattr(game, "build_arena", build)
+        split = 0
+        for search, e, f, ab, bounds, want in cases:  # build reads ab
+            resolved.clear()
+            lengths.clear()
+            assert search(e, f, ab, *bounds) == want, (e, f, bounds)
+            assert resolved and len(resolved) == len(set(resolved)), (e, f)
+            split += len(lengths) > len(set(lengths))
+        assert slots == game.BATCH_SLOTS or split >= 20, split
+
+
 def vertex_lasso(g, i, ab) -> Lasso:
     """The lasso that vertex i of the word graph g reads: the letters up
     to the first vertex its walk meets again, then those of the cycle."""
@@ -1165,33 +1244,42 @@ class TestWordGraph:
 
 
 class TestWordGraphMatchesReference:
-    """The graphs built over per-search lasso indices and their tail column
-    against the tuple-walking builder (``tests/helpers.py``): the same
-    letters, successors and roots, graph by graph, and the roots' words in
-    order, over the whole enumeration as one run of roots and over each
-    length's batch as the search takes it."""
+    """The graphs built over the enumeration's columns against the
+    tuple-walking builder (``tests/helpers.py``): graph by graph, the same
+    roots' words in order, and the same vertices, each with its letter and
+    its successor's word, however they are numbered; over the whole
+    enumeration as one run of roots and over each length's batch as the
+    search takes it."""
 
     @pytest.mark.parametrize("letters", ["a", "ab", "abc"])
     def test_same_graphs(self, letters):
         ab = Alphabet.plain(*letters)
         for max_prefix in range(5):
             for max_period in range(1, 5):
-                tails = array("i")
-                lassos = list(enumerate_lassos(ab, max_prefix, max_period,
-                                               tails))
-                runs, first = [(lassos, 0)], 0
-                for _, batch in groupby(lassos, lambda w: w.length):
-                    runs.append((list(batch), first))
-                    first += len(runs[-1][0])
+                lassos = LassoColumns(ab)
+                lengths = [*enumerate_lassos(ab, max_prefix, max_period,
+                                             lassos)]
+                words = [*map(lassos.lasso, range(len(lengths)))]
+                runs, first = [(0, len(lengths))], 0
+                for _, batch in groupby(lengths):
+                    runs.append((first, first + len([*batch])))
+                    first = runs[-1][1]
                 for budget in (1, 7, 10**6):
-                    for run, first in runs:
-                        got = list(word_graphs(run, tails, budget, first))
-                        want = list(reference_word_graphs(run, budget))
+                    for first, end in runs:
+                        got = list(batch_graphs(lassos, first, end, budget))
+                        want = list(reference_word_graphs(words[first:end],
+                                                          budget))
                         assert len(got) == len(want)
-                        for (g, roots), (h, words) in zip(got, want):
-                            assert (list(g.letters), list(g.successors),
-                                    list(g.roots)) == \
-                                (h.letters, h.successors, h.roots)
-                            assert [(w.prefix, w.period) for w in roots] \
-                                == [words[r] for r in h.roots]
-                            assert len(words) <= budget or len(roots) == 1
+                        for g, (h, seen) in zip(got, want):
+                            read = [vertex_lasso(g, x, ab)
+                                    for x in range(len(g.letters))]
+                            read = [(w.prefix, w.period) for w in read]
+                            assert [read[r] for r in g.roots] == \
+                                [seen[r] for r in h.roots]
+                            assert sorted(zip(read, g.letters,
+                                              map(read.__getitem__,
+                                                  g.successors))) == \
+                                sorted(zip(seen, h.letters,
+                                           map(seen.__getitem__,
+                                               h.successors)))
+                            assert len(seen) <= budget or len(g.roots) == 1

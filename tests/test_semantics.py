@@ -18,10 +18,10 @@ from rll.algebra import complement, to_multl
 from rll.corpus import agreement_pairs, gen_alphabet, gen_expr, gen_lasso
 from rll.game import member_game
 from rll import semantics
-from rll.semantics import (MAX_LASSOS, QUOTE_CAP, Lasso, SemanticsError,
-                           _letter_masks, enumerate_lassos, eval_multl,
-                           eval_rll, lasso_normalize, member_oracle, models,
-                           parse_lasso, print_lasso)
+from rll.semantics import (MAX_LASSOS, QUOTE_CAP, Lasso, LassoColumns,
+                           SemanticsError, _letter_masks, enumerate_lassos,
+                           eval_multl, eval_rll, lasso_normalize,
+                           member_oracle, models, parse_lasso, print_lasso)
 from rll.syntax import (Act, Alphabet, AlphabetError, And, FVar, Meet, MuF,
                         Mu, Next, Nu, NuF, Or, ParseError, Prop, RllError,
                         Sum, Var, parse_expr, parse_formula, sum_of)
@@ -372,14 +372,19 @@ class TestEnumerateOneLetter:
         handler = signal.signal(signal.SIGALRM, stop)
         signal.alarm(2)
         try:
-            got = [list(enumerate_lassos(one, max_prefix, max_period, tails))
-                   for max_prefix, max_period, tails in (
-                       (1048000, 1, None), (0, MAX_LASSOS, None),
-                       (1023, 1023, []))]
+            got = [list(enumerate_lassos(one, max_prefix, max_period))
+                   for max_prefix, max_period in ((1048000, 1),
+                                                  (0, MAX_LASSOS))]
+            columns = LassoColumns(one)
+            lengths = list(enumerate_lassos(one, 1023, 1023, columns))
         finally:
             signal.alarm(0)
             signal.signal(signal.SIGALRM, handler)
-        assert got == [[Lasso((), ("a",), one)]] * 3
+        assert got == [[Lasso((), ("a",), one)]] * 2
+        assert lengths == [1]
+        assert [list(columns.heads), list(columns.tails),
+                list(columns.lengths)] == [[0], [0], [1]]
+        assert columns.lasso(0) == Lasso((), ("a",), one)
 
 
 class TestEnumerateMatchesReference:
@@ -401,22 +406,44 @@ class TestEnumerateMatchesReference:
     def test_tails_are_the_tails_indices(self, letters):
         """Each lasso's entry in ``tails`` is its tail's index in the
         enumeration, u[1:](v) for a nonempty u, else (v[1:] v[0]), and it
-        is there when the lasso is yielded, as are its tails' entries."""
+        is there when the lasso's length is yielded, as are its tails'
+        entries, its first letter and its length."""
         ab = Alphabet.plain(*letters)
         for max_prefix in range(4):
             for max_period in range(1, 7 - len(letters)):
-                tails: list[int] = []
-                lassos = []
-                for w in enumerate_lassos(ab, max_prefix, max_period, tails):
-                    lassos.append(w)  # every tail reached is known by now
-                    assert max(tails) < len(tails) >= len(lassos)
+                columns = LassoColumns(ab)
+                heads, tails = columns.heads, columns.tails
+                lengths = columns.lengths
+                yielded = []
+                for n in enumerate_lassos(ab, max_prefix, max_period,
+                                          columns):
+                    yielded.append(n)  # every tail reached is known by now
+                    assert max(tails) < len(tails) >= len(yielded)
+                    assert len(heads) == len(lengths) == len(tails)
+                lassos = list(reference_enumerate_lassos(ab, max_prefix,
+                                                         max_period))
                 index = {(w.prefix, w.period): i
                          for i, w in enumerate(lassos)}
                 assert len(tails) == len(lassos)
-                for w, t in zip(lassos, tails):
+                assert yielded == list(lengths) == [w.length for w in lassos]
+                for w, head, t in zip(lassos, heads, tails):
                     u, v = w.prefix, w.period
+                    assert ab.letters[head] == (u + v)[0]
                     assert t == index[(u[1:], v) if u
                                       else ((), v[1:] + v[:1])]
+
+    @pytest.mark.parametrize("letters", ["a", "ab", "abc"])
+    def test_columns_read_back_the_lassos(self, letters):
+        """Lasso i read back from the columns is the reference's i-th, at
+        every bound up to (4, 4) and at (8, 1)."""
+        ab = Alphabet.plain(*letters)
+        bounds = [(p, q) for p in range(5) for q in range(1, 5)] + [(8, 1)]
+        for max_prefix, max_period in bounds:
+            columns = LassoColumns(ab)
+            n = len(list(enumerate_lassos(ab, max_prefix, max_period,
+                                          columns)))
+            assert [*map(columns.lasso, range(n))] == \
+                list(reference_enumerate_lassos(ab, max_prefix, max_period))
 
     def test_normalises_no_candidate(self, monkeypatch):
         """Normality is tested on the tuples, not by lasso_normalize."""
