@@ -719,11 +719,10 @@ def _want(n: int, prems: list, rule: str):
 
 
 # per system: its claim type, its parser, and what the messages call a
-# claim, a term and a derivation of it
-_SYSTEMS = {"rll": (Claim, parse_expr, "an equational claim", "expression",
-                    "an equational"),
-            "multl": (MuLtlFormula, parse_formula, "a formula claim", "formula",
-                      "a muLTL")}
+# claim and a term
+_SYSTEMS = {"rll": (Claim, parse_expr, "an equational claim", "expression"),
+            "multl": (MuLtlFormula, parse_formula, "a formula claim",
+                      "formula")}
 
 
 class _Checker:
@@ -736,8 +735,8 @@ class _Checker:
         self.d = d
         self.alphabet = d.alphabet
         self.frames: list[_Frame] = [_Frame()]
-        (self.claim_type, self.parse, self.claim_noun, self.term_noun,
-         _) = _SYSTEMS[d.system]
+        (self.claim_type, self.parse, self.claim_noun,
+         self.term_noun) = _SYSTEMS[d.system]
 
     def expect(self, c: AnyClaim) -> AnyClaim:
         if not isinstance(c, self.claim_type):
@@ -941,24 +940,10 @@ def _hole_count(ctx: Expr, hole: str) -> int:
     return 0
 
 
-def _check(d: Derivation, system: str) -> Verdict:
-    if d.system != system:
-        return Verdict.rejected("-", f"not {_SYSTEMS[system][4]} derivation")
-    return _Checker(d).run()
-
-
-def check_rll(d: Derivation) -> Verdict:
-    """Check an equational derivation: accepted, or rejected at a named step."""
-    return _check(d, "rll")
-
-
-def check_multl(d: Derivation) -> Verdict:
-    """Check a Hilbert-style muLTL derivation."""
-    return _check(d, "multl")
-
-
 def check_derivation(d: Derivation) -> Verdict:
-    return check_rll(d) if d.system == "rll" else check_multl(d)
+    """Check a derivation in the system it names, equational (rll) or
+    Hilbert-style (multl): accepted, or rejected at a named step."""
+    return _Checker(d).run()
 
 
 # ---------------------------------------------------------------------------

@@ -66,9 +66,9 @@ class OccurrenceGraph(NamedTuple):
     letter ``letters[i]`` of an act node (None otherwise), successor ids
     ``succs[i]`` without repeats, and priority ``priority[i]``. ``roots``
     has the node of each whole expression the graph was built from, in
-    order, and ``root`` is the first. Two roots may be one node (as for e
-    and e), and only a graph of several roots merges binders: closed ones
-    with the same structure and alternation level.
+    order. Two roots may be one node (as for e and e), and only a graph of
+    several roots merges binders: closed ones with the same structure and
+    alternation level.
 
     ``moves[i]`` is node i's moves in the evaluation game, one (letter,
     target) pair per successor, in order, with every act read on the move
@@ -80,7 +80,6 @@ class OccurrenceGraph(NamedTuple):
     moves.
     """
 
-    root: int
     kinds: tuple[str, ...]
     letters: tuple[Optional[str], ...]
     succs: tuple[tuple[int, ...], ...]
@@ -172,8 +171,8 @@ def occurrence_graph(e: Expr | Sequence[Expr],
     neutral = 2 * (max(level.values()) + 1) if level else 0
     priority = tuple(2 * level[i] + (kinds[i] == "mu") if i in level
                      else neutral for i in range(len(kinds)))
-    return OccurrenceGraph(roots[0], tuple(kinds), tuple(letters),
-                           tuple(succs), priority, tuple(moves), roots)
+    return OccurrenceGraph(tuple(kinds), tuple(letters), tuple(succs),
+                           priority, tuple(moves), roots)
 
 
 # The Fischer-Ladner closure has left the package; bench/spans.py still
@@ -190,7 +189,7 @@ def _node(g: OccurrenceGraph, i: int) -> str:
 def format_graph(e: Expr, g: OccurrenceGraph) -> str:
     """The listing of ``rll closure``: the root, then each node of its graph
     once, with its successor ids and its priority."""
-    lines = [f"root: {print_expr(e)}", f"root node: {g.root}"]
+    lines = [f"root: {print_expr(e)}", f"root node: {g.roots[0]}"]
     for i, (succ, p) in enumerate(zip(g.succs, g.priority)):
         arrow = " -> " + " ".join(map(str, succ)) if succ else ""
         lines.append(f"{_node(g, i)}{arrow} [p={p}]")
@@ -212,7 +211,8 @@ def graph_dot(g: OccurrenceGraph, alphabet: Alphabet) -> str:
     Abelard's nodes (meets, and his deadlock) are boxes, Eloise's diamonds;
     each label has the node's priority in the game, a deadlock's the
     neutral one."""
-    start = _DEADLOCK.get(g.kinds[g.root], g.root)
+    root = g.roots[0]
+    start = _DEADLOCK.get(g.kinds[root], root)
     order, seen = [start], {start}
     for v in order:  # grows while walked
         for _a, x in g.moves[v] if v >= 0 else ():

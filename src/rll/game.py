@@ -1,12 +1,13 @@
 """The evaluation game: arena construction, a recursive parity solver with
 positional strategies, game-based membership, and bounded search.
 
-Positions pair a vertex of a word graph with a node of the expression's
-occurrence graph (see ``closure.py``), the automaton that ``rll closure``
-lists and ``rll apa-dot`` draws. A word graph gives each vertex one letter
-and one successor, so every vertex reads one ultimately periodic word; a
-lasso is the case whose vertices are its positions 0..n-1, with its
-successor map and root 0. As in that automaton's acceptance game, a letter
+``build_arena`` takes two graphs. Its positions pair a vertex of a word
+graph with a node of an occurrence graph (see ``closure.py``), the
+automaton that ``rll closure`` lists and ``rll apa-dot`` draws. A word
+graph gives each vertex one letter and one successor, so every vertex reads
+one ultimately periodic word; a lasso's word graph (``lasso_graph``), on
+which ``member_game`` builds, has its positions 0..n-1 as vertices, with
+its successor map and root 0. As in that automaton's acceptance game, a letter
 is read on the move, not at a position of its own: a node's moves are its
 ``moves``. A move that reads the vertex's letter goes
 to the vertex's successor, one that reads no letter stays at the vertex.
@@ -270,35 +271,26 @@ def _settle(graph: OccurrenceGraph, letter: str, step: list, moves: list,
     return step[s]
 
 
-def build_arena(e: Expr | Sequence[Expr], w: Lasso | WordGraph,
-                graph: Optional[OccurrenceGraph] = None,
+def build_arena(graph: OccurrenceGraph, words: WordGraph,
                 resolved: Optional[dict] = None) -> ParityGame:
-    """The reachable evaluation-game arena for e, an expression or a list of
-    them, over the word graph w, or over the positions of the lasso w, with
-    letters read on moves. Every (vertex, node) pair the game lands on,
-    each start (the pair of the k-th word root and the x-th expression's
-    root) among them, is first resolved at the vertex's letter
-    (``_settle``): it is a position only as a choice with two distinct live
-    moves or as a binder that does not stand for a deadlock or for a binder
-    of no higher priority, and any other pair stands for the position or
-    deadlock its chain of slots leads to. A chain that comes back to one of
-    its own slots runs around a cycle of binders of one priority, and its
-    position is the slot where it closes. With m expressions, the game's
-    ``starts[k * m + x]`` is the position that start stands for, and
-    ``initial`` is ``starts[0]``; two starts may share a position. ``graph``,
-    when given, is the occurrence graph of e; a word graph and a list need
-    it. ``resolved``, when given, maps letters to the graph's tables at
-    them (see below), to read and fill, and a build without it makes its
-    own: a bounded search passes one to all its batches."""
-    if isinstance(w, Lasso):
-        if graph is None:
-            if free_vars(e):
-                raise GameError(
-                    "the evaluation game needs a closed expression")
-            graph = occurrence_graph(e, w.alphabet)
-        w = lasso_graph(w)
+    """The reachable evaluation-game arena for the expressions of the
+    occurrence graph over the word graph, with letters read on moves.
+    Every (vertex, node) pair the game lands on, each start (the pair of
+    the k-th word root and the x-th expression root) among them, is first
+    resolved at the vertex's letter (``_settle``): it is a position only as
+    a choice with two distinct live moves or as a binder that does not
+    stand for a deadlock or for a binder of no higher priority, and any
+    other pair stands for the position or deadlock its chain of slots leads
+    to. A chain that comes back to one of its own slots runs around a cycle
+    of binders of one priority, and its position is the slot where it
+    closes. With m expression roots, the game's ``starts[k * m + x]`` is
+    the position that start stands for, and ``initial`` is ``starts[0]``;
+    two starts may share a position. ``resolved``, when given, maps letters
+    to the graph's tables at them (see below), to read and fill, and a
+    build without it makes its own: a bounded search passes one to all its
+    batches."""
     nodes, m = len(graph.kinds), len(graph.roots)
-    word, nxt, roots = w
+    word, nxt, roots = words
     if not roots:
         raise GameError("the word graph has no root to start from")
     _check_slots(len(word), nodes, m)
@@ -464,9 +456,14 @@ def solve_parity(g: ParityGame) -> Solution:
 
 def member_game(e: Expr, w: Lasso,
                 graph: Optional[OccurrenceGraph] = None) -> bool:
-    """Membership of the lasso word in L(e), by solving the evaluation game;
-    ``graph``, when given, is the occurrence graph of e."""
-    g = build_arena(e, w, graph)
+    """Membership of the lasso word in L(e), by solving the evaluation game
+    over the lasso's word graph; ``graph``, when given, is the occurrence
+    graph of e, and is otherwise built here, for a closed e only."""
+    if graph is None:
+        if free_vars(e):
+            raise GameError("the evaluation game needs a closed expression")
+        graph = occurrence_graph(e, w.alphabet)
+    g = build_arena(graph, lasso_graph(w))
     sol = solve_parity(g)
     return sol.winner[g.initial] == ELOISE
 
@@ -542,7 +539,7 @@ def _first_separating(e: Expr, f: Expr, alphabet: Alphabet,
             _check_slots(length, n)
         first, end = end, end + len([*run])
         for words in batch_graphs(lassos, first, end, budget):
-            g = build_arena(exprs, words, graph, resolved)
+            g = build_arena(graph, words, resolved)
             # root k's starts are 2k for e and 2k + 1 for f
             won = [*map(solve_parity(g).winner.__getitem__, g.starts)]
             for i in compress(count(first),

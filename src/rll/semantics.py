@@ -103,29 +103,21 @@ def quoted(text: str) -> str:
 _BRACED_TOKENS = re.compile(r"\{[^}]*\}|\S")
 
 
-def _reader(alphabet: Alphabet) -> tuple[re.Pattern, frozenset]:
-    """The token pattern of lassos over alphabet, and the letters that its
-    tokens may be.
+def _reader(alphabet: Alphabet) -> re.Pattern:
+    """The token pattern of lassos over alphabet.
 
     No token begins with whitespace, so a findall steps over it. A plain
-    alphabet's letters stand first in the pattern, longest first, so each
-    match takes the longest letter there, and ``\\S`` takes a character
-    where no letter or braced token matches. A plain letter that is empty
-    or begins with whitespace or ``{`` is left out, as none is ever read:
-    whitespace is stepped over, a ``{`` begins a braced token, and an empty
-    letter reads nothing. Powerset letters are never listed: there are 2^n
-    of them, and a braced token runs from a ``{`` to the next ``}``.
+    alphabet's letters, identifiers all, stand first in the pattern,
+    longest first, so each match takes the longest letter there, and
+    ``\\S`` takes a character where no letter or braced token matches.
+    Powerset letters are never listed: there are 2^n of them, and a braced
+    token runs from a ``{`` to the next ``}``.
     """
     if alphabet.props is not None:
-        return _BRACED_TOKENS, alphabet.letter_set
-    letters = sorted((letter for letter in alphabet.letters
-                      if letter and not letter[0].isspace()
-                      and letter[0] != "{"), key=len, reverse=True)
-    pattern = re.compile("|".join([*map(re.escape, letters),
-                                   _BRACED_TOKENS.pattern]))
-    if len(letters) == len(alphabet.letters):
-        return pattern, alphabet.letter_set
-    return pattern, frozenset(letters)
+        return _BRACED_TOKENS
+    letters = sorted(alphabet.letters, key=len, reverse=True)
+    return re.compile("|".join([*map(re.escape, letters),
+                                _BRACED_TOKENS.pattern]))
 
 
 def parse_lasso(text: str, alphabet: Alphabet) -> Lasso:
@@ -159,7 +151,7 @@ def parse_lasso(text: str, alphabet: Alphabet) -> Lasso:
     open_i = text.find("(")
     if open_i < 0 or not text.endswith(")"):
         raise ParseError("lasso must have the form u(v)", 0)
-    pattern, letters = _reader(alphabet)
+    pattern, letters = _reader(alphabet), alphabet.letter_set
 
     def read(chunk: str, offset: int) -> list[str]:
         tokens = pattern.findall(chunk)
@@ -287,20 +279,17 @@ class LassoColumns:
 
 
 def enumerate_lassos(alphabet: Alphabet, max_prefix: int, max_period: int,
-                     columns: Optional[LassoColumns] = None
-                     ) -> Iterator[Lasso] | Iterator[int]:
+                     columns: LassoColumns) -> Iterator[int]:
     """All normalized lassos with |u| <= max_prefix, 1 <= |v| <= max_period,
     in length-lexicographic order: ascending |u|+|v|, then ascending |u|, then
     lexicographic by alphabet order. A bound that admits no lasso, or
     bounds that would try over MAX_LASSOS words, is a SemanticsError.
 
     The lassos are numbered in this order and written, a block of one
-    prefix and one period length at a time, into integer columns (see
-    ``LassoColumns``): ``columns`` if given, which must be empty, else
-    columns of the enumeration's own. Each lasso's entries are there by the
-    time it is yielded. With ``columns``, each item yielded is a lasso's
-    length and no ``Lasso`` is built; without, it is the lasso, read back
-    from the columns.
+    prefix and one period length at a time, into ``columns``, which must be
+    empty (see ``LassoColumns``). Each item yielded is a lasso's length,
+    and the lasso's entries are there by the time it is yielded; no
+    ``Lasso`` is built, and ``LassoColumns.lasso`` reads one back.
 
     u(v) is normal iff v is primitive and u is empty or ends in another
     letter than v. Primitivity is tested once per period length
@@ -321,26 +310,21 @@ def enumerate_lassos(alphabet: Alphabet, max_prefix: int, max_period: int,
     if _words(k, 0, max_prefix) * _words(k, 1, max_period) > MAX_LASSOS:
         raise SemanticsError(f"max-prefix {max_prefix} and max-period "
                              f"{max_period} would try over {MAX_LASSOS} lassos")
-    lassos = LassoColumns(alphabet) if columns is None else columns
-    heads, tails, lengths = lassos.heads, lassos.tails, lassos.lengths
-    for total, start, n in _fill(k, max_prefix, max_period, heads, tails):
+    heads, tails, lengths = columns.heads, columns.tails, columns.lengths
+    for total, n in _fill(k, max_prefix, max_period, heads, tails):
         lengths.extend(repeat(total, n))
-        if columns is None:
-            yield from map(lassos.lasso, range(start, start + n))
-        else:
-            yield from repeat(total, n)
+        yield from repeat(total, n)
 
 
 def _fill(k: int, max_prefix: int, max_period: int,
           heads: MutableSequence[int], tails: MutableSequence[int]
-          ) -> Iterator[tuple[int, int, int]]:
+          ) -> Iterator[tuple[int, int]]:
     """Extend heads and tails block by block, for ``enumerate_lassos``; after
-    each block, yield its length, the number of its first lasso and how
-    many lassos it holds."""
+    each block, yield its length and how many lassos it holds."""
     if k == 1:  # a^n is primitive only for n = 1, and every u ends in a
         heads.append(0)
         tails.append(0)
-        yield 1, 0, 1
+        yield 1, 1
         return
     primitive: dict[int, bytearray] = {}  # period length -> its flags
     unlike: dict[int, list[bytearray]] = {}  # and per last letter c, those
@@ -381,7 +365,7 @@ def _fill(k: int, max_prefix: int, max_period: int,
                     for _ in range(k):
                         tails.extend(range(shorter, shorter + below * periods))
                 n = k ** plen * periods
-            yield total, number, n
+            yield total, n
             number += n
 
 

@@ -65,19 +65,21 @@ class Alphabet:
     letter_set: frozenset[str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if self.props is not None:
+            _check_basis(self.props)
+        self._index()
+        if self.props is None:  # an expression reads mu and nu as binders
+            _check_names(self.letters, "letter", ("mu", "nu"))
+        elif self.letters != _powerset_letters(self.props):
+            raise AlphabetError("powerset alphabet letters must be all "
+                                "subsets of the basis, in bitmask order")
+
+    def _index(self):
         if not self.letters:
             raise AlphabetError("alphabet must be nonempty")
         object.__setattr__(self, "letter_set", frozenset(self.letters))
         if len(self.letter_set) != len(self.letters):
             raise AlphabetError("letter names must be unique")
-        for name in ("mu", "nu"):  # an expression reads either as a binder
-            if name in self.letter_set:
-                raise AlphabetError(f"{name!r} cannot be a letter name")
-        if self.props is not None and (
-                len(self.letters) != 1 << len(self.props)
-                or self.letters != _powerset_letters(self.props)):
-            raise AlphabetError("powerset alphabet letters must be all "
-                                "subsets of the basis, in bitmask order")
 
     @staticmethod
     def plain(*letters: str) -> "Alphabet":
@@ -85,16 +87,13 @@ class Alphabet:
 
     @staticmethod
     def powerset(*props: str) -> "Alphabet":
-        if len(props) > MAX_PROPS:  # 2^n letters are built eagerly
-            raise AlphabetError(f"{len(props)} propositions exceed the cap "
-                                f"of {MAX_PROPS}")
-        for p in props:  # each must read back as itself in a formula
-            if IDENT.fullmatch(p) is None or p in KEYWORDS:
-                raise AlphabetError(f"{p!r} cannot be a proposition name")
-        # one build: the names are checked as a plain alphabet's (unique),
-        # not against a second build, as a directly constructed one's are
-        ab = Alphabet(_powerset_letters(props))
+        _check_basis(props)  # before its 2^n letters are built
+        # the letters are built once, here: not compared with a second
+        # build, as a directly constructed alphabet's are
+        ab = object.__new__(Alphabet)
+        object.__setattr__(ab, "letters", _powerset_letters(props))
         object.__setattr__(ab, "props", props)
+        ab._index()
         return ab
 
     def letter_props(self, letter: str) -> frozenset[str]:
@@ -111,6 +110,21 @@ class Alphabet:
         if self.props is not None:
             return "props " + " ".join(self.props) + " ;"
         return "alphabet " + " ".join(self.letters) + " ;"
+
+
+def _check_names(names: tuple[str, ...], kind: str, reserved) -> None:
+    """Each name must read back as itself in a text: an identifier, and
+    not one of the reserved words."""
+    for x in names:
+        if IDENT.fullmatch(x) is None or x in reserved:
+            raise AlphabetError(f"{x!r} cannot be a {kind} name")
+
+
+def _check_basis(props: tuple[str, ...]) -> None:
+    if len(props) > MAX_PROPS:  # 2^n letters are built eagerly
+        raise AlphabetError(f"{len(props)} propositions exceed the cap "
+                            f"of {MAX_PROPS}")
+    _check_names(props, "proposition", KEYWORDS)
 
 
 def _powerset_letters(basis: tuple[str, ...]) -> tuple[str, ...]:

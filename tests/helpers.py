@@ -28,9 +28,10 @@ from rll.calculus import (Claim, Derivation, Step,
 from rll.closure import (DEAD_TOP, DEAD_ZERO, ClosureError, OccurrenceGraph,
                          occurrence_graph)
 from rll.game import (ABELARD, ELOISE, GameError, ParityGame, Solution,
-                      WordGraph, _settle, lasso_graph, member_game)
-from rll.semantics import (Lasso, SemanticsError, enumerate_lassos,
-                           lasso_normalize, quoted)
+                      WordGraph, _settle, build_arena, lasso_graph,
+                      member_game)
+from rll.semantics import (Lasso, LassoColumns, SemanticsError,
+                           enumerate_lassos, lasso_normalize, quoted)
 from rll.syntax import (BINDERS, BOT, BOTTOMS, JOINS, KEYWORDS, MEETS, MUS,
                         PREFIXES, TOP, TOPS, TT, VARS, ZERO, Act, Alphabet,
                         AlphabetError, And, Bot, Expr, FVar, Meet, Mu, MuF,
@@ -49,8 +50,20 @@ def proof_paths() -> list[str]:
                   if n.endswith(".json"))
 
 
-def desk_lassos(alphabet, max_prefix=2, max_period=2):
-    return list(enumerate_lassos(alphabet, max_prefix, max_period))
+def desk_lassos(alphabet, max_prefix=2, max_period=2) -> list[Lasso]:
+    """The enumerated lassos in order, each read back from the columns."""
+    columns = LassoColumns(alphabet)
+    n = len([*enumerate_lassos(alphabet, max_prefix, max_period, columns)])
+    return [*map(columns.lasso, range(n))]
+
+
+def lasso_arena(e: Expr, w: Lasso,
+                graph: Optional[OccurrenceGraph] = None) -> ParityGame:
+    """``build_arena`` over the lasso's word graph, on ``graph``, the
+    occurrence graph of e, or on one built here."""
+    if graph is None:
+        graph = occurrence_graph(e, w.alphabet)
+    return build_arena(graph, lasso_graph(w))
 
 
 def spellings(w: Lasso) -> list[Lasso]:
@@ -468,7 +481,7 @@ def reference_occurrence_graph(e: Expr, alphabet: Alphabet
     neutral = 2 * (max(level.values()) + 1) if level else 0
     priority = tuple(2 * level[i] + (kinds[i] == "mu") if i in level
                      else neutral for i in range(len(kinds)))
-    return OccurrenceGraph(root, tuple(kinds), tuple(letters), tuple(succs),
+    return OccurrenceGraph(tuple(kinds), tuple(letters), tuple(succs),
                            priority, tuple(moves), (root,))
 
 
@@ -496,7 +509,7 @@ def reference_build_arena(e: Expr, w: Lasso,
     word = [w.letter_at(i) for i in range(w.length)]
     nxt = [w.succ(i) for i in range(w.length)]
 
-    order: list[tuple[int, int]] = [(0, graph.root)]
+    order: list[tuple[int, int]] = [(0, graph.roots[0])]
     index: dict[tuple[int, int], int] = {order[0]: 0}
     owners: list[int] = []
     prios: list[int] = []
@@ -549,7 +562,7 @@ def reference_contracted_arena(e: Expr, w: Lasso,
             return deadlock["zero"]
         return land(nxt[i], succs[v][0])
 
-    order: list[tuple] = [(0, graph.root)]
+    order: list[tuple] = [(0, graph.roots[0])]
     index: dict[tuple, int] = {order[0]: 0}
     owners: list[int] = []
     prios: list[int] = []
@@ -620,18 +633,14 @@ def _reference_settle(graph: OccurrenceGraph, letter: str, step: list,
     return step[s]
 
 
-def reference_resolved_arena(e, w, graph: Optional[OccurrenceGraph] = None
+def reference_resolved_arena(graph: OccurrenceGraph, words: WordGraph
                              ) -> ParityGame:
     """The flat-array arena of ``game.build_arena`` as it was while every
     binder the game reached was a position: only non-binders are resolved
     at their vertex's letter, and a chain of slots ends at the first
     binder. Same arguments, start numbering and labels."""
-    if isinstance(w, Lasso):
-        if graph is None:
-            graph = occurrence_graph(e, w.alphabet)
-        w = lasso_graph(w)
     nodes, m = len(graph.kinds), len(graph.roots)
-    word, nxt, roots = w
+    word, nxt, roots = words
     at = [i for i in roots for _ in graph.roots]
     node = [*graph.roots] * len(roots)
     index = [-1] * (len(word) * nodes + 2)
@@ -698,7 +707,7 @@ def reference_resolved_arena(e, w, graph: Optional[OccurrenceGraph] = None
                       tuple(edges), 0, tuple(zip(at, node)))
 
 
-def reference_start_arena(e, w, graph: Optional[OccurrenceGraph] = None
+def reference_start_arena(graph: OccurrenceGraph, words: WordGraph
                           ) -> ParityGame:
     """The flat-array arena of ``game.build_arena`` as it was while every
     start was a position of its own: the start of word root k and
@@ -707,12 +716,8 @@ def reference_start_arena(e, w, graph: Optional[OccurrenceGraph] = None
     ``game._settle`` and its chain of slots as in ``build_arena``. Same
     arguments and labels; its ``starts`` are its first positions, one per
     word root and expression root."""
-    if isinstance(w, Lasso):
-        if graph is None:
-            graph = occurrence_graph(e, w.alphabet)
-        w = lasso_graph(w)
     nodes, m = len(graph.kinds), len(graph.roots)
-    word, nxt, roots = w
+    word, nxt, roots = words
     at = [i for i in roots for _ in graph.roots]
     node = [*graph.roots] * len(roots)
     index = [-1] * (len(word) * nodes + 2)
@@ -875,8 +880,8 @@ def depth_priorities(graph: OccurrenceGraph) -> tuple[int, ...]:
     binder's path from the root, so a breadth-first walk first meets each
     binder from its parent, and counts the binders above it on the way."""
     binder = [k in ("mu", "nu") for k in graph.kinds]
-    above = {graph.root: 0}  # node -> binders above it, on its first path
-    order = [graph.root]
+    above = {graph.roots[0]: 0}  # node -> binders above it, on its first path
+    order = [graph.roots[0]]
     for v in order:  # grows while walked
         for s in graph.succs[v]:
             if s not in above:

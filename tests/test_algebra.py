@@ -4,12 +4,13 @@ import random
 
 import pytest
 
-from helpers import (reference_complement, reference_negate_formula,
-                     reference_to_multl, reference_to_rll)
+from helpers import (desk_lassos, reference_complement,
+                     reference_negate_formula, reference_to_multl,
+                     reference_to_rll)
 from rll import algebra
 from rll.corpus import agreement_pairs, gen_expr
 from rll.game import member_game
-from rll.semantics import enumerate_lassos, member_oracle, models, parse_lasso
+from rll.semantics import member_oracle, models, parse_lasso
 from rll.syntax import (Act, Alphabet, AlphabetError, And, FVar, Meet, Mu,
                         MuF, NegProp, Next, Nu, NuF, Or, Prop, Sum, TOP, Top,
                         Var, ZERO, alpha_eq, negate_formula, parse_expr,
@@ -91,7 +92,7 @@ class TestToMultl:
         means."""
         ab = Alphabet.powerset("X0", "X1")
         rng = random.Random(45)
-        lassos = list(enumerate_lassos(ab, 1, 2))
+        lassos = desk_lassos(ab, 1, 2)
         renamed = 0
         for _ in range(150):
             e = gen_expr(rng, ab, rng.randint(2, 8))

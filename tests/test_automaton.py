@@ -13,7 +13,7 @@ import re
 
 from rll.closure import DEAD_TOP, DEAD_ZERO, graph_dot, occurrence_graph
 from rll.corpus import agreement_pairs, gen_expr
-from rll.game import ABELARD, build_arena
+from rll.game import ABELARD, build_arena, lasso_graph
 from rll.semantics import Lasso
 from rll.syntax import Alphabet, parse_expr
 
@@ -62,7 +62,8 @@ def dot_of(text, ab=AB):
 def move_closure(g):
     """The root, entered as a move enters a node, and every node or
     deadlock that moves reach from it."""
-    start = {"zero": DEAD_ZERO, "top": DEAD_TOP}.get(g.kinds[g.root], g.root)
+    root = g.roots[0]
+    start = {"zero": DEAD_ZERO, "top": DEAD_TOP}.get(g.kinds[root], root)
     seen, todo = {start}, [start]
     while todo:
         v = todo.pop()
@@ -150,7 +151,7 @@ class TestAgainstArena:
         for e, w in pairs:
             g = occurrence_graph(e, w.alphabet)
             states, _root, _edges = read_dot(graph_dot(g, w.alphabet))
-            arena = build_arena(e, w, g)
+            arena = build_arena(g, lasso_graph(w))
             for (_vertex, v), owner, p in zip(arena.labels, arena.owners,
                                               arena.priorities):
                 shape, _text, drawn = states[name(v)]

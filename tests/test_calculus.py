@@ -19,12 +19,11 @@ from rll import algebra, calculus, syntax
 from rll.calculus import (RULES, CalculusError, Claim, Derivation,
                           HypContext, Step, Verdict,
                           bool_taut, boolean_variables, check_derivation,
-                          check_multl, check_rll, derivation_from_json,
+                          derivation_from_json,
                           derivation_to_json, derive_complement,
                           load_proof_file, maximal_atoms, propositional_valid)
 from rll.corpus import gen_alphabet, gen_expr
-from rll.semantics import (enumerate_lassos, eval_multl, eval_rll,
-                           member_oracle)
+from rll.semantics import eval_multl, eval_rll, member_oracle
 from rll.syntax import (Act, Alphabet, And, BOT, FVar, Meet, Mu, MuF,
                         MuLtlFormula, Next, Nu, NuF, Or, ParseError, Prop, Sum,
                         TOP, TT, Var, ZERO, alpha_eq, free_vars, implies,
@@ -45,59 +44,62 @@ def rll_d(steps, tier="strict"):
 
 
 class TestSystemMismatch:
-    """check_rll and check_multl each reject the other system's derivation
-    before any step."""
+    """check_derivation checks a derivation in the system it names, and a
+    step's claim must be of that system: checked as rll, a muLTL step is
+    rejected, and checked as multl, an equational step is."""
 
     def test_check_rll_on_a_multl_derivation(self):
-        d = Derivation("multl", "strict", PQ, [Step(
-            "s1", parse_formula("P | ~P", PQ), "taut", {}, [])])
-        assert check_multl(d).accepted
-        assert check_rll(d) == Verdict.rejected(
-            "-", "not an equational derivation")
+        taut = Step("s1", parse_formula("P | ~P", PQ), "taut", {}, [])
+        assert check_derivation(
+            Derivation("multl", "strict", PQ, [taut])).accepted
+        assert check_derivation(
+            Derivation("rll", "strict", PQ, [taut])) == Verdict.rejected(
+                "s1", "expected an equational claim")
 
     def test_formula_claim_in_an_equational_derivation(self):
         d = rll_d([Step("s1", parse_formula("P | ~P", PQ), "refl", {}, [])])
-        assert check_rll(d) == Verdict.rejected(
+        assert check_derivation(d) == Verdict.rejected(
             "s1", "expected an equational claim")
 
     def test_check_multl_on_an_equational_derivation(self):
-        d = rll_d([estep("s1", "eq", "a.top + 0", "a.top", "plus_zero",
-                         {"e": "a.top"})])
-        assert check_rll(d).accepted
-        assert check_multl(d) == Verdict.rejected(
-            "-", "not a muLTL derivation")
+        eq = estep("s1", "eq", "a.top + 0", "a.top", "plus_zero",
+                   {"e": "a.top"})
+        assert check_derivation(rll_d([eq])).accepted
+        assert check_derivation(
+            Derivation("multl", "strict", AB, [eq])) == Verdict.rejected(
+                "s1", "expected a formula claim")
 
 
 class TestRllRules:
     def test_axiom_instance(self):
         d = rll_d([estep("s1", "eq", "a.top + 0", "a.top", "plus_zero",
                          {"e": "a.top"})])
-        assert check_rll(d).accepted
+        assert check_derivation(d).accepted
 
     def test_axiom_stated_as_leq_matches_definitionally(self):
         # prefix can be stated either as e(mu) <= mu or as its + equation
         d = rll_d([estep("s1", "eq", "a.(mu X. a.X) + mu X. a.X",
                          "mu X. a.X", "prefix", {"X": "X", "e": "a.X"})])
-        assert check_rll(d).accepted
+        assert check_derivation(d).accepted
 
     def test_wrong_axiom_instance_rejected(self):
         d = rll_d([estep("s1", "eq", "a.top + 0", "0", "plus_zero",
                          {"e": "a.top"})])
-        v = check_rll(d)
+        v = check_derivation(d)
         assert not v.accepted and v.step == "s1"
 
     def test_act_disjoint_needs_distinct_letters(self):
         d = rll_d([estep("s1", "eq", "a.0 & a.top", "0", "act_disjoint",
                          {"a": "a", "b": "a", "e": "0", "f": "top"})])
-        assert not check_rll(d).accepted
+        assert not check_derivation(d).accepted
 
     def test_top_partition_exact_order(self):
         d = rll_d([estep("s1", "eq", "top", "a.top + b.top",
                          "top_partition")])
-        assert check_rll(d).accepted
+        assert check_derivation(d).accepted
         d2 = rll_d([estep("s1", "eq", "top", "b.top + a.top",
                           "top_partition")])
-        assert not check_rll(d2).accepted
+        assert not check_derivation(d2).accepted
 
     def test_trans_mismatch_rejected(self):
         d = rll_d([
@@ -105,7 +107,7 @@ class TestRllRules:
             estep("s2", "eq", "b.0", "b.0", "refl"),
             estep("s3", "eq", "a.0", "b.0", "trans", premises=["s1", "s2"]),
         ])
-        v = check_rll(d)
+        v = check_derivation(d)
         assert not v.accepted and v.step == "s3"
 
     def test_cong_requires_one_hole(self):
@@ -116,11 +118,11 @@ class TestRllRules:
                   "(top + 0) + (top + 0)", "cong",
                   {"context": "H + H", "hole": "H"}, ["s1"]),
         ])
-        assert not check_rll(d).accepted
+        assert not check_derivation(d).accepted
 
     def test_unknown_rule(self):
         d = rll_d([estep("s1", "eq", "0", "0", "hocus_pocus")])
-        v = check_rll(d)
+        v = check_derivation(d)
         assert not v.accepted and "unknown rule" in v.reason
 
     @pytest.mark.parametrize("rule", ["taut", "mp", "nec"])
@@ -128,35 +130,37 @@ class TestRllRules:
         d = rll_d([estep("s1", "eq", "0", "0", "refl"),
                    estep("s2", "eq", "0", "0", rule, premises=["s1"])],
                   tier="extended")
-        assert check_rll(d) == Verdict(False, "s2", f"unknown rule {rule!r}")
+        assert check_derivation(d) == Verdict(False, "s2",
+                                              f"unknown rule {rule!r}")
 
     def test_duplicate_step_id(self):
         d = rll_d([estep("s1", "eq", "0", "0", "refl"),
                    estep("s1", "eq", "top", "top", "refl")])
-        assert not check_rll(d).accepted
+        assert not check_derivation(d).accepted
 
     def test_premise_must_precede(self):
         d = rll_d([estep("s1", "eq", "top", "0 + top", "sym",
                          premises=["s2"]),
                    estep("s2", "eq", "0 + top", "top", "refl")])
-        assert not check_rll(d).accepted
+        assert not check_derivation(d).accepted
 
     def test_hyp_outside_context_rejected(self):
         d = rll_d([estep("s1", "leq", "top", "X + Y", "hyp")])
-        assert not check_rll(d).accepted
+        assert not check_derivation(d).accepted
 
     def test_bool_taut_needs_extended_tier(self):
         d = rll_d([estep("s1", "leq", "a.top", "a.top + b.top", "bool_taut")])
-        assert not check_rll(d).accepted
+        assert not check_derivation(d).accepted
         d.tier = "extended"
-        assert check_rll(d).accepted
+        assert check_derivation(d).accepted
 
     def test_empty_derivation_rejected(self):
-        assert check_rll(rll_d([])) == Verdict(False, "-", "empty derivation")
+        assert check_derivation(rll_d([])) == Verdict(False, "-",
+                                                      "empty derivation")
 
     def test_sym_needs_its_premise(self):
         d = rll_d([estep("s1", "eq", "top", "top", "sym")])
-        assert check_rll(d) == Verdict(False, "s1",
+        assert check_derivation(d) == Verdict(False, "s1",
                                        "sym needs exactly 1 premise(s)")
 
     def test_bool_taut_atoms(self):
@@ -166,12 +170,12 @@ class TestRllRules:
             return rll_d([estep("s1", "leq", "a.top", "a.top + b.top",
                                 "bool_taut", {"atoms": list(atoms)})],
                          tier="extended")
-        assert check_rll(with_atoms("a.top", "b.top")).accepted
+        assert check_derivation(with_atoms("a.top", "b.top")).accepted
         d = with_atoms()
         d.steps[0].subst["atoms"] = "a.top"
-        assert check_rll(d) == Verdict(False, "s1",
+        assert check_derivation(d) == Verdict(False, "s1",
                                        "atoms must be a list of expressions")
-        v = check_rll(with_atoms("a.top", "b.("))
+        v = check_derivation(with_atoms("a.top", "b.("))
         assert (v.accepted, v.step) == (False, "s1")
         assert v.reason.startswith("bad atom: ")
         with pytest.raises(ParseError) as err:
@@ -184,7 +188,7 @@ class TestRllRules:
             estep("s2", "leq", "mu X. X", "E", "induction",
                   {"X": "X", "e": "X", "f": "E"}, ["s1"]),
         ])
-        assert check_rll(d).accepted
+        assert check_derivation(d).accepted
 
     def test_induction_wrong_premise(self):
         d = rll_d([
@@ -192,7 +196,7 @@ class TestRllRules:
             estep("s2", "leq", "mu X. X", "E", "induction",
                   {"X": "X", "e": "X", "f": "E"}, ["s1"]),
         ])
-        assert not check_rll(d).accepted
+        assert not check_derivation(d).accepted
 
 
 class TestDuality:
@@ -220,7 +224,7 @@ class TestDuality:
                                         Sum(Nu("W", Var("W")), Var("V")))),
                         "duality_plus",
                         {"X": "V", "Y": "W", "e": "V", "f": "W"}, [], hyp)])
-        v = check_rll(d)
+        v = check_derivation(d)
         assert not v.accepted
 
     def test_minimal_duality_instance(self):
@@ -231,7 +235,7 @@ class TestDuality:
                                                     Nu("W", Var("W")))),
                         "duality_plus",
                         {"X": "V", "Y": "W", "e": "V", "f": "W"}, [], hyp)])
-        assert check_rll(d).accepted
+        assert check_derivation(d).accepted
 
     def test_meet_duality_instance(self):
         hyp = HypContext(["V", "W"], [
@@ -240,7 +244,7 @@ class TestDuality:
                                                 Nu("W", Var("W"))), ZERO),
                         "duality_meet",
                         {"X": "V", "Y": "W", "e": "V", "f": "W"}, [], hyp)])
-        assert check_rll(d).accepted
+        assert check_derivation(d).accepted
 
     def test_fresh_variable_cited_from_outside_rejected(self):
         # an outer step about V must not be citable inside a context fresh in V
@@ -252,20 +256,20 @@ class TestDuality:
                                                     Nu("W", Var("W")))),
                         "duality_plus",
                         {"X": "V", "Y": "W", "e": "V", "f": "W"}, [], hyp)])
-        v = check_rll(d)
+        v = check_derivation(d)
         assert not v.accepted and "hypothetical variable" in v.reason
 
     def test_hyp_block_only_on_duality_rules(self):
         d = rll_d([estep("s1", "leq", "top", "top", "refl",
                          hyp=HypContext(["X"], []))])
-        v = check_rll(d)
+        v = check_derivation(d)
         assert not v.accepted and v.step == "s1"
         assert v.reason == ("only duality rules take a hypothetical "
                             "sub-derivation")
         d = Derivation("multl", "strict", PQ, [Step(
             "s1", parse_formula("P | ~P", PQ), "taut", {}, [],
             HypContext(["X"], []))])
-        assert not check_multl(d).accepted
+        assert not check_derivation(d).accepted
 
 
 class TestBoolTaut:
@@ -467,15 +471,15 @@ class TestMultl:
         d = self.multl_d([self.fstep(
             "s1", "(P | O (mu X. (P | O X))) -> mu X. (P | O X)", "mu_axiom",
             {"X": "X", "phi": "P | O X"})])
-        assert check_multl(d).accepted
+        assert check_derivation(d).accepted
 
     def test_taut(self):
         d = self.multl_d([self.fstep("s1", "(P & O Q) -> (O Q | ~P)", "taut")])
-        assert check_multl(d).accepted
+        assert check_derivation(d).accepted
 
     def test_taut_rejects_contingency(self):
         d = self.multl_d([self.fstep("s1", "P | Q", "taut")])
-        assert not check_multl(d).accepted
+        assert not check_derivation(d).accepted
 
     def test_mp(self):
         d = self.multl_d([
@@ -483,7 +487,7 @@ class TestMultl:
             self.fstep("s2", "(P | ~P) -> (tt | Q)", "taut"),
             self.fstep("s3", "tt | Q", "mp", premises=["s1", "s2"]),
         ])
-        assert check_multl(d).accepted
+        assert check_derivation(d).accepted
 
     def test_mp_wrong_minor_rejected(self):
         d = self.multl_d([
@@ -491,7 +495,7 @@ class TestMultl:
             self.fstep("s2", "(P | ~P) -> (tt | Q)", "taut"),
             self.fstep("s3", "tt | Q", "mp", premises=["s1", "s2"]),
         ])
-        v = check_multl(d)
+        v = check_derivation(d)
         assert not v.accepted and v.step == "s3"
 
     def test_nec(self):
@@ -499,7 +503,7 @@ class TestMultl:
             self.fstep("s1", "P | ~P", "taut"),
             self.fstep("s2", "O (P | ~P)", "nec", premises=["s1"]),
         ])
-        assert check_multl(d).accepted
+        assert check_derivation(d).accepted
 
     def test_nu_rule(self):
         d = self.multl_d([
@@ -512,7 +516,7 @@ class TestMultl:
                        {"X": "X", "phi": "tt & O X", "psi": "tt"},
                        premises=["s4"]),
         ])
-        assert check_multl(d).accepted
+        assert check_derivation(d).accepted
 
     @pytest.mark.parametrize("rule", ["refl", "trans", "bool_taut",
                                       "duality_plus"])
@@ -524,17 +528,17 @@ class TestMultl:
             Step("s2", parse_formula("P | ~P", PQ), rule,
                  {"X": "X", "Y": "Y", "e": "X", "f": "Y"}, ["s1", "s1"],
                  hyp)])
-        assert check_multl(d) == Verdict(False, "s2", f"unknown rule {rule!r}")
+        assert check_derivation(d) == Verdict(False, "s2",
+                                              f"unknown rule {rule!r}")
 
     def test_unknown_tier_rejected(self):
         """Both checkers refuse a tier they do not know."""
-        for check, d in (
-                (check_multl, self.multl_d([self.fstep("s1", "P | ~P",
-                                                       "taut")])),
-                (check_rll, rll_d([estep("s1", "eq", "0", "0", "refl")]))):
-            assert check(d).accepted
+        for d in (self.multl_d([self.fstep("s1", "P | ~P", "taut")]),
+                  rll_d([estep("s1", "eq", "0", "0", "refl")])):
+            assert check_derivation(d).accepted
             d.tier = "bogus"
-            assert check(d) == Verdict(False, "-", "unknown tier 'bogus'")
+            assert check_derivation(d) == Verdict(False, "-",
+                                                  "unknown tier 'bogus'")
 
     def test_propositional_valid_treats_fixpoints_opaquely(self):
         phi = parse_formula("(mu X. (P | O X)) | !(mu X. (P | O X))", PQ)
@@ -815,7 +819,7 @@ class TestProofCorpus:
             concl = d.steps[-1].claim
             if free_vars(concl.lhs) or free_vars(concl.rhs):
                 continue
-            for w in enumerate_lassos(d.alphabet, 2, 2):
+            for w in desk_lassos(d.alphabet):
                 ml = member_oracle(concl.lhs, w)
                 mr = member_oracle(concl.rhs, w)
                 if concl.rel == "eq":
@@ -855,7 +859,7 @@ class TestParseMemo:
         d = derivation_from_json(self._proof("b.top", "b.top"))
         s1, s2 = (s.claim for s in d.steps)
         assert s1 == s2
-        assert check_rll(d).accepted
+        assert check_derivation(d).accepted
 
     def test_shipped_proofs_load_each_text_once_per_call(self):
         """Each claim text loads as its parse alone; an equal text, in the
@@ -879,7 +883,7 @@ class TestParseMemo:
                              (("b.top", "b.top", "b.(top"), "s3")]:
             d = derivation_from_json(self._proof(*substs))
             for _ in range(2):
-                assert check_rll(d) == Verdict.rejected(step, reason)
+                assert check_derivation(d) == Verdict.rejected(step, reason)
 
 
 def _pinned_corpus():
@@ -911,8 +915,8 @@ class TestDeriveComplement:
             ab = AB if rng.random() < 0.7 else Alphabet.plain("a")
             e = gen_expr(rng, ab, rng.randint(1, 8))
             dp, dm = derive_complement(e, ab)
-            assert check_rll(dp).accepted, print_expr(e)
-            assert check_rll(dm).accepted, print_expr(e)
+            assert check_derivation(dp).accepted, print_expr(e)
+            assert check_derivation(dm).accepted, print_expr(e)
 
     def test_open_expression_rejected(self):
         with pytest.raises(CalculusError):
@@ -930,7 +934,7 @@ class TestDeriveComplement:
                 Mu: lambda var, body: Mu("X", body),
                 Nu: lambda var, body: Nu("X", body)})
             for d in derive_complement(e, ab):
-                assert check_rll(d).accepted, print_expr(e)
+                assert check_derivation(d).accepted, print_expr(e)
 
     @pytest.mark.parametrize("letters", ["a", "ab", "abc"])
     @pytest.mark.parametrize("text", [
@@ -943,7 +947,7 @@ class TestDeriveComplement:
         e = parse_expr(text if "b" in letters else text.replace("b.", "a."),
                        ab)
         for d in derive_complement(e, ab):
-            assert check_rll(d).accepted
+            assert check_derivation(d).accepted
 
     @pytest.mark.parametrize("text", [
         "mu X. a.top",  # binders whose body does not name their variable
@@ -964,7 +968,7 @@ class TestDeriveComplement:
             if letters <= set(names):
                 ab = Alphabet.plain(*names)
                 for d in derive_complement(parse_expr(text, ab), ab):
-                    assert check_rll(d).accepted, (text, names)
+                    assert check_derivation(d).accepted, (text, names)
                 checked += 1
         assert checked
 
@@ -978,14 +982,14 @@ class TestDeriveComplement:
         name, which the checker would refuse as a variable."""
         ab = Alphabet.powerset(prop)
         for d in derive_complement(parse_expr(text, ab), ab):
-            assert check_rll(d).accepted
+            assert check_derivation(d).accepted
 
     def test_complement_derivations_survive_json(self):
         e = parse_expr("mu X. (a.X & nu Y. (b.Y + X))", AB)
         for d in derive_complement(e, AB):
             again = derivation_from_json(
                 json.loads(json.dumps(derivation_to_json(d))))
-            assert check_rll(again).accepted
+            assert check_derivation(again).accepted
 
     def test_powerset_derivations_survive_json(self):
         """An rll derivation over a powerset alphabet is written with its
@@ -998,7 +1002,7 @@ class TestDeriveComplement:
                 assert data["props"] == ["P"] and "alphabet" not in data
                 again = derivation_from_json(data)
                 assert again.alphabet == ab
-                assert check_rll(again).accepted
+                assert check_derivation(again).accepted
 
     def test_rll_proof_takes_alphabet_or_props(self):
         data = derivation_to_json(derive_complement(TOP, AB)[0])
@@ -1035,7 +1039,7 @@ class TestDeriveComplement:
         e = parse_expr("nu X. a.X", AB)
         dp, _dm = derive_complement(e, AB)
         bad = [m for label, m in mutants(dp)
-               if check_rll(m).accepted]
+               if check_derivation(m).accepted]
         assert not bad
 
 

@@ -279,7 +279,7 @@ class TestTracedLayers:
                 built = calls["build_arena"][before["build_arena"]:]
                 solved = calls["solve_parity"][before["solve_parity"]:]
                 assert len(built) == len(solved) == 5, argv
-                assert all(len(args[2].roots) == 2 for args, _g in built)
+                assert all(len(args[0].roots) == 2 for args, _g in built)
         for _args, g in calls["build_arena"]:
             assert len(g.owners) == len(g.edges) > 0
             assert all(isinstance(s, int) for moves in g.edges
@@ -371,6 +371,17 @@ class TestDeepNesting:
         return subprocess.run([sys.executable, "-m", "rll.cli", *argv],
                               capture_output=True, text=True, env=env)
 
+    def test_handler_in_process(self, files, capsys, monkeypatch):
+        """The handler that the child processes reach, run in this one: a
+        RecursionError from the game exits 2 with its message and prints
+        nothing on stdout."""
+        def recurse(*args):
+            raise RecursionError("maximum recursion depth exceeded")
+
+        monkeypatch.setattr(rll.cli, "member_game", recurse)
+        assert run(capsys, ["member", files["ia"], "(ab)"]) == (
+            2, "", "error: expression nested too deeply\n")
+
     @pytest.mark.parametrize("argv", [["member", "(a)"], ["parse"],
                                       ["closure"], ["apa-dot"]])
     def test_exits_two_without_traceback(self, deep, argv):
@@ -446,6 +457,22 @@ class TestPropositionNames:
         path.write_text(f"alphabet {name} a ;\na.top\n")
         assert run(capsys, ["parse", str(path)]) == (
             2, "", f"error: {path}: {name!r} cannot be a letter name\n")
+
+    @pytest.mark.parametrize("lhs", [1, "a b.top"])
+    def test_letter_not_an_identifier_in_a_proof(self, tmp_path, capsys,
+                                                 lhs):
+        """No expression text can name the letter ``a b``: a proof over it
+        is refused at its alphabet, whether its claim names the term by
+        index into its "terms" (once accepted) or as text (once refused at
+        the text's ``b``)."""
+        path = tmp_path / "letters.json"
+        path.write_text(json.dumps({
+            "system": "rll", "tier": "strict", "alphabet": ["a b", "c"],
+            "terms": [["top"], ["act", "a b", 0]],
+            "steps": [{"id": "s1", "rule": "refl",
+                       "claim": {"rel": "eq", "lhs": lhs, "rhs": lhs}}]}))
+        assert run(capsys, ["check", str(path)]) == (
+            2, "", f"error: {path}: 'a b' cannot be a letter name\n")
 
 
 class TestAtomCap:

@@ -134,10 +134,10 @@ class TestClosureInvariants:
             e = gen_expr(rng, AB, rng.randint(1, 12))
             g = occurrence_graph(e, AB)
             root, root_node, nodes = read_listing(format_graph(e, g))
-            assert root == f"root: {print_expr(e)}" and root_node == g.root
+            assert root == f"root: {print_expr(e)}" and root_node == g.roots[0]
             assert nodes == list(zip(g.kinds, g.letters, g.succs,
                                      g.priority))
-            reach, frontier = {g.root}, [g.root]
+            reach, frontier = {g.roots[0]}, [g.roots[0]]
             while frontier:
                 for w in nodes[frontier.pop()][2]:
                     assert 0 <= w < len(nodes)

@@ -9,7 +9,8 @@ from itertools import groupby
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import (depth_priorities, desk_lassos, reference_build_arena,
+from helpers import (depth_priorities, desk_lassos, lasso_arena,
+                     reference_build_arena,
                      reference_closure, reference_contracted_arena,
                      reference_equiv_bounded, reference_inclusion_bounded,
                      reference_inclusion_sides, reference_occurrence_graph,
@@ -50,13 +51,13 @@ def search_graphs(ab, max_prefix, max_period, budget):
 
 class TestArena:
     def test_zero_deadlock(self):
-        g = build_arena(parse_expr("0", AB), lasso("(a)"))
+        g = lasso_arena(parse_expr("0", AB), lasso("(a)"))
         assert len(g.owners) == 1
         assert g.owners[0] == ELOISE
         assert g.edges == ((),)
 
     def test_letter_mismatch_deadlock(self):
-        g = build_arena(parse_expr("mu X. a.X", AB), lasso("(b)"))
+        g = lasso_arena(parse_expr("mu X. a.X", AB), lasso("(b)"))
         dead = [i for i, succs in enumerate(g.edges)
                 if not succs and g.owners[i] == ELOISE]
         assert dead, "expected a reachable mismatch deadlock"
@@ -71,14 +72,15 @@ class TestArena:
         itself, and the start stands for it."""
         e = parse_expr(IA, AB)
         graph = occurrence_graph(e, AB)
-        g = build_arena(e, lasso("(ab)"), graph)
-        assert g.labels == ((1, graph.root),)
+        g = lasso_arena(e, lasso("(ab)"), graph)
+        assert g.labels == ((1, graph.roots[0]),)
         assert g.edges == ((0,),) and g.starts == (0,)
         assert solve_parity(g).winner == (ELOISE,)
 
     def test_open_expression_rejected(self):
-        with pytest.raises(GameError):
-            build_arena(Var("X"), lasso("(a)"))
+        with pytest.raises(GameError, match="^the evaluation game needs a "
+                                            "closed expression$"):
+            member_game(Var("X"), lasso("(a)"))
 
 
 class TestActsReadOnMoves:
@@ -91,7 +93,7 @@ class TestActsReadOnMoves:
     def test_constant_roots_are_one_deadlock(self):
         for text, owner, winner, dead in (("0", ELOISE, ABELARD, DEAD_ZERO),
                                           ("top", ABELARD, ELOISE, DEAD_TOP)):
-            g = build_arena(parse_expr(text, AB), lasso("(a)"))
+            g = lasso_arena(parse_expr(text, AB), lasso("(a)"))
             assert g.owners == (owner,) and g.edges == ((),)
             assert g.labels == ((None, dead),) and g.starts == (0,)
             assert solve_parity(g).winner == (winner,)
@@ -101,12 +103,12 @@ class TestActsReadOnMoves:
         the start is the nu's position, or Eloise's deadlock on a b."""
         e = parse_expr("a.(nu X. a.X)", AB)
         graph = occurrence_graph(e, AB)
-        nu, = graph.succs[graph.root]
-        g = build_arena(e, lasso("(a)"), graph)
+        nu, = graph.succs[graph.roots[0]]
+        g = lasso_arena(e, lasso("(a)"), graph)
         assert g.labels == ((0, nu),)
         assert g.edges == ((0,),) and g.starts == (0,)
         assert solve_parity(g).winner == (ELOISE,)
-        g = build_arena(e, lasso("b(a)"), graph)
+        g = lasso_arena(e, lasso("b(a)"), graph)
         assert g.labels == ((None, DEAD_ZERO),)
         assert solve_parity(g).winner == (ABELARD,)
 
@@ -116,16 +118,16 @@ class TestActsReadOnMoves:
         chain in a deadlock, for which the start then stands."""
         e = parse_expr("nu X. a.b.a.X", AB)
         graph = occurrence_graph(e, AB)
-        g = build_arena(e, lasso("(aba)"), graph)
-        assert g.labels == ((0, graph.root),) and g.edges == ((0,),)
+        g = lasso_arena(e, lasso("(aba)"), graph)
+        assert g.labels == ((0, graph.roots[0]),) and g.edges == ((0,),)
         assert solve_parity(g).winner == (ELOISE,)
         e = parse_expr("a.b.a.top", AB)
         graph = occurrence_graph(e, AB)
-        g = build_arena(e, lasso("ab(a)"), graph)
+        g = lasso_arena(e, lasso("ab(a)"), graph)
         assert g.labels == ((None, DEAD_TOP),)
         assert g.edges == ((),) and g.owners == (ABELARD,)
         assert solve_parity(g).winner[g.initial] == ELOISE
-        g = build_arena(e, lasso("aa(a)"), graph)
+        g = lasso_arena(e, lasso("aa(a)"), graph)
         assert g.labels == ((None, DEAD_ZERO),)
         assert solve_parity(g).winner[g.initial] == ABELARD
 
@@ -134,12 +136,12 @@ class TestActsReadOnMoves:
         after a read and the mismatch, so the start stands for that
         deadlock, and Eloise loses. Both moves of X + a.X, where the vertex
         is its own successor, lead to the mu: the move repeats."""
-        g = build_arena(parse_expr("a.0 + b.0", AB), lasso("(a)"))
+        g = lasso_arena(parse_expr("a.0 + b.0", AB), lasso("(a)"))
         assert g.edges == ((),) and g.labels == ((None, DEAD_ZERO),)
         assert g.owners == (ELOISE,)
         assert solve_parity(g).winner == (ABELARD,)
         assert reference_solve_parity(g).winner == (ABELARD,)
-        g = build_arena(parse_expr("mu X. (X + a.X)", AB), lasso("(a)"))
+        g = lasso_arena(parse_expr("mu X. (X + a.X)", AB), lasso("(a)"))
         assert g.edges == ((1,), (0, 0))
         assert solve_parity(g).winner == (ABELARD, ABELARD)
         assert reference_solve_parity(g).winner == (ABELARD, ABELARD)
@@ -149,13 +151,13 @@ class TestActsReadOnMoves:
         would take it, into Eloise's deadlock, so the start stands for that
         deadlock."""
         e = parse_expr("(nu X. a.X) & b.top", AB)
-        g = build_arena(e, lasso("(a)"))
+        g = lasso_arena(e, lasso("(a)"))
         sol = solve_parity(g)
         assert g.labels[g.initial] == (None, DEAD_ZERO)
         assert sol.winner[g.initial] == ABELARD
         assert not member_oracle(e, lasso("(a)"))
         e = parse_expr("(nu X. a.X) & a.top", AB)
-        g = build_arena(e, lasso("(a)"))
+        g = lasso_arena(e, lasso("(a)"))
         assert solve_parity(g).winner[g.initial] == ELOISE
 
     def test_positions_and_deadlocks(self):
@@ -165,7 +167,7 @@ class TestActsReadOnMoves:
         for e, w in agreement_pairs(69, 4000):
             graph = occurrence_graph(e, w.alphabet)
             kinds = graph.kinds
-            g = build_arena(e, w, graph)
+            g = lasso_arena(e, w, graph)
             for j, (i, v) in enumerate(g.labels):
                 if i is None:
                     deadlocks += 1
@@ -190,7 +192,7 @@ class TestActsReadOnMoves:
             graph = occurrence_graph(e, ab)
             for g, roots in search_graphs(ab, 2, 2,
                                           rng.choice((1, 7, 10**6))):
-                arena = build_arena(e, g, graph)
+                arena = build_arena(graph, g)
                 won = solve_parity(arena).winner
                 for k, w in enumerate(roots):
                     full = reference_build_arena(e, w, graph)
@@ -229,12 +231,12 @@ class TestOccurrenceGraph:
 
     def test_variables_are_back_edges_to_binders(self):
         g = occurrence_graph(parse_expr(IA, AB), AB)
-        assert g.kinds[g.root] == "nu"
+        assert g.kinds[g.roots[0]] == "nu"
         acts = {g.letters[i]: g.succs[i] for i, k in enumerate(g.kinds)
                 if k == "act"}
-        mu, = g.succs[g.root]
-        assert acts == {"a": (g.root,), "b": (mu,)}
-        assert g.priority[g.root] == 0 and g.priority[mu] == 3
+        mu, = g.succs[g.roots[0]]
+        assert acts == {"a": (g.roots[0],), "b": (mu,)}
+        assert g.priority[g.roots[0]] == 0 and g.priority[mu] == 3
 
     def test_node_count_at_most_expr_size(self):
         rng = random.Random(61)
@@ -253,9 +255,9 @@ class TestOccurrenceGraph:
 
     def test_same_kind_nested_binders_share_priority(self):
         g = occurrence_graph(parse_expr("mu X. mu Y. (a.X + b.Y)", AB), AB)
-        mu_y, = g.succs[g.root]
+        mu_y, = g.succs[g.roots[0]]
         assert g.kinds[mu_y] == "mu"
-        assert g.priority[g.root] == g.priority[mu_y] == 1
+        assert g.priority[g.roots[0]] == g.priority[mu_y] == 1
 
     def test_distinct_priorities_bounded_by_alternation(self):
         rng = random.Random(62)
@@ -315,12 +317,12 @@ class TestSharedGraph:
                 graph = occurrence_graph(exprs, AB)
                 own = [occurrence_graph(x, AB) for x in exprs]
                 m = len(exprs)
-                assert len(graph.roots) == m and graph.root == graph.roots[0]
+                assert len(graph.roots) == m
                 assert len(graph.kinds) <= sum(len(o.kinds) for o in own)
                 shared += len(graph.kinds) < sum(len(o.kinds) for o in own)
                 for words, roots in search_graphs(AB, 2, 3,
                                                   rng.choice((5, 10**6))):
-                    arena = build_arena(exprs, words, graph)
+                    arena = build_arena(graph, words)
                     won = solve_parity(arena).winner
                     assert len(arena.starts) == m * len(words.roots)
                     for k, w in enumerate(roots):
@@ -364,7 +366,7 @@ class TestSharedGraph:
             exprs = [parse_expr(t, AB) for t in texts]
             graph = occurrence_graph(exprs, AB)
             for w in desk_lassos(AB):
-                arena = build_arena(exprs, w, graph)
+                arena = build_arena(graph, lasso_graph(w))
                 won = solve_parity(arena).winner
                 for x, t in enumerate(exprs):
                     assert (won[arena.starts[x]] == ELOISE) == \
@@ -380,7 +382,7 @@ class TestSharedGraph:
             graph = occurrence_graph([e, e], AB)
             assert graph.roots[0] == graph.roots[1]
             for words, roots in search_graphs(AB, 2, 2, 10**6):
-                arena = build_arena([e, e], words, graph)
+                arena = build_arena(graph, words)
                 won = solve_parity(arena).winner
                 for k, w in enumerate(roots):
                     assert arena.starts[2 * k] == arena.starts[2 * k + 1]
@@ -417,7 +419,7 @@ class TestParityGame:
     def test_a_word_graph_needs_a_root(self):
         e = parse_expr("nu X. a.X", AB)
         with pytest.raises(GameError):
-            build_arena(e, WordGraph("a", [0], []), occurrence_graph(e, AB))
+            build_arena(occurrence_graph(e, AB), WordGraph("a", [0], []))
 
     def test_initial_is_the_first_start(self):
         with pytest.raises(GameError):
@@ -450,14 +452,14 @@ class TestSolver:
     def test_winner_map_is_total_partition(self):
         rng = random.Random(4)
         for e, w in agreement_pairs(101, 60):
-            g = build_arena(e, w)
+            g = lasso_arena(e, w)
             sol = solve_parity(g)
             assert len(sol.winner) == len(g.owners)
             assert set(sol.winner) <= {ELOISE, ABELARD}
 
     def test_priority_shift_invariance(self):
         for e, w in agreement_pairs(55, 40):
-            g = build_arena(e, w)
+            g = lasso_arena(e, w)
             shifted = ParityGame(g.owners,
                                  tuple(p + 2 for p in g.priorities),
                                  g.edges, g.initial, g.labels)
@@ -467,7 +469,7 @@ class TestSolver:
         rng = random.Random(8)
         checked = 0
         for e, w in agreement_pairs(77, 25):
-            g = build_arena(e, w)
+            g = lasso_arena(e, w)
             sol = solve_parity(g)
             for player, strat in ((ELOISE, sol.strategy_eloise),
                                   (ABELARD, sol.strategy_abelard)):
@@ -504,7 +506,7 @@ class TestSolver:
             depth = depth_priorities(graph)
             differ += depth != graph.priority
             for w in lassos:
-                g = build_arena(e, w, graph)
+                g = lasso_arena(e, w, graph)
                 # the shared deadlocks, at no vertex, keep their priority
                 deep = ParityGame(g.owners,
                                   tuple(p if i is None else depth[v]
@@ -552,7 +554,7 @@ class TestAgainstReference:
         and the start's winner is that arena's start's."""
         shared = 0
         for e, w in agreement_pairs(66, 7500):
-            g = build_arena(e, w)
+            g = lasso_arena(e, w)
             won = reference_solve_parity(g).winner
             assert solve_parity(g).winner == won, \
                 f"winners differ on {e} / {print_lasso(w)}"
@@ -630,7 +632,7 @@ class TestResolvedArena:
     def test_starts_match_reference_and_oracle(self):
         for e, w in agreement_pairs(78, 2000):
             graph = occurrence_graph(e, w.alphabet)
-            g = build_arena(e, w, graph)
+            g = lasso_arena(e, w, graph)
             ref = reference_contracted_arena(e, w, graph)
             want = member_oracle(e, w)
             assert (solve_parity(g).winner[g.initial] == ELOISE) == want, \
@@ -647,10 +649,10 @@ class TestResolvedArena:
         their meet one move."""
         e = parse_expr("nu X. ((b.0 + a.top) & (a.X + b.0))", AB)
         graph = occurrence_graph(e, AB)
-        g = build_arena(e, lasso("(a)"), graph)
-        assert g.labels == ((0, graph.root),) and g.edges == ((0,),)
+        g = lasso_arena(e, lasso("(a)"), graph)
+        assert g.labels == ((0, graph.roots[0]),) and g.edges == ((0,),)
         assert solve_parity(g).winner == (ELOISE,)
-        g = build_arena(e, lasso("(b)"), graph)
+        g = lasso_arena(e, lasso("(b)"), graph)
         assert g.labels == ((None, DEAD_ZERO),) and g.edges == ((),)
         assert solve_parity(g).winner == (ABELARD,)
         assert member_oracle(e, lasso("(a)"))
@@ -658,7 +660,7 @@ class TestResolvedArena:
         # two sums that each leave the one move that reads a: the meet's
         # moves are one, so the meet is that move too
         e = parse_expr("nu X. ((a.X + b.0) & (a.X + b.top))", AB)
-        g = build_arena(e, lasso("(a)"))
+        g = lasso_arena(e, lasso("(a)"))
         assert g.edges == ((0,),) and solve_parity(g).winner == (ELOISE,)
 
     def test_paper_languages_halve_positions(self):
@@ -671,7 +673,7 @@ class TestResolvedArena:
         for e in langs:
             for _ in range(4):
                 w = gen_lasso(rng, AB, 20, 30)
-                g = build_arena(e, w)
+                g = lasso_arena(e, w)
                 ref = reference_contracted_arena(e, w)
                 assert (solve_parity(g).winner[g.initial] ==
                         reference_solve_parity(ref).winner[0])
@@ -703,7 +705,7 @@ class TestStrategyTraps:
 
     def test_agreement_pair_arenas(self):
         for e, w in agreement_pairs(68, 2000):
-            _assert_traps(build_arena(e, w))
+            _assert_traps(lasso_arena(e, w))
 
 
 def _check_play(g, sol, player, strat, opp_choice, start):
@@ -905,9 +907,9 @@ class TestBypassedBinders:
     def test_agreement_pairs(self):
         kept = full = 0
         for e, w in agreement_pairs(80, 2000):
-            graph = occurrence_graph(e, w.alphabet)
-            g = build_arena(e, w, graph)
-            ref = reference_resolved_arena(e, w, graph)
+            graph, words = occurrence_graph(e, w.alphabet), lasso_graph(w)
+            g = build_arena(graph, words)
+            ref = reference_resolved_arena(graph, words)
             _assert_within_reference(g, ref, 1)
             kept += len(g.owners)
             full += len(ref.owners)
@@ -920,8 +922,8 @@ class TestBypassedBinders:
         for e, f, ab, bounds in _search_pairs(70, 8):
             graph = occurrence_graph([e, f], ab)
             for words, _roots in search_graphs(ab, *bounds, 10**6):
-                g = build_arena([e, f], words, graph)
-                ref = reference_resolved_arena([e, f], words, graph)
+                g = build_arena(graph, words)
+                ref = reference_resolved_arena(graph, words)
                 _assert_within_reference(g, ref, 2 * len(words.roots))
                 kept += len(g.owners)
                 full += len(ref.owners)
@@ -950,11 +952,11 @@ class TestBypassedBinders:
         _assert_oracle("a.(nu X. b.X) + b.top", [lasso("(a)")])
         e = parse_expr("a.(mu X. 0)", AB)
         graph = occurrence_graph(e, AB)
-        mu, = graph.succs[graph.root]
-        g = build_arena(e, lasso("(a)"), graph)
+        mu, = graph.succs[graph.roots[0]]
+        g = lasso_arena(e, lasso("(a)"), graph)
         assert g.labels == ((None, DEAD_ZERO),) and g.starts == (0,)
-        ref = reference_resolved_arena(e, lasso("(a)"), graph)
-        assert ref.labels == ((0, graph.root), (0, mu), (None, DEAD_ZERO))
+        ref = reference_resolved_arena(graph, lasso_graph(lasso("(a)")))
+        assert ref.labels == ((0, graph.roots[0]), (0, mu), (None, DEAD_ZERO))
 
 
 class TestStartsStandForSlots:
@@ -965,9 +967,9 @@ class TestStartsStandForSlots:
     def test_agreement_pairs(self):
         kept = full = 0
         for e, w in agreement_pairs(80, 2000):
-            graph = occurrence_graph(e, w.alphabet)
-            g = build_arena(e, w, graph)
-            ref = reference_start_arena(e, w, graph)
+            graph, words = occurrence_graph(e, w.alphabet), lasso_graph(w)
+            g = build_arena(graph, words)
+            ref = reference_start_arena(graph, words)
             _assert_within_reference(g, ref, 1)
             kept += len(g.owners)
             full += len(ref.owners)
@@ -980,8 +982,8 @@ class TestStartsStandForSlots:
         for e, f, ab, bounds in _search_pairs(70, 8):
             graph = occurrence_graph([e, f], ab)
             for words, _roots in search_graphs(ab, *bounds, 10**6):
-                g = build_arena([e, f], words, graph)
-                ref = reference_start_arena([e, f], words, graph)
+                g = build_arena(graph, words)
+                ref = reference_start_arena(graph, words)
                 _assert_within_reference(g, ref, 2 * len(words.roots))
                 kept += len(g.owners)
                 full += len(ref.owners)
@@ -992,7 +994,7 @@ class TestStartsStandForSlots:
                               ("top", "(a)", DEAD_TOP),
                               ("a.0", "(b)", DEAD_ZERO)):
             _assert_oracle(text, [lasso(w)])
-            g = build_arena(parse_expr(text, AB), lasso(w))
+            g = lasso_arena(parse_expr(text, AB), lasso(w))
             assert g.labels == ((None, dead),) and g.starts == (0,)
 
     def test_starts_into_a_cycle(self):
@@ -1002,7 +1004,7 @@ class TestStartsStandForSlots:
         for text, w, closed in (("nu X. (a.X + b.X)", "(ab)", (0, 0)),
                                 ("nu X. nu Y. (a.X + b.Y)", "(b)", (0, 1))):
             _assert_oracle(text, [lasso(w)])
-            g = build_arena(parse_expr(text, AB), lasso(w))
+            g = lasso_arena(parse_expr(text, AB), lasso(w))
             assert g.labels == (closed,) and g.edges == ((0,),)
             assert g.starts == (0,)
 
@@ -1014,7 +1016,7 @@ class TestStartsStandForSlots:
             e = parse_expr(text, AB)
             graph = occurrence_graph([e, e], AB)
             with _alarm():
-                g = build_arena([e, e], lasso_graph(lasso(w)), graph)
+                g = build_arena(graph, lasso_graph(lasso(w)))
                 won = solve_parity(g).winner
             assert g.starts[0] == g.starts[1] == g.initial, text
             assert (won[g.initial] == ELOISE) == member_oracle(e, lasso(w))
@@ -1156,12 +1158,12 @@ class TestOneResolvedPerSearch:
                             if moves[v] is not None)
             return code
 
-        def build(exprs, words, graph, shared):
-            g = real_build(exprs, words, graph, shared)
+        def build(graph, words, shared):
+            g = real_build(graph, words, shared)
             won = solve_parity(g).winner
             for k, r in enumerate(words.roots):
                 w = vertex_lasso(words, r, ab)
-                for x, side in enumerate(exprs):
+                for x, side in enumerate((e, f)):
                     assert (won[g.starts[2 * k + x]] == ELOISE) == \
                         member_oracle(side, w), (side, w)
             lengths.append(w.length)  # the length class of the batch
@@ -1171,7 +1173,7 @@ class TestOneResolvedPerSearch:
         monkeypatch.setattr(game, "_settle", settle)
         monkeypatch.setattr(game, "build_arena", build)
         split = 0
-        for search, e, f, ab, bounds, want in cases:  # build reads ab
+        for search, e, f, ab, bounds, want in cases:  # build reads e, f, ab
             resolved.clear()
             lengths.clear()
             assert search(e, f, ab, *bounds) == want, (e, f, bounds)
@@ -1201,7 +1203,7 @@ class TestWordGraph:
         for bounds in [(0, 1), (1, 2), (2, 3), (3, 3), (4, 4)]:
             if len(letters) == 3 and bounds == (4, 4):
                 continue  # 2,040 lassos; (3, 3) already has 372
-            lassos = list(enumerate_lassos(ab, *bounds))
+            lassos = desk_lassos(ab, *bounds)
             enumerated = set(lassos)
             for budget in (1, 9, 10**6):
                 found = []
@@ -1234,7 +1236,7 @@ class TestWordGraph:
             e = parse_expr(text, ab)
             graph = occurrence_graph(e, ab)
             for g, roots in search_graphs(ab, 2, 3, 10**6):
-                arena = build_arena(e, g, graph)
+                arena = build_arena(graph, g)
                 winners = solve_parity(arena).winner
                 assert arena.initial == arena.starts[0] == 0
                 assert len(arena.starts) == len(g.roots)

@@ -14,7 +14,7 @@ from rll.syntax import (BINDERS, LATTICE, PREFIXES, Act, Alphabet,
                         parse_formula_file, print_expr,
                         subset_letter_name, substitute, token_kind,
                         token_positions, tokenize)
-from rll.calculus import Verdict, check_rll, derivation_from_json
+from rll.calculus import Verdict, check_derivation, derivation_from_json
 from rll.closure import ClosureError, occurrence_graph
 from rll.semantics import Lasso, SemanticsError, parse_lasso
 from rll.corpus import gen_expr
@@ -112,6 +112,20 @@ class TestAlphabet:
         with pytest.raises(AlphabetError, match="^letter names must be unique$"):
             Alphabet.powerset("P", "P")
 
+    def test_direct_construction_keeps_the_rules(self):
+        """A directly constructed alphabet obeys the rules of ``plain`` and
+        ``powerset``: each letter or proposition reads back as itself, and
+        the basis is capped, before its letters are compared."""
+        with pytest.raises(AlphabetError,
+                           match="^'tt' cannot be a proposition name$"):
+            Alphabet(("{}", "{tt}"), ("tt",))
+        with pytest.raises(AlphabetError,
+                           match="^'a b' cannot be a letter name$"):
+            Alphabet(("a b", "c"))
+        basis = tuple(f"P{i}" for i in range(17))
+        with pytest.raises(AlphabetError, match="^17 propositions exceed"):
+            Alphabet(("{}",), basis)
+
     def test_long_lasso_over_sixteen_propositions(self):
         """Checking a letter is a set lookup, not a scan of the 65,536
         letters: a 2,000-letter lasso took 1.4 s with the scan on a 2-CPU
@@ -148,7 +162,7 @@ class TestAlphabet:
             "steps": [{"id": "s1", "claim": {"rel": "eq", "lhs": "b.0",
                                              "rhs": "0"},
                        "rule": "act_zero", "subst": {"a": "c"}}]})
-        assert check_rll(d) == Verdict.rejected(
+        assert check_derivation(d) == Verdict.rejected(
             "s1", "undeclared letter in subst['a']")
 
 
